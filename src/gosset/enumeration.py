@@ -1,12 +1,19 @@
 """Coset enumeration for presentations on involutive generators.
 
-Deduction-driven (Felsch-style) filling: every table assignment is pushed on
-a deduction stack, and all cyclic conjugates of relators (and of their
-reversals) passing through the new edge are scanned before the next coset is
-defined.  Coincidences are processed with a union-find over coset indices,
-path compressed, smaller index surviving.  Since every generator is an
-involution, inverse columns coincide with generator columns and each edge is
-stored symmetrically.
+Deduction-driven (Felsch-style) filling: every table assignment alpha·x =
+beta is pushed on a deduction stack, and every relator cycle through the new
+edge is scanned before the next coset is defined.  Since every generator is
+an involution, inverse columns coincide with generator columns, each edge is
+stored symmetrically, and the inverse of a word is its reversal.
+
+The scanned words are the cyclic conjugates x·u, starting with x, of the
+relators and of their reversals, and they are scanned at alpha only.  That
+set is closed under x·u -> x·rev(u), and the cycle x·u read from beta is the
+cycle x·rev(u) read from alpha, so a second scan at beta would repeat the
+first.  The conjugates (x, x) are not scanned: symmetric storage makes them
+hold.  Coincidences are processed with a union-find over coset indices, path
+compressed, smaller index surviving; until the first one every coset is its
+own representative and the union-find is not consulted.
 
 Enumeration is exact: a closed table reports the subgroup index (the group
 order, for the trivial subgroup); hitting the coset budget reports
@@ -101,19 +108,26 @@ class _Enumerator:
         self.live = 1
         self.deductions: list[tuple[int, int]] = []
 
-    def _index_scan_words(self) -> list[list[tuple[int, ...]]]:
-        """For each generator, the distinct relator conjugates starting with it.
+    def _index_scan_words(self) -> list[list[tuple[tuple[int, ...], int]]]:
+        """For each generator x, the distinct relator conjugates x·u to scan
+        after a deduction alpha·x = beta, each with its last index.
 
         Involutive generators make the inverse of a word its reversal, so
-        reversed conjugates are included too.
+        reversed conjugates are included too.  Each list is therefore closed
+        under x·u -> x·rev(u): a relator cycle that crosses the new edge from
+        beta to alpha is the cycle x·rev(u) read from alpha, so scanning at
+        alpha alone covers every cycle through the edge.  The words (x, x)
+        are left out; the table stores each edge in both directions, so they
+        always hold.
         """
         by_first: list[set[tuple[int, ...]]] = [set() for _ in range(self.ngens)]
         for rel in self.relators:
             for base in (rel, tuple(reversed(rel))):
                 for r in range(len(base)):
                     conj = base[r:] + base[:r]
-                    by_first[conj[0]].add(conj)
-        return [sorted(ws) for ws in by_first]
+                    if conj != (conj[0], conj[0]):
+                        by_first[conj[0]].add(conj)
+        return [[(w, len(w) - 1) for w in sorted(ws)] for ws in by_first]
 
     def _find(self, a: int) -> int:
         parent = self.parent
@@ -170,53 +184,59 @@ class _Enumerator:
                     self.table[nu][x] = mu
                     self.deductions.append((mu, x))
 
-    def _scan(self, alpha: int, word: tuple[int, ...]) -> None:
-        """Scan one relator instance; deduce the last gap or report coincidence."""
-        table = self.table
-        f = alpha
-        i = 0
-        last = len(word) - 1
-        while i <= last:
-            nxt = table[f][word[i]]
-            if nxt is None:
-                break
-            f = nxt
-            i += 1
-        else:
-            if f != alpha:
-                self._coincidence(f, alpha)
-            return
-        b = alpha
-        j = last
-        while j >= i:
-            prv = table[b][word[j]]
-            if prv is None:
-                break
-            b = prv
-            j -= 1
-        else:
-            self._coincidence(f, b)
-            return
-        if j == i:
-            x = word[i]
-            table[f][x] = b
-            table[b][x] = f
-            self.deductions.append((f, x))
-
     def _process_deductions(self) -> None:
-        while self.deductions:
-            alpha, x = self.deductions.pop()
-            words = self.scan_words[x]
-            a = self._find(alpha)
-            for w in words:
-                self._scan(a, w)
+        """Scan the relator cycles through each new edge (alpha, x) at alpha.
+
+        A scan traces the word forwards, from beta = alpha·x when that is
+        known, and backwards; a single remaining gap becomes a deduction,
+        and a cycle that closes on a different coset is a coincidence.
+        """
+        table = self.table
+        deductions = self.deductions
+        scan_words = self.scan_words
+        merged = self.live != self.defined
+        while deductions:
+            a, x = deductions.pop()
+            if merged:
                 a = self._find(a)
-            beta = self.table[a][x]
-            if beta is not None:
-                b = self._find(beta)
-                for w in words:
-                    self._scan(b, w)
-                    b = self._find(b)
+            beta = table[a][x]
+            for word, last in scan_words[x]:
+                if beta is None:
+                    f, i = a, 0
+                else:
+                    f, i = beta, 1
+                while i <= last:
+                    nxt = table[f][word[i]]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                else:
+                    if f != a:
+                        self._coincidence(f, a)
+                        merged = True
+                        a = self._find(a)
+                        beta = table[a][x]
+                    continue
+                b = a
+                j = last
+                while j >= i:
+                    prv = table[b][word[j]]
+                    if prv is None:
+                        break
+                    b = prv
+                    j -= 1
+                else:
+                    self._coincidence(f, b)
+                    merged = True
+                    a = self._find(a)
+                    beta = table[a][x]
+                    continue
+                if j == i:
+                    g = word[i]
+                    table[f][g] = b
+                    table[b][g] = f
+                    deductions.append((f, g))
 
     def _scan_and_fill(self, word: tuple[int, ...]) -> None:
         """Trace a subgroup word at coset 0, defining cosets to complete it."""
@@ -226,7 +246,7 @@ class _Enumerator:
                 self._define(f, x)
             nxt = self.table[f][x]
             assert nxt is not None
-            f = self._find(nxt)
+            f = nxt
         if f != 0:
             self._coincidence(f, 0)
 
@@ -252,13 +272,10 @@ class _Enumerator:
             return BUDGET_EXCEEDED
 
     def live_rows(self) -> list[list[int | None]]:
-        rows = []
-        for a in range(len(self.table)):
-            if self.parent[a] == a:
-                rows.append(
-                    [None if v is None else self._find(v) for v in self.table[a]]
-                )
-        return rows
+        """Rows of the live cosets.  Coincidence processing redirects every
+        edge of a dead coset, so live rows name live cosets only."""
+        parent = self.parent
+        return [row for a, row in enumerate(self.table) if parent[a] == a]
 
 
 def _standardize(enum: _Enumerator) -> tuple[tuple[int, ...], ...]:
@@ -269,22 +286,15 @@ def _standardize(enum: _Enumerator) -> tuple[tuple[int, ...], ...]:
     while qi < len(order):
         a = order[qi]
         qi += 1
-        for x in range(enum.ngens):
-            val = enum.table[a][x]
-            if val is None:
+        for b in enum.table[a]:
+            if b is None:
                 raise AssertionError("closed table has a gap")
-            b = enum._find(val)
             if b not in old_new:
                 old_new[b] = len(order)
                 order.append(b)
     if len(order) != enum.live:
         raise AssertionError("coset table action is not transitive")
-    rows = []
-    for a in order:
-        rows.append(
-            tuple(old_new[enum._find(enum.table[a][x])] for x in range(enum.ngens))  # type: ignore[arg-type]
-        )
-    return tuple(rows)
+    return tuple(tuple(old_new[b] for b in enum.table[a]) for a in order)
 
 
 def todd_coxeter(
@@ -328,31 +338,33 @@ def verify_table(table: CosetTable, pres: Presentation) -> bool:
     if tuple(pres.generators) != table.generators:
         raise ValueError("presentation generators do not match the table")
     n = table.n_live
-    perms = {}
-    for g, col in table.action().items():
-        arr = np.array(col, dtype=np.int64)
-        if sorted(col) != list(range(n)):
-            return False
-        if not (arr[arr] == np.arange(n)).all():
-            return False
-        perms[g] = arr
+    rows = np.array(table.table, dtype=np.int64)
+    if rows.shape != (n, len(table.generators)):
+        return False
+    cols = np.ascontiguousarray(rows.T)
     idx = np.arange(n)
+    # A map of range(n) into itself that squares to the identity is a
+    # permutation.
+    if not ((cols >= 0) & (cols < n)).all():
+        return False
+    if not all((col[col] == idx).all() for col in cols):
+        return False
+    perms = dict(zip(table.generators, cols))
     for rel in pres.relators:
         cur = idx
         for letter in rel:
             cur = perms[letter][cur]
         if not (cur == idx).all():
             return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        for g in table.generators:
-            b = int(perms[g][a])
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return len(seen) == n
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = idx[:1]
+    while frontier.size:
+        step = cols[:, frontier].ravel()
+        step = step[~reached[step]]
+        reached[step] = True
+        frontier = np.unique(step)
+    return bool(reached.all())
 
 
 def _permutation_order(perm: np.ndarray) -> int:

@@ -1,12 +1,13 @@
 """Coset enumeration of the odd presentations and its certificates."""
 
-import random
+import hashlib
 
 import pytest
 
 from gosset.enumeration import (
     BUDGET_EXCEEDED,
     CLOSED,
+    CosetTable,
     enumerate_diagram_group,
     todd_coxeter,
     verify_action_against_matrices,
@@ -18,29 +19,54 @@ from gosset.presentation import Presentation, build_presentation
 
 EXPECTED_ORDERS = {"a3": 24, "affine_a5": 720, "petersen": 51840}
 
+# sha256 of enumerate_diagram_group("petersen").dump(), the standardized table.
+PETERSEN_DUMP_SHA256 = "59fa6995eb6ff9cafb582416db6c20713b4a701d386f34f2c09836d9c6c6b113"
+
+A3 = build_presentation("a3")
+# Collapsing presentations: a3 plus one extra relator, which forces
+# coincidences.  Each case is (relators, subgroup words, live, defined).
+COINCIDENCE_CASES = {
+    "a3_over_1": (A3.relators, [("1",)], 12, 13),
+    "a3_plus_13": (A3.relators + (("1", "3"),), [], 2, 4),
+    "a3_plus_123": (A3.relators + (("1", "2", "3"),), [], 1, 4),
+}
+
 
 def test_a3_presentation_closes_at_24():
     table = enumerate_diagram_group("a3")
     assert table.status == CLOSED
     assert table.order == 24
     assert table.n_live == 24
+    assert table.cosets_defined == 24
 
 
 def test_affine_with_deflation_closes_at_720():
     table = enumerate_diagram_group("affine_a5")
     assert table.order == 720
+    assert table.cosets_defined == 720
 
 
 def test_petersen_with_deflation_closes_at_51840():
     table = enumerate_diagram_group("petersen")
     assert table.order == 51840
-    assert table.cosets_defined >= table.n_live
+    assert table.cosets_defined == 51840
+    dump = table.dump().encode()
+    assert hashlib.sha256(dump).hexdigest() == PETERSEN_DUMP_SHA256
 
 
 def test_tables_pass_replay_certificate():
     for kind in ("a3", "affine_a5", "petersen"):
         table = enumerate_diagram_group(kind)
         assert verify_table(table, build_presentation(kind))
+
+
+def test_replay_certificate_rejects_intransitive_table():
+    # Two disjoint copies of the a3 table satisfy every relator and have
+    # involutive columns, but coset 0 does not reach the second copy.
+    rows = enumerate_diagram_group("a3").table
+    shifted = tuple(tuple(v + 24 for v in row) for row in rows)
+    union = CosetTable(A3.generators, rows + shifted, CLOSED, 48, 48)
+    assert not verify_table(union, A3)
 
 
 def test_action_columns_are_involutions():
@@ -64,23 +90,83 @@ def test_subgroup_enumeration_counts_cosets():
     table = todd_coxeter(pres, subgroup_words=[("1",)])
     assert table.status == CLOSED
     assert table.n_live == 12
+    assert table.cosets_defined == 13
+
+
+@pytest.mark.parametrize("case", sorted(COINCIDENCE_CASES))
+def test_coincidences_collapse_the_table(case):
+    relators, subgroup, live, defined = COINCIDENCE_CASES[case]
+    table = todd_coxeter(Presentation(A3.generators, relators), subgroup)
+    assert table.status == CLOSED
+    assert (table.n_live, table.cosets_defined) == (live, defined)
+    assert verify_table(table, Presentation(A3.generators, relators))
+
+
+def test_partial_table_keeps_live_cosets_only():
+    relators = COINCIDENCE_CASES["a3_plus_13"][0]
+    table = todd_coxeter(Presentation(A3.generators, relators), [("1",)], budget=2)
+    assert table.status == BUDGET_EXCEEDED
+    assert (table.n_live, table.cosets_defined) == (1, 2)
+    assert table.table == ((0, None, 0),)
+
+
+def _sympy_index(pres, subgroup):
+    from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_c
+    from sympy.combinatorics.free_groups import free_group
+
+    free, *gens = free_group(",".join(f"t{g}" for g in pres.generators))
+    letter = dict(zip(pres.generators, gens))
+
+    def word(w):
+        out = free.identity
+        for a in w:
+            out = out * letter[a]
+        return out
+
+    group = FpGroup(free, [word(r) for r in pres.relators])
+    cosets = coset_enumeration_c(group, [word(w) for w in subgroup])
+    cosets.compress()
+    return len(cosets.table)
+
+
+ORACLE_CASES = {
+    "a3": (A3.relators, []),
+    "a3_over_13": (A3.relators, [("1",), ("3",)]),
+    **{case: spec[:2] for case, spec in COINCIDENCE_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_index_matches_sympy_coset_enumeration(case):
+    pytest.importorskip("sympy")
+    relators, subgroup = ORACLE_CASES[case]
+    pres = Presentation(A3.generators, relators)
+    assert todd_coxeter(pres, subgroup).n_live == _sympy_index(pres, subgroup)
 
 
 def test_relator_order_does_not_matter():
-    rng = random.Random(13)
-    for kind in ("a3", "affine_a5"):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @hypothesis.given(st.sampled_from(["a3", "affine_a5"]), st.data())
+    def relabelled_and_shuffled(kind, data):
         pres = build_presentation(kind)
-        for _ in range(3):
-            rels = list(pres.relators)
-            rng.shuffle(rels)
-            shuffled = Presentation(pres.generators, tuple(rels))
-            assert todd_coxeter(shuffled).order == EXPECTED_ORDERS[kind]
+        relabel = data.draw(st.permutations(pres.generators))
+        labels = dict(zip(pres.generators, relabel))
+        rels = data.draw(st.permutations(pres.relators))
+        relabelled = tuple(tuple(labels[a] for a in r) for r in rels)
+        table = todd_coxeter(Presentation(pres.generators, relabelled))
+        assert table.order == EXPECTED_ORDERS[kind]
+
+    relabelled_and_shuffled()
 
 
 def test_without_deflation_the_affine_group_is_infinite():
     pres = build_presentation("affine_a5", deflate=False)
     table = todd_coxeter(pres, budget=100_000)
     assert table.status == BUDGET_EXCEEDED
+    assert table.cosets_defined == table.n_live == 100_000
     with pytest.raises(ValueError):
         table.order
 
@@ -89,6 +175,7 @@ def test_without_deflation_the_petersen_group_exceeds_budget():
     pres = build_presentation("petersen", deflate=False)
     table = todd_coxeter(pres, budget=100_000)
     assert table.status == BUDGET_EXCEEDED
+    assert table.cosets_defined == table.n_live == 100_000
 
 
 def test_petersen_minus_one_deflation_still_closes():
