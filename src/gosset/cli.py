@@ -194,7 +194,7 @@ def lattice_suite(options: Options) -> list[CheckReport]:
                 skipped_check(
                     f"congruence_trivial_n{n}",
                     n,
-                    f"pass --max-n {n} to enable (n=7 takes ~25 s and ~1 GB)",
+                    f"pass --max-n {n} to enable (n=7 takes ~5 s and ~300 MB)",
                 )
             )
             continue

@@ -230,9 +230,6 @@ class TileGraph:
     tile_count: int
     edges: tuple[tuple[int, str, int], ...]
 
-    def neighbors(self, tile: int) -> list[tuple[str, int]]:
-        return [(lab, b) for a, lab, b in self.edges if a == tile]
-
     def neighbor_sets(self) -> list[frozenset[int]]:
         sets: list[set[int]] = [set() for _ in range(self.tile_count)]
         for a, _, b in self.edges:
@@ -317,11 +314,11 @@ def build_tessellation(n: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> TileGrap
     _assert_stabilizer_permutes_walls(n, list(walls.values()))
 
     labels = gosset_walls(n).labels
-    edges = []
-    for tile in range(space.count):
-        rep = space.representative(tile)
-        for lab in labels:
-            edges.append((tile, lab, space.coset_index(rep @ walls[lab])))
+    reps = space.representative_indices
+    crossed = [space.cosets_of(group.right_multiply(reps, walls[lab])).tolist() for lab in labels]
+    edges = [
+        (tile, lab, crossed[j][tile]) for tile in range(space.count) for j, lab in enumerate(labels)
+    ]
 
     graph = TileGraph(n, labels, space.count, tuple(edges))
     _assert_pair_symmetric(graph)
@@ -347,9 +344,10 @@ def _assert_representative_independent(
     stored = [Counter() for _ in range(graph.tile_count)]
     for a, _, b in graph.edges:
         stored[a][b] += 1
-    shift = space.subgroup.generators[0]
+    group = space.group
+    alts = group.right_multiply(space.representative_indices, space.subgroup.generators[0])
+    crossed = [space.cosets_of(group.right_multiply(alts, t)).tolist() for t in walls.values()]
     for tile in range(graph.tile_count):
-        alt = space.representative(tile) @ shift
-        got = Counter(space.coset_index(alt @ t) for t in walls.values())
+        got = Counter(column[tile] for column in crossed)
         if got != stored[tile]:
             raise AssertionError("tile neighbors depend on the coset representative")

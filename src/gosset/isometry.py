@@ -6,12 +6,16 @@ entry (0,0) >= 1, which preserves the positive light cone.  Reductions mod m
 land in finite matrix groups over Z/m.
 
 Groups are enumerated by exhaustive breadth-first closure under generator
-multiplication, with elements deduplicated by their row-major byte encoding.
-The closure engine stores elements as int8 arrays and multiplies batches in
-int64, which keeps the largest case in scope (the finite stabilizer for
-n = 7, order 2903040) inside a few hundred MB.  Everything downstream
-(projectivization, coset spaces, the trivial-intersection checks against
-congruence subgroups) is built on that engine.
+multiplication, one vectorized layer at a time.  Each element has an int64
+key, computed before the element is built: the base-m digits of a matrix
+mod m, or over Z the image M v of a chamber vector v with trivial
+stabilizer.  A layer's candidate keys are deduplicated once and looked up
+in the sorted keys of the two layers before it, and only new elements are
+multiplied out and stored, as int8.  That keeps the largest case in scope
+(the finite stabilizer for n = 7, order 2903040) to a few seconds and about
+300 MB.  Everything downstream (projectivization, coset spaces, the
+trivial-intersection checks against congruence subgroups) is built on that
+engine.
 """
 
 from __future__ import annotations
@@ -21,7 +25,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .lattice import LatticeVector, Root, basis_vector, norm, reflect
+from .lattice import (
+    LatticeVector,
+    Root,
+    basis_vector,
+    inner,
+    norm,
+    reflect,
+    simple_roots,
+    vector,
+)
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
 
@@ -207,21 +220,66 @@ def _invertible_mod(rows: Rows, m: int) -> bool:
     return gcd(det_int(rows) % m, m) == 1
 
 
-def _projective_canonical_batch(flat: np.ndarray, m: int) -> np.ndarray:
-    """Rowwise lexicographic min of x and (-x) mod m over flattened matrices."""
-    alt = (-flat) % m
-    differs = flat != alt
-    first = differs.argmax(axis=1)
-    rows = np.arange(len(flat))
-    take_alt = alt[rows, first] < flat[rows, first]
-    return np.where(take_alt[:, None], alt, flat)
+def chamber_vector(n: int) -> LatticeVector:
+    """v = (-(3n-2), n, n-1, ..., 1), which pairs to 1 with every simple root.
+
+    So v lies in the open fundamental chamber of the reflection group W of
+    Z^{n,1}, and its stabilizer in W is trivial (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.12 for finite W, 5.13 in general): M -> M v is
+    injective on W and on every subgroup, finite (the stabilizer of the long
+    simple reflections) or not (all simple reflections).
+    """
+    v = vector(-(3 * n - 2), *range(n, 0, -1))
+    if any(inner(a, v) <= 0 for a in simple_roots(n)):
+        raise AssertionError("chamber vector fails to pair positively with a simple root")
+    return v
+
+
+def _pack_int8(vecs: np.ndarray) -> np.ndarray:
+    """One int64 per row of at most eight integers, each within int8."""
+    if len(vecs) and np.abs(vecs).max() > 127:
+        raise OverflowError("closure key entries exceed int8")
+    packed = np.zeros((len(vecs), 8), dtype=np.int8)
+    packed[:, : vecs.shape[1]] = vecs
+    return packed.view(np.int64).ravel()
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the position where each first occurs."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    return ordered[starts], np.minimum.reduceat(order, starts)
+
+
+def _positions(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of each query in a sorted key array, -1 where it is absent."""
+    if not len(sorted_keys):
+        return np.full(len(queries), -1)
+    pos = np.searchsorted(sorted_keys, queries).clip(max=len(sorted_keys) - 1)
+    return np.where(sorted_keys[pos] == queries, pos, -1)
 
 
 class _RawClosure:
     """Breadth-first closure of integer or mod-m matrices under right multiplication.
 
-    Elements are discovered in deterministic order (level by level, generators
-    in the given order) and stored as int8 blocks keyed by row-major bytes.
+    Elements are discovered layer by layer; within a layer the products F g
+    run generator-major (the whole frontier times the first generator, then
+    the second, ...) and each new element keeps its first occurrence.  Every
+    element has an int64 key, computed before the element itself is built:
+
+    - mod m: the base-m digits of the reduced (projectively canonical) matrix;
+    - over Z: M v packed as eight int8 values, v = chamber_vector(d - 1).  The
+      generators must lie in the reflection group of Z^{d-1,1}, where
+      M -> M v is injective; the key of F g is F (g v), so only new elements
+      are ever multiplied out.
+
+    The generator set must be closed under inversion.  Then the neighbours of
+    layer k lie in layers k-1, k and k+1, so each layer's candidate keys are
+    deduplicated once and looked up in the sorted keys of the two layers
+    before them.  Elements are stored as int8 blocks, one per layer, and
+    multiplied in float32, which is exact: every entry and key entry stays
+    within int8, so no partial sum comes near 2^24.
     """
 
     def __init__(
@@ -243,64 +301,110 @@ class _RawClosure:
         self.projective = projective
 
         gens = np.array(gen_rows, dtype=np.int64)
-        if modulus is not None:
-            gens %= modulus
-        ident = np.eye(d, dtype=np.int64)[None]
-        if projective:
-            assert modulus is not None
-            ident = _projective_canonical_batch(ident.reshape(1, -1), modulus).reshape(1, d, d)
-
-        index: dict[bytes, int] = {}
-        blocks: list[np.ndarray] = []
-
-        def absorb(cands: np.ndarray) -> np.ndarray:
-            """Record unseen matrices, return them as an int8 block."""
-            if self.modulus is None and cands.size and abs(int(np.abs(cands).max())) > 127:
+        if modulus is None:
+            if d > 8:
+                raise ValueError("integer closures pack keys for dimension at most 8")
+            if np.abs(gens).max() > 127:
                 raise OverflowError("matrix entries exceed int8 storage")
-            small = cands.astype(np.int8)
-            flat = small.reshape(len(small), -1)
-            fresh = []
-            for i in range(len(flat)):
-                key = flat[i].tobytes()
-                if key not in index:
-                    if len(index) >= budget:
-                        raise ClosureBudgetExceeded(
-                            f"closure exceeded element budget {budget}"
-                        )
-                    index[key] = len(index)
-                    fresh.append(small[i])
-            if not fresh:
-                return np.empty((0, d, d), dtype=np.int8)
-            block = np.stack(fresh)
-            blocks.append(block)
-            return block
+            self._chamber = np.array(chamber_vector(d - 1).coords, dtype=np.float32)
+        else:
+            if modulus > 128 or modulus ** (d * d) > 2**63:
+                raise ValueError("mod-m keys need m <= 128 and m^(d*d) <= 2^63")
+            gens %= modulus
+            # Most significant digit first: keys order like the entries, lexicographically.
+            self._powers = modulus ** np.arange(d * d - 1, -1, -1, dtype=np.int64)
+            # Products of reduced matrices lie in [0, d (m-1)^2]; reduce them by table.
+            self._residue = (np.arange(d * (modulus - 1) ** 2 + 1) % modulus).astype(np.int8)
+            self._negated = (-np.arange(modulus) % modulus).astype(np.int8)
+        self._gens = gens.astype(np.float32)
+        self._identity = np.eye(d, dtype=np.float32)
+        ident = self.products(np.eye(d, dtype=np.int8)[None], self._identity)
+        squares = [self.products(gens.astype(np.int8), g) == ident for g in self._gens]
+        if not np.stack(squares, axis=1).all(axis=(2, 3)).any(axis=1).all():
+            raise ValueError("generator set must be closed under inversion")
 
-        frontier = absorb(ident)
-        chunk = 1 << 17
-        while len(frontier):
-            level: list[np.ndarray] = []
-            for lo in range(0, len(frontier), chunk):
-                f64 = frontier[lo : lo + chunk].astype(np.int64)
-                for g in gens:
-                    prods = f64 @ g
-                    if modulus is not None:
-                        prods %= modulus
-                        if projective:
-                            prods = _projective_canonical_batch(
-                                prods.reshape(len(prods), -1), modulus
-                            ).reshape(-1, d, d)
-                    got = absorb(prods)
-                    if len(got):
-                        level.append(got)
-            frontier = np.concatenate(level) if level else np.empty((0, d, d), np.int8)
-
-        self.index = index
-        self._blocks = blocks
+        frontier = ident
+        keys = self.product_keys(ident, self._identity)
+        self._blocks = [frontier]
+        self._key_blocks = [keys]
+        count = 1
+        before, current = np.empty(0, dtype=np.int64), keys
+        while True:
+            cands = self._candidate_keys(frontier)
+            uniq, first = _first_occurrences(cands)
+            fresh = (_positions(before, uniq) < 0) & (_positions(current, uniq) < 0)
+            born = int(fresh.sum())
+            if not born:
+                break
+            if count + born > budget:
+                raise ClosureBudgetExceeded(f"closure exceeded element budget {budget}")
+            picks = np.sort(first[fresh])
+            frontier = self._build(frontier, picks)
+            self._blocks.append(frontier)
+            self._key_blocks.append(cands[picks])
+            count += born
+            before, current = current, uniq[fresh]
+        self.order = count
         self._mats: np.ndarray | None = None
+        self._lookup: tuple[np.ndarray, np.ndarray] | None = None
 
-    @property
-    def order(self) -> int:
-        return len(self.index)
+    def _multiply(self, mats: np.ndarray, gen: np.ndarray) -> np.ndarray:
+        """M g for int8 matrices M and a float32 matrix g, as rows of d*d entries.
+
+        int8 rows reduced mod m; over Z, int32 rows checked to fit int8.
+        """
+        n, d = len(mats), self.dimension
+        # (g^T M^T)^T: threaded BLAS is slow on a tall operand only d columns wide.
+        rows = gen.T @ mats.reshape(n * d, d).astype(np.float32).T
+        flat = rows.T.astype(np.int32, order="C").reshape(n, d * d)
+        if self.modulus is not None:
+            return self._residue[flat]
+        if n and np.abs(flat).max() > 127:
+            raise OverflowError("matrix entries exceed int8 storage")
+        return flat
+
+    def products(self, mats: np.ndarray, gen: np.ndarray) -> np.ndarray:
+        """The products M g as int8 matrices, the smaller of +-M g when projective."""
+        flat = self._multiply(mats, gen)
+        if self.projective:
+            neg = self._negated[flat]
+            flat = np.where((self._digits(neg) < self._digits(flat))[:, None], neg, flat)
+        return flat.astype(np.int8).reshape(len(mats), self.dimension, self.dimension)
+
+    def _digits(self, flat: np.ndarray) -> np.ndarray:
+        return flat.astype(np.int64) @ self._powers
+
+    def product_keys(self, mats: np.ndarray, gen: np.ndarray) -> np.ndarray:
+        """Keys of the products M g of int8 matrices M and a float32 matrix g."""
+        if self.modulus is None:
+            return self._chamber_keys(mats, (gen @ self._chamber)[None])
+        flat = self._multiply(mats, gen)
+        keys = self._digits(flat)
+        if self.projective:
+            np.minimum(keys, self._digits(self._negated[flat]), out=keys)
+        return keys
+
+    def _chamber_keys(self, mats: np.ndarray, images: np.ndarray) -> np.ndarray:
+        """Keys M (g v) for every row g v of images, generator-major, over Z."""
+        n, d = len(mats), self.dimension
+        flat = mats.reshape(n * d, d).astype(np.float32)
+        return _pack_int8((images @ flat.T).reshape(-1, d))
+
+    def _candidate_keys(self, frontier: np.ndarray) -> np.ndarray:
+        """Keys of every product F g, generator-major; over Z none is built."""
+        if self.modulus is None:
+            return self._chamber_keys(frontier, self._gens @ self._chamber)
+        return np.concatenate([self.product_keys(frontier, g) for g in self._gens])
+
+    def _build(self, frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        """The products F g at generator-major candidate positions."""
+        which, rows = np.divmod(picks, len(frontier))
+        d = self.dimension
+        out = np.empty((len(picks), d, d), dtype=np.int8)
+        for i, g in enumerate(self._gens):
+            sel = which == i
+            out[sel] = self.products(frontier[rows[sel]], g)
+        return out
 
     @property
     def mats(self) -> np.ndarray:
@@ -312,8 +416,19 @@ class _RawClosure:
     def blocks(self) -> Iterator[np.ndarray]:
         return iter(self._blocks)
 
-    def key_of(self, rows: Rows) -> bytes:
-        return np.array(rows, dtype=np.int8).tobytes()
+    def index_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Discovery index of each key, -1 where the key is not in the closure."""
+        if self._lookup is None:
+            all_keys = np.concatenate(self._key_blocks)
+            order = np.argsort(all_keys)
+            self._lookup = (all_keys[order], order)
+        sorted_keys, order = self._lookup
+        pos = _positions(sorted_keys, keys)
+        return np.where(pos >= 0, order[pos], -1)
+
+    def index_of_rows(self, rows: Rows) -> int:
+        key = self.product_keys(np.array([rows], dtype=np.int8), self._identity)
+        return int(self.index_of_keys(key)[0])
 
     def rows_at(self, i: int) -> Rows:
         return tuple(tuple(int(x) for x in row) for row in self.mats[i])
@@ -324,7 +439,8 @@ class GroupClosure:
 
     With projective=True elements are classes {M, -M}, each stored by its
     canonical representative; that is the right model for quotients like
-    PGO where -I must be factored out.
+    PGO where -I must be factored out.  The generator set must be closed
+    under inversion (reflections are).
     """
 
     def __init__(
@@ -349,7 +465,6 @@ class GroupClosure:
         self._core = _RawClosure(
             [g.entries for g in self.generators], m, projective, budget
         )
-        self._element_set: frozenset[ModularMatrix] | None = None
 
     @property
     def order(self) -> int:
@@ -365,25 +480,25 @@ class GroupClosure:
         return projective_normal_form(mat) if self.projective else mat
 
     def __contains__(self, mat: ModularMatrix) -> bool:
-        return self._core.key_of(self._normalize(mat).entries) in self._core.index
+        return self._core.index_of_rows(self._normalize(mat).entries) >= 0
 
     def index_of(self, mat: ModularMatrix) -> int:
-        key = self._core.key_of(self._normalize(mat).entries)
-        try:
-            return self._core.index[key]
-        except KeyError:
-            raise KeyError("matrix not in closure") from None
+        i = self._core.index_of_rows(self._normalize(mat).entries)
+        if i < 0:
+            raise KeyError("matrix not in closure")
+        return i
 
     def element_at(self, i: int) -> ModularMatrix:
         return ModularMatrix(self._core.rows_at(i), self.modulus)
 
-    @property
-    def elements(self) -> frozenset[ModularMatrix]:
-        if self._element_set is None:
-            self._element_set = frozenset(
-                self.element_at(i) for i in range(self.order)
-            )
-        return self._element_set
+    def right_multiply(self, indices: np.ndarray, mat: ModularMatrix) -> np.ndarray:
+        """Indices of the products element_i * mat, for an array of element indices."""
+        gen = np.array(self._normalize(mat).entries, dtype=np.float32)
+        core = self._core
+        found = core.index_of_keys(core.product_keys(core.mats[indices], gen))
+        if (found < 0).any():
+            raise KeyError("product not in closure")
+        return found
 
     @property
     def contains_minus_identity(self) -> bool:
@@ -412,10 +527,12 @@ def finite_group_elements(
     generators: Sequence[LatticeIsometry],
     budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> list[LatticeIsometry]:
-    """All elements of the group generated by integer isometries.
+    """All elements of the group generated by reflections of Z^{n,1}.
 
-    Exhaustive closure guarded by an element budget: a wrong generator set
-    (infinite group) fails fast instead of silently grinding.
+    The generators, such as the long simple reflections, must lie in the
+    reflection group whose chamber vector keys the closure.  Exhaustive
+    closure guarded by an element budget: a wrong generator set (infinite
+    group) fails fast instead of silently grinding.
     """
     core = _RawClosure([g.entries for g in generators], None, False, budget)
     return [LatticeIsometry(core.rows_at(i)) for i in range(core.order)]
@@ -437,8 +554,6 @@ class CongruenceIntersection:
 
 def long_simple_reflections(n: int) -> list[LatticeIsometry]:
     """Reflections in the norm-2 simple roots: generators of the finite stabilizer."""
-    from .lattice import simple_roots
-
     return [reflection_matrix(a) for a in simple_roots(n) if norm(a) == 2]
 
 
@@ -448,8 +563,8 @@ def congruence_intersection_check(
     """Enumerate the finite stabilizer over Z and count elements = I mod 2 and mod 3.
 
     The group is trivial-intersection with both congruence kernels exactly
-    when each count is 1.  n = 7 enumerates 2903040 matrices; keep it behind
-    an opt-in switch in callers.
+    when each count is 1.  n = 7 enumerates 2903040 matrices, keyed by their
+    images of the chamber vector; keep it behind an opt-in switch in callers.
     """
     if not 2 <= n <= 7:
         raise ValueError(f"n must be between 2 and 7, got {n}")
@@ -460,8 +575,9 @@ def congruence_intersection_check(
     fixed2 = 0
     fixed3 = 0
     for block in core.blocks():
-        fixed2 += int((block % 2 == ident % 2).all(axis=(1, 2)).sum())
-        fixed3 += int((block % 3 == ident % 3).all(axis=(1, 2)).sum())
+        diff = (block - ident).reshape(len(block), -1)
+        fixed2 += int((~(diff & 1).any(axis=1)).sum())
+        fixed3 += int((~(diff % 3).any(axis=1)).sum())
     return CongruenceIntersection(n, core.order, fixed2, fixed3)
 
 
@@ -469,8 +585,10 @@ class CosetSpace:
     """Left cosets gH of a subgroup H inside a GroupClosure G.
 
     Coset ids follow the BFS discovery order of G; each coset's
-    representative is its first-discovered element.  The Lagrange identity
-    count * |H| = |G| is asserted on construction.
+    representative is its first-discovered element.  The cosets are the
+    components of the graph g -- g s over the generators s of H, labelled by
+    their least element index; every coset having |H| elements is asserted
+    on construction, and with it the Lagrange identity count * |H| = |G|.
     """
 
     def __init__(
@@ -484,45 +602,34 @@ class CosetSpace:
         )
         if sub.modulus != group.modulus:
             raise ValueError("modulus mismatch")
-        core = group._core
-        for key in sub._core.index:
-            if key not in core.index:
-                raise ValueError("subgroup generators produce elements outside the group")
+        if any(g not in group for g in sub.generators):
+            raise ValueError("subgroup generators produce elements outside the group")
         self.group = group
         self.subgroup = sub
-        m = group.modulus
-        d = group.dimension
-        hmats = sub._core.mats.astype(np.int64)
-        assignment = np.full(group.order, -1, dtype=np.int32)
-        reps: list[int] = []
-        gmats = core.mats
-        for idx in range(group.order):
-            if assignment[idx] != -1:
-                continue
-            cid = len(reps)
-            reps.append(idx)
-            prods = (gmats[idx].astype(np.int64) @ hmats) % m
-            if group.projective:
-                prods = _projective_canonical_batch(
-                    prods.reshape(len(prods), -1), m
-                ).reshape(-1, d, d)
-            flat = prods.astype(np.int8).reshape(len(prods), -1)
-            for i in range(len(flat)):
-                j = core.index[flat[i].tobytes()]
-                if assignment[j] not in (-1, cid):
-                    raise AssertionError("cosets failed to partition the group")
-                assignment[j] = cid
-        if len(reps) * sub.order != group.order:
-            raise AssertionError("Lagrange identity violated by coset partition")
+        every = np.arange(group.order)
+        steps = [group.right_multiply(every, g) for g in sub.generators]
+        labels = every
+        while True:
+            merged = np.minimum.reduce([labels] + [labels[step] for step in steps])
+            if np.array_equal(merged, labels):
+                break
+            labels = merged
+        reps, assignment = np.unique(labels, return_inverse=True)
+        if (np.bincount(assignment) != sub.order).any():
+            raise AssertionError("cosets failed to partition the group into |H|-sets")
         self.count = len(reps)
-        self._assignment = assignment
-        self._rep_indices = reps
+        self.representative_indices = reps
+        self._assignment = assignment.astype(np.int32)
+
+    def cosets_of(self, indices: np.ndarray) -> np.ndarray:
+        """Coset ids of group elements given by index."""
+        return self._assignment[indices]
 
     def coset_index(self, mat: ModularMatrix) -> int:
         return int(self._assignment[self.group.index_of(mat)])
 
     def representative(self, coset_id: int) -> ModularMatrix:
-        return self.group.element_at(self._rep_indices[coset_id])
+        return self.group.element_at(int(self.representative_indices[coset_id]))
 
 
 def coset_space(

@@ -1,7 +1,9 @@
 """Integer isometries, matrix closures, and the congruence checks."""
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from gosset.isometry import (
@@ -9,6 +11,7 @@ from gosset.isometry import (
     GroupClosure,
     LatticeIsometry,
     ModularMatrix,
+    chamber_vector,
     closure,
     congruence_intersection_check,
     coset_space,
@@ -20,9 +23,10 @@ from gosset.isometry import (
     projective_order,
     reduce_mod,
     reflection_matrix,
+    _RawClosure,
 )
 from gosset.geometry import stabilizer_generators_mod3, wall_reflections_mod3
-from gosset.lattice import reflect, simple_roots, vector
+from gosset.lattice import inner, reflect, simple_roots, vector
 
 
 def _random_word_product(n, rng, length):
@@ -145,3 +149,146 @@ def test_congruence_intersection_trivial_small():
         assert result.congruent_mod2 == 1
         assert result.congruent_mod3 == 1
         assert result.trivial
+
+
+def _sha256(array, dtype):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
+
+
+# sha256 of the element sequences in discovery order, taken from the
+# per-element dict engine that the layered one replaced; coset ids, tile ids
+# and DOT exports all follow this order.
+INTEGER_CLOSURE_SHA256 = {
+    2: "520f883f208f1d26c05098c716024d9e477c4eb63da076086e010c4faa4d9383",
+    3: "acaa17c2d096febf5ccb33eae1e960452312d078bdc693a192f010d690774b90",
+    4: "423872c9e585c65d7b9f1953b34a261a31c5ba51cdcfdb3ea5a2ff0c044ac128",
+    5: "ff44e37a77a047fe9c9211c883759e1922317c793ad66a1fd1db7b1925dd25c2",
+    6: "71de2022e8a1a1aa40dc50c7440277765f4926c77541629a0263ae14c1d31c0c",
+}
+MOD3_CLOSURE_SHA256 = {
+    (2, True): "9aea2af67fbcf3c3e49058c84a3d956af81bde59cc1544019d77fbb6d6332f43",
+    (2, False): "3e3abfd23cbeadf12a2511b0135fd79c8f869e9f7ab3efaa3b785a3341bd192a",
+    (3, True): "1826bb1626899b261d5fa6da12f3bb1192706ecb0c2b984cedfe2d3f4e31618c",
+    (3, False): "2ceb572738319a5147f5296219f244aa792dd923e4bf8bbe716d66f3443b8f00",
+    (4, True): "cebfa03de740ac919ffbbc8120b9c88581ac46412940afbc19b2ae31b14ad644",
+    (4, False): "e5693a7cd0ad132454b9dc84859001a57df674e6b590aacc0e0ddbb50f3e1508",
+}
+COSET_ASSIGNMENT_N4_SHA256 = "93428cf1a139bcc07f447e8cdfb9e6e9c7c8871b2a23271a6fc50b692ef0c3c7"
+
+
+def test_closure_order_is_pinned():
+    from gosset.geometry import reflection_image_mod3
+
+    for n, digest in INTEGER_CLOSURE_SHA256.items():
+        core = _RawClosure([g.entries for g in long_simple_reflections(n)], None, False, 10**6)
+        assert _sha256(core.mats, np.int8) == digest, n
+    for (n, projective), digest in MOD3_CLOSURE_SHA256.items():
+        group = reflection_image_mod3(n, projective)
+        assert _sha256(group._core.mats, np.int8) == digest, (n, projective)
+    group = reflection_image_mod3(4)
+    space = coset_space(group, [projective_normal_form(g) for g in stabilizer_generators_mod3(4)])
+    assert space.count == 432
+    assert _sha256(space._assignment, np.int32) == COSET_ASSIGNMENT_N4_SHA256
+
+
+def _oracle_closure(gens, modulus, projective):
+    """Reference BFS on tuples: layer by layer, generator-major, a dict of seen."""
+
+    def normal(rows):
+        if modulus is not None:
+            rows = tuple(tuple(x % modulus for x in r) for r in rows)
+        if projective:
+            rows = min(rows, tuple(tuple(-x % modulus for x in r) for r in rows))
+        return rows
+
+    d = len(gens[0])
+    seen = {normal(tuple(tuple(int(i == j) for j in range(d)) for i in range(d))): None}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in gens:
+            for f in frontier:
+                prod = tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in zip(*g)) for r in f)
+                p = normal(prod)
+                if p not in seen:
+                    seen[p] = None
+                    nxt.append(p)
+        frontier = nxt
+    return list(seen)
+
+
+def test_closure_matches_tuple_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30)
+    @hypothesis.given(
+        st.one_of(
+            st.tuples(st.sampled_from([2, 3]), st.booleans()),
+            st.tuples(st.sampled_from([2, 3, 4, 5]), st.none()),
+        ),
+        st.data(),
+    )
+    def same_sequence(case, data):
+        n, projective = case
+        if projective is None:
+            pool = [g.entries for g in long_simple_reflections(n)]
+            modulus = None
+        else:
+            pool = [g.entries for g in wall_reflections_mod3(n, projective).values()]
+            modulus = 3
+        order = data.draw(st.permutations(range(len(pool))))
+        size = data.draw(st.integers(1, len(pool)))
+        gens = [pool[i] for i in order[:size]]
+        core = _RawClosure(gens, modulus, bool(projective), 10**6)
+        assert [tuple(map(tuple, m)) for m in core.mats.tolist()] == _oracle_closure(
+            gens, modulus, bool(projective)
+        )
+
+    same_sequence()
+
+
+def test_chamber_vector_pairs_to_one_with_every_simple_root():
+    for n in range(2, 8):
+        v = chamber_vector(n)
+        assert v.coords == (-(3 * n - 2), *range(n, 0, -1))
+        assert {inner(a, v) for a in simple_roots(n)} == {1}
+
+
+def test_closure_budget_fails_before_building_the_layer(monkeypatch):
+    from gosset.geometry import simple_reflection_matrices
+
+    built = []
+    build = _RawClosure._build
+
+    def counting_build(self, frontier, picks):
+        built.append(len(picks))
+        return build(self, frontier, picks)
+
+    monkeypatch.setattr(_RawClosure, "_build", counting_build)
+    gens = [g.entries for g in simple_reflection_matrices(4)]  # an infinite group
+    with pytest.raises(ClosureBudgetExceeded):
+        _RawClosure(gens, None, False, 1000)
+    assert 1 + sum(built) <= 1000
+
+
+def test_closure_requires_inverse_closed_generators():
+    s = long_simple_reflections(3)
+    rotation = s[1] @ s[2]  # order 3: its inverse s[2] s[1] is not in the set
+    with pytest.raises(ValueError, match="inversion"):
+        _RawClosure([rotation.entries], None, False, 1000)
+    with pytest.raises(ValueError, match="inversion"):
+        closure([reduce_mod(rotation, 3)])
+    # With its inverse added the set is closed: a cyclic group of order 3.
+    assert _RawClosure([rotation.entries, rotation.inverse().entries], None, False, 1000).order == 3
+
+
+def test_integer_closure_overflow_raises():
+    from gosset.geometry import simple_reflection_matrices
+
+    gens = [g.entries for g in simple_reflection_matrices(4)]
+    with pytest.raises(OverflowError):
+        _RawClosure(gens, None, False, 10**6)
+    big = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((200, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(OverflowError):
+        _RawClosure(list(big), None, False, 1000)
