@@ -20,21 +20,22 @@ order, for the trivial subgroup); hitting the coset budget reports
 budget_exceeded and never an order.  Closed tables are renumbered
 breadth-first from the subgroup coset, which makes the table canonical and
 golden-testable, and can be certified post hoc by replaying every relator at
-every coset (verify_table) and against an explicit matrix representation
-(verify_action_against_matrices).
+every coset (verify_table).  A closed table of the whole group is its regular
+permutation representation, so a map from the cosets to a matrix group that
+holds on every edge and is injective is an explicit isomorphism;
+verify_action_against_matrices builds that map by walking the table and
+checks it, without closing the matrix group.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .isometry import ModularMatrix, closure, projective_order
+from .isometry import ModularMatrix, _first_occurrences, _MatrixProducts
 from .presentation import Presentation, Word, build_presentation
 
 DEFAULT_COSET_BUDGET = 200_000
@@ -367,77 +368,69 @@ def verify_table(table: CosetTable, pres: Presentation) -> bool:
     return bool(reached.all())
 
 
-def _permutation_order(perm: np.ndarray) -> int:
-    n = len(perm)
-    seen = np.zeros(n, dtype=bool)
-    out = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        a = start
-        while not seen[a]:
-            seen[a] = True
-            a = int(perm[a])
-            length += 1
-        out = lcm(out, length)
-    return out
-
-
-def _projective_matrix_order(mat: ModularMatrix) -> int:
-    """Smallest k with mat^k scalar (+-identity)."""
-    ident = ModularMatrix.identity(mat.dimension, mat.modulus)
-    neg = ident.neg()
-    power = mat
-    k = 1
-    while power != ident and power != neg:
-        power = power @ mat
-        k += 1
-        if k > 10_000:
-            raise RuntimeError("matrix order runaway; generators likely wrong")
-    return k
-
-
 @dataclass(frozen=True)
 class ActionCertificate:
     """Cross-check of an enumeration against a matrix representation."""
 
     coset_count: int
     matrix_group_order: int
-    words_sampled: int
+    edges_checked: int
     consistent: bool
 
 
 def verify_action_against_matrices(
-    table: CosetTable,
-    assignment: Mapping[str, ModularMatrix],
-    seed: int = 0,
-    samples: int = 20,
+    table: CosetTable, assignment: Mapping[str, ModularMatrix]
 ) -> ActionCertificate:
-    """Compare a closed full-group table with the matrix group it should be.
+    """Certify that a closed full-group table is the regular action of the
+    matrix group, by an explicit isomorphism.
 
-    The matrix side is closed exhaustively and counted projectively (scalars
-    quotiented; reported by the closure, never assumed).  Element orders of
-    seeded random words must agree between the coset action and the matrix
-    image; for isomorphic actions they always do.
+    The table is walked breadth-first from coset 0, one layer at a time, with
+    phi(0) = I and phi(child) = phi(parent) t_x along the first edge (in
+    generator-major order) that reaches each child; the table need not be
+    standardized.  Matrices are counted projectively, each class {M, -M}
+    keyed by the smaller base-m key.  The certificate checks every edge of
+    every column, key(phi(i) t_x) == key(phi(i.x)), and that phi is injective.
+    Edge consistency makes the image closed under the generators, so it is
+    the whole matrix group and matrix_group_order, the number of distinct
+    images, is its exact projective order; injectivity gives |table| =
+    |group|.  No closure of the matrix group is needed.  A coset the walk
+    never reaches, an entry outside the table, an inconsistent edge or two
+    cosets with one image make the certificate inconsistent.
     """
+    if table.status != CLOSED:
+        raise ValueError("can only certify a closed table")
     if set(assignment) != set(table.generators):
         raise ValueError("assignment must cover exactly the table generators")
-    group = closure([assignment[g] for g in table.generators])
-    target = projective_order(group)
-    perms = {g: np.array(col, dtype=np.int64) for g, col in table.action().items()}
-    rng = random.Random(seed)
-    ok = table.order == target
-    n = table.n_live
-    for _ in range(samples):
-        word = [rng.choice(table.generators) for _ in range(rng.randint(1, 12))]
-        cur = np.arange(n)
-        for letter in word:
-            cur = perms[letter][cur]
-        mat = assignment[word[0]]
-        for letter in word[1:]:
-            mat = mat @ assignment[letter]
-        if _permutation_order(cur) != _projective_matrix_order(mat):
-            ok = False
-            break
-    return ActionCertificate(table.order, target, samples, ok)
+    gens = [assignment[g] for g in table.generators]
+    modulus = gens[0].modulus
+    if any(g.modulus != modulus for g in gens):
+        raise ValueError("assignment matrices must share a modulus")
+    walker = _MatrixProducts([g.entries for g in gens], modulus, projective=True)
+    n, k = table.n_live, len(gens)
+    rows = np.array(table.table, dtype=np.int64)
+    if rows.shape != (n, k) or not ((rows >= 0) & (rows < n)).all():
+        return ActionCertificate(n, 0, 0, False)
+
+    ident = np.eye(walker.dimension, dtype=np.int8)[None]
+    mats = walker.products(ident, walker.identity)
+    image_keys = np.empty(n, dtype=np.int64)
+    image_keys[0] = walker.product_keys(ident, walker.identity)[0]
+    edge_keys = np.empty((k, n), dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        cands = walker.candidate_keys(mats)
+        edge_keys[:, frontier] = cands.reshape(k, -1)
+        targets = rows[frontier].T.ravel()
+        ids, first = _first_occurrences(targets)
+        picks = np.sort(first[~reached[ids]])
+        frontier = targets[picks]
+        reached[frontier] = True
+        image_keys[frontier] = cands[picks]
+        mats = walker.build(mats, picks)
+    seen = np.flatnonzero(reached)
+    edges_hold = bool((edge_keys[:, seen] == image_keys[rows[seen].T]).all())
+    images = len(np.unique(image_keys[seen]))
+    consistent = len(seen) == n and edges_hold and images == n
+    return ActionCertificate(n, images, k * len(seen), consistent)

@@ -13,15 +13,17 @@ stabilizer.  A layer's candidate keys are deduplicated once and looked up
 in the sorted keys of the two layers before it, and only new elements are
 multiplied out and stored, as int8.  That keeps the largest case in scope
 (the finite stabilizer for n = 7, order 2903040) to a few seconds and about
-300 MB.  Everything downstream (projectivization, coset spaces, the
+270 MB.  Everything downstream (projectivization, coset spaces, the
 trivial-intersection checks against congruence subgroups) is built on that
-engine.
+engine; its layer loop, layered_closure, also closes the E6 root
+permutations, and its mod-m products walk coset tables in the enumeration
+certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -260,34 +262,79 @@ def _positions(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.where(sorted_keys[pos] == queries, pos, -1)
 
 
-class _RawClosure:
-    """Breadth-first closure of integer or mod-m matrices under right multiplication.
+def layered_closure(
+    identity: np.ndarray,
+    identity_key: np.ndarray,
+    candidate_keys: Callable[[np.ndarray], np.ndarray],
+    build: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    budget: int,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Breadth-first closure under right multiplication, one layer at a time.
 
-    Elements are discovered layer by layer; within a layer the products F g
-    run generator-major (the whole frontier times the first generator, then
-    the second, ...) and each new element keeps its first occurrence.  Every
-    element has an int64 key, computed before the element itself is built:
+    candidate_keys(F) gives the int64 key of every product F g of a frontier
+    F, generator-major (the whole frontier times the first generator, then
+    the second, ...), before any product is built; build(F, picks) builds the
+    products at the given candidate positions.  The keys must be injective on
+    the group, and the generator set closed under inversion.  Then the
+    neighbours of layer k lie in layers k-1, k and k+1, so each layer's
+    candidate keys are deduplicated once and looked up in the sorted keys of
+    the two layers before them.  Each new element keeps its first occurrence,
+    and only new elements are built, after the budget has been checked.
 
-    - mod m: the base-m digits of the reduced (projectively canonical) matrix;
+    Returns the elements and their keys, one block per layer.
+    """
+    frontier = identity
+    blocks = [frontier]
+    key_blocks = [identity_key]
+    count = len(identity)
+    before, current = np.empty(0, dtype=np.int64), identity_key
+    while True:
+        picks, keys, sorted_keys = _next_layer(candidate_keys(frontier), before, current)
+        if not len(picks):
+            return blocks, key_blocks
+        if count + len(picks) > budget:
+            raise ClosureBudgetExceeded(f"closure exceeded element budget {budget}")
+        frontier = build(frontier, picks)
+        blocks.append(frontier)
+        key_blocks.append(keys)
+        count += len(picks)
+        before, current = current, sorted_keys
+
+
+def _next_layer(
+    cands: np.ndarray, before: np.ndarray, current: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates whose keys are in neither sorted layer, first occurrences only.
+
+    Returns their positions and keys in candidate order, and their keys
+    sorted.  The candidate arrays die on return, before the next layer's are
+    made.
+    """
+    uniq, first = _first_occurrences(cands)
+    fresh = (_positions(before, uniq) < 0) & (_positions(current, uniq) < 0)
+    picks = np.sort(first[fresh])
+    return picks, cands[picks], uniq[fresh]
+
+
+class _MatrixProducts:
+    """Exact products M g of int8 matrices M by a fixed list of generators g.
+
+    Every product has an int64 key, computed before the product is built:
+
+    - mod m: the base-m digits of the reduced (projectively canonical) matrix,
+      most significant first, so the projective canonical form of {M, -M} is
+      the one with the smaller key;
     - over Z: M v packed as eight int8 values, v = chamber_vector(d - 1).  The
       generators must lie in the reflection group of Z^{d-1,1}, where
-      M -> M v is injective; the key of F g is F (g v), so only new elements
-      are ever multiplied out.
+      M -> M v is injective; the key of F g is F (g v), so no product needs
+      building to be keyed.
 
-    The generator set must be closed under inversion.  Then the neighbours of
-    layer k lie in layers k-1, k and k+1, so each layer's candidate keys are
-    deduplicated once and looked up in the sorted keys of the two layers
-    before them.  Elements are stored as int8 blocks, one per layer, and
-    multiplied in float32, which is exact: every entry and key entry stays
+    Products run in float32, which is exact: every entry and key entry stays
     within int8, so no partial sum comes near 2^24.
     """
 
     def __init__(
-        self,
-        gen_rows: Sequence[Rows],
-        modulus: int | None,
-        projective: bool,
-        budget: int,
+        self, gen_rows: Sequence[Rows], modulus: int | None, projective: bool
     ) -> None:
         if not gen_rows:
             raise ValueError("need at least one generator")
@@ -317,36 +364,7 @@ class _RawClosure:
             self._residue = (np.arange(d * (modulus - 1) ** 2 + 1) % modulus).astype(np.int8)
             self._negated = (-np.arange(modulus) % modulus).astype(np.int8)
         self._gens = gens.astype(np.float32)
-        self._identity = np.eye(d, dtype=np.float32)
-        ident = self.products(np.eye(d, dtype=np.int8)[None], self._identity)
-        squares = [self.products(gens.astype(np.int8), g) == ident for g in self._gens]
-        if not np.stack(squares, axis=1).all(axis=(2, 3)).any(axis=1).all():
-            raise ValueError("generator set must be closed under inversion")
-
-        frontier = ident
-        keys = self.product_keys(ident, self._identity)
-        self._blocks = [frontier]
-        self._key_blocks = [keys]
-        count = 1
-        before, current = np.empty(0, dtype=np.int64), keys
-        while True:
-            cands = self._candidate_keys(frontier)
-            uniq, first = _first_occurrences(cands)
-            fresh = (_positions(before, uniq) < 0) & (_positions(current, uniq) < 0)
-            born = int(fresh.sum())
-            if not born:
-                break
-            if count + born > budget:
-                raise ClosureBudgetExceeded(f"closure exceeded element budget {budget}")
-            picks = np.sort(first[fresh])
-            frontier = self._build(frontier, picks)
-            self._blocks.append(frontier)
-            self._key_blocks.append(cands[picks])
-            count += born
-            before, current = current, uniq[fresh]
-        self.order = count
-        self._mats: np.ndarray | None = None
-        self._lookup: tuple[np.ndarray, np.ndarray] | None = None
+        self.identity = np.eye(d, dtype=np.float32)
 
     def _multiply(self, mats: np.ndarray, gen: np.ndarray) -> np.ndarray:
         """M g for int8 matrices M and a float32 matrix g, as rows of d*d entries.
@@ -390,13 +408,13 @@ class _RawClosure:
         flat = mats.reshape(n * d, d).astype(np.float32)
         return _pack_int8((images @ flat.T).reshape(-1, d))
 
-    def _candidate_keys(self, frontier: np.ndarray) -> np.ndarray:
+    def candidate_keys(self, frontier: np.ndarray) -> np.ndarray:
         """Keys of every product F g, generator-major; over Z none is built."""
         if self.modulus is None:
             return self._chamber_keys(frontier, self._gens @ self._chamber)
         return np.concatenate([self.product_keys(frontier, g) for g in self._gens])
 
-    def _build(self, frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    def build(self, frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
         """The products F g at generator-major candidate positions."""
         which, rows = np.divmod(picks, len(frontier))
         d = self.dimension
@@ -405,6 +423,40 @@ class _RawClosure:
             sel = which == i
             out[sel] = self.products(frontier[rows[sel]], g)
         return out
+
+
+class _RawClosure(_MatrixProducts):
+    """Breadth-first closure of integer or mod-m matrices under right multiplication.
+
+    The products and keys of _MatrixProducts, run through layered_closure.
+    Elements are stored as int8 blocks, one per layer, in discovery order.
+    The generator set must be closed under inversion; that is checked.
+    """
+
+    def __init__(
+        self,
+        gen_rows: Sequence[Rows],
+        modulus: int | None,
+        projective: bool,
+        budget: int,
+    ) -> None:
+        super().__init__(gen_rows, modulus, projective)
+        d = self.dimension
+        ident = self.products(np.eye(d, dtype=np.int8)[None], self.identity)
+        squares = [self.products(self._gens.astype(np.int8), g) == ident for g in self._gens]
+        if not np.stack(squares, axis=1).all(axis=(2, 3)).any(axis=1).all():
+            raise ValueError("generator set must be closed under inversion")
+
+        self._blocks, self._key_blocks = layered_closure(
+            ident,
+            self.product_keys(ident, self.identity),
+            self.candidate_keys,
+            self.build,
+            budget,
+        )
+        self.order = sum(len(block) for block in self._blocks)
+        self._mats: np.ndarray | None = None
+        self._lookup: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def mats(self) -> np.ndarray:
@@ -427,7 +479,7 @@ class _RawClosure:
         return np.where(pos >= 0, order[pos], -1)
 
     def index_of_rows(self, rows: Rows) -> int:
-        key = self.product_keys(np.array([rows], dtype=np.int8), self._identity)
+        key = self.product_keys(np.array([rows], dtype=np.int8), self.identity)
         return int(self.index_of_keys(key)[0])
 
     def rows_at(self, i: int) -> Rows:

@@ -1,7 +1,7 @@
 """Acceptance gate: ten checks, one printed pass/fail line each.
 
 Set GOSSET_MAX_N=7 to extend the congruence criterion to the largest
-supported dimension (about 5 seconds and 300 MB).
+supported dimension (about 5 seconds and 270 MB).
 """
 
 import os

@@ -1,9 +1,11 @@
 """The verify CLI: suites, report format, exit codes, DOT export."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from gosset import cli
 from gosset.cli import Options, main, run_suite
 from gosset.report import CheckReport, exit_code, reports_to_json
 
@@ -103,3 +105,34 @@ def test_dot_export_tessellation_single_dimension(tmp_path):
 def test_dot_export_rejected_for_non_graph_suite(tmp_path, capsys):
     assert main(["eisenstein", "--format", "dot", "--out", str(tmp_path)]) == 2
     assert "no DOT export" in capsys.readouterr().err
+
+
+def test_tessellation_build_failure_is_an_error_record(monkeypatch):
+    def broken(n):
+        raise AssertionError(f"tessellation {n} failed to build")
+
+    monkeypatch.setattr(cli, "build_tessellation", broken)
+    reports = run_suite("tessellation", Options(n=2))
+    by_id = {r.check_id: r.status for r in reports}
+    assert list(by_id) == [
+        "tile_count_n2", "boundary_slots_n2", "connected_n2",
+        "self_loop_count_n2", "lagrange_n2", "sign_quotient_n2",
+    ]
+    assert {k for k, v in by_id.items() if v == "error"} == set(list(by_id)[:5])
+    assert by_id["sign_quotient_n2"] == "pass"
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "verify_all.json"
+
+
+@pytest.mark.parametrize("suite", ["enumeration", "e6"])
+def test_suite_matches_pinned_outputs(suite):
+    fields = ("check_id", "status", "expected", "actual")
+    golden = json.loads(GOLDEN.read_text())["all"]
+    pinned = {c["check_id"]: c for c in golden}
+    got = json.loads(reports_to_json("0", suite, run_suite(suite)))["checks"]
+    ids = [c["check_id"] for c in golden]
+    start = ids.index(got[0]["check_id"])
+    assert ids[start : start + len(got)] == [c["check_id"] for c in got]
+    for check in got:
+        assert {f: check[f] for f in fields} == {f: pinned[check["check_id"]][f] for f in fields}

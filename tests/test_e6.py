@@ -1,11 +1,16 @@
 """The 72-root system, the labeled 10-root configuration, and its group."""
 
+import pytest
+
+from gosset import e6
 from gosset.e6 import (
     E6_EDGES,
+    SIMPLE_ROOTS,
     beta_configuration,
     cartan_matrix,
     generation_order,
     hexagon_alternating_sum,
+    permutation_closure_order,
     root_system,
     verify_hexagon_sums,
     verify_membership,
@@ -13,6 +18,7 @@ from gosset.e6 import (
     verify_reflection_fixed_points,
     verify_singletons_commute,
 )
+from gosset.isometry import ClosureBudgetExceeded
 from gosset.presentation import diagram_graph, free_hexagons
 
 
@@ -106,3 +112,71 @@ def test_singleton_reflections_commute():
 
 def test_ten_reflections_generate_order_51840():
     assert generation_order() == 51840
+
+
+def _beta_permutations():
+    rs = root_system()
+    perms = {lab: rs.reflection_permutation(b) for lab, b in beta_configuration().items()}
+    return perms, [rs.root_index(r) for r in SIMPLE_ROOTS]
+
+
+def _oracle_order(perms):
+    """Reference BFS on tuples with a set of seen permutations."""
+    ident = tuple(range(len(perms[0])))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in perms:
+                p = tuple(f[i] for i in g)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return len(seen)
+
+
+def test_commuting_singleton_reflections_generate_16():
+    perms, basis = _beta_permutations()
+    singles = [perms[lab] for lab in ("1", "2", "3", "4")]
+    assert permutation_closure_order(singles, basis, 100) == 16
+
+
+def test_permutation_closure_matches_tuple_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    perms, basis = _beta_permutations()
+    labels = sorted(perms)
+
+    # At most five reflections keep the oracle's groups small (rank <= 5).
+    @hypothesis.settings(max_examples=25)
+    @hypothesis.given(st.lists(st.sampled_from(labels), min_size=1, max_size=5, unique=True))
+    def same_order(subset):
+        gens = [perms[lab] for lab in subset]
+        assert permutation_closure_order(gens, basis, 10**6) == _oracle_order(gens)
+
+    same_order()
+
+
+def test_permutation_closure_budget_fails_before_building_the_layer(monkeypatch):
+    built = []
+    build = e6._permutation_products
+
+    def counting_build(frontier, gens, picks):
+        built.append(len(picks))
+        return build(frontier, gens, picks)
+
+    monkeypatch.setattr(e6, "_permutation_products", counting_build)
+    perms, basis = _beta_permutations()
+    with pytest.raises(ClosureBudgetExceeded):
+        permutation_closure_order(list(perms.values()), basis, 1000)
+    assert built and 1 + sum(built) <= 1000
+
+
+def test_permutation_closure_requires_inverse_closed_generators():
+    perms, basis = _beta_permutations()
+    a, b = perms["1"], perms["12"]
+    rotation = tuple(a[i] for i in b)  # order 3: its inverse is not in the set
+    with pytest.raises(ValueError, match="inversion"):
+        permutation_closure_order([rotation], basis, 1000)

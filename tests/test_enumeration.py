@@ -196,7 +196,15 @@ def test_matrix_cross_certificate():
         assert cert.consistent
         assert cert.coset_count == EXPECTED_ORDERS[kind]
         assert cert.matrix_group_order == EXPECTED_ORDERS[kind]
-        assert cert.words_sampled == 20
+        assert cert.edges_checked == table.n_live * len(table.generators)
+
+
+def test_cross_certificate_is_projective():
+    # The linear matrices give the same certificate: +-M share one key.
+    table = enumerate_diagram_group("affine_a5")
+    cert = verify_action_against_matrices(table, wall_reflections_mod3(3, projective=False))
+    assert cert.consistent
+    assert cert.matrix_group_order == 720
 
 
 def test_cross_certificate_detects_wrong_assignment():
@@ -206,3 +214,48 @@ def test_cross_certificate_detects_wrong_assignment():
     broken["1"] = ModularMatrix.identity(3, 3)
     cert = verify_action_against_matrices(table, broken)
     assert not cert.consistent
+
+
+def test_cross_certificate_rejects_a_non_injective_map():
+    # Every generator to I: each edge holds, but all 24 cosets share one image.
+    table = enumerate_diagram_group("a3")
+    trivial = {g: ModularMatrix.identity(3, 3) for g in table.generators}
+    cert = verify_action_against_matrices(table, trivial)
+    assert not cert.consistent
+    assert cert.matrix_group_order == 1
+    assert cert.edges_checked == 72
+
+
+def test_cross_certificate_rejects_swapped_generators():
+    table = enumerate_diagram_group("petersen")
+    swapped = dict(wall_reflections_mod3(4))
+    a, b = table.generators[:2]
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    assert not verify_action_against_matrices(table, swapped).consistent
+
+
+@pytest.mark.parametrize("entry", [6, 24, -1])
+def test_cross_certificate_rejects_a_corrupted_table(entry):
+    # Coset 5 is sent by generator 1 to coset 6 or outside the table.
+    rows = [list(row) for row in enumerate_diagram_group("a3").table]
+    rows[5][0] = entry
+    assert rows != [list(row) for row in enumerate_diagram_group("a3").table]
+    table = CosetTable(A3.generators, tuple(map(tuple, rows)), CLOSED, 24, 24)
+    assert not verify_action_against_matrices(table, wall_reflections_mod3(2)).consistent
+
+
+def test_cross_certificate_walks_any_numbering_from_coset_0():
+    # Relabel the cosets of a3 by a fixed permutation that keeps coset 0.
+    rows = enumerate_diagram_group("a3").table
+    relabel = [0] + list(range(23, 0, -1))
+    moved = [None] * 24
+    for old, row in enumerate(rows):
+        moved[relabel[old]] = tuple(relabel[b] for b in row)
+    table = CosetTable(A3.generators, tuple(moved), CLOSED, 24, 24)
+    cert = verify_action_against_matrices(table, wall_reflections_mod3(2))
+    assert cert.consistent and cert.matrix_group_order == 24
+
+    # Two disjoint copies: the walk from coset 0 never reaches the second.
+    shifted = tuple(tuple(v + 24 for v in row) for row in rows)
+    union = CosetTable(A3.generators, rows + shifted, CLOSED, 48, 48)
+    assert not verify_action_against_matrices(union, wall_reflections_mod3(2)).consistent

@@ -259,13 +259,13 @@ def test_closure_budget_fails_before_building_the_layer(monkeypatch):
     from gosset.geometry import simple_reflection_matrices
 
     built = []
-    build = _RawClosure._build
+    build = _RawClosure.build
 
     def counting_build(self, frontier, picks):
         built.append(len(picks))
         return build(self, frontier, picks)
 
-    monkeypatch.setattr(_RawClosure, "_build", counting_build)
+    monkeypatch.setattr(_RawClosure, "build", counting_build)
     gens = [g.entries for g in simple_reflection_matrices(4)]  # an infinite group
     with pytest.raises(ClosureBudgetExceeded):
         _RawClosure(gens, None, False, 1000)

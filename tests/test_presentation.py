@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gosset.cli import AUT_ORDERS, GIRTHS
 from gosset.geometry import gosset_walls, wall_reflections_mod3
 from gosset.isometry import LatticeIsometry, ModularMatrix, reflection_matrix
 from gosset.lattice import inner, vector
@@ -42,6 +43,20 @@ def test_diagram_automorphism_orders():
     assert diagram_automorphism_order(diagram_graph("a3")) == 2
     assert diagram_automorphism_order(diagram_graph("affine_a5")) == 12
     assert diagram_automorphism_order(diagram_graph("petersen")) == 120
+
+
+@pytest.mark.parametrize("kind", sorted(AUT_ORDERS))
+def test_automorphisms_and_girth_match_networkx(kind):
+    nx = pytest.importorskip("networkx")
+    g = diagram_graph(kind)
+    graph = nx.Graph()
+    graph.add_nodes_from(g.nodes)
+    graph.add_edges_from(g.edges)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(graph, graph)
+    automorphisms = sum(1 for _ in matcher.isomorphisms_iter())
+    assert automorphisms == AUT_ORDERS[kind] == diagram_automorphism_order(g)
+    girth = nx.girth(graph)  # inf for a forest, which the diagrams record as 0
+    assert (0 if girth == float("inf") else girth) == GIRTHS[kind] == g.girth()
 
 
 def test_petersen_is_kneser_graph():
