@@ -1,7 +1,41 @@
 """The verify command line tool.
 
-Each suite re-derives a family of facts from scratch and compares them
-against frozen expected values; the JSON report lists one record per check.
+Every check is one row of `TABLE`, registered by the `check` decorator
+below its frozen oracle values: a suite, a check-id template in `{n}` and
+`{kind}`, the dimensions the row runs for (none: it runs once), and a run
+that returns (expected, actual, details).  One runner, `_run_table`, turns
+the rows of a suite into reports: it applies `--n`, skips the rows gated by
+`--max-n`, and gives every check the run's tile-graph cache.  A suite runs
+its ungated rows dimension by dimension (rows without a dimension first,
+each dimension's rows in table order), then its gated rows the same way.
+
+All work happens inside a check, so its time is charged to that check and
+an exception becomes an `error` record for that check alone.  Checks look
+layer functions up as module globals when they run, never when the table
+is built, so anything that rebinds those globals (a test's monkeypatch, a
+tracer) sees every call.
+
+Identities whose two sides are linear in the test vectors are checked on a
+basis, which proves them for every input:
+
+- `reflection_involution_n*`: reflections are linear and the form bilinear,
+  so e_0..e_n decide both r(r(u)) = u and (r u, r v) = (u, v);
+- `braid_identity_random_n*`: both sides of the braid identity are linear
+  in the test vector, so e_0..e_n decide it;
+- `conjugation_multiplicative`: both sides of conj(ab) = conj(a) conj(b) are
+  Z-bilinear, so {1, omega}^2 decides it.  The norm a conj(a) of
+  a = x + y omega is a quadratic form in (x, y), fixed by its values at 1,
+  omega and 1 + omega: if all three are 1, its omega part vanishes and its
+  integer part is x^2 - xy + y^2, which is positive definite;
+- `hermitian_symmetry`: both sides are Z-bilinear, so the Z-basis
+  {e_i, omega e_i} decides it;
+- `hexaflection_preserves_form`, `hexaflection_order_six`,
+  `triflection_order_three`: hexaflections are Z[omega]-linear and the form
+  sesquilinear, so e_0..e_3 decide the isometry and the powers that fix
+  everything.
+
+`--seed` drives only the relator shuffles of `relator_order_invariance_*`.
+
 Exit codes: 0 all non-skipped checks pass, 1 some check failed, 2 usage
 error, 3 a check raised instead of returning a value.
 """
@@ -11,9 +45,10 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, replace
+from functools import cache, partial
 from pathlib import Path
+from typing import Callable, Iterable
 
 from . import __version__
 from .e6 import (
@@ -25,7 +60,7 @@ from .e6 import (
     verify_reflection_fixed_points,
     verify_singletons_commute,
 )
-from .eisenstein import EisensteinVector, eis, evec, herm, hexaflection
+from .eisenstein import OMEGA, ONE, ZERO, EisensteinVector, eis, evec, herm, hexaflection
 from .enumeration import (
     BUDGET_EXCEEDED,
     DEFAULT_COSET_BUDGET,
@@ -35,30 +70,18 @@ from .enumeration import (
     verify_table,
 )
 from .geometry import (
+    TileGraph,
     build_tessellation,
     gosset_walls,
     reflection_image_mod3,
     vertex_orbits,
     verify_generator_words,
     wall_pair_classification,
+    wall_reflection_matrices,
     wall_reflections_mod3,
 )
-from .isometry import (
-    LatticeIsometry,
-    ModularMatrix,
-    closure,
-    congruence_intersection_check,
-    reflection_matrix,
-)
-from .lattice import (
-    LatticeVector,
-    chamber_vertices,
-    inner,
-    norm,
-    reflect,
-    simple_roots,
-    vector,
-)
+from .isometry import LatticeIsometry, ModularMatrix, closure, congruence_intersection_check
+from .lattice import basis_vector, chamber_vertices, inner, norm, reflect, simple_roots, vector
 from .presentation import (
     braid_identity_check,
     build_presentation,
@@ -71,14 +94,7 @@ from .presentation import (
     presentation_from_text,
     presentation_to_text,
 )
-from .report import (
-    CheckReport,
-    PendingCheck,
-    exit_code,
-    reports_to_json,
-    run_check,
-    skipped_check,
-)
+from .report import CheckReport, PendingCheck, exit_code, reports_to_json, run_check, skipped_check
 
 SUITES = (
     "lattice",
@@ -90,8 +106,10 @@ SUITES = (
     "eisenstein",
 )
 
+DIMS = (2, 3, 4)
+LATTICE_DIMS = tuple(range(2, 9))
+CONGRUENCE_DIMS = tuple(range(2, 8))
 KIND_BY_N = {2: "a3", 3: "affine_a5", 4: "petersen"}
-N_BY_KIND = {v: k for k, v in KIND_BY_N.items()}
 
 # Frozen oracle values.  Group and orbit sizes were computed independently
 # (integer closure over the lattice, matrix closure mod 3, coset
@@ -123,611 +141,498 @@ class Options:
     seed: int = 0
 
 
-def _dimensions(options: Options) -> tuple[int, ...]:
-    if options.n is not None:
-        return (options.n,)
-    return (2, 3, 4)
-
-
-def _run_all(items: list) -> list[CheckReport]:
-    return [x if isinstance(x, CheckReport) else run_check(x) for x in items]
-
-
-def _random_vector(rng: random.Random, dim: int) -> LatticeVector:
-    return vector(*[rng.randint(-9, 9) for _ in range(dim)])
-
-
-def lattice_suite(options: Options) -> list[CheckReport]:
-    items: list = []
-    dims = _dimensions(options) if options.n is not None else tuple(range(2, 9))
-
-    for n in dims:
-        def root_norms(n=n):
-            expected = [1, 2, 1] if n == 2 else [2] * n + [1]
-            actual = [norm(a) for a in simple_roots(n)]
-            return expected, actual, "norms of the simple mirror normals"
-
-        items.append(PendingCheck(f"simple_root_norms_n{n}", n, root_norms))
-
-        def incidence(n=n):
-            roots = simple_roots(n)
-            verts = chamber_vertices(n)
-            off = all(
-                inner(v, a) == 0
-                for j, v in enumerate(verts)
-                for i, a in enumerate(roots)
-                if i != j
-            )
-            diag = [inner(v, roots[j]) for j, v in enumerate(verts)]
-            expected = {"off_diagonal_zero": True, "diagonal": [-1] * (n + 1)}
-            actual = {"off_diagonal_zero": off, "diagonal": diag}
-            return expected, actual, "vertex j lies on every wall except wall j"
-
-        items.append(PendingCheck(f"chamber_incidence_n{n}", n, incidence))
-
-        def vertex_norms(n=n):
-            expected = [-1, 0, -2] + [j - 9 for j in range(3, n + 1)]
-            actual = [norm(v) for v in chamber_vertices(n)]
-            return expected, actual, "one ideal vertex, all others interior"
-
-        items.append(PendingCheck(f"vertex_norms_n{n}", n, vertex_norms))
-
-        def involution(n=n):
-            rng = random.Random(f"{options.seed}:reflect:{n}")
-            ok = True
-            for alpha in simple_roots(n):
-                for _ in range(25):
-                    u = _random_vector(rng, n + 1)
-                    v = _random_vector(rng, n + 1)
-                    if reflect(alpha, reflect(alpha, u)) != u:
-                        ok = False
-                    if inner(reflect(alpha, u), reflect(alpha, v)) != inner(u, v):
-                        ok = False
-            return True, ok, "reflections square to one and preserve the form"
-
-        items.append(PendingCheck(f"reflection_involution_n{n}", n, involution))
-
-    for n in range(2, 8):
-        if options.n is not None and n != options.n:
-            continue
-        if n > options.max_n:
-            items.append(
-                skipped_check(
-                    f"congruence_trivial_n{n}",
-                    n,
-                    f"pass --max-n {n} to enable (n=7 takes ~5 s and ~270 MB)",
-                )
-            )
-            continue
-
-        def congruence(n=n):
-            result = congruence_intersection_check(n)
-            expected = {
-                "order": STABILIZER_ORDERS[n],
-                "identity_only_mod2": True,
-                "identity_only_mod3": True,
-            }
-            actual = {
-                "order": result.order,
-                "identity_only_mod2": result.congruent_mod2 == 1,
-                "identity_only_mod3": result.congruent_mod3 == 1,
-            }
-            return expected, actual, "vertex stabilizer meets both congruence kernels trivially"
-
-        items.append(PendingCheck(f"congruence_trivial_n{n}", n, congruence))
-
-    return _run_all(items)
-
-
-def diagrams_suite(options: Options) -> list[CheckReport]:
-    items: list = []
-    for n in _dimensions(options):
-        kind = KIND_BY_N[n]
-        walls = gosset_walls(n)
+@dataclass(frozen=True)
+class Case:
+    """What one check run sees: its dimension, the options, the run's tile graphs."""
 
-        def wall_count(n=n, walls=walls):
-            return WALL_COUNTS[n], len(walls.labels), "number of cell walls"
+    n: int | None
+    options: Options
+    tile_graph: Callable[[int], TileGraph]
 
-        items.append(PendingCheck(f"wall_count_n{n}", n, wall_count))
+    @property
+    def kind(self) -> str:
+        return KIND_BY_N[self.n]
 
-        def wall_norms(n=n, walls=walls):
-            actual = all(norm(r) == 1 for r in walls.roots)
-            return True, actual, "every wall normal has norm one"
 
-        items.append(PendingCheck(f"wall_norms_n{n}", n, wall_norms))
+@dataclass(frozen=True)
+class Row:
+    suite: str
+    template: str
+    dims: tuple[int, ...] | None
+    run: Callable[[Case], tuple[object, object, str]]
+    gated: bool = False  # skipped above --max-n
 
-        def pair_split(n=n, walls=walls):
-            pc = wall_pair_classification(walls)
-            return (
-                list(PAIR_SPLIT[n]),
-                [len(pc.orthogonal), len(pc.parallel)],
-                "wall pairs split into right-angled and tangent",
-            )
 
-        items.append(PendingCheck(f"wall_pair_split_n{n}", n, pair_split))
+TABLE: list[Row] = []
 
-        def gram_match(n=n, kind=kind, walls=walls):
-            derived = diagram_from_gram(walls)
-            reference = diagram_graph(kind)
-            actual = derived.nodes == reference.nodes and derived.edges == reference.edges
-            return True, actual, f"pairing graph equals the {kind} diagram"
 
-        items.append(PendingCheck(f"gram_diagram_match_n{n}", n, gram_match))
+def check(suite: str, template: str, dims: tuple[int, ...] | None = None, gated: bool = False):
+    """Register the decorated run as the next row of the table."""
 
-        def words(n=n):
-            return True, verify_generator_words(n), "wall mirrors realized inside the reflection group"
-
-        items.append(PendingCheck(f"generator_words_n{n}", n, words))
-
-        def orbits(n=n):
-            vo = vertex_orbits(n)
-            expected = {
-                "apex_orbit": APEX_ORBIT_SIZES[n],
-                "ideal_orbit": IDEAL_ORBIT_SIZES[n],
-                "center_fixed": True,
-            }
-            actual = {
-                "apex_orbit": len(vo.apex_orbit),
-                "ideal_orbit": len(vo.ideal_orbit),
-                "center_fixed": vo.center_fixed,
-            }
-            return expected, actual, "stabilizer orbits of the cell vertices"
-
-        items.append(PendingCheck(f"vertex_orbits_n{n}", n, orbits))
-
-        def aut(n=n, kind=kind):
-            g = diagram_graph(kind)
-            return AUT_ORDERS[kind], diagram_automorphism_order(g), f"graph automorphisms of {kind}"
-
-        items.append(PendingCheck(f"automorphism_order_n{n}", n, aut))
-
-        def girth(n=n, kind=kind):
-            return GIRTHS[kind], diagram_graph(kind).girth(), f"shortest cycle in {kind}"
-
-        items.append(PendingCheck(f"girth_n{n}", n, girth))
-
-        def hexagons(n=n, kind=kind):
-            return (
-                HEXAGON_COUNTS[kind],
-                len(free_hexagons(diagram_graph(kind))),
-                "chordless hexagons up to rotation and reflection",
-            )
-
-        items.append(PendingCheck(f"hexagon_count_n{n}", n, hexagons))
+    def register(run):
+        TABLE.append(Row(suite, template, dims, run, gated))
+        return run
 
-        if n == 3:
-            def affine_hexagon():
-                actual = free_hexagons(diagram_graph("affine_a5"))
-                return [["1", "4", "2", "5", "3", "6"]], actual, "the hexagon traverses alternating labels"
+    return register
 
-            items.append(PendingCheck("affine_hexagon_cycle_n3", 3, affine_hexagon))
-
-        if n == 4:
-            def kneser():
-                return True, petersen_kneser_check(), "wall diagram is the disjointness graph on 2-subsets of a 5-set"
-
-            items.append(PendingCheck("petersen_kneser_n4", 4, kneser))
-
-    return _run_all(items)
-
-
-def presentation_suite(options: Options) -> list[CheckReport]:
-    items: list = []
-
-    def braid_fixed():
-        alpha = vector(0, 1, 0)
-        beta = vector(1, -1, -1)
-        ok = braid_identity_check(alpha, beta, vector(1, 0, 0))
-        return True, ok, "worked example with the apex as test vector"
-
-    items.append(PendingCheck("braid_identity_fixed", None, braid_fixed))
-
-    for n in _dimensions(options):
-        kind = KIND_BY_N[n]
-        pres = build_presentation(kind)
-
-        def profile(kind=kind, pres=pres):
-            counts = {2: 0, 4: 0, 6: 0, 10: 0}
-            for rel in pres.relators:
-                counts[len(rel)] += 1
-            return (
-                RELATOR_PROFILE[kind],
-                counts,
-                "relators by length: involutions, squares, cubes, deflations",
-            )
-
-        items.append(PendingCheck(f"relator_profile_{kind}", n, profile))
-
-        def relators_mod3(n=n, pres=pres):
-            assignment = wall_reflections_mod3(n, projective=False)
-            sample = next(iter(assignment.values()))
-            identity = ModularMatrix.identity(sample.dimension, 3)
-            ok = all(
-                evaluate_word(rel, assignment) == identity for rel in pres.relators
-            )
-            return True, ok, "all relators hold in the mod-3 matrix image, no sign quotient needed"
-
-        items.append(PendingCheck(f"relators_mod3_{kind}", n, relators_mod3))
-
-        def braid_random(n=n):
-            rng = random.Random(f"{options.seed}:braid:{n}")
-            walls = gosset_walls(n)
-            ok = True
-            for la, lb in wall_pair_classification(walls).parallel:
-                alpha, beta = walls.root_of(la), walls.root_of(lb)
-                for _ in range(100):
-                    lam = _random_vector(rng, n + 1)
-                    if not braid_identity_check(alpha, beta, lam):
-                        ok = False
-            return True, ok, "100 random test vectors per tangent wall pair"
-
-        items.append(PendingCheck(f"braid_identity_random_n{n}", n, braid_random))
-
-        def roundtrip(pres=pres):
-            return pres, presentation_from_text(presentation_to_text(pres)), "text serialization round-trips"
-
-        items.append(PendingCheck(f"presentation_roundtrip_{kind}", n, roundtrip))
-
-        if kind == "affine_a5":
-            def deflation_integer():
-                # The deflation word collapses mod 3 but is a genuinely
-                # new relation: over the integers it is far from identity.
-                pres_plain = build_presentation("affine_a5", deflate=False)
-                word = next(
-                    r for r in build_presentation("affine_a5").relators if len(r) == 10
-                )
-                mirrors = {
-                    label: _wall_mirror(3, label) for label in pres_plain.generators
-                }
-                image = evaluate_word(word, mirrors)
-                nontrivial = image != LatticeIsometry.identity(4)
-                return True, nontrivial, "deflation word acts nontrivially on the lattice"
-
-            items.append(PendingCheck("deflation_integer_nonidentity", 3, deflation_integer))
-
-    return _run_all(items)
-
-
-def _wall_mirror(n: int, label: str) -> LatticeIsometry:
-    walls = gosset_walls(n)
-    return reflection_matrix(walls.root_of(label), n)
-
-
-def enumeration_suite(options: Options) -> list[CheckReport]:
-    items: list = []
-    for n in _dimensions(options):
-        kind = KIND_BY_N[n]
-
-        def order(kind=kind, n=n):
-            table = enumerate_diagram_group(kind, options.budget)
-            return (
-                REFLECTION_GROUP_ORDERS[n],
-                table.order,
-                f"defined {table.cosets_defined} cosets",
-            )
-
-        items.append(PendingCheck(f"coset_order_{kind}", n, order))
-
-        def certificate(kind=kind):
-            table = enumerate_diagram_group(kind, options.budget)
-            ok = verify_table(table, build_presentation(kind))
-            return True, ok, "independent replay of the finished table"
-
-        items.append(PendingCheck(f"replay_certificate_{kind}", n, certificate))
-
-        def cross_check(kind=kind, n=n):
-            table = enumerate_diagram_group(kind, options.budget)
-            cert = verify_action_against_matrices(table, wall_reflections_mod3(n))
-            expected = {
-                "consistent": True,
-                "matrix_group_order": REFLECTION_GROUP_ORDERS[n],
-            }
-            actual = {
-                "consistent": cert.consistent,
-                "matrix_group_order": cert.matrix_group_order,
-            }
-            details = (
-                f"{cert.edges_checked} table edges checked against the matrices, "
-                f"{cert.matrix_group_order} distinct images"
-            )
-            return expected, actual, details
-
-        items.append(PendingCheck(f"matrix_cross_check_{kind}", n, cross_check))
-
-        if kind in ("affine_a5", "petersen"):
-            def negative_control(kind=kind):
-                pres = build_presentation(kind, deflate=False)
-                table = todd_coxeter(pres, budget=NEGATIVE_CONTROL_BUDGET)
-                return (
-                    BUDGET_EXCEEDED,
-                    table.status,
-                    f"without deflation the enumeration passes {NEGATIVE_CONTROL_BUDGET} cosets",
-                )
-
-            items.append(PendingCheck(f"no_deflation_diverges_{kind}", n, negative_control))
-
-        if kind in ("a3", "affine_a5"):
-            def shuffled(kind=kind, n=n):
-                rng = random.Random(f"{options.seed}:shuffle:{kind}")
-                orders = []
-                for _ in range(3):
-                    rels = list(build_presentation(kind).relators)
-                    rng.shuffle(rels)
-                    pres = build_presentation(kind)
-                    pres = type(pres)(pres.generators, tuple(rels))
-                    orders.append(todd_coxeter(pres, budget=options.budget).order)
-                expected = [REFLECTION_GROUP_ORDERS[n]] * 3
-                return expected, orders, "relator order does not change the result"
-
-            items.append(PendingCheck(f"relator_order_invariance_{kind}", n, shuffled))
-
-    return _run_all(items)
-
-
-def tessellation_suite(options: Options) -> list[CheckReport]:
-    items: list = []
-    # Built inside the first check that needs it, so its time and any error
-    # are charged to a check; the other checks of this run reuse it.
-    tile_graph = cache(build_tessellation)
-    for n in _dimensions(options):
-
-        def tiles(n=n):
-            tg = tile_graph(n)
-            return TILE_COUNTS[n], tg.tile_count, "cells in the quotient mod 3"
-
-        items.append(PendingCheck(f"tile_count_n{n}", n, tiles))
-
-        def slots(n=n):
-            tg = tile_graph(n)
-            per_tile = [0] * tg.tile_count
-            for a, _, _ in tg.edges:
-                per_tile[a] += 1
-            ok = all(c == WALL_COUNTS[n] for c in per_tile)
-            return True, ok, "every tile exposes one neighbor slot per wall"
-
-        items.append(PendingCheck(f"boundary_slots_n{n}", n, slots))
-
-        def connected(n=n):
-            return True, tile_graph(n).is_connected(), "tile adjacency graph is connected"
-
-        items.append(PendingCheck(f"connected_n{n}", n, connected))
-
-        def self_loops(n=n):
-            return 0, tile_graph(n).self_loop_count(), "no wall glues a tile to itself"
-
-        items.append(PendingCheck(f"self_loop_count_n{n}", n, self_loops))
-
-        def lagrange(n=n):
-            tg = tile_graph(n)
-            group = reflection_image_mod3(n)
-            expected = {
-                "tiles": TILE_COUNTS[n],
-                "stabilizer_order": STABILIZER_ORDERS[n],
-                "product": TILE_COUNTS[n] * STABILIZER_ORDERS[n],
-                "group_order": TILE_COUNTS[n] * STABILIZER_ORDERS[n],
-            }
-            actual = {
-                "tiles": tg.tile_count,
-                "stabilizer_order": STABILIZER_ORDERS[n],
-                "product": tg.tile_count * STABILIZER_ORDERS[n],
-                "group_order": group.order,
-            }
-            return expected, actual, "tiles times stabilizer equals the projective group order"
-
-        items.append(PendingCheck(f"lagrange_n{n}", n, lagrange))
-
-        def sign_quotient(n=n):
-            linear = reflection_image_mod3(n, projective=False)
-            projective = reflection_image_mod3(n)
-            actual = {
-                "ratio": linear.order // projective.order,
-                "contains_minus_identity": linear.contains_minus_identity,
-            }
-            expected = {"ratio": 2, "contains_minus_identity": True}
-            details = f"linear order {linear.order}, projective order {projective.order}"
-            return expected, actual, details
-
-        items.append(PendingCheck(f"sign_quotient_n{n}", n, sign_quotient))
-
-    return _run_all(items)
-
-
-def e6_suite(options: Options) -> list[CheckReport]:
-    items: list = []
-
-    def count():
-        return 72, len(root_system().roots), "roots generated from the simple ones"
-
-    items.append(PendingCheck("root_count", None, count))
-
-    def membership():
-        return True, verify_membership(), "all ten configuration vectors are roots"
-
-    items.append(PendingCheck("beta_membership", None, membership))
-
-    def gram():
-        return True, verify_petersen_gram(), "pairings 2 on the diagonal, 1 on edges, 0 off"
-
-    items.append(PendingCheck("gram_matches_diagram", None, gram))
-
-    def hexsums():
-        return True, verify_hexagon_sums(), "alternating sums vanish around every hexagon"
-
-    items.append(PendingCheck("hexagon_sums_vanish", None, hexsums))
-
-    def fixed_points():
-        return True, verify_reflection_fixed_points(), "reflection fixes a root iff pairing is zero"
-
-    items.append(PendingCheck("reflection_fixed_points", None, fixed_points))
-
-    def singletons():
-        return True, verify_singletons_commute(), "reflections at pairwise non-adjacent labels commute"
-
-    items.append(PendingCheck("singleton_commutation", None, singletons))
-
-    def order():
-        return 51840, generation_order(), "permutation group generated on the 72 roots"
-
-    items.append(PendingCheck("generation_order", None, order))
-
-    def agreement():
-        table = enumerate_diagram_group("petersen", options.budget)
-        matrix_group = closure(
-            tuple(wall_reflections_mod3(4).values()), projective=True
-        )
-        expected = {"roots": 51840, "cosets": 51840, "matrices": 51840}
-        actual = {
-            "roots": generation_order(),
-            "cosets": table.order,
-            "matrices": matrix_group.order,
-        }
-        return expected, actual, "three independent routes to the same order"
-
-    items.append(PendingCheck("triple_agreement", None, agreement))
-
-    return _run_all(items)
 
+def _lattice_basis(n: int) -> list:
+    return [basis_vector(i, n) for i in range(n + 1)]
+
+
+# lattice
+
+
+@check("lattice", "simple_root_norms_n{n}", LATTICE_DIMS)
+def _simple_root_norms(c):
+    expected = [1, 2, 1] if c.n == 2 else [2] * c.n + [1]
+    return expected, [norm(a) for a in simple_roots(c.n)], "norms of the simple mirror normals"
+
+
+@check("lattice", "chamber_incidence_n{n}", LATTICE_DIMS)
+def _chamber_incidence(c):
+    roots, verts = simple_roots(c.n), chamber_vertices(c.n)
+    off = all(inner(v, a) == 0 for j, v in enumerate(verts) for i, a in enumerate(roots) if i != j)
+    diag = [inner(v, roots[j]) for j, v in enumerate(verts)]
+    expected = {"off_diagonal_zero": True, "diagonal": [-1] * (c.n + 1)}
+    actual = {"off_diagonal_zero": off, "diagonal": diag}
+    return expected, actual, "vertex j lies on every wall except wall j"
+
+
+@check("lattice", "vertex_norms_n{n}", LATTICE_DIMS)
+def _vertex_norms(c):
+    expected = [-1, 0, -2] + [j - 9 for j in range(3, c.n + 1)]
+    actual = [norm(v) for v in chamber_vertices(c.n)]
+    return expected, actual, "one ideal vertex, all others interior"
+
+
+@check("lattice", "reflection_involution_n{n}", LATTICE_DIMS)
+def _reflection_involution(c):
+    basis = _lattice_basis(c.n)
+    ok = all(
+        reflect(alpha, reflect(alpha, u)) == u
+        and all(inner(reflect(alpha, u), reflect(alpha, v)) == inner(u, v) for v in basis)
+        for alpha in simple_roots(c.n)
+        for u in basis
+    )
+    return True, ok, "reflections square to one and preserve the form on e_0..e_n"
+
+
+@check("lattice", "congruence_trivial_n{n}", CONGRUENCE_DIMS, gated=True)
+def _congruence_trivial(c):
+    result = congruence_intersection_check(c.n)
+    expected = {
+        "order": STABILIZER_ORDERS[c.n],
+        "identity_only_mod2": True,
+        "identity_only_mod3": True,
+    }
+    actual = {
+        "order": result.order,
+        "identity_only_mod2": result.congruent_mod2 == 1,
+        "identity_only_mod3": result.congruent_mod3 == 1,
+    }
+    return expected, actual, "vertex stabilizer meets both congruence kernels trivially"
+
+
+# diagrams
+
+
+@check("diagrams", "wall_count_n{n}", DIMS)
+def _wall_count(c):
+    return WALL_COUNTS[c.n], len(gosset_walls(c.n).labels), "number of cell walls"
+
+
+@check("diagrams", "wall_norms_n{n}", DIMS)
+def _wall_norms(c):
+    actual = all(norm(r) == 1 for r in gosset_walls(c.n).roots)
+    return True, actual, "every wall normal has norm one"
+
+
+@check("diagrams", "wall_pair_split_n{n}", DIMS)
+def _wall_pair_split(c):
+    pc = wall_pair_classification(gosset_walls(c.n))
+    actual = [len(pc.orthogonal), len(pc.parallel)]
+    return list(PAIR_SPLIT[c.n]), actual, "wall pairs split into right-angled and tangent"
+
+
+@check("diagrams", "gram_diagram_match_n{n}", DIMS)
+def _gram_diagram_match(c):
+    derived, reference = diagram_from_gram(gosset_walls(c.n)), diagram_graph(c.kind)
+    actual = derived.nodes == reference.nodes and derived.edges == reference.edges
+    return True, actual, f"pairing graph equals the {c.kind} diagram"
+
+
+@check("diagrams", "generator_words_n{n}", DIMS)
+def _generator_words(c):
+    return True, verify_generator_words(c.n), "wall mirrors realized inside the reflection group"
+
+
+@check("diagrams", "vertex_orbits_n{n}", DIMS)
+def _vertex_orbits(c):
+    vo = vertex_orbits(c.n)
+    expected = {
+        "apex_orbit": APEX_ORBIT_SIZES[c.n],
+        "ideal_orbit": IDEAL_ORBIT_SIZES[c.n],
+        "center_fixed": True,
+    }
+    actual = {
+        "apex_orbit": len(vo.apex_orbit),
+        "ideal_orbit": len(vo.ideal_orbit),
+        "center_fixed": vo.center_fixed,
+    }
+    return expected, actual, "stabilizer orbits of the cell vertices"
+
+
+@check("diagrams", "automorphism_order_n{n}", DIMS)
+def _automorphism_order(c):
+    actual = diagram_automorphism_order(diagram_graph(c.kind))
+    return AUT_ORDERS[c.kind], actual, f"graph automorphisms of {c.kind}"
+
+
+@check("diagrams", "girth_n{n}", DIMS)
+def _girth(c):
+    return GIRTHS[c.kind], diagram_graph(c.kind).girth(), f"shortest cycle in {c.kind}"
+
+
+@check("diagrams", "hexagon_count_n{n}", DIMS)
+def _hexagon_count(c):
+    actual = len(free_hexagons(diagram_graph(c.kind)))
+    return HEXAGON_COUNTS[c.kind], actual, "chordless hexagons up to rotation and reflection"
+
+
+@check("diagrams", "affine_hexagon_cycle_n{n}", (3,))
+def _affine_hexagon_cycle(c):
+    actual = free_hexagons(diagram_graph("affine_a5"))
+    return [["1", "4", "2", "5", "3", "6"]], actual, "the hexagon traverses alternating labels"
+
+
+@check("diagrams", "petersen_kneser_n{n}", (4,))
+def _petersen_kneser(c):
+    details = "wall diagram is the disjointness graph on 2-subsets of a 5-set"
+    return True, petersen_kneser_check(), details
+
+
+# presentation
+
+
+@check("presentation", "braid_identity_fixed")
+def _braid_identity_fixed(c):
+    ok = braid_identity_check(vector(0, 1, 0), vector(1, -1, -1), vector(1, 0, 0))
+    return True, ok, "worked example with the apex as test vector"
+
+
+@check("presentation", "relator_profile_{kind}", DIMS)
+def _relator_profile(c):
+    counts = {2: 0, 4: 0, 6: 0, 10: 0}
+    for rel in build_presentation(c.kind).relators:
+        counts[len(rel)] += 1
+    details = "relators by length: involutions, squares, cubes, deflations"
+    return RELATOR_PROFILE[c.kind], counts, details
+
+
+@check("presentation", "relators_mod3_{kind}", DIMS)
+def _relators_mod3(c):
+    assignment = wall_reflections_mod3(c.n, projective=False)
+    identity = ModularMatrix.identity(c.n + 1, 3)
+    relators = build_presentation(c.kind).relators
+    ok = all(evaluate_word(rel, assignment) == identity for rel in relators)
+    return True, ok, "all relators hold in the mod-3 matrix image, no sign quotient needed"
+
+
+@check("presentation", "braid_identity_random_n{n}", DIMS)
+def _braid_identity_basis(c):
+    walls = gosset_walls(c.n)
+    ok = all(
+        braid_identity_check(walls.root_of(la), walls.root_of(lb), lam)
+        for la, lb in wall_pair_classification(walls).parallel
+        for lam in _lattice_basis(c.n)
+    )
+    return True, ok, "test vectors e_0..e_n for every tangent wall pair"
+
+
+@check("presentation", "presentation_roundtrip_{kind}", DIMS)
+def _presentation_roundtrip(c):
+    pres = build_presentation(c.kind)
+    parsed = presentation_from_text(presentation_to_text(pres))
+    return pres, parsed, "text serialization round-trips"
+
+
+@check("presentation", "deflation_integer_nonidentity", (3,))
+def _deflation_integer_nonidentity(c):
+    # The deflation word collapses mod 3 but is a genuinely new relation:
+    # over the integers it is far from identity.
+    word = next(r for r in build_presentation(c.kind).relators if len(r) == 10)
+    image = evaluate_word(word, wall_reflection_matrices(c.n))
+    nontrivial = image != LatticeIsometry.identity(c.n + 1)
+    return True, nontrivial, "deflation word acts nontrivially on the lattice"
+
+
+# enumeration
+
+
+@check("enumeration", "coset_order_{kind}", DIMS)
+def _coset_order(c):
+    table = enumerate_diagram_group(c.kind, c.options.budget)
+    return REFLECTION_GROUP_ORDERS[c.n], table.order, f"defined {table.cosets_defined} cosets"
+
+
+@check("enumeration", "replay_certificate_{kind}", DIMS)
+def _replay_certificate(c):
+    table = enumerate_diagram_group(c.kind, c.options.budget)
+    ok = verify_table(table, build_presentation(c.kind))
+    return True, ok, "independent replay of the finished table"
+
+
+@check("enumeration", "matrix_cross_check_{kind}", DIMS)
+def _matrix_cross_check(c):
+    table = enumerate_diagram_group(c.kind, c.options.budget)
+    cert = verify_action_against_matrices(table, wall_reflections_mod3(c.n))
+    expected = {"consistent": True, "matrix_group_order": REFLECTION_GROUP_ORDERS[c.n]}
+    actual = {"consistent": cert.consistent, "matrix_group_order": cert.matrix_group_order}
+    details = (
+        f"{cert.edges_checked} table edges checked against the matrices, "
+        f"{cert.matrix_group_order} distinct images"
+    )
+    return expected, actual, details
+
+
+@check("enumeration", "no_deflation_diverges_{kind}", (3, 4))
+def _no_deflation_diverges(c):
+    table = todd_coxeter(build_presentation(c.kind, deflate=False), budget=NEGATIVE_CONTROL_BUDGET)
+    details = f"without deflation the enumeration passes {NEGATIVE_CONTROL_BUDGET} cosets"
+    return BUDGET_EXCEEDED, table.status, details
+
+
+@check("enumeration", "relator_order_invariance_{kind}", (2, 3))
+def _relator_order_invariance(c):
+    rng = random.Random(f"{c.options.seed}:shuffle:{c.kind}")
+    pres = build_presentation(c.kind)
+    orders = []
+    for _ in range(3):
+        rels = list(pres.relators)
+        rng.shuffle(rels)
+        shuffled = replace(pres, relators=tuple(rels))
+        orders.append(todd_coxeter(shuffled, budget=c.options.budget).order)
+    return [REFLECTION_GROUP_ORDERS[c.n]] * 3, orders, "relator order does not change the result"
+
+
+# tessellation
+
+
+@check("tessellation", "tile_count_n{n}", DIMS)
+def _tile_count(c):
+    return TILE_COUNTS[c.n], c.tile_graph(c.n).tile_count, "cells in the quotient mod 3"
+
+
+@check("tessellation", "boundary_slots_n{n}", DIMS)
+def _boundary_slots(c):
+    tg = c.tile_graph(c.n)
+    per_tile = [0] * tg.tile_count
+    for a, _, _ in tg.edges:
+        per_tile[a] += 1
+    ok = all(k == WALL_COUNTS[c.n] for k in per_tile)
+    return True, ok, "every tile exposes one neighbor slot per wall"
+
+
+@check("tessellation", "connected_n{n}", DIMS)
+def _connected(c):
+    return True, c.tile_graph(c.n).is_connected(), "tile adjacency graph is connected"
+
+
+@check("tessellation", "self_loop_count_n{n}", DIMS)
+def _self_loop_count(c):
+    return 0, c.tile_graph(c.n).self_loop_count(), "no wall glues a tile to itself"
+
+
+@check("tessellation", "lagrange_n{n}", DIMS)
+def _lagrange(c):
+    tiles, stabilizer = c.tile_graph(c.n).tile_count, STABILIZER_ORDERS[c.n]
+    product = TILE_COUNTS[c.n] * stabilizer
+    expected = {
+        "tiles": TILE_COUNTS[c.n],
+        "stabilizer_order": stabilizer,
+        "product": product,
+        "group_order": product,
+    }
+    actual = {
+        "tiles": tiles,
+        "stabilizer_order": stabilizer,
+        "product": tiles * stabilizer,
+        "group_order": reflection_image_mod3(c.n).order,
+    }
+    return expected, actual, "tiles times stabilizer equals the projective group order"
+
+
+@check("tessellation", "sign_quotient_n{n}", DIMS)
+def _sign_quotient(c):
+    linear, projective = reflection_image_mod3(c.n, projective=False), reflection_image_mod3(c.n)
+    actual = {
+        "ratio": linear.order // projective.order,
+        "contains_minus_identity": linear.contains_minus_identity,
+    }
+    details = f"linear order {linear.order}, projective order {projective.order}"
+    return {"ratio": 2, "contains_minus_identity": True}, actual, details
+
+
+# e6
+
+
+@check("e6", "root_count")
+def _root_count(c):
+    return 72, len(root_system().roots), "roots generated from the simple ones"
+
+
+@check("e6", "beta_membership")
+def _beta_membership(c):
+    return True, verify_membership(), "all ten configuration vectors are roots"
+
+
+@check("e6", "gram_matches_diagram")
+def _gram_matches_diagram(c):
+    return True, verify_petersen_gram(), "pairings 2 on the diagonal, 1 on edges, 0 off"
+
+
+@check("e6", "hexagon_sums_vanish")
+def _hexagon_sums_vanish(c):
+    return True, verify_hexagon_sums(), "alternating sums vanish around every hexagon"
+
+
+@check("e6", "reflection_fixed_points")
+def _reflection_fixed_points(c):
+    return True, verify_reflection_fixed_points(), "reflection fixes a root iff pairing is zero"
+
+
+@check("e6", "singleton_commutation")
+def _singleton_commutation(c):
+    return True, verify_singletons_commute(), "reflections at pairwise non-adjacent labels commute"
+
+
+@check("e6", "generation_order")
+def _generation_order(c):
+    return 51840, generation_order(), "permutation group generated on the 72 roots"
+
+
+@check("e6", "triple_agreement")
+def _triple_agreement(c):
+    table = enumerate_diagram_group("petersen", c.options.budget)
+    matrix_group = closure(tuple(wall_reflections_mod3(4).values()), projective=True)
+    expected = {"roots": 51840, "cosets": 51840, "matrices": 51840}
+    actual = {"roots": generation_order(), "cosets": table.order, "matrices": matrix_group.order}
+    return expected, actual, "three independent routes to the same order"
+
+
+# eisenstein
 
 # Null vectors of the hermitian form make bad mirrors; these all have
 # self-pairing one.
 UNIT_AXES = (
-    (0, 1, 0, 0),
-    (0, 0, 0, 1),
-    (1, 1, 1, 0),
-    (1, 1, 0, 1),
+    evec(0, 1, 0, 0),
+    evec(0, 0, 0, 1),
+    evec(1, 1, 1, 0),
+    evec(1, 1, 0, 1),
 )
+EISENSTEIN_BASIS = tuple(evec(*[int(i == j) for j in range(4)]) for i in range(4))
 
 
-def _random_eisenstein_vector(rng: random.Random) -> EisensteinVector:
-    return evec(*[eis(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)])
+def _first_fixing_power(step: Callable[[EisensteinVector], EisensteinVector], limit: int) -> int:
+    """Least k <= limit with step^k fixing e_0..e_3, else 0; step must be Z[omega]-linear."""
+    images = EISENSTEIN_BASIS
+    for k in range(1, limit + 1):
+        images = tuple(step(v) for v in images)
+        if images == EISENSTEIN_BASIS:
+            return k
+    return 0
 
 
-def eisenstein_suite(options: Options) -> list[CheckReport]:
-    items: list = []
-    omega = eis(0, 1)
-
-    def unit_relation():
-        actual = omega * omega + omega + eis(1) == eis(0)
-        return True, actual, "the generator is a primitive cube root of unity"
-
-    items.append(PendingCheck("unit_relation", None, unit_relation))
-
-    def conj_multiplicative():
-        rng = random.Random(f"{options.seed}:conj")
-        ok = True
-        for _ in range(200):
-            a = eis(rng.randint(-9, 9), rng.randint(-9, 9))
-            b = eis(rng.randint(-9, 9), rng.randint(-9, 9))
-            if (a * b).conj() != a.conj() * b.conj():
-                ok = False
-            na = a * a.conj()
-            if na.b != 0 or na.a < 0:
-                ok = False
-        return True, ok, "conjugation respects products, self-pairing is a nonnegative integer"
-
-    items.append(PendingCheck("conjugation_multiplicative", None, conj_multiplicative))
-
-    def herm_symmetry():
-        rng = random.Random(f"{options.seed}:herm")
-        ok = True
-        for _ in range(100):
-            u = _random_eisenstein_vector(rng)
-            v = _random_eisenstein_vector(rng)
-            if herm(u, v) != herm(v, u).conj():
-                ok = False
-        return True, ok, "hermitian symmetry of the signature (3,1) form"
-
-    items.append(PendingCheck("hermitian_symmetry", None, herm_symmetry))
-
-    def preserves_form():
-        rng = random.Random(f"{options.seed}:hexa")
-        ok = True
-        for axis_coords in UNIT_AXES:
-            axis = evec(*axis_coords)
-            for _ in range(50):
-                u = _random_eisenstein_vector(rng)
-                v = _random_eisenstein_vector(rng)
-                hu, hv = hexaflection(axis, u), hexaflection(axis, v)
-                if herm(hu, hv) != herm(u, v):
-                    ok = False
-        return True, ok, "hexaflections are isometries of the hermitian form"
-
-    items.append(PendingCheck("hexaflection_preserves_form", None, preserves_form))
-
-    def axis_eigenvalue():
-        ok = True
-        minus_omega_sq = eis(1, 1)
-        for axis_coords in UNIT_AXES:
-            axis = evec(*axis_coords)
-            image = hexaflection(axis, axis)
-            if image != axis.scale(minus_omega_sq):
-                ok = False
-        return True, ok, "the mirror normal is rotated by a primitive sixth root of unity"
-
-    items.append(PendingCheck("hexaflection_axis_eigenvalue", None, axis_eigenvalue))
-
-    def order_six():
-        rng = random.Random(f"{options.seed}:order6")
-        sample = [evec(*[1 if i == j else 0 for j in range(4)]) for i in range(4)]
-        sample += [_random_eisenstein_vector(rng) for _ in range(10)]
-        orders = set()
-        for axis_coords in UNIT_AXES:
-            axis = evec(*axis_coords)
-            for k in range(1, 7):
-                if all(_power(axis, v, k) == v for v in sample):
-                    orders.add(k)
-                    break
-            else:
-                orders.add(0)
-        return {6}, orders, "sixth power is the first to fix everything"
-
-    items.append(PendingCheck("hexaflection_order_six", None, order_six))
-
-    def triflection_order():
-        rng = random.Random(f"{options.seed}:order3")
-        sample = [evec(*[1 if i == j else 0 for j in range(4)]) for i in range(4)]
-        sample += [_random_eisenstein_vector(rng) for _ in range(10)]
-        orders = set()
-        for axis_coords in UNIT_AXES:
-            axis = evec(*axis_coords)
-            for k in range(1, 4):
-                if all(_power(axis, v, 2 * k) == v for v in sample):
-                    orders.add(k)
-                    break
-            else:
-                orders.add(0)
-        return {3}, orders, "the squared hexaflection has order three"
-
-    items.append(PendingCheck("triflection_order_three", None, triflection_order))
-
-    return _run_all(items)
+@check("eisenstein", "unit_relation")
+def _unit_relation(c):
+    actual = OMEGA * OMEGA + OMEGA + ONE == ZERO
+    return True, actual, "the generator is a primitive cube root of unity"
 
 
-def _power(axis: EisensteinVector, v: EisensteinVector, k: int) -> EisensteinVector:
-    for _ in range(k):
-        v = hexaflection(axis, v)
-    return v
+@check("eisenstein", "conjugation_multiplicative")
+def _conjugation_multiplicative(c):
+    units = (ONE, OMEGA)
+    products = all((a * b).conj() == a.conj() * b.conj() for a in units for b in units)
+    norms = [z * z.conj() for z in (ONE, OMEGA, ONE + OMEGA)]
+    details = "conjugation respects products on {1, omega}^2; 1, omega, 1 + omega have norm one"
+    return True, products and norms == [ONE] * 3, details
 
 
-SUITE_RUNNERS = {
-    "lattice": lattice_suite,
-    "diagrams": diagrams_suite,
-    "presentation": presentation_suite,
-    "enumeration": enumeration_suite,
-    "tessellation": tessellation_suite,
-    "e6": e6_suite,
-    "eisenstein": eisenstein_suite,
-}
+@check("eisenstein", "hermitian_symmetry")
+def _hermitian_symmetry(c):
+    basis = EISENSTEIN_BASIS + tuple(e.scale(OMEGA) for e in EISENSTEIN_BASIS)
+    ok = all(herm(u, v) == herm(v, u).conj() for u in basis for v in basis)
+    return True, ok, "hermitian symmetry of the signature (3,1) form on the Z-basis e_i, omega e_i"
+
+
+@check("eisenstein", "hexaflection_preserves_form")
+def _hexaflection_preserves_form(c):
+    ok = all(
+        herm(hexaflection(axis, u), hexaflection(axis, v)) == herm(u, v)
+        for axis in UNIT_AXES
+        for u in EISENSTEIN_BASIS
+        for v in EISENSTEIN_BASIS
+    )
+    return True, ok, "hexaflections are isometries of the hermitian form on e_0..e_3"
+
+
+@check("eisenstein", "hexaflection_axis_eigenvalue")
+def _hexaflection_axis_eigenvalue(c):
+    minus_omega_sq = eis(1, 1)
+    ok = all(hexaflection(axis, axis) == axis.scale(minus_omega_sq) for axis in UNIT_AXES)
+    return True, ok, "the mirror normal is rotated by a primitive sixth root of unity"
+
+
+@check("eisenstein", "hexaflection_order_six")
+def _hexaflection_order_six(c):
+    orders = {_first_fixing_power(partial(hexaflection, axis), 6) for axis in UNIT_AXES}
+    return {6}, orders, "sixth power is the first to fix e_0..e_3"
+
+
+@check("eisenstein", "triflection_order_three")
+def _triflection_order_three(c):
+    orders = {
+        _first_fixing_power(lambda v: hexaflection(axis, hexaflection(axis, v)), 3)
+        for axis in UNIT_AXES
+    }
+    return {3}, orders, "the squared hexaflection has order three on e_0..e_3"
+
+
+def _selected(dims: Iterable[int], options: Options) -> list[int]:
+    """The dimensions of dims that `--n` lets through."""
+    return [n for n in dims if options.n in (None, n)]
+
+
+def _run_table(suite: str, options: Options) -> list[CheckReport]:
+    """Run the rows of one suite in report order."""
+    # Built inside the first check that needs it, so its time and any error
+    # are charged to a check; the other checks of this run reuse it.
+    tile_graph = cache(build_tessellation)
+    order = []
+    for position, row in enumerate(TABLE):
+        if row.suite == suite:
+            for n in (None,) if row.dims is None else _selected(row.dims, options):
+                order.append(((row.gated, -1 if n is None else n, position), row, n))
+    reports = []
+    for _, row, n in sorted(order, key=lambda item: item[0]):
+        check_id = row.template.format(n=n, kind=KIND_BY_N.get(n))
+        if row.gated and n > options.max_n:
+            details = f"pass --max-n {n} to enable (n=7 takes ~5 s and ~270 MB)"
+            reports.append(skipped_check(check_id, n, details))
+        else:
+            run = partial(row.run, Case(n, options, tile_graph))
+            reports.append(run_check(PendingCheck(check_id, n, run)))
+    return reports
+
+
+SUITE_RUNNERS = {name: partial(_run_table, name) for name in SUITES}
 
 
 def run_suite(suite: str, options: Options = Options()) -> list[CheckReport]:
     """Run one named suite, or all of them in declaration order."""
-    if suite == "all":
-        reports: list[CheckReport] = []
-        for name in SUITES:
-            reports.extend(SUITE_RUNNERS[name](options))
-        return reports
-    return SUITE_RUNNERS[suite](options)
+    names = SUITES if suite == "all" else (suite,)
+    return [report for name in names for report in SUITE_RUNNERS[name](options)]
 
 
 def _write_dot_files(suite: str, options: Options, out_dir: Path) -> list[Path]:
@@ -737,11 +642,10 @@ def _write_dot_files(suite: str, options: Options, out_dir: Path) -> list[Path]:
     if not (wants_diagrams or wants_tiles):
         raise ValueError(f"suite {suite!r} has no DOT export")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for n in _dimensions(options):
+    for n in _selected(DIMS, options):
         if wants_diagrams:
-            kind = KIND_BY_N[n]
             path = out_dir / f"diagrams_{n}.dot"
-            path.write_text(diagram_graph(kind).to_dot(f"diagram_n{n}"))
+            path.write_text(diagram_graph(KIND_BY_N[n]).to_dot(f"diagram_n{n}"))
             written.append(path)
         if wants_tiles:
             path = out_dir / f"tessellation_{n}.dot"
@@ -757,7 +661,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("suite", choices=SUITES + ("all",))
     parser.add_argument(
-        "--n", type=int, choices=(2, 3, 4), default=None,
+        "--n", type=int, choices=DIMS, default=None,
         help="restrict dimension-parameterized checks to one dimension",
     )
     parser.add_argument(
@@ -768,7 +672,7 @@ def main(argv: list[str] | None = None) -> int:
         "--budget", type=int, default=DEFAULT_COSET_BUDGET,
         help="coset budget for enumerations (default %(default)s)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    parser.add_argument("--seed", type=int, default=0, help="seed for the relator shuffles")
     parser.add_argument(
         "--out", type=Path, default=None,
         help="write the JSON report (or DOT files) here instead of stdout",

@@ -568,13 +568,6 @@ def closure(
     return GroupClosure(generators, projective=projective, budget=budget)
 
 
-def projective_order(group: GroupClosure) -> int:
-    """Order of the image modulo {I, -I}; reported, never assumed."""
-    if group.projective:
-        return group.order
-    return group.order // 2 if group.contains_minus_identity else group.order
-
-
 def finite_group_elements(
     generators: Sequence[LatticeIsometry],
     budget: int = DEFAULT_ELEMENT_BUDGET,

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .lattice import LatticeVector, Root, inner, norm, reflect
-from .geometry import GossetWallSystem
+from .geometry import GossetWallSystem, wall_pair_classification
 from .isometry import LatticeIsometry, ModularMatrix
 
 Word = tuple[str, ...]
@@ -112,14 +112,8 @@ def diagram_graph(kind: str) -> DiagramGraph:
 
 def diagram_from_gram(walls: GossetWallSystem) -> DiagramGraph:
     """Diagram read off the wall pairings: an edge where walls pair to -1."""
-    edges = set()
-    for (la, ra), (lb, rb) in combinations(zip(walls.labels, walls.roots), 2):
-        val = inner(ra, rb)
-        if val == -1:
-            edges.add(tuple(sorted((la, lb))))
-        elif val != 0:
-            raise ValueError(f"walls {la}, {lb} pair to {val}, expected 0 or -1")
-    return DiagramGraph(walls.labels, frozenset(edges))
+    edges = frozenset(tuple(sorted(pair)) for pair in wall_pair_classification(walls).parallel)
+    return DiagramGraph(walls.labels, edges)
 
 
 def diagram_automorphism_order(g: DiagramGraph) -> int:

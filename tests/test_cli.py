@@ -1,12 +1,17 @@
 """The verify CLI: suites, report format, exit codes, DOT export."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gosset import cli
 from gosset.cli import Options, main, run_suite
+from gosset.eisenstein import OMEGA, EisensteinInteger, herm
+from gosset.lattice import inner, reflect
 from gosset.report import CheckReport, exit_code, reports_to_json
 
 
@@ -122,10 +127,123 @@ def test_tessellation_build_failure_is_an_error_record(monkeypatch):
     assert by_id["sign_quotient_n2"] == "pass"
 
 
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "verify_all.json"
+@pytest.mark.parametrize(
+    "suite, broken, failing",
+    [
+        (
+            "diagrams",
+            "gosset_walls",
+            {"wall_count_n2", "wall_norms_n2", "wall_pair_split_n2", "gram_diagram_match_n2"},
+        ),
+        (
+            "presentation",
+            "build_presentation",
+            {"relator_profile_a3", "relators_mod3_a3", "presentation_roundtrip_a3"},
+        ),
+    ],
+)
+def test_a_broken_layer_function_fails_only_its_checks(monkeypatch, suite, broken, failing):
+    def raise_error(*args, **kwargs):
+        raise RuntimeError(f"{broken} is broken")
+
+    monkeypatch.setattr(cli, broken, raise_error)
+    statuses = {r.check_id: r.status for r in run_suite(suite, Options(n=2))}
+    assert {k for k, v in statuses.items() if v == "error"} == failing
+    # automorphism_order_n2 and braid_identity_fixed among them
+    assert all(v == "pass" for k, v in statuses.items() if k not in failing)
 
 
-@pytest.mark.parametrize("suite", ["enumeration", "e6"])
+def _reflect_with_coefficient_one(alpha, lam):
+    return lam - inner(lam, alpha) * alpha
+
+
+def _braid_with_coefficient_three(alpha, beta, lam):
+    lhs = reflect(beta, reflect(alpha, reflect(beta, lam))) - reflect(
+        alpha, reflect(beta, reflect(alpha, lam))
+    )
+    return lhs == (3 * inner(lam, alpha)) * alpha - (3 * inner(lam, beta)) * beta
+
+
+def _herm_without_conjugation(u, v):
+    s = -(u.coords[0] * v.coords[0])
+    for a, b in zip(u.coords[1:], v.coords[1:]):
+        s = s + a * b
+    return s
+
+
+def _hexaflection_with_coefficient_omega(e, lam):
+    return lam - e.scale(OMEGA * herm(lam, e))
+
+
+@pytest.mark.parametrize(
+    "owner, name, fake, suite, failing",
+    [
+        (cli, "reflect", _reflect_with_coefficient_one, "lattice", ["reflection_involution_n2"]),
+        (
+            cli, "braid_identity_check", _braid_with_coefficient_three,
+            "presentation", ["braid_identity_random_n2"],
+        ),
+        # a - b omega breaks conj(omega^2) = conj(omega)^2; the identity map is
+        # multiplicative but gives omega the norm omega^2.
+        (
+            EisensteinInteger, "conj", lambda z: EisensteinInteger(z.a, -z.b),
+            "eisenstein", ["conjugation_multiplicative"],
+        ),
+        (EisensteinInteger, "conj", lambda z: z, "eisenstein", ["conjugation_multiplicative"]),
+        (cli, "herm", _herm_without_conjugation, "eisenstein", ["hermitian_symmetry"]),
+        (
+            cli, "hexaflection", _hexaflection_with_coefficient_omega, "eisenstein",
+            ["hexaflection_preserves_form", "hexaflection_order_six", "triflection_order_three"],
+        ),
+    ],
+)
+def test_basis_checks_fail_on_a_broken_identity(monkeypatch, owner, name, fake, suite, failing):
+    options = Options(n=2, max_n=2)
+    statuses = {r.check_id: r.status for r in run_suite(suite, options)}
+    assert all(statuses[c] == "pass" for c in failing)
+    monkeypatch.setattr(owner, name, fake)
+    statuses = {r.check_id: r.status for r in run_suite(suite, options)}
+    assert {c: statuses[c] for c in failing} == {c: "fail" for c in failing}
+
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "perfbench" / "golden" / "verify_all.json"
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (
+            ["diagrams", "--n", "4"],
+            {
+                "cli.suite.diagrams",
+                "geometry.verify_generator_words.n4",
+                "geometry.vertex_orbits.n4",
+            },
+        ),
+        (
+            ["tessellation", "--n", "2"],
+            {
+                "cli.suite.tessellation",
+                "geometry.build_tessellation.n2",
+                "geometry.reflection_image_mod3.n2_projective",
+                "isometry.coset_space",
+            },
+        ),
+    ],
+)
+def test_trace_spans_reach_the_suite_runners_and_layers(tmp_path, argv, rows):
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace.py"), str(out), *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert rows <= set(json.loads(out.read_text())["rows"])
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
 def test_suite_matches_pinned_outputs(suite):
     fields = ("check_id", "status", "expected", "actual")
     golden = json.loads(GOLDEN.read_text())["all"]
