@@ -43,12 +43,17 @@ error, 3 a check raised instead of returning a value.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterable
+
+# Before numpy loads: the products here are small, and BLAS threads cost CPU time without speed.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from . import __version__
 from .e6 import (

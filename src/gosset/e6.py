@@ -2,18 +2,18 @@
 
 Roots live in simple-root coordinates: integer 6-tuples paired by the E6
 Cartan matrix, with simple roots labeled so that 1-2-3-4-5 is a chain and
-node 6 hangs off node 3.  Closing the simple roots under simple reflections
-gives all 72 roots.
+node 6 hangs off node 3.  The orbit of the simple roots under the simple
+reflections is all 72 roots.
 
 Ten of those roots, labeled by the Petersen graph nodes, realize the wall
 diagram inside E6: their Gram matrix is 2 on the diagonal, 1 on Petersen
 edges and 0 on non-edges, the alternating sum around every free hexagon
 vanishes, and the ten reflections they define generate the full Weyl group,
 of order 51840.  That order is cross-checked elsewhere against coset
-enumeration and the mod-3 matrix closure; here it comes from an exhaustive
-closure of permutations of the 72 roots, run by the layered closure engine
-of the isometry module with each permutation keyed by the images of the six
-simple roots, which span the root space.
+enumeration and the mod-3 matrix closure; here it is the size of the orbit,
+under left multiplication by the root permutations, of the index tuple of
+the six simple roots: they span the root space, so their images fix a group
+element.  Both orbits run on orbit() from the isometry module.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .isometry import _pack_int8, layered_closure
+from .isometry import orbit
 from .presentation import DiagramGraph, diagram_graph, free_hexagons
 
 RootCoeffs = tuple[int, int, int, int, int, int]
@@ -82,25 +82,15 @@ class E6RootSystem:
 
 @lru_cache(maxsize=None)
 def root_system() -> E6RootSystem:
-    """Close the simple roots under simple reflections; exactly 72 roots."""
+    """The orbit of the simple roots under simple reflections; exactly 72 roots.
+
+    On rows, s_j(x) = x - (x, alpha_j) alpha_j = x R_j, R_j[i][k] = delta_ik - C_ij delta_jk.
+    """
     cartan = cartan_matrix()
-    simples = SIMPLE_ROOTS
-
-    def pair(x: RootCoeffs, y: RootCoeffs) -> int:
-        return sum(x[i] * cartan[i][j] * y[j] for i in range(6) for j in range(6))
-
-    seen: set[RootCoeffs] = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in simples:
-                y = tuple(a - pair(x, s) * b for a, b in zip(x, s))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    roots = tuple(sorted(seen))
+    eye = np.eye(6, dtype=np.int64)
+    reflections = eye - np.array(cartan).T[:, :, None] * eye[:, None, :]
+    found = orbit(eye, lambda f: f @ reflections, 1000)
+    roots = tuple(sorted(map(tuple, found.tolist())))
     if len(roots) != 72:
         raise AssertionError(f"expected 72 roots, closure found {len(roots)}")
     return E6RootSystem(cartan, roots)
@@ -193,50 +183,23 @@ def _inverse_closed(gens: np.ndarray) -> bool:
     return all(inv.tobytes() in present for inv in inverses)
 
 
-def _permutation_keys(
-    frontier: np.ndarray, gens: np.ndarray, basis: np.ndarray
-) -> np.ndarray:
-    """Keys of every F g, generator-major: the images F[g[basis]] of the basis indices."""
-    return np.concatenate([_pack_int8(frontier[:, g[basis]]) for g in gens])
-
-
-def _permutation_products(
-    frontier: np.ndarray, gens: np.ndarray, picks: np.ndarray
-) -> np.ndarray:
-    """The compositions F g (first g, then F) at generator-major candidate positions."""
-    which, rows = np.divmod(picks, len(frontier))
-    out = np.empty((len(picks), frontier.shape[1]), dtype=frontier.dtype)
-    for i, g in enumerate(gens):
-        sel = which == i
-        out[sel] = frontier[rows[sel]][:, g]
-    return out
-
-
 def permutation_closure_order(
     perms: Sequence[Sequence[int]], basis: Sequence[int], budget: int
 ) -> int:
-    """Order of the group generated by root permutations, by layered closure.
+    """Order of the group generated by root permutations, as the orbit of a basis.
 
     The permutations must be induced by linear maps on the span of the roots
     (reflections are), and basis must index roots that span it: a linear map
-    is then fixed by the roots it sends the basis to, so each element is keyed
-    by the images of the basis indices, packed into an int64 (at most eight
-    indices, each below 128; E6 has six simple roots among 72), and only new
-    elements are built.  The generator set must be closed under inversion.
+    that fixes a spanning set is the identity, so the index tuple of the basis
+    has a trivial stabilizer, and its orbit under left multiplication, g[F],
+    has one point per group element.  Each point is its own key (at most
+    eight indices, each below 128; E6 has six simple roots among 72).  The
+    generator set must be closed under inversion.
     """
     gens = np.array(perms, dtype=np.uint8)
     if not _inverse_closed(gens):
         raise ValueError("generator set must be closed under inversion")
-    basis = np.array(basis, dtype=np.intp)
-    ident = np.arange(gens.shape[1], dtype=np.uint8)[None]
-    blocks, _ = layered_closure(
-        ident,
-        _pack_int8(ident[:, basis]),
-        lambda frontier: _permutation_keys(frontier, gens, basis),
-        lambda frontier, picks: _permutation_products(frontier, gens, picks),
-        budget,
-    )
-    return sum(len(block) for block in blocks)
+    return len(orbit(np.array([basis], dtype=np.uint8), lambda f: gens[:, f], budget))
 
 
 @lru_cache(maxsize=None)

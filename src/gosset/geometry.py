@@ -22,6 +22,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from .lattice import (
     LatticeVector,
     Root,
@@ -41,6 +43,7 @@ from .isometry import (
     coset_space,
     finite_group_elements,
     long_simple_reflections,
+    orbit,
     projective_normal_form,
     reduce_mod,
     reflection_matrix,
@@ -59,10 +62,6 @@ class GossetWallSystem:
 
     def root_of(self, label: str) -> Root:
         return self.roots[self.labels.index(label)]
-
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """Pairings (beta_a, beta_b) in label order; diagonal is 1."""
-        return tuple(tuple(inner(a, b) for b in self.roots) for a in self.roots)
 
 
 def gosset_walls(n: int) -> GossetWallSystem:
@@ -119,7 +118,9 @@ def generator_words(n: int) -> dict[str, tuple[int, ...]]:
     """Words in the simple reflections s_0..s_n whose products mirror the walls.
 
     Known in closed form for n = 2 and 3.  For n = 4 the wall reflections
-    are exactly the stabilizer conjugates of s_4; see conjugate_wall_set().
+    are exactly the stabilizer conjugates w s_4 w^{-1}, which are the
+    reflections s_{w alpha_4} since w s_alpha w^{-1} = s_{w alpha}; see
+    conjugate_wall_set().
     """
     if n == 2:
         return {"1": (1, 2, 1), "2": (2,), "3": (0,)}
@@ -146,13 +147,12 @@ def wall_reflection_matrices(n: int) -> dict[str, LatticeIsometry]:
 
 
 def conjugate_wall_set(n: int = 4) -> set[LatticeIsometry]:
-    """All stabilizer conjugates w s_n w^{-1}; for n = 4 these are the 10 walls."""
-    s = simple_reflection_matrices(n)
-    short = s[n]
-    out = set()
-    for w in finite_group_elements(long_simple_reflections(n)):
-        out.add(w @ short @ w.inverse())
-    return out
+    """All stabilizer conjugates w s_n w^{-1}; for n = 4 these are the 10 walls.
+
+    w s_alpha w^{-1} = s_{w alpha} for every isometry w, so they are the
+    reflections in the stabilizer orbit of the root alpha_n = e_n.
+    """
+    return {reflection_matrix(r) for r in stabilizer_orbit(n, basis_vector(n, n))}
 
 
 def verify_generator_words(n: int) -> bool:
@@ -173,8 +173,13 @@ def verify_generator_words(n: int) -> bool:
 
 
 def stabilizer_orbit(n: int, v: LatticeVector) -> frozenset[LatticeVector]:
-    """Orbit of a vector under the finite stabilizer of the polytope."""
-    return frozenset(g.apply(v) for g in finite_group_elements(long_simple_reflections(n)))
+    """Orbit of a vector under the finite stabilizer of the polytope.
+
+    That is its orbit under the long simple reflections M, as rows u -> u M^T.
+    """
+    transposed = np.array([g.entries for g in long_simple_reflections(n)]).transpose(0, 2, 1)
+    found = orbit(np.array([v.coords]), lambda f: f @ transposed, DEFAULT_ELEMENT_BUDGET)
+    return frozenset(LatticeVector(tuple(row)) for row in found.tolist())
 
 
 @dataclass(frozen=True)

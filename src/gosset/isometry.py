@@ -15,9 +15,9 @@ multiplied out and stored, as int8.  That keeps the largest case in scope
 (the finite stabilizer for n = 7, order 2903040) to a few seconds and about
 270 MB.  Everything downstream (projectivization, coset spaces, the
 trivial-intersection checks against congruence subgroups) is built on that
-engine; its layer loop, layered_closure, also closes the E6 root
-permutations, and its mod-m products walk coset tables in the enumeration
-certificate.
+engine; its layer loop, layered_closure, also closes orbits of integer rows
+(orbit(): the E6 roots and root permutations, stabilizer orbits), and its
+mod-m products walk coset tables in the enumeration certificate.
 """
 
 from __future__ import annotations
@@ -316,6 +316,30 @@ def _next_layer(
     return picks, cands[picks], uniq[fresh]
 
 
+def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray], budget: int) -> np.ndarray:
+    """Breadth-first orbit of integer rows, in discovery order, by layered_closure.
+
+    step(F) gives the images of the frontier rows F under each generator,
+    stacked generator-major.  Each row is its own key, packed by _pack_int8:
+    at most eight entries, each within int8.  The seeds must be distinct, and
+    their keys are sorted for layered_closure's first layer.  The generator
+    set must be closed under inversion, as reflections are.  The budget counts
+    the seeds.
+    """
+    keys = np.sort(_pack_int8(seeds))
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("orbit seeds must be distinct")
+    images = seeds
+
+    def image_keys(frontier: np.ndarray) -> np.ndarray:
+        nonlocal images
+        images = step(frontier).reshape(-1, seeds.shape[1])
+        return _pack_int8(images)
+
+    blocks, _ = layered_closure(seeds, keys, image_keys, lambda f, picks: images[picks], budget)
+    return np.concatenate(blocks)
+
+
 class _MatrixProducts:
     """Exact products M g of int8 matrices M by a fixed list of generators g.
 
@@ -571,16 +595,16 @@ def closure(
 def finite_group_elements(
     generators: Sequence[LatticeIsometry],
     budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> list[LatticeIsometry]:
+) -> np.ndarray:
     """All elements of the group generated by reflections of Z^{n,1}.
 
+    The elements are int8 matrices, shape (order, d, d), in discovery order.
     The generators, such as the long simple reflections, must lie in the
     reflection group whose chamber vector keys the closure.  Exhaustive
     closure guarded by an element budget: a wrong generator set (infinite
     group) fails fast instead of silently grinding.
     """
-    core = _RawClosure([g.entries for g in generators], None, False, budget)
-    return [LatticeIsometry(core.rows_at(i)) for i in range(core.order)]
+    return _RawClosure([g.entries for g in generators], None, False, budget).mats
 
 
 @dataclass(frozen=True)

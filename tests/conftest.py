@@ -5,6 +5,8 @@ example database the local .hypothesis/ state cannot change what runs.
 Each test keeps its own max_examples.
 """
 
+import pytest
+
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves
@@ -13,3 +15,22 @@ except ImportError:  # the property tests skip themselves
 if settings is not None:
     settings.register_profile("gosset", derandomize=True, deadline=None, database=None)
     settings.load_profile("gosset")
+
+
+@pytest.fixture
+def layer_builds(monkeypatch):
+    """The size of every layer isometry.layered_closure builds, in order."""
+    from gosset import isometry
+
+    built = []
+    closure = isometry.layered_closure
+
+    def counting_closure(identity, identity_key, candidate_keys, build, budget):
+        def counting_build(frontier, picks):
+            built.append(len(picks))
+            return build(frontier, picks)
+
+        return closure(identity, identity_key, candidate_keys, counting_build, budget)
+
+    monkeypatch.setattr(isometry, "layered_closure", counting_closure)
+    return built

@@ -228,6 +228,7 @@ GOLDEN = ROOT / "perfbench" / "golden" / "verify_all.json"
                 "geometry.build_tessellation.n2",
                 "geometry.reflection_image_mod3.n2_projective",
                 "isometry.coset_space",
+                "isometry.finite_group_elements",
             },
         ),
     ],
@@ -241,6 +242,19 @@ def test_trace_spans_reach_the_suite_runners_and_layers(tmp_path, argv, rows):
     )
     assert done.returncode == 0, done.stderr
     assert rows <= set(json.loads(out.read_text())["rows"])
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_import_pins_blas_threads_unless_set(preset):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env.update(dict.fromkeys(names, preset) if preset else {}, PYTHONPATH=str(ROOT / "src"))
+    code = "import os, gosset.cli; print(*(os.environ[k] for k in %r))" % (names,)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [preset or "1"] * 2
 
 
 @pytest.mark.parametrize("suite", cli.SUITES)

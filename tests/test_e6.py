@@ -1,8 +1,8 @@
 """The 72-root system, the labeled 10-root configuration, and its group."""
 
+import numpy as np
 import pytest
 
-from gosset import e6
 from gosset.e6 import (
     E6_EDGES,
     SIMPLE_ROOTS,
@@ -44,6 +44,13 @@ def test_root_system_has_72_roots():
 
 def test_highest_root_present():
     assert root_system().is_root((1, 2, 3, 2, 1, 2))
+
+
+def test_roots_are_the_norm_two_vectors_of_the_root_lattice():
+    # Every E6 root has simple-root coefficients within [-3, 3].
+    grid = np.stack(np.meshgrid(*[np.arange(-3, 4)] * 6, indexing="ij"), axis=-1).reshape(-1, 6)
+    norms = np.einsum("vi,ij,vj->v", grid, np.array(cartan_matrix()), grid)
+    assert sorted(map(tuple, grid[norms == 2].tolist())) == list(root_system().roots)
 
 
 def test_configuration_labels_match_diagram():
@@ -159,19 +166,11 @@ def test_permutation_closure_matches_tuple_oracle():
     same_order()
 
 
-def test_permutation_closure_budget_fails_before_building_the_layer(monkeypatch):
-    built = []
-    build = e6._permutation_products
-
-    def counting_build(frontier, gens, picks):
-        built.append(len(picks))
-        return build(frontier, gens, picks)
-
-    monkeypatch.setattr(e6, "_permutation_products", counting_build)
+def test_permutation_closure_budget_fails_before_building_the_layer(layer_builds):
     perms, basis = _beta_permutations()
     with pytest.raises(ClosureBudgetExceeded):
         permutation_closure_order(list(perms.values()), basis, 1000)
-    assert built and 1 + sum(built) <= 1000
+    assert layer_builds and 1 + sum(layer_builds) <= 1000
 
 
 def test_permutation_closure_requires_inverse_closed_generators():

@@ -18,12 +18,14 @@ from gosset.isometry import (
     det_int,
     lattice_isometry,
     long_simple_reflections,
+    orbit,
     preserves_form,
     projective_normal_form,
     reduce_mod,
     reflection_matrix,
     _RawClosure,
 )
+from gosset.e6 import SIMPLE_ROOTS, beta_configuration, root_system
 from gosset.geometry import stabilizer_generators_mod3, wall_reflections_mod3
 from gosset.lattice import inner, reflect, simple_roots, vector
 
@@ -290,3 +292,109 @@ def test_integer_closure_overflow_raises():
     big = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((200, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(OverflowError):
         _RawClosure(list(big), None, False, 1000)
+
+
+def _oracle_orbit(seeds, actions):
+    """Reference BFS on tuples: layer by layer, generator-major, a dict of seen."""
+    seen = dict.fromkeys(seeds)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for act in actions:
+            for f in frontier:
+                p = act(f)
+                if p not in seen:
+                    seen[p] = None
+                    nxt.append(p)
+        frontier = nxt
+    return list(seen)
+
+
+def _lattice_action(n, picks):
+    """Long simple reflections of Z^{n,1} on rows: numpy step and tuple actions."""
+    mats = [long_simple_reflections(n)[i] for i in picks]
+    transposed = np.array([m.entries for m in mats]).transpose(0, 2, 1)
+    actions = [lambda u, m=m: m.apply(vector(*u)).coords for m in mats]
+    return (lambda f: f @ transposed), actions
+
+
+def _e6_action(picks):
+    """E6 simple reflections on rows of simple-root coordinates."""
+    rs = root_system()
+    simples = [SIMPLE_ROOTS[i] for i in picks]
+    mats = np.array([[rs.reflect(b, e) for e in SIMPLE_ROOTS] for b in simples])
+    actions = [lambda x, b=b: rs.reflect(b, x) for b in simples]
+    return (lambda f: f @ mats), actions
+
+
+def _beta_action(labels):
+    """Beta reflections as root permutations, acting on index tuples on the left."""
+    rs = root_system()
+    betas = beta_configuration()
+    perms = [rs.reflection_permutation(betas[lab]) for lab in labels]
+    gens = np.array(perms, dtype=np.uint8)
+    actions = [lambda f, g=g: tuple(g[i] for i in f) for g in perms]
+    return (lambda f: gens[:, f]), actions
+
+
+def test_orbit_matches_set_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def subset(data, size, max_size=None):
+        order = data.draw(st.permutations(range(size)))
+        return order[: data.draw(st.integers(1, max_size or size))]
+
+    def distinct(element):
+        return st.lists(element, min_size=1, max_size=3, unique=True)
+
+    @hypothesis.settings(max_examples=60)
+    @hypothesis.given(st.sampled_from(["lattice", "e6", "beta"]), st.data())
+    def same_orbit(family, data):
+        if family == "lattice":
+            n = data.draw(st.integers(2, 4))
+            step, actions = _lattice_action(n, subset(data, len(long_simple_reflections(n))))
+            seeds = data.draw(distinct(st.tuples(*[st.integers(-2, 2)] * (n + 1))))
+        elif family == "e6":
+            step, actions = _e6_action(subset(data, 6))
+            seeds = data.draw(distinct(st.sampled_from(root_system().roots)))
+        else:
+            # At most five reflections keep the oracle's groups small (rank <= 5).
+            labels = sorted(beta_configuration())
+            step, actions = _beta_action([labels[i] for i in subset(data, 10, 5)])
+            width = data.draw(st.integers(1, 6))
+            seeds = data.draw(distinct(st.tuples(*[st.integers(0, 71)] * width)))
+        found = orbit(np.array(seeds), step, 10**6)
+        assert [tuple(row) for row in found.tolist()] == _oracle_orbit(seeds, actions)
+
+    same_orbit()
+
+
+def test_orbit_takes_seeds_in_unsorted_key_order():
+    seeds = SIMPLE_ROOTS[::-1]  # e_5, ..., e_0: their packed keys descend
+    step, actions = _e6_action(range(6))
+    found = orbit(np.array(seeds), step, 1000)
+    assert [tuple(row) for row in found.tolist()] == _oracle_orbit(seeds, actions)
+    assert len(found) == 72 and [tuple(row) for row in found[:6].tolist()] == list(seeds)
+
+
+def test_orbit_budget_fails_before_building_the_layer(layer_builds):
+    step, _ = _e6_action(range(6))
+    assert len(orbit(np.eye(6, dtype=np.int64), step, 72)) == 72
+    layer_builds.clear()
+    with pytest.raises(ClosureBudgetExceeded):
+        orbit(np.eye(6, dtype=np.int64), step, 71)
+    assert layer_builds and 6 + sum(layer_builds) <= 71
+
+
+def test_orbit_rejects_int8_overflow_and_duplicate_seeds():
+    from gosset.geometry import simple_reflection_matrices
+
+    mats = np.array([m.entries for m in simple_reflection_matrices(4)]).transpose(0, 2, 1)
+    apex = np.array([[1, 0, 0, 0, 0]])
+    with pytest.raises(OverflowError):  # all simple reflections: an infinite orbit
+        orbit(apex, lambda f: f @ mats, 10**6)
+    with pytest.raises(OverflowError):
+        orbit(np.array([[200, 0]]), lambda f: f[None], 10)
+    with pytest.raises(ValueError, match="distinct"):
+        orbit(np.array([[1, 0], [0, 1], [1, 0]]), lambda f: f[None], 10)
