@@ -4,16 +4,18 @@ Every check is one row of `TABLE`, registered by the `check` decorator
 below its frozen oracle values: a suite, a check-id template in `{n}` and
 `{kind}`, the dimensions the row runs for (none: it runs once), and a run
 that returns (expected, actual, details).  One runner, `_run_table`, turns
-the rows of a suite into reports: it applies `--n`, skips the rows gated by
-`--max-n`, and gives every check the run's tile-graph cache.  A suite runs
-its ungated rows dimension by dimension (rows without a dimension first,
-each dimension's rows in table order), then its gated rows the same way.
+the rows of a suite into reports: it applies `--n` and skips the rows gated
+by `--max-n`.  A suite runs its ungated rows dimension by dimension (rows
+without a dimension first, each dimension's rows in table order), then its
+gated rows the same way.
 
 All work happens inside a check, so its time is charged to that check and
 an exception becomes an `error` record for that check alone.  Checks look
 layer functions up as module globals when they run, never when the table
 is built, so anything that rebinds those globals (a test's monkeypatch, a
-tracer) sees every call.
+tracer) sees every call.  Shared work (the tile graphs, the mod-3 groups,
+the coset tables) is cached where it is defined, one entry per argument
+value, so the first check that asks for it is charged with building it.
 
 Identities whose two sides are linear in the test vectors are checked on a
 basis, which proves them for every input:
@@ -47,7 +49,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -75,7 +77,6 @@ from .enumeration import (
     verify_table,
 )
 from .geometry import (
-    TileGraph,
     build_tessellation,
     gosset_walls,
     reflection_image_mod3,
@@ -85,7 +86,7 @@ from .geometry import (
     wall_reflection_matrices,
     wall_reflections_mod3,
 )
-from .isometry import LatticeIsometry, ModularMatrix, closure, congruence_intersection_check
+from .isometry import GroupClosure, LatticeIsometry, ModularMatrix, congruence_intersection_check
 from .lattice import basis_vector, chamber_vertices, inner, norm, reflect, simple_roots, vector
 from .presentation import (
     braid_identity_check,
@@ -148,11 +149,10 @@ class Options:
 
 @dataclass(frozen=True)
 class Case:
-    """What one check run sees: its dimension, the options, the run's tile graphs."""
+    """What one check run sees: its dimension and the options."""
 
     n: int | None
     options: Options
-    tile_graph: Callable[[int], TileGraph]
 
     @property
     def kind(self) -> str:
@@ -426,12 +426,12 @@ def _relator_order_invariance(c):
 
 @check("tessellation", "tile_count_n{n}", DIMS)
 def _tile_count(c):
-    return TILE_COUNTS[c.n], c.tile_graph(c.n).tile_count, "cells in the quotient mod 3"
+    return TILE_COUNTS[c.n], build_tessellation(c.n).tile_count, "cells in the quotient mod 3"
 
 
 @check("tessellation", "boundary_slots_n{n}", DIMS)
 def _boundary_slots(c):
-    tg = c.tile_graph(c.n)
+    tg = build_tessellation(c.n)
     per_tile = [0] * tg.tile_count
     for a, _, _ in tg.edges:
         per_tile[a] += 1
@@ -441,17 +441,17 @@ def _boundary_slots(c):
 
 @check("tessellation", "connected_n{n}", DIMS)
 def _connected(c):
-    return True, c.tile_graph(c.n).is_connected(), "tile adjacency graph is connected"
+    return True, build_tessellation(c.n).is_connected(), "tile adjacency graph is connected"
 
 
 @check("tessellation", "self_loop_count_n{n}", DIMS)
 def _self_loop_count(c):
-    return 0, c.tile_graph(c.n).self_loop_count(), "no wall glues a tile to itself"
+    return 0, build_tessellation(c.n).self_loop_count(), "no wall glues a tile to itself"
 
 
 @check("tessellation", "lagrange_n{n}", DIMS)
 def _lagrange(c):
-    tiles, stabilizer = c.tile_graph(c.n).tile_count, STABILIZER_ORDERS[c.n]
+    tiles, stabilizer = build_tessellation(c.n).tile_count, STABILIZER_ORDERS[c.n]
     product = TILE_COUNTS[c.n] * stabilizer
     expected = {
         "tiles": TILE_COUNTS[c.n],
@@ -520,7 +520,9 @@ def _generation_order(c):
 @check("e6", "triple_agreement")
 def _triple_agreement(c):
     table = enumerate_diagram_group("petersen", c.options.budget)
-    matrix_group = closure(tuple(wall_reflections_mod3(4).values()), projective=True)
+    # The only closure of the ten wall reflections.  reflection_image_mod3(4) closes the
+    # simple reflections; reading its order here would repeat lagrange_n4, not check it.
+    matrix_group = GroupClosure(tuple(wall_reflections_mod3(4).values()), projective=True)
     expected = {"roots": 51840, "cosets": 51840, "matrices": 51840}
     actual = {"roots": generation_order(), "cosets": table.order, "matrices": matrix_group.order}
     return expected, actual, "three independent routes to the same order"
@@ -611,9 +613,6 @@ def _selected(dims: Iterable[int], options: Options) -> list[int]:
 
 def _run_table(suite: str, options: Options) -> list[CheckReport]:
     """Run the rows of one suite in report order."""
-    # Built inside the first check that needs it, so its time and any error
-    # are charged to a check; the other checks of this run reuse it.
-    tile_graph = cache(build_tessellation)
     order = []
     for position, row in enumerate(TABLE):
         if row.suite == suite:
@@ -626,7 +625,7 @@ def _run_table(suite: str, options: Options) -> list[CheckReport]:
             details = f"pass --max-n {n} to enable (n=7 takes ~5 s and ~270 MB)"
             reports.append(skipped_check(check_id, n, details))
         else:
-            run = partial(row.run, Case(n, options, tile_graph))
+            run = partial(row.run, Case(n, options))
             reports.append(run_check(PendingCheck(check_id, n, run)))
     return reports
 

@@ -19,12 +19,11 @@ element.  Both orbits run on orbit() from the isometry module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .isometry import orbit
+from .isometry import memoize, orbit
 from .presentation import DiagramGraph, diagram_graph, free_hexagons
 
 RootCoeffs = tuple[int, int, int, int, int, int]
@@ -80,7 +79,7 @@ class E6RootSystem:
         return tuple(self.root_index(self.reflect(beta, r)) for r in self.roots)
 
 
-@lru_cache(maxsize=None)
+@memoize
 def root_system() -> E6RootSystem:
     """The orbit of the simple roots under simple reflections; exactly 72 roots.
 
@@ -100,7 +99,7 @@ def _combo(coeffs: dict[int, int]) -> RootCoeffs:
     return tuple(coeffs.get(i, 0) for i in range(1, 7))
 
 
-@lru_cache(maxsize=None)
+@memoize
 def beta_configuration() -> dict[str, RootCoeffs]:
     """The ten roots labeled by Petersen nodes realizing the wall diagram."""
     betas = {
@@ -202,7 +201,7 @@ def permutation_closure_order(
     return len(orbit(np.array([basis], dtype=np.uint8), lambda f: gens[:, f], budget))
 
 
-@lru_cache(maxsize=None)
+@memoize
 def generation_order(budget: int = 10_000_000) -> int:
     """Order of the group the ten beta reflections generate on the 72 roots.
 

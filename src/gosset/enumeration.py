@@ -30,12 +30,11 @@ checks it, without closing the matrix group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .isometry import ModularMatrix, _first_occurrences, _MatrixProducts
+from .isometry import ModularMatrix, _first_occurrences, _MatrixProducts, memoize
 from .presentation import Presentation, Word, build_presentation
 
 DEFAULT_COSET_BUDGET = 200_000
@@ -324,7 +323,7 @@ def todd_coxeter(
     )
 
 
-@lru_cache(maxsize=None)
+@memoize
 def enumerate_diagram_group(kind: str, budget: int = DEFAULT_COSET_BUDGET) -> CosetTable:
     """Enumerate the deflated diagram presentation; cached because the
     petersen run costs a few seconds and several checks share it."""

@@ -18,7 +18,6 @@ n = 2, 3, 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -39,10 +38,10 @@ from .isometry import (
     GroupClosure,
     LatticeIsometry,
     ModularMatrix,
-    closure,
     coset_space,
     finite_group_elements,
     long_simple_reflections,
+    memoize,
     orbit,
     projective_normal_form,
     reduce_mod,
@@ -136,7 +135,7 @@ def generator_words(n: int) -> dict[str, tuple[int, ...]]:
     raise ValueError(f"closed-form wall words are known for n in (2, 3), got {n}")
 
 
-@lru_cache(maxsize=None)
+@memoize
 def simple_reflection_matrices(n: int) -> tuple[LatticeIsometry, ...]:
     return tuple(reflection_matrix(a) for a in simple_roots(n))
 
@@ -201,11 +200,11 @@ def vertex_orbits(n: int) -> VertexOrbits:
     return VertexOrbits(n, stabilizer_orbit(n, verts[0]), stabilizer_orbit(n, verts[1]), fixed)
 
 
-@lru_cache(maxsize=None)
+@memoize
 def reflection_image_mod3(n: int, projective: bool = True) -> GroupClosure:
     """Mod-3 closure of all n+1 simple reflections, optionally mod {I, -I}."""
     gens = [reduce_mod(m, 3) for m in simple_reflection_matrices(n)]
-    return closure(gens, projective=projective)
+    return GroupClosure(gens, projective=projective)
 
 
 def stabilizer_generators_mod3(n: int) -> tuple[ModularMatrix, ...]:
@@ -284,35 +283,37 @@ class TileGraph:
 
 
 def _assert_stabilizer_permutes_walls(
-    n: int, tiles: Sequence[ModularMatrix]
+    n: int, walls: Sequence[ModularMatrix]
 ) -> None:
     """Conjugation by stabilizer generators must permute the wall reflections.
 
     This is what makes a tile's neighbor multiset independent of the choice
     of coset representative.
     """
-    wall_set = {projective_normal_form(t) for t in tiles}
+    wall_set = {projective_normal_form(t) for t in walls}
     for h in stabilizer_generators_mod3(n):
-        conjugated = {projective_normal_form(h @ t @ h) for t in tiles}
+        conjugated = {projective_normal_form(h @ t @ h) for t in walls}
         if conjugated != wall_set:
             raise AssertionError("stabilizer fails to permute the walls mod 3")
 
 
+@memoize
 def build_tessellation(n: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> TileGraph:
     """Tile graph of the mod-3 quotient: cosets of the stabilizer image.
 
     Tiles are left cosets of the stabilizer image inside the projective
     mod-3 closure; crossing wall i from the tile of g lands in the tile of
     g t_i.  Build fails if the stabilizer image does not inject (which would
-    collapse cosets) or if any well-definedness assertion trips.
+    collapse cosets) or if any well-definedness assertion trips.  Cached:
+    each tile graph is built once per process.
     """
     if n not in TESSELLATION_DIMENSIONS:
         raise ValueError(f"tessellations are built for n in {TESSELLATION_DIMENSIONS}, got {n}")
     group = reflection_image_mod3(n, projective=True)
     stab_gens = [projective_normal_form(g) for g in stabilizer_generators_mod3(n)]
-    space = coset_space(group, stab_gens, budget=budget)
+    space = coset_space(group, stab_gens)
     expected_stab = len(finite_group_elements(long_simple_reflections(n), budget=budget))
-    if space.subgroup.order != expected_stab:
+    if space.subgroup_order != expected_stab:
         raise AssertionError("stabilizer image collapsed in the projective quotient")
 
     walls = wall_reflections_mod3(n, projective=True)
@@ -350,7 +351,7 @@ def _assert_representative_independent(
     for a, _, b in graph.edges:
         stored[a][b] += 1
     group = space.group
-    alts = group.right_multiply(space.representative_indices, space.subgroup.generators[0])
+    alts = group.right_multiply(space.representative_indices, space.subgroup_generators[0])
     crossed = [space.cosets_of(group.right_multiply(alts, t)).tolist() for t in walls.values()]
     for tile in range(graph.tile_count):
         got = Counter(column[tile] for column in crossed)

@@ -18,11 +18,17 @@ trivial-intersection checks against congruence subgroups) is built on that
 engine; its layer loop, layered_closure, also closes orbits of integer rows
 (orbit(): the E6 roots and root permutations, stabilizer orbits), and its
 mod-m products walk coset tables in the enumeration certificate.
+
+memoize() is the package's one caching rule: one entry per argument value.
+Each cached group, table or configuration is built once per process, however
+its callers spell the call.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -45,6 +51,28 @@ Rows = tuple[tuple[int, ...], ...]
 
 class ClosureBudgetExceeded(RuntimeError):
     """Raised when a closure outgrows its element budget."""
+
+
+def memoize(fn):
+    """Cache fn with one entry per argument value, however a call spells it.
+
+    The arguments are bound to fn's signature and its defaults applied before
+    the lookup, so f(4), f(4, True) and f(4, projective=True) share one entry
+    where a bare lru_cache keeps three.  cache_info and cache_clear are the
+    underlying lru_cache's; __wrapped__ is fn itself, uncached.
+    """
+    signature = inspect.signature(fn)
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def memoized(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args, **bound.kwargs)
+
+    memoized.cache_info = cached.cache_info
+    memoized.cache_clear = cached.cache_clear
+    return memoized
 
 
 def lorentz_gram(d: int) -> Rows:
@@ -104,20 +132,6 @@ class LatticeIsometry:
             raise ValueError("dimension mismatch")
         return LatticeVector(
             tuple(sum(row[k] * v.coords[k] for k in range(len(row))) for row in self.entries)
-        )
-
-    def det(self) -> int:
-        return det_int(self.entries)
-
-    def inverse(self) -> "LatticeIsometry":
-        """Inverse via the form: M^T J M = J gives M^{-1} = J M^T J."""
-        d = self.dimension
-        sign = [-1] + [1] * (d - 1)
-        return LatticeIsometry(
-            tuple(
-                tuple(sign[r] * self.entries[c][r] * sign[c] for c in range(d))
-                for r in range(d)
-            )
         )
 
     @staticmethod
@@ -506,9 +520,6 @@ class _RawClosure(_MatrixProducts):
         key = self.product_keys(np.array([rows], dtype=np.int8), self.identity)
         return int(self.index_of_keys(key)[0])
 
-    def rows_at(self, i: int) -> Rows:
-        return tuple(tuple(int(x) for x in row) for row in self.mats[i])
-
 
 class GroupClosure:
     """Finite matrix group over Z/m obtained by exhaustive closure.
@@ -558,15 +569,6 @@ class GroupClosure:
     def __contains__(self, mat: ModularMatrix) -> bool:
         return self._core.index_of_rows(self._normalize(mat).entries) >= 0
 
-    def index_of(self, mat: ModularMatrix) -> int:
-        i = self._core.index_of_rows(self._normalize(mat).entries)
-        if i < 0:
-            raise KeyError("matrix not in closure")
-        return i
-
-    def element_at(self, i: int) -> ModularMatrix:
-        return ModularMatrix(self._core.rows_at(i), self.modulus)
-
     def right_multiply(self, indices: np.ndarray, mat: ModularMatrix) -> np.ndarray:
         """Indices of the products element_i * mat, for an array of element indices."""
         gen = np.array(self._normalize(mat).entries, dtype=np.float32)
@@ -581,15 +583,6 @@ class GroupClosure:
         if self.projective:
             return False
         return ModularMatrix.identity(self.dimension, self.modulus).neg() in self
-
-
-def closure(
-    generators: Sequence[ModularMatrix],
-    projective: bool = False,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> GroupClosure:
-    """Exhaustive BFS closure of invertible matrices over Z/m."""
-    return GroupClosure(generators, projective=projective, budget=budget)
 
 
 def finite_group_elements(
@@ -653,30 +646,24 @@ def congruence_intersection_check(
 class CosetSpace:
     """Left cosets gH of a subgroup H inside a GroupClosure G.
 
-    Coset ids follow the BFS discovery order of G; each coset's
-    representative is its first-discovered element.  The cosets are the
-    components of the graph g -- g s over the generators s of H, labelled by
-    their least element index; every coset having |H| elements is asserted
-    on construction, and with it the Lagrange identity count * |H| = |G|.
+    H is given by generators that must lie in G; it is read off G, never
+    closed on its own.  The cosets are the components of the graph g -- g s
+    over the generators s of H, labelled by their least element index.
+    Element 0 of G is the identity, so the coset labelled 0 is H itself, and
+    its size is |H|.  Coset ids follow the BFS discovery order of G; each
+    coset's representative is its first-discovered element.  Every coset
+    having |H| elements is asserted on construction.
     """
 
     def __init__(
-        self,
-        group: GroupClosure,
-        subgroup_generators: Sequence[ModularMatrix],
-        budget: int = DEFAULT_ELEMENT_BUDGET,
+        self, group: GroupClosure, subgroup_generators: Sequence[ModularMatrix]
     ) -> None:
-        sub = GroupClosure(
-            subgroup_generators, projective=group.projective, budget=budget
-        )
-        if sub.modulus != group.modulus:
-            raise ValueError("modulus mismatch")
-        if any(g not in group for g in sub.generators):
+        if any(g not in group for g in subgroup_generators):
             raise ValueError("subgroup generators produce elements outside the group")
         self.group = group
-        self.subgroup = sub
+        self.subgroup_generators = tuple(subgroup_generators)
         every = np.arange(group.order)
-        steps = [group.right_multiply(every, g) for g in sub.generators]
+        steps = [group.right_multiply(every, g) for g in self.subgroup_generators]
         labels = every
         while True:
             merged = np.minimum.reduce([labels] + [labels[step] for step in steps])
@@ -684,9 +671,11 @@ class CosetSpace:
                 break
             labels = merged
         reps, assignment = np.unique(labels, return_inverse=True)
-        if (np.bincount(assignment) != sub.order).any():
+        sizes = np.bincount(assignment)
+        if (sizes != sizes[0]).any():
             raise AssertionError("cosets failed to partition the group into |H|-sets")
         self.count = len(reps)
+        self.subgroup_order = int(sizes[0])
         self.representative_indices = reps
         self._assignment = assignment.astype(np.int32)
 
@@ -694,17 +683,9 @@ class CosetSpace:
         """Coset ids of group elements given by index."""
         return self._assignment[indices]
 
-    def coset_index(self, mat: ModularMatrix) -> int:
-        return int(self._assignment[self.group.index_of(mat)])
-
-    def representative(self, coset_id: int) -> ModularMatrix:
-        return self.group.element_at(int(self.representative_indices[coset_id]))
-
 
 def coset_space(
-    group: GroupClosure,
-    subgroup_generators: Sequence[ModularMatrix],
-    budget: int = DEFAULT_ELEMENT_BUDGET,
+    group: GroupClosure, subgroup_generators: Sequence[ModularMatrix]
 ) -> CosetSpace:
     """Partition a closed matrix group into left cosets of a subgroup."""
-    return CosetSpace(group, subgroup_generators, budget=budget)
+    return CosetSpace(group, subgroup_generators)

@@ -234,6 +234,11 @@ GOLDEN = ROOT / "perfbench" / "golden" / "verify_all.json"
     ],
 )
 def test_trace_spans_reach_the_suite_runners_and_layers(tmp_path, argv, rows):
+    assert rows <= set(_trace_rows(tmp_path, argv))
+
+
+def _trace_rows(tmp_path, argv):
+    """The span rows of `verify argv` traced in a fresh process."""
     out = tmp_path / "trace.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
@@ -241,7 +246,14 @@ def test_trace_spans_reach_the_suite_runners_and_layers(tmp_path, argv, rows):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert rows <= set(json.loads(out.read_text())["rows"])
+    return json.loads(out.read_text())["rows"]
+
+
+def test_tessellation_closes_each_mod3_group_once(tmp_path):
+    # The projective and linear images for n = 2, 3, 4; the stabilizer is read off them.
+    rows = _trace_rows(tmp_path, ["tessellation"])
+    assert rows["isometry.closure"]["calls"] == 6
+    assert rows["geometry.reflection_image_mod3"]["misses"] == 6
 
 
 @pytest.mark.parametrize("preset", [None, "3"])

@@ -138,8 +138,9 @@ def test_tessellation_slots_and_symmetry():
 
 
 def test_tessellation_dot_is_deterministic():
-    first = build_tessellation(2).to_dot()
-    second = build_tessellation(2).to_dot()
+    # Two builds: build_tessellation itself is cached and would return one object twice.
+    first = build_tessellation.__wrapped__(2).to_dot()
+    second = build_tessellation.__wrapped__(2).to_dot()
     assert first == second
     assert first.startswith("graph ")
     assert first.count("--") == 18

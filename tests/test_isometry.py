@@ -1,23 +1,25 @@
 """Integer isometries, matrix closures, and the congruence checks."""
 
 import hashlib
+import inspect
 import random
 
 import numpy as np
 import pytest
 
 from gosset.isometry import (
+    DEFAULT_ELEMENT_BUDGET,
     ClosureBudgetExceeded,
     GroupClosure,
     LatticeIsometry,
     ModularMatrix,
     chamber_vector,
-    closure,
     congruence_intersection_check,
     coset_space,
     det_int,
     lattice_isometry,
     long_simple_reflections,
+    memoize,
     orbit,
     preserves_form,
     projective_normal_form,
@@ -25,17 +27,15 @@ from gosset.isometry import (
     reflection_matrix,
     _RawClosure,
 )
-from gosset.e6 import SIMPLE_ROOTS, beta_configuration, root_system
-from gosset.geometry import stabilizer_generators_mod3, wall_reflections_mod3
+from gosset.e6 import SIMPLE_ROOTS, beta_configuration, generation_order, root_system
+from gosset.enumeration import DEFAULT_COSET_BUDGET, enumerate_diagram_group
+from gosset.geometry import (
+    build_tessellation,
+    reflection_image_mod3,
+    stabilizer_generators_mod3,
+    wall_reflections_mod3,
+)
 from gosset.lattice import inner, reflect, simple_roots, vector
-
-
-def _random_word_product(n, rng, length):
-    mats = [reflection_matrix(a, n) for a in simple_roots(n)]
-    m = LatticeIsometry.identity(n + 1)
-    for _ in range(length):
-        m = m @ rng.choice(mats)
-    return m
 
 
 def test_reflection_matrix_agrees_with_reflect():
@@ -53,7 +53,7 @@ def test_reflection_matrices_are_isometries_of_determinant_minus_one():
         for a in simple_roots(n):
             m = reflection_matrix(a, n)
             assert preserves_form(m.entries)
-            assert m.det() == -1
+            assert det_int(m.entries) == -1
             assert m @ m == LatticeIsometry.identity(n + 1)
 
 
@@ -63,15 +63,6 @@ def test_isometry_factory_rejects_junk():
     # A permutation moving the time axis does not preserve the form.
     with pytest.raises(ValueError):
         lattice_isometry(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
-
-
-def test_inverse_of_reflection_products():
-    rng = random.Random(11)
-    for n in (2, 3, 4):
-        for _ in range(20):
-            m = _random_word_product(n, rng, rng.randint(1, 10))
-            assert m @ m.inverse() == LatticeIsometry.identity(n + 1)
-            assert m.inverse() @ m == LatticeIsometry.identity(n + 1)
 
 
 def test_det_int_on_small_matrices():
@@ -97,7 +88,7 @@ def test_stabilizer_closure_orders():
     # The vertex stabilizer injects mod 3 (checked below), so closing its
     # mod-3 image recovers the stabilizer order.
     for n, expected in ((2, 2), (3, 12), (4, 120)):
-        g = closure(stabilizer_generators_mod3(n))
+        g = GroupClosure(stabilizer_generators_mod3(n))
         assert g.order == expected
 
 
@@ -109,8 +100,8 @@ def test_long_simple_reflections_pick_norm_two_roots():
 
 def test_projective_versus_linear_closure():
     walls = tuple(wall_reflections_mod3(2, projective=False).values())
-    linear = closure(walls)
-    proj = closure(walls, projective=True)
+    linear = GroupClosure(walls)
+    proj = GroupClosure(walls, projective=True)
     assert linear.order == 24
     assert proj.order == 24
     assert not linear.contains_minus_identity
@@ -119,27 +110,72 @@ def test_projective_versus_linear_closure():
 def test_closure_budget_raises():
     gens = tuple(wall_reflections_mod3(3, projective=False).values())
     with pytest.raises(ClosureBudgetExceeded):
-        closure(gens, budget=100)
+        GroupClosure(gens, budget=100)
 
 
 def test_group_membership_and_indexing():
-    g = closure(stabilizer_generators_mod3(3))
+    g = GroupClosure(stabilizer_generators_mod3(3))
     for m in g.generators:
         assert m in g
-        assert g.element_at(g.index_of(m)) == m
+        (i,) = g.right_multiply(np.array([0]), m)  # element 0 is the identity
+        assert tuple(map(tuple, g._core.mats[i].tolist())) == m.entries
     assert ModularMatrix.identity(4, 3) in g
 
 
 def test_coset_space_against_lagrange():
-    from gosset.geometry import reflection_image_mod3
-
     group = reflection_image_mod3(2)
     sub = stabilizer_generators_mod3(2)
     cs = coset_space(group, sub)
     assert cs.count == 12
-    for cid in range(cs.count):
-        rep = cs.representative(cid)
-        assert cs.coset_index(rep) == cid
+    assert cs.subgroup_order == 2
+    assert (cs.cosets_of(cs.representative_indices) == np.arange(cs.count)).all()
+
+
+def test_coset_space_rejects_a_subgroup_generator_outside_the_group():
+    shear = ModularMatrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)), 3)  # moves diag(-1, 1, 1)
+    with pytest.raises(ValueError, match="outside the group"):
+        coset_space(reflection_image_mod3(2), [shear])
+
+
+def test_memoize_keys_on_argument_values():
+    calls = []
+
+    @memoize
+    def f(a, b=2, *, c=3):
+        calls.append((a, b, c))
+        return object()
+
+    assert f(1) is f(1, 2) is f(a=1, b=2) is f(1, c=3)
+    assert f(1, 3) is not f(1)
+    assert calls == [(1, 2, 3), (1, 3, 3)]
+    assert f.cache_info().misses == 2
+    assert inspect.signature(f) == inspect.signature(f.__wrapped__)
+    assert f.__wrapped__(1) is not f(1)
+
+
+def _one_object(fn, *calls):
+    """Is every (args, kwargs) spelling of the call answered by one object?"""
+    results = [fn(*args, **kwargs) for args, kwargs in calls]
+    return all(r is results[0] for r in results)
+
+
+def test_memoized_spellings_of_one_call_return_one_object():
+    for n in (2, 3, 4):
+        assert _one_object(
+            reflection_image_mod3,
+            ((n,), {}), ((n, True), {}), ((n,), {"projective": True}), ((), {"n": n}),
+        )
+        assert _one_object(
+            reflection_image_mod3,
+            ((n, False), {}), ((n,), {"projective": False}), ((), {"projective": False, "n": n}),
+        )
+        assert reflection_image_mod3(n) is not reflection_image_mod3(n, False)
+    budget = DEFAULT_COSET_BUDGET
+    assert _one_object(
+        enumerate_diagram_group, (("a3",), {}), (("a3", budget), {}), (("a3",), {"budget": budget})
+    )
+    assert _one_object(build_tessellation, ((2,), {}), ((2, DEFAULT_ELEMENT_BUDGET), {}))
+    assert _one_object(generation_order, ((), {}), ((10_000_000,), {}))
 
 
 def test_congruence_intersection_trivial_small():
@@ -177,8 +213,6 @@ COSET_ASSIGNMENT_N4_SHA256 = "93428cf1a139bcc07f447e8cdfb9e6e9c7c8871b2a23271a6f
 
 
 def test_closure_order_is_pinned():
-    from gosset.geometry import reflection_image_mod3
-
     for n, digest in INTEGER_CLOSURE_SHA256.items():
         core = _RawClosure([g.entries for g in long_simple_reflections(n)], None, False, 10**6)
         assert _sha256(core.mats, np.int8) == digest, n
@@ -278,9 +312,10 @@ def test_closure_requires_inverse_closed_generators():
     with pytest.raises(ValueError, match="inversion"):
         _RawClosure([rotation.entries], None, False, 1000)
     with pytest.raises(ValueError, match="inversion"):
-        closure([reduce_mod(rotation, 3)])
+        GroupClosure([reduce_mod(rotation, 3)])
     # With its inverse added the set is closed: a cyclic group of order 3.
-    assert _RawClosure([rotation.entries, rotation.inverse().entries], None, False, 1000).order == 3
+    inverse = rotation @ rotation
+    assert _RawClosure([rotation.entries, inverse.entries], None, False, 1000).order == 3
 
 
 def test_integer_closure_overflow_raises():
