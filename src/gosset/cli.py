@@ -337,7 +337,7 @@ def _relator_profile(c):
 
 @check("presentation", "relators_mod3_{kind}", DIMS)
 def _relators_mod3(c):
-    assignment = wall_reflections_mod3(c.n, projective=False)
+    assignment = wall_reflections_mod3(c.n)
     identity = ModularMatrix.identity(c.n + 1, 3)
     relators = build_presentation(c.kind).relators
     ok = all(evaluate_word(rel, assignment) == identity for rel in relators)

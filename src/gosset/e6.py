@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .isometry import memoize, orbit
+from .isometry import DEFAULT_ELEMENT_BUDGET, memoize, orbit
 from .presentation import DiagramGraph, diagram_graph, free_hexagons
 
 RootCoeffs = tuple[int, int, int, int, int, int]
@@ -202,7 +202,7 @@ def permutation_closure_order(
 
 
 @memoize
-def generation_order(budget: int = 10_000_000) -> int:
+def generation_order() -> int:
     """Order of the group the ten beta reflections generate on the 72 roots.
 
     Cached: the permutation closure runs once per process.
@@ -210,7 +210,7 @@ def generation_order(budget: int = 10_000_000) -> int:
     rs = root_system()
     perms = [rs.reflection_permutation(b) for b in beta_configuration().values()]
     basis = [rs.root_index(r) for r in SIMPLE_ROOTS]
-    return permutation_closure_order(perms, basis, budget)
+    return permutation_closure_order(perms, basis, DEFAULT_ELEMENT_BUDGET)
 
 
 def verify_reflection_fixed_points() -> bool:

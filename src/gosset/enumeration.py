@@ -66,15 +66,6 @@ class CosetTable:
             raise ValueError(f"no order: enumeration status is {self.status}")
         return self.n_live
 
-    def action(self) -> dict[str, tuple[int, ...]]:
-        """Permutation of cosets per generator; closed tables only."""
-        if self.status != CLOSED:
-            raise ValueError("permutation action requires a closed table")
-        return {
-            g: tuple(row[x] for row in self.table)  # type: ignore[misc]
-            for x, g in enumerate(self.generators)
-        }
-
     def dump(self) -> str:
         """Line-oriented dump, cosets and images numbered from 1."""
         lines = []

@@ -38,12 +38,12 @@ from .isometry import (
     GroupClosure,
     LatticeIsometry,
     ModularMatrix,
+    Rows,
     coset_space,
     finite_group_elements,
     long_simple_reflections,
     memoize,
     orbit,
-    projective_normal_form,
     reduce_mod,
     reflection_matrix,
 )
@@ -211,12 +211,8 @@ def stabilizer_generators_mod3(n: int) -> tuple[ModularMatrix, ...]:
     return tuple(reduce_mod(m, 3) for m in long_simple_reflections(n))
 
 
-def wall_reflections_mod3(n: int, projective: bool = True) -> dict[str, ModularMatrix]:
-    out = {}
-    for lab, mat in wall_reflection_matrices(n).items():
-        red = reduce_mod(mat, 3)
-        out[lab] = projective_normal_form(red) if projective else red
-    return out
+def wall_reflections_mod3(n: int) -> dict[str, ModularMatrix]:
+    return {lab: reduce_mod(mat, 3) for lab, mat in wall_reflection_matrices(n).items()}
 
 
 @dataclass(frozen=True)
@@ -288,17 +284,20 @@ def _assert_stabilizer_permutes_walls(
     """Conjugation by stabilizer generators must permute the wall reflections.
 
     This is what makes a tile's neighbor multiset independent of the choice
-    of coset representative.
+    of coset representative.  Walls are compared as sign classes {M, -M}.
     """
-    wall_set = {projective_normal_form(t) for t in walls}
+
+    def sign_classes(mats: Sequence[ModularMatrix]) -> set[frozenset[Rows]]:
+        return {frozenset({m.entries, m.neg().entries}) for m in mats}
+
+    wall_set = sign_classes(walls)
     for h in stabilizer_generators_mod3(n):
-        conjugated = {projective_normal_form(h @ t @ h) for t in walls}
-        if conjugated != wall_set:
+        if sign_classes([h @ t @ h for t in walls]) != wall_set:
             raise AssertionError("stabilizer fails to permute the walls mod 3")
 
 
 @memoize
-def build_tessellation(n: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> TileGraph:
+def build_tessellation(n: int) -> TileGraph:
     """Tile graph of the mod-3 quotient: cosets of the stabilizer image.
 
     Tiles are left cosets of the stabilizer image inside the projective
@@ -310,13 +309,11 @@ def build_tessellation(n: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> TileGrap
     if n not in TESSELLATION_DIMENSIONS:
         raise ValueError(f"tessellations are built for n in {TESSELLATION_DIMENSIONS}, got {n}")
     group = reflection_image_mod3(n, projective=True)
-    stab_gens = [projective_normal_form(g) for g in stabilizer_generators_mod3(n)]
-    space = coset_space(group, stab_gens)
-    expected_stab = len(finite_group_elements(long_simple_reflections(n), budget=budget))
-    if space.subgroup_order != expected_stab:
+    space = coset_space(group, stabilizer_generators_mod3(n))
+    if space.subgroup_order != len(finite_group_elements(long_simple_reflections(n))):
         raise AssertionError("stabilizer image collapsed in the projective quotient")
 
-    walls = wall_reflections_mod3(n, projective=True)
+    walls = wall_reflections_mod3(n)
     _assert_stabilizer_permutes_walls(n, list(walls.values()))
 
     labels = gosset_walls(n).labels

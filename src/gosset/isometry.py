@@ -19,6 +19,11 @@ engine; its layer loop, layered_closure, also closes orbits of integer rows
 (orbit(): the E6 roots and root permutations, stabilizer orbits), and its
 mod-m products walk coset tables in the enumeration certificate.
 
+The engine owns the projective quotient: a projective closure keys each
+class {M, -M} by the smaller base-m key of its two signs, and that choice,
+made in _MatrixProducts, is the only place the package picks a sign.  So
+callers hand in plain reductions mod m, of either sign, and never normalise.
+
 memoize() is the package's one caching rule: one entry per argument value.
 Each cached group, table or configuration is built once per process, however
 its callers spell the call.
@@ -224,18 +229,6 @@ def reduce_mod(mat: LatticeIsometry, m: int) -> ModularMatrix:
     return ModularMatrix(tuple(tuple(x % m for x in row) for row in mat.entries), m)
 
 
-def projective_normal_form(mat: ModularMatrix) -> ModularMatrix:
-    """Canonical representative of {M, -M}: the lexicographically smaller one."""
-    neg = mat.neg()
-    return mat if mat.entries <= neg.entries else neg
-
-
-def _invertible_mod(rows: Rows, m: int) -> bool:
-    from math import gcd
-
-    return gcd(det_int(rows) % m, m) == 1
-
-
 def chamber_vector(n: int) -> LatticeVector:
     """v = (-(3n-2), n, n-1, ..., 1), which pairs to 1 with every simple root.
 
@@ -359,9 +352,9 @@ class _MatrixProducts:
 
     Every product has an int64 key, computed before the product is built:
 
-    - mod m: the base-m digits of the reduced (projectively canonical) matrix,
-      most significant first, so the projective canonical form of {M, -M} is
-      the one with the smaller key;
+    - mod m: the base-m digits of the reduced matrix, most significant first;
+      when projective, the class {M, -M} is keyed, and built, by whichever
+      sign has the smaller key, whatever the signs of M and the generators;
     - over Z: M v packed as eight int8 values, v = chamber_vector(d - 1).  The
       generators must lie in the reflection group of Z^{d-1,1}, where
       M -> M v is injective; the key of F g is F (g v), so no product needs
@@ -468,7 +461,8 @@ class _RawClosure(_MatrixProducts):
 
     The products and keys of _MatrixProducts, run through layered_closure.
     Elements are stored as int8 blocks, one per layer, in discovery order.
-    The generator set must be closed under inversion; that is checked.
+    The generator set must be closed under inversion; that is checked: each g
+    has a g' in the set with g g' = I (+-I when projective).
     """
 
     def __init__(
@@ -516,18 +510,16 @@ class _RawClosure(_MatrixProducts):
         pos = _positions(sorted_keys, keys)
         return np.where(pos >= 0, order[pos], -1)
 
-    def index_of_rows(self, rows: Rows) -> int:
-        key = self.product_keys(np.array([rows], dtype=np.int8), self.identity)
-        return int(self.index_of_keys(key)[0])
 
-
-class GroupClosure:
+class GroupClosure(_RawClosure):
     """Finite matrix group over Z/m obtained by exhaustive closure.
 
-    With projective=True elements are classes {M, -M}, each stored by its
-    canonical representative; that is the right model for quotients like
-    PGO where -I must be factored out.  The generator set must be closed
-    under inversion (reflections are).
+    With projective=True elements are classes {M, -M}; that is the right model
+    for quotients like PGO where -I must be factored out.  The engine keys and
+    stores each class by the sign with the smaller key, for elements, products
+    and queries alike, so generators and queries may carry either sign.  The
+    generator set must be closed under inversion (reflections are), which also
+    makes every generator invertible mod m.
     """
 
     def __init__(
@@ -541,39 +533,22 @@ class GroupClosure:
         m = generators[0].modulus
         if any(g.modulus != m for g in generators):
             raise ValueError("generators must share a modulus")
-        for g in generators:
-            if not _invertible_mod(g.entries, m):
-                raise ValueError("generators must be invertible mod m")
-        self.generators = tuple(
-            projective_normal_form(g) if projective else g for g in generators
-        )
-        self.modulus = m
-        self.projective = projective
-        self._core = _RawClosure(
-            [g.entries for g in self.generators], m, projective, budget
-        )
+        self.generators = tuple(generators)
+        super().__init__([g.entries for g in generators], m, projective, budget)
 
-    @property
-    def order(self) -> int:
-        return self._core.order
-
-    @property
-    def dimension(self) -> int:
-        return self._core.dimension
-
-    def _normalize(self, mat: ModularMatrix) -> ModularMatrix:
+    def _entries(self, mat: ModularMatrix) -> Rows:
         if mat.modulus != self.modulus:
             raise ValueError("modulus mismatch")
-        return projective_normal_form(mat) if self.projective else mat
+        return mat.entries
 
     def __contains__(self, mat: ModularMatrix) -> bool:
-        return self._core.index_of_rows(self._normalize(mat).entries) >= 0
+        key = self.product_keys(np.array([self._entries(mat)], dtype=np.int8), self.identity)
+        return bool(self.index_of_keys(key)[0] >= 0)
 
     def right_multiply(self, indices: np.ndarray, mat: ModularMatrix) -> np.ndarray:
         """Indices of the products element_i * mat, for an array of element indices."""
-        gen = np.array(self._normalize(mat).entries, dtype=np.float32)
-        core = self._core
-        found = core.index_of_keys(core.product_keys(core.mats[indices], gen))
+        gen = np.array(self._entries(mat), dtype=np.float32)
+        found = self.index_of_keys(self.product_keys(self.mats[indices], gen))
         if (found < 0).any():
             raise KeyError("product not in closure")
         return found

@@ -53,9 +53,6 @@ class DiagramGraph:
     def neighbors(self, a: str) -> tuple[str, ...]:
         return tuple(b for b in self.nodes if b != a and self.adjacent(a, b))
 
-    def degree(self, a: str) -> int:
-        return len(self.neighbors(a))
-
     def girth(self) -> int:
         """Length of a shortest cycle, by BFS from every node."""
         best = 0

@@ -71,7 +71,7 @@ def test_replay_certificate_rejects_intransitive_table():
 
 def test_action_columns_are_involutions():
     table = enumerate_diagram_group("a3")
-    for perm in table.action().values():
+    for perm in zip(*table.table):
         assert sorted(perm) == list(range(24))
         assert all(perm[perm[i]] == i for i in range(24))
 
@@ -200,9 +200,12 @@ def test_matrix_cross_certificate():
 
 
 def test_cross_certificate_is_projective():
-    # The linear matrices give the same certificate: +-M share one key.
+    # Negated matrices give the same certificate: +-M share one key.
     table = enumerate_diagram_group("affine_a5")
-    cert = verify_action_against_matrices(table, wall_reflections_mod3(3, projective=False))
+    walls = wall_reflections_mod3(3)
+    negated = {g: m.neg() for g, m in walls.items()}
+    cert = verify_action_against_matrices(table, negated)
+    assert cert == verify_action_against_matrices(table, walls)
     assert cert.consistent
     assert cert.matrix_group_order == 720
 

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from gosset.geometry import (
+    _assert_stabilizer_permutes_walls,
     build_tessellation,
     conjugate_wall_set,
     generator_words,
@@ -94,7 +95,7 @@ def test_vertex_orbits():
 
 def test_wall_reflections_mod3_are_involutions():
     for n in (2, 3, 4):
-        mats = wall_reflections_mod3(n, projective=False)
+        mats = wall_reflections_mod3(n)
         assert len(mats) == WALL_COUNTS[n]
         identity = ModularMatrix.identity(n + 1, 3)
         for m in mats.values():
@@ -108,6 +109,16 @@ def test_reflection_image_orders():
     for n, order in ((2, 24), (3, 720)):
         assert reflection_image_mod3(n).order == order
         assert reflection_image_mod3(n, projective=False).order == 2 * order
+
+
+def test_stabilizer_permutes_the_walls_as_sign_classes():
+    walls = list(wall_reflections_mod3(4).values())
+    _assert_stabilizer_permutes_walls(4, walls)
+    _assert_stabilizer_permutes_walls(4, [m.neg() for m in walls[:5]] + walls[5:])
+    # The stabilizer is transitive on the ten walls, so it moves any proper subset.
+    for k in range(len(walls)):
+        with pytest.raises(AssertionError, match="permute"):
+            _assert_stabilizer_permutes_walls(4, walls[:k] + walls[k + 1 :])
 
 
 @pytest.mark.parametrize("n,tiles", [(2, 12), (3, 60), (4, 432)])

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from gosset.isometry import (
-    DEFAULT_ELEMENT_BUDGET,
     ClosureBudgetExceeded,
     GroupClosure,
     LatticeIsometry,
@@ -22,12 +21,11 @@ from gosset.isometry import (
     memoize,
     orbit,
     preserves_form,
-    projective_normal_form,
     reduce_mod,
     reflection_matrix,
     _RawClosure,
 )
-from gosset.e6 import SIMPLE_ROOTS, beta_configuration, generation_order, root_system
+from gosset.e6 import SIMPLE_ROOTS, beta_configuration, root_system
 from gosset.enumeration import DEFAULT_COSET_BUDGET, enumerate_diagram_group
 from gosset.geometry import (
     build_tessellation,
@@ -79,11 +77,6 @@ def test_reduce_mod_wraps_entries():
     assert all(0 <= e < 2 for row in neg.entries for e in row)
 
 
-def test_projective_normal_form_identifies_signs():
-    m = stabilizer_generators_mod3(3)[0]
-    assert projective_normal_form(m) == projective_normal_form(m.neg())
-
-
 def test_stabilizer_closure_orders():
     # The vertex stabilizer injects mod 3 (checked below), so closing its
     # mod-3 image recovers the stabilizer order.
@@ -99,7 +92,7 @@ def test_long_simple_reflections_pick_norm_two_roots():
 
 
 def test_projective_versus_linear_closure():
-    walls = tuple(wall_reflections_mod3(2, projective=False).values())
+    walls = tuple(wall_reflections_mod3(2).values())
     linear = GroupClosure(walls)
     proj = GroupClosure(walls, projective=True)
     assert linear.order == 24
@@ -108,7 +101,7 @@ def test_projective_versus_linear_closure():
 
 
 def test_closure_budget_raises():
-    gens = tuple(wall_reflections_mod3(3, projective=False).values())
+    gens = tuple(wall_reflections_mod3(3).values())
     with pytest.raises(ClosureBudgetExceeded):
         GroupClosure(gens, budget=100)
 
@@ -118,8 +111,14 @@ def test_group_membership_and_indexing():
     for m in g.generators:
         assert m in g
         (i,) = g.right_multiply(np.array([0]), m)  # element 0 is the identity
-        assert tuple(map(tuple, g._core.mats[i].tolist())) == m.entries
+        assert tuple(map(tuple, g.mats[i].tolist())) == m.entries
     assert ModularMatrix.identity(4, 3) in g
+    # A projective closure answers for -M as for M.
+    proj = reflection_image_mod3(4)
+    every = np.arange(proj.order)
+    for m in wall_reflections_mod3(4).values():
+        assert m in proj and m.neg() in proj
+        assert (proj.right_multiply(every, m.neg()) == proj.right_multiply(every, m)).all()
 
 
 def test_coset_space_against_lagrange():
@@ -174,8 +173,7 @@ def test_memoized_spellings_of_one_call_return_one_object():
     assert _one_object(
         enumerate_diagram_group, (("a3",), {}), (("a3", budget), {}), (("a3",), {"budget": budget})
     )
-    assert _one_object(build_tessellation, ((2,), {}), ((2, DEFAULT_ELEMENT_BUDGET), {}))
-    assert _one_object(generation_order, ((), {}), ((10_000_000,), {}))
+    assert _one_object(build_tessellation, ((2,), {}), ((), {"n": 2}))
 
 
 def test_congruence_intersection_trivial_small():
@@ -218,11 +216,16 @@ def test_closure_order_is_pinned():
         assert _sha256(core.mats, np.int8) == digest, n
     for (n, projective), digest in MOD3_CLOSURE_SHA256.items():
         group = reflection_image_mod3(n, projective)
-        assert _sha256(group._core.mats, np.int8) == digest, (n, projective)
+        assert _sha256(group.mats, np.int8) == digest, (n, projective)
+        if projective:  # nothing normalises signs before the engine does
+            negated = GroupClosure([g.neg() for g in group.generators], projective=True)
+            assert _sha256(negated.mats, np.int8) == digest, (n, "negated")
     group = reflection_image_mod3(4)
-    space = coset_space(group, [projective_normal_form(g) for g in stabilizer_generators_mod3(4)])
-    assert space.count == 432
-    assert _sha256(space._assignment, np.int32) == COSET_ASSIGNMENT_N4_SHA256
+    stabilizer = stabilizer_generators_mod3(4)
+    for subgroup_generators in (stabilizer, [g.neg() for g in stabilizer]):
+        space = coset_space(group, subgroup_generators)
+        assert space.count == 432
+        assert _sha256(space._assignment, np.int32) == COSET_ASSIGNMENT_N4_SHA256
 
 
 def _oracle_closure(gens, modulus, projective):
@@ -269,7 +272,7 @@ def test_closure_matches_tuple_oracle():
             pool = [g.entries for g in long_simple_reflections(n)]
             modulus = None
         else:
-            pool = [g.entries for g in wall_reflections_mod3(n, projective).values()]
+            pool = [g.entries for g in wall_reflections_mod3(n).values()]
             modulus = 3
         order = data.draw(st.permutations(range(len(pool))))
         size = data.draw(st.integers(1, len(pool)))
@@ -313,6 +316,11 @@ def test_closure_requires_inverse_closed_generators():
         _RawClosure([rotation.entries], None, False, 1000)
     with pytest.raises(ValueError, match="inversion"):
         GroupClosure([reduce_mod(rotation, 3)])
+    # The same check rejects a singular generator mod m: no g' has g g' = +-I.
+    singular = ModularMatrix(((0, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
+    for projective in (False, True):
+        with pytest.raises(ValueError, match="inversion"):
+            GroupClosure([singular], projective=projective)
     # With its inverse added the set is closed: a cyclic group of order 3.
     inverse = rotation @ rotation
     assert _RawClosure([rotation.entries, inverse.entries], None, False, 1000).order == 3

@@ -26,15 +26,15 @@ from gosset.presentation import (
 def test_diagram_shapes():
     a3 = diagram_graph("a3")
     assert a3.nodes == ("1", "2", "3")
-    assert a3.degree("3") == 2 and a3.degree("1") == 1
+    assert len(a3.neighbors("3")) == 2 and len(a3.neighbors("1")) == 1
 
     hexagon = diagram_graph("affine_a5")
-    assert all(hexagon.degree(v) == 2 for v in hexagon.nodes)
+    assert all(len(hexagon.neighbors(v)) == 2 for v in hexagon.nodes)
     assert hexagon.girth() == 6
 
     petersen = diagram_graph("petersen")
     assert len(petersen.nodes) == 10
-    assert all(petersen.degree(v) == 3 for v in petersen.nodes)
+    assert all(len(petersen.neighbors(v)) == 3 for v in petersen.nodes)
     assert petersen.girth() == 5
     assert len(petersen.edges) == 15
 
@@ -115,7 +115,7 @@ def test_presentation_relator_profiles():
 
 def test_relators_hold_in_mod3_image():
     for n, kind in ((2, "a3"), (3, "affine_a5"), (4, "petersen")):
-        assignment = wall_reflections_mod3(n, projective=False)
+        assignment = wall_reflections_mod3(n)
         identity = ModularMatrix.identity(n + 1, 3)
         for rel in build_presentation(kind).relators:
             assert evaluate_word(rel, assignment) == identity
