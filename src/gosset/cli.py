@@ -622,7 +622,7 @@ def _run_table(suite: str, options: Options) -> list[CheckReport]:
     for _, row, n in sorted(order, key=lambda item: item[0]):
         check_id = row.template.format(n=n, kind=KIND_BY_N.get(n))
         if row.gated and n > options.max_n:
-            details = f"pass --max-n {n} to enable (n=7 takes ~5 s and ~270 MB)"
+            details = f"pass --max-n {n} to enable (n=7 takes ~4 s and ~85 MB)"
             reports.append(skipped_check(check_id, n, details))
         else:
             run = partial(row.run, Case(n, options))

@@ -11,13 +11,18 @@ key, computed before the element is built: the base-m digits of a matrix
 mod m, or over Z the image M v of a chamber vector v with trivial
 stabilizer.  A layer's candidate keys are deduplicated once and looked up
 in the sorted keys of the two layers before it, and only new elements are
-multiplied out and stored, as int8.  That keeps the largest case in scope
-(the finite stabilizer for n = 7, order 2903040) to a few seconds and about
-270 MB.  Everything downstream (projectivization, coset spaces, the
-trivial-intersection checks against congruence subgroups) is built on that
-engine; its layer loop, layered_closure, also closes orbits of integer rows
-(orbit(): the E6 roots and root permutations, stabilizer orbits), and its
-mod-m products walk coset tables in the enumeration certificate.
+multiplied out, as int8, in batches of a fixed number of rows.  The layer
+loop, layered_closure, yields each layer as it is found and keeps only the
+two sorted key layers: a closure that is kept (_RawClosure, GroupClosure)
+collects the layers, and the congruence check counts them and drops them.
+So the largest case in scope, the finite stabilizer for n = 7 (order
+2903040), takes about 4 s and 83 MB peak RSS, bounded by its largest
+layer rather than by the group order.  Everything downstream
+(projectivization, coset spaces, the trivial-intersection checks against
+congruence subgroups) is built on that engine; layered_closure also closes
+orbits of integer rows (orbit(): the E6 roots and root permutations,
+stabilizer orbits), and its mod-m products walk coset tables in the
+enumeration certificate.
 
 The engine owns the projective quotient: a projective closure keys each
 class {M, -M} by the smaller base-m key of its two signs, and that choice,
@@ -85,28 +90,6 @@ def lorentz_gram(d: int) -> Rows:
     return tuple(
         tuple((-1 if r == 0 else 1) if r == c else 0 for c in range(d)) for r in range(d)
     )
-
-
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    d = len(m)
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, d):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
 
 
 @dataclass(frozen=True)
@@ -275,7 +258,7 @@ def layered_closure(
     candidate_keys: Callable[[np.ndarray], np.ndarray],
     build: Callable[[np.ndarray, np.ndarray], np.ndarray],
     budget: int,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Breadth-first closure under right multiplication, one layer at a time.
 
     candidate_keys(F) gives the int64 key of every product F g of a frontier
@@ -288,24 +271,25 @@ def layered_closure(
     the two layers before them.  Each new element keeps its first occurrence,
     and only new elements are built, after the budget has been checked.
 
-    Returns the elements and their keys, one block per layer.
+    Yields the elements and their keys, one (block, keys) pair per layer,
+    the identity layer first, as given (its keys sorted).  Nothing else is
+    kept, so a caller that keeps no block holds at most two layers of
+    elements: the one it reads and the frontier the next is built from.
     """
     frontier = identity
-    blocks = [frontier]
-    key_blocks = [identity_key]
     count = len(identity)
     before, current = np.empty(0, dtype=np.int64), identity_key
+    yield identity, identity_key
     while True:
         picks, keys, sorted_keys = _next_layer(candidate_keys(frontier), before, current)
         if not len(picks):
-            return blocks, key_blocks
+            return
         if count + len(picks) > budget:
             raise ClosureBudgetExceeded(f"closure exceeded element budget {budget}")
         frontier = build(frontier, picks)
-        blocks.append(frontier)
-        key_blocks.append(keys)
         count += len(picks)
         before, current = current, sorted_keys
+        yield frontier, keys
 
 
 def _next_layer(
@@ -343,8 +327,18 @@ def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray], budget: i
         images = step(frontier).reshape(-1, seeds.shape[1])
         return _pack_int8(images)
 
-    blocks, _ = layered_closure(seeds, keys, image_keys, lambda f, picks: images[picks], budget)
-    return np.concatenate(blocks)
+    layers = layered_closure(seeds, keys, image_keys, lambda f, picks: images[picks], budget)
+    return np.concatenate([block for block, _ in layers])
+
+
+# Frontier rows keyed, or products built, per batch: the temporaries of a
+# layer stay this many rows long, however long the layer.
+_CHUNK_ROWS = 2**14
+
+
+def _chunks(length: int) -> Iterator[slice]:
+    """Consecutive slices of at most _CHUNK_ROWS rows covering range(length)."""
+    return (slice(start, start + _CHUNK_ROWS) for start in range(0, length, _CHUNK_ROWS))
 
 
 class _MatrixProducts:
@@ -440,29 +434,57 @@ class _MatrixProducts:
         return _pack_int8((images @ flat.T).reshape(-1, d))
 
     def candidate_keys(self, frontier: np.ndarray) -> np.ndarray:
-        """Keys of every product F g, generator-major; over Z none is built."""
-        if self.modulus is None:
-            return self._chamber_keys(frontier, self._gens @ self._chamber)
-        return np.concatenate([self.product_keys(frontier, g) for g in self._gens])
+        """Keys of every product F g, generator-major, in row chunks of F.
+
+        Over Z none is built.
+        """
+        keys = np.empty((len(self._gens), len(frontier)), dtype=np.int64)
+        for rows in _chunks(len(frontier)):
+            if self.modulus is None:
+                chunk = self._chamber_keys(frontier[rows], self._gens @ self._chamber)
+                keys[:, rows] = chunk.reshape(len(self._gens), -1)
+            else:
+                for i, g in enumerate(self._gens):
+                    keys[i, rows] = self.product_keys(frontier[rows], g)
+        return keys.ravel()
 
     def build(self, frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
-        """The products F g at generator-major candidate positions."""
-        which, rows = np.divmod(picks, len(frontier))
+        """The products F g at generator-major candidate positions, in chunks of picks."""
         d = self.dimension
         out = np.empty((len(picks), d, d), dtype=np.int8)
-        for i, g in enumerate(self._gens):
-            sel = which == i
-            out[sel] = self.products(frontier[rows[sel]], g)
+        for chunk in _chunks(len(picks)):
+            which, rows = np.divmod(picks[chunk], len(frontier))
+            part = out[chunk]
+            for i, g in enumerate(self._gens):
+                sel = which == i
+                part[sel] = self.products(frontier[rows[sel]], g)
         return out
+
+    def layers(self, budget: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The closure from the identity, one (block, keys) layer at a time.
+
+        The generator set must be closed under inversion; that is checked
+        before the first layer: each g has a g' in the set with g g' = I
+        (+-I when projective).
+        """
+        ident = self.products(np.eye(self.dimension, dtype=np.int8)[None], self.identity)
+        squares = [self.products(self._gens.astype(np.int8), g) == ident for g in self._gens]
+        if not np.stack(squares, axis=1).all(axis=(2, 3)).any(axis=1).all():
+            raise ValueError("generator set must be closed under inversion")
+        return layered_closure(
+            ident,
+            self.product_keys(ident, self.identity),
+            self.candidate_keys,
+            self.build,
+            budget,
+        )
 
 
 class _RawClosure(_MatrixProducts):
     """Breadth-first closure of integer or mod-m matrices under right multiplication.
 
-    The products and keys of _MatrixProducts, run through layered_closure.
-    Elements are stored as int8 blocks, one per layer, in discovery order.
-    The generator set must be closed under inversion; that is checked: each g
-    has a g' in the set with g g' = I (+-I when projective).
+    The layers of _MatrixProducts, kept: the elements as one int8 array in
+    discovery order, and their keys for lookup.
     """
 
     def __init__(
@@ -473,32 +495,10 @@ class _RawClosure(_MatrixProducts):
         budget: int,
     ) -> None:
         super().__init__(gen_rows, modulus, projective)
-        d = self.dimension
-        ident = self.products(np.eye(d, dtype=np.int8)[None], self.identity)
-        squares = [self.products(self._gens.astype(np.int8), g) == ident for g in self._gens]
-        if not np.stack(squares, axis=1).all(axis=(2, 3)).any(axis=1).all():
-            raise ValueError("generator set must be closed under inversion")
-
-        self._blocks, self._key_blocks = layered_closure(
-            ident,
-            self.product_keys(ident, self.identity),
-            self.candidate_keys,
-            self.build,
-            budget,
-        )
-        self.order = sum(len(block) for block in self._blocks)
-        self._mats: np.ndarray | None = None
+        blocks, self._key_blocks = zip(*self.layers(budget))
+        self.mats = np.concatenate(blocks)
+        self.order = len(self.mats)
         self._lookup: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def mats(self) -> np.ndarray:
-        if self._mats is None:
-            self._mats = np.concatenate(self._blocks)
-            self._blocks = [self._mats]
-        return self._mats
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        return iter(self._blocks)
 
     def index_of_keys(self, keys: np.ndarray) -> np.ndarray:
         """Discovery index of each key, -1 where the key is not in the closure."""
@@ -600,22 +600,37 @@ def congruence_intersection_check(
     """Enumerate the finite stabilizer over Z and count elements = I mod 2 and mod 3.
 
     The group is trivial-intersection with both congruence kernels exactly
-    when each count is 1.  n = 7 enumerates 2903040 matrices, keyed by their
-    images of the chamber vector; keep it behind an opt-in switch in callers.
+    when each count is 1.  The closure is streamed: each layer is counted as
+    it is found and dropped, so at most two layers of matrices are held.
+    n = 7 enumerates 2903040 matrices, keyed by their images of the chamber
+    vector, in about 4 s and 83 MB peak RSS; keep it behind an opt-in
+    switch in callers.
     """
     if not 2 <= n <= 7:
         raise ValueError(f"n must be between 2 and 7, got {n}")
-    gens = long_simple_reflections(n)
-    core = _RawClosure([g.entries for g in gens], None, False, budget)
-    d = n + 1
+    gens = [g.entries for g in long_simple_reflections(n)]
+    return CongruenceIntersection(n, *_congruence_counts(gens, budget))
+
+
+def _congruence_counts(gen_rows: Sequence[Rows], budget: int) -> tuple[int, int, int]:
+    """The order of an integer closure and its elements = I mod 2 and mod 3.
+
+    The layers are counted one at a time and none is kept.  M = I (mod p)
+    implies M v = v (mod p) for the chamber vector v, so M - I is reduced
+    only for the elements whose keys, M v unpacked, pass that test.
+    """
+    products = _MatrixProducts(gen_rows, None, False)
+    d = products.dimension
+    v = np.array(chamber_vector(d - 1).coords, dtype=np.int16)
     ident = np.eye(d, dtype=np.int8)
-    fixed2 = 0
-    fixed3 = 0
-    for block in core.blocks():
-        diff = (block - ident).reshape(len(block), -1)
-        fixed2 += int((~(diff & 1).any(axis=1)).sum())
-        fixed3 += int((~(diff % 3).any(axis=1)).sum())
-    return CongruenceIntersection(n, core.order, fixed2, fixed3)
+    order, fixed = 0, {2: 0, 3: 0}
+    for block, keys in products.layers(budget):
+        order += len(block)
+        moved = keys.view(np.int8).reshape(-1, 8)[:, :d] - v
+        for p in fixed:
+            survivors = block[~(moved % p).any(axis=1)]
+            fixed[p] += int((~((survivors - ident) % p).any(axis=(1, 2))).sum())
+    return order, fixed[2], fixed[3]
 
 
 class CosetSpace:

@@ -34,3 +34,29 @@ def layer_builds(monkeypatch):
 
     monkeypatch.setattr(isometry, "layered_closure", counting_closure)
     return built
+
+
+@pytest.fixture
+def traced_peak_mb():
+    """A helper: measure(fn, *args) gives fn(*args) and its tracemalloc peak in MB.
+
+    The peak counts what the call allocated above what was traced when it
+    began, numpy buffers included.
+    """
+    import tracemalloc
+
+    def measure(fn, *args):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            result = fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return result, (peak - start) / 2**20
+
+    return measure

@@ -1,12 +1,15 @@
 """Acceptance gate: ten checks, one printed pass/fail line each.
 
 Set GOSSET_MAX_N=7 to extend the congruence criterion to the largest
-supported dimension (about 5 seconds and 270 MB).
+supported dimension (about 4 seconds and 83 MB peak RSS), and to run the
+memory guard on that check.
 """
 
 import os
 import random
 import time
+
+import pytest
 
 from gosset.e6 import (
     generation_order,
@@ -29,6 +32,7 @@ from gosset.geometry import (
     wall_reflections_mod3,
 )
 from gosset.isometry import (
+    CongruenceIntersection,
     LatticeIsometry,
     ModularMatrix,
     congruence_intersection_check,
@@ -119,6 +123,17 @@ def test_criterion_05_congruence_kernels_trivial():
         ok,
         elapsed,
     )
+
+
+@pytest.mark.skipif(
+    int(os.environ.get("GOSSET_MAX_N", "6")) < 7, reason="set GOSSET_MAX_N=7 to run n = 7"
+)
+def test_congruence_n7_memory_stays_within_a_few_layers(traced_peak_mb):
+    # The streamed closure holds two layers (the largest has 131,046
+    # elements), never the 2,903,040 matrices: that alone is 186 MB of int8.
+    result, peak = traced_peak_mb(congruence_intersection_check, 7)
+    assert result == CongruenceIntersection(7, 2903040, 1, 1)
+    assert peak < 64, f"the n = 7 check traced a {peak:.1f} MB peak"
 
 
 def test_criterion_06_diagram_identities():

@@ -9,13 +9,13 @@ import pytest
 
 from gosset.isometry import (
     ClosureBudgetExceeded,
+    CongruenceIntersection,
     GroupClosure,
     LatticeIsometry,
     ModularMatrix,
     chamber_vector,
     congruence_intersection_check,
     coset_space,
-    det_int,
     lattice_isometry,
     long_simple_reflections,
     memoize,
@@ -24,7 +24,9 @@ from gosset.isometry import (
     reduce_mod,
     reflection_matrix,
     _RawClosure,
+    _congruence_counts,
 )
+from gosset import isometry
 from gosset.e6 import SIMPLE_ROOTS, beta_configuration, root_system
 from gosset.enumeration import DEFAULT_COSET_BUDGET, enumerate_diagram_group
 from gosset.geometry import (
@@ -46,13 +48,19 @@ def test_reflection_matrix_agrees_with_reflect():
                 assert m.apply(v) == reflect(a, v)
 
 
-def test_reflection_matrices_are_isometries_of_determinant_minus_one():
+def test_reflection_matrices_are_involutive_isometries():
     for n in (2, 3, 4):
         for a in simple_roots(n):
             m = reflection_matrix(a, n)
             assert preserves_form(m.entries)
-            assert det_int(m.entries) == -1
             assert m @ m == LatticeIsometry.identity(n + 1)
+
+
+def test_reflection_matrices_have_determinant_minus_one():
+    sympy = pytest.importorskip("sympy")
+    for n in (2, 3, 4):
+        for a in simple_roots(n):
+            assert sympy.Matrix(reflection_matrix(a, n).entries).det() == -1
 
 
 def test_isometry_factory_rejects_junk():
@@ -61,12 +69,6 @@ def test_isometry_factory_rejects_junk():
     # A permutation moving the time axis does not preserve the form.
     with pytest.raises(ValueError):
         lattice_isometry(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
-
-
-def test_det_int_on_small_matrices():
-    assert det_int(((2, 0), (0, 3))) == 6
-    assert det_int(((1, 2), (3, 4))) == -2
-    assert det_int(((0, 1, 0), (1, 0, 0), (0, 0, 1))) == -1
 
 
 def test_reduce_mod_wraps_entries():
@@ -210,22 +212,64 @@ MOD3_CLOSURE_SHA256 = {
 COSET_ASSIGNMENT_N4_SHA256 = "93428cf1a139bcc07f447e8cdfb9e6e9c7c8871b2a23271a6fc50b692ef0c3c7"
 
 
-def test_closure_order_is_pinned():
+def _assert_integer_closures_match_pins():
     for n, digest in INTEGER_CLOSURE_SHA256.items():
         core = _RawClosure([g.entries for g in long_simple_reflections(n)], None, False, 10**6)
         assert _sha256(core.mats, np.int8) == digest, n
+
+
+def _assert_mod3_closures_match_pins(image):
+    """The pinned sequences of the mod-3 images closed by image(n, projective)."""
     for (n, projective), digest in MOD3_CLOSURE_SHA256.items():
-        group = reflection_image_mod3(n, projective)
+        group = image(n, projective)
         assert _sha256(group.mats, np.int8) == digest, (n, projective)
         if projective:  # nothing normalises signs before the engine does
             negated = GroupClosure([g.neg() for g in group.generators], projective=True)
             assert _sha256(negated.mats, np.int8) == digest, (n, "negated")
-    group = reflection_image_mod3(4)
+    group = image(4, True)
     stabilizer = stabilizer_generators_mod3(4)
     for subgroup_generators in (stabilizer, [g.neg() for g in stabilizer]):
         space = coset_space(group, subgroup_generators)
         assert space.count == 432
         assert _sha256(space._assignment, np.int32) == COSET_ASSIGNMENT_N4_SHA256
+
+
+def test_closure_order_is_pinned():
+    _assert_integer_closures_match_pins()
+    _assert_mod3_closures_match_pins(reflection_image_mod3)
+
+
+def test_row_chunk_boundaries_change_no_closure(monkeypatch):
+    # Every layer at n <= 6 fits in one default chunk.  Five rows a chunk
+    # split the integer layers at positions no generator count divides.
+    monkeypatch.setattr(isometry, "_CHUNK_ROWS", 5)
+    _assert_integer_closures_match_pins()
+    for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
+        assert congruence_intersection_check(n) == CongruenceIntersection(n, order, 1, 1)
+    # 37 rows still split every mod-3 layer longer than that; the n = 4
+    # images, 51840 and 103680 elements, take seconds at five.
+    monkeypatch.setattr(isometry, "_CHUNK_ROWS", 37)
+    _assert_mod3_closures_match_pins(reflection_image_mod3.__wrapped__)
+
+
+def _materialised_counts(gen_rows):
+    """Order and elements = I mod 2 and mod 3 of the whole closure, kept."""
+    mats = _RawClosure(gen_rows, None, False, 10**6).mats.astype(np.int64)
+    diff = mats - np.eye(mats.shape[1], dtype=np.int64)
+    return (len(mats), *(int((~(diff % p).any(axis=(1, 2))).sum()) for p in (2, 3)))
+
+
+def test_streamed_congruence_counts_find_minus_identity():
+    # -I is = I mod 2 but not mod 3: a positive control for the key prefilter,
+    # which must keep every element whose M v = v mod p.  The chamber vector
+    # still keys <W, -I> injectively, as the doubled orders show.
+    for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
+        gens = [g.entries for g in long_simple_reflections(n)]
+        assert _congruence_counts(gens, 10**6) == _materialised_counts(gens) == (order, 1, 1)
+        minus = tuple(tuple(-int(r == c) for c in range(n + 1)) for r in range(n + 1))
+        expected = (2 * order, 2, 1)
+        assert _congruence_counts(gens + [minus], 10**6) == expected, n
+        assert _materialised_counts(gens + [minus]) == expected, n
 
 
 def _oracle_closure(gens, modulus, projective):
