@@ -182,9 +182,7 @@ def _inverse_closed(gens: np.ndarray) -> bool:
     return all(inv.tobytes() in present for inv in inverses)
 
 
-def permutation_closure_order(
-    perms: Sequence[Sequence[int]], basis: Sequence[int], budget: int
-) -> int:
+def permutation_closure_order(perms: Sequence[Sequence[int]], basis: Sequence[int]) -> int:
     """Order of the group generated by root permutations, as the orbit of a basis.
 
     The permutations must be induced by linear maps on the span of the roots
@@ -193,12 +191,14 @@ def permutation_closure_order(
     has a trivial stabilizer, and its orbit under left multiplication, g[F],
     has one point per group element.  Each point is its own key (at most
     eight indices, each below 128; E6 has six simple roots among 72).  The
-    generator set must be closed under inversion.
+    generator set must be closed under inversion.  The orbit fails fast past
+    DEFAULT_ELEMENT_BUDGET points.
     """
     gens = np.array(perms, dtype=np.uint8)
     if not _inverse_closed(gens):
         raise ValueError("generator set must be closed under inversion")
-    return len(orbit(np.array([basis], dtype=np.uint8), lambda f: gens[:, f], budget))
+    seed = np.array([basis], dtype=np.uint8)
+    return len(orbit(seed, lambda f: gens[:, f], DEFAULT_ELEMENT_BUDGET))
 
 
 @memoize
@@ -210,7 +210,7 @@ def generation_order() -> int:
     rs = root_system()
     perms = [rs.reflection_permutation(b) for b in beta_configuration().values()]
     basis = [rs.root_index(r) for r in SIMPLE_ROOTS]
-    return permutation_closure_order(perms, basis, DEFAULT_ELEMENT_BUDGET)
+    return permutation_closure_order(perms, basis)
 
 
 def verify_reflection_fixed_points() -> bool:

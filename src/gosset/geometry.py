@@ -219,34 +219,38 @@ def wall_reflections_mod3(n: int) -> dict[str, ModularMatrix]:
 class TileGraph:
     """Tiles of the mod-3 quotient tessellation with labeled wall crossings.
 
-    edges holds one triple (tile, wall label, neighbor tile) per tile and
-    wall; the underlying unordered pair multiset is symmetric, which is
-    asserted at build time together with representative independence of each
-    tile's neighbor multiset.
+    neighbors[tile][j] is the tile reached by crossing wall wall_labels[j]
+    from tile, tiles numbered by their coset ids.  At build time the crossings
+    between each pair of tiles are asserted to be as many in each direction,
+    and each tile's row, as a multiset, to be independent of its coset
+    representative.
     """
 
     n: int
     wall_labels: tuple[str, ...]
-    tile_count: int
-    edges: tuple[tuple[int, str, int], ...]
+    neighbors: tuple[tuple[int, ...], ...]
 
-    def neighbor_sets(self) -> list[frozenset[int]]:
-        sets: list[set[int]] = [set() for _ in range(self.tile_count)]
-        for a, _, b in self.edges:
-            sets[a].add(b)
-        return [frozenset(s) for s in sets]
+    @property
+    def tile_count(self) -> int:
+        return len(self.neighbors)
+
+    @property
+    def edges(self) -> tuple[tuple[int, str, int], ...]:
+        """One (tile, wall label, neighbor tile) triple per tile and wall, in tile order."""
+        return tuple(
+            (a, lab, b)
+            for a, row in enumerate(self.neighbors)
+            for lab, b in zip(self.wall_labels, row)
+        )
 
     def self_loop_count(self) -> int:
-        return sum(1 for a, _, b in self.edges if a == b)
+        return sum(row.count(a) for a, row in enumerate(self.neighbors))
 
     def is_connected(self) -> bool:
-        if self.tile_count == 0:
-            return True
-        adj = self.neighbor_sets()
         seen = {0}
         stack = [0]
         while stack:
-            for b in adj[stack.pop()]:
+            for b in self.neighbors[stack.pop()]:
                 if b not in seen:
                     seen.add(b)
                     stack.append(b)
@@ -313,44 +317,35 @@ def build_tessellation(n: int) -> TileGraph:
     if space.subgroup_order != len(finite_group_elements(long_simple_reflections(n))):
         raise AssertionError("stabilizer image collapsed in the projective quotient")
 
-    walls = wall_reflections_mod3(n)
-    _assert_stabilizer_permutes_walls(n, list(walls.values()))
+    walls = list(wall_reflections_mod3(n).values())
+    _assert_stabilizer_permutes_walls(n, walls)
 
-    labels = gosset_walls(n).labels
     reps = space.representative_indices
-    crossed = [space.cosets_of(group.right_multiply(reps, walls[lab])).tolist() for lab in labels]
-    edges = [
-        (tile, lab, crossed[j][tile]) for tile in range(space.count) for j, lab in enumerate(labels)
-    ]
-
-    graph = TileGraph(n, labels, space.count, tuple(edges))
-    _assert_pair_symmetric(graph)
-    _assert_representative_independent(graph, space, walls)
-    return graph
+    neighbors = _crossings(space, walls, reps)
+    _assert_pair_symmetric(neighbors)
+    alternatives = group.right_multiply(reps, space.subgroup_generators[0])
+    _assert_representative_independent(neighbors, _crossings(space, walls, alternatives))
+    return TileGraph(n, gosset_walls(n).labels, tuple(map(tuple, neighbors.tolist())))
 
 
-def _assert_pair_symmetric(graph: TileGraph) -> None:
-    from collections import Counter
+def _crossings(
+    space: CosetSpace, walls: Sequence[ModularMatrix], elements: np.ndarray
+) -> np.ndarray:
+    """The coset of g t for each element g (by index) and wall t: elements x walls."""
+    columns = [space.cosets_of(space.group.right_multiply(elements, t)) for t in walls]
+    return np.stack(columns, axis=1)
 
-    forward = Counter((a, b) for a, _, b in graph.edges if a != b)
-    for (a, b), k in forward.items():
-        if forward.get((b, a), 0) != k:
-            raise AssertionError("tile adjacency is not symmetric")
+
+def _assert_pair_symmetric(neighbors: np.ndarray) -> None:
+    """The tile x tile crossing-count matrix must equal its transpose."""
+    tiles, walls = neighbors.shape
+    pairs = np.repeat(np.arange(tiles), walls) * tiles + neighbors.ravel()
+    counts = np.bincount(pairs, minlength=tiles * tiles).reshape(tiles, tiles)
+    if not np.array_equal(counts, counts.T):
+        raise AssertionError("tile adjacency is not symmetric")
 
 
-def _assert_representative_independent(
-    graph: TileGraph, space: CosetSpace, walls: dict[str, ModularMatrix]
-) -> None:
-    """Recompute each tile's neighbor multiset from a second representative."""
-    from collections import Counter
-
-    stored = [Counter() for _ in range(graph.tile_count)]
-    for a, _, b in graph.edges:
-        stored[a][b] += 1
-    group = space.group
-    alts = group.right_multiply(space.representative_indices, space.subgroup_generators[0])
-    crossed = [space.cosets_of(group.right_multiply(alts, t)).tolist() for t in walls.values()]
-    for tile in range(graph.tile_count):
-        got = Counter(column[tile] for column in crossed)
-        if got != stored[tile]:
-            raise AssertionError("tile neighbors depend on the coset representative")
+def _assert_representative_independent(neighbors: np.ndarray, alternative: np.ndarray) -> None:
+    """Rows crossed from two representatives of each tile must agree as multisets."""
+    if not np.array_equal(np.sort(neighbors, axis=1), np.sort(alternative, axis=1)):
+        raise AssertionError("tile neighbors depend on the coset representative")

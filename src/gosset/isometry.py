@@ -13,11 +13,14 @@ stabilizer.  A layer's candidate keys are deduplicated once and looked up
 in the sorted keys of the two layers before it, and only new elements are
 multiplied out, as int8, in batches of a fixed number of rows.  The layer
 loop, layered_closure, yields each layer as it is found and keeps only the
-two sorted key layers: a closure that is kept (_RawClosure, GroupClosure)
-collects the layers, and the congruence check counts them and drops them.
-So the largest case in scope, the finite stabilizer for n = 7 (order
-2903040), takes about 4 s and 83 MB peak RSS, bounded by its largest
-layer rather than by the group order.  Everything downstream
+two sorted key layers.  GroupClosure is the one closure that is kept: it
+collects the layers of _MatrixProducts, with their keys for lookup.
+finite_group_elements and orbit() keep only the elements, and the
+congruence check counts the layers and drops them.  So the largest case in
+scope, the finite stabilizer for n = 7 (order 2903040), takes about 4 s and
+83 MB peak RSS, bounded by its largest layer rather than by the group
+order.  Matrix closures fail fast past DEFAULT_ELEMENT_BUDGET elements,
+orbits past the budget their caller gives.  Everything downstream
 (projectivization, coset spaces, the trivial-intersection checks against
 congruence subgroups) is built on that engine; layered_closure also closes
 orbits of integer rows (orbit(): the E6 roots and root permutations,
@@ -154,10 +157,8 @@ def lattice_isometry(rows: Sequence[Sequence[int]]) -> LatticeIsometry:
     return LatticeIsometry(entries)
 
 
-def reflection_matrix(alpha: Root, n: int | None = None) -> LatticeIsometry:
+def reflection_matrix(alpha: Root) -> LatticeIsometry:
     """Matrix of the reflection in a root of norm 1 or 2, columns = images of e_i."""
-    if n is not None and alpha.n != n:
-        raise ValueError("dimension mismatch")
     d = alpha.n + 1
     cols = [reflect(alpha, basis_vector(i, alpha.n)).coords for i in range(d)]
     rows = tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
@@ -480,22 +481,29 @@ class _MatrixProducts:
         )
 
 
-class _RawClosure(_MatrixProducts):
-    """Breadth-first closure of integer or mod-m matrices under right multiplication.
+class GroupClosure(_MatrixProducts):
+    """Finite matrix group over Z/m obtained by exhaustive closure.
 
-    The layers of _MatrixProducts, kept: the elements as one int8 array in
-    discovery order, and their keys for lookup.
+    The layers of _MatrixProducts, kept: the elements as one int8 array, mats,
+    in discovery order (element 0 is the identity), and their keys, sorted
+    for lookup on first use.  With projective=True elements are classes
+    {M, -M}; that is the right model for quotients like PGO where -I must be
+    factored out.  The engine keys and stores each class by the sign with the
+    smaller key, for elements, products and queries alike, so generators and
+    queries may carry either sign.  The generator set must be closed under
+    inversion (reflections are), which also makes every generator invertible
+    mod m.  The closure fails fast past DEFAULT_ELEMENT_BUDGET elements.
     """
 
-    def __init__(
-        self,
-        gen_rows: Sequence[Rows],
-        modulus: int | None,
-        projective: bool,
-        budget: int,
-    ) -> None:
-        super().__init__(gen_rows, modulus, projective)
-        blocks, self._key_blocks = zip(*self.layers(budget))
+    def __init__(self, generators: Sequence[ModularMatrix], projective: bool = False) -> None:
+        if not generators:
+            raise ValueError("need at least one generator")
+        m = generators[0].modulus
+        if any(g.modulus != m for g in generators):
+            raise ValueError("generators must share a modulus")
+        self.generators = tuple(generators)
+        super().__init__([g.entries for g in generators], m, projective)
+        blocks, self._key_blocks = zip(*self.layers(DEFAULT_ELEMENT_BUDGET))
         self.mats = np.concatenate(blocks)
         self.order = len(self.mats)
         self._lookup: tuple[np.ndarray, np.ndarray] | None = None
@@ -509,32 +517,6 @@ class _RawClosure(_MatrixProducts):
         sorted_keys, order = self._lookup
         pos = _positions(sorted_keys, keys)
         return np.where(pos >= 0, order[pos], -1)
-
-
-class GroupClosure(_RawClosure):
-    """Finite matrix group over Z/m obtained by exhaustive closure.
-
-    With projective=True elements are classes {M, -M}; that is the right model
-    for quotients like PGO where -I must be factored out.  The engine keys and
-    stores each class by the sign with the smaller key, for elements, products
-    and queries alike, so generators and queries may carry either sign.  The
-    generator set must be closed under inversion (reflections are), which also
-    makes every generator invertible mod m.
-    """
-
-    def __init__(
-        self,
-        generators: Sequence[ModularMatrix],
-        projective: bool = False,
-        budget: int = DEFAULT_ELEMENT_BUDGET,
-    ) -> None:
-        if not generators:
-            raise ValueError("need at least one generator")
-        m = generators[0].modulus
-        if any(g.modulus != m for g in generators):
-            raise ValueError("generators must share a modulus")
-        self.generators = tuple(generators)
-        super().__init__([g.entries for g in generators], m, projective, budget)
 
     def _entries(self, mat: ModularMatrix) -> Rows:
         if mat.modulus != self.modulus:
@@ -560,19 +542,17 @@ class GroupClosure(_RawClosure):
         return ModularMatrix.identity(self.dimension, self.modulus).neg() in self
 
 
-def finite_group_elements(
-    generators: Sequence[LatticeIsometry],
-    budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> np.ndarray:
+def finite_group_elements(generators: Sequence[LatticeIsometry]) -> np.ndarray:
     """All elements of the group generated by reflections of Z^{n,1}.
 
     The elements are int8 matrices, shape (order, d, d), in discovery order.
     The generators, such as the long simple reflections, must lie in the
     reflection group whose chamber vector keys the closure.  Exhaustive
-    closure guarded by an element budget: a wrong generator set (infinite
-    group) fails fast instead of silently grinding.
+    closure guarded by DEFAULT_ELEMENT_BUDGET: a wrong generator set
+    (infinite group) fails fast instead of silently grinding.
     """
-    return _RawClosure([g.entries for g in generators], None, False, budget).mats
+    products = _MatrixProducts([g.entries for g in generators], None, False)
+    return np.concatenate([block for block, _ in products.layers(DEFAULT_ELEMENT_BUDGET)])
 
 
 @dataclass(frozen=True)
@@ -584,19 +564,13 @@ class CongruenceIntersection:
     congruent_mod2: int
     congruent_mod3: int
 
-    @property
-    def trivial(self) -> bool:
-        return self.congruent_mod2 == 1 and self.congruent_mod3 == 1
-
 
 def long_simple_reflections(n: int) -> list[LatticeIsometry]:
     """Reflections in the norm-2 simple roots: generators of the finite stabilizer."""
     return [reflection_matrix(a) for a in simple_roots(n) if norm(a) == 2]
 
 
-def congruence_intersection_check(
-    n: int, budget: int = DEFAULT_ELEMENT_BUDGET
-) -> CongruenceIntersection:
+def congruence_intersection_check(n: int) -> CongruenceIntersection:
     """Enumerate the finite stabilizer over Z and count elements = I mod 2 and mod 3.
 
     The group is trivial-intersection with both congruence kernels exactly
@@ -609,10 +583,10 @@ def congruence_intersection_check(
     if not 2 <= n <= 7:
         raise ValueError(f"n must be between 2 and 7, got {n}")
     gens = [g.entries for g in long_simple_reflections(n)]
-    return CongruenceIntersection(n, *_congruence_counts(gens, budget))
+    return CongruenceIntersection(n, *_congruence_counts(gens))
 
 
-def _congruence_counts(gen_rows: Sequence[Rows], budget: int) -> tuple[int, int, int]:
+def _congruence_counts(gen_rows: Sequence[Rows]) -> tuple[int, int, int]:
     """The order of an integer closure and its elements = I mod 2 and mod 3.
 
     The layers are counted one at a time and none is kept.  M = I (mod p)
@@ -624,7 +598,7 @@ def _congruence_counts(gen_rows: Sequence[Rows], budget: int) -> tuple[int, int,
     v = np.array(chamber_vector(d - 1).coords, dtype=np.int16)
     ident = np.eye(d, dtype=np.int8)
     order, fixed = 0, {2: 0, 3: 0}
-    for block, keys in products.layers(budget):
+    for block, keys in products.layers(DEFAULT_ELEMENT_BUDGET):
         order += len(block)
         moved = keys.view(np.int8).reshape(-1, 8)[:, :d] - v
         for p in fixed:

@@ -55,26 +55,20 @@ def _plain(value: object) -> object:
     return repr(value)
 
 
-@dataclass(frozen=True)
-class PendingCheck:
-    """A deferred check: run() returns (expected, actual, details)."""
-
-    check_id: str
-    n: int | None
-    run: Callable[[], tuple[object, object, str]]
-
-
-def run_check(check: PendingCheck) -> CheckReport:
+def run_check(
+    check_id: str, n: int | None, run: Callable[[], tuple[object, object, str]]
+) -> CheckReport:
+    """Run one check; run() returns (expected, actual, details)."""
     start = time.perf_counter()
     try:
-        expected, actual, details = check.run()
+        expected, actual, details = run()
         status = PASS if _plain(expected) == _plain(actual) else FAIL
     except Exception:
         expected, actual = None, None
         details = traceback.format_exc(limit=3).strip()
         status = ERROR
     ms = int((time.perf_counter() - start) * 1000)
-    return CheckReport(check.check_id, check.n, status, expected, actual, ms, details)
+    return CheckReport(check_id, n, status, expected, actual, ms, details)
 
 
 def skipped_check(check_id: str, n: int | None, details: str) -> CheckReport:

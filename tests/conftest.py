@@ -1,11 +1,20 @@
-"""Hypothesis profile for the suite: the same examples on every run.
+"""Thread limits and the hypothesis profile for the suite.
+
+The BLAS thread variables default to 1, as importing `gosset.cli` sets
+them, but before any test module loads numpy, whether or not it imports the
+CLI.  Values already set in the environment win.
 
 derandomize draws each property's examples from a fixed seed, and with no
 example database the local .hypothesis/ state cannot change what runs.
 Each test keeps its own max_examples.
 """
 
+import os
+
 import pytest
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 try:
     from hypothesis import settings

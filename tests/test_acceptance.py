@@ -85,7 +85,7 @@ def test_criterion_03_deflation_negative_control():
 
     word = next(r for r in build_presentation("affine_a5").relators if len(r) == 10)
     walls = gosset_walls(3)
-    mirrors = {l: reflection_matrix(walls.root_of(l), 3) for l in walls.labels}
+    mirrors = {l: reflection_matrix(walls.root_of(l)) for l in walls.labels}
     ok = ok and evaluate_word(word, mirrors) != LatticeIsometry.identity(4)
     mod3 = wall_reflections_mod3(3)
     ok = ok and evaluate_word(word, mod3) == ModularMatrix.identity(4, 3)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gosset import e6
 from gosset.e6 import (
     E6_EDGES,
     SIMPLE_ROOTS,
@@ -147,7 +148,7 @@ def _oracle_order(perms):
 def test_commuting_singleton_reflections_generate_16():
     perms, basis = _beta_permutations()
     singles = [perms[lab] for lab in ("1", "2", "3", "4")]
-    assert permutation_closure_order(singles, basis, 100) == 16
+    assert permutation_closure_order(singles, basis) == 16
 
 
 def test_permutation_closure_matches_tuple_oracle():
@@ -161,15 +162,16 @@ def test_permutation_closure_matches_tuple_oracle():
     @hypothesis.given(st.lists(st.sampled_from(labels), min_size=1, max_size=5, unique=True))
     def same_order(subset):
         gens = [perms[lab] for lab in subset]
-        assert permutation_closure_order(gens, basis, 10**6) == _oracle_order(gens)
+        assert permutation_closure_order(gens, basis) == _oracle_order(gens)
 
     same_order()
 
 
-def test_permutation_closure_budget_fails_before_building_the_layer(layer_builds):
+def test_permutation_closure_budget_fails_before_building_the_layer(layer_builds, monkeypatch):
+    monkeypatch.setattr(e6, "DEFAULT_ELEMENT_BUDGET", 1000)
     perms, basis = _beta_permutations()
     with pytest.raises(ClosureBudgetExceeded):
-        permutation_closure_order(list(perms.values()), basis, 1000)
+        permutation_closure_order(list(perms.values()), basis)
     assert layer_builds and 1 + sum(layer_builds) <= 1000
 
 
@@ -178,4 +180,4 @@ def test_permutation_closure_requires_inverse_closed_generators():
     a, b = perms["1"], perms["12"]
     rotation = tuple(a[i] for i in b)  # order 3: its inverse is not in the set
     with pytest.raises(ValueError, match="inversion"):
-        permutation_closure_order([rotation], basis, 1000)
+        permutation_closure_order([rotation], basis)

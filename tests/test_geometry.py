@@ -2,23 +2,28 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from gosset.geometry import (
+    _assert_pair_symmetric,
+    _assert_representative_independent,
     _assert_stabilizer_permutes_walls,
+    _crossings,
     build_tessellation,
     conjugate_wall_set,
     generator_words,
     gosset_walls,
     reflection_image_mod3,
     simple_reflection_matrices,
+    stabilizer_generators_mod3,
     stabilizer_orbit,
     verify_generator_words,
     vertex_orbits,
     wall_pair_classification,
     wall_reflections_mod3,
 )
-from gosset.isometry import ModularMatrix, reflection_matrix
+from gosset.isometry import ModularMatrix, coset_space, reflection_matrix
 from gosset.lattice import basis_vector, inner, norm
 from gosset.presentation import evaluate_word
 
@@ -65,12 +70,12 @@ def test_generator_words_realize_wall_mirrors():
         walls = gosset_walls(n)
         for label, word in generator_words(n).items():
             produced = evaluate_word(tuple(str(i) for i in word), assignment)
-            assert produced == reflection_matrix(walls.root_of(label), n)
+            assert produced == reflection_matrix(walls.root_of(label))
 
 
 def test_conjugate_wall_set_closes_for_petersen():
     mirrors = conjugate_wall_set(4)
-    expected = {reflection_matrix(r, 4) for r in gosset_walls(4).roots}
+    expected = {reflection_matrix(r) for r in gosset_walls(4).roots}
     assert set(mirrors) == expected
 
 
@@ -146,6 +151,33 @@ def test_tessellation_slots_and_symmetry():
             seen.add((a, b))
         assert all(s == WALL_COUNTS[n] for s in slots)
         assert all((b, a) in seen for a, b in seen)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tessellation_assertions_pass_on_the_real_tile_arrays(n):
+    space = coset_space(reflection_image_mod3(n), stabilizer_generators_mod3(n))
+    walls = list(wall_reflections_mod3(n).values())
+    reps = space.representative_indices
+    neighbors = _crossings(space, walls, reps)
+    assert neighbors.tolist() == [list(row) for row in build_tessellation(n).neighbors]
+    _assert_pair_symmetric(neighbors)
+    for h in space.subgroup_generators:
+        alternative = _crossings(space, walls, space.group.right_multiply(reps, h))
+        _assert_representative_independent(neighbors, alternative)
+
+
+def test_tessellation_assertions_fire_on_crafted_arrays():
+    # Tile 0 crosses into tile 1 twice, so tile 1 must cross back twice, not once.
+    _assert_pair_symmetric(np.array([[1, 1], [0, 0]]))
+    with pytest.raises(AssertionError, match="not symmetric"):
+        _assert_pair_symmetric(np.array([[1, 1], [0, 1]]))
+    with pytest.raises(AssertionError, match="not symmetric"):
+        _assert_pair_symmetric(np.array([[1], [2], [2]]))
+    # Rows may permute their walls, not change their neighbor multisets.
+    triangle = np.array([[1, 2], [0, 2], [0, 1]])
+    _assert_representative_independent(triangle, triangle[:, ::-1])
+    with pytest.raises(AssertionError, match="coset representative"):
+        _assert_representative_independent(triangle, np.array([[1, 1], [0, 2], [0, 1]]))
 
 
 def test_tessellation_dot_is_deterministic():

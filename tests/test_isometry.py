@@ -23,7 +23,7 @@ from gosset.isometry import (
     preserves_form,
     reduce_mod,
     reflection_matrix,
-    _RawClosure,
+    _MatrixProducts,
     _congruence_counts,
 )
 from gosset import isometry
@@ -42,7 +42,7 @@ def test_reflection_matrix_agrees_with_reflect():
     rng = random.Random(10)
     for n in (2, 3, 4):
         for a in simple_roots(n):
-            m = reflection_matrix(a, n)
+            m = reflection_matrix(a)
             for _ in range(20):
                 v = vector(*[rng.randint(-9, 9) for _ in range(n + 1)])
                 assert m.apply(v) == reflect(a, v)
@@ -51,7 +51,7 @@ def test_reflection_matrix_agrees_with_reflect():
 def test_reflection_matrices_are_involutive_isometries():
     for n in (2, 3, 4):
         for a in simple_roots(n):
-            m = reflection_matrix(a, n)
+            m = reflection_matrix(a)
             assert preserves_form(m.entries)
             assert m @ m == LatticeIsometry.identity(n + 1)
 
@@ -60,7 +60,7 @@ def test_reflection_matrices_have_determinant_minus_one():
     sympy = pytest.importorskip("sympy")
     for n in (2, 3, 4):
         for a in simple_roots(n):
-            assert sympy.Matrix(reflection_matrix(a, n).entries).det() == -1
+            assert sympy.Matrix(reflection_matrix(a).entries).det() == -1
 
 
 def test_isometry_factory_rejects_junk():
@@ -75,7 +75,7 @@ def test_reduce_mod_wraps_entries():
     m = reduce_mod(LatticeIsometry.identity(3), 3)
     assert isinstance(m, ModularMatrix)
     assert m == ModularMatrix.identity(3, 3)
-    neg = reduce_mod(reflection_matrix(simple_roots(2)[2], 2), 2)
+    neg = reduce_mod(reflection_matrix(simple_roots(2)[2]), 2)
     assert all(0 <= e < 2 for row in neg.entries for e in row)
 
 
@@ -102,10 +102,11 @@ def test_projective_versus_linear_closure():
     assert not linear.contains_minus_identity
 
 
-def test_closure_budget_raises():
+def test_closure_budget_raises(monkeypatch):
+    monkeypatch.setattr(isometry, "DEFAULT_ELEMENT_BUDGET", 100)
     gens = tuple(wall_reflections_mod3(3).values())
     with pytest.raises(ClosureBudgetExceeded):
-        GroupClosure(gens, budget=100)
+        GroupClosure(gens)
 
 
 def test_group_membership_and_indexing():
@@ -184,7 +185,12 @@ def test_congruence_intersection_trivial_small():
         assert result.order == order
         assert result.congruent_mod2 == 1
         assert result.congruent_mod3 == 1
-        assert result.trivial
+
+
+def _closure(gen_rows, modulus=None, projective=False, budget=10**6):
+    """The elements of a closure in discovery order, from its layers."""
+    layers = _MatrixProducts(gen_rows, modulus, projective).layers(budget)
+    return np.concatenate([block for block, _ in layers])
 
 
 def _sha256(array, dtype):
@@ -214,8 +220,8 @@ COSET_ASSIGNMENT_N4_SHA256 = "93428cf1a139bcc07f447e8cdfb9e6e9c7c8871b2a23271a6f
 
 def _assert_integer_closures_match_pins():
     for n, digest in INTEGER_CLOSURE_SHA256.items():
-        core = _RawClosure([g.entries for g in long_simple_reflections(n)], None, False, 10**6)
-        assert _sha256(core.mats, np.int8) == digest, n
+        mats = _closure([g.entries for g in long_simple_reflections(n)])
+        assert _sha256(mats, np.int8) == digest, n
 
 
 def _assert_mod3_closures_match_pins(image):
@@ -254,7 +260,7 @@ def test_row_chunk_boundaries_change_no_closure(monkeypatch):
 
 def _materialised_counts(gen_rows):
     """Order and elements = I mod 2 and mod 3 of the whole closure, kept."""
-    mats = _RawClosure(gen_rows, None, False, 10**6).mats.astype(np.int64)
+    mats = _closure(gen_rows).astype(np.int64)
     diff = mats - np.eye(mats.shape[1], dtype=np.int64)
     return (len(mats), *(int((~(diff % p).any(axis=(1, 2))).sum()) for p in (2, 3)))
 
@@ -265,10 +271,10 @@ def test_streamed_congruence_counts_find_minus_identity():
     # still keys <W, -I> injectively, as the doubled orders show.
     for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
         gens = [g.entries for g in long_simple_reflections(n)]
-        assert _congruence_counts(gens, 10**6) == _materialised_counts(gens) == (order, 1, 1)
+        assert _congruence_counts(gens) == _materialised_counts(gens) == (order, 1, 1)
         minus = tuple(tuple(-int(r == c) for c in range(n + 1)) for r in range(n + 1))
         expected = (2 * order, 2, 1)
-        assert _congruence_counts(gens + [minus], 10**6) == expected, n
+        assert _congruence_counts(gens + [minus]) == expected, n
         assert _materialised_counts(gens + [minus]) == expected, n
 
 
@@ -321,8 +327,8 @@ def test_closure_matches_tuple_oracle():
         order = data.draw(st.permutations(range(len(pool))))
         size = data.draw(st.integers(1, len(pool)))
         gens = [pool[i] for i in order[:size]]
-        core = _RawClosure(gens, modulus, bool(projective), 10**6)
-        assert [tuple(map(tuple, m)) for m in core.mats.tolist()] == _oracle_closure(
+        mats = _closure(gens, modulus, bool(projective))
+        assert [tuple(map(tuple, m)) for m in mats.tolist()] == _oracle_closure(
             gens, modulus, bool(projective)
         )
 
@@ -336,28 +342,20 @@ def test_chamber_vector_pairs_to_one_with_every_simple_root():
         assert {inner(a, v) for a in simple_roots(n)} == {1}
 
 
-def test_closure_budget_fails_before_building_the_layer(monkeypatch):
+def test_closure_budget_fails_before_building_the_layer(layer_builds):
     from gosset.geometry import simple_reflection_matrices
 
-    built = []
-    build = _RawClosure.build
-
-    def counting_build(self, frontier, picks):
-        built.append(len(picks))
-        return build(self, frontier, picks)
-
-    monkeypatch.setattr(_RawClosure, "build", counting_build)
     gens = [g.entries for g in simple_reflection_matrices(4)]  # an infinite group
     with pytest.raises(ClosureBudgetExceeded):
-        _RawClosure(gens, None, False, 1000)
-    assert 1 + sum(built) <= 1000
+        _closure(gens, budget=1000)
+    assert layer_builds and 1 + sum(layer_builds) <= 1000
 
 
 def test_closure_requires_inverse_closed_generators():
     s = long_simple_reflections(3)
     rotation = s[1] @ s[2]  # order 3: its inverse s[2] s[1] is not in the set
     with pytest.raises(ValueError, match="inversion"):
-        _RawClosure([rotation.entries], None, False, 1000)
+        _closure([rotation.entries])
     with pytest.raises(ValueError, match="inversion"):
         GroupClosure([reduce_mod(rotation, 3)])
     # The same check rejects a singular generator mod m: no g' has g g' = +-I.
@@ -367,7 +365,7 @@ def test_closure_requires_inverse_closed_generators():
             GroupClosure([singular], projective=projective)
     # With its inverse added the set is closed: a cyclic group of order 3.
     inverse = rotation @ rotation
-    assert _RawClosure([rotation.entries, inverse.entries], None, False, 1000).order == 3
+    assert len(_closure([rotation.entries, inverse.entries])) == 3
 
 
 def test_integer_closure_overflow_raises():
@@ -375,10 +373,10 @@ def test_integer_closure_overflow_raises():
 
     gens = [g.entries for g in simple_reflection_matrices(4)]
     with pytest.raises(OverflowError):
-        _RawClosure(gens, None, False, 10**6)
+        _closure(gens)
     big = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((200, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(OverflowError):
-        _RawClosure(list(big), None, False, 1000)
+        _closure(list(big))
 
 
 def _oracle_orbit(seeds, actions):

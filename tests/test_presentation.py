@@ -126,7 +126,7 @@ def test_deflation_word_is_nontrivial_over_the_integers():
     # it is a genuinely infinite-order isometry, which is exactly why the
     # relator changes the group.
     walls = gosset_walls(3)
-    mirrors = {l: reflection_matrix(walls.root_of(l), 3) for l in walls.labels}
+    mirrors = {l: reflection_matrix(walls.root_of(l)) for l in walls.labels}
     word = next(r for r in build_presentation("affine_a5").relators if len(r) == 10)
     image = evaluate_word(word, mirrors)
     assert image != LatticeIsometry.identity(4)
@@ -136,7 +136,7 @@ def test_deflation_word_is_nontrivial_over_the_integers():
 
 def test_evaluate_word_empty_and_unknown():
     walls = gosset_walls(2)
-    mirrors = {l: reflection_matrix(walls.root_of(l), 2) for l in walls.labels}
+    mirrors = {l: reflection_matrix(walls.root_of(l)) for l in walls.labels}
     assert evaluate_word((), mirrors) == LatticeIsometry.identity(3)
     with pytest.raises(ValueError):
         evaluate_word(("9",), mirrors)
