@@ -11,9 +11,12 @@ relators and of their reversals, and they are scanned at alpha only.  That
 set is closed under x·u -> x·rev(u), and the cycle x·u read from beta is the
 cycle x·rev(u) read from alpha, so a second scan at beta would repeat the
 first.  The conjugates (x, x) are not scanned: symmetric storage makes them
-hold.  Coincidences are processed with a union-find over coset indices, path
-compressed, smaller index surviving; until the first one every coset is its
-own representative and the union-find is not consulted.
+hold.  The table is stored by columns, one list per generator, and the scans
+after a deduction alpha·x run in a scanner generated for x from its words:
+straight-line code with the columns bound as locals, compiled once per set
+of scan words.  Coincidences are processed with a union-find over coset
+indices, path compressed, smaller index surviving; until the first one every
+coset is its own representative and the union-find is not consulted.
 
 Enumeration is exact: a closed table reports the subgroup index (the group
 order, for the trivial subgroup); hitting the coset budget reports
@@ -79,6 +82,63 @@ class _BudgetHit(Exception):
     pass
 
 
+def _scanner_source(x: int, words: Sequence[tuple[int, ...]], ngens: int) -> str:
+    """Source of bind(cols, deduce, rescan), which returns scan(a): the
+    scans of every word x·u at a, unrolled, in the order of words.
+
+    Per word, one block traces forwards from beta = a·x, or from a at
+    position 0 when beta is unknown, and leaves in f and i the coset and
+    position of the first gap; f = None marks a closed cycle, a coincidence
+    if it ends off a.  A second block traces backwards from a to a gap or
+    to position i: a gap at i is a deduction, and reaching i closes the
+    cycle on a second coset, a coincidence.  Each block is a loop run once,
+    left by break, so the source is flat and linear in the word lengths.
+    The columns are default arguments, read as locals; after a coincidence,
+    rescan gives the representative of a and its x-neighbour.
+    """
+    cols = ", ".join(f"c{y}" for y in range(ngens))
+    defaults = ", ".join(f"c{y}=c{y}" for y in range(ngens))
+    lines = [
+        "def bind(cols, deduce, rescan):",
+        f"    {cols}, = cols",
+        f"    def scan(a, {defaults}, deduce=deduce, rescan=rescan):",
+        f"        beta = c{x}[a]",
+    ]
+    for word in words:
+        last = len(word) - 1
+        lines += ["        while True:", "            if beta is None: f = a; i = 0; break"]
+        f = "beta"
+        for i in range(1, last + 1):
+            lines.append(f"            if (f{i} := c{word[i]}[{f}]) is None: f = {f}; i = {i}; break")
+            f = f"f{i}"
+        lines.append(f"            if {f} != a: a, beta = rescan({f}, a, a, {x})")
+        lines += ["            f = None; break", "        while f is not None:"]
+        b = "a"
+        for k, j in enumerate(range(last, 0, -1), 1):
+            lines.append(f"            if (b{k} := c{word[j]}[{b}]) is None:")
+            lines.append(f"                if i == {j}: deduce(f, {b}, {word[j]})")
+            lines.append("                break")
+            lines.append(f"            if i == {j}: a, beta = rescan(f, b{k}, a, {x}); break")
+            b = f"b{k}"
+        lines.append(f"            if (b0 := c{x}[{b}]) is None: deduce(f, {b}, {x})")
+        lines.append(f"            else: a, beta = rescan(f, b0, a, {x})")
+        lines.append("            break")
+    lines += ["    return scan", ""]
+    return "\n".join(lines)
+
+
+@memoize
+def _compile_scanners(scan_words: tuple[tuple[tuple[int, ...], ...], ...]) -> tuple:
+    """One bind function per generator, each compiled on its own."""
+    binds = []
+    for x, words in enumerate(scan_words):
+        namespace: dict = {}
+        source = _scanner_source(x, words, len(scan_words))
+        exec(compile(source, f"<scanner {x}>", "exec"), namespace)
+        binds.append(namespace["bind"])
+    return tuple(binds)
+
+
 class _Enumerator:
     def __init__(self, pres: Presentation, budget: int) -> None:
         self.letters = {g: i for i, g in enumerate(pres.generators)}
@@ -93,15 +153,15 @@ class _Enumerator:
             except KeyError as bad:
                 raise ValueError(f"relator uses unknown generator {bad}") from None
         self.scan_words = self._index_scan_words()
-        self.table: list[list[int | None]] = [[None] * self.ngens]
+        self.cols: list[list[int | None]] = [[None] for _ in range(self.ngens)]
         self.parent = [0]
         self.defined = 1
         self.live = 1
         self.deductions: list[tuple[int, int]] = []
 
-    def _index_scan_words(self) -> list[list[tuple[tuple[int, ...], int]]]:
+    def _index_scan_words(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """For each generator x, the distinct relator conjugates x·u to scan
-        after a deduction alpha·x = beta, each with its last index.
+        after a deduction alpha·x = beta, sorted.
 
         Involutive generators make the inverse of a word its reversal, so
         reversed conjugates are included too.  Each list is therefore closed
@@ -118,7 +178,7 @@ class _Enumerator:
                     conj = base[r:] + base[:r]
                     if conj != (conj[0], conj[0]):
                         by_first[conj[0]].add(conj)
-        return [[(w, len(w) - 1) for w in sorted(ws)] for ws in by_first]
+        return tuple(tuple(sorted(ws)) for ws in by_first)
 
     def _find(self, a: int) -> int:
         parent = self.parent
@@ -132,14 +192,28 @@ class _Enumerator:
     def _define(self, alpha: int, x: int) -> None:
         if self.defined >= self.budget:
             raise _BudgetHit
-        beta = len(self.table)
-        self.table.append([None] * self.ngens)
+        beta = self.defined
+        for col in self.cols:
+            col.append(None)
         self.parent.append(beta)
         self.defined += 1
         self.live += 1
-        self.table[alpha][x] = beta
-        self.table[beta][x] = alpha
+        self.cols[x][alpha] = beta
+        self.cols[x][beta] = alpha
         self.deductions.append((alpha, x))
+
+    def _deduce(self, f: int, b: int, g: int) -> None:
+        col = self.cols[g]
+        col[f] = b
+        col[b] = f
+        self.deductions.append((f, g))
+
+    def _rescan(self, f: int, b: int, a: int, x: int) -> tuple[int, int | None]:
+        """Process the coincidence f = b met scanning at a, then give the
+        representative of a and its x-neighbour."""
+        self._coincidence(f, b)
+        a = self._find(a)
+        return a, self.cols[x][a]
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
         a, b = self._find(a), self._find(b)
@@ -157,135 +231,100 @@ class _Enumerator:
         while qi < len(queue):
             dead = queue[qi]
             qi += 1
-            row = self.table[dead]
-            for x in range(self.ngens):
-                other = row[x]
+            for x, col in enumerate(self.cols):
+                other = col[dead]
                 if other is None:
                     continue
-                self.table[other][x] = None
+                col[other] = None
                 self.deductions.append((other, x))
                 mu = self._find(dead)
                 nu = self._find(other)
-                if self.table[mu][x] is not None:
-                    self._merge(nu, self.table[mu][x], queue)
-                elif self.table[nu][x] is not None:
-                    self._merge(mu, self.table[nu][x], queue)
+                if col[mu] is not None:
+                    self._merge(nu, col[mu], queue)
+                elif col[nu] is not None:
+                    self._merge(mu, col[nu], queue)
                 else:
-                    self.table[mu][x] = nu
-                    self.table[nu][x] = mu
+                    col[mu] = nu
+                    col[nu] = mu
                     self.deductions.append((mu, x))
 
-    def _process_deductions(self) -> None:
-        """Scan the relator cycles through each new edge (alpha, x) at alpha.
-
-        A scan traces the word forwards, from beta = alpha·x when that is
-        known, and backwards; a single remaining gap becomes a deduction,
-        and a cycle that closes on a different coset is a coincidence.
-        """
-        table = self.table
+    def _process_deductions(self, scanners: Sequence) -> None:
+        """Scan the relator cycles through each new edge (alpha, x) at alpha,
+        with the scanner of x."""
         deductions = self.deductions
-        scan_words = self.scan_words
-        merged = self.live != self.defined
+        parent = self.parent
         while deductions:
             a, x = deductions.pop()
-            if merged:
+            if parent[a] != a:
                 a = self._find(a)
-            beta = table[a][x]
-            for word, last in scan_words[x]:
-                if beta is None:
-                    f, i = a, 0
-                else:
-                    f, i = beta, 1
-                while i <= last:
-                    nxt = table[f][word[i]]
-                    if nxt is None:
-                        break
-                    f = nxt
-                    i += 1
-                else:
-                    if f != a:
-                        self._coincidence(f, a)
-                        merged = True
-                        a = self._find(a)
-                        beta = table[a][x]
-                    continue
-                b = a
-                j = last
-                while j >= i:
-                    prv = table[b][word[j]]
-                    if prv is None:
-                        break
-                    b = prv
-                    j -= 1
-                else:
-                    self._coincidence(f, b)
-                    merged = True
-                    a = self._find(a)
-                    beta = table[a][x]
-                    continue
-                if j == i:
-                    g = word[i]
-                    table[f][g] = b
-                    table[b][g] = f
-                    deductions.append((f, g))
+            scanners[x](a)
 
     def _scan_and_fill(self, word: tuple[int, ...]) -> None:
         """Trace a subgroup word at coset 0, defining cosets to complete it."""
         f = 0
         for x in word:
-            if self.table[f][x] is None:
+            if self.cols[x][f] is None:
                 self._define(f, x)
-            nxt = self.table[f][x]
+            nxt = self.cols[x][f]
             assert nxt is not None
             f = nxt
         if f != 0:
             self._coincidence(f, 0)
 
     def run(self, subgroup_words: Sequence[tuple[int, ...]]) -> str:
+        # A local list: the scanners hold bound methods, so keeping them on
+        # self would make a cycle that outlives the call with the table.
+        scanners = [
+            bind(self.cols, self._deduce, self._rescan)
+            for bind in _compile_scanners(self.scan_words)
+        ]
         try:
             for w in subgroup_words:
                 self._scan_and_fill(w)
-                self._process_deductions()
+                self._process_deductions(scanners)
             alpha = 0
-            while alpha < len(self.table):
+            while alpha < self.defined:
                 if self.parent[alpha] != alpha:
                     alpha += 1
                     continue
-                for x in range(self.ngens):
+                for x, col in enumerate(self.cols):
                     if self.parent[alpha] != alpha:
                         break
-                    if self.table[alpha][x] is None:
+                    if col[alpha] is None:
                         self._define(alpha, x)
-                        self._process_deductions()
+                        self._process_deductions(scanners)
                 alpha += 1
             return CLOSED
         except _BudgetHit:
             return BUDGET_EXCEEDED
 
-    def live_rows(self) -> list[list[int | None]]:
+    def rows(self) -> list[tuple[int | None, ...]]:
+        """Row a of the table, for every coset a ever defined."""
+        return list(zip(*self.cols)) or [()] * self.defined
+
+    def live_rows(self) -> list[tuple[int | None, ...]]:
         """Rows of the live cosets.  Coincidence processing redirects every
         edge of a dead coset, so live rows name live cosets only."""
         parent = self.parent
-        return [row for a, row in enumerate(self.table) if parent[a] == a]
+        return [row for a, row in enumerate(self.rows()) if parent[a] == a]
 
 
 def _standardize(enum: _Enumerator) -> tuple[tuple[int, ...], ...]:
     """Renumber cosets breadth-first from coset 0 in generator order."""
-    old_new: dict[int, int] = {0: 0}
+    rows = enum.rows()
+    new: list[int | None] = [None] * len(rows)
+    new[0] = 0
     order = [0]
-    qi = 0
-    while qi < len(order):
-        a = order[qi]
-        qi += 1
-        for b in enum.table[a]:
+    for a in order:
+        for b in rows[a]:
             if b is None:
                 raise AssertionError("closed table has a gap")
-            if b not in old_new:
-                old_new[b] = len(order)
+            if new[b] is None:
+                new[b] = len(order)
                 order.append(b)
     if len(order) != enum.live:
         raise AssertionError("coset table action is not transitive")
-    return tuple(tuple(old_new[b] for b in enum.table[a]) for a in order)
+    return tuple(tuple(new[b] for b in rows[a]) for a in order)
 
 
 def todd_coxeter(
@@ -307,7 +346,7 @@ def todd_coxeter(
         return CosetTable(pres.generators, rows, CLOSED, len(rows), enum.defined)
     return CosetTable(
         pres.generators,
-        tuple(tuple(row) for row in enum.live_rows()),
+        tuple(enum.live_rows()),
         status,
         enum.live,
         enum.defined,
@@ -316,8 +355,8 @@ def todd_coxeter(
 
 @memoize
 def enumerate_diagram_group(kind: str, budget: int = DEFAULT_COSET_BUDGET) -> CosetTable:
-    """Enumerate the deflated diagram presentation; cached because the
-    petersen run costs a few seconds and several checks share it."""
+    """Enumerate the deflated diagram presentation; cached because several
+    checks share it and the petersen run is the largest in the package."""
     return todd_coxeter(build_presentation(kind), budget=budget)
 
 

@@ -127,6 +127,47 @@ def test_tessellation_build_failure_is_an_error_record(monkeypatch):
     assert by_id["sign_quotient_n2"] == "pass"
 
 
+def test_boundary_slots_fail_when_the_dot_export_drops_an_edge(monkeypatch):
+    from gosset.geometry import TileGraph
+
+    def status():
+        return {r.check_id: r.status for r in run_suite("tessellation", Options(n=4))}
+
+    assert status()["boundary_slots_n4"] == "pass"
+    to_dot = TileGraph.to_dot
+
+    def dropping_one_edge(graph):
+        lines = to_dot(graph).splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if " -- " in line)
+        return "".join(lines[:first] + lines[first + 1 :])
+
+    monkeypatch.setattr(TileGraph, "to_dot", dropping_one_edge)
+    assert status()["boundary_slots_n4"] == "fail"
+
+
+def test_relator_shuffles_compile_their_scanners_once():
+    from gosset.enumeration import _compile_scanners
+
+    for n in (2, 3):
+        _compile_scanners.cache_clear()
+        cli._relator_order_invariance(cli.Case(n, Options()))
+        info = _compile_scanners.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
+def test_cli_import_compiles_no_scanner():
+    code = (
+        "import gosset.cli; from gosset.enumeration import _compile_scanners; "
+        "print(_compile_scanners.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
+
+
 @pytest.mark.parametrize(
     "suite, broken, failing",
     [

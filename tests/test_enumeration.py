@@ -8,6 +8,7 @@ from gosset.enumeration import (
     BUDGET_EXCEEDED,
     CLOSED,
     CosetTable,
+    _Enumerator,
     enumerate_diagram_group,
     todd_coxeter,
     verify_action_against_matrices,
@@ -23,10 +24,12 @@ EXPECTED_ORDERS = {"a3": 24, "affine_a5": 720, "petersen": 51840}
 PETERSEN_DUMP_SHA256 = "59fa6995eb6ff9cafb582416db6c20713b4a701d386f34f2c09836d9c6c6b113"
 
 A3 = build_presentation("a3")
-# Collapsing presentations: a3 plus one extra relator, which forces
+# Collapsing cases: a3 plus one extra relator, or subgroup words whose scans
+# close a cycle in the backward trace on a second coset; both force
 # coincidences.  Each case is (relators, subgroup words, live, defined).
 COINCIDENCE_CASES = {
     "a3_over_1": (A3.relators, [("1",)], 12, 13),
+    "a3_over_1221_2": (A3.relators, [("1", "2", "2", "1"), ("2",)], 12, 14),
     "a3_plus_13": (A3.relators + (("1", "3"),), [], 2, 4),
     "a3_plus_123": (A3.relators + (("1", "2", "3"),), [], 1, 4),
 }
@@ -110,8 +113,13 @@ def test_partial_table_keeps_live_cosets_only():
     assert table.table == ((0, None, 0),)
 
 
-def _sympy_index(pres, subgroup):
-    from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_c
+def _sympy_table(pres, subgroup, method="coset_enumeration_c"):
+    """sympy's standardized coset table, generator columns only.
+
+    sympy keeps a column for x and one for x^-1; the relators (x, x) make
+    them equal, so its standardization matches the breadth-first one here.
+    """
+    from sympy.combinatorics import fp_groups
     from sympy.combinatorics.free_groups import free_group
 
     free, *gens = free_group(",".join(f"t{g}" for g in pres.generators))
@@ -123,10 +131,11 @@ def _sympy_index(pres, subgroup):
             out = out * letter[a]
         return out
 
-    group = FpGroup(free, [word(r) for r in pres.relators])
-    cosets = coset_enumeration_c(group, [word(w) for w in subgroup])
+    group = fp_groups.FpGroup(free, [word(r) for r in pres.relators])
+    cosets = getattr(fp_groups, method)(group, [word(w) for w in subgroup])
     cosets.compress()
-    return len(cosets.table)
+    cosets.standardize()
+    return tuple(tuple(row[::2]) for row in cosets.table)
 
 
 ORACLE_CASES = {
@@ -141,7 +150,86 @@ def test_index_matches_sympy_coset_enumeration(case):
     pytest.importorskip("sympy")
     relators, subgroup = ORACLE_CASES[case]
     pres = Presentation(A3.generators, relators)
-    assert todd_coxeter(pres, subgroup).n_live == _sympy_index(pres, subgroup)
+    assert todd_coxeter(pres, subgroup).n_live == len(_sympy_table(pres, subgroup))
+
+
+def _fixes_coset_0(table, generators, word):
+    column = {g: k for k, g in enumerate(generators)}
+    coset = 0
+    for a in word:
+        coset = table.table[coset][column[a]]
+    return coset == 0
+
+
+def test_random_extensions_match_sympy_or_stay_symmetric():
+    # Extra relators collapse the group, so scans meet coincidences; small
+    # budgets stop some runs with deductions still pending.  sympy's Felsch
+    # enumerator gives a3 plus the relator (1,) two cosets, in a table that
+    # breaks the relator (2,3)^3, so the oracle is its HLT enumerator.  It
+    # takes 3-5 s on an affine_a5 extension even when the quotient is
+    # trivial, so closed affine_a5 tables are held to the replay certificate
+    # and the subgroup words instead.
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40)
+    @hypothesis.given(st.sampled_from(["a3", "affine_a5"]), st.data())
+    def extended(kind, data):
+        pres = build_presentation(kind)
+        words = st.lists(st.sampled_from(pres.generators), min_size=1, max_size=6).map(tuple)
+        extra = data.draw(st.lists(words, min_size=1, max_size=2))
+        subgroup = data.draw(st.lists(words, max_size=2))
+        budget = data.draw(st.integers(2, 40))
+        pres = Presentation(pres.generators, pres.relators + tuple(extra))
+        table = todd_coxeter(pres, subgroup, budget)
+        assert table.n_live <= table.cosets_defined <= budget
+        if table.status == CLOSED and kind == "a3":
+            assert table.table == _sympy_table(pres, subgroup, "coset_enumeration_r")
+            return
+        if table.status == CLOSED:
+            assert verify_table(table, pres)
+            assert all(_fixes_coset_0(table, pres.generators, w) for w in subgroup)
+            return
+        assert table.status == BUDGET_EXCEEDED
+        # Live rows are listed in coset order and name live cosets only, all
+        # of which the partial table reaches from coset 0.
+        live = sorted({0} | {b for row in table.table for b in row if b is not None})
+        assert len(live) == table.n_live
+        row_of = dict(zip(live, table.table))
+        for a, row in row_of.items():
+            for x, b in enumerate(row):
+                assert b is None or row_of[b][x] == a
+
+    extended()
+
+
+def test_scans_never_meet_an_edge_a_coincidence_cleared(monkeypatch):
+    # A coincidence clears the edges into each dead coset and pushes them as
+    # deductions; it restores every one before any scan reads it, so the
+    # scans, which pop them and re-read beta after a merge, find beta known.
+    A5 = build_presentation("affine_a5")
+    pres = Presentation(A5.generators, A5.relators + (("1", "4"),))
+    pushed, rescans = [], []
+    coincidence, rescan = _Enumerator._coincidence, _Enumerator._rescan
+
+    def checked_coincidence(enum, a, b):
+        start = len(enum.deductions)
+        coincidence(enum, a, b)
+        pushed.append(len(enum.deductions) - start)
+        assert all(enum.cols[x][enum._find(c)] is not None for c, x in enum.deductions)
+
+    def checked_rescan(enum, f, b, a, x):
+        a, beta = rescan(enum, f, b, a, x)
+        rescans.append(beta)
+        return a, beta
+
+    monkeypatch.setattr(_Enumerator, "_coincidence", checked_coincidence)
+    monkeypatch.setattr(_Enumerator, "_rescan", checked_rescan)
+    table = todd_coxeter(pres)
+    assert (table.status, table.n_live, table.cosets_defined) == (CLOSED, 2, 17)
+    assert (len(pushed), sum(pushed)) == (4, 40)
+    assert len(rescans) == 4 and None not in rescans
 
 
 def test_relator_order_does_not_matter():
@@ -160,6 +248,14 @@ def test_relator_order_does_not_matter():
         assert table.order == EXPECTED_ORDERS[kind]
 
     relabelled_and_shuffled()
+
+
+def test_a_long_relator_compiles_and_closes():
+    # The dihedral group of order 3000: one relator of 3000 letters, whose
+    # unrolled scans must stay flat to compile.
+    pres = Presentation(("a", "b"), (("a", "a"), ("b", "b"), ("a", "b") * 1500))
+    table = todd_coxeter(pres)
+    assert (table.status, table.n_live, table.cosets_defined) == (CLOSED, 3000, 3000)
 
 
 def test_without_deflation_the_affine_group_is_infinite():
