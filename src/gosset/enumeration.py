@@ -86,15 +86,18 @@ def _scanner_source(x: int, words: Sequence[tuple[int, ...]], ngens: int) -> str
     """Source of bind(cols, deduce, rescan), which returns scan(a): the
     scans of every word x·u at a, unrolled, in the order of words.
 
-    Per word, one block traces forwards from beta = a·x, or from a at
-    position 0 when beta is unknown, and leaves in f and i the coset and
-    position of the first gap; f = None marks a closed cycle, a coincidence
-    if it ends off a.  A second block traces backwards from a to a gap or
-    to position i: a gap at i is a deduction, and reaching i closes the
-    cycle on a second coset, a coincidence.  Each block is a loop run once,
-    left by break, so the source is flat and linear in the word lengths.
-    The columns are default arguments, read as locals; after a coincidence,
-    rescan gives the representative of a and its x-neighbour.
+    Per word, one block traces forwards from beta = a·x and leaves in f and
+    i the coset and position of the first gap; f = None marks a closed
+    cycle, a coincidence if it ends off a.  beta is always known: a scan
+    starts at a deduction alpha·x = beta, and a coincidence gives every edge
+    it clears a new value before a scan reads it, so a broken invariant
+    fails loudly, indexing by None.  A second block traces backwards from a
+    to a gap or to position i >= 1: a gap at i is a deduction, and reaching
+    i closes the cycle on a second coset, a coincidence.  Each block is a
+    loop run once, left by break, so the source is flat and linear in the
+    word lengths.  The columns are default arguments, read as locals; after
+    a coincidence, rescan gives the representative of a and its
+    x-neighbour.
     """
     cols = ", ".join(f"c{y}" for y in range(ngens))
     defaults = ", ".join(f"c{y}=c{y}" for y in range(ngens))
@@ -106,7 +109,7 @@ def _scanner_source(x: int, words: Sequence[tuple[int, ...]], ngens: int) -> str
     ]
     for word in words:
         last = len(word) - 1
-        lines += ["        while True:", "            if beta is None: f = a; i = 0; break"]
+        lines.append("        while True:")
         f = "beta"
         for i in range(1, last + 1):
             lines.append(f"            if (f{i} := c{word[i]}[{f}]) is None: f = {f}; i = {i}; break")
@@ -120,8 +123,6 @@ def _scanner_source(x: int, words: Sequence[tuple[int, ...]], ngens: int) -> str
             lines.append("                break")
             lines.append(f"            if i == {j}: a, beta = rescan(f, b{k}, a, {x}); break")
             b = f"b{k}"
-        lines.append(f"            if (b0 := c{x}[{b}]) is None: deduce(f, {b}, {x})")
-        lines.append(f"            else: a, beta = rescan(f, b0, a, {x})")
         lines.append("            break")
     lines += ["    return scan", ""]
     return "\n".join(lines)

@@ -34,15 +34,34 @@ def layer_builds(monkeypatch):
     built = []
     closure = isometry.layered_closure
 
-    def counting_closure(identity, identity_key, candidate_keys, build, budget):
+    def counting_closure(identity, pick, build, key, budget):
         def counting_build(frontier, picks):
             built.append(len(picks))
             return build(frontier, picks)
 
-        return closure(identity, identity_key, candidate_keys, counting_build, budget)
+        return closure(identity, pick, counting_build, key, budget)
 
     monkeypatch.setattr(isometry, "layered_closure", counting_closure)
     return built
+
+
+@pytest.fixture
+def poincare_coefficients():
+    """A helper: the coefficients of prod_i (1 + q + ... + q^(d_i - 1)).
+
+    For a finite Coxeter group with degrees d_i, the coefficient of q^k
+    counts its elements of length k (Humphreys, Reflection Groups and
+    Coxeter Groups, chapter 3).
+    """
+    import numpy as np
+
+    def coefficients(degrees):
+        poly = np.ones(1, dtype=np.int64)
+        for d in degrees:
+            poly = np.convolve(poly, np.ones(d, dtype=np.int64))
+        return poly.tolist()
+
+    return coefficients
 
 
 @pytest.fixture

@@ -128,12 +128,19 @@ def test_criterion_05_congruence_kernels_trivial():
 @pytest.mark.skipif(
     int(os.environ.get("GOSSET_MAX_N", "6")) < 7, reason="set GOSSET_MAX_N=7 to run n = 7"
 )
-def test_congruence_n7_memory_stays_within_a_few_layers(traced_peak_mb):
+def test_congruence_n7_memory_stays_within_a_few_layers(
+    traced_peak_mb, layer_builds, poincare_coefficients
+):
     # The streamed closure holds two layers (the largest has 131,046
     # elements), never the 2,903,040 matrices: that alone is 186 MB of int8.
     result, peak = traced_peak_mb(congruence_intersection_check, 7)
     assert result == CongruenceIntersection(7, 2903040, 1, 1)
     assert peak < 64, f"the n = 7 check traced a {peak:.1f} MB peak"
+    # Its layers count the elements of E7 by length, the coefficients of the
+    # Poincare polynomial of its degrees 2, 6, 8, 10, 12, 14 and 18.
+    sizes = [1] + layer_builds
+    assert sizes == poincare_coefficients((2, 6, 8, 10, 12, 14, 18))
+    assert (len(sizes), max(sizes)) == (64, 131046)
 
 
 def test_criterion_06_diagram_identities():

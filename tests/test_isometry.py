@@ -258,24 +258,45 @@ def test_row_chunk_boundaries_change_no_closure(monkeypatch):
     _assert_mod3_closures_match_pins(reflection_image_mod3.__wrapped__)
 
 
-def _materialised_counts(gen_rows):
-    """Order and elements = I mod 2 and mod 3 of the whole closure, kept."""
-    mats = _closure(gen_rows).astype(np.int64)
+def _materialised_counts(mats):
+    """Order and elements = I mod 2 and mod 3 of a whole group, kept."""
+    mats = mats.astype(np.int64)
     diff = mats - np.eye(mats.shape[1], dtype=np.int64)
     return (len(mats), *(int((~(diff % p).any(axis=(1, 2))).sum()) for p in (2, 3)))
 
 
 def test_streamed_congruence_counts_find_minus_identity():
     # -I is = I mod 2 but not mod 3: a positive control for the key prefilter,
-    # which must keep every element whose M v = v mod p.  The chamber vector
-    # still keys <W, -I> injectively, as the doubled orders show.
+    # which must keep every element whose M v = v mod p.  <W, -I> is W and -W,
+    # fed to the counts as W's layers and then -W's, each keyed by -M v.
     for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
-        gens = [g.entries for g in long_simple_reflections(n)]
-        assert _congruence_counts(gens) == _materialised_counts(gens) == (order, 1, 1)
-        minus = tuple(tuple(-int(r == c) for c in range(n + 1)) for r in range(n + 1))
+        products = _MatrixProducts([g.entries for g in long_simple_reflections(n)], None, False)
+        layers = list(products.layers(10**6))
+        mats = np.concatenate([block for block, _ in layers])
+        assert _congruence_counts(layers) == _materialised_counts(mats) == (order, 1, 1)
+        negated = [(-block, products.keys(-block)) for block, _ in layers]
         expected = (2 * order, 2, 1)
-        assert _congruence_counts(gens + [minus]) == expected, n
-        assert _materialised_counts(gens + [minus]) == expected, n
+        assert _congruence_counts(layers + negated) == expected, n
+        assert _materialised_counts(np.concatenate([mats, -mats])) == expected, n
+
+
+# Degrees of the stabilizers, the Coxeter groups A1, A2 x A1, A4, D5 and E6 of
+# the long simple reflections (Humphreys, Reflection Groups and Coxeter
+# Groups, 3.7).  n = 7, E7, runs in the opt-in memory guard.
+STABILIZER_DEGREES = {
+    2: (2,),
+    3: (2, 3, 2),
+    4: (2, 3, 4, 5),
+    5: (2, 4, 5, 6, 8),
+    6: (2, 5, 6, 8, 9, 12),
+}
+
+
+def test_integer_closure_layers_count_the_elements_of_each_length(poincare_coefficients):
+    for n, degrees in STABILIZER_DEGREES.items():
+        gens = [g.entries for g in long_simple_reflections(n)]
+        sizes = [len(block) for block, _ in _MatrixProducts(gens, None, False).layers(10**6)]
+        assert sizes == poincare_coefficients(degrees), n
 
 
 def _oracle_closure(gens, modulus, projective):
@@ -351,7 +372,7 @@ def test_closure_budget_fails_before_building_the_layer(layer_builds):
     assert layer_builds and 1 + sum(layer_builds) <= 1000
 
 
-def test_closure_requires_inverse_closed_generators():
+def test_closure_requires_inverse_closed_generators(layer_builds):
     s = long_simple_reflections(3)
     rotation = s[1] @ s[2]  # order 3: its inverse s[2] s[1] is not in the set
     with pytest.raises(ValueError, match="inversion"):
@@ -365,7 +386,17 @@ def test_closure_requires_inverse_closed_generators():
             GroupClosure([singular], projective=projective)
     # With its inverse added the set is closed: a cyclic group of order 3.
     inverse = rotation @ rotation
-    assert len(_closure([rotation.entries, inverse.entries])) == 3
+    assert GroupClosure([reduce_mod(rotation, 3), reduce_mod(inverse, 3)]).order == 3
+    # Involutions pass that check, but an integer closure walks descents and
+    # takes only distinct simple reflections: -I, a repeated generator and the
+    # reflection s[1] s[2] s[1] in the root e_1 - e_3 fail before any layer.
+    minus = tuple(tuple(-int(r == c) for c in range(4)) for r in range(4))
+    reflection = (s[1] @ s[2] @ s[1]).entries
+    layer_builds.clear()
+    for gens in ([minus], [s[0].entries, s[0].entries], [s[0].entries, reflection]):
+        with pytest.raises(ValueError, match="distinct simple reflections"):
+            _MatrixProducts(gens, None, False).layers(10**6)
+    assert layer_builds == []
 
 
 def test_integer_closure_overflow_raises():
