@@ -9,26 +9,27 @@ Groups are enumerated by exhaustive breadth-first closure under right
 multiplication by the generators, one vectorized layer at a time.  The one
 layer loop, layered_closure, asks a pick rule which products of the frontier
 are new, checks the budget, multiplies out only those, as int8 in batches of
-a fixed number of rows, and yields the layer.  Mod m, and in orbit(), the
-rule goes by keys: each product has an int64 key, computed before it is
-built, and a layer's candidate keys are deduplicated once and looked up in
-the sorted keys of the two layers before it.  Over Z it goes by descents and
-keys nothing: the generators are distinct reflections s in simple roots
-alpha_s, and for the chamber vector v, l(ws) > l(w) iff (w alpha_s, v) > 0
+a fixed number of rows, and yields the layer as a bare block of elements.
+Keys belong to the pick rule alone.  Mod m, and in orbit(), the rule goes by
+keys: each product has an int64 key, computed before it is built, and a
+layer's candidate keys are deduplicated once and looked up in the sorted
+keys of the two layers before it.  Over Z it goes by descents and keys
+nothing: the generators are distinct reflections s in simple roots alpha_s,
+and for the chamber vector v, l(ws) > l(w) iff (w alpha_s, v) > 0
 (Humphreys, Reflection Groups and Coxeter Groups, 5.4), while each element
 is first reached, in generator-major order, at its least right descent
-(Bjorner and Brenti, Combinatorics of Coxeter Groups, 1.4).  The keys of the
-elements built, M v over Z, come afterwards.  GroupClosure is the one
-closure that is kept: it collects the layers of _MatrixProducts, with their
-keys for lookup.  finite_group_elements and orbit() keep only the elements,
-and the congruence check counts the layers and drops them.  So the largest
-case in scope, the finite stabilizer for n = 7 (order 2903040), takes about
-1.6 s and 71 MB peak RSS, bounded by its largest layer rather than by the
-group order.  Matrix closures fail fast past DEFAULT_ELEMENT_BUDGET
-elements, orbits past the budget their caller gives.  Everything downstream
-(projectivization, coset spaces, the trivial-intersection checks against
-congruence subgroups) is built on that engine; layered_closure also closes
-orbits of integer rows (orbit(): the E6 roots and root permutations,
+(Bjorner and Brenti, Combinatorics of Coxeter Groups, 1.4).  GroupClosure
+is the one closure that is kept: it collects the layers of _MatrixProducts
+and keys its elements once, for lookup.  finite_group_elements and orbit()
+concatenate the layers, and the congruence check counts them and drops
+them.  So the largest case in scope, the finite stabilizer for n = 7 (order
+2903040), takes about 1.4 s and 68 MB peak RSS, bounded by its largest
+layer rather than by the group order.  Matrix closures fail fast past
+DEFAULT_ELEMENT_BUDGET elements, which is also what stops an infinite group
+over Z; orbits fail past the budget their caller gives.  Everything
+downstream (projectivization, coset spaces, the trivial-intersection checks
+against congruence subgroups) is built on that engine; layered_closure also
+closes orbits of integer rows (orbit(): the E6 roots and root permutations,
 stabilizer orbits), and its mod-m products walk coset tables in the
 enumeration certificate.
 
@@ -262,26 +263,25 @@ def layered_closure(
     identity: np.ndarray,
     pick: Callable[[np.ndarray], np.ndarray],
     build: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    key: Callable[[np.ndarray], np.ndarray],
     budget: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """Breadth-first closure under right multiplication, one layer at a time.
 
     pick(F) gives the positions of the new products F g of a frontier F,
     sorted, in generator-major candidate order (position i |F| + j is row j
     times the i-th generator), each new element once; build(F, picks) builds
-    them, after the budget has been checked, and key(block) keys a layer.
-    The pick rule may keep state from one layer to the next: _fresh_keys
-    and _MatrixProducts._descents are the two.
+    them, after the budget has been checked.  The pick rule may keep state
+    from one layer to the next, keys included: _fresh_keys and
+    _MatrixProducts._descents are the two.
 
-    Yields the elements and their keys, one (block, keys) pair per layer,
-    the identity layer first.  Nothing else is kept, so a caller that keeps
-    no block holds at most two layers of elements: the one it reads and the
-    frontier the next is built from.
+    Yields the elements, one block per layer, the identity layer first.
+    Nothing else is kept, so a caller that keeps no block holds at most two
+    layers of elements: the one it reads and the frontier the next is built
+    from.
     """
     frontier = identity
     count = len(identity)
-    yield identity, key(identity)
+    yield identity
     while True:
         picks = pick(frontier)
         if not len(picks):
@@ -290,7 +290,7 @@ def layered_closure(
             raise ClosureBudgetExceeded(f"closure exceeded element budget {budget}")
         frontier = build(frontier, picks)
         count += len(picks)
-        yield frontier, key(frontier)
+        yield frontier
 
 
 def _fresh_keys(
@@ -340,8 +340,8 @@ def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray], budget: i
         return _pack_int8(images)
 
     pick = _fresh_keys(image_keys, keys)
-    layers = layered_closure(seeds, pick, lambda f, picks: images[picks], _pack_int8, budget)
-    return np.concatenate([block for block, _ in layers])
+    layers = layered_closure(seeds, pick, lambda f, picks: images[picks], budget)
+    return np.concatenate(list(layers))
 
 
 # Rows keyed or multiplied per batch: the temporaries of a layer, or of
@@ -357,18 +357,15 @@ def _chunks(stop: int, start: int = 0) -> Iterator[slice]:
 class _MatrixProducts:
     """Exact products M g of int8 matrices M by a fixed list of generators g.
 
-    Every element has an int64 key:
+    Mod m, every element has an int64 key: the base-m digits of the reduced
+    matrix, most significant first.  When projective, the class {M, -M} is
+    keyed, and built, by whichever sign has the smaller key, whatever the
+    signs of M and the generators.  Products are keyed before they are
+    built, and closures pick by keys.  Over Z nothing is keyed: closures
+    pick by descents, and the element budget stops an infinite group.
 
-    - mod m: the base-m digits of the reduced matrix, most significant first;
-      when projective, the class {M, -M} is keyed, and built, by whichever
-      sign has the smaller key, whatever the signs of M and the generators.
-      Products are keyed before they are built, and closures pick by keys.
-    - over Z: M v packed as eight int8 values, v = chamber_vector(d - 1),
-      which is injective on the reflection group of Z^{d-1,1}.  Closures pick
-      by descents, and only the elements built are keyed.
-
-    Products run in float32, which is exact: every entry and key entry stays
-    within int8, so no partial sum comes near 2^24.
+    Products run in float32, which is exact: every entry stays within int8,
+    so no partial sum comes near 2^24.
     """
 
     def __init__(
@@ -387,11 +384,8 @@ class _MatrixProducts:
 
         gens = np.array(gen_rows, dtype=np.int64)
         if modulus is None:
-            if d > 8:
-                raise ValueError("integer closures pack keys for dimension at most 8")
             if np.abs(gens).max() > 127:
                 raise OverflowError("matrix entries exceed int8 storage")
-            self._chamber = np.array(chamber_vector(d - 1).coords, dtype=np.float32)
         else:
             if modulus > 128 or modulus ** (d * d) > 2**63:
                 raise ValueError("mod-m keys need m <= 128 and m^(d*d) <= 2^63")
@@ -429,14 +423,10 @@ class _MatrixProducts:
         return flat.astype(np.int64) @ self._powers
 
     def keys(self, mats: np.ndarray) -> np.ndarray:
-        """The key of each int8 matrix, in row chunks."""
+        """The key of each int8 matrix mod m, in row chunks."""
         keys = np.empty(len(mats), dtype=np.int64)
         for rows in _chunks(len(mats)):
-            if self.modulus is None:
-                images = mats[rows].reshape(-1, self.dimension).astype(np.float32) @ self._chamber
-                keys[rows] = _pack_int8(images.reshape(-1, self.dimension))
-            else:
-                keys[rows] = self._digits(mats[rows].reshape(-1, self.dimension**2))
+            keys[rows] = self._digits(mats[rows].reshape(-1, self.dimension**2))
         return keys
 
     def product_keys(self, mats: np.ndarray, gen: np.ndarray) -> np.ndarray:
@@ -466,8 +456,8 @@ class _MatrixProducts:
                 out[chunk] = self.products(frontier[picks[chunk] - i * len(frontier)], g)
         return out
 
-    def layers(self, budget: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The closure from the identity, one (block, keys) layer at a time.
+    def layers(self, budget: int) -> Iterator[np.ndarray]:
+        """The closure from the identity, one block of int8 matrices a layer.
 
         The generator set must be closed under inversion: each g has a g' in
         the set with g g' = I (+-I when projective).  Over Z it must be a set
@@ -482,7 +472,7 @@ class _MatrixProducts:
             pick = self._descents()
         else:
             pick = _fresh_keys(self.candidate_keys, self.keys(ident))
-        return layered_closure(ident, pick, self.build, self.keys, budget)
+        return layered_closure(ident, pick, self.build, budget)
 
     def _descents(self) -> Callable[[np.ndarray], np.ndarray]:
         """The pick rule by descents, for distinct simple reflections of Z^{d-1,1}.
@@ -529,8 +519,8 @@ class GroupClosure(_MatrixProducts):
     """Finite matrix group over Z/m obtained by exhaustive closure.
 
     The layers of _MatrixProducts, kept: the elements as one int8 array, mats,
-    in discovery order (element 0 is the identity), and their keys, sorted
-    for lookup on first use.  With projective=True elements are classes
+    in discovery order (element 0 is the identity), and their keys, computed
+    once and sorted for lookup.  With projective=True elements are classes
     {M, -M}; that is the right model for quotients like PGO where -I must be
     factored out.  The engine keys and stores each class by the sign with the
     smaller key, for elements, products and queries alike, so generators and
@@ -547,20 +537,16 @@ class GroupClosure(_MatrixProducts):
             raise ValueError("generators must share a modulus")
         self.generators = tuple(generators)
         super().__init__([g.entries for g in generators], m, projective)
-        blocks, self._key_blocks = zip(*self.layers(DEFAULT_ELEMENT_BUDGET))
-        self.mats = np.concatenate(blocks)
+        self.mats = np.concatenate(list(self.layers(DEFAULT_ELEMENT_BUDGET)))
         self.order = len(self.mats)
-        self._lookup: tuple[np.ndarray, np.ndarray] | None = None
+        keys = self.keys(self.mats)
+        self._key_order = np.argsort(keys)
+        self._sorted_keys = keys[self._key_order]
 
     def index_of_keys(self, keys: np.ndarray) -> np.ndarray:
         """Discovery index of each key, -1 where the key is not in the closure."""
-        if self._lookup is None:
-            all_keys = np.concatenate(self._key_blocks)
-            order = np.argsort(all_keys)
-            self._lookup = (all_keys[order], order)
-        sorted_keys, order = self._lookup
-        pos = _positions(sorted_keys, keys)
-        return np.where(pos >= 0, order[pos], -1)
+        pos = _positions(self._sorted_keys, keys)
+        return np.where(pos >= 0, self._key_order[pos], -1)
 
     def _entries(self, mat: ModularMatrix) -> Rows:
         if mat.modulus != self.modulus:
@@ -599,7 +585,7 @@ def finite_group_elements(generators: Sequence[LatticeIsometry]) -> np.ndarray:
     (infinite group) fails fast instead of silently grinding.
     """
     products = _MatrixProducts([g.entries for g in generators], None, False)
-    return np.concatenate([block for block, _ in products.layers(DEFAULT_ELEMENT_BUDGET)])
+    return np.concatenate(list(products.layers(DEFAULT_ELEMENT_BUDGET)))
 
 
 @dataclass(frozen=True)
@@ -626,11 +612,11 @@ def congruence_intersection_check(n: int) -> CongruenceIntersection:
     (w alpha_s, v) > 0 for the chamber vector v (Humphreys, Reflection
     Groups and Coxeter Groups, 5.4), and it is first reached at its least
     right descent (Bjorner and Brenti, Combinatorics of Coxeter Groups,
-    1.4), so no product is keyed, sorted or looked up before it is built.
-    The closure is streamed: each layer is counted as it is found and
-    dropped, so at most two layers of matrices are held.  n = 7 enumerates
-    2903040 matrices in about 1.6 s and 71 MB peak RSS; keep it behind an
-    opt-in switch in callers.
+    1.4), so no element is keyed, sorted or looked up, before it is built or
+    after.  The closure is streamed: each layer is counted as it is found
+    and dropped, so at most two layers of matrices are held.  n = 7
+    enumerates 2903040 matrices in about 1.4 s and 68 MB peak RSS; keep it
+    behind an opt-in switch in callers.
     """
     if not 2 <= n <= 7:
         raise ValueError(f"n must be between 2 and 7, got {n}")
@@ -638,20 +624,18 @@ def congruence_intersection_check(n: int) -> CongruenceIntersection:
     return CongruenceIntersection(n, *_congruence_counts(products.layers(DEFAULT_ELEMENT_BUDGET)))
 
 
-def _congruence_counts(layers: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[int, int, int]:
+def _congruence_counts(layers: Iterable[np.ndarray]) -> tuple[int, int, int]:
     """The number of integer matrices in some layers, and of those = I mod 2 and mod 3.
 
     The layers are counted one at a time and none is kept.  M = I (mod p)
-    implies M v = v (mod p) for the chamber vector v, so M - I is reduced
-    only for the elements whose keys, M v unpacked, pass that test.
+    implies M e_0 = e_0 (mod p), so M - I is reduced only for the elements
+    whose first column of M - I vanishes mod p.
     """
     order, fixed = 0, {2: 0, 3: 0}
-    for block, keys in layers:
-        d = block.shape[1]
-        v = np.array(chamber_vector(d - 1).coords, dtype=np.int16)
-        ident = np.eye(d, dtype=np.int8)
+    for block in layers:
+        ident = np.eye(block.shape[1], dtype=np.int8)
         order += len(block)
-        moved = keys.view(np.int8).reshape(-1, 8)[:, :d] - v
+        moved = block[:, :, 0] - ident[:, 0]
         for p in fixed:
             survivors = block[~(moved % p).any(axis=1)]
             fixed[p] += int((~((survivors - ident) % p).any(axis=(1, 2))).sum())

@@ -34,12 +34,12 @@ def layer_builds(monkeypatch):
     built = []
     closure = isometry.layered_closure
 
-    def counting_closure(identity, pick, build, key, budget):
+    def counting_closure(identity, pick, build, budget):
         def counting_build(frontier, picks):
             built.append(len(picks))
             return build(frontier, picks)
 
-        return closure(identity, pick, counting_build, key, budget)
+        return closure(identity, pick, counting_build, budget)
 
     monkeypatch.setattr(isometry, "layered_closure", counting_closure)
     return built

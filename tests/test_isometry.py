@@ -189,8 +189,7 @@ def test_congruence_intersection_trivial_small():
 
 def _closure(gen_rows, modulus=None, projective=False, budget=10**6):
     """The elements of a closure in discovery order, from its layers."""
-    layers = _MatrixProducts(gen_rows, modulus, projective).layers(budget)
-    return np.concatenate([block for block, _ in layers])
+    return np.concatenate(list(_MatrixProducts(gen_rows, modulus, projective).layers(budget)))
 
 
 def _sha256(array, dtype):
@@ -266,15 +265,15 @@ def _materialised_counts(mats):
 
 
 def test_streamed_congruence_counts_find_minus_identity():
-    # -I is = I mod 2 but not mod 3: a positive control for the key prefilter,
-    # which must keep every element whose M v = v mod p.  <W, -I> is W and -W,
-    # fed to the counts as W's layers and then -W's, each keyed by -M v.
+    # -I is = I mod 2 but not mod 3: a positive control for the first-column
+    # prefilter, which must keep every element whose M e_0 = e_0 mod p.
+    # <W, -I> is W and -W, fed to the counts as W's layers and then -W's.
     for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
         products = _MatrixProducts([g.entries for g in long_simple_reflections(n)], None, False)
         layers = list(products.layers(10**6))
-        mats = np.concatenate([block for block, _ in layers])
+        mats = np.concatenate(layers)
         assert _congruence_counts(layers) == _materialised_counts(mats) == (order, 1, 1)
-        negated = [(-block, products.keys(-block)) for block, _ in layers]
+        negated = [-block for block in layers]
         expected = (2 * order, 2, 1)
         assert _congruence_counts(layers + negated) == expected, n
         assert _materialised_counts(np.concatenate([mats, -mats])) == expected, n
@@ -295,7 +294,7 @@ STABILIZER_DEGREES = {
 def test_integer_closure_layers_count_the_elements_of_each_length(poincare_coefficients):
     for n, degrees in STABILIZER_DEGREES.items():
         gens = [g.entries for g in long_simple_reflections(n)]
-        sizes = [len(block) for block, _ in _MatrixProducts(gens, None, False).layers(10**6)]
+        sizes = [len(block) for block in _MatrixProducts(gens, None, False).layers(10**6)]
         assert sizes == poincare_coefficients(degrees), n
 
 
@@ -372,6 +371,15 @@ def test_closure_budget_fails_before_building_the_layer(layer_builds):
     assert layer_builds and 1 + sum(layer_builds) <= 1000
 
 
+def test_infinite_integer_closure_stops_at_the_budget(layer_builds):
+    # At n = 8 the long simple reflections generate the affine Weyl group of
+    # E8, an infinite group: only the element budget stops its walk.
+    gens = [g.entries for g in long_simple_reflections(8)]
+    with pytest.raises(ClosureBudgetExceeded):
+        list(_MatrixProducts(gens, None, False).layers(10**5))
+    assert layer_builds and 1 + sum(layer_builds) <= 10**5
+
+
 def test_closure_requires_inverse_closed_generators(layer_builds):
     s = long_simple_reflections(3)
     rotation = s[1] @ s[2]  # order 3: its inverse s[2] s[1] is not in the set
@@ -402,7 +410,9 @@ def test_closure_requires_inverse_closed_generators(layer_builds):
 def test_integer_closure_overflow_raises():
     from gosset.geometry import simple_reflection_matrices
 
-    gens = [g.entries for g in simple_reflection_matrices(4)]
+    # All simple reflections generate an infinite group, whose entries pass
+    # int8 mid-walk; at n = 3 that comes well before the budget.
+    gens = [g.entries for g in simple_reflection_matrices(3)]
     with pytest.raises(OverflowError):
         _closure(gens)
     big = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((200, 0, 0), (0, 1, 0), (0, 0, 1))
