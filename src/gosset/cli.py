@@ -71,7 +71,6 @@ from .e6 import (
 from .eisenstein import OMEGA, ONE, ZERO, EisensteinVector, eis, evec, herm, hexaflection
 from .enumeration import (
     BUDGET_EXCEEDED,
-    DEFAULT_COSET_BUDGET,
     enumerate_diagram_group,
     todd_coxeter,
     verify_action_against_matrices,
@@ -144,7 +143,6 @@ NEGATIVE_CONTROL_BUDGET = 100_000
 class Options:
     n: int | None = None
     max_n: int = 6
-    budget: int = DEFAULT_COSET_BUDGET
     seed: int = 0
 
 
@@ -378,20 +376,20 @@ def _deflation_integer_nonidentity(c):
 
 @check("enumeration", "coset_order_{kind}", DIMS)
 def _coset_order(c):
-    table = enumerate_diagram_group(c.kind, c.options.budget)
+    table = enumerate_diagram_group(c.kind)
     return REFLECTION_GROUP_ORDERS[c.n], table.order, f"defined {table.cosets_defined} cosets"
 
 
 @check("enumeration", "replay_certificate_{kind}", DIMS)
 def _replay_certificate(c):
-    table = enumerate_diagram_group(c.kind, c.options.budget)
+    table = enumerate_diagram_group(c.kind)
     ok = verify_table(table, build_presentation(c.kind))
     return True, ok, "independent replay of the finished table"
 
 
 @check("enumeration", "matrix_cross_check_{kind}", DIMS)
 def _matrix_cross_check(c):
-    table = enumerate_diagram_group(c.kind, c.options.budget)
+    table = enumerate_diagram_group(c.kind)
     cert = verify_action_against_matrices(table, wall_reflections_mod3(c.n))
     expected = {"consistent": True, "matrix_group_order": REFLECTION_GROUP_ORDERS[c.n]}
     actual = {"consistent": cert.consistent, "matrix_group_order": cert.matrix_group_order}
@@ -418,7 +416,7 @@ def _relator_order_invariance(c):
         rels = list(pres.relators)
         rng.shuffle(rels)
         shuffled = replace(pres, relators=tuple(rels))
-        orders.append(todd_coxeter(shuffled, budget=c.options.budget).order)
+        orders.append(todd_coxeter(shuffled).order)
     return [REFLECTION_GROUP_ORDERS[c.n]] * 3, orders, "relator order does not change the result"
 
 
@@ -524,7 +522,7 @@ def _generation_order(c):
 
 @check("e6", "triple_agreement")
 def _triple_agreement(c):
-    table = enumerate_diagram_group("petersen", c.options.budget)
+    table = enumerate_diagram_group("petersen")
     # The only closure of the ten wall reflections.  reflection_image_mod3(4) closes the
     # simple reflections; reading its order here would repeat lagrange_n4, not check it.
     matrix_group = GroupClosure(tuple(wall_reflections_mod3(4).values()), projective=True)
@@ -676,10 +674,6 @@ def main(argv: list[str] | None = None) -> int:
         "--max-n", type=int, choices=range(2, 8), default=6, metavar="N",
         help="largest dimension for the stabilizer congruence checks (default 6; 7 is slow)",
     )
-    parser.add_argument(
-        "--budget", type=int, default=DEFAULT_COSET_BUDGET,
-        help="coset budget for enumerations (default %(default)s)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="seed for the relator shuffles")
     parser.add_argument(
         "--out", type=Path, default=None,
@@ -688,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=("json", "dot"), default="json")
     args = parser.parse_args(argv)
 
-    options = Options(n=args.n, max_n=args.max_n, budget=args.budget, seed=args.seed)
+    options = Options(n=args.n, max_n=args.max_n, seed=args.seed)
 
     if args.format == "dot":
         try:

@@ -355,10 +355,10 @@ def todd_coxeter(
 
 
 @memoize
-def enumerate_diagram_group(kind: str, budget: int = DEFAULT_COSET_BUDGET) -> CosetTable:
+def enumerate_diagram_group(kind: str) -> CosetTable:
     """Enumerate the deflated diagram presentation; cached because several
     checks share it and the petersen run is the largest in the package."""
-    return todd_coxeter(build_presentation(kind), budget=budget)
+    return todd_coxeter(build_presentation(kind))
 
 
 def verify_table(table: CosetTable, pres: Presentation) -> bool:

@@ -4,9 +4,9 @@ For n = 2, 3, 4 the fundamental polytope P of O+(Z^{n,1}) has walls mirrored
 by norm-1 roots: the coordinate roots e_i together with e_0 - e_j - e_k.
 Distinct walls pair to 0 (orthogonal) or -1 (parallel, meeting at the ideal
 boundary), so P is right angled.  The finite stabilizer of P, generated by
-the long simple reflections, permutes the walls; its orbit structure and the
-words expressing wall reflections in terms of simple reflections are
-verified here rather than assumed.
+the long simple reflections, permutes the walls.  That the wall mirrors are
+exactly the reflections in the stabilizer orbits of the norm-1 simple roots
+is verified here rather than assumed, as are the chamber-vertex orbits.
 
 Reducing mod 3 and factoring out -I gives a finite quotient in which the
 images of P tile: tiles are cosets of the stabilizer image, and crossing
@@ -29,6 +29,7 @@ from .lattice import (
     basis_vector,
     chamber_vertices,
     inner,
+    norm,
     root,
     simple_roots,
 )
@@ -113,28 +114,6 @@ def wall_pair_classification(walls: GossetWallSystem) -> WallPairClassification:
     return WallPairClassification(tuple(orth), tuple(par))
 
 
-def generator_words(n: int) -> dict[str, tuple[int, ...]]:
-    """Words in the simple reflections s_0..s_n whose products mirror the walls.
-
-    Known in closed form for n = 2 and 3.  For n = 4 the wall reflections
-    are exactly the stabilizer conjugates w s_4 w^{-1}, which are the
-    reflections s_{w alpha_4} since w s_alpha w^{-1} = s_{w alpha}; see
-    conjugate_wall_set().
-    """
-    if n == 2:
-        return {"1": (1, 2, 1), "2": (2,), "3": (0,)}
-    if n == 3:
-        return {
-            "1": (1, 2, 3, 2, 1),
-            "2": (2, 3, 2),
-            "3": (3,),
-            "4": (0, 3, 0),
-            "5": (0, 1, 2, 3, 2, 1, 0),
-            "6": (0, 2, 3, 2, 0),
-        }
-    raise ValueError(f"closed-form wall words are known for n in (2, 3), got {n}")
-
-
 @memoize
 def simple_reflection_matrices(n: int) -> tuple[LatticeIsometry, ...]:
     return tuple(reflection_matrix(a) for a in simple_roots(n))
@@ -145,30 +124,23 @@ def wall_reflection_matrices(n: int) -> dict[str, LatticeIsometry]:
     return {lab: reflection_matrix(r) for lab, r in zip(walls.labels, walls.roots)}
 
 
-def conjugate_wall_set(n: int = 4) -> set[LatticeIsometry]:
-    """All stabilizer conjugates w s_n w^{-1}; for n = 4 these are the 10 walls.
+def conjugate_wall_set(n: int) -> set[LatticeIsometry]:
+    """Reflections in the stabilizer orbits of the norm-1 simple roots.
 
-    w s_alpha w^{-1} = s_{w alpha} for every isometry w, so they are the
-    reflections in the stabilizer orbit of the root alpha_n = e_n.
+    w s_alpha w^{-1} = s_{w alpha} for every isometry w (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.2), so these are the stabilizer conjugates of
+    the short simple reflections: alpha_0 and alpha_2 at n = 2, alpha_n alone
+    at n = 3 and 4.
     """
-    return {reflection_matrix(r) for r in stabilizer_orbit(n, basis_vector(n, n))}
+    short = [a for a in simple_roots(n) if norm(a) == 1]
+    return {reflection_matrix(r) for a in short for r in stabilizer_orbit(n, a)}
 
 
 def verify_generator_words(n: int) -> bool:
-    """Check that the claimed words (or conjugates, n = 4) hit the wall mirrors."""
-    s = simple_reflection_matrices(n)
-    walls = wall_reflection_matrices(n)
-    if n in (2, 3):
-        for lab, word in generator_words(n).items():
-            prod = LatticeIsometry.identity(n + 1)
-            for i in word:
-                prod = prod @ s[i]
-            if prod != walls[lab]:
-                return False
-        return True
-    if n == 4:
-        return conjugate_wall_set(4) == set(walls.values())
-    raise ValueError(f"generator words are defined for n in (2, 3, 4), got {n}")
+    """Check that the wall mirrors are the stabilizer conjugates of the short simple
+    reflections; the walls come first, so an n without walls raises before any orbit."""
+    walls = set(wall_reflection_matrices(n).values())
+    return walls == conjugate_wall_set(n)
 
 
 def stabilizer_orbit(n: int, v: LatticeVector) -> frozenset[LatticeVector]:
@@ -193,10 +165,7 @@ class VertexOrbits:
 
 def vertex_orbits(n: int) -> VertexOrbits:
     verts = chamber_vertices(n)
-    center = verts[n]
-    fixed = all(
-        g.apply(center) == center for g in long_simple_reflections(n)
-    )
+    fixed = len(stabilizer_orbit(n, verts[n])) == 1
     return VertexOrbits(n, stabilizer_orbit(n, verts[0]), stabilizer_orbit(n, verts[1]), fixed)
 
 

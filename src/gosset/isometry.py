@@ -124,13 +124,6 @@ class LatticeIsometry:
             tuple(tuple(sum(ar[k] * bc[k] for k in range(d)) for bc in cols) for ar in a)
         )
 
-    def apply(self, v: LatticeVector) -> LatticeVector:
-        if len(v.coords) != self.dimension:
-            raise ValueError("dimension mismatch")
-        return LatticeVector(
-            tuple(sum(row[k] * v.coords[k] for k in range(len(row))) for row in self.entries)
-        )
-
     @staticmethod
     def identity(d: int) -> "LatticeIsometry":
         return LatticeIsometry(tuple(tuple(int(r == c) for c in range(d)) for r in range(d)))

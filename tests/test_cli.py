@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from gosset import cli
+from gosset import cli, geometry
 from gosset.cli import Options, main, run_suite
 from gosset.eisenstein import OMEGA, EisensteinInteger, herm
-from gosset.lattice import inner, reflect
+from gosset.geometry import gosset_walls
+from gosset.lattice import basis_vector, chamber_vertices, inner, reflect
 from gosset.report import CheckReport, exit_code, reports_to_json
 
 
@@ -85,6 +87,12 @@ def test_main_rejects_unknown_suite():
 def test_main_rejects_bad_dimension():
     with pytest.raises(SystemExit) as exc:
         main(["diagrams", "--n", "5"])
+    assert exc.value.code == 2
+
+
+def test_main_has_no_budget_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--budget", "5"])
     assert exc.value.code == 2
 
 
@@ -245,6 +253,37 @@ def test_basis_checks_fail_on_a_broken_identity(monkeypatch, owner, name, fake, 
     monkeypatch.setattr(owner, name, fake)
     statuses = {r.check_id: r.status for r in run_suite(suite, options)}
     assert {c: statuses[c] for c in failing} == {c: "fail" for c in failing}
+
+
+def _walls_with_a_stray_mirror(n):
+    """The first wall with x_0 = 1 becomes e_0 + e_1 + e_2: norm 1, but not a wall."""
+    walls = gosset_walls(n)
+    first = next(i for i, r in enumerate(walls.roots) if r.coords[0] == 1)
+    e = [basis_vector(i, n) for i in range(n + 1)]
+    roots = list(walls.roots)
+    roots[first] = e[0] + e[1] + e[2]
+    return replace(walls, roots=tuple(roots))
+
+
+def _vertices_with_a_moved_center(n):
+    """v_n becomes e_1, which the stabilizer moves."""
+    return chamber_vertices(n)[:n] + [basis_vector(1, n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize(
+    "name, fake, check",
+    [
+        ("gosset_walls", _walls_with_a_stray_mirror, "generator_words"),
+        ("chamber_vertices", _vertices_with_a_moved_center, "vertex_orbits"),
+    ],
+)
+def test_orbit_checks_fail_on_a_broken_input(monkeypatch, n, name, fake, check):
+    check_id = f"{check}_n{n}"
+    options = Options(n=n)
+    assert {r.check_id: r.status for r in run_suite("diagrams", options)}[check_id] == "pass"
+    monkeypatch.setattr(geometry, name, fake)
+    assert {r.check_id: r.status for r in run_suite("diagrams", options)}[check_id] == "fail"
 
 
 ROOT = Path(__file__).resolve().parent.parent

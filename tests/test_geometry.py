@@ -1,5 +1,6 @@
 """Wall systems, stabilizer orbits, and the quotient tessellations."""
 
+import time
 from itertools import combinations
 
 import numpy as np
@@ -12,10 +13,8 @@ from gosset.geometry import (
     _crossings,
     build_tessellation,
     conjugate_wall_set,
-    generator_words,
     gosset_walls,
     reflection_image_mod3,
-    simple_reflection_matrices,
     stabilizer_generators_mod3,
     stabilizer_orbit,
     verify_generator_words,
@@ -25,7 +24,6 @@ from gosset.geometry import (
 )
 from gosset.isometry import ModularMatrix, coset_space, reflection_matrix
 from gosset.lattice import basis_vector, inner, norm
-from gosset.presentation import evaluate_word
 
 WALL_COUNTS = {2: 3, 3: 6, 4: 10}
 
@@ -63,25 +61,25 @@ def test_distinct_wall_pairings():
             assert inner(walls.root_of(la), walls.root_of(lb)) == -1
 
 
-def test_generator_words_realize_wall_mirrors():
-    for n in (2, 3):
-        simple = simple_reflection_matrices(n)
-        assignment = {str(i): m for i, m in enumerate(simple)}
-        walls = gosset_walls(n)
-        for label, word in generator_words(n).items():
-            produced = evaluate_word(tuple(str(i) for i in word), assignment)
-            assert produced == reflection_matrix(walls.root_of(label))
-
-
-def test_conjugate_wall_set_closes_for_petersen():
-    mirrors = conjugate_wall_set(4)
-    expected = {reflection_matrix(r) for r in gosset_walls(4).roots}
-    assert set(mirrors) == expected
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conjugate_wall_set_is_the_wall_mirrors(n):
+    assert conjugate_wall_set(n) == {reflection_matrix(r) for r in gosset_walls(n).roots}
 
 
 def test_verify_generator_words_all_dimensions():
     for n in (2, 3, 4):
         assert verify_generator_words(n)
+
+
+def test_wall_routes_reject_dimensions_out_of_range():
+    # The wall side is built first: at n = 8 the stabilizer is infinite (affine
+    # E8), so an orbit built before the range check would run to its budget.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="wall systems"):
+        verify_generator_words(8)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="between 2 and 8"):
+        conjugate_wall_set(9)
 
 
 def test_stabilizer_orbit_of_apex():
