@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .isometry import DEFAULT_ELEMENT_BUDGET, memoize, orbit
-from .presentation import DiagramGraph, diagram_graph, free_hexagons
+from .presentation import diagram_graph, free_hexagons
 
 RootCoeffs = tuple[int, int, int, int, int, int]
 

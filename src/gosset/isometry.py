@@ -23,7 +23,7 @@ is the one closure that is kept: it collects the layers of _MatrixProducts
 and keys its elements once, for lookup.  finite_group_elements and orbit()
 concatenate the layers, and the congruence check counts them and drops
 them.  So the largest case in scope, the finite stabilizer for n = 7 (order
-2903040), takes about 1.4 s and 68 MB peak RSS, bounded by its largest
+2903040), takes about 0.9 s and 63 MB peak RSS, bounded by its largest
 layer rather than by the group order.  Matrix closures fail fast past
 DEFAULT_ELEMENT_BUDGET elements, which is also what stops an infinite group
 over Z; orbits fail past the budget their caller gives.  Everything
@@ -347,6 +347,43 @@ def _chunks(stop: int, start: int = 0) -> Iterator[slice]:
     return (slice(i, min(i + _CHUNK_ROWS, stop)) for i in range(start, stop, _CHUNK_ROWS))
 
 
+@dataclass(frozen=True)
+class _ColumnPlan:
+    """Right multiplication by one integer matrix g, read off its columns.
+
+    Column j of M g is the sum over k of g[k, j] M[:, k].  Where column j
+    of g is a unit vector e_k, that is column k of M: columns with k = j are
+    kept, and moves lists the pairs (j, k) with k != j.  Every other column
+    is a sum over the nonzero g[k, j], a zero column an empty one: summed
+    lists the columns k of M that the sums read, and sums lists each such
+    j with its terms (i, g[k, j]) for k = summed[i].  Mod m the sums are
+    reduced mod m.  A reflection s_alpha fixes e_k for k outside the
+    support of alpha, so its plan sums only the columns in that support; a
+    transposition e_i - e_{i+1} sums none.
+    """
+
+    modulus: int | None
+    moves: tuple[tuple[int, int], ...]
+    summed: tuple[int, ...]
+    sums: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+    @staticmethod
+    def of(g: np.ndarray, modulus: int | None) -> _ColumnPlan:
+        """The plan of the integer matrix g, for products mod m, or over Z if None."""
+        columns = np.asarray(g, dtype=np.int64).T.tolist()
+        moves, sums = [], []
+        for j, column in enumerate(columns):
+            terms = [(k, c) for k, c in enumerate(column) if c]
+            if len(terms) == 1 and terms[0][1] == 1:
+                if terms[0][0] != j:
+                    moves.append((j, terms[0][0]))
+            else:
+                sums.append((j, terms))
+        summed = sorted({k for _, terms in sums for k, _ in terms})
+        sums = [(j, tuple((summed.index(k), c) for k, c in terms)) for j, terms in sums]
+        return _ColumnPlan(modulus, tuple(moves), tuple(summed), tuple(sums))
+
+
 class _MatrixProducts:
     """Exact products M g of int8 matrices M by a fixed list of generators g.
 
@@ -357,8 +394,15 @@ class _MatrixProducts:
     built, and closures pick by keys.  Over Z nothing is keyed: closures
     pick by descents, and the element budget stops an infinite group.
 
-    Products run in float32, which is exact: every entry stays within int8,
-    so no partial sum comes near 2^24.
+    Products are built column by column, from a _ColumnPlan made once per
+    generator: column j of M g is the sum over k of g[k, j] times column k
+    of M.  A reflection s_alpha changes only the columns in the support of
+    alpha, so most columns of M s are columns of M, copied; the rest are
+    signed sums in int32.  With entries and coefficients within int8, a sum
+    of d terms stays below d 2^14, so int32 is exact for any d up to 10^5.
+    Keys are one float64 dot with the powers of m, exact while
+    m^(d*d) <= 2^53: the digits are non-negative, so every partial sum is
+    at most the key.
     """
 
     def __init__(
@@ -380,40 +424,62 @@ class _MatrixProducts:
             if np.abs(gens).max() > 127:
                 raise OverflowError("matrix entries exceed int8 storage")
         else:
-            if modulus > 128 or modulus ** (d * d) > 2**63:
-                raise ValueError("mod-m keys need m <= 128 and m^(d*d) <= 2^63")
+            if modulus > 128 or modulus ** (d * d) > 2**53:
+                raise ValueError("mod-m keys need m <= 128 and m^(d*d) <= 2^53")
             gens %= modulus
             # Most significant digit first: keys order like the entries, lexicographically.
-            self._powers = modulus ** np.arange(d * d - 1, -1, -1, dtype=np.int64)
-            # Products of reduced matrices lie in [0, d (m-1)^2]; reduce them by table.
-            self._residue = (np.arange(d * (modulus - 1) ** 2 + 1) % modulus).astype(np.int8)
+            self._powers = (modulus ** np.arange(d * d - 1, -1, -1)).astype(np.float64)
             self._negated = (-np.arange(modulus) % modulus).astype(np.int8)
-        self._gens = gens.astype(np.float32)
-        self.identity = np.eye(d, dtype=np.float32)
+        self._gens = gens.astype(np.int8)
+        self._plans = [_ColumnPlan.of(g, modulus) for g in gens]
+        # Products by I copy M: how queries and the certificate walk key or
+        # normalise matrices of their own.
+        self.identity = _ColumnPlan.of(np.eye(d, dtype=np.int64), modulus)
 
-    def _multiply(self, mats: np.ndarray, gen: np.ndarray) -> np.ndarray:
-        """M g for int8 matrices M and a float32 matrix g, as int8 rows of d*d entries.
+    @staticmethod
+    def _multiply(mats: np.ndarray, plan: _ColumnPlan) -> np.ndarray:
+        """M g for int8 matrices M and the plan of g, as int8 rows of d*d entries.
 
-        Reduced mod m; over Z, checked to fit int8.
+        The entries of M lie within +-127 (mod m, in [0, m)), as every
+        product this returns does.  Mod m the product is reduced; over Z a
+        summed entry past +-127 raises OverflowError before it is stored.
         """
-        n, d = len(mats), self.dimension
-        rows = (mats.reshape(n * d, d).astype(np.float32) @ gen).reshape(n, d * d)
-        if self.modulus is not None:
-            return self._residue[rows.astype(np.int32)]
-        if n and np.abs(rows).max() > 127:
-            raise OverflowError("matrix entries exceed int8 storage")
-        return rows.astype(np.int8)
+        n, d = len(mats), mats.shape[1]
+        out = mats.copy()
+        for j, k in plan.moves:
+            out[:, :, j] = mats[:, :, k]
+        # One int32 block for the columns read and one for the sum: an array
+        # per column left the peak RSS of `verify all` about 1 MB higher.
+        columns = np.empty((len(plan.summed), n, d), dtype=np.int32)
+        for i, k in enumerate(plan.summed):
+            columns[i] = mats[:, :, k]
+        acc = np.empty((n, d), dtype=np.int32)
+        for j, terms in plan.sums:
+            acc.fill(0)
+            for i, c in terms:
+                if c == 1:
+                    acc += columns[i]
+                elif c == -1:
+                    acc -= columns[i]
+                else:
+                    acc += c * columns[i]
+            if plan.modulus is not None:
+                acc %= plan.modulus
+            elif n and (acc.max() > 127 or acc.min() < -127):
+                raise OverflowError("matrix entries exceed int8 storage")
+            out[:, :, j] = acc
+        return out.reshape(n, d * d)
 
-    def products(self, mats: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    def products(self, mats: np.ndarray, plan: _ColumnPlan) -> np.ndarray:
         """The products M g as int8 matrices, the smaller of +-M g when projective."""
-        flat = self._multiply(mats, gen)
+        flat = self._multiply(mats, plan)
         if self.projective:
             neg = self._negated[flat]
             flat = np.where((self._digits(neg) < self._digits(flat))[:, None], neg, flat)
         return flat.reshape(len(mats), self.dimension, self.dimension)
 
     def _digits(self, flat: np.ndarray) -> np.ndarray:
-        return flat.astype(np.int64) @ self._powers
+        return (flat.astype(np.float64) @ self._powers).astype(np.int64)
 
     def keys(self, mats: np.ndarray) -> np.ndarray:
         """The key of each int8 matrix mod m, in row chunks."""
@@ -422,9 +488,9 @@ class _MatrixProducts:
             keys[rows] = self._digits(mats[rows].reshape(-1, self.dimension**2))
         return keys
 
-    def product_keys(self, mats: np.ndarray, gen: np.ndarray) -> np.ndarray:
-        """Keys of the products M g of int8 matrices M and a float32 matrix g, mod m."""
-        flat = self._multiply(mats, gen)
+    def product_keys(self, mats: np.ndarray, plan: _ColumnPlan) -> np.ndarray:
+        """Keys of the products M g of int8 matrices M and the plan of g, mod m."""
+        flat = self._multiply(mats, plan)
         keys = self._digits(flat)
         if self.projective:
             np.minimum(keys, self._digits(self._negated[flat]), out=keys)
@@ -432,10 +498,10 @@ class _MatrixProducts:
 
     def candidate_keys(self, frontier: np.ndarray) -> np.ndarray:
         """Keys of every product F g mod m, generator-major, in row chunks of F."""
-        keys = np.empty((len(self._gens), len(frontier)), dtype=np.int64)
+        keys = np.empty((len(self._plans), len(frontier)), dtype=np.int64)
         for rows in _chunks(len(frontier)):
-            for i, g in enumerate(self._gens):
-                keys[i, rows] = self.product_keys(frontier[rows], g)
+            for i, plan in enumerate(self._plans):
+                keys[i, rows] = self.product_keys(frontier[rows], plan)
         return keys.ravel()
 
     def build(self, frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
@@ -443,10 +509,10 @@ class _MatrixProducts:
         d = self.dimension
         out = np.empty((len(picks), d, d), dtype=np.int8)
         # Sorted, the picks of each generator are one run.
-        runs = np.searchsorted(picks, np.arange(len(self._gens) + 1) * len(frontier))
-        for i, g in enumerate(self._gens):
+        runs = np.searchsorted(picks, np.arange(len(self._plans) + 1) * len(frontier))
+        for i, plan in enumerate(self._plans):
             for chunk in _chunks(runs[i + 1], runs[i]):
-                out[chunk] = self.products(frontier[picks[chunk] - i * len(frontier)], g)
+                out[chunk] = self.products(frontier[picks[chunk] - i * len(frontier)], plan)
         return out
 
     def layers(self, budget: int) -> Iterator[np.ndarray]:
@@ -458,7 +524,7 @@ class _MatrixProducts:
         are checked before the first layer.
         """
         ident = self.products(np.eye(self.dimension, dtype=np.int8)[None], self.identity)
-        squares = [self.products(self._gens.astype(np.int8), g) == ident for g in self._gens]
+        squares = [self.products(self._gens, plan) == ident for plan in self._plans]
         if not np.stack(squares, axis=1).all(axis=(2, 3)).any(axis=1).all():
             raise ValueError("generator set must be closed under inversion")
         if self.modulus is None:
@@ -478,7 +544,7 @@ class _MatrixProducts:
         """
         n = self.dimension - 1
         simple = {reflection_matrix(a).entries: a for a in simple_roots(n)}
-        roots = [simple.get(tuple(map(tuple, g))) for g in self._gens.astype(int).tolist()]
+        roots = [simple.get(tuple(map(tuple, g))) for g in self._gens.tolist()]
         if None in roots or len(set(roots)) < len(roots):
             raise ValueError("integer closures need distinct simple reflections as generators")
         # cartan[t, s] = c_ts = 2 (alpha_t, alpha_s) / (alpha_s, alpha_s), an integer.
@@ -552,10 +618,10 @@ class GroupClosure(_MatrixProducts):
 
     def right_multiply(self, indices: np.ndarray, mat: ModularMatrix) -> np.ndarray:
         """Indices of the products element_i * mat, for an array of element indices."""
-        gen = np.array(self._entries(mat), dtype=np.float32)
+        plan = _ColumnPlan.of(np.array(self._entries(mat)), self.modulus)
         keys = np.empty(len(indices), dtype=np.int64)
         for rows in _chunks(len(indices)):
-            keys[rows] = self.product_keys(self.mats[indices[rows]], gen)
+            keys[rows] = self.product_keys(self.mats[indices[rows]], plan)
         found = self.index_of_keys(keys)
         if (found < 0).any():
             raise KeyError("product not in closure")
@@ -608,8 +674,9 @@ def congruence_intersection_check(n: int) -> CongruenceIntersection:
     1.4), so no element is keyed, sorted or looked up, before it is built or
     after.  The closure is streamed: each layer is counted as it is found
     and dropped, so at most two layers of matrices are held.  n = 7
-    enumerates 2903040 matrices in about 1.4 s and 68 MB peak RSS; keep it
-    behind an opt-in switch in callers.
+    enumerates 2903040 matrices in about 0.9 s and 63 MB peak RSS (medians
+    of perfbench/run.py), most of it in the descent rule and the column
+    products; keep it behind an opt-in switch in callers.
     """
     if not 2 <= n <= 7:
         raise ValueError(f"n must be between 2 and 7, got {n}")
@@ -620,18 +687,26 @@ def congruence_intersection_check(n: int) -> CongruenceIntersection:
 def _congruence_counts(layers: Iterable[np.ndarray]) -> tuple[int, int, int]:
     """The number of integer matrices in some layers, and of those = I mod 2 and mod 3.
 
-    The layers are counted one at a time and none is kept.  M = I (mod p)
-    implies M e_0 = e_0 (mod p), so M - I is reduced only for the elements
-    whose first column of M - I vanishes mod p.
+    The layers are counted one at a time and none is kept.  For each p the
+    candidate rows are narrowed entry by entry, in row-major order, to those
+    that agree with I mod p so far, until the candidates or the entries run
+    out; a row counts only once all d*d entries have matched.  Few rows
+    survive the first entries, so few entries are read.
     """
     order, fixed = 0, {2: 0, 3: 0}
     for block in layers:
-        ident = np.eye(block.shape[1], dtype=np.int8)
+        d = block.shape[1]
+        flat = block.reshape(len(block), d * d)
+        ident = np.eye(d, dtype=np.int8).ravel()
         order += len(block)
-        moved = block[:, :, 0] - ident[:, 0]
+        moved = flat[:, 0] - 1
         for p in fixed:
-            survivors = block[~(moved % p).any(axis=1)]
-            fixed[p] += int((~((survivors - ident) % p).any(axis=(1, 2))).sum())
+            rows = np.flatnonzero(moved % p == 0)
+            for entry in range(1, d * d):
+                if not len(rows):
+                    break
+                rows = rows[(flat[rows, entry] - ident[entry]) % p == 0]
+            fixed[p] += len(rows)
     return order, fixed[2], fixed[3]
 
 

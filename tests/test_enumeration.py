@@ -113,11 +113,13 @@ def test_partial_table_keeps_live_cosets_only():
     assert table.table == ((0, None, 0),)
 
 
-def _sympy_table(pres, subgroup, method="coset_enumeration_c"):
-    """sympy's standardized coset table, generator columns only.
+def _sympy_table(pres, subgroup):
+    """sympy's standardized coset table, generator columns only, by HLT.
 
     sympy keeps a column for x and one for x^-1; the relators (x, x) make
     them equal, so its standardization matches the breadth-first one here.
+    Its Felsch enumerator, coset_enumeration_c, is no oracle: it gives a3
+    plus the relator (1,) two cosets, in a table that breaks (2,3)^3.
     """
     from sympy.combinatorics import fp_groups
     from sympy.combinatorics.free_groups import free_group
@@ -132,7 +134,7 @@ def _sympy_table(pres, subgroup, method="coset_enumeration_c"):
         return out
 
     group = fp_groups.FpGroup(free, [word(r) for r in pres.relators])
-    cosets = getattr(fp_groups, method)(group, [word(w) for w in subgroup])
+    cosets = fp_groups.coset_enumeration_r(group, [word(w) for w in subgroup])
     cosets.compress()
     cosets.standardize()
     return tuple(tuple(row[::2]) for row in cosets.table)
@@ -141,6 +143,8 @@ def _sympy_table(pres, subgroup, method="coset_enumeration_c"):
 ORACLE_CASES = {
     "a3": (A3.relators, []),
     "a3_over_13": (A3.relators, [("1",), ("3",)]),
+    # With 1 = e, (1 3)^3 = e gives 3 = e, then (2 3)^3 = e gives 2 = e: index 1.
+    "a3_plus_1": (A3.relators + (("1",),), []),
     **{case: spec[:2] for case, spec in COINCIDENCE_CASES.items()},
 }
 
@@ -150,7 +154,10 @@ def test_index_matches_sympy_coset_enumeration(case):
     pytest.importorskip("sympy")
     relators, subgroup = ORACLE_CASES[case]
     pres = Presentation(A3.generators, relators)
-    assert todd_coxeter(pres, subgroup).n_live == len(_sympy_table(pres, subgroup))
+    table = todd_coxeter(pres, subgroup)
+    assert table.table == _sympy_table(pres, subgroup)
+    if case == "a3_plus_1":
+        assert table.n_live == 1
 
 
 def _fixes_coset_0(table, generators, word):
@@ -185,7 +192,7 @@ def test_random_extensions_match_sympy_or_stay_symmetric():
         table = todd_coxeter(pres, subgroup, budget)
         assert table.n_live <= table.cosets_defined <= budget
         if table.status == CLOSED and kind == "a3":
-            assert table.table == _sympy_table(pres, subgroup, "coset_enumeration_r")
+            assert table.table == _sympy_table(pres, subgroup)
             return
         if table.status == CLOSED:
             assert verify_table(table, pres)

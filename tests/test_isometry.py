@@ -23,6 +23,7 @@ from gosset.isometry import (
     preserves_form,
     reduce_mod,
     reflection_matrix,
+    _ColumnPlan,
     _MatrixProducts,
     _congruence_counts,
 )
@@ -276,6 +277,22 @@ def test_streamed_congruence_counts_find_minus_identity():
         assert _materialised_counts(np.concatenate([mats, -mats])) == expected, n
 
 
+def test_congruence_counts_read_every_entry():
+    # Planted: I, -I, I + 3 E_01, I + 2 E_last and I with its last entry 0.
+    # = I mod 2: I, -I, I + 2 E_last.  = I mod 3: I, I + 3 E_01.  The last
+    # two differ from I only in the last entry, which a filter must read.
+    for d in range(2, 10):
+        ident = np.eye(d, dtype=np.int8)
+        shifted, doubled, zeroed = ident.copy(), ident.copy(), ident.copy()
+        shifted[0, 1] = 3
+        doubled[-1, -1] = 3
+        zeroed[-1, -1] = 0
+        block = np.stack([ident, -ident, shifted, doubled, zeroed])
+        assert _congruence_counts([block]) == (5, 3, 2), d
+        assert _congruence_counts([block[:2], block[2:3], block[3:]]) == (5, 3, 2), d
+        assert _congruence_counts([block[4:], block[:0]]) == (1, 0, 0), d
+
+
 # Degrees of the stabilizers, the Coxeter groups A1, A2 x A1, A4, D5 and E6 of
 # the long simple reflections (Humphreys, Reflection Groups and Coxeter
 # Groups, 3.7).  n = 7, E7, runs in the opt-in memory guard.
@@ -415,6 +432,92 @@ def test_integer_closure_overflow_raises():
     big = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((200, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(OverflowError):
         _closure(list(big))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_integer_product_overflows_past_127_either_sign(d):
+    # Columns 0 and 1 of M g are M e_0 + M e_1 and M e_0 - M e_1.
+    g = np.eye(d, dtype=np.int64)
+    g[1, 0], g[0, 1] = 1, -1
+    plan = _ColumnPlan.of(g, None)
+    for first, second, fits in ((100, 27, True), (100, 28, False), (-100, 27, True),
+                                (-100, 28, False), (-100, -27, True), (-100, -28, False)):
+        mats = np.zeros((3, d, d), dtype=np.int8)
+        mats[1, -1, 0], mats[1, -1, 1] = first, second
+        if fits:
+            exact = mats.astype(np.int64) @ g
+            assert (_MatrixProducts._multiply(mats, plan) == exact.reshape(3, -1)).all()
+        else:
+            with pytest.raises(OverflowError):
+                _MatrixProducts._multiply(mats, plan)
+
+
+def test_column_kernel_matches_exact_products():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrix(draw, d, coefficients):
+        """Columns that are unit vectors, single signed entries or dense."""
+        columns = []
+        for _ in range(d):
+            kind = draw(st.sampled_from(["unit", "single", "dense"]))
+            column = [0] * d
+            if kind == "dense":
+                column = draw(st.lists(coefficients, min_size=d, max_size=d))
+            else:
+                k = draw(st.integers(0, d - 1))
+                column[k] = 1 if kind == "unit" else draw(coefficients)
+            columns.append(column)
+        return np.array(columns, dtype=np.int64).T
+
+    @hypothesis.settings(max_examples=200)
+    @hypothesis.given(
+        st.integers(2, 9), st.sampled_from([None, 2, 3, 5, 7]), st.integers(0, 6), st.data()
+    )
+    def exact(d, modulus, n, data):
+        if modulus is None:
+            bound = data.draw(st.sampled_from([1, 2, 20, 127]))
+            entries = st.integers(-bound, bound)
+            coefficients = st.integers(-data.draw(st.sampled_from([1, 3, 127])), 3)
+        else:
+            entries = st.integers(0, modulus - 1)
+            coefficients = st.integers(-modulus, modulus)
+        mats = np.array(
+            data.draw(st.lists(st.lists(entries, min_size=d * d, max_size=d * d),
+                               min_size=n, max_size=n)),
+            dtype=np.int8,
+        ).reshape(n, d, d)
+        g = data.draw(matrix(d, coefficients))
+        want = (mats.astype(np.int64) @ g).reshape(n, d * d)
+        plan = _ColumnPlan.of(g, modulus)
+        if modulus is not None:
+            assert (_MatrixProducts._multiply(mats, plan) == want % modulus).all()
+        elif n and np.abs(want).max() > 127:
+            with pytest.raises(OverflowError):
+                _MatrixProducts._multiply(mats, plan)
+        else:
+            got = _MatrixProducts._multiply(mats, plan)
+            assert got.dtype == np.int8 and (got == want).all()
+
+    exact()
+
+
+def test_mod_m_keys_are_exact_up_to_two_to_the_53():
+    # 59^9 < 2^53 < 3^36 < 5^25 < 2^63 < 2^64: d = 3 mod 59 keys all of its
+    # matrices exactly in float64, and d = 6 mod 3, d = 5 mod 5 and d = 8
+    # mod 2 are refused.
+    products = _MatrixProducts([np.eye(3, dtype=int).tolist()], 59, False)
+    rng = np.random.default_rng(53)
+    mats = np.concatenate([np.full((1, 3, 3), 58), rng.integers(0, 59, (500, 3, 3))])
+    exact = [sum(int(x) * 59**e for e, x in enumerate(m.ravel()[::-1])) for m in mats]
+    assert products.keys(mats.astype(np.int8)).tolist() == exact
+    assert exact[0] == 59**9 - 1
+    for d, modulus in ((6, 3), (5, 5), (8, 2)):
+        with pytest.raises(ValueError, match="2\\^53"):
+            _MatrixProducts([np.eye(d, dtype=int).tolist()], modulus, False)
+    for d, modulus in ((5, 3), (7, 2), (4, 7)):
+        _MatrixProducts([np.eye(d, dtype=int).tolist()], modulus, False)
 
 
 def _oracle_orbit(seeds, actions):
