@@ -86,7 +86,7 @@ from .geometry import (
     wall_reflection_matrices,
     wall_reflections_mod3,
 )
-from .isometry import GroupClosure, LatticeIsometry, ModularMatrix, congruence_intersection_check
+from .isometry import GroupClosure, Matrix, congruence_intersection_check
 from .lattice import basis_vector, chamber_vertices, inner, norm, reflect, simple_roots, vector
 from .presentation import (
     braid_identity_check,
@@ -337,7 +337,7 @@ def _relator_profile(c):
 @check("presentation", "relators_mod3_{kind}", DIMS)
 def _relators_mod3(c):
     assignment = wall_reflections_mod3(c.n)
-    identity = ModularMatrix.identity(c.n + 1, 3)
+    identity = Matrix.identity(c.n + 1, 3)
     relators = build_presentation(c.kind).relators
     ok = all(evaluate_word(rel, assignment) == identity for rel in relators)
     return True, ok, "all relators hold in the mod-3 matrix image, no sign quotient needed"
@@ -367,7 +367,7 @@ def _deflation_integer_nonidentity(c):
     # over the integers it is far from identity.
     word = next(r for r in build_presentation(c.kind).relators if len(r) == 10)
     image = evaluate_word(word, wall_reflection_matrices(c.n))
-    nontrivial = image != LatticeIsometry.identity(c.n + 1)
+    nontrivial = image != Matrix.identity(c.n + 1)
     return True, nontrivial, "deflation word acts nontrivially on the lattice"
 
 
@@ -625,7 +625,7 @@ def _run_table(suite: str, options: Options) -> list[CheckReport]:
     for _, row, n in sorted(order, key=lambda item: item[0]):
         check_id = row.template.format(n=n, kind=KIND_BY_N.get(n))
         if row.gated and n > options.max_n:
-            details = f"pass --max-n {n} to enable (n=7 takes ~1.6 s and ~71 MB)"
+            details = f"pass --max-n {n} to enable"
             reports.append(skipped_check(check_id, n, details))
         else:
             reports.append(run_check(check_id, n, partial(row.run, Case(n, options))))

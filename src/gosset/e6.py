@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .isometry import DEFAULT_ELEMENT_BUDGET, memoize, orbit
+from .isometry import memoize, orbit
 from .presentation import diagram_graph, free_hexagons
 
 RootCoeffs = tuple[int, int, int, int, int, int]
@@ -88,7 +88,7 @@ def root_system() -> E6RootSystem:
     cartan = cartan_matrix()
     eye = np.eye(6, dtype=np.int64)
     reflections = eye - np.array(cartan).T[:, :, None] * eye[:, None, :]
-    found = orbit(eye, lambda f: f @ reflections, 1000)
+    found = orbit(eye, lambda f: f @ reflections)
     roots = tuple(sorted(map(tuple, found.tolist())))
     if len(roots) != 72:
         raise AssertionError(f"expected 72 roots, closure found {len(roots)}")
@@ -198,7 +198,7 @@ def permutation_closure_order(perms: Sequence[Sequence[int]], basis: Sequence[in
     if not _inverse_closed(gens):
         raise ValueError("generator set must be closed under inversion")
     seed = np.array([basis], dtype=np.uint8)
-    return len(orbit(seed, lambda f: gens[:, f], DEFAULT_ELEMENT_BUDGET))
+    return len(orbit(seed, lambda f: gens[:, f]))
 
 
 @memoize

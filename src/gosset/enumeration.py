@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .isometry import ModularMatrix, _first_occurrences, _MatrixProducts, memoize
+from .isometry import Matrix, _first_occurrences, _MatrixProducts, memoize
 from .presentation import Presentation, Word, build_presentation
 
 DEFAULT_COSET_BUDGET = 200_000
@@ -409,7 +409,7 @@ class ActionCertificate:
 
 
 def verify_action_against_matrices(
-    table: CosetTable, assignment: Mapping[str, ModularMatrix]
+    table: CosetTable, assignment: Mapping[str, Matrix]
 ) -> ActionCertificate:
     """Certify that a closed full-group table is the regular action of the
     matrix group, by an explicit isomorphism.
@@ -431,12 +431,8 @@ def verify_action_against_matrices(
         raise ValueError("can only certify a closed table")
     if set(assignment) != set(table.generators):
         raise ValueError("assignment must cover exactly the table generators")
-    gens = [assignment[g] for g in table.generators]
-    modulus = gens[0].modulus
-    if any(g.modulus != modulus for g in gens):
-        raise ValueError("assignment matrices must share a modulus")
-    walker = _MatrixProducts([g.entries for g in gens], modulus, projective=True)
-    n, k = table.n_live, len(gens)
+    walker = _MatrixProducts([assignment[g] for g in table.generators], projective=True)
+    n, k = table.n_live, len(table.generators)
     rows = np.array(table.table, dtype=np.int64)
     if rows.shape != (n, k) or not ((rows >= 0) & (rows < n)).all():
         return ActionCertificate(n, 0, 0, False)

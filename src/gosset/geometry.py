@@ -34,18 +34,15 @@ from .lattice import (
     simple_roots,
 )
 from .isometry import (
-    DEFAULT_ELEMENT_BUDGET,
     CosetSpace,
     GroupClosure,
-    LatticeIsometry,
-    ModularMatrix,
+    Matrix,
     Rows,
     coset_space,
     finite_group_elements,
     long_simple_reflections,
     memoize,
     orbit,
-    reduce_mod,
     reflection_matrix,
 )
 
@@ -115,16 +112,16 @@ def wall_pair_classification(walls: GossetWallSystem) -> WallPairClassification:
 
 
 @memoize
-def simple_reflection_matrices(n: int) -> tuple[LatticeIsometry, ...]:
+def simple_reflection_matrices(n: int) -> tuple[Matrix, ...]:
     return tuple(reflection_matrix(a) for a in simple_roots(n))
 
 
-def wall_reflection_matrices(n: int) -> dict[str, LatticeIsometry]:
+def wall_reflection_matrices(n: int) -> dict[str, Matrix]:
     walls = gosset_walls(n)
     return {lab: reflection_matrix(r) for lab, r in zip(walls.labels, walls.roots)}
 
 
-def conjugate_wall_set(n: int) -> set[LatticeIsometry]:
+def conjugate_wall_set(n: int) -> set[Matrix]:
     """Reflections in the stabilizer orbits of the norm-1 simple roots.
 
     w s_alpha w^{-1} = s_{w alpha} for every isometry w (Humphreys, Reflection
@@ -149,7 +146,7 @@ def stabilizer_orbit(n: int, v: LatticeVector) -> frozenset[LatticeVector]:
     That is its orbit under the long simple reflections M, as rows u -> u M^T.
     """
     transposed = np.array([g.entries for g in long_simple_reflections(n)]).transpose(0, 2, 1)
-    found = orbit(np.array([v.coords]), lambda f: f @ transposed, DEFAULT_ELEMENT_BUDGET)
+    found = orbit(np.array([v.coords]), lambda f: f @ transposed)
     return frozenset(LatticeVector(tuple(row)) for row in found.tolist())
 
 
@@ -172,16 +169,16 @@ def vertex_orbits(n: int) -> VertexOrbits:
 @memoize
 def reflection_image_mod3(n: int, projective: bool = True) -> GroupClosure:
     """Mod-3 closure of all n+1 simple reflections, optionally mod {I, -I}."""
-    gens = [reduce_mod(m, 3) for m in simple_reflection_matrices(n)]
+    gens = [m.reduce(3) for m in simple_reflection_matrices(n)]
     return GroupClosure(gens, projective=projective)
 
 
-def stabilizer_generators_mod3(n: int) -> tuple[ModularMatrix, ...]:
-    return tuple(reduce_mod(m, 3) for m in long_simple_reflections(n))
+def stabilizer_generators_mod3(n: int) -> tuple[Matrix, ...]:
+    return tuple(m.reduce(3) for m in long_simple_reflections(n))
 
 
-def wall_reflections_mod3(n: int) -> dict[str, ModularMatrix]:
-    return {lab: reduce_mod(mat, 3) for lab, mat in wall_reflection_matrices(n).items()}
+def wall_reflections_mod3(n: int) -> dict[str, Matrix]:
+    return {lab: mat.reduce(3) for lab, mat in wall_reflection_matrices(n).items()}
 
 
 @dataclass(frozen=True)
@@ -251,16 +248,14 @@ class TileGraph:
         return "\n".join(lines) + "\n"
 
 
-def _assert_stabilizer_permutes_walls(
-    n: int, walls: Sequence[ModularMatrix]
-) -> None:
+def _assert_stabilizer_permutes_walls(n: int, walls: Sequence[Matrix]) -> None:
     """Conjugation by stabilizer generators must permute the wall reflections.
 
     This is what makes a tile's neighbor multiset independent of the choice
     of coset representative.  Walls are compared as sign classes {M, -M}.
     """
 
-    def sign_classes(mats: Sequence[ModularMatrix]) -> set[frozenset[Rows]]:
+    def sign_classes(mats: Sequence[Matrix]) -> set[frozenset[Rows]]:
         return {frozenset({m.entries, m.neg().entries}) for m in mats}
 
     wall_set = sign_classes(walls)
@@ -297,9 +292,7 @@ def build_tessellation(n: int) -> TileGraph:
     return TileGraph(n, gosset_walls(n).labels, tuple(map(tuple, neighbors.tolist())))
 
 
-def _crossings(
-    space: CosetSpace, walls: Sequence[ModularMatrix], elements: np.ndarray
-) -> np.ndarray:
+def _crossings(space: CosetSpace, walls: Sequence[Matrix], elements: np.ndarray) -> np.ndarray:
     """The coset of g t for each element g (by index) and wall t: elements x walls."""
     columns = [space.cosets_of(space.group.right_multiply(elements, t)) for t in walls]
     return np.stack(columns, axis=1)

@@ -3,7 +3,9 @@
 An isometry is an integer matrix M with M^T J M = J for the Gram matrix
 J = diag(-1, 1, ..., 1); we work in the forward subgroup, characterized by
 entry (0,0) >= 1, which preserves the positive light cone.  Reductions mod m
-land in finite matrix groups over Z/m.
+land in finite matrix groups over Z/m.  One type, Matrix, holds both: an
+integer matrix, or with a modulus its image over Z/m.  Products never mix
+the two rings, and the closure engine reads its ring off the generators.
 
 Groups are enumerated by exhaustive breadth-first closure under right
 multiplication by the generators, one vectorized layer at a time.  The one
@@ -24,12 +26,12 @@ and keys its elements once, for lookup.  finite_group_elements and orbit()
 concatenate the layers, and the congruence check counts them and drops
 them.  So the largest case in scope, the finite stabilizer for n = 7 (order
 2903040), takes about 0.9 s and 63 MB peak RSS, bounded by its largest
-layer rather than by the group order.  Matrix closures fail fast past
-DEFAULT_ELEMENT_BUDGET elements, which is also what stops an infinite group
-over Z; orbits fail past the budget their caller gives.  Everything
-downstream (projectivization, coset spaces, the trivial-intersection checks
-against congruence subgroups) is built on that engine; layered_closure also
-closes orbits of integer rows (orbit(): the E6 roots and root permutations,
+layer rather than by the group order.  Closures and orbits fail fast past
+DEFAULT_ELEMENT_BUDGET elements, read when each walk starts, which is also
+what stops an infinite group over Z.  Everything downstream
+(projectivization, coset spaces, the trivial-intersection checks against
+congruence subgroups) is built on that engine; layered_closure also closes
+orbits of integer rows (orbit(): the E6 roots and root permutations,
 stabilizer orbits), and its mod-m products walk coset tables in the
 enumeration certificate.
 
@@ -94,122 +96,87 @@ def memoize(fn):
     return memoized
 
 
-def lorentz_gram(d: int) -> Rows:
-    """Gram matrix diag(-1, 1, ..., 1) of Z^{d-1,1} as integer rows."""
-    return tuple(
-        tuple((-1 if r == 0 else 1) if r == c else 0 for c in range(d)) for r in range(d)
+def lorentz_gram(d: int) -> Matrix:
+    """Gram matrix diag(-1, 1, ..., 1) of Z^{d-1,1}."""
+    return Matrix(
+        tuple(tuple((-1 if r == 0 else 1) if r == c else 0 for c in range(d)) for r in range(d))
     )
 
 
 @dataclass(frozen=True)
-class LatticeIsometry:
-    """Integer matrix acting on column vectors of Z^{n,1}.
+class Matrix:
+    """Square integer matrix over Z (modulus None) or over Z/m, entries 0 <= x < m.
 
-    The trusted constructors are lattice_isometry() and reflection_matrix(),
-    which validate the defining conditions; products of isometries are again
-    isometries, so composition skips revalidation.
+    Products stay in the ring of their factors, reduced mod m, and refuse
+    factors from two rings.  Over Z the trusted constructors are
+    lattice_isometry() and reflection_matrix(), which validate the defining
+    conditions; products of isometries are again isometries, so composition
+    skips revalidation.  reduce(m) gives the image over Z/m.
     """
 
     entries: Rows
+    modulus: int | None = None
+
+    def __post_init__(self) -> None:
+        m = self.modulus
+        if m is not None:
+            if m < 2:
+                raise ValueError("modulus must be at least 2")
+            if any(not 0 <= x < m for row in self.entries for x in row):
+                raise ValueError("entries must be reduced mod m")
 
     @property
     def dimension(self) -> int:
         return len(self.entries)
 
-    def __matmul__(self, other: "LatticeIsometry") -> "LatticeIsometry":
-        a, b = self.entries, other.entries
-        d = len(a)
-        cols = list(zip(*b))
-        return LatticeIsometry(
-            tuple(tuple(sum(ar[k] * bc[k] for k in range(d)) for bc in cols) for ar in a)
-        )
+    def __matmul__(self, other: Matrix) -> Matrix:
+        if self.modulus != other.modulus:
+            raise ValueError(f"ring mismatch: modulus {self.modulus} and {other.modulus}")
+        cols = list(zip(*other.entries))
+        rows = ((sum(x * y for x, y in zip(row, col)) for col in cols) for row in self.entries)
+        return _over(rows, self.modulus)
+
+    def neg(self) -> Matrix:
+        return _over(((-x for x in row) for row in self.entries), self.modulus)
+
+    def reduce(self, m: int) -> Matrix:
+        """The image over Z/m of an integer matrix."""
+        if self.modulus is not None:
+            raise ValueError(f"only an integer matrix reduces mod m, not one mod {self.modulus}")
+        return _over(self.entries, m)
 
     @staticmethod
-    def identity(d: int) -> "LatticeIsometry":
-        return LatticeIsometry(tuple(tuple(int(r == c) for c in range(d)) for r in range(d)))
+    def identity(d: int, modulus: int | None = None) -> Matrix:
+        return Matrix(tuple(tuple(int(r == c) for c in range(d)) for r in range(d)), modulus)
 
 
-def preserves_form(rows: Rows) -> bool:
-    """Does M^T J M = J hold for the Lorentzian Gram matrix?"""
-    d = len(rows)
-    j = lorentz_gram(d)
-    for a in range(d):
-        for b in range(d):
-            s = 0
-            for r in range(d):
-                s += rows[r][a] * j[r][r] * rows[r][b]
-            if s != j[a][b]:
-                return False
-    return True
+def _over(rows: Iterable[Iterable[int]], modulus: int | None) -> Matrix:
+    """The matrix with these integer rows over Z, or reduced over Z/m."""
+    if modulus is None:
+        return Matrix(tuple(map(tuple, rows)))
+    return Matrix(tuple(tuple(x % modulus for x in row) for row in rows), modulus)
 
 
-def lattice_isometry(rows: Sequence[Sequence[int]]) -> LatticeIsometry:
-    """Validated constructor: form-preserving, forward (entry (0,0) >= 1)."""
-    entries = tuple(tuple(int(x) for x in r) for r in rows)
-    d = len(entries)
-    if any(len(r) != d for r in entries):
+def lattice_isometry(rows: Sequence[Sequence[int]]) -> Matrix:
+    """Validated constructor: square, M^T J M = J, forward (entry (0,0) >= 1)."""
+    mat = Matrix(tuple(tuple(int(x) for x in r) for r in rows))
+    d = mat.dimension
+    if any(len(r) != d for r in mat.entries):
         raise ValueError("matrix must be square")
-    if not preserves_form(entries):
+    gram = lorentz_gram(d)
+    if Matrix(tuple(zip(*mat.entries))) @ gram @ mat != gram:
         raise ValueError("matrix does not preserve the Lorentzian form")
-    if entries[0][0] < 1:
+    if mat.entries[0][0] < 1:
         raise ValueError("matrix reverses the light cone (entry (0,0) < 1)")
-    return LatticeIsometry(entries)
+    return mat
 
 
-def reflection_matrix(alpha: Root) -> LatticeIsometry:
+def reflection_matrix(alpha: Root) -> Matrix:
     """Matrix of the reflection in a root of norm 1 or 2, columns = images of e_i."""
     d = alpha.n + 1
     cols = [reflect(alpha, basis_vector(i, alpha.n)).coords for i in range(d)]
     rows = tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
     return lattice_isometry(rows)
-
-
-@dataclass(frozen=True)
-class ModularMatrix:
-    """Square matrix over Z/m, entries normalized to 0 <= x < m."""
-
-    entries: Rows
-    modulus: int
-
-    def __post_init__(self) -> None:
-        m = self.modulus
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        if any(not 0 <= x < m for row in self.entries for x in row):
-            raise ValueError("entries must be reduced mod m")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    def __matmul__(self, other: "ModularMatrix") -> "ModularMatrix":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        a, b = self.entries, other.entries
-        d = len(a)
-        m = self.modulus
-        cols = list(zip(*b))
-        return ModularMatrix(
-            tuple(
-                tuple(sum(ar[k] * bc[k] for k in range(d)) % m for bc in cols) for ar in a
-            ),
-            m,
-        )
-
-    def neg(self) -> "ModularMatrix":
-        return ModularMatrix(
-            tuple(tuple((-x) % self.modulus for x in row) for row in self.entries),
-            self.modulus,
-        )
-
-    @staticmethod
-    def identity(d: int, m: int) -> "ModularMatrix":
-        return ModularMatrix(tuple(tuple(int(r == c) for c in range(d)) for r in range(d)), m)
-
-
-def reduce_mod(mat: LatticeIsometry, m: int) -> ModularMatrix:
-    """Entrywise reduction of an integer isometry mod m."""
-    return ModularMatrix(tuple(tuple(x % m for x in row) for row in mat.entries), m)
 
 
 def chamber_vector(n: int) -> LatticeVector:
@@ -256,14 +223,14 @@ def layered_closure(
     identity: np.ndarray,
     pick: Callable[[np.ndarray], np.ndarray],
     build: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    budget: int,
 ) -> Iterator[np.ndarray]:
     """Breadth-first closure under right multiplication, one layer at a time.
 
     pick(F) gives the positions of the new products F g of a frontier F,
     sorted, in generator-major candidate order (position i |F| + j is row j
     times the i-th generator), each new element once; build(F, picks) builds
-    them, after the budget has been checked.  The pick rule may keep state
+    them, after DEFAULT_ELEMENT_BUDGET, read when the walk starts, has been
+    checked against the count so far.  The pick rule may keep state
     from one layer to the next, keys included: _fresh_keys and
     _MatrixProducts._descents are the two.
 
@@ -272,6 +239,7 @@ def layered_closure(
     layers of elements: the one it reads and the frontier the next is built
     from.
     """
+    budget = DEFAULT_ELEMENT_BUDGET
     frontier = identity
     count = len(identity)
     yield identity
@@ -313,14 +281,14 @@ def _fresh_keys(
     return pick
 
 
-def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray], budget: int) -> np.ndarray:
+def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Breadth-first orbit of integer rows, in discovery order, by layered_closure.
 
     step(F) gives the images of the frontier rows F under each generator,
     stacked generator-major.  Each row is its own key, packed by _pack_int8:
     at most eight entries, each within int8.  The seeds must be distinct.
     The generator set must be closed under inversion, as reflections are.
-    The budget counts the seeds.
+    The element budget counts the seeds.
     """
     keys = np.sort(_pack_int8(seeds))
     if (keys[1:] == keys[:-1]).any():
@@ -333,7 +301,7 @@ def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray], budget: i
         return _pack_int8(images)
 
     pick = _fresh_keys(image_keys, keys)
-    layers = layered_closure(seeds, pick, lambda f, picks: images[picks], budget)
+    layers = layered_closure(seeds, pick, lambda f, picks: images[picks])
     return np.concatenate(list(layers))
 
 
@@ -387,12 +355,14 @@ class _ColumnPlan:
 class _MatrixProducts:
     """Exact products M g of int8 matrices M by a fixed list of generators g.
 
-    Mod m, every element has an int64 key: the base-m digits of the reduced
-    matrix, most significant first.  When projective, the class {M, -M} is
-    keyed, and built, by whichever sign has the smaller key, whatever the
-    signs of M and the generators.  Products are keyed before they are
-    built, and closures pick by keys.  Over Z nothing is keyed: closures
-    pick by descents, and the element budget stops an infinite group.
+    The generators are Matrix objects of one ring, Z or Z/m, read off them:
+    it is the ring of every product.  Mod m, every element has an int64 key:
+    the base-m digits of the reduced matrix, most significant first.  When
+    projective, the class {M, -M} is keyed, and built, by whichever sign has
+    the smaller key, whatever the signs of M and the generators.  Products
+    are keyed before they are built, and closures pick by keys.  Over Z
+    nothing is keyed: closures pick by descents, and the element budget
+    stops an infinite group.
 
     Products are built column by column, from a _ColumnPlan made once per
     generator: column j of M g is the sum over k of g[k, j] times column k
@@ -405,28 +375,29 @@ class _MatrixProducts:
     at most the key.
     """
 
-    def __init__(
-        self, gen_rows: Sequence[Rows], modulus: int | None, projective: bool
-    ) -> None:
-        if not gen_rows:
+    def __init__(self, generators: Sequence[Matrix], projective: bool = False) -> None:
+        if not generators:
             raise ValueError("need at least one generator")
+        modulus = generators[0].modulus
+        if any(g.modulus != modulus for g in generators):
+            raise ValueError("generators must lie in one ring")
         if projective and modulus is None:
             raise ValueError("projective closure requires a modulus")
-        d = len(gen_rows[0])
-        if any(len(g) != d or any(len(r) != d for r in g) for g in gen_rows):
+        d = generators[0].dimension
+        if any(g.dimension != d or any(len(r) != d for r in g.entries) for g in generators):
             raise ValueError("generators must be square matrices of equal size")
+        self.generators = tuple(generators)
         self.dimension = d
         self.modulus = modulus
         self.projective = projective
 
-        gens = np.array(gen_rows, dtype=np.int64)
+        gens = np.array([g.entries for g in generators], dtype=np.int64)
         if modulus is None:
             if np.abs(gens).max() > 127:
                 raise OverflowError("matrix entries exceed int8 storage")
         else:
             if modulus > 128 or modulus ** (d * d) > 2**53:
                 raise ValueError("mod-m keys need m <= 128 and m^(d*d) <= 2^53")
-            gens %= modulus
             # Most significant digit first: keys order like the entries, lexicographically.
             self._powers = (modulus ** np.arange(d * d - 1, -1, -1)).astype(np.float64)
             self._negated = (-np.arange(modulus) % modulus).astype(np.int8)
@@ -515,7 +486,7 @@ class _MatrixProducts:
                 out[chunk] = self.products(frontier[picks[chunk] - i * len(frontier)], plan)
         return out
 
-    def layers(self, budget: int) -> Iterator[np.ndarray]:
+    def layers(self) -> Iterator[np.ndarray]:
         """The closure from the identity, one block of int8 matrices a layer.
 
         The generator set must be closed under inversion: each g has a g' in
@@ -531,7 +502,7 @@ class _MatrixProducts:
             pick = self._descents()
         else:
             pick = _fresh_keys(self.candidate_keys, self.keys(ident))
-        return layered_closure(ident, pick, self.build, budget)
+        return layered_closure(ident, pick, self.build)
 
     def _descents(self) -> Callable[[np.ndarray], np.ndarray]:
         """The pick rule by descents, for distinct simple reflections of Z^{d-1,1}.
@@ -543,8 +514,8 @@ class _MatrixProducts:
         as s(alpha_t) = alpha_t - c_ts alpha_s.
         """
         n = self.dimension - 1
-        simple = {reflection_matrix(a).entries: a for a in simple_roots(n)}
-        roots = [simple.get(tuple(map(tuple, g))) for g in self._gens.tolist()]
+        simple = {reflection_matrix(a): a for a in simple_roots(n)}
+        roots = [simple.get(g) for g in self.generators]
         if None in roots or len(set(roots)) < len(roots):
             raise ValueError("integer closures need distinct simple reflections as generators")
         # cartan[t, s] = c_ts = 2 (alpha_t, alpha_s) / (alpha_s, alpha_s), an integer.
@@ -588,15 +559,11 @@ class GroupClosure(_MatrixProducts):
     mod m.  The closure fails fast past DEFAULT_ELEMENT_BUDGET elements.
     """
 
-    def __init__(self, generators: Sequence[ModularMatrix], projective: bool = False) -> None:
-        if not generators:
-            raise ValueError("need at least one generator")
-        m = generators[0].modulus
-        if any(g.modulus != m for g in generators):
-            raise ValueError("generators must share a modulus")
-        self.generators = tuple(generators)
-        super().__init__([g.entries for g in generators], m, projective)
-        self.mats = np.concatenate(list(self.layers(DEFAULT_ELEMENT_BUDGET)))
+    def __init__(self, generators: Sequence[Matrix], projective: bool = False) -> None:
+        super().__init__(generators, projective)
+        if self.modulus is None:
+            raise ValueError("GroupClosure closes groups over Z/m")
+        self.mats = np.concatenate(list(self.layers()))
         self.order = len(self.mats)
         keys = self.keys(self.mats)
         self._key_order = np.argsort(keys)
@@ -607,16 +574,16 @@ class GroupClosure(_MatrixProducts):
         pos = _positions(self._sorted_keys, keys)
         return np.where(pos >= 0, self._key_order[pos], -1)
 
-    def _entries(self, mat: ModularMatrix) -> Rows:
+    def _entries(self, mat: Matrix) -> Rows:
         if mat.modulus != self.modulus:
-            raise ValueError("modulus mismatch")
+            raise ValueError(f"ring mismatch: modulus {mat.modulus} and {self.modulus}")
         return mat.entries
 
-    def __contains__(self, mat: ModularMatrix) -> bool:
+    def __contains__(self, mat: Matrix) -> bool:
         key = self.product_keys(np.array([self._entries(mat)], dtype=np.int8), self.identity)
         return bool(self.index_of_keys(key)[0] >= 0)
 
-    def right_multiply(self, indices: np.ndarray, mat: ModularMatrix) -> np.ndarray:
+    def right_multiply(self, indices: np.ndarray, mat: Matrix) -> np.ndarray:
         """Indices of the products element_i * mat, for an array of element indices."""
         plan = _ColumnPlan.of(np.array(self._entries(mat)), self.modulus)
         keys = np.empty(len(indices), dtype=np.int64)
@@ -631,10 +598,10 @@ class GroupClosure(_MatrixProducts):
     def contains_minus_identity(self) -> bool:
         if self.projective:
             return False
-        return ModularMatrix.identity(self.dimension, self.modulus).neg() in self
+        return Matrix.identity(self.dimension, self.modulus).neg() in self
 
 
-def finite_group_elements(generators: Sequence[LatticeIsometry]) -> np.ndarray:
+def finite_group_elements(generators: Sequence[Matrix]) -> np.ndarray:
     """All elements of the group generated by simple reflections of Z^{n,1}.
 
     The elements are int8 matrices, shape (order, d, d), in discovery order.
@@ -643,8 +610,7 @@ def finite_group_elements(generators: Sequence[LatticeIsometry]) -> np.ndarray:
     closure guarded by DEFAULT_ELEMENT_BUDGET: a wrong generator set
     (infinite group) fails fast instead of silently grinding.
     """
-    products = _MatrixProducts([g.entries for g in generators], None, False)
-    return np.concatenate(list(products.layers(DEFAULT_ELEMENT_BUDGET)))
+    return np.concatenate(list(_MatrixProducts(generators).layers()))
 
 
 @dataclass(frozen=True)
@@ -657,7 +623,7 @@ class CongruenceIntersection:
     congruent_mod3: int
 
 
-def long_simple_reflections(n: int) -> list[LatticeIsometry]:
+def long_simple_reflections(n: int) -> list[Matrix]:
     """Reflections in the norm-2 simple roots: generators of the finite stabilizer."""
     return [reflection_matrix(a) for a in simple_roots(n) if norm(a) == 2]
 
@@ -680,8 +646,8 @@ def congruence_intersection_check(n: int) -> CongruenceIntersection:
     """
     if not 2 <= n <= 7:
         raise ValueError(f"n must be between 2 and 7, got {n}")
-    products = _MatrixProducts([g.entries for g in long_simple_reflections(n)], None, False)
-    return CongruenceIntersection(n, *_congruence_counts(products.layers(DEFAULT_ELEMENT_BUDGET)))
+    layers = _MatrixProducts(long_simple_reflections(n)).layers()
+    return CongruenceIntersection(n, *_congruence_counts(layers))
 
 
 def _congruence_counts(layers: Iterable[np.ndarray]) -> tuple[int, int, int]:
@@ -723,7 +689,7 @@ class CosetSpace:
     """
 
     def __init__(
-        self, group: GroupClosure, subgroup_generators: Sequence[ModularMatrix]
+        self, group: GroupClosure, subgroup_generators: Sequence[Matrix]
     ) -> None:
         if any(g not in group for g in subgroup_generators):
             raise ValueError("subgroup generators produce elements outside the group")
@@ -752,7 +718,7 @@ class CosetSpace:
 
 
 def coset_space(
-    group: GroupClosure, subgroup_generators: Sequence[ModularMatrix]
+    group: GroupClosure, subgroup_generators: Sequence[Matrix]
 ) -> CosetSpace:
     """Partition a closed matrix group into left cosets of a subgroup."""
     return CosetSpace(group, subgroup_generators)

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .lattice import LatticeVector, Root, inner, norm, reflect
 from .geometry import GossetWallSystem, wall_pair_classification
-from .isometry import LatticeIsometry, ModularMatrix
+from .isometry import Matrix
 
 Word = tuple[str, ...]
 
@@ -219,19 +219,13 @@ def build_presentation(kind: str, deflate: bool = True) -> Presentation:
     return Presentation(g.nodes, tuple(relators))
 
 
-def evaluate_word(
-    word: Word, assignment: Mapping[str, LatticeIsometry | ModularMatrix]
-) -> LatticeIsometry | ModularMatrix:
-    """Left-to-right product of the assigned matrices; empty word is the identity."""
+def evaluate_word(word: Word, assignment: Mapping[str, Matrix]) -> Matrix:
+    """Left-to-right product of the assigned matrices; the empty word is the
+    identity of their ring."""
     if not assignment:
         raise ValueError("assignment must cover at least one generator")
     sample = next(iter(assignment.values()))
-    if isinstance(sample, ModularMatrix):
-        out: LatticeIsometry | ModularMatrix = ModularMatrix.identity(
-            sample.dimension, sample.modulus
-        )
-    else:
-        out = LatticeIsometry.identity(sample.dimension)
+    out = Matrix.identity(sample.dimension, sample.modulus)
     for letter in word:
         if letter not in assignment:
             raise ValueError(f"word uses unassigned generator {letter!r}")

@@ -33,8 +33,7 @@ from gosset.geometry import (
 )
 from gosset.isometry import (
     CongruenceIntersection,
-    LatticeIsometry,
-    ModularMatrix,
+    Matrix,
     congruence_intersection_check,
     reflection_matrix,
 )
@@ -86,9 +85,9 @@ def test_criterion_03_deflation_negative_control():
     word = next(r for r in build_presentation("affine_a5").relators if len(r) == 10)
     walls = gosset_walls(3)
     mirrors = {l: reflection_matrix(walls.root_of(l)) for l in walls.labels}
-    ok = ok and evaluate_word(word, mirrors) != LatticeIsometry.identity(4)
+    ok = ok and evaluate_word(word, mirrors) != Matrix.identity(4)
     mod3 = wall_reflections_mod3(3)
-    ok = ok and evaluate_word(word, mod3) == ModularMatrix.identity(4, 3)
+    ok = ok and evaluate_word(word, mod3) == Matrix.identity(4, 3)
     _criterion(3, "deflation is necessary and is an integer-nontrivial mod-3 identity", ok)
 
 

@@ -44,6 +44,12 @@ def test_lattice_suite_skips_large_dimension_by_default():
     assert by_status["congruence_trivial_n7"] == "skipped"
 
 
+def test_default_run_skips_n7_with_the_flag_that_enables_it():
+    # The skip text names the flag only; the cost estimate lives in --help.
+    (row,) = [r for r in run_suite("lattice") if r.check_id == "congruence_trivial_n7"]
+    assert (row.status, row.details) == ("skipped", "pass --max-n 7 to enable")
+
+
 def test_exit_code_logic():
     ok = CheckReport("a", None, "pass", 1, 1, 0, "")
     bad = CheckReport("b", None, "fail", 1, 2, 0, "")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gosset import e6
+from gosset import isometry
 from gosset.e6 import (
     E6_EDGES,
     SIMPLE_ROOTS,
@@ -168,7 +168,7 @@ def test_permutation_closure_matches_tuple_oracle():
 
 
 def test_permutation_closure_budget_fails_before_building_the_layer(layer_builds, monkeypatch):
-    monkeypatch.setattr(e6, "DEFAULT_ELEMENT_BUDGET", 1000)
+    monkeypatch.setattr(isometry, "DEFAULT_ELEMENT_BUDGET", 1000)
     perms, basis = _beta_permutations()
     with pytest.raises(ClosureBudgetExceeded):
         permutation_closure_order(list(perms.values()), basis)

@@ -15,7 +15,7 @@ from gosset.enumeration import (
     verify_table,
 )
 from gosset.geometry import wall_reflections_mod3
-from gosset.isometry import ModularMatrix
+from gosset.isometry import Matrix
 from gosset.presentation import Presentation, build_presentation
 
 EXPECTED_ORDERS = {"a3": 24, "affine_a5": 720, "petersen": 51840}
@@ -317,7 +317,7 @@ def test_cross_certificate_detects_wrong_assignment():
     table = enumerate_diagram_group("a3")
     honest = wall_reflections_mod3(2)
     broken = dict(honest)
-    broken["1"] = ModularMatrix.identity(3, 3)
+    broken["1"] = Matrix.identity(3, 3)
     cert = verify_action_against_matrices(table, broken)
     assert not cert.consistent
 
@@ -325,7 +325,7 @@ def test_cross_certificate_detects_wrong_assignment():
 def test_cross_certificate_rejects_a_non_injective_map():
     # Every generator to I: each edge holds, but all 24 cosets share one image.
     table = enumerate_diagram_group("a3")
-    trivial = {g: ModularMatrix.identity(3, 3) for g in table.generators}
+    trivial = {g: Matrix.identity(3, 3) for g in table.generators}
     cert = verify_action_against_matrices(table, trivial)
     assert not cert.consistent
     assert cert.matrix_group_order == 1

@@ -22,7 +22,7 @@ from gosset.geometry import (
     wall_pair_classification,
     wall_reflections_mod3,
 )
-from gosset.isometry import ModularMatrix, coset_space, reflection_matrix
+from gosset.isometry import Matrix, coset_space, reflection_matrix
 from gosset.lattice import basis_vector, inner, norm
 
 WALL_COUNTS = {2: 3, 3: 6, 4: 10}
@@ -100,7 +100,7 @@ def test_wall_reflections_mod3_are_involutions():
     for n in (2, 3, 4):
         mats = wall_reflections_mod3(n)
         assert len(mats) == WALL_COUNTS[n]
-        identity = ModularMatrix.identity(n + 1, 3)
+        identity = Matrix.identity(n + 1, 3)
         for m in mats.values():
             assert m @ m == identity
             assert m != identity

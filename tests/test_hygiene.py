@@ -1,17 +1,25 @@
-"""Source hygiene: no module imports a name that it never uses.
+"""Source hygiene: no unused imports and no unused definitions.
 
-The scan reads the package and the tests as syntax trees.  A name counts as
-used where it is loaded anywhere in the module, where a string annotation
-names it, or where the module lists it in __all__ to re-export it.
+The scans read the sources as syntax trees.  For imports, in the package
+and the tests, a name counts as used where it is loaded anywhere in the
+module, where a string annotation names it, or where the module lists it in
+__all__ to re-export it.  For definitions, every module-level function and
+class of the package must be loaded by name, bare or as an attribute, in
+the package or the bench scripts, outside its own body; tests alone do not
+keep a definition alive.  Rows registered with @check are exempt: the
+decorator is their use.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "gosset").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "gosset").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _imported(tree):
@@ -74,3 +82,69 @@ def test_unused_import_scan_catches_its_cases():
         "    return numpy.linalg.norm(x)\n"
     )
     assert unused_imports(source) == [("os", 2), ("osp", 2), ("Iterator", 4), ("c", 5), ("e", 6)]
+
+
+def _loads(node):
+    """Each name loaded under node, bare or as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+
+
+def _is_check_row(node):
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "check"
+        for d in node.decorator_list
+    )
+
+
+def unused_definitions(package, others):
+    """(module, name) of each module-level function or class in package that no
+    source loads outside its own body.  Both arguments map module names to
+    source text; only package is scanned for definitions."""
+    trees = {module: ast.parse(source) for module, source in {**others, **package}.items()}
+    loads = Counter(name for tree in trees.values() for name in _loads(tree))
+    unused = []
+    for module in package:
+        for node in trees[module].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_check_row(node):
+                continue
+            if loads[node.name] == Counter(_loads(node))[node.name]:
+                unused.append((module, node.name))
+    return unused
+
+
+def test_no_unused_definitions():
+    package = {f"src/gosset/{p.name}": p.read_text() for p in PACKAGE}
+    bench = {f"perfbench/{p.name}": p.read_text() for p in BENCH}
+    assert unused_definitions(package, bench) == []
+
+
+def test_unused_definition_scan_catches_its_cases():
+    package = {
+        "a": (
+            "def used(): pass\n"
+            "def by_attribute(): pass\n"
+            "def bench_only(): pass\n"
+            "def tests_only(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Itself:\n"
+            "    def copy(self): return Itself()\n"
+            "def decorator(f): return f\n"
+            "@decorator\n"
+            "def decorated(): pass\n"
+            "@check('suite', 'row')\n"
+            "def _row(c): pass\n"
+        ),
+        "b": "from .a import used, tests_only\nfrom . import a\nused()\na.by_attribute()\n",
+    }
+    bench = {"bench": "from gosset.a import bench_only\nbench_only()\n"}
+    assert unused_definitions(package, bench) == [
+        ("a", "tests_only"), ("a", "recursive"), ("a", "Itself"), ("a", "decorated")
+    ]
+    assert unused_definitions(package, {}) == [
+        ("a", "bench_only"), ("a", "tests_only"), ("a", "recursive"), ("a", "Itself"),
+        ("a", "decorated"),
+    ]

@@ -11,17 +11,15 @@ from gosset.isometry import (
     ClosureBudgetExceeded,
     CongruenceIntersection,
     GroupClosure,
-    LatticeIsometry,
-    ModularMatrix,
+    Matrix,
     chamber_vector,
     congruence_intersection_check,
     coset_space,
     lattice_isometry,
     long_simple_reflections,
     memoize,
+    lorentz_gram,
     orbit,
-    preserves_form,
-    reduce_mod,
     reflection_matrix,
     _ColumnPlan,
     _MatrixProducts,
@@ -53,8 +51,9 @@ def test_reflection_matrices_are_involutive_isometries():
     for n in (2, 3, 4):
         for a in simple_roots(n):
             m = reflection_matrix(a)
-            assert preserves_form(m.entries)
-            assert m @ m == LatticeIsometry.identity(n + 1)
+            transpose = Matrix(tuple(zip(*m.entries)))
+            assert transpose @ lorentz_gram(n + 1) @ m == lorentz_gram(n + 1)
+            assert m @ m == Matrix.identity(n + 1)
 
 
 def test_reflection_matrices_have_determinant_minus_one():
@@ -72,12 +71,63 @@ def test_isometry_factory_rejects_junk():
         lattice_isometry(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
 
 
-def test_reduce_mod_wraps_entries():
-    m = reduce_mod(LatticeIsometry.identity(3), 3)
-    assert isinstance(m, ModularMatrix)
-    assert m == ModularMatrix.identity(3, 3)
-    neg = reduce_mod(reflection_matrix(simple_roots(2)[2]), 2)
+def test_reduce_wraps_entries():
+    m = Matrix.identity(3).reduce(3)
+    assert m.modulus == 3
+    assert m == Matrix.identity(3, 3)
+    assert m != Matrix.identity(3)
+    neg = reflection_matrix(simple_roots(2)[2]).reduce(2)
     assert all(0 <= e < 2 for row in neg.entries for e in row)
+    with pytest.raises(ValueError, match="only an integer matrix"):
+        Matrix.identity(3, 3).reduce(3)
+
+
+def test_products_refuse_factors_from_two_rings():
+    s = reflection_matrix(simple_roots(2)[0])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        s @ s.reduce(3)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        s.reduce(3) @ s
+    with pytest.raises(ValueError, match="ring mismatch"):
+        s.reduce(3) @ s.reduce(5)
+    assert (s @ s).modulus is None
+    assert s.reduce(3) @ s.reduce(3) == Matrix.identity(3, 3)
+
+
+def test_neg_stays_in_its_ring():
+    s = reflection_matrix(simple_roots(2)[0])
+    assert s.neg().entries == tuple(tuple(-x for x in row) for row in s.entries)
+    assert s.neg().modulus is None and s.neg().neg() == s
+    minus = Matrix.identity(3, 3).neg()
+    assert minus == Matrix(((2, 0, 0), (0, 2, 0), (0, 0, 2)), 3)
+    assert s.reduce(3).neg() == s.neg().reduce(3)
+    assert minus @ minus == Matrix.identity(3, 3)
+
+
+def test_matrix_products_reject_generators_from_mixed_rings():
+    s = long_simple_reflections(3)
+    with pytest.raises(ValueError, match="one ring"):
+        _MatrixProducts([s[0], s[1].reduce(3)])
+    with pytest.raises(ValueError, match="one ring"):
+        _MatrixProducts([s[0].reduce(3), s[1].reduce(5)], projective=True)
+    with pytest.raises(ValueError, match="one ring"):
+        GroupClosure([s[0].reduce(3), s[1]])
+    with pytest.raises(ValueError, match="requires a modulus"):
+        _MatrixProducts(s, projective=True)
+    with pytest.raises(ValueError, match="over Z/m"):
+        GroupClosure(s)
+
+
+def test_group_closure_rejects_an_integer_query():
+    g = GroupClosure(stabilizer_generators_mod3(3))
+    s = long_simple_reflections(3)[0]
+    assert s.reduce(3) in g
+    with pytest.raises(ValueError, match="ring mismatch"):
+        s in g
+    with pytest.raises(ValueError, match="ring mismatch"):
+        g.right_multiply(np.array([0]), s)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        g.right_multiply(np.array([0]), s.reduce(5))
 
 
 def test_stabilizer_closure_orders():
@@ -116,7 +166,7 @@ def test_group_membership_and_indexing():
         assert m in g
         (i,) = g.right_multiply(np.array([0]), m)  # element 0 is the identity
         assert tuple(map(tuple, g.mats[i].tolist())) == m.entries
-    assert ModularMatrix.identity(4, 3) in g
+    assert Matrix.identity(4, 3) in g
     # A projective closure answers for -M as for M.
     proj = reflection_image_mod3(4)
     every = np.arange(proj.order)
@@ -135,7 +185,7 @@ def test_coset_space_against_lagrange():
 
 
 def test_coset_space_rejects_a_subgroup_generator_outside_the_group():
-    shear = ModularMatrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)), 3)  # moves diag(-1, 1, 1)
+    shear = Matrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)), 3)  # moves diag(-1, 1, 1)
     with pytest.raises(ValueError, match="outside the group"):
         coset_space(reflection_image_mod3(2), [shear])
 
@@ -185,9 +235,9 @@ def test_congruence_intersection_trivial_small():
         assert result.congruent_mod3 == 1
 
 
-def _closure(gen_rows, modulus=None, projective=False, budget=10**6):
+def _closure(generators, projective=False):
     """The elements of a closure in discovery order, from its layers."""
-    return np.concatenate(list(_MatrixProducts(gen_rows, modulus, projective).layers(budget)))
+    return np.concatenate(list(_MatrixProducts(generators, projective).layers()))
 
 
 def _sha256(array, dtype):
@@ -217,7 +267,7 @@ COSET_ASSIGNMENT_N4_SHA256 = "93428cf1a139bcc07f447e8cdfb9e6e9c7c8871b2a23271a6f
 
 def _assert_integer_closures_match_pins():
     for n, digest in INTEGER_CLOSURE_SHA256.items():
-        mats = _closure([g.entries for g in long_simple_reflections(n)])
+        mats = _closure(long_simple_reflections(n))
         assert _sha256(mats, np.int8) == digest, n
 
 
@@ -267,8 +317,7 @@ def test_streamed_congruence_counts_find_minus_identity():
     # prefilter, which must keep every element whose M e_0 = e_0 mod p.
     # <W, -I> is W and -W, fed to the counts as W's layers and then -W's.
     for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
-        products = _MatrixProducts([g.entries for g in long_simple_reflections(n)], None, False)
-        layers = list(products.layers(10**6))
+        layers = list(_MatrixProducts(long_simple_reflections(n)).layers())
         mats = np.concatenate(layers)
         assert _congruence_counts(layers) == _materialised_counts(mats) == (order, 1, 1)
         negated = [-block for block in layers]
@@ -307,13 +356,14 @@ STABILIZER_DEGREES = {
 
 def test_integer_closure_layers_count_the_elements_of_each_length(poincare_coefficients):
     for n, degrees in STABILIZER_DEGREES.items():
-        gens = [g.entries for g in long_simple_reflections(n)]
-        sizes = [len(block) for block in _MatrixProducts(gens, None, False).layers(10**6)]
+        layers = _MatrixProducts(long_simple_reflections(n)).layers()
+        sizes = [len(block) for block in layers]
         assert sizes == poincare_coefficients(degrees), n
 
 
-def _oracle_closure(gens, modulus, projective):
+def _oracle_closure(generators, modulus, projective):
     """Reference BFS on tuples: layer by layer, generator-major, a dict of seen."""
+    gens = [g.entries for g in generators]
 
     def normal(rows):
         if modulus is not None:
@@ -353,17 +403,15 @@ def test_closure_matches_tuple_oracle():
     def same_sequence(case, data):
         n, projective = case
         if projective is None:
-            pool = [g.entries for g in long_simple_reflections(n)]
-            modulus = None
+            pool = long_simple_reflections(n)
         else:
-            pool = [g.entries for g in wall_reflections_mod3(n).values()]
-            modulus = 3
+            pool = list(wall_reflections_mod3(n).values())
         order = data.draw(st.permutations(range(len(pool))))
         size = data.draw(st.integers(1, len(pool)))
         gens = [pool[i] for i in order[:size]]
-        mats = _closure(gens, modulus, bool(projective))
+        mats = _closure(gens, bool(projective))
         assert [tuple(map(tuple, m)) for m in mats.tolist()] == _oracle_closure(
-            gens, modulus, bool(projective)
+            gens, gens[0].modulus, bool(projective)
         )
 
     same_sequence()
@@ -376,21 +424,21 @@ def test_chamber_vector_pairs_to_one_with_every_simple_root():
         assert {inner(a, v) for a in simple_roots(n)} == {1}
 
 
-def test_closure_budget_fails_before_building_the_layer(layer_builds):
+def test_closure_budget_fails_before_building_the_layer(layer_builds, monkeypatch):
     from gosset.geometry import simple_reflection_matrices
 
-    gens = [g.entries for g in simple_reflection_matrices(4)]  # an infinite group
+    monkeypatch.setattr(isometry, "DEFAULT_ELEMENT_BUDGET", 1000)
     with pytest.raises(ClosureBudgetExceeded):
-        _closure(gens, budget=1000)
+        _closure(simple_reflection_matrices(4))  # an infinite group
     assert layer_builds and 1 + sum(layer_builds) <= 1000
 
 
-def test_infinite_integer_closure_stops_at_the_budget(layer_builds):
+def test_infinite_integer_closure_stops_at_the_budget(layer_builds, monkeypatch):
     # At n = 8 the long simple reflections generate the affine Weyl group of
     # E8, an infinite group: only the element budget stops its walk.
-    gens = [g.entries for g in long_simple_reflections(8)]
+    monkeypatch.setattr(isometry, "DEFAULT_ELEMENT_BUDGET", 10**5)
     with pytest.raises(ClosureBudgetExceeded):
-        list(_MatrixProducts(gens, None, False).layers(10**5))
+        list(_MatrixProducts(long_simple_reflections(8)).layers())
     assert layer_builds and 1 + sum(layer_builds) <= 10**5
 
 
@@ -398,26 +446,26 @@ def test_closure_requires_inverse_closed_generators(layer_builds):
     s = long_simple_reflections(3)
     rotation = s[1] @ s[2]  # order 3: its inverse s[2] s[1] is not in the set
     with pytest.raises(ValueError, match="inversion"):
-        _closure([rotation.entries])
+        _closure([rotation])
     with pytest.raises(ValueError, match="inversion"):
-        GroupClosure([reduce_mod(rotation, 3)])
+        GroupClosure([rotation.reduce(3)])
     # The same check rejects a singular generator mod m: no g' has g g' = +-I.
-    singular = ModularMatrix(((0, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
+    singular = Matrix(((0, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
     for projective in (False, True):
         with pytest.raises(ValueError, match="inversion"):
             GroupClosure([singular], projective=projective)
     # With its inverse added the set is closed: a cyclic group of order 3.
     inverse = rotation @ rotation
-    assert GroupClosure([reduce_mod(rotation, 3), reduce_mod(inverse, 3)]).order == 3
+    assert GroupClosure([rotation.reduce(3), inverse.reduce(3)]).order == 3
     # Involutions pass that check, but an integer closure walks descents and
     # takes only distinct simple reflections: -I, a repeated generator and the
     # reflection s[1] s[2] s[1] in the root e_1 - e_3 fail before any layer.
-    minus = tuple(tuple(-int(r == c) for c in range(4)) for r in range(4))
-    reflection = (s[1] @ s[2] @ s[1]).entries
+    minus = Matrix.identity(4).neg()
+    reflection = s[1] @ s[2] @ s[1]
     layer_builds.clear()
-    for gens in ([minus], [s[0].entries, s[0].entries], [s[0].entries, reflection]):
+    for gens in ([minus], [s[0], s[0]], [s[0], reflection]):
         with pytest.raises(ValueError, match="distinct simple reflections"):
-            _MatrixProducts(gens, None, False).layers(10**6)
+            _MatrixProducts(gens).layers()
     assert layer_builds == []
 
 
@@ -426,12 +474,11 @@ def test_integer_closure_overflow_raises():
 
     # All simple reflections generate an infinite group, whose entries pass
     # int8 mid-walk; at n = 3 that comes well before the budget.
-    gens = [g.entries for g in simple_reflection_matrices(3)]
     with pytest.raises(OverflowError):
-        _closure(gens)
-    big = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((200, 0, 0), (0, 1, 0), (0, 0, 1))
+        _closure(simple_reflection_matrices(3))
+    big = Matrix(((200, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(OverflowError):
-        _closure(list(big))
+        _closure([Matrix.identity(3), big])
 
 
 @pytest.mark.parametrize("d", range(2, 10))
@@ -507,7 +554,7 @@ def test_mod_m_keys_are_exact_up_to_two_to_the_53():
     # 59^9 < 2^53 < 3^36 < 5^25 < 2^63 < 2^64: d = 3 mod 59 keys all of its
     # matrices exactly in float64, and d = 6 mod 3, d = 5 mod 5 and d = 8
     # mod 2 are refused.
-    products = _MatrixProducts([np.eye(3, dtype=int).tolist()], 59, False)
+    products = _MatrixProducts([Matrix.identity(3, 59)])
     rng = np.random.default_rng(53)
     mats = np.concatenate([np.full((1, 3, 3), 58), rng.integers(0, 59, (500, 3, 3))])
     exact = [sum(int(x) * 59**e for e, x in enumerate(m.ravel()[::-1])) for m in mats]
@@ -515,9 +562,9 @@ def test_mod_m_keys_are_exact_up_to_two_to_the_53():
     assert exact[0] == 59**9 - 1
     for d, modulus in ((6, 3), (5, 5), (8, 2)):
         with pytest.raises(ValueError, match="2\\^53"):
-            _MatrixProducts([np.eye(d, dtype=int).tolist()], modulus, False)
+            _MatrixProducts([Matrix.identity(d, modulus)])
     for d, modulus in ((5, 3), (7, 2), (4, 7)):
-        _MatrixProducts([np.eye(d, dtype=int).tolist()], modulus, False)
+        _MatrixProducts([Matrix.identity(d, modulus)])
 
 
 def _oracle_orbit(seeds, actions):
@@ -591,7 +638,7 @@ def test_orbit_matches_set_oracle():
             step, actions = _beta_action([labels[i] for i in subset(data, 10, 5)])
             width = data.draw(st.integers(1, 6))
             seeds = data.draw(distinct(st.tuples(*[st.integers(0, 71)] * width)))
-        found = orbit(np.array(seeds), step, 10**6)
+        found = orbit(np.array(seeds), step)
         assert [tuple(row) for row in found.tolist()] == _oracle_orbit(seeds, actions)
 
     same_orbit()
@@ -600,17 +647,19 @@ def test_orbit_matches_set_oracle():
 def test_orbit_takes_seeds_in_unsorted_key_order():
     seeds = SIMPLE_ROOTS[::-1]  # e_5, ..., e_0: their packed keys descend
     step, actions = _e6_action(range(6))
-    found = orbit(np.array(seeds), step, 1000)
+    found = orbit(np.array(seeds), step)
     assert [tuple(row) for row in found.tolist()] == _oracle_orbit(seeds, actions)
     assert len(found) == 72 and [tuple(row) for row in found[:6].tolist()] == list(seeds)
 
 
-def test_orbit_budget_fails_before_building_the_layer(layer_builds):
+def test_orbit_budget_fails_before_building_the_layer(layer_builds, monkeypatch):
     step, _ = _e6_action(range(6))
-    assert len(orbit(np.eye(6, dtype=np.int64), step, 72)) == 72
+    monkeypatch.setattr(isometry, "DEFAULT_ELEMENT_BUDGET", 72)
+    assert len(orbit(np.eye(6, dtype=np.int64), step)) == 72
     layer_builds.clear()
+    monkeypatch.setattr(isometry, "DEFAULT_ELEMENT_BUDGET", 71)
     with pytest.raises(ClosureBudgetExceeded):
-        orbit(np.eye(6, dtype=np.int64), step, 71)
+        orbit(np.eye(6, dtype=np.int64), step)
     assert layer_builds and 6 + sum(layer_builds) <= 71
 
 
@@ -620,8 +669,8 @@ def test_orbit_rejects_int8_overflow_and_duplicate_seeds():
     mats = np.array([m.entries for m in simple_reflection_matrices(4)]).transpose(0, 2, 1)
     apex = np.array([[1, 0, 0, 0, 0]])
     with pytest.raises(OverflowError):  # all simple reflections: an infinite orbit
-        orbit(apex, lambda f: f @ mats, 10**6)
+        orbit(apex, lambda f: f @ mats)
     with pytest.raises(OverflowError):
-        orbit(np.array([[200, 0]]), lambda f: f[None], 10)
+        orbit(np.array([[200, 0]]), lambda f: f[None])
     with pytest.raises(ValueError, match="distinct"):
-        orbit(np.array([[1, 0], [0, 1], [1, 0]]), lambda f: f[None], 10)
+        orbit(np.array([[1, 0], [0, 1], [1, 0]]), lambda f: f[None])

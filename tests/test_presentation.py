@@ -6,7 +6,7 @@ import pytest
 
 from gosset.cli import AUT_ORDERS, GIRTHS
 from gosset.geometry import gosset_walls, wall_reflections_mod3
-from gosset.isometry import LatticeIsometry, ModularMatrix, reflection_matrix
+from gosset.isometry import Matrix, reflection_matrix
 from gosset.lattice import inner, vector
 from gosset.presentation import (
     braid_identity_check,
@@ -116,7 +116,7 @@ def test_presentation_relator_profiles():
 def test_relators_hold_in_mod3_image():
     for n, kind in ((2, "a3"), (3, "affine_a5"), (4, "petersen")):
         assignment = wall_reflections_mod3(n)
-        identity = ModularMatrix.identity(n + 1, 3)
+        identity = Matrix.identity(n + 1, 3)
         for rel in build_presentation(kind).relators:
             assert evaluate_word(rel, assignment) == identity
 
@@ -129,17 +129,22 @@ def test_deflation_word_is_nontrivial_over_the_integers():
     mirrors = {l: reflection_matrix(walls.root_of(l)) for l in walls.labels}
     word = next(r for r in build_presentation("affine_a5").relators if len(r) == 10)
     image = evaluate_word(word, mirrors)
-    assert image != LatticeIsometry.identity(4)
+    assert image != Matrix.identity(4)
     square = image @ image
-    assert square != LatticeIsometry.identity(4)
+    assert square != Matrix.identity(4)
 
 
 def test_evaluate_word_empty_and_unknown():
     walls = gosset_walls(2)
     mirrors = {l: reflection_matrix(walls.root_of(l)) for l in walls.labels}
-    assert evaluate_word((), mirrors) == LatticeIsometry.identity(3)
+    assert evaluate_word((), mirrors) == Matrix.identity(3)
+    mod3 = {l: m.reduce(3) for l, m in mirrors.items()}
+    assert evaluate_word((), mod3) == Matrix.identity(3, 3)
     with pytest.raises(ValueError):
         evaluate_word(("9",), mirrors)
+    mixed = {**mirrors, "2": mod3["2"]}
+    with pytest.raises(ValueError, match="ring mismatch"):
+        evaluate_word(("1", "2"), mixed)
 
 
 def test_braid_identity_fixed_example():
