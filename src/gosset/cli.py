@@ -454,11 +454,12 @@ def _self_loop_count(c):
 
 @check("tessellation", "lagrange_n{n}", DIMS)
 def _lagrange(c):
-    tiles, stabilizer = build_tessellation(c.n).tile_count, STABILIZER_ORDERS[c.n]
-    product = TILE_COUNTS[c.n] * stabilizer
+    tiles = build_tessellation(c.n).tile_count
+    stabilizer = congruence_intersection_check(c.n).order
+    product = TILE_COUNTS[c.n] * STABILIZER_ORDERS[c.n]
     expected = {
         "tiles": TILE_COUNTS[c.n],
-        "stabilizer_order": stabilizer,
+        "stabilizer_order": STABILIZER_ORDERS[c.n],
         "product": product,
         "group_order": product,
     }

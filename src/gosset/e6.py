@@ -1,8 +1,10 @@
 """The E6 root system and its Petersen-labeled root configuration.
 
 Roots live in simple-root coordinates: integer 6-tuples paired by the E6
-Cartan matrix, with simple roots labeled so that 1-2-3-4-5 is a chain and
-node 6 hangs off node 3.  The orbit of the simple roots under the simple
+Cartan matrix C, with simple roots labeled so that 1-2-3-4-5 is a chain and
+node 6 hangs off node 3.  Every reflection here follows one rule,
+reflection_rows(beta): on row vectors, s_beta(x) = x - (x, beta) beta is
+x (I - (C beta) beta^T).  The orbit of the simple roots under the six simple
 reflections is all 72 roots.
 
 Ten of those roots, labeled by the Petersen graph nodes, realize the wall
@@ -13,7 +15,9 @@ of order 51840.  That order is cross-checked elsewhere against coset
 enumeration and the mod-3 matrix closure; here it is the size of the orbit,
 under left multiplication by the root permutations, of the index tuple of
 the six simple roots: they span the root space, so their images fix a group
-element.  Both orbits run on orbit() from the isometry module.
+element.  Both orbits run on orbit() from the isometry module.  The ten root
+permutations are built once, by beta_permutations(), and the configuration
+checks read them as integer identities.
 """
 
 from __future__ import annotations
@@ -34,23 +38,29 @@ SIMPLE_ROOTS = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
 
 
 def cartan_matrix() -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for i in range(1, 7):
-        row = []
-        for j in range(1, 7):
-            if i == j:
-                row.append(2)
-            elif (i, j) in E6_EDGES or (j, i) in E6_EDGES:
-                row.append(-1)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    return tuple(rows)
+    """2I minus the adjacency matrix of the E6 diagram."""
+    c = 2 * np.eye(6, dtype=np.int64)
+    for i, j in E6_EDGES:
+        c[i - 1, j - 1] = c[j - 1, i - 1] = -1
+    return tuple(map(tuple, c.tolist()))
+
+
+def reflection_rows(beta: Sequence[int]) -> np.ndarray:
+    """The reflection in beta on row vectors, as the integer matrix I - (C beta) beta^T.
+
+    x - (x, beta) beta = x (I - (C beta) beta^T), since (x, beta) = x C beta.
+    Raises ValueError unless (beta, beta) = 2.
+    """
+    b = np.array(beta, dtype=np.int64)
+    c_beta = np.array(cartan_matrix()) @ b
+    if c_beta @ b != 2:
+        raise ValueError("reflections are defined for norm-2 vectors")
+    return np.eye(6, dtype=np.int64) - np.outer(c_beta, b)
 
 
 @dataclass(frozen=True)
 class E6RootSystem:
-    """All 72 roots with exact pairing and reflection action."""
+    """All 72 roots with their exact pairing."""
 
     cartan: tuple[tuple[int, ...], ...]
     roots: tuple[RootCoeffs, ...]
@@ -58,12 +68,6 @@ class E6RootSystem:
     def pairing(self, x: RootCoeffs, y: RootCoeffs) -> int:
         c = self.cartan
         return sum(x[i] * c[i][j] * y[j] for i in range(6) for j in range(6))
-
-    def reflect(self, beta: RootCoeffs, x: RootCoeffs) -> RootCoeffs:
-        if self.pairing(beta, beta) != 2:
-            raise ValueError("reflections are defined for norm-2 vectors")
-        k = self.pairing(x, beta)
-        return tuple(a - k * b for a, b in zip(x, beta))
 
     def root_index(self, x: RootCoeffs) -> int:
         try:
@@ -76,43 +80,35 @@ class E6RootSystem:
 
     def reflection_permutation(self, beta: RootCoeffs) -> tuple[int, ...]:
         """Index permutation of the 72 roots induced by reflecting in beta."""
-        return tuple(self.root_index(self.reflect(beta, r)) for r in self.roots)
+        images = np.array(self.roots) @ reflection_rows(beta)
+        return tuple(self.root_index(tuple(r)) for r in images.tolist())
 
 
 @memoize
 def root_system() -> E6RootSystem:
-    """The orbit of the simple roots under simple reflections; exactly 72 roots.
-
-    On rows, s_j(x) = x - (x, alpha_j) alpha_j = x R_j, R_j[i][k] = delta_ik - C_ij delta_jk.
-    """
-    cartan = cartan_matrix()
-    eye = np.eye(6, dtype=np.int64)
-    reflections = eye - np.array(cartan).T[:, :, None] * eye[:, None, :]
-    found = orbit(eye, lambda f: f @ reflections)
+    """The orbit of the simple roots under simple reflections; exactly 72 roots."""
+    reflections = np.array([reflection_rows(alpha) for alpha in SIMPLE_ROOTS])
+    found = orbit(np.eye(6, dtype=np.int64), lambda f: f @ reflections)
     roots = tuple(sorted(map(tuple, found.tolist())))
     if len(roots) != 72:
         raise AssertionError(f"expected 72 roots, closure found {len(roots)}")
-    return E6RootSystem(cartan, roots)
-
-
-def _combo(coeffs: dict[int, int]) -> RootCoeffs:
-    return tuple(coeffs.get(i, 0) for i in range(1, 7))
+    return E6RootSystem(cartan_matrix(), roots)
 
 
 @memoize
 def beta_configuration() -> dict[str, RootCoeffs]:
     """The ten roots labeled by Petersen nodes realizing the wall diagram."""
     betas = {
-        "13": _combo({1: -1}),
-        "1": _combo({2: 1}),
-        "14": _combo({3: -1}),
-        "4": _combo({4: 1}),
-        "34": _combo({5: -1}),
-        "23": _combo({6: 1}),
-        "3": _combo({1: -1, 2: -1, 3: -1, 4: -1, 5: -1}),
-        "24": _combo({2: 1, 3: 2, 4: 2, 5: 1, 6: 1}),
-        "2": _combo({1: 1, 2: 2, 3: 3, 4: 2, 5: 1, 6: 2}),
-        "12": _combo({1: 1, 2: 2, 3: 2, 4: 1, 6: 1}),
+        "13": (-1, 0, 0, 0, 0, 0),
+        "1": (0, 1, 0, 0, 0, 0),
+        "14": (0, 0, -1, 0, 0, 0),
+        "4": (0, 0, 0, 1, 0, 0),
+        "34": (0, 0, 0, 0, -1, 0),
+        "23": (0, 0, 0, 0, 0, 1),
+        "3": (-1, -1, -1, -1, -1, 0),
+        "24": (0, 1, 2, 2, 1, 1),
+        "2": (1, 2, 3, 2, 1, 2),
+        "12": (1, 2, 2, 1, 0, 1),
     }
     order = diagram_graph("petersen").nodes
     return {lab: betas[lab] for lab in order}
@@ -126,16 +122,12 @@ def verify_membership() -> bool:
 
 
 def verify_petersen_gram() -> bool:
-    """Gram of the betas: diagonal 2, edges 1, non-edges 0."""
-    rs = root_system()
+    """Gram of the betas, B C B^T, is 2I plus the adjacency matrix of the Petersen graph."""
     g = diagram_graph("petersen")
-    betas = beta_configuration()
-    for a in g.nodes:
-        for b in g.nodes:
-            want = 2 if a == b else (1 if g.adjacent(a, b) else 0)
-            if rs.pairing(betas[a], betas[b]) != want:
-                return False
-    return True
+    b = np.array(list(beta_configuration().values()))
+    adjacency = np.array([[g.adjacent(u, v) for v in g.nodes] for u in g.nodes], dtype=np.int64)
+    gram = b @ np.array(cartan_matrix()) @ b.T
+    return np.array_equal(gram, 2 * np.eye(10, dtype=np.int64) + adjacency)
 
 
 def hexagon_alternating_sum(
@@ -144,42 +136,20 @@ def hexagon_alternating_sum(
     """beta_a - beta_b + beta_c - beta_d + beta_e - beta_f around a hexagon."""
     if len(hexagon) != 6:
         raise ValueError("hexagon must have six nodes")
-    total = (0,) * 6
-    for k, lab in enumerate(hexagon):
-        sign = 1 if k % 2 == 0 else -1
-        total = tuple(t + sign * c for t, c in zip(total, betas[lab]))
-    return total
+    total = np.array((1, -1) * 3) @ np.array([betas[lab] for lab in hexagon])
+    return tuple(total.tolist())
 
 
 def verify_hexagon_sums() -> bool:
-    """The alternating sum vanishes around every free hexagon, any traversal.
+    """The alternating sum vanishes around every free hexagon, in any traversal.
 
-    Vanishing for one traversal forces it for all 12 (rotations negate or
-    permute the same sum), but the traversals of the first hexagon are all
-    checked explicitly anyway.
+    One traversal per hexagon decides all 12: a one-step rotation or a
+    reversal moves every node to a position of the other parity (the length
+    6 is even), so each negates the sum, and the two generate all traversals.
     """
-    g = diagram_graph("petersen")
     betas = beta_configuration()
-    hexes = free_hexagons(g)
-    zero = (0,) * 6
-    for h in hexes:
-        if hexagon_alternating_sum(h, betas) != zero:
-            return False
-    first = list(hexes[0])
-    for _ in range(2):
-        for r in range(6):
-            rotated = tuple(first[r:] + first[:r])
-            if hexagon_alternating_sum(rotated, betas) != zero:
-                return False
-        first.reverse()
-    return True
-
-
-def _inverse_closed(gens: np.ndarray) -> bool:
-    """Does the set hold the inverse of each of its permutations?"""
-    present = {g.tobytes() for g in gens}
-    inverses = np.argsort(gens, axis=1).astype(gens.dtype)
-    return all(inv.tobytes() in present for inv in inverses)
+    hexagons = free_hexagons(diagram_graph("petersen"))
+    return all(hexagon_alternating_sum(h, betas) == (0,) * 6 for h in hexagons)
 
 
 def permutation_closure_order(perms: Sequence[Sequence[int]], basis: Sequence[int]) -> int:
@@ -195,10 +165,23 @@ def permutation_closure_order(perms: Sequence[Sequence[int]], basis: Sequence[in
     DEFAULT_ELEMENT_BUDGET points.
     """
     gens = np.array(perms, dtype=np.uint8)
-    if not _inverse_closed(gens):
+    # Inversion is injective, so S holds every inverse exactly when S^-1 = S.
+    if not np.array_equal(np.unique(gens, axis=0), np.unique(np.argsort(gens, axis=1), axis=0)):
         raise ValueError("generator set must be closed under inversion")
     seed = np.array([basis], dtype=np.uint8)
     return len(orbit(seed, lambda f: gens[:, f]))
+
+
+@memoize
+def beta_permutations() -> np.ndarray:
+    """Root permutations of the ten beta reflections: (10, 72), rows in label order.
+
+    Cached and read-only: every caller shares the one array.
+    """
+    rs = root_system()
+    perms = np.array([rs.reflection_permutation(b) for b in beta_configuration().values()])
+    perms.flags.writeable = False
+    return perms
 
 
 @memoize
@@ -207,34 +190,21 @@ def generation_order() -> int:
 
     Cached: the permutation closure runs once per process.
     """
-    rs = root_system()
-    perms = [rs.reflection_permutation(b) for b in beta_configuration().values()]
-    basis = [rs.root_index(r) for r in SIMPLE_ROOTS]
-    return permutation_closure_order(perms, basis)
+    basis = [root_system().root_index(r) for r in SIMPLE_ROOTS]
+    return permutation_closure_order(beta_permutations(), basis)
 
 
 def verify_reflection_fixed_points() -> bool:
-    """Each beta reflection fixes exactly the roots orthogonal to it."""
+    """Each beta reflection fixes exactly the roots whose pairing with its beta is 0."""
     rs = root_system()
-    for beta in beta_configuration().values():
-        perm = rs.reflection_permutation(beta)
-        for i, r in enumerate(rs.roots):
-            if (perm[i] == i) != (rs.pairing(r, beta) == 0):
-                return False
-    return True
+    b = np.array(list(beta_configuration().values()))
+    pairings = b @ np.array(rs.cartan) @ np.array(rs.roots).T
+    return np.array_equal(beta_permutations() == np.arange(72), pairings == 0)
 
 
 def verify_singletons_commute() -> bool:
-    """Reflections at the singleton labels pairwise commute (Gram 0)."""
-    rs = root_system()
-    betas = beta_configuration()
-    singles = [lab for lab in betas if len(lab) == 1]
-    perms = {lab: rs.reflection_permutation(betas[lab]) for lab in singles}
-    for i, a in enumerate(singles):
-        for b in singles[i + 1 :]:
-            pa, pb = perms[a], perms[b]
-            ab = tuple(pa[pb[k]] for k in range(72))
-            ba = tuple(pb[pa[k]] for k in range(72))
-            if ab != ba:
-                return False
-    return True
+    """Reflections at the singleton labels pairwise commute (Gram 0): p[q] = q[p]."""
+    singles = [k for k, lab in enumerate(beta_configuration()) if len(lab) == 1]
+    perms = beta_permutations()[singles]
+    composed = perms[:, perms]  # composed[a, b] = perms[a][perms[b]]
+    return np.array_equal(composed, composed.swapaxes(0, 1))

@@ -147,18 +147,20 @@ class _Enumerator:
             raise ValueError("duplicate generator labels")
         self.ngens = len(pres.generators)
         self.budget = budget
-        self.relators = []
-        for w in pres.relators:
-            try:
-                self.relators.append(tuple(self.letters[a] for a in w))
-            except KeyError as bad:
-                raise ValueError(f"relator uses unknown generator {bad}") from None
+        self.relators = [self.indexed(w, "relator") for w in pres.relators]
         self.scan_words = self._index_scan_words()
         self.cols: list[list[int | None]] = [[None] for _ in range(self.ngens)]
         self.parent = [0]
         self.defined = 1
         self.live = 1
         self.deductions: list[tuple[int, int]] = []
+
+    def indexed(self, word: Word, kind: str) -> tuple[int, ...]:
+        """The word as generator indices; ValueError names a letter that is not a generator."""
+        try:
+            return tuple(self.letters[a] for a in word)
+        except KeyError as bad:
+            raise ValueError(f"{kind} uses unknown generator {bad}") from None
 
     def _index_scan_words(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """For each generator x, the distinct relator conjugates x·u to scan
@@ -266,9 +268,7 @@ class _Enumerator:
         for x in word:
             if self.cols[x][f] is None:
                 self._define(f, x)
-            nxt = self.cols[x][f]
-            assert nxt is not None
-            f = nxt
+            f = self.cols[x][f]
         if f != 0:
             self._coincidence(f, 0)
 
@@ -340,7 +340,7 @@ def todd_coxeter(
     status budget_exceeded and no order.
     """
     enum = _Enumerator(pres, budget)
-    words = [tuple(enum.letters[a] for a in w) for w in subgroup_words]
+    words = [enum.indexed(w, "subgroup word") for w in subgroup_words]
     status = enum.run(words)
     if status == CLOSED:
         rows = _standardize(enum)
@@ -361,6 +361,19 @@ def enumerate_diagram_group(kind: str) -> CosetTable:
     return todd_coxeter(build_presentation(kind))
 
 
+def _table_rows(table: CosetTable) -> np.ndarray | None:
+    """The table as an (n_live, generators) integer array, or None unless every
+    row holds one entry per generator, each in range(n_live)."""
+    n = table.n_live
+    try:
+        rows = np.array(table.table, dtype=np.int64)
+    except (TypeError, ValueError):  # None entries, ragged rows
+        return None
+    if rows.shape != (n, len(table.generators)) or not ((rows >= 0) & (rows < n)).all():
+        return None
+    return rows
+
+
 def verify_table(table: CosetTable, pres: Presentation) -> bool:
     """Replay certificate: every relator fixes every coset, columns are
     involutive permutations, and the action is transitive from coset 0."""
@@ -369,15 +382,13 @@ def verify_table(table: CosetTable, pres: Presentation) -> bool:
     if tuple(pres.generators) != table.generators:
         raise ValueError("presentation generators do not match the table")
     n = table.n_live
-    rows = np.array(table.table, dtype=np.int64)
-    if rows.shape != (n, len(table.generators)):
+    rows = _table_rows(table)
+    if rows is None:
         return False
     cols = np.ascontiguousarray(rows.T)
     idx = np.arange(n)
     # A map of range(n) into itself that squares to the identity is a
     # permutation.
-    if not ((cols >= 0) & (cols < n)).all():
-        return False
     if not all((col[col] == idx).all() for col in cols):
         return False
     perms = dict(zip(table.generators, cols))
@@ -433,8 +444,8 @@ def verify_action_against_matrices(
         raise ValueError("assignment must cover exactly the table generators")
     walker = _MatrixProducts([assignment[g] for g in table.generators], projective=True)
     n, k = table.n_live, len(table.generators)
-    rows = np.array(table.table, dtype=np.int64)
-    if rows.shape != (n, k) or not ((rows >= 0) & (rows < n)).all():
+    rows = _table_rows(table)
+    if rows is None:
         return ActionCertificate(n, 0, 0, False)
 
     ident = np.eye(walker.dimension, dtype=np.int8)[None]

@@ -196,6 +196,8 @@ def chamber_vector(n: int) -> LatticeVector:
 
 def _pack_int8(vecs: np.ndarray) -> np.ndarray:
     """One int64 per row of at most eight integers, each within int8."""
+    if vecs.shape[1] > 8:
+        raise ValueError(f"closure keys pack at most 8 entries per row, not {vecs.shape[1]}")
     if len(vecs) and np.abs(vecs).max() > 127:
         raise OverflowError("closure key entries exceed int8")
     packed = np.zeros((len(vecs), 8), dtype=np.int8)
@@ -577,6 +579,8 @@ class GroupClosure(_MatrixProducts):
     def _entries(self, mat: Matrix) -> Rows:
         if mat.modulus != self.modulus:
             raise ValueError(f"ring mismatch: modulus {mat.modulus} and {self.modulus}")
+        if mat.dimension != self.dimension:
+            raise ValueError(f"dimension mismatch: {mat.dimension} and {self.dimension}")
         return mat.entries
 
     def __contains__(self, mat: Matrix) -> bool:

@@ -1,15 +1,12 @@
 """Acceptance gate: ten checks, one printed pass/fail line each.
 
-Set GOSSET_MAX_N=7 to extend the congruence criterion to the largest
-supported dimension (about 4 seconds and 83 MB peak RSS), and to run the
-memory guard on that check.
+The congruence criterion runs up to n = 7, the largest supported
+dimension, and a memory guard runs that check alone; each takes about a
+second.
 """
 
-import os
 import random
 import time
-
-import pytest
 
 from gosset.e6 import (
     generation_order,
@@ -105,12 +102,10 @@ def test_criterion_04_tessellation_counts():
 
 
 def test_criterion_05_congruence_kernels_trivial():
-    max_n = int(os.environ.get("GOSSET_MAX_N", "6"))
     expected = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040}
     start = time.perf_counter()
     ok = True
-    top = min(max(max_n, 6), 7)
-    for n in range(2, top + 1):
+    for n in range(2, 8):
         result = congruence_intersection_check(n)
         ok = ok and result.order == expected[n]
         ok = ok and result.congruent_mod2 == 1 and result.congruent_mod3 == 1
@@ -118,15 +113,12 @@ def test_criterion_05_congruence_kernels_trivial():
     ok = ok and elapsed < 600
     _criterion(
         5,
-        f"stabilizers up to n={top} meet the mod-2 and mod-3 kernels trivially",
+        "stabilizers up to n=7 meet the mod-2 and mod-3 kernels trivially",
         ok,
         elapsed,
     )
 
 
-@pytest.mark.skipif(
-    int(os.environ.get("GOSSET_MAX_N", "6")) < 7, reason="set GOSSET_MAX_N=7 to run n = 7"
-)
 def test_congruence_n7_memory_stays_within_a_few_layers(
     traced_peak_mb, layer_builds, poincare_coefficients
 ):

@@ -292,6 +292,20 @@ def test_orbit_checks_fail_on_a_broken_input(monkeypatch, n, name, fake, check):
     assert {r.check_id: r.status for r in run_suite("diagrams", options)}[check_id] == "fail"
 
 
+def test_lagrange_fails_on_a_wrong_stabilizer_order(monkeypatch):
+    options = Options(n=2)
+    real = cli.congruence_intersection_check
+
+    def lagrange_status():
+        return {r.check_id: r.status for r in run_suite("tessellation", options)}["lagrange_n2"]
+
+    assert lagrange_status() == "pass"
+    monkeypatch.setattr(
+        cli, "congruence_intersection_check", lambda n: replace(real(n), order=2 * real(n).order)
+    )
+    assert lagrange_status() == "fail"
+
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "perfbench" / "golden" / "verify_all.json"
 

@@ -72,6 +72,32 @@ def test_replay_certificate_rejects_intransitive_table():
     assert not verify_table(union, A3)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((0, 1, 2), (1,)),
+        ((0, 1, None), (1, 0, 1)),
+        ((0, 1, 2), (1, 0, 1)),
+        ((0, 1, -1), (1, 0, 1)),
+        ((0, 1), (1, 0)),
+        ((0, 1, 1),),
+    ],
+    ids=["ragged", "gap", "past_the_end", "negative", "narrow", "short"],
+)
+def test_certificates_reject_malformed_tables(rows):
+    table = CosetTable(A3.generators, rows, CLOSED, 2, 2)
+    assert not verify_table(table, A3)
+    cert = verify_action_against_matrices(table, wall_reflections_mod3(2))
+    assert (cert.consistent, cert.matrix_group_order, cert.edges_checked) == (False, 0, 0)
+
+
+def test_unknown_letters_raise_value_errors():
+    with pytest.raises(ValueError, match="subgroup word uses unknown generator '9'"):
+        todd_coxeter(A3, [("9",)])
+    with pytest.raises(ValueError, match="relator uses unknown generator '9'"):
+        todd_coxeter(Presentation(A3.generators, A3.relators + (("1", "9"),)))
+
+
 def test_action_columns_are_involutions():
     table = enumerate_diagram_group("a3")
     for perm in zip(*table.table):

@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports and no unused definitions.
+"""Source hygiene: no unused imports, no unused definitions, no bare asserts.
 
 The scans read the sources as syntax trees.  For imports, in the package
 and the tests, a name counts as used where it is loaded anywhere in the
@@ -7,7 +7,8 @@ __all__ to re-export it.  For definitions, every module-level function and
 class of the package must be loaded by name, bare or as an attribute, in
 the package or the bench scripts, outside its own body; tests alone do not
 keep a definition alive.  Rows registered with @check are exempt: the
-decorator is their use.
+decorator is their use.  The package states its invariants with raise
+AssertionError, never an assert statement, which python -O strips.
 """
 
 import ast
@@ -148,3 +149,28 @@ def test_unused_definition_scan_catches_its_cases():
         ("a", "bench_only"), ("a", "tests_only"), ("a", "recursive"), ("a", "Itself"),
         ("a", "decorated"),
     ]
+
+
+def bare_asserts(source):
+    """Line of each assert statement in the module."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_bare_asserts_in_the_package(path):
+    assert bare_asserts(path.read_text()) == []
+
+
+def test_bare_assert_scan_catches_its_cases():
+    source = (
+        "assert top_level\n"
+        "def f(x):\n"
+        "    assert x, 'message'\n"
+        "    if x is None:\n"
+        "        raise AssertionError('kept under -O')\n"
+        "    return 'assert x'\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        assert self\n"
+    )
+    assert bare_asserts(source) == [1, 3, 9]

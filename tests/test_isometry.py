@@ -26,7 +26,7 @@ from gosset.isometry import (
     _congruence_counts,
 )
 from gosset import isometry
-from gosset.e6 import SIMPLE_ROOTS, beta_configuration, root_system
+from gosset.e6 import SIMPLE_ROOTS, beta_configuration, reflection_rows, root_system
 from gosset.enumeration import enumerate_diagram_group
 from gosset.geometry import (
     build_tessellation,
@@ -128,6 +128,17 @@ def test_group_closure_rejects_an_integer_query():
         g.right_multiply(np.array([0]), s)
     with pytest.raises(ValueError, match="ring mismatch"):
         g.right_multiply(np.array([0]), s.reduce(5))
+
+
+def test_group_closure_rejects_a_query_of_another_dimension():
+    g = reflection_image_mod3(4)
+    wrong = Matrix.identity(g.dimension - 1, 3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        wrong in g
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        g.right_multiply(np.array([0]), wrong)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        coset_space(g, [wrong])
 
 
 def test_stabilizer_closure_orders():
@@ -592,12 +603,17 @@ def _lattice_action(n, picks):
     return (lambda f: f @ transposed), actions
 
 
+def _e6_reflect(beta, x):
+    """Reference tuple reflection x - (x, beta) beta, in simple-root coordinates."""
+    k = root_system().pairing(x, beta)
+    return tuple(a - k * b for a, b in zip(x, beta))
+
+
 def _e6_action(picks):
     """E6 simple reflections on rows of simple-root coordinates."""
-    rs = root_system()
     simples = [SIMPLE_ROOTS[i] for i in picks]
-    mats = np.array([[rs.reflect(b, e) for e in SIMPLE_ROOTS] for b in simples])
-    actions = [lambda x, b=b: rs.reflect(b, x) for b in simples]
+    mats = np.array([reflection_rows(b) for b in simples])
+    actions = [lambda x, b=b: _e6_reflect(b, x) for b in simples]
     return (lambda f: f @ mats), actions
 
 
@@ -674,3 +690,5 @@ def test_orbit_rejects_int8_overflow_and_duplicate_seeds():
         orbit(np.array([[200, 0]]), lambda f: f[None])
     with pytest.raises(ValueError, match="distinct"):
         orbit(np.array([[1, 0], [0, 1], [1, 0]]), lambda f: f[None])
+    with pytest.raises(ValueError, match="at most 8 entries"):
+        orbit(np.eye(9, dtype=np.int64), lambda f: f[None])
