@@ -65,10 +65,6 @@ class E6RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     roots: tuple[RootCoeffs, ...]
 
-    def pairing(self, x: RootCoeffs, y: RootCoeffs) -> int:
-        c = self.cartan
-        return sum(x[i] * c[i][j] * y[j] for i in range(6) for j in range(6))
-
     def root_index(self, x: RootCoeffs) -> int:
         try:
             return self.roots.index(x)

@@ -20,10 +20,12 @@ coset is its own representative and the union-find is not consulted.
 
 Enumeration is exact: a closed table reports the subgroup index (the group
 order, for the trivial subgroup); hitting the coset budget reports
-budget_exceeded and never an order.  Closed tables are renumbered
-breadth-first from the subgroup coset, which makes the table canonical and
-golden-testable, and can be certified post hoc by replaying every relator at
-every coset (verify_table).  A closed table of the whole group is its regular
+budget_exceeded and never an order.  Either way the live rows are read off
+the columns once, as a read-only int32 array that the certificates read as
+it is.  Closed tables are renumbered breadth-first from the subgroup coset by
+isometry.table_walk, which makes the table canonical and golden-testable,
+and can be certified post hoc by replaying every relator at every coset
+(verify_table).  A closed table of the whole group is its regular
 permutation representation, so a map from the cosets to a matrix group that
 holds on every edge and is injective is an explicit isomorphism;
 verify_action_against_matrices builds that map by walking the table and
@@ -37,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .isometry import Matrix, _first_occurrences, _MatrixProducts, memoize
+from .isometry import Matrix, _MatrixProducts, layered_closure, memoize, table_walk
 from .presentation import Presentation, Word, build_presentation
 
 DEFAULT_COSET_BUDGET = 200_000
@@ -47,18 +49,19 @@ CLOSED = "closed"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetTable:
     """Outcome of an enumeration.
 
-    For a closed table, rows are complete, breadth-first standardized, and
-    row[x] is the coset reached by generator x.  For budget_exceeded the
-    rows are the live part of the partial table (None marks gaps) and no
-    order is available.
+    table[a, x] is the coset reached from coset a by generator x, in an
+    (n_live, generators) int32 array, read-only as enumerate_diagram_group
+    shares it.  A closed table is complete and breadth-first standardized.
+    For budget_exceeded the live cosets are numbered in the order they were
+    defined, -1 marks a gap, and no order is available.
     """
 
     generators: tuple[str, ...]
-    table: tuple[tuple[int | None, ...], ...]
+    table: np.ndarray
     status: str
     n_live: int
     cosets_defined: int
@@ -72,8 +75,8 @@ class CosetTable:
     def dump(self) -> str:
         """Line-oriented dump, cosets and images numbered from 1."""
         lines = []
-        for i, row in enumerate(self.table):
-            imgs = " ".join("-" if v is None else str(v + 1) for v in row)
+        for i, row in enumerate(self.table.tolist()):
+            imgs = " ".join("-" if v < 0 else str(v + 1) for v in row)
             lines.append(f"{i + 1}: {imgs}")
         return "\n".join(lines) + "\n"
 
@@ -299,33 +302,27 @@ class _Enumerator:
         except _BudgetHit:
             return BUDGET_EXCEEDED
 
-    def rows(self) -> list[tuple[int | None, ...]]:
-        """Row a of the table, for every coset a ever defined."""
-        return list(zip(*self.cols)) or [()] * self.defined
 
-    def live_rows(self) -> list[tuple[int | None, ...]]:
-        """Rows of the live cosets.  Coincidence processing redirects every
-        edge of a dead coset, so live rows name live cosets only."""
-        parent = self.parent
-        return [row for a, row in enumerate(self.rows()) if parent[a] == a]
-
-
-def _standardize(enum: _Enumerator) -> tuple[tuple[int, ...], ...]:
-    """Renumber cosets breadth-first from coset 0 in generator order."""
-    rows = enum.rows()
-    new: list[int | None] = [None] * len(rows)
-    new[0] = 0
-    order = [0]
-    for a in order:
-        for b in rows[a]:
-            if b is None:
-                raise AssertionError("closed table has a gap")
-            if new[b] is None:
-                new[b] = len(order)
-                order.append(b)
-    if len(order) != enum.live:
-        raise AssertionError("coset table action is not transitive")
-    return tuple(tuple(new[b] for b in rows[a]) for a in order)
+def _live_table(enum: _Enumerator, status: str) -> np.ndarray:
+    """The live rows as a read-only int32 array, -1 for a gap, each live coset
+    renumbered to its row: in table_walk order for a closed table, which
+    standardizes it, else in order of definition.  Coincidences redirect every
+    edge into a dead coset; an entry still naming one raises AssertionError."""
+    rows = np.empty((enum.defined, enum.ngens), dtype=np.int32)
+    for x, col in enumerate(enum.cols):
+        rows[:, x] = [-1 if b is None else b for b in col]
+    is_live = np.array(enum.parent) == np.arange(enum.defined)
+    order = table_walk(rows) if status == CLOSED else np.flatnonzero(is_live)
+    # A gap, -1, reads the extra last slot and stays -1.
+    renumber = np.full(enum.defined + 1, -1, dtype=np.int32)
+    renumber[order] = np.arange(len(order))
+    table = renumber[rows[order]]
+    if ((table < 0) != (rows[order] < 0)).any():
+        raise AssertionError("a live row names a dead coset")
+    if status == CLOSED and (len(order) != enum.live or (table < 0).any()):
+        raise AssertionError("closed table has a gap or an intransitive action")
+    table.flags.writeable = False
+    return table
 
 
 def todd_coxeter(
@@ -342,16 +339,8 @@ def todd_coxeter(
     enum = _Enumerator(pres, budget)
     words = [enum.indexed(w, "subgroup word") for w in subgroup_words]
     status = enum.run(words)
-    if status == CLOSED:
-        rows = _standardize(enum)
-        return CosetTable(pres.generators, rows, CLOSED, len(rows), enum.defined)
-    return CosetTable(
-        pres.generators,
-        tuple(enum.live_rows()),
-        status,
-        enum.live,
-        enum.defined,
-    )
+    table = _live_table(enum, status)
+    return CosetTable(pres.generators, table, status, enum.live, enum.defined)
 
 
 @memoize
@@ -362,14 +351,16 @@ def enumerate_diagram_group(kind: str) -> CosetTable:
 
 
 def _table_rows(table: CosetTable) -> np.ndarray | None:
-    """The table as an (n_live, generators) integer array, or None unless every
-    row holds one entry per generator, each in range(n_live)."""
+    """The table as an (n_live, generators) integer array, not copied, or None
+    unless every row holds one entry per generator, each in range(n_live)."""
     n = table.n_live
     try:
-        rows = np.array(table.table, dtype=np.int64)
-    except (TypeError, ValueError):  # None entries, ragged rows
+        rows = np.asarray(table.table)
+    except ValueError:  # ragged rows
         return None
-    if rows.shape != (n, len(table.generators)) or not ((rows >= 0) & (rows < n)).all():
+    # None entries make an object array, and floats are no coset numbers.
+    shaped = rows.dtype.kind in "iu" and rows.shape == (n, len(table.generators))
+    if not shaped or not ((rows >= 0) & (rows < n)).all():
         return None
     return rows
 
@@ -398,15 +389,7 @@ def verify_table(table: CosetTable, pres: Presentation) -> bool:
             cur = perms[letter][cur]
         if not (cur == idx).all():
             return False
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = idx[:1]
-    while frontier.size:
-        step = cols[:, frontier].ravel()
-        step = step[~reached[step]]
-        reached[step] = True
-        frontier = np.unique(step)
-    return bool(reached.all())
+    return len(table_walk(rows)) == n
 
 
 @dataclass(frozen=True)
@@ -425,18 +408,17 @@ def verify_action_against_matrices(
     """Certify that a closed full-group table is the regular action of the
     matrix group, by an explicit isomorphism.
 
-    The table is walked breadth-first from coset 0, one layer at a time, with
-    phi(0) = I and phi(child) = phi(parent) t_x along the first edge (in
-    generator-major order) that reaches each child; the table need not be
-    standardized.  Matrices are counted projectively, each class {M, -M}
-    keyed by the smaller base-m key.  The certificate checks every edge of
-    every column, key(phi(i) t_x) == key(phi(i.x)), and that phi is injective.
-    Edge consistency makes the image closed under the generators, so it is
-    the whole matrix group and matrix_group_order, the number of distinct
-    images, is its exact projective order; injectivity gives |table| =
-    |group|.  No closure of the matrix group is needed.  A coset the walk
-    never reaches, an entry outside the table, an inconsistent edge or two
-    cosets with one image make the certificate inconsistent.
+    layered_closure walks the table from coset 0 with phi(0) = I and phi(child)
+    = phi(parent) t_x along the first edge, generator-major, that reaches each
+    child; the table need not be standardized.  Matrices are counted
+    projectively, each class {M, -M} keyed by the smaller base-m key.  The
+    certificate checks every edge, key(phi(i) t_x) == key(phi(i.x)), and that
+    phi is injective.  Edge consistency makes the image closed under the
+    generators, so it is the whole matrix group and matrix_group_order, the
+    number of distinct images, is its exact projective order; injectivity
+    gives |table| = |group|, with no closure of the matrix group.  A coset the
+    walk never reaches, an entry outside the table, an inconsistent edge or
+    two cosets with one image make the certificate inconsistent.
     """
     if table.status != CLOSED:
         raise ValueError("can only certify a closed table")
@@ -448,25 +430,26 @@ def verify_action_against_matrices(
     if rows is None:
         return ActionCertificate(n, 0, 0, False)
 
-    ident = np.eye(walker.dimension, dtype=np.int8)[None]
-    mats = walker.products(ident, walker.identity)
-    image_keys = np.empty(n, dtype=np.int64)
-    image_keys[0] = walker.product_keys(ident, walker.identity)[0]
+    image_keys = np.full(n, -1, dtype=np.int64)  # keys are >= 0: -1 until reached
     edge_keys = np.empty((k, n), dtype=np.int64)
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while len(frontier):
+    frontier = np.zeros(1, dtype=np.intp)
+
+    def pick(mats: np.ndarray) -> np.ndarray:
+        nonlocal frontier
         cands = walker.candidate_keys(mats)
         edge_keys[:, frontier] = cands.reshape(k, -1)
         targets = rows[frontier].T.ravel()
-        ids, first = _first_occurrences(targets)
-        picks = np.sort(first[~reached[ids]])
+        ids, first = np.unique(targets, return_index=True)
+        picks = np.sort(first[image_keys[ids] < 0])
         frontier = targets[picks]
-        reached[frontier] = True
         image_keys[frontier] = cands[picks]
-        mats = walker.build(mats, picks)
-    seen = np.flatnonzero(reached)
+        return picks
+
+    ident = walker.products(np.eye(walker.dimension, dtype=np.int8)[None], walker.identity)
+    image_keys[0] = walker.product_keys(ident, walker.identity)[0]
+    for _ in layered_closure(ident, pick, walker.build):
+        pass
+    seen = np.flatnonzero(image_keys >= 0)
     edges_hold = bool((edge_keys[:, seen] == image_keys[rows[seen].T]).all())
     images = len(np.unique(image_keys[seen]))
     consistent = len(seen) == n and edges_hold and images == n

@@ -44,6 +44,7 @@ from .isometry import (
     memoize,
     orbit,
     reflection_matrix,
+    table_walk,
 )
 
 TESSELLATION_DIMENSIONS = (2, 3, 4)
@@ -181,20 +182,20 @@ def wall_reflections_mod3(n: int) -> dict[str, Matrix]:
     return {lab: mat.reduce(3) for lab, mat in wall_reflection_matrices(n).items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TileGraph:
     """Tiles of the mod-3 quotient tessellation with labeled wall crossings.
 
-    neighbors[tile][j] is the tile reached by crossing wall wall_labels[j]
-    from tile, tiles numbered by their coset ids.  At build time the crossings
-    between each pair of tiles are asserted to be as many in each direction,
-    and each tile's row, as a multiset, to be independent of its coset
-    representative.
+    neighbors[tile, j], a read-only int array, is the tile reached by crossing
+    wall wall_labels[j] from tile, tiles numbered by their coset ids.  At
+    build time the crossings between each pair of tiles are asserted to be as
+    many in each direction, and each tile's row, as a multiset, to be
+    independent of its coset representative.
     """
 
     n: int
     wall_labels: tuple[str, ...]
-    neighbors: tuple[tuple[int, ...], ...]
+    neighbors: np.ndarray
 
     @property
     def tile_count(self) -> int:
@@ -205,22 +206,15 @@ class TileGraph:
         """One (tile, wall label, neighbor tile) triple per tile and wall, in tile order."""
         return tuple(
             (a, lab, b)
-            for a, row in enumerate(self.neighbors)
+            for a, row in enumerate(self.neighbors.tolist())
             for lab, b in zip(self.wall_labels, row)
         )
 
     def self_loop_count(self) -> int:
-        return sum(row.count(a) for a, row in enumerate(self.neighbors))
+        return int((self.neighbors == np.arange(self.tile_count)[:, None]).sum())
 
     def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for b in self.neighbors[stack.pop()]:
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        return len(seen) == self.tile_count
+        return len(table_walk(self.neighbors)) == self.tile_count
 
     def to_dot(self) -> str:
         """Deterministic DOT text: tiles in id order, one line per crossing pair.
@@ -289,7 +283,8 @@ def build_tessellation(n: int) -> TileGraph:
     _assert_pair_symmetric(neighbors)
     alternatives = group.right_multiply(reps, space.subgroup_generators[0])
     _assert_representative_independent(neighbors, _crossings(space, walls, alternatives))
-    return TileGraph(n, gosset_walls(n).labels, tuple(map(tuple, neighbors.tolist())))
+    neighbors.flags.writeable = False
+    return TileGraph(n, gosset_walls(n).labels, neighbors)
 
 
 def _crossings(space: CosetSpace, walls: Sequence[Matrix], elements: np.ndarray) -> np.ndarray:

@@ -32,8 +32,9 @@ what stops an infinite group over Z.  Everything downstream
 (projectivization, coset spaces, the trivial-intersection checks against
 congruence subgroups) is built on that engine; layered_closure also closes
 orbits of integer rows (orbit(): the E6 roots and root permutations,
-stabilizer orbits), and its mod-m products walk coset tables in the
-enumeration certificate.
+stabilizer orbits) and walks integer tables (table_walk(): coset tables,
+tile graphs), and its mod-m products walk coset tables in the enumeration
+certificate.
 
 The engine owns the projective quotient: a projective closure keys each
 class {M, -M} by the smaller base-m key of its two signs, and that choice,
@@ -229,12 +230,12 @@ def layered_closure(
     """Breadth-first closure under right multiplication, one layer at a time.
 
     pick(F) gives the positions of the new products F g of a frontier F,
-    sorted, in generator-major candidate order (position i |F| + j is row j
-    times the i-th generator), each new element once; build(F, picks) builds
-    them, after DEFAULT_ELEMENT_BUDGET, read when the walk starts, has been
-    checked against the count so far.  The pick rule may keep state
-    from one layer to the next, keys included: _fresh_keys and
-    _MatrixProducts._descents are the two.
+    sorted, each new element once, in generator-major candidate order
+    (position i |F| + j is row j times the i-th generator; table_walk reads
+    its rows row-major); build(F, picks) builds them, after
+    DEFAULT_ELEMENT_BUDGET, read when the walk starts, has been checked
+    against the count so far.  The pick rule may keep state from one layer
+    to the next, keys included, as _fresh_keys and _MatrixProducts._descents do.
 
     Yields the elements, one block per layer, the identity layer first.
     Nothing else is kept, so a caller that keeps no block holds at most two
@@ -304,6 +305,27 @@ def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> np.nda
 
     pick = _fresh_keys(image_keys, keys)
     layers = layered_closure(seeds, pick, lambda f, picks: images[picks])
+    return np.concatenate(list(layers))
+
+
+def table_walk(rows: np.ndarray) -> np.ndarray:
+    """The points an integer table reaches from point 0, breadth-first, by layered_closure.
+
+    rows[a, x] is the point reached from a along edge x, -1 for none.  Each
+    layer's new points come in the row-major order of their first edge, the
+    standard order of a coset table (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, ch. 5).  Points 0 never reaches are left out.
+    """
+    seen = np.zeros(len(rows), dtype=bool)
+    seen[0] = True
+
+    def pick(frontier: np.ndarray) -> np.ndarray:
+        ids, first = _first_occurrences(rows[frontier].ravel())
+        fresh = (ids >= 0) & ~seen[ids]
+        seen[ids[fresh]] = True
+        return np.sort(first[fresh])
+
+    layers = layered_closure(np.zeros(1, dtype=np.intp), pick, lambda f, p: rows[f].ravel()[p])
     return np.concatenate(list(layers))
 
 
@@ -570,6 +592,8 @@ class GroupClosure(_MatrixProducts):
         keys = self.keys(self.mats)
         self._key_order = np.argsort(keys)
         self._sorted_keys = keys[self._key_order]
+        for shared in (self.mats, self._key_order, self._sorted_keys):
+            shared.flags.writeable = False  # memoized closures share them
 
     def index_of_keys(self, keys: np.ndarray) -> np.ndarray:
         """Discovery index of each key, -1 where the key is not in the closure."""
@@ -715,6 +739,8 @@ class CosetSpace:
         self.subgroup_order = int(sizes[0])
         self.representative_indices = reps
         self._assignment = assignment.astype(np.int32)
+        for shared in (reps, self._assignment):
+            shared.flags.writeable = False
 
     def cosets_of(self, indices: np.ndarray) -> np.ndarray:
         """Coset ids of group elements given by index."""

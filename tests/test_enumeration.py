@@ -9,13 +9,15 @@ from gosset.enumeration import (
     CLOSED,
     CosetTable,
     _Enumerator,
+    _live_table,
+    _table_rows,
     enumerate_diagram_group,
     todd_coxeter,
     verify_action_against_matrices,
     verify_table,
 )
 from gosset.geometry import wall_reflections_mod3
-from gosset.isometry import Matrix
+from gosset.isometry import Matrix, table_walk
 from gosset.presentation import Presentation, build_presentation
 
 EXPECTED_ORDERS = {"a3": 24, "affine_a5": 720, "petersen": 51840}
@@ -66,10 +68,10 @@ def test_tables_pass_replay_certificate():
 def test_replay_certificate_rejects_intransitive_table():
     # Two disjoint copies of the a3 table satisfy every relator and have
     # involutive columns, but coset 0 does not reach the second copy.
-    rows = enumerate_diagram_group("a3").table
-    shifted = tuple(tuple(v + 24 for v in row) for row in rows)
-    union = CosetTable(A3.generators, rows + shifted, CLOSED, 48, 48)
-    assert not verify_table(union, A3)
+    rows = enumerate_diagram_group("a3").table.tolist()
+    union = rows + [[v + 24 for v in row] for row in rows]
+    assert len(union) == 48
+    assert not verify_table(CosetTable(A3.generators, union, CLOSED, 48, 48), A3)
 
 
 @pytest.mark.parametrize(
@@ -81,14 +83,20 @@ def test_replay_certificate_rejects_intransitive_table():
         ((0, 1, -1), (1, 0, 1)),
         ((0, 1), (1, 0)),
         ((0, 1, 1),),
+        ((0.0, 1.0, 0.0), (1.0, 0.0, 1.0)),
     ],
-    ids=["ragged", "gap", "past_the_end", "negative", "narrow", "short"],
+    ids=["ragged", "gap", "past_the_end", "negative", "narrow", "short", "float"],
 )
 def test_certificates_reject_malformed_tables(rows):
     table = CosetTable(A3.generators, rows, CLOSED, 2, 2)
     assert not verify_table(table, A3)
     cert = verify_action_against_matrices(table, wall_reflections_mod3(2))
     assert (cert.consistent, cert.matrix_group_order, cert.edges_checked) == (False, 0, 0)
+
+
+def test_certificates_read_an_enumerated_table_without_a_copy():
+    table = enumerate_diagram_group("a3")
+    assert _table_rows(table) is table.table
 
 
 def test_unknown_letters_raise_value_errors():
@@ -100,7 +108,7 @@ def test_unknown_letters_raise_value_errors():
 
 def test_action_columns_are_involutions():
     table = enumerate_diagram_group("a3")
-    for perm in zip(*table.table):
+    for perm in table.table.T.tolist():
         assert sorted(perm) == list(range(24))
         assert all(perm[perm[i]] == i for i in range(24))
 
@@ -136,7 +144,44 @@ def test_partial_table_keeps_live_cosets_only():
     table = todd_coxeter(Presentation(A3.generators, relators), [("1",)], budget=2)
     assert table.status == BUDGET_EXCEEDED
     assert (table.n_live, table.cosets_defined) == (1, 2)
-    assert table.table == ((0, None, 0),)
+    assert table.table.tolist() == [[0, -1, 0]]
+
+
+def test_partial_table_entries_name_its_own_rows():
+    # Coset 1 dies in a coincidence, so live cosets 0 and 2 are rows 0 and 1.
+    pres = Presentation(A3.generators, A3.relators + (("1",),))
+    table = todd_coxeter(pres, budget=3)
+    assert (table.status, table.n_live, table.cosets_defined) == (BUDGET_EXCEEDED, 2, 3)
+    assert table.dump() == "1: 1 2 -\n2: 2 1 -\n"
+
+
+@pytest.mark.parametrize(
+    "relators, budget, status, edge",
+    [
+        # Coset 1 dies; live coset 0 had a gap at generator 3.
+        (A3.relators + (("1",),), 3, BUDGET_EXCEEDED, (2, 0, 1)),
+        # Cosets 2 and 3 die; the walk from coset 0 would reach them.
+        (COINCIDENCE_CASES["a3_plus_13"][0], 1000, CLOSED, (0, 1, 2)),
+    ],
+    ids=["partial", "closed"],
+)
+def test_a_live_row_naming_a_dead_coset_raises(relators, budget, status, edge):
+    # Renumbering maps a dead coset to -1; it must not pass for a gap.
+    enum = _Enumerator(Presentation(A3.generators, relators), budget)
+    assert enum.run([]) == status
+    x, alpha, dead = edge
+    assert enum.parent[alpha] == alpha and enum.parent[dead] != dead
+    _live_table(enum, status)
+    enum.cols[x][alpha] = dead
+    with pytest.raises(AssertionError):
+        _live_table(enum, status)
+
+
+def test_enumerated_tables_are_read_only():
+    table = enumerate_diagram_group("a3")
+    with pytest.raises(ValueError, match="read-only"):
+        table.table[0, 0] = 5
+    assert enumerate_diagram_group("a3").table[0, 0] == 1
 
 
 def _sympy_table(pres, subgroup):
@@ -163,7 +208,7 @@ def _sympy_table(pres, subgroup):
     cosets = fp_groups.coset_enumeration_r(group, [word(w) for w in subgroup])
     cosets.compress()
     cosets.standardize()
-    return tuple(tuple(row[::2]) for row in cosets.table)
+    return [row[::2] for row in cosets.table]
 
 
 ORACLE_CASES = {
@@ -181,7 +226,7 @@ def test_index_matches_sympy_coset_enumeration(case):
     relators, subgroup = ORACLE_CASES[case]
     pres = Presentation(A3.generators, relators)
     table = todd_coxeter(pres, subgroup)
-    assert table.table == _sympy_table(pres, subgroup)
+    assert table.table.tolist() == _sympy_table(pres, subgroup)
     if case == "a3_plus_1":
         assert table.n_live == 1
 
@@ -218,21 +263,23 @@ def test_random_extensions_match_sympy_or_stay_symmetric():
         table = todd_coxeter(pres, subgroup, budget)
         assert table.n_live <= table.cosets_defined <= budget
         if table.status == CLOSED and kind == "a3":
-            assert table.table == _sympy_table(pres, subgroup)
+            assert table.table.tolist() == _sympy_table(pres, subgroup)
             return
         if table.status == CLOSED:
             assert verify_table(table, pres)
             assert all(_fixes_coset_0(table, pres.generators, w) for w in subgroup)
             return
         assert table.status == BUDGET_EXCEEDED
-        # Live rows are listed in coset order and name live cosets only, all
-        # of which the partial table reaches from coset 0.
-        live = sorted({0} | {b for row in table.table for b in row if b is not None})
-        assert len(live) == table.n_live
-        row_of = dict(zip(live, table.table))
-        for a, row in row_of.items():
+        # Live rows name live cosets only, by row (todd_coxeter raises on an
+        # entry that names a dead coset), each edge stored both ways, and the
+        # partial table reaches them all from coset 0.
+        rows = table.table
+        assert rows.shape == (table.n_live, len(pres.generators))
+        assert ((rows >= -1) & (rows < table.n_live)).all()
+        for a, row in enumerate(rows.tolist()):
             for x, b in enumerate(row):
-                assert b is None or row_of[b][x] == a
+                assert b < 0 or rows[b, x] == a
+        assert len(table_walk(rows)) == table.n_live
 
     extended()
 
@@ -369,16 +416,16 @@ def test_cross_certificate_rejects_swapped_generators():
 @pytest.mark.parametrize("entry", [6, 24, -1])
 def test_cross_certificate_rejects_a_corrupted_table(entry):
     # Coset 5 is sent by generator 1 to coset 6 or outside the table.
-    rows = [list(row) for row in enumerate_diagram_group("a3").table]
+    rows = enumerate_diagram_group("a3").table.tolist()
     rows[5][0] = entry
-    assert rows != [list(row) for row in enumerate_diagram_group("a3").table]
+    assert rows != enumerate_diagram_group("a3").table.tolist()
     table = CosetTable(A3.generators, tuple(map(tuple, rows)), CLOSED, 24, 24)
     assert not verify_action_against_matrices(table, wall_reflections_mod3(2)).consistent
 
 
 def test_cross_certificate_walks_any_numbering_from_coset_0():
     # Relabel the cosets of a3 by a fixed permutation that keeps coset 0.
-    rows = enumerate_diagram_group("a3").table
+    rows = enumerate_diagram_group("a3").table.tolist()
     relabel = [0] + list(range(23, 0, -1))
     moved = [None] * 24
     for old, row in enumerate(rows):
@@ -388,6 +435,7 @@ def test_cross_certificate_walks_any_numbering_from_coset_0():
     assert cert.consistent and cert.matrix_group_order == 24
 
     # Two disjoint copies: the walk from coset 0 never reaches the second.
-    shifted = tuple(tuple(v + 24 for v in row) for row in rows)
-    union = CosetTable(A3.generators, rows + shifted, CLOSED, 48, 48)
-    assert not verify_action_against_matrices(union, wall_reflections_mod3(2)).consistent
+    union = rows + [[v + 24 for v in row] for row in rows]
+    assert len(union) == 48
+    union_table = CosetTable(A3.generators, union, CLOSED, 48, 48)
+    assert not verify_action_against_matrices(union_table, wall_reflections_mod3(2)).consistent

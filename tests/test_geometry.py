@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gosset.geometry import (
+    TileGraph,
     _assert_pair_symmetric,
     _assert_representative_independent,
     _assert_stabilizer_permutes_walls,
@@ -137,6 +138,15 @@ def test_tessellation_connected_without_self_gluing():
         tg = build_tessellation(n)
         assert tg.is_connected()
         assert tg.self_loop_count() == 0
+        with pytest.raises(ValueError, match="read-only"):
+            tg.neighbors[0, 0] = 1
+
+
+def test_tile_graph_with_two_components_is_not_connected():
+    # Tiles 0, 1 and 2, 3 swap across both walls; no wall joins the pairs.
+    tg = TileGraph(2, ("a", "b"), np.array([[1, 1], [0, 0], [3, 3], [2, 2]]))
+    assert not tg.is_connected()
+    assert TileGraph(2, ("a", "b"), np.array([[1, 2], [0, 3], [3, 0], [2, 1]])).is_connected()
 
 
 def test_tessellation_slots_and_symmetry():
@@ -157,7 +167,7 @@ def test_tessellation_assertions_pass_on_the_real_tile_arrays(n):
     walls = list(wall_reflections_mod3(n).values())
     reps = space.representative_indices
     neighbors = _crossings(space, walls, reps)
-    assert neighbors.tolist() == [list(row) for row in build_tessellation(n).neighbors]
+    assert neighbors.tolist() == build_tessellation(n).neighbors.tolist()
     _assert_pair_symmetric(neighbors)
     for h in space.subgroup_generators:
         alternative = _crossings(space, walls, space.group.right_multiply(reps, h))

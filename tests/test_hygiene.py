@@ -4,11 +4,13 @@ The scans read the sources as syntax trees.  For imports, in the package
 and the tests, a name counts as used where it is loaded anywhere in the
 module, where a string annotation names it, or where the module lists it in
 __all__ to re-export it.  For definitions, every module-level function and
-class of the package must be loaded by name, bare or as an attribute, in
-the package or the bench scripts, outside its own body; tests alone do not
-keep a definition alive.  Rows registered with @check are exempt: the
-decorator is their use.  The package states its invariants with raise
-AssertionError, never an assert statement, which python -O strips.
+class of the package, and every method and property of those classes, must
+be loaded by name, bare or as an attribute, in the package or the bench
+scripts, outside its own body; tests alone do not keep a definition alive.
+Dunder methods, which Python calls itself, and rows registered with @check,
+whose decorator is their use, are exempt.  The package states its
+invariants with raise AssertionError, never an assert statement, which
+python -O strips.
 """
 
 import ast
@@ -101,19 +103,32 @@ def _is_check_row(node):
     )
 
 
+def _definitions(tree):
+    """Each module-level function and class, then the methods and properties
+    of each class, as (qualified name, node); dunders and @check rows aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_check_row(node):
+            yield node.name, node
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not _is_dunder(member.name):
+                    yield f"{node.name}.{member.name}", member
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def unused_definitions(package, others):
-    """(module, name) of each module-level function or class in package that no
-    source loads outside its own body.  Both arguments map module names to
-    source text; only package is scanned for definitions."""
+    """(module, qualified name) of each definition in package that no source
+    loads outside its own body.  Both arguments map module names to source
+    text; only package is scanned for definitions."""
     trees = {module: ast.parse(source) for module, source in {**others, **package}.items()}
     loads = Counter(name for tree in trees.values() for name in _loads(tree))
     unused = []
     for module in package:
-        for node in trees[module].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_check_row(node):
-                continue
+        for qualified, node in _definitions(trees[module]):
             if loads[node.name] == Counter(_loads(node))[node.name]:
-                unused.append((module, node.name))
+                unused.append((module, qualified))
     return unused
 
 
@@ -143,11 +158,37 @@ def test_unused_definition_scan_catches_its_cases():
     }
     bench = {"bench": "from gosset.a import bench_only\nbench_only()\n"}
     assert unused_definitions(package, bench) == [
-        ("a", "tests_only"), ("a", "recursive"), ("a", "Itself"), ("a", "decorated")
+        ("a", "tests_only"), ("a", "recursive"), ("a", "Itself"), ("a", "Itself.copy"),
+        ("a", "decorated"),
     ]
     assert unused_definitions(package, {}) == [
         ("a", "bench_only"), ("a", "tests_only"), ("a", "recursive"), ("a", "Itself"),
-        ("a", "decorated"),
+        ("a", "Itself.copy"), ("a", "decorated"),
+    ]
+
+
+def test_unused_definition_scan_covers_methods_and_properties():
+    package = {
+        "a": (
+            "class Table:\n"
+            "    size: int\n"
+            "    def __init__(self): self.size = 0\n"
+            "    def __len__(self): return self.size\n"
+            "    def called(self): return self.helper()\n"
+            "    def helper(self): return 1\n"
+            "    def recursive(self): return self.recursive()\n"
+            "    def tests_only(self): pass\n"
+            "    @property\n"
+            "    def read(self): return 1\n"
+            "    @property\n"
+            "    def unread(self): return 2\n"
+            "    @staticmethod\n"
+            "    def build(): return Table()\n"
+        ),
+        "b": "from .a import Table\nt = Table.build()\nt.called()\nprint(t.read)\n",
+    }
+    assert unused_definitions(package, {}) == [
+        ("a", "Table.recursive"), ("a", "Table.tests_only"), ("a", "Table.unread")
     ]
 
 

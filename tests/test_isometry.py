@@ -21,12 +21,13 @@ from gosset.isometry import (
     lorentz_gram,
     orbit,
     reflection_matrix,
+    table_walk,
     _ColumnPlan,
     _MatrixProducts,
     _congruence_counts,
 )
 from gosset import isometry
-from gosset.e6 import SIMPLE_ROOTS, beta_configuration, reflection_rows, root_system
+from gosset.e6 import SIMPLE_ROOTS, beta_configuration, cartan_matrix, reflection_rows, root_system
 from gosset.enumeration import enumerate_diagram_group
 from gosset.geometry import (
     build_tessellation,
@@ -193,6 +194,26 @@ def test_coset_space_against_lagrange():
     assert cs.count == 12
     assert cs.subgroup_order == 2
     assert (cs.cosets_of(cs.representative_indices) == np.arange(cs.count)).all()
+
+
+def test_cached_closure_and_coset_arrays_are_read_only():
+    group = reflection_image_mod3(2)
+    space = coset_space(group, stabilizer_generators_mod3(2))
+    shared = [group.mats, group._sorted_keys, group._key_order]
+    for array in shared + [space._assignment, space.representative_indices]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+    assert group.mats[0].tolist() == np.eye(3).tolist()
+
+
+def test_table_walk_gives_the_standard_order_and_omits_unreached_points():
+    # From 0: layer 1 is 2 (edge 0 of 0), 1 (edge 1 of 0); layer 2 reads
+    # row 2 before row 1, so 4 comes before 3.  Points 5 and 6 only reach
+    # each other, and -1 is a gap.
+    rows = np.array([[2, 1], [3, 0], [0, 4], [-1, 1], [2, -1], [6, 6], [5, 5]])
+    assert table_walk(rows).tolist() == [0, 2, 1, 4, 3]
+    assert table_walk(rows[5:] - 5).tolist() == [0, 1]
+    assert table_walk(np.array([[-1, -1]])).tolist() == [0]
 
 
 def test_coset_space_rejects_a_subgroup_generator_outside_the_group():
@@ -605,7 +626,8 @@ def _lattice_action(n, picks):
 
 def _e6_reflect(beta, x):
     """Reference tuple reflection x - (x, beta) beta, in simple-root coordinates."""
-    k = root_system().pairing(x, beta)
+    c = cartan_matrix()
+    k = sum(x[i] * c[i][j] * beta[j] for i in range(6) for j in range(6))
     return tuple(a - k * b for a, b in zip(x, beta))
 
 
