@@ -99,6 +99,7 @@ from .presentation import (
     petersen_kneser_check,
     presentation_from_text,
     presentation_to_text,
+    tits_form,
 )
 from .report import CheckReport, exit_code, reports_to_json, run_check, skipped_check
 
@@ -133,6 +134,8 @@ RELATOR_PROFILE = {
     "affine_a5": {2: 6, 4: 9, 6: 6, 10: 1},
     "petersen": {2: 10, 4: 30, 6: 15, 10: 10},
 }
+# v^T (2I - A) v at the all-ones vector v: 2 |nodes| - 2 |edges|.
+TITS_FORM_AT_ONES = {"affine_a5": 0, "petersen": -10}
 APEX_ORBIT_SIZES = {2: 1, 3: 2, 4: 5}
 IDEAL_ORBIT_SIZES = {2: 2, 3: 3, 4: 5}
 
@@ -405,6 +408,16 @@ def _no_deflation_diverges(c):
     table = todd_coxeter(build_presentation(c.kind, deflate=False), budget=NEGATIVE_CONTROL_BUDGET)
     details = f"without deflation the enumeration passes {NEGATIVE_CONTROL_BUDGET} cosets"
     return BUDGET_EXCEEDED, table.status, details
+
+
+@check("enumeration", "no_deflation_indefinite_{kind}", (3, 4))
+def _no_deflation_indefinite(c):
+    graph = diagram_graph(c.kind)
+    value = tits_form(graph, dict.fromkeys(graph.nodes, 1))
+    expected = {"form_at_ones": TITS_FORM_AT_ONES[c.kind], "infinite": True}
+    actual = {"form_at_ones": value, "infinite": value <= 0}
+    details = "2B = 2I - A is not positive definite, so without deflation the group is infinite"
+    return expected, actual, details
 
 
 @check("enumeration", "relator_order_invariance_{kind}", (2, 3))

@@ -219,6 +219,17 @@ def build_presentation(kind: str, deflate: bool = True) -> Presentation:
     return Presentation(g.nodes, tuple(relators))
 
 
+def tits_form(g: DiagramGraph, v: Mapping[str, int]) -> int:
+    """v^T (2B) v, for the Tits form B of the Coxeter group of g without
+    deflation: m = 3 on edges and 2 off them, so 2B = 2I - A(g) is integral.
+
+    A finite Coxeter group has a positive definite Tits form (Humphreys,
+    Reflection Groups and Coxeter Groups, section 6.4), so a value <= 0 at
+    some v != 0 proves the group infinite.
+    """
+    return 2 * sum(v[a] ** 2 for a in g.nodes) - 2 * sum(v[a] * v[b] for a, b in g.edges)
+
+
 def evaluate_word(word: Word, assignment: Mapping[str, Matrix]) -> Matrix:
     """Left-to-right product of the assigned matrices; the empty word is the
     identity of their ring."""

@@ -88,3 +88,20 @@ def traced_peak_mb():
         return result, (peak - start) / 2**20
 
     return measure
+
+
+@pytest.fixture
+def row_report():
+    """A helper: report(template, n) runs the verify row of that check-id
+    template for dimension n, with default options, and gives its report."""
+    from functools import partial
+
+    from gosset import cli
+    from gosset.report import run_check
+
+    def report(template, n):
+        (row,) = [r for r in cli.TABLE if r.template == template]
+        check_id = template.format(n=n, kind=cli.KIND_BY_N.get(n))
+        return run_check(check_id, n, partial(row.run, cli.Case(n, cli.Options())))
+
+    return report

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from gosset import cli, geometry
+from gosset import cli, enumeration, geometry
 from gosset.cli import Options, main, run_suite
 from gosset.eisenstein import OMEGA, EisensteinInteger, herm
 from gosset.geometry import gosset_walls
 from gosset.lattice import basis_vector, chamber_vertices, inner, reflect
+from gosset.presentation import DiagramGraph, build_presentation
 from gosset.report import CheckReport, exit_code, reports_to_json
 
 
@@ -371,12 +372,55 @@ def test_cli_import_pins_blas_threads_unless_set(preset):
 
 @pytest.mark.parametrize("suite", cli.SUITES)
 def test_suite_matches_pinned_outputs(suite):
+    # As perfbench's gate_report: every pinned check matches exactly, in one
+    # contiguous run of the golden ids, and every new check passes.
     fields = ("check_id", "status", "expected", "actual")
     golden = json.loads(GOLDEN.read_text())["all"]
     pinned = {c["check_id"]: c for c in golden}
     got = json.loads(reports_to_json("0", suite, run_suite(suite)))["checks"]
+    kept = [c for c in got if c["check_id"] in pinned]
     ids = [c["check_id"] for c in golden]
-    start = ids.index(got[0]["check_id"])
-    assert ids[start : start + len(got)] == [c["check_id"] for c in got]
-    for check in got:
+    start = ids.index(kept[0]["check_id"])
+    assert ids[start : start + len(kept)] == [c["check_id"] for c in kept]
+    for check in kept:
         assert {f: check[f] for f in fields} == {f: pinned[check["check_id"]][f] for f in fields}
+    assert all(c["status"] == "pass" for c in got if c["check_id"] not in pinned)
+
+
+def test_every_pinned_check_is_still_a_row():
+    golden = {c["check_id"] for c in json.loads(GOLDEN.read_text())["all"]}
+    ids = {
+        row.template.format(n=n, kind=cli.KIND_BY_N.get(n))
+        for row in cli.TABLE
+        for n in ((None,) if row.dims is None else row.dims)
+    }
+    assert golden <= ids
+
+
+A4_PATH = DiagramGraph(("1", "2", "3", "4"), frozenset({("1", "2"), ("2", "3"), ("3", "4")}))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tits_form_check_fails_on_a_positive_definite_diagram(monkeypatch, row_report, n):
+    assert row_report("no_deflation_indefinite_{kind}", n).status == "pass"
+    monkeypatch.setattr(cli, "diagram_graph", lambda kind: A4_PATH)
+    assert row_report("no_deflation_indefinite_{kind}", n).status == "fail"
+
+
+def test_verify_all_never_enumerates_the_petersen_group_over_the_trivial_subgroup(monkeypatch):
+    # The lift replaced that 51,840-coset Felsch run; this keeps it out.
+    deflated = build_presentation("petersen")
+    real = enumeration.todd_coxeter
+    petersen_subgroups = []
+
+    def spy(pres, subgroup_words=(), budget=enumeration.DEFAULT_COSET_BUDGET):
+        if pres == deflated:
+            petersen_subgroups.append(tuple(subgroup_words))
+        return real(pres, subgroup_words, budget)
+
+    for module in (enumeration, cli):
+        monkeypatch.setattr(module, "todd_coxeter", spy)
+    enumeration.enumerate_diagram_group.cache_clear()
+    reports = run_suite("all")
+    assert {r.status for r in reports} == {"pass", "skipped"}
+    assert petersen_subgroups and all(petersen_subgroups)

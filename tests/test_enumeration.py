@@ -1,15 +1,20 @@
 """Coset enumeration of the odd presentations and its certificates."""
 
 import hashlib
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from gosset import cli, enumeration
 from gosset.enumeration import (
     BUDGET_EXCEEDED,
     CLOSED,
+    LIFT_PINS,
     CosetTable,
     _Enumerator,
     _live_table,
+    _orbit_table,
     _table_rows,
     enumerate_diagram_group,
     todd_coxeter,
@@ -22,8 +27,18 @@ from gosset.presentation import Presentation, build_presentation
 
 EXPECTED_ORDERS = {"a3": 24, "affine_a5": 720, "petersen": 51840}
 
-# sha256 of enumerate_diagram_group("petersen").dump(), the standardized table.
+# sha256 of _dump(enumerate_diagram_group("petersen")), the standardized table.
 PETERSEN_DUMP_SHA256 = "59fa6995eb6ff9cafb582416db6c20713b4a701d386f34f2c09836d9c6c6b113"
+
+
+def _dump(table):
+    """Line-oriented dump, cosets and images numbered from 1."""
+    lines = []
+    for i, row in enumerate(table.table.tolist()):
+        imgs = " ".join("-" if v < 0 else str(v + 1) for v in row)
+        lines.append(f"{i + 1}: {imgs}")
+    return "\n".join(lines) + "\n"
+
 
 A3 = build_presentation("a3")
 # Collapsing cases: a3 plus one extra relator, or subgroup words whose scans
@@ -55,8 +70,84 @@ def test_petersen_with_deflation_closes_at_51840():
     table = enumerate_diagram_group("petersen")
     assert table.order == 51840
     assert table.cosets_defined == 51840
-    dump = table.dump().encode()
+    dump = _dump(table).encode()
     assert hashlib.sha256(dump).hexdigest() == PETERSEN_DUMP_SHA256
+
+
+@pytest.mark.parametrize("kind", sorted(EXPECTED_ORDERS))
+def test_the_lift_equals_the_plain_enumeration(kind):
+    # The Felsch run over the trivial subgroup, which enumerate_diagram_group
+    # no longer makes, closes without a coincidence on the lifted table.
+    order = EXPECTED_ORDERS[kind]
+    plain = todd_coxeter(build_presentation(kind))
+    assert (plain.status, plain.n_live, plain.cosets_defined) == (CLOSED, order, order)
+    assert np.array_equal(plain.table, enumerate_diagram_group(kind).table)
+    if kind == "petersen":
+        assert hashlib.sha256(_dump(plain).encode()).hexdigest() == PETERSEN_DUMP_SHA256
+
+
+@pytest.fixture
+def petersen_order_report(monkeypatch, row_report):
+    """The report of coset_order_petersen, run on an uncached lift."""
+    monkeypatch.setattr(cli, "enumerate_diagram_group", enumerate_diagram_group.__wrapped__)
+    return lambda: row_report("coset_order_{kind}", 4)
+
+
+def test_the_lift_fails_without_a_relator_it_needs(monkeypatch, petersen_order_report):
+    # Without (3 4)^2 the relators among H's generators present
+    # S_4 x (Z/2 * Z/2), which is infinite: the bound on |H| never closes.
+    pres = build_presentation("petersen")
+    dropped = Presentation(pres.generators, tuple(r for r in pres.relators if r != ("3", "4") * 2))
+    assert len(dropped.relators) == len(pres.relators) - 1
+    monkeypatch.setattr(enumeration, "build_presentation", lambda kind: dropped)
+    report = petersen_order_report()
+    assert report.status == "error"
+    assert "the relators among H's generators: enumeration budget_exceeded" in report.details
+
+
+def _with_a_wrong_entry(table):
+    rows = np.array(table.table)
+    rows[7, 5] = 100
+    return replace(table, table=rows)
+
+
+def test_a_wrong_entry_in_the_subgroup_table_fails_the_lift(monkeypatch, petersen_order_report):
+    subgroup, base = LIFT_PINS["petersen"]
+    cosets = todd_coxeter(build_presentation("petersen"), [(g,) for g in subgroup])
+    assert cosets.order == 540
+    # Alone, the orbit of the corrupted columns runs past the bound at once.
+    with pytest.raises(RuntimeError, match="passes the upper bound 51840"):
+        _orbit_table(_with_a_wrong_entry(cosets).table, base, 51840)
+    # In the lift, the replay of the relators rejects the table first.
+    real = enumeration.todd_coxeter
+
+    def corrupted(pres, subgroup_words=()):
+        table = real(pres, subgroup_words)
+        return _with_a_wrong_entry(table) if subgroup_words else table
+
+    monkeypatch.setattr(enumeration, "todd_coxeter", corrupted)
+    report = petersen_order_report()
+    assert report.status == "error"
+    assert "the coset table of H breaks a relator" in report.details
+
+
+def test_a_short_base_falls_below_the_bound(monkeypatch, petersen_order_report):
+    subgroup, _ = LIFT_PINS["petersen"]
+    monkeypatch.setitem(LIFT_PINS, "petersen", (subgroup, (0,)))
+    report = petersen_order_report()
+    assert report.status == "error"
+    assert "the orbit of (0,) has 540 points, the bound is 51840" in report.details
+
+
+@pytest.mark.parametrize("kind", sorted(EXPECTED_ORDERS))
+def test_no_proper_prefix_of_the_pinned_base_reaches_the_order(kind):
+    # B is no longer than it must be: every proper prefix has a smaller orbit.
+    subgroup, base = LIFT_PINS[kind]
+    cosets = todd_coxeter(build_presentation(kind), [(g,) for g in subgroup])
+    order = EXPECTED_ORDERS[kind]
+    assert len(_orbit_table(cosets.table, base, order)) == order
+    for k in range(1, len(base)):
+        assert len(_orbit_table(cosets.table, base[:k], order)) < order
 
 
 def test_tables_pass_replay_certificate():
@@ -115,11 +206,11 @@ def test_action_columns_are_involutions():
 
 def test_standardized_table_dump_is_stable():
     table = enumerate_diagram_group("a3")
-    dump = table.dump()
+    dump = _dump(table)
     lines = dump.strip().splitlines()
     assert len(lines) == 24
     assert lines[0].startswith("1:")
-    assert enumerate_diagram_group("a3").dump() == dump
+    assert _dump(enumerate_diagram_group("a3")) == dump
 
 
 def test_subgroup_enumeration_counts_cosets():
@@ -152,7 +243,7 @@ def test_partial_table_entries_name_its_own_rows():
     pres = Presentation(A3.generators, A3.relators + (("1",),))
     table = todd_coxeter(pres, budget=3)
     assert (table.status, table.n_live, table.cosets_defined) == (BUDGET_EXCEEDED, 2, 3)
-    assert table.dump() == "1: 1 2 -\n2: 2 1 -\n"
+    assert _dump(table) == "1: 1 2 -\n2: 2 1 -\n"
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from gosset.cli import AUT_ORDERS, GIRTHS
+from gosset.cli import AUT_ORDERS, GIRTHS, TITS_FORM_AT_ONES
 from gosset.geometry import gosset_walls, wall_reflections_mod3
 from gosset.isometry import Matrix, reflection_matrix
 from gosset.lattice import inner, vector
@@ -20,6 +21,7 @@ from gosset.presentation import (
     petersen_kneser_check,
     presentation_from_text,
     presentation_to_text,
+    tits_form,
 )
 
 
@@ -37,6 +39,26 @@ def test_diagram_shapes():
     assert all(len(petersen.neighbors(v)) == 3 for v in petersen.nodes)
     assert petersen.girth() == 5
     assert len(petersen.edges) == 15
+
+
+@pytest.mark.parametrize("kind", sorted(AUT_ORDERS))
+def test_tits_form_is_indefinite_exactly_for_the_infinite_groups(kind):
+    # Oracle: the spectrum of 2I - A in floating point.  Only the a3 group is
+    # finite without deflation; the others are non-positive at all-ones.
+    g = diagram_graph(kind)
+    ones = dict.fromkeys(g.nodes, 1)
+    assert tits_form(g, ones) == 2 * len(g.nodes) - 2 * len(g.edges)
+    assert tits_form(g, ones) == TITS_FORM_AT_ONES.get(kind, 2)
+    index = {a: i for i, a in enumerate(g.nodes)}
+    form = 2 * np.eye(len(g.nodes))
+    for a, b in g.edges:
+        form[index[a], index[b]] = form[index[b], index[a]] = -1
+    assert (np.linalg.eigvalsh(form).min() > 1e-9) == (kind == "a3")
+
+
+def test_tits_form_weighs_each_node_and_edge():
+    # a3 has edges 1-3 and 2-3: 2 (1 + 4 + 9) - 2 (1 * 3 + 2 * 3) = 10.
+    assert tits_form(diagram_graph("a3"), {"1": 1, "2": 2, "3": 3}) == 10
 
 
 def test_diagram_automorphism_orders():
