@@ -60,6 +60,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from . import __version__
 from .e6 import (
+    cayley_table,
     generation_order,
     root_system,
     verify_hexagon_sums,
@@ -543,6 +544,13 @@ def _triple_agreement(c):
     expected = {"roots": 51840, "cosets": 51840, "matrices": 51840}
     actual = {"roots": generation_order(), "cosets": table.order, "matrices": matrix_group.order}
     return expected, actual, "three independent routes to the same order"
+
+
+@check("e6", "cayley_table_roots_matches_presentation")
+def _cayley_table_roots_matches_presentation(c):
+    roots, presented = cayley_table(), enumerate_diagram_group("petersen").table
+    same = roots.shape == presented.shape and bool((roots == presented).all())
+    return True, same, "the beta reflections on the roots give the presentation's table"
 
 
 # eisenstein

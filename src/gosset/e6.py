@@ -11,11 +11,12 @@ Ten of those roots, labeled by the Petersen graph nodes, realize the wall
 diagram inside E6: their Gram matrix is 2 on the diagonal, 1 on Petersen
 edges and 0 on non-edges, the alternating sum around every free hexagon
 vanishes, and the ten reflections they define generate the full Weyl group,
-of order 51840.  That order is cross-checked elsewhere against coset
-enumeration and the mod-3 matrix closure; here it is the size of the orbit,
-under left multiplication by the root permutations, of the index tuple of
-the six simple roots: they span the root space, so their images fix a group
-element.  Both orbits run on orbit() from the isometry module.  The ten root
+of order 51840.  Here that group is a table: cayley_table(), the orbit of
+the simple roots' index tuple under the root permutations, by the isometry
+module's base_orbit_table; generation_order() is its length.  The verify
+suite finds it equal, entry for entry, to the lifted presentation's table.
+Both list the generators in label order, so that is an explicit
+isomorphism sending each generator to its beta reflection.  The ten root
 permutations are built once, by beta_permutations(), and the configuration
 checks read them as integer identities.
 """
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .isometry import memoize, orbit
+from .isometry import base_orbit_table, memoize, orbit
 from .presentation import diagram_graph, free_hexagons
 
 RootCoeffs = tuple[int, int, int, int, int, int]
@@ -148,26 +149,6 @@ def verify_hexagon_sums() -> bool:
     return all(hexagon_alternating_sum(h, betas) == (0,) * 6 for h in hexagons)
 
 
-def permutation_closure_order(perms: Sequence[Sequence[int]], basis: Sequence[int]) -> int:
-    """Order of the group generated by root permutations, as the orbit of a basis.
-
-    The permutations must be induced by linear maps on the span of the roots
-    (reflections are), and basis must index roots that span it: a linear map
-    that fixes a spanning set is the identity, so the index tuple of the basis
-    has a trivial stabilizer, and its orbit under left multiplication, g[F],
-    has one point per group element.  Each point is its own key (at most
-    eight indices, each below 128; E6 has six simple roots among 72).  The
-    generator set must be closed under inversion.  The orbit fails fast past
-    DEFAULT_ELEMENT_BUDGET points.
-    """
-    gens = np.array(perms, dtype=np.uint8)
-    # Inversion is injective, so S holds every inverse exactly when S^-1 = S.
-    if not np.array_equal(np.unique(gens, axis=0), np.unique(np.argsort(gens, axis=1), axis=0)):
-        raise ValueError("generator set must be closed under inversion")
-    seed = np.array([basis], dtype=np.uint8)
-    return len(orbit(seed, lambda f: gens[:, f]))
-
-
 @memoize
 def beta_permutations() -> np.ndarray:
     """Root permutations of the ten beta reflections: (10, 72), rows in label order.
@@ -181,13 +162,20 @@ def beta_permutations() -> np.ndarray:
 
 
 @memoize
-def generation_order() -> int:
-    """Order of the group the ten beta reflections generate on the 72 roots.
+def cayley_table() -> np.ndarray:
+    """The standardized Cayley table of the ten beta reflections, read-only.
 
-    Cached: the permutation closure runs once per process.
+    The orbit of the simple roots' index tuple under F -> g[F] is regular, as
+    the roots span.  F -> g[F] applies x, then y, as g_y g_x: the table of the
+    opposite group, which inversion maps onto the group, fixing each g.
     """
     basis = [root_system().root_index(r) for r in SIMPLE_ROOTS]
-    return permutation_closure_order(beta_permutations(), basis)
+    return base_orbit_table(beta_permutations(), basis)
+
+
+def generation_order() -> int:
+    """Order of the group the ten beta reflections generate on the 72 roots."""
+    return len(cayley_table())
 
 
 def verify_reflection_fixed_points() -> bool:

@@ -14,9 +14,12 @@ first.  The conjugates (x, x) are not scanned: symmetric storage makes them
 hold.  The table is stored by columns, one list per generator, and the scans
 after a deduction alpha·x run in a scanner generated for x from its words:
 straight-line code with the columns bound as locals, compiled once per set
-of scan words.  Coincidences are processed with a union-find over coset
-indices, path compressed, smaller index surviving; until the first one every
-coset is its own representative and the union-find is not consulted.
+of scan words.  They stay generated: a generic per-word scan loop gives the
+same tables, but runs the 100,000-coset negative controls about 1.45 times
+as long, and the enumeration checks, compiles included, about 16% longer.
+Coincidences are processed with a union-find over coset indices, path
+compressed, smaller index surviving; until the first one every coset is its
+own representative and the union-find is not consulted.
 
 Enumeration is exact: a closed table reports the subgroup index (the group
 order, for the trivial subgroup); hitting the coset budget reports
@@ -31,17 +34,14 @@ holds on every edge and is injective is an explicit isomorphism;
 verify_action_against_matrices builds that map by walking the table and
 checks it, without closing the matrix group.
 
-The diagram groups' tables are not enumerated over the trivial subgroup but
-lifted from a small subgroup table, which proves the group order in both
-directions (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-ch. 5).  Enumerating over a pinned subgroup H closes at its index, and
-enumerating the relators among H's generators bounds |H|, so |G| <= index
-|H|.  G acts on the cosets of H through the table's columns, so the orbit
-of a pinned tuple of cosets has at most |G| points.  When the two bounds
-meet, G acts regularly on the orbit, and the orbit with its generator steps
-is the Cayley table of G: the coset table over the trivial subgroup,
-standardized by table_walk like any closed table.  A shortfall raises;
-there is no second route.
+The diagram groups' tables are lifted from a small subgroup table, which
+proves the group order both ways (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, ch. 5): over a pinned subgroup H the
+enumeration closes at its index, the relators among H's generators bound
+|H|, and the orbit of a pinned tuple of cosets, at most |G| points, reaches
+index |H|.  Then G acts regularly on the orbit, and
+isometry.base_orbit_table, which also builds the roots' table in e6, reads
+it as the standardized Cayley table of G.  A shortfall raises.
 """
 
 from __future__ import annotations
@@ -51,12 +51,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .isometry import Matrix, _MatrixProducts, _fresh_keys, layered_closure, memoize, table_walk
+from .isometry import (
+    Matrix,
+    _MatrixProducts,
+    base_orbit_table,
+    layered_closure,
+    memoize,
+    table_walk,
+)
 from .presentation import Presentation, Word, build_presentation
 
 DEFAULT_COSET_BUDGET = 200_000
 
-IN_PROGRESS = "in_progress"
 CLOSED = "closed"
 BUDGET_EXCEEDED = "budget_exceeded"
 
@@ -327,22 +333,15 @@ def _live_table(enum: _Enumerator, status: str) -> np.ndarray:
         rows[:, x] = [-1 if b is None else b for b in col]
     is_live = np.array(enum.parent) == np.arange(enum.defined)
     order = table_walk(rows) if status == CLOSED else np.flatnonzero(is_live)
-    table = _renumbered(rows, order)
+    # Each listed coset renumbered to its row; a gap, -1, reads the last slot.
+    renumber = np.full(enum.defined + 1, -1, dtype=np.int32)
+    renumber[order] = np.arange(len(order))
+    table = renumber[rows[order]]
+    table.flags.writeable = False
     if ((table < 0) != (rows[order] < 0)).any():
         raise AssertionError("a live row names a dead coset")
     if status == CLOSED and (len(order) != enum.live or (table < 0).any()):
         raise AssertionError("closed table has a gap or an intransitive action")
-    return table
-
-
-def _renumbered(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The rows listed in order, each point renumbered to its position there,
-    as a read-only int32 array; a point order leaves out reads as -1."""
-    # A gap, -1, reads the extra last slot and stays -1.
-    renumber = np.full(len(rows) + 1, -1, dtype=np.int32)
-    renumber[order] = np.arange(len(order))
-    table = renumber[rows[order]]
-    table.flags.writeable = False
     return table
 
 
@@ -366,20 +365,15 @@ def todd_coxeter(
 
 @memoize
 def enumerate_diagram_group(kind: str) -> CosetTable:
-    """The standardized table of the deflated diagram presentation over the
-    trivial subgroup, lifted from the table of the subgroup in LIFT_PINS, with
-    its order proved both ways; cached because several checks share it.
+    """The standardized table of the deflated diagram presentation, lifted
+    from the table of the subgroup H in LIFT_PINS; cached, as checks share it.
 
-    Upper bound: the presentation enumerated over H closes at its index, and
-    the relators among H's generators, enumerated alone, present a group that
-    maps onto H, so |G| <= index |H|.  Lower bound: the columns of the
-    replayed table of H are a permutation action of G, so the orbit of the
-    base tuple of cosets, keyed base-index, has at most |G| points.  An orbit
-    that reaches the upper bound has trivial stabilizer: G acts on it
-    regularly, and B g -> B g x is the Cayley table.  An enumeration that
-    does not close, a table that breaks a relator, an orbit off the bound or
-    a column that does not permute the orbit raises RuntimeError.  The table
-    counts one coset defined per orbit point.
+    |G| <= index |H|, as the relators among H's generators present a group
+    onto H.  The replayed table of H is an action of G, so the orbit of the
+    base tuple has at most |G| points; with index |H| it is regular, and its
+    table is the Cayley table.  RuntimeError if an enumeration does not
+    close, the table of H breaks a relator or the orbit misses the bound.
+    The table counts one coset defined per orbit point.
     """
     pres = build_presentation(kind)
     generators, base = LIFT_PINS[kind]
@@ -393,53 +387,10 @@ def enumerate_diagram_group(kind: str) -> CosetTable:
     if not verify_table(cosets, pres):
         raise RuntimeError("the coset table of H breaks a relator")
     bound = cosets.order * subgroup.order
-    rows = _orbit_table(cosets.table, base, bound)
-    if len(rows) != bound:
-        raise RuntimeError(f"the orbit of {base} has {len(rows)} points, the bound is {bound}")
-    table = _renumbered(rows, table_walk(rows))
+    table = base_orbit_table(cosets.table.T, base, bound)
+    if len(table) != bound:
+        raise RuntimeError(f"the orbit of {base} has {len(table)} points, the bound is {bound}")
     return CosetTable(pres.generators, table, CLOSED, len(table), len(table))
-
-
-def _orbit_table(cosets: np.ndarray, base: tuple[int, ...], bound: int) -> np.ndarray:
-    """The orbit of the tuple base under the columns of a coset table, as a
-    table: row i lists the orbit points that point i reaches by each column.
-
-    The points are numbered in discovery order along layered_closure, keyed
-    base-index in int64 by _fresh_keys.  Each column's images of the points,
-    sorted by key, must be the points' own sorted keys, which makes the
-    column a permutation of the orbit and names the point of each image.
-    RuntimeError is raised as soon as the orbit has more than bound points,
-    and on a column that does not permute it.
-    """
-    index, width = len(cosets), len(base)
-    if index**width >= 2**63:
-        raise OverflowError(f"{width} points of {index} overflow an int64 key")
-    cols = np.ascontiguousarray(cosets.T)
-    weights = index ** np.arange(width, dtype=np.int64)
-    seed = np.array([base], dtype=cols.dtype)
-    images, reached = seed, 0
-
-    def candidate_keys(frontier: np.ndarray) -> np.ndarray:
-        nonlocal images, reached
-        reached += len(frontier)
-        if reached > bound:
-            raise RuntimeError(f"the orbit of {base} passes the upper bound {bound}")
-        images = cols[:, frontier].reshape(-1, width)
-        return images @ weights
-
-    pick = _fresh_keys(candidate_keys, seed @ weights)
-    points = np.concatenate(list(layered_closure(seed, pick, lambda f, picks: images[picks])))
-    keys = points @ weights
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    rows = np.empty((len(points), len(cols)), dtype=np.int32)
-    for x, col in enumerate(cols):
-        targets = col[points] @ weights
-        by_key = np.argsort(targets)
-        if not np.array_equal(targets[by_key], sorted_keys):
-            raise RuntimeError(f"column {x} does not permute the orbit")
-        rows[by_key, x] = order
-    return rows
 
 
 def _table_rows(table: CosetTable) -> np.ndarray | None:

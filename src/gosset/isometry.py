@@ -12,29 +12,22 @@ multiplication by the generators, one vectorized layer at a time.  The one
 layer loop, layered_closure, asks a pick rule which products of the frontier
 are new, checks the budget, multiplies out only those, as int8 in batches of
 a fixed number of rows, and yields the layer as a bare block of elements.
-Keys belong to the pick rule alone.  Mod m, and in orbit(), the rule goes by
+Keys belong to the pick rule alone.  Mod m, and on orbits, the rule goes by
 keys: each product has an int64 key, computed before it is built, and a
 layer's candidate keys are deduplicated once and looked up in the sorted
-keys of the two layers before it.  Over Z it goes by descents and keys
-nothing: the generators are distinct reflections s in simple roots alpha_s,
-and for the chamber vector v, l(ws) > l(w) iff (w alpha_s, v) > 0
-(Humphreys, Reflection Groups and Coxeter Groups, 5.4), while each element
-is first reached, in generator-major order, at its least right descent
-(Bjorner and Brenti, Combinatorics of Coxeter Groups, 1.4).  GroupClosure
-is the one closure that is kept: it collects the layers of _MatrixProducts
-and keys its elements once, for lookup.  finite_group_elements and orbit()
-concatenate the layers, and the congruence check counts them and drops
-them.  So the largest case in scope, the finite stabilizer for n = 7 (order
-2903040), takes about 0.9 s and 63 MB peak RSS, bounded by its largest
-layer rather than by the group order.  Closures and orbits fail fast past
-DEFAULT_ELEMENT_BUDGET elements, read when each walk starts, which is also
-what stops an infinite group over Z.  Everything downstream
-(projectivization, coset spaces, the trivial-intersection checks against
-congruence subgroups) is built on that engine; layered_closure also closes
-orbits of integer rows (orbit(): the E6 roots and root permutations,
-stabilizer orbits) and walks integer tables (table_walk(): coset tables,
-tile graphs), and its mod-m products walk coset tables in the enumeration
-certificate.
+keys of the two layers before it.  Over Z it goes by descents, for
+generators that are distinct simple reflections, and keys nothing (see
+_MatrixProducts._descents).  GroupClosure is the one closure that is kept;
+the others stream their layers, so the n = 7 stabilizer (order 2903040) is
+bounded by its largest layer, not its order.  Walks fail fast past
+DEFAULT_ELEMENT_BUDGET elements, read when each starts, which also stops an
+infinite group over Z.  layered_closure also closes orbits of integer rows
+(orbit(): the E6 roots, stabilizer orbits), walks integer tables
+(table_walk(): coset tables, tile graphs) and coset tables against mod-m
+products (the enumeration certificate), and runs the one Cayley-table
+primitive, base_orbit_table(): permutations on the orbit of a base tuple,
+which builds both tables of W(E6), the lifted presentation's and the ten
+beta reflections' on the roots.
 
 The engine owns the projective quotient: a projective closure keys each
 class {M, -M} by the smaller base-m key of its two signs, and that choice,
@@ -206,12 +199,13 @@ def _pack_int8(vecs: np.ndarray) -> np.ndarray:
     return packed.view(np.int64).ravel()
 
 
-def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, sorted, and the position where each first occurs."""
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct keys, sorted, the position where each first occurs, the
+    sorting permutation, and the mask of the sorted keys that start a run."""
     order = np.argsort(keys)
     ordered = keys[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    return ordered[starts], np.minimum.reduceat(order, starts)
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    return ordered[starts], np.minimum.reduceat(order, np.flatnonzero(starts)), order, starts
 
 
 def _positions(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -230,9 +224,9 @@ def layered_closure(
     """Breadth-first closure under right multiplication, one layer at a time.
 
     pick(F) gives the positions of the new products F g of a frontier F,
-    sorted, each new element once, in generator-major candidate order
-    (position i |F| + j is row j times the i-th generator; table_walk reads
-    its rows row-major); build(F, picks) builds them, after
+    sorted, each new element once, in the caller's candidate order (the
+    closures' is generator-major; the table walks' is row-major, table_walk's
+    and base_orbit_table's); build(F, picks) builds them, after
     DEFAULT_ELEMENT_BUDGET, read when the walk starts, has been checked
     against the count so far.  The pick rule may keep state from one layer
     to the next, keys included, as _fresh_keys and _MatrixProducts._descents do.
@@ -258,28 +252,40 @@ def layered_closure(
 
 
 def _fresh_keys(
-    candidate_keys: Callable[[np.ndarray], np.ndarray], identity_keys: np.ndarray
+    candidate_keys: Callable[[np.ndarray], np.ndarray],
+    identity_keys: np.ndarray,
+    named: list[np.ndarray] | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The pick rule by keys: the first occurrence of each key not seen yet.
 
-    candidate_keys(F) gives the int64 key of every product F g of a frontier
-    F, generator-major, before any product is built; identity_keys, sorted,
-    are the keys of the first layer.  The keys must be injective on the
-    group, and the generator set closed under inversion.  Then the
-    neighbours of layer k lie in layers k-1, k and k+1, so each layer's
-    candidate keys are deduplicated once and looked up in the sorted keys
-    of the two layers before them.  The candidate arrays die on return,
-    before the next layer's are made.
+    candidate_keys(F) gives the int64 key of every product F g of a frontier F
+    before any product is built; identity_keys, sorted, are the first layer's.
+    The keys must be injective on the group, and the generator set closed under
+    inversion.  Then the neighbours of layer k lie in layers k-1, k and k+1, so
+    each layer's candidate keys are deduplicated once and looked up in the
+    sorted keys of the two layers before them.  If named is a list, each layer
+    appends to it the int32 number of every candidate, in order of discovery
+    (the first layer's in key order): the walk's steps, read as a table.
     """
-    before, current = np.empty(0, dtype=np.int64), identity_keys
+    known = [(identity_keys, np.arange(len(identity_keys), dtype=np.int32))]
 
     def pick(frontier: np.ndarray) -> np.ndarray:
-        nonlocal before, current
+        nonlocal known
         cands = candidate_keys(frontier)
-        uniq, first = _first_occurrences(cands)
-        fresh = (_positions(before, uniq) < 0) & (_positions(current, uniq) < 0)
-        before, current = current, uniq[fresh]
-        return np.sort(first[fresh])
+        uniq, first, order, starts = _first_occurrences(cands)
+        at = [_positions(keys, uniq) for keys, _ in known]  # neither layer is empty
+        fresh = np.logical_and.reduce([found < 0 for found in at])
+        picks = np.sort(first[fresh])
+        if named is not None:
+            new = np.empty(len(cands), dtype=np.int32)
+            new[picks] = np.arange(len(picks)) + known[-1][1].max() + 1
+            numbers = new[first]  # right for the fresh keys; the others are looked up
+            for (_, known_numbers), found in zip(known, at):
+                numbers = np.where(found < 0, numbers, known_numbers[found])
+            named.append(np.empty(len(cands), dtype=np.int32))
+            named[-1][order] = numbers[np.cumsum(starts) - 1]
+        known = known[-1:] + [(uniq[fresh], None if named is None else numbers[fresh])]
+        return picks
 
     return pick
 
@@ -308,6 +314,53 @@ def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> np.nda
     return np.concatenate(list(layers))
 
 
+def base_orbit_table(
+    columns: np.ndarray, base: Sequence[int], bound: int | None = None
+) -> np.ndarray:
+    """The table of permutations acting on the orbit of the tuple base.
+
+    columns[x], a permutation of range(n), moves a tuple F to columns[x][F].
+    Row i of the read-only int32 table lists the points that orbit point i
+    reaches by each generator; point 0 is base.  layered_closure walks the
+    orbit, keyed base-n by _fresh_keys, which names every step, point-major:
+    new points come in table_walk's order, so the table is standardized.  If
+    base has a trivial stabilizer (a base: Seress, Permutation Group
+    Algorithms, ch. 4), the action is regular and this is the Cayley table
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.4).
+    ValueError unless the set is closed under inversion, as _fresh_keys
+    needs; OverflowError past int64 keys; RuntimeError past bound points.
+    """
+    columns = np.asarray(columns)
+    (k, n), width = columns.shape, len(base)
+    # Inversion is injective, so S holds every inverse exactly when S^-1 = S;
+    # a column that is no permutation has no inverse in the set.
+    inverses = np.argsort(columns, axis=1)
+    if not np.array_equal(np.unique(columns, axis=0), np.unique(inverses, axis=0)):
+        raise ValueError("generator set must be closed under inversion")
+    if n**width >= 2**63:
+        raise OverflowError(f"{width} points of {n} overflow an int64 key")
+    # steps[p, x]: point p moved by generator x; weighted[j]: its key digit at place j.
+    steps = np.ascontiguousarray(columns.T).astype(np.min_scalar_type(n - 1))
+    weights = n ** np.arange(width, dtype=np.int64)
+    weighted = weights[:, None, None] * steps
+    seed = np.array([base], dtype=steps.dtype)
+    rows: list[np.ndarray] = []
+
+    def candidate_keys(frontier: np.ndarray) -> np.ndarray:
+        if bound is not None and sum(map(len, rows)) // k + len(frontier) > bound:
+            raise RuntimeError(f"the orbit of {tuple(base)} passes the upper bound {bound}")
+        return sum(weighted[j][frontier[:, j]] for j in range(width)).ravel()
+
+    def build(frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        return steps[frontier[picks // k], picks[:, None] % k]
+
+    for _ in layered_closure(seed, _fresh_keys(candidate_keys, seed @ weights, rows), build):
+        pass
+    table = np.concatenate(rows).reshape(-1, k)
+    table.flags.writeable = False
+    return table
+
+
 def table_walk(rows: np.ndarray) -> np.ndarray:
     """The points an integer table reaches from point 0, breadth-first, by layered_closure.
 
@@ -320,7 +373,7 @@ def table_walk(rows: np.ndarray) -> np.ndarray:
     seen[0] = True
 
     def pick(frontier: np.ndarray) -> np.ndarray:
-        ids, first = _first_occurrences(rows[frontier].ravel())
+        ids, first, _, _ = _first_occurrences(rows[frontier].ravel())
         fresh = (ids >= 0) & ~seen[ids]
         seen[ids[fresh]] = True
         return np.sort(first[fresh])

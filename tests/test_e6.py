@@ -11,7 +11,6 @@ from gosset.e6 import (
     cartan_matrix,
     generation_order,
     hexagon_alternating_sum,
-    permutation_closure_order,
     root_system,
     verify_hexagon_sums,
     verify_membership,
@@ -19,7 +18,7 @@ from gosset.e6 import (
     verify_reflection_fixed_points,
     verify_singletons_commute,
 )
-from gosset.isometry import ClosureBudgetExceeded
+from gosset.isometry import ClosureBudgetExceeded, base_orbit_table, table_walk
 from gosset.presentation import diagram_graph, free_hexagons
 
 
@@ -149,39 +148,64 @@ def _oracle_order(perms):
     return len(seen)
 
 
+def _oracle_table(perms, base):
+    """Reference table of the orbit of base under F -> g[F], numbered in
+    breadth-first order, each point's images in generator order."""
+    points = [tuple(base)]
+    number = {points[0]: 0}
+    rows = []
+    for f in points:  # the loop reaches the points appended below
+        row = []
+        for g in perms:
+            p = tuple(g[i] for i in f)
+            if p not in number:
+                number[p] = len(points)
+                points.append(p)
+            row.append(number[p])
+        rows.append(row)
+    return rows
+
+
 def test_commuting_singleton_reflections_generate_16():
     perms, basis = _beta_permutations()
     singles = [perms[lab] for lab in ("1", "2", "3", "4")]
-    assert permutation_closure_order(singles, basis) == 16
+    assert len(base_orbit_table(singles, basis)) == 16
 
 
-def test_permutation_closure_matches_tuple_oracle():
+def test_base_orbit_table_matches_tuple_oracle():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     perms, basis = _beta_permutations()
     labels = sorted(perms)
 
     # At most five reflections keep the oracle's groups small (rank <= 5).
+    # The basis has a trivial stabilizer, so the orbit has one point per
+    # group element, and the table comes out standardized.
     @hypothesis.settings(max_examples=25)
     @hypothesis.given(st.lists(st.sampled_from(labels), min_size=1, max_size=5, unique=True))
-    def same_order(subset):
+    def same_table(subset):
         gens = [perms[lab] for lab in subset]
-        assert permutation_closure_order(gens, basis) == _oracle_order(gens)
+        table = base_orbit_table(gens, basis)
+        assert len(table) == _oracle_order(gens)
+        assert table.tolist() == _oracle_table(gens, basis)
+        assert np.array_equal(table_walk(table), np.arange(len(table)))
 
-    same_order()
+    same_table()
 
 
-def test_permutation_closure_budget_fails_before_building_the_layer(layer_builds, monkeypatch):
+def test_base_orbit_table_budget_fails_before_building_the_layer(layer_builds, monkeypatch):
     monkeypatch.setattr(isometry, "DEFAULT_ELEMENT_BUDGET", 1000)
     perms, basis = _beta_permutations()
     with pytest.raises(ClosureBudgetExceeded):
-        permutation_closure_order(list(perms.values()), basis)
+        base_orbit_table(list(perms.values()), basis)
     assert layer_builds and 1 + sum(layer_builds) <= 1000
 
 
-def test_permutation_closure_requires_inverse_closed_generators():
+def test_base_orbit_table_requires_inverse_closed_generators():
     perms, basis = _beta_permutations()
     a, b = perms["1"], perms["12"]
     rotation = tuple(a[i] for i in b)  # order 3: its inverse is not in the set
     with pytest.raises(ValueError, match="inversion"):
-        permutation_closure_order([rotation], basis)
+        base_orbit_table([rotation], basis)
+    inverse = tuple(b[i] for i in a)
+    assert len(base_orbit_table([rotation, inverse], basis)) == 3

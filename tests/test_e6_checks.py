@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gosset import cli, e6
+from gosset import cli, e6, enumeration
 from gosset.e6 import (
     E6RootSystem,
     beta_configuration,
@@ -15,6 +15,7 @@ from gosset.e6 import (
     verify_reflection_fixed_points,
     verify_singletons_commute,
 )
+from gosset.presentation import Presentation
 
 CHECKS = {
     "gram": verify_petersen_gram,
@@ -27,7 +28,7 @@ CHECKS = {
 @pytest.fixture
 def fresh_memos():
     """Clear the memos that read the configuration, before and after the test."""
-    memos = (beta_configuration, beta_permutations, e6.generation_order)
+    memos = (beta_configuration, beta_permutations, e6.cayley_table)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -117,6 +118,40 @@ def test_configuration_checks_fail_on_crafted_defects(fresh_memos, monkeypatch, 
     beta_permutations.cache_clear()
     defect(monkeypatch)
     assert {name for name, check in CHECKS.items() if not check()} == broken
+
+
+CAYLEY_ROW = "cayley_table_roots_matches_presentation"
+
+
+def _replace_1_by_another_root(monkeypatch):
+    _with_betas(monkeypatch, lambda b: b.update({"1": (1, 1, 0, 0, 0, 0)}))
+
+
+def test_cayley_table_row_passes_and_reads_a_sign_class(fresh_memos, monkeypatch, row_report):
+    assert row_report(CAYLEY_ROW, None).status == "pass"
+    # s_beta = s_-beta: the tables see the reflection, not the sign of beta,
+    # so negating one beta leaves the row passing (the Gram check sees it).
+    _negate_13(monkeypatch)
+    e6.cayley_table.cache_clear()
+    beta_permutations.cache_clear()
+    assert row_report(CAYLEY_ROW, None).status == "pass"
+
+
+@pytest.mark.parametrize("defect", [_swap_1_and_12, _replace_1_by_another_root])
+def test_cayley_table_row_fails_on_a_wrong_beta(fresh_memos, monkeypatch, row_report, defect):
+    defect(monkeypatch)
+    assert row_report(CAYLEY_ROW, None).status == "fail"
+
+
+def test_cayley_table_row_fails_without_a_relator_the_presentation_needs(monkeypatch, row_report):
+    pres = enumeration.build_presentation("petersen")
+    dropped = Presentation(pres.generators, tuple(r for r in pres.relators if r != ("3", "4") * 2))
+    uncached = enumeration.enumerate_diagram_group.__wrapped__
+    monkeypatch.setattr(enumeration, "build_presentation", lambda kind: dropped)
+    monkeypatch.setattr(cli, "enumerate_diagram_group", uncached)
+    report = row_report(CAYLEY_ROW, None)
+    assert report.status == "error"
+    assert "the relators among H's generators: enumeration budget_exceeded" in report.details
 
 
 def test_one_hexagon_traversal_decides_all_twelve():

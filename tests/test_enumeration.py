@@ -14,7 +14,6 @@ from gosset.enumeration import (
     CosetTable,
     _Enumerator,
     _live_table,
-    _orbit_table,
     _table_rows,
     enumerate_diagram_group,
     todd_coxeter,
@@ -22,7 +21,7 @@ from gosset.enumeration import (
     verify_table,
 )
 from gosset.geometry import wall_reflections_mod3
-from gosset.isometry import Matrix, table_walk
+from gosset.isometry import Matrix, base_orbit_table, table_walk
 from gosset.presentation import Presentation, build_presentation
 
 EXPECTED_ORDERS = {"a3": 24, "affine_a5": 720, "petersen": 51840}
@@ -111,13 +110,29 @@ def _with_a_wrong_entry(table):
     return replace(table, table=rows)
 
 
+def _repaired(table, x):
+    """The table with column x's first two transpositions (a b)(c d) paired
+    as (a c)(b d): still an involution, but a different one."""
+    rows = np.array(table.table)
+    col = rows[:, x]  # a view: editing it edits rows
+    moved = np.flatnonzero(col != np.arange(len(col)))
+    a = moved[0]
+    c = next(p for p in moved if p not in (a, col[a]))
+    b, d = col[a], col[c]
+    col[[a, b, c, d]] = c, d, a, b
+    return replace(table, table=rows)
+
+
 def test_a_wrong_entry_in_the_subgroup_table_fails_the_lift(monkeypatch, petersen_order_report):
     subgroup, base = LIFT_PINS["petersen"]
     cosets = todd_coxeter(build_presentation("petersen"), [(g,) for g in subgroup])
     assert cosets.order == 540
-    # Alone, the orbit of the corrupted columns runs past the bound at once.
+    # Alone, a column that is no permutation fails the inversion guard, and
+    # a wrong involution runs past the bound at once.
+    with pytest.raises(ValueError, match="inversion"):
+        base_orbit_table(_with_a_wrong_entry(cosets).table.T, base, 51840)
     with pytest.raises(RuntimeError, match="passes the upper bound 51840"):
-        _orbit_table(_with_a_wrong_entry(cosets).table, base, 51840)
+        base_orbit_table(_repaired(cosets, 5).table.T, base, 51840)
     # In the lift, the replay of the relators rejects the table first.
     real = enumeration.todd_coxeter
 
@@ -145,9 +160,20 @@ def test_no_proper_prefix_of_the_pinned_base_reaches_the_order(kind):
     subgroup, base = LIFT_PINS[kind]
     cosets = todd_coxeter(build_presentation(kind), [(g,) for g in subgroup])
     order = EXPECTED_ORDERS[kind]
-    assert len(_orbit_table(cosets.table, base, order)) == order
+    assert len(base_orbit_table(cosets.table.T, base, order)) == order
     for k in range(1, len(base)):
-        assert len(_orbit_table(cosets.table, base[:k], order)) < order
+        assert len(base_orbit_table(cosets.table.T, base[:k], order)) < order
+
+
+def test_the_lift_columns_pass_the_inversion_guard():
+    # The columns of a coset table of involutions are involutions, so the set
+    # is closed under inversion; the product of the columns of 2 and 3, which
+    # has order 3 on the cosets, alone, is not.
+    subgroup, base = LIFT_PINS["a3"]
+    columns = todd_coxeter(build_presentation("a3"), [(g,) for g in subgroup]).table.T
+    assert len(base_orbit_table(columns, base, 24)) == 24
+    with pytest.raises(ValueError, match="inversion"):
+        base_orbit_table(columns[1][columns[2]][None], base)
 
 
 def test_tables_pass_replay_certificate():
