@@ -29,10 +29,10 @@ it is.  Closed tables are renumbered breadth-first from the subgroup coset by
 isometry.table_walk, which makes the table canonical and golden-testable,
 and can be certified post hoc by replaying every relator at every coset
 (verify_table).  A closed table of the whole group is its regular
-permutation representation, so a map from the cosets to a matrix group that
-holds on every edge and is injective is an explicit isomorphism;
-verify_action_against_matrices builds that map by walking the table and
-checks it, without closing the matrix group.
+permutation representation, and so is the Cayley table a matrix group's
+closure keeps (matrix_cayley_table); verify_action_against_matrices
+standardizes both alike and compares them entry for entry, which is an
+explicit isomorphism.
 
 The diagram groups' tables are lifted from a small subgroup table, which
 proves the group order both ways (Holt, Eick and O'Brien, Handbook of
@@ -51,14 +51,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .isometry import (
-    Matrix,
-    _MatrixProducts,
-    base_orbit_table,
-    layered_closure,
-    memoize,
-    table_walk,
-)
+from .isometry import GroupClosure, Matrix, base_orbit_table, memoize, table_walk
 from .presentation import Presentation, Word, build_presentation
 
 DEFAULT_COSET_BUDGET = 200_000
@@ -333,16 +326,22 @@ def _live_table(enum: _Enumerator, status: str) -> np.ndarray:
         rows[:, x] = [-1 if b is None else b for b in col]
     is_live = np.array(enum.parent) == np.arange(enum.defined)
     order = table_walk(rows) if status == CLOSED else np.flatnonzero(is_live)
-    # Each listed coset renumbered to its row; a gap, -1, reads the last slot.
-    renumber = np.full(enum.defined + 1, -1, dtype=np.int32)
-    renumber[order] = np.arange(len(order))
-    table = renumber[rows[order]]
+    table = _renumbered(rows, order)
     table.flags.writeable = False
     if ((table < 0) != (rows[order] < 0)).any():
         raise AssertionError("a live row names a dead coset")
     if status == CLOSED and (len(order) != enum.live or (table < 0).any()):
         raise AssertionError("closed table has a gap or an intransitive action")
     return table
+
+
+def _renumbered(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The rows listed in order, as int32, each listed point renumbered to its
+    position and every other entry, a gap (-1, which reads the last slot)
+    included, to -1.  With order = table_walk(rows) this standardizes a table."""
+    renumber = np.full(len(rows) + 1, -1, dtype=np.int32)
+    renumber[order] = np.arange(len(order))
+    return renumber[rows[order]]
 
 
 def todd_coxeter(
@@ -451,49 +450,38 @@ def verify_action_against_matrices(
     """Certify that a closed full-group table is the regular action of the
     matrix group, by an explicit isomorphism.
 
-    layered_closure walks the table from coset 0 with phi(0) = I and phi(child)
-    = phi(parent) t_x along the first edge, generator-major, that reaches each
-    child; the table need not be standardized.  Matrices are counted
-    projectively, each class {M, -M} keyed by the smaller base-m key.  The
-    certificate checks every edge, key(phi(i) t_x) == key(phi(i.x)), and that
-    phi is injective.  Edge consistency makes the image closed under the
-    generators, so it is the whole matrix group and matrix_group_order, the
-    number of distinct images, is its exact projective order; injectivity
-    gives |table| = |group|, with no closure of the matrix group.  A coset the
-    walk never reaches, an entry outside the table, an inconsistent edge or
-    two cosets with one image make the certificate inconsistent.
+    The matrices, in the table's generator order, give matrix_cayley_table,
+    and the given table, standardized the same way by table_walk and
+    _renumbered, is compared with it entry for entry.  Equal tables match
+    each coset with the matrix the same word reaches, edge by edge: an
+    explicit isomorphism, so matrix_group_order, the closure's order, is the
+    number of cosets.  A coset the walk from coset 0 never reaches or an
+    entry that differs makes the certificate inconsistent; edges_checked
+    counts the entries of the reached cosets.  A malformed table is rejected
+    before anything is closed; generators not closed under inversion raise
+    ValueError.
     """
     if table.status != CLOSED:
         raise ValueError("can only certify a closed table")
     if set(assignment) != set(table.generators):
         raise ValueError("assignment must cover exactly the table generators")
-    walker = _MatrixProducts([assignment[g] for g in table.generators], projective=True)
     n, k = table.n_live, len(table.generators)
     rows = _table_rows(table)
     if rows is None:
         return ActionCertificate(n, 0, 0, False)
+    matrices = matrix_cayley_table(tuple(assignment[g] for g in table.generators))
+    order = table_walk(rows)
+    consistent = len(order) == n and np.array_equal(_renumbered(rows, order), matrices)
+    return ActionCertificate(n, len(matrices), k * len(order), consistent)
 
-    image_keys = np.full(n, -1, dtype=np.int64)  # keys are >= 0: -1 until reached
-    edge_keys = np.empty((k, n), dtype=np.int64)
-    frontier = np.zeros(1, dtype=np.intp)
 
-    def pick(mats: np.ndarray) -> np.ndarray:
-        nonlocal frontier
-        cands = walker.candidate_keys(mats)
-        edge_keys[:, frontier] = cands.reshape(k, -1)
-        targets = rows[frontier].T.ravel()
-        ids, first = np.unique(targets, return_index=True)
-        picks = np.sort(first[image_keys[ids] < 0])
-        frontier = targets[picks]
-        image_keys[frontier] = cands[picks]
-        return picks
-
-    ident = walker.products(np.eye(walker.dimension, dtype=np.int8)[None], walker.identity)
-    image_keys[0] = walker.product_keys(ident, walker.identity)[0]
-    for _ in layered_closure(ident, pick, walker.build):
-        pass
-    seen = np.flatnonzero(image_keys >= 0)
-    edges_hold = bool((edge_keys[:, seen] == image_keys[rows[seen].T]).all())
-    images = len(np.unique(image_keys[seen]))
-    consistent = len(seen) == n and edges_hold and images == n
-    return ActionCertificate(n, images, k * len(seen), consistent)
+@memoize
+def matrix_cayley_table(generators: tuple[Matrix, ...]) -> np.ndarray:
+    """The standardized Cayley table of the projective closure of mod-m
+    matrices, read-only, built once per generator tuple: the matrix route's
+    table, as e6.cayley_table() is the roots'.  Only the table is kept, not
+    the closure's elements and keys."""
+    table = GroupClosure(generators, projective=True).table
+    standard = _renumbered(table, table_walk(table))
+    standard.flags.writeable = False
+    return standard

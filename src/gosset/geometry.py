@@ -11,8 +11,10 @@ is verified here rather than assumed, as are the chamber-vertex orbits.
 Reducing mod 3 and factoring out -I gives a finite quotient in which the
 images of P tile: tiles are cosets of the stabilizer image, and crossing
 wall i maps the tile of g to the tile of g * t_i where t_i is the wall
-reflection.  The resulting tile graphs have 12, 60 and 432 tiles for
-n = 2, 3, 4.
+reflection.  The stabilizer is generated by some of the closure's own
+generators, so the cosets are read off those columns of the closure's
+table, with no product.  The resulting tile graphs have 12, 60 and 432
+tiles for n = 2, 3, 4.
 """
 
 from __future__ import annotations
@@ -271,7 +273,9 @@ def build_tessellation(n: int) -> TileGraph:
     if n not in TESSELLATION_DIMENSIONS:
         raise ValueError(f"tessellations are built for n in {TESSELLATION_DIMENSIONS}, got {n}")
     group = reflection_image_mod3(n, projective=True)
-    space = coset_space(group, stabilizer_generators_mod3(n))
+    # The stabilizer's generators are some of the group's: H steps by their columns.
+    steps = group.table[:, [group.generators.index(h) for h in stabilizer_generators_mod3(n)]]
+    space = coset_space(steps)
     if space.subgroup_order != len(finite_group_elements(long_simple_reflections(n))):
         raise AssertionError("stabilizer image collapsed in the projective quotient")
 
@@ -279,17 +283,19 @@ def build_tessellation(n: int) -> TileGraph:
     _assert_stabilizer_permutes_walls(n, walls)
 
     reps = space.representative_indices
-    neighbors = _crossings(space, walls, reps)
+    neighbors = _crossings(group, space, walls, reps)
     _assert_pair_symmetric(neighbors)
-    alternatives = group.right_multiply(reps, space.subgroup_generators[0])
-    _assert_representative_independent(neighbors, _crossings(space, walls, alternatives))
+    alternatives = _crossings(group, space, walls, steps[reps, 0])
+    _assert_representative_independent(neighbors, alternatives)
     neighbors.flags.writeable = False
     return TileGraph(n, gosset_walls(n).labels, neighbors)
 
 
-def _crossings(space: CosetSpace, walls: Sequence[Matrix], elements: np.ndarray) -> np.ndarray:
+def _crossings(
+    group: GroupClosure, space: CosetSpace, walls: Sequence[Matrix], elements: np.ndarray
+) -> np.ndarray:
     """The coset of g t for each element g (by index) and wall t: elements x walls."""
-    columns = [space.cosets_of(space.group.right_multiply(elements, t)) for t in walls]
+    columns = [space.cosets_of(group.right_multiply(elements, t)) for t in walls]
     return np.stack(columns, axis=1)
 
 

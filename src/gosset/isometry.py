@@ -17,17 +17,18 @@ keys: each product has an int64 key, computed before it is built, and a
 layer's candidate keys are deduplicated once and looked up in the sorted
 keys of the two layers before it.  Over Z it goes by descents, for
 generators that are distinct simple reflections, and keys nothing (see
-_MatrixProducts._descents).  GroupClosure is the one closure that is kept;
-the others stream their layers, so the n = 7 stabilizer (order 2903040) is
-bounded by its largest layer, not its order.  Walks fail fast past
-DEFAULT_ELEMENT_BUDGET elements, read when each starts, which also stops an
-infinite group over Z.  layered_closure also closes orbits of integer rows
-(orbit(): the E6 roots, stabilizer orbits), walks integer tables
-(table_walk(): coset tables, tile graphs) and coset tables against mod-m
-products (the enumeration certificate), and runs the one Cayley-table
-primitive, base_orbit_table(): permutations on the orbit of a base tuple,
-which builds both tables of W(E6), the lifted presentation's and the ten
-beta reflections' on the roots.
+_MatrixProducts._descents).  GroupClosure is the one closure that is kept,
+with its Cayley table: the pick by keys numbers every product as it walks,
+so the table costs no product or lookup.  Coset spaces read its columns,
+and the enumeration certificate the whole table.  The other closures stream
+their layers, so the n = 7 stabilizer (order 2903040) is bounded by its
+largest layer, not its order.  Walks fail fast past DEFAULT_ELEMENT_BUDGET
+elements, read when each starts, which also stops an infinite group over Z.
+layered_closure also closes orbits of integer rows (orbit(): the E6 roots,
+stabilizer orbits), walks integer tables (table_walk(): coset tables, tile
+graphs), and runs the one Cayley-table primitive, base_orbit_table():
+permutations on the orbit of a base tuple, which builds both tables of
+W(E6), the lifted presentation's and the ten beta reflections' on the roots.
 
 The engine owns the projective quotient: a projective closure keys each
 class {M, -M} by the smaller base-m key of its two signs, and that choice,
@@ -254,7 +255,7 @@ def layered_closure(
 def _fresh_keys(
     candidate_keys: Callable[[np.ndarray], np.ndarray],
     identity_keys: np.ndarray,
-    named: list[np.ndarray] | None = None,
+    named: list[np.ndarray],
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The pick rule by keys: the first occurrence of each key not seen yet.
 
@@ -263,9 +264,9 @@ def _fresh_keys(
     The keys must be injective on the group, and the generator set closed under
     inversion.  Then the neighbours of layer k lie in layers k-1, k and k+1, so
     each layer's candidate keys are deduplicated once and looked up in the
-    sorted keys of the two layers before them.  If named is a list, each layer
-    appends to it the int32 number of every candidate, in order of discovery
-    (the first layer's in key order): the walk's steps, read as a table.
+    sorted keys of the two layers before them.  Each layer appends to named the
+    int32 number of every candidate, in order of discovery (the first layer's
+    in key order): the walk's steps, read as a table.
     """
     known = [(identity_keys, np.arange(len(identity_keys), dtype=np.int32))]
 
@@ -276,15 +277,14 @@ def _fresh_keys(
         at = [_positions(keys, uniq) for keys, _ in known]  # neither layer is empty
         fresh = np.logical_and.reduce([found < 0 for found in at])
         picks = np.sort(first[fresh])
-        if named is not None:
-            new = np.empty(len(cands), dtype=np.int32)
-            new[picks] = np.arange(len(picks)) + known[-1][1].max() + 1
-            numbers = new[first]  # right for the fresh keys; the others are looked up
-            for (_, known_numbers), found in zip(known, at):
-                numbers = np.where(found < 0, numbers, known_numbers[found])
-            named.append(np.empty(len(cands), dtype=np.int32))
-            named[-1][order] = numbers[np.cumsum(starts) - 1]
-        known = known[-1:] + [(uniq[fresh], None if named is None else numbers[fresh])]
+        new = np.empty(len(cands), dtype=np.int32)
+        new[picks] = np.arange(len(picks)) + known[-1][1].max() + 1
+        numbers = new[first]  # right for the fresh keys; the others are looked up
+        for (_, known_numbers), found in zip(known, at):
+            numbers = np.where(found < 0, numbers, known_numbers[found])
+        named.append(np.empty(len(cands), dtype=np.int32))
+        named[-1][order] = numbers[np.cumsum(starts) - 1]
+        known = known[-1:] + [(uniq[fresh], numbers[fresh])]
         return picks
 
     return pick
@@ -297,7 +297,7 @@ def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> np.nda
     stacked generator-major.  Each row is its own key, packed by _pack_int8:
     at most eight entries, each within int8.  The seeds must be distinct.
     The generator set must be closed under inversion, as reflections are.
-    The element budget counts the seeds.
+    The element budget counts the seeds.  The walk's steps are not kept.
     """
     keys = np.sort(_pack_int8(seeds))
     if (keys[1:] == keys[:-1]).any():
@@ -309,7 +309,7 @@ def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> np.nda
         images = step(frontier).reshape(-1, seeds.shape[1])
         return _pack_int8(images)
 
-    pick = _fresh_keys(image_keys, keys)
+    pick = _fresh_keys(image_keys, keys, [])
     layers = layered_closure(seeds, pick, lambda f, picks: images[picks])
     return np.concatenate(list(layers))
 
@@ -480,7 +480,7 @@ class _MatrixProducts:
             self._negated = (-np.arange(modulus) % modulus).astype(np.int8)
         self._gens = gens.astype(np.int8)
         self._plans = [_ColumnPlan.of(g, modulus) for g in gens]
-        # Products by I copy M: how queries and the certificate walk key or
+        # Products by I copy M: how queries and the first layer key or
         # normalise matrices of their own.
         self.identity = _ColumnPlan.of(np.eye(d, dtype=np.int64), modulus)
 
@@ -569,7 +569,9 @@ class _MatrixProducts:
         The generator set must be closed under inversion: each g has a g' in
         the set with g g' = I (+-I when projective).  Over Z it must be a set
         of distinct simple reflections, in any order (see _descents).  Both
-        are checked before the first layer.
+        are checked before the first layer.  Mod m the walk names its steps
+        in self.steps: per layer, the element number of every product F g,
+        generator-major.
         """
         ident = self.products(np.eye(self.dimension, dtype=np.int8)[None], self.identity)
         squares = [self.products(self._gens, plan) == ident for plan in self._plans]
@@ -578,7 +580,8 @@ class _MatrixProducts:
         if self.modulus is None:
             pick = self._descents()
         else:
-            pick = _fresh_keys(self.candidate_keys, self.keys(ident))
+            self.steps: list[np.ndarray] = []
+            pick = _fresh_keys(self.candidate_keys, self.keys(ident), self.steps)
         return layered_closure(ident, pick, self.build)
 
     def _descents(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -626,14 +629,16 @@ class GroupClosure(_MatrixProducts):
     """Finite matrix group over Z/m obtained by exhaustive closure.
 
     The layers of _MatrixProducts, kept: the elements as one int8 array, mats,
-    in discovery order (element 0 is the identity), and their keys, computed
-    once and sorted for lookup.  With projective=True elements are classes
-    {M, -M}; that is the right model for quotients like PGO where -I must be
-    factored out.  The engine keys and stores each class by the sign with the
-    smaller key, for elements, products and queries alike, so generators and
-    queries may carry either sign.  The generator set must be closed under
-    inversion (reflections are), which also makes every generator invertible
-    mod m.  The closure fails fast past DEFAULT_ELEMENT_BUDGET elements.
+    in discovery order (element 0 is the identity), their keys, computed once
+    and sorted for lookup, and the Cayley table: table[i, x] is the index of
+    element i times generator x, as the pick rule numbered it while walking.
+    With projective=True elements are classes {M, -M}; that is the right
+    model for quotients like PGO where -I must be factored out.  The engine
+    keys and stores each class by the sign with the smaller key, for
+    elements, products and queries alike, so generators and queries may
+    carry either sign.  The generator set must be closed under inversion
+    (reflections are), which also makes every generator invertible mod m.
+    The closure fails fast past DEFAULT_ELEMENT_BUDGET elements.
     """
 
     def __init__(self, generators: Sequence[Matrix], projective: bool = False) -> None:
@@ -642,10 +647,13 @@ class GroupClosure(_MatrixProducts):
             raise ValueError("GroupClosure closes groups over Z/m")
         self.mats = np.concatenate(list(self.layers()))
         self.order = len(self.mats)
+        k = len(self.generators)
+        self.table = np.concatenate([block.reshape(k, -1).T for block in self.steps])
+        del self.steps
         keys = self.keys(self.mats)
         self._key_order = np.argsort(keys)
         self._sorted_keys = keys[self._key_order]
-        for shared in (self.mats, self._key_order, self._sorted_keys):
+        for shared in (self.mats, self.table, self._key_order, self._sorted_keys):
             shared.flags.writeable = False  # memoized closures share them
 
     def index_of_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -758,29 +766,22 @@ def _congruence_counts(layers: Iterable[np.ndarray]) -> tuple[int, int, int]:
 
 
 class CosetSpace:
-    """Left cosets gH of a subgroup H inside a GroupClosure G.
+    """Left cosets gH of a subgroup H of a finite group G, read off step columns.
 
-    H is given by generators that must lie in G; it is read off G, never
-    closed on its own.  The cosets are the components of the graph g -- g s
-    over the generators s of H, labelled by their least element index.
-    Element 0 of G is the identity, so the coset labelled 0 is H itself, and
-    its size is |H|.  Coset ids follow the BFS discovery order of G; each
-    coset's representative is its first-discovered element.  Every coset
-    having |H| elements is asserted on construction.
+    steps[i, x] is the index of g_i h_x, for the elements g_i of G and the
+    generators h_x of H, closed under inversion: the columns of G's table for
+    H's generators.  The cosets are the components of the graph g -- g h,
+    labelled by their least element index.  Element 0 of G is the identity,
+    so the coset labelled 0 is H itself, and its size is |H|.  Coset ids
+    follow the order of G's elements; each coset's representative is its
+    first element.  Every coset having |H| elements is asserted on
+    construction.
     """
 
-    def __init__(
-        self, group: GroupClosure, subgroup_generators: Sequence[Matrix]
-    ) -> None:
-        if any(g not in group for g in subgroup_generators):
-            raise ValueError("subgroup generators produce elements outside the group")
-        self.group = group
-        self.subgroup_generators = tuple(subgroup_generators)
-        every = np.arange(group.order)
-        steps = [group.right_multiply(every, g) for g in self.subgroup_generators]
-        labels = every
+    def __init__(self, steps: np.ndarray) -> None:
+        labels = np.arange(len(steps))
         while True:
-            merged = np.minimum.reduce([labels] + [labels[step] for step in steps])
+            merged = np.minimum.reduce([labels] + [labels[step] for step in steps.T])
             if np.array_equal(merged, labels):
                 break
             labels = merged
@@ -800,8 +801,7 @@ class CosetSpace:
         return self._assignment[indices]
 
 
-def coset_space(
-    group: GroupClosure, subgroup_generators: Sequence[Matrix]
-) -> CosetSpace:
-    """Partition a closed matrix group into left cosets of a subgroup."""
-    return CosetSpace(group, subgroup_generators)
+def coset_space(steps: np.ndarray) -> CosetSpace:
+    """Partition a finite group into left cosets of the subgroup whose
+    generators step through it by the columns steps."""
+    return CosetSpace(steps)

@@ -105,3 +105,17 @@ def row_report():
         return run_check(check_id, n, partial(row.run, cli.Case(n, cli.Options())))
 
     return report
+
+
+@pytest.fixture
+def stabilizer_steps():
+    """A helper: steps(group, n) gives the columns of a closure of the simple
+    reflections (either sign) for the long ones, the norm-2 simple roots: the
+    step columns of the stabilizer, read off independently of the package's
+    own choice of columns."""
+    from gosset.lattice import norm, simple_roots
+
+    def steps(group, n):
+        return group.table[:, [i for i, a in enumerate(simple_roots(n)) if norm(a) == 2]]
+
+    return steps

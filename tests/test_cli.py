@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gosset import cli, enumeration, geometry
+from gosset import cli, enumeration, geometry, isometry
 from gosset.cli import Options, main, run_suite
 from gosset.eisenstein import OMEGA, EisensteinInteger, herm
 from gosset.geometry import gosset_walls
@@ -171,13 +171,15 @@ def test_relator_shuffles_compile_their_scanners_once():
 
 
 def test_cli_import_compiles_no_scanner():
-    # Nor does it, or the lattice suite, build a W(E6) table: the lattice
-    # suite runs alone in the congruence benchmark.
+    # Nor does it, or the lattice suite, build a W(E6) table or a GroupClosure:
+    # the lattice suite runs alone in the congruence benchmark.
     code = (
-        "import gosset.cli as cli; from gosset import e6, enumeration; "
+        "import gosset.cli as cli; from gosset import e6, enumeration, isometry; "
+        "built = []; init = isometry.GroupClosure.__init__; "
+        "isometry.GroupClosure.__init__ = lambda *a, **k: built.append(1) or init(*a, **k); "
         "work = lambda: (enumeration._compile_scanners.cache_info().currsize, "
         "e6.cayley_table.cache_info().misses, "
-        "enumeration.enumerate_diagram_group.cache_info().misses); "
+        "enumeration.enumerate_diagram_group.cache_info().misses, len(built)); "
         "print(*work()); cli.run_suite('lattice'); print(*work())"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -185,7 +187,7 @@ def test_cli_import_compiles_no_scanner():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0"] * 6
+    assert done.stdout.split() == ["0"] * 8
 
 
 @pytest.mark.parametrize(
@@ -429,3 +431,22 @@ def test_verify_all_never_enumerates_the_petersen_group_over_the_trivial_subgrou
     reports = run_suite("all")
     assert {r.status for r in reports} == {"pass", "skipped"}
     assert petersen_subgroups and all(petersen_subgroups)
+
+
+def test_verify_all_closes_each_generator_set_once(monkeypatch):
+    # The Petersen cross-check and triple_agreement share one table of the walls.
+    closures = []
+    init = isometry.GroupClosure.__init__
+
+    def spy(self, generators, projective=False):
+        closures.append((tuple(generators), projective))
+        init(self, generators, projective)
+
+    monkeypatch.setattr(isometry.GroupClosure, "__init__", spy)
+    for cached in (geometry.reflection_image_mod3, geometry.build_tessellation):
+        cached.cache_clear()
+    enumeration.matrix_cayley_table.cache_clear()
+    reports = run_suite("all")
+    assert {r.status for r in reports} == {"pass", "skipped"}
+    assert len(closures) == 9  # six mod-3 images, the walls for n = 2, 3, 4
+    assert len(set(closures)) == len(closures)

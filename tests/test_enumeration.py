@@ -16,11 +16,13 @@ from gosset.enumeration import (
     _live_table,
     _table_rows,
     enumerate_diagram_group,
+    matrix_cayley_table,
     todd_coxeter,
     verify_action_against_matrices,
     verify_table,
 )
 from gosset.geometry import wall_reflections_mod3
+from gosset.e6 import cayley_table
 from gosset.isometry import Matrix, base_orbit_table, table_walk
 from gosset.presentation import Presentation, build_presentation
 
@@ -299,6 +301,10 @@ def test_enumerated_tables_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         table.table[0, 0] = 5
     assert enumerate_diagram_group("a3").table[0, 0] == 1
+    matrices = matrix_cayley_table(tuple(wall_reflections_mod3(2).values()))
+    with pytest.raises(ValueError, match="read-only"):
+        matrices[0, 0] = 5
+    assert np.array_equal(matrices, table.table)
 
 
 def _sympy_table(pres, subgroup):
@@ -538,6 +544,43 @@ def test_cross_certificate_rejects_a_corrupted_table(entry):
     assert rows != enumerate_diagram_group("a3").table.tolist()
     table = CosetTable(A3.generators, tuple(map(tuple, rows)), CLOSED, 24, 24)
     assert not verify_action_against_matrices(table, wall_reflections_mod3(2)).consistent
+
+
+def test_cross_certificate_rejects_a_repaired_involution():
+    # Re-pair two 2-cycles (a a') (b b') of column 0 as (a b) (a' b'): the
+    # column is still an involution, so the table passes _table_rows.
+    rows = np.array(enumerate_diagram_group("petersen").table)
+    a, b = 1, 7
+    a2, b2 = rows[a, 0], rows[b, 0]
+    assert len({a, a2, b, b2}) == 4
+    rows[[a, b, a2, b2], 0] = b, a, b2, a2
+    column = rows[:, 0]
+    assert np.array_equal(column[column], np.arange(len(rows)))
+    table = CosetTable(enumerate_diagram_group("petersen").generators, rows, CLOSED, 51840, 51840)
+    assert _table_rows(table) is not None
+    cert = verify_action_against_matrices(table, wall_reflections_mod3(4))
+    assert not cert.consistent
+    assert cert.matrix_group_order == 51840
+
+
+def test_cross_certificate_raises_on_generators_not_closed_under_inversion(
+    monkeypatch, row_report
+):
+    # w1 w3 has order 3 mod +-I; its inverse w3 w1 is no generator.
+    walls = wall_reflections_mod3(2)
+    rotated = dict(walls, **{"1": walls["1"] @ walls["3"]})
+    with pytest.raises(ValueError, match="inversion"):
+        verify_action_against_matrices(enumerate_diagram_group("a3"), rotated)
+    monkeypatch.setattr(cli, "wall_reflections_mod3", lambda n: rotated)
+    assert row_report("matrix_cross_check_{kind}", 2).status == "error"
+
+
+def test_the_presented_roots_and_matrix_tables_of_w_e6_are_equal():
+    presented = enumerate_diagram_group("petersen")
+    walls = wall_reflections_mod3(4)
+    matrices = matrix_cayley_table(tuple(walls[g] for g in presented.generators))
+    assert np.array_equal(presented.table, cayley_table())
+    assert np.array_equal(presented.table, matrices)
 
 
 def test_cross_certificate_walks_any_numbering_from_coset_0():

@@ -162,16 +162,18 @@ def test_tessellation_slots_and_symmetry():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_tessellation_assertions_pass_on_the_real_tile_arrays(n):
-    space = coset_space(reflection_image_mod3(n), stabilizer_generators_mod3(n))
+def test_tessellation_assertions_pass_on_the_real_tile_arrays(n, stabilizer_steps):
+    group = reflection_image_mod3(n)
+    steps = stabilizer_steps(group, n)
+    space = coset_space(steps)
     walls = list(wall_reflections_mod3(n).values())
     reps = space.representative_indices
-    neighbors = _crossings(space, walls, reps)
+    neighbors = _crossings(group, space, walls, reps)
     assert neighbors.tolist() == build_tessellation(n).neighbors.tolist()
     _assert_pair_symmetric(neighbors)
-    for h in space.subgroup_generators:
-        alternative = _crossings(space, walls, space.group.right_multiply(reps, h))
-        _assert_representative_independent(neighbors, alternative)
+    for h, column in zip(stabilizer_generators_mod3(n), steps.T):
+        assert np.array_equal(column[reps], group.right_multiply(reps, h))
+        _assert_representative_independent(neighbors, _crossings(group, space, walls, column[reps]))
 
 
 def test_tessellation_assertions_fire_on_crafted_arrays():

@@ -138,8 +138,6 @@ def test_group_closure_rejects_a_query_of_another_dimension():
         wrong in g
     with pytest.raises(ValueError, match="dimension mismatch"):
         g.right_multiply(np.array([0]), wrong)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        coset_space(g, [wrong])
 
 
 def test_stabilizer_closure_orders():
@@ -187,19 +185,57 @@ def test_group_membership_and_indexing():
         assert (proj.right_multiply(every, m.neg()) == proj.right_multiply(every, m)).all()
 
 
-def test_coset_space_against_lagrange():
-    group = reflection_image_mod3(2)
-    sub = stabilizer_generators_mod3(2)
-    cs = coset_space(group, sub)
+def test_coset_space_against_lagrange(stabilizer_steps):
+    cs = coset_space(stabilizer_steps(reflection_image_mod3(2), 2))
     assert cs.count == 12
     assert cs.subgroup_order == 2
     assert (cs.cosets_of(cs.representative_indices) == np.arange(cs.count)).all()
 
 
-def test_cached_closure_and_coset_arrays_are_read_only():
+def test_coset_space_forms_no_product(monkeypatch, stabilizer_steps):
+    group = reflection_image_mod3(4)
+    steps = stabilizer_steps(group, 4)
+    calls = []
+    multiply = _MatrixProducts._multiply
+
+    def counting(mats, plan):
+        calls.append(len(mats))
+        return multiply(mats, plan)
+
+    monkeypatch.setattr(_MatrixProducts, "_multiply", staticmethod(counting))
+    assert coset_space(steps).count == 432
+    assert calls == []
+    group.right_multiply(np.arange(3), group.generators[0])  # the spy sees products
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("projective", [True, False])
+def test_closure_table_columns_are_right_multiplications(n, projective):
+    group = reflection_image_mod3(n, projective)
+    every = np.arange(group.order)
+    assert group.table.shape == (group.order, n + 1)
+    assert group.table.dtype == np.int32
+    for x, g in enumerate(group.generators):
+        assert np.array_equal(group.table[:, x], group.right_multiply(every, g)), x
+    if projective:  # either sign of a generator names the same steps
+        negated = GroupClosure([g.neg() for g in group.generators], projective=True)
+        assert np.array_equal(negated.table, group.table)
+
+
+def test_the_wall_closure_table_columns_are_right_multiplications():
+    walls = tuple(wall_reflections_mod3(4).values())
+    group = GroupClosure(walls, projective=True)
+    assert group.order == 51840
+    every = np.arange(group.order)
+    for x, g in enumerate(walls):
+        assert np.array_equal(group.table[:, x], group.right_multiply(every, g)), x
+
+
+def test_cached_closure_and_coset_arrays_are_read_only(stabilizer_steps):
     group = reflection_image_mod3(2)
-    space = coset_space(group, stabilizer_generators_mod3(2))
-    shared = [group.mats, group._sorted_keys, group._key_order]
+    space = coset_space(stabilizer_steps(group, 2))
+    shared = [group.mats, group.table, group._sorted_keys, group._key_order]
     for array in shared + [space._assignment, space.representative_indices]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[-1]
@@ -214,12 +250,6 @@ def test_table_walk_gives_the_standard_order_and_omits_unreached_points():
     assert table_walk(rows).tolist() == [0, 2, 1, 4, 3]
     assert table_walk(rows[5:] - 5).tolist() == [0, 1]
     assert table_walk(np.array([[-1, -1]])).tolist() == [0]
-
-
-def test_coset_space_rejects_a_subgroup_generator_outside_the_group():
-    shear = Matrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)), 3)  # moves diag(-1, 1, 1)
-    with pytest.raises(ValueError, match="outside the group"):
-        coset_space(reflection_image_mod3(2), [shear])
 
 
 def test_memoize_keys_on_argument_values():
@@ -303,28 +333,30 @@ def _assert_integer_closures_match_pins():
         assert _sha256(mats, np.int8) == digest, n
 
 
-def _assert_mod3_closures_match_pins(image):
-    """The pinned sequences of the mod-3 images closed by image(n, projective)."""
+def _assert_mod3_closures_match_pins(image, stabilizer_steps):
+    """The pinned sequences of the mod-3 images closed by image(n, projective),
+    and the pinned cosets of the stabilizer, read off the n = 4 image's
+    columns and off those of its closure from negated generators."""
+    closures = {}
     for (n, projective), digest in MOD3_CLOSURE_SHA256.items():
-        group = image(n, projective)
+        group = closures[n, projective] = image(n, projective)
         assert _sha256(group.mats, np.int8) == digest, (n, projective)
         if projective:  # nothing normalises signs before the engine does
             negated = GroupClosure([g.neg() for g in group.generators], projective=True)
+            closures[n, "negated"] = negated
             assert _sha256(negated.mats, np.int8) == digest, (n, "negated")
-    group = image(4, True)
-    stabilizer = stabilizer_generators_mod3(4)
-    for subgroup_generators in (stabilizer, [g.neg() for g in stabilizer]):
-        space = coset_space(group, subgroup_generators)
+    for group in (closures[4, True], closures[4, "negated"]):
+        space = coset_space(stabilizer_steps(group, 4))
         assert space.count == 432
         assert _sha256(space._assignment, np.int32) == COSET_ASSIGNMENT_N4_SHA256
 
 
-def test_closure_order_is_pinned():
+def test_closure_order_is_pinned(stabilizer_steps):
     _assert_integer_closures_match_pins()
-    _assert_mod3_closures_match_pins(reflection_image_mod3)
+    _assert_mod3_closures_match_pins(reflection_image_mod3, stabilizer_steps)
 
 
-def test_row_chunk_boundaries_change_no_closure(monkeypatch):
+def test_row_chunk_boundaries_change_no_closure(monkeypatch, stabilizer_steps):
     # Every layer at n <= 6 fits in one default chunk.  Five rows a chunk
     # split the integer layers at positions no generator count divides.
     monkeypatch.setattr(isometry, "_CHUNK_ROWS", 5)
@@ -334,7 +366,7 @@ def test_row_chunk_boundaries_change_no_closure(monkeypatch):
     # 37 rows still split every mod-3 layer longer than that; the n = 4
     # images, 51840 and 103680 elements, take seconds at five.
     monkeypatch.setattr(isometry, "_CHUNK_ROWS", 37)
-    _assert_mod3_closures_match_pins(reflection_image_mod3.__wrapped__)
+    _assert_mod3_closures_match_pins(reflection_image_mod3.__wrapped__, stabilizer_steps)
 
 
 def _materialised_counts(mats):
