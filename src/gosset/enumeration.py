@@ -29,9 +29,10 @@ it is.  Closed tables are renumbered breadth-first from the subgroup coset by
 isometry.table_walk, which makes the table canonical and golden-testable,
 and can be certified post hoc by replaying every relator at every coset
 (verify_table).  A closed table of the whole group is its regular
-permutation representation, and so is the Cayley table a matrix group's
-closure keeps (matrix_cayley_table); verify_action_against_matrices
-standardizes both alike and compares them entry for entry, which is an
+permutation representation, and so is the table of a projective matrix
+group acting on the orbit of a base (matrix_cayley_table), standardized
+as it is walked; verify_action_against_matrices standardizes the given
+table the same way and compares the two entry for entry, which is an
 explicit isomorphism.
 
 The diagram groups' tables are lifted from a small subgroup table, which
@@ -51,7 +52,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .isometry import GroupClosure, Matrix, base_orbit_table, memoize, table_walk
+from .isometry import Matrix, base_orbit_table, memoize, point_action, table_walk
 from .presentation import Presentation, Word, build_presentation
 
 DEFAULT_COSET_BUDGET = 200_000
@@ -451,15 +452,15 @@ def verify_action_against_matrices(
     matrix group, by an explicit isomorphism.
 
     The matrices, in the table's generator order, give matrix_cayley_table,
-    and the given table, standardized the same way by table_walk and
-    _renumbered, is compared with it entry for entry.  Equal tables match
-    each coset with the matrix the same word reaches, edge by edge: an
-    explicit isomorphism, so matrix_group_order, the closure's order, is the
-    number of cosets.  A coset the walk from coset 0 never reaches or an
-    entry that differs makes the certificate inconsistent; edges_checked
-    counts the entries of the reached cosets.  A malformed table is rejected
-    before anything is closed; generators not closed under inversion raise
-    ValueError.
+    whose walk standardizes it, and the given table, standardized in the
+    same order by table_walk and _renumbered, is compared with it entry for
+    entry.  Equal tables match each coset with the matrix the same word
+    reaches, edge by edge: an explicit isomorphism, so matrix_group_order,
+    the matrix group's order, is the number of cosets.  A coset the walk
+    from coset 0 never reaches or an entry that differs makes the
+    certificate inconsistent; edges_checked counts the entries of the
+    reached cosets.  A malformed table is rejected before anything is
+    closed; generators not closed under inversion raise ValueError.
     """
     if table.status != CLOSED:
         raise ValueError("can only certify a closed table")
@@ -479,9 +480,7 @@ def verify_action_against_matrices(
 def matrix_cayley_table(generators: tuple[Matrix, ...]) -> np.ndarray:
     """The standardized Cayley table of the projective closure of mod-m
     matrices, read-only, built once per generator tuple: the matrix route's
-    table, as e6.cayley_table() is the roots'.  Only the table is kept, not
-    the closure's elements and keys."""
-    table = GroupClosure(generators, projective=True).table
-    standard = _renumbered(table, table_walk(table))
-    standard.flags.writeable = False
-    return standard
+    table, as e6.cayley_table() is the roots'.  base_orbit_table walks the
+    base of point_action's classes {v, -v}, so no matrix is multiplied and
+    no element is kept."""
+    return base_orbit_table(*point_action(generators, projective=True))

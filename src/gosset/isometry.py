@@ -5,35 +5,38 @@ J = diag(-1, 1, ..., 1); we work in the forward subgroup, characterized by
 entry (0,0) >= 1, which preserves the positive light cone.  Reductions mod m
 land in finite matrix groups over Z/m.  One type, Matrix, holds both: an
 integer matrix, or with a modulus its image over Z/m.  Products never mix
-the two rings, and the closure engine reads its ring off the generators.
+the two rings.
 
 Groups are enumerated by exhaustive breadth-first closure under right
 multiplication by the generators, one vectorized layer at a time.  The one
 layer loop, layered_closure, asks a pick rule which products of the frontier
-are new, checks the budget, multiplies out only those, as int8 in batches of
-a fixed number of rows, and yields the layer as a bare block of elements.
-Keys belong to the pick rule alone.  Mod m, and on orbits, the rule goes by
-keys: each product has an int64 key, computed before it is built, and a
-layer's candidate keys are deduplicated once and looked up in the sorted
-keys of the two layers before it.  Over Z it goes by descents, for
-generators that are distinct simple reflections, and keys nothing (see
-_MatrixProducts._descents).  GroupClosure is the one closure that is kept,
-with its Cayley table: the pick by keys numbers every product as it walks,
-so the table costs no product or lookup.  Coset spaces read its columns,
-and the enumeration certificate the whole table.  The other closures stream
-their layers, so the n = 7 stabilizer (order 2903040) is bounded by its
-largest layer, not its order.  Walks fail fast past DEFAULT_ELEMENT_BUDGET
-elements, read when each starts, which also stops an infinite group over Z.
-layered_closure also closes orbits of integer rows (orbit(): the E6 roots,
-stabilizer orbits), walks integer tables (table_walk(): coset tables, tile
-graphs), and runs the one Cayley-table primitive, base_orbit_table():
-permutations on the orbit of a base tuple, which builds both tables of
-W(E6), the lifted presentation's and the ten beta reflections' on the roots.
+are new, checks the budget, builds only those, and yields the layer as a
+bare block of elements.  Keys belong to the pick rule alone.  On orbits the
+rule goes by keys: each product has an int64 key, computed before it is
+built, and a layer's candidate keys are deduplicated once and looked up in
+the sorted keys of the two layers before it.  Over Z it goes by descents,
+for generators that are distinct simple reflections, and keys nothing (see
+_MatrixProducts._descents); the products are int8 matrices, multiplied in
+batches of a fixed number of rows.  The other closures stream their layers,
+so the n = 7 stabilizer (order 2903040) is bounded by its largest layer, not
+its order.  Walks fail fast past DEFAULT_ELEMENT_BUDGET elements, read when
+each starts, which also stops an infinite group over Z.  layered_closure
+also closes orbits of integer rows (orbit(): the E6 roots, stabilizer
+orbits), walks integer tables (table_walk(): coset tables, tile graphs), and
+runs the one Cayley-table primitive, base_orbit_table(): permutations on the
+orbit of a base tuple, which builds the tables of W(E6), the lifted
+presentation's, the ten beta reflections' on the roots and the wall
+matrices'.
 
-The engine owns the projective quotient: a projective closure keys each
-class {M, -M} by the smaller base-m key of its two signs, and that choice,
-made in _MatrixProducts, is the only place the package picks a sign.  So
-callers hand in plain reductions mod m, of either sign, and never normalise.
+No matrix over Z/m is multiplied.  A matrix group mod m acts faithfully on
+the row vectors of (Z/m)^d, and a projective one, modulo {I, -I}, on their
+classes {v, -v}; point_action turns each matrix into that permutation of
+points and picks a base, whose images fix the element (Seress, Permutation
+Group Algorithms, ch. 4).  GroupClosure walks the base's orbit
+generator-major and keeps it, with its Cayley table: coset spaces read its
+columns, and crossings and queries look up the points a matrix moves.  A
+projective closure sees only the classes {v, -v}, so callers hand in plain
+reductions mod m, of either sign, and never normalise.
 
 memoize() is the package's one caching rule: one entry per argument value.
 Each cached group, table or configuration is built once per process, however
@@ -327,21 +330,10 @@ def base_orbit_table(
     base has a trivial stabilizer (a base: Seress, Permutation Group
     Algorithms, ch. 4), the action is regular and this is the Cayley table
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.4).
-    ValueError unless the set is closed under inversion, as _fresh_keys
-    needs; OverflowError past int64 keys; RuntimeError past bound points.
+    Raises as _tuple_steps does, and RuntimeError past bound points.
     """
-    columns = np.asarray(columns)
-    (k, n), width = columns.shape, len(base)
-    # Inversion is injective, so S holds every inverse exactly when S^-1 = S;
-    # a column that is no permutation has no inverse in the set.
-    inverses = np.argsort(columns, axis=1)
-    if not np.array_equal(np.unique(columns, axis=0), np.unique(inverses, axis=0)):
-        raise ValueError("generator set must be closed under inversion")
-    if n**width >= 2**63:
-        raise OverflowError(f"{width} points of {n} overflow an int64 key")
-    # steps[p, x]: point p moved by generator x; weighted[j]: its key digit at place j.
-    steps = np.ascontiguousarray(columns.T).astype(np.min_scalar_type(n - 1))
-    weights = n ** np.arange(width, dtype=np.int64)
+    steps, weights = _tuple_steps(columns, len(base))
+    k = steps.shape[1]
     weighted = weights[:, None, None] * steps
     seed = np.array([base], dtype=steps.dtype)
     rows: list[np.ndarray] = []
@@ -349,7 +341,7 @@ def base_orbit_table(
     def candidate_keys(frontier: np.ndarray) -> np.ndarray:
         if bound is not None and sum(map(len, rows)) // k + len(frontier) > bound:
             raise RuntimeError(f"the orbit of {tuple(base)} passes the upper bound {bound}")
-        return sum(weighted[j][frontier[:, j]] for j in range(width)).ravel()
+        return sum(weighted[j][frontier[:, j]] for j in range(len(base))).ravel()
 
     def build(frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
         return steps[frontier[picks // k], picks[:, None] % k]
@@ -359,6 +351,61 @@ def base_orbit_table(
     table = np.concatenate(rows).reshape(-1, k)
     table.flags.writeable = False
     return table
+
+
+def _tuple_steps(columns: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """steps[p, x], point p moved by permutation columns[x], in the narrowest
+    unsigned type, and the weights of base-n int64 keys of width points.
+
+    ValueError unless the set is closed under inversion, as _fresh_keys
+    needs; OverflowError past int64 keys.
+    """
+    columns = np.asarray(columns)
+    n = columns.shape[1]
+    # c[c'] = identity makes c onto, so a permutation, with inverse c'; a
+    # column that is no permutation has no inverse in the set.
+    inverted = ((0 <= columns) & (columns < n)).all() and (
+        (columns[:, columns] == np.arange(n)).all(axis=2).any(axis=1).all()
+    )
+    if not inverted:
+        raise ValueError("generator set must be closed under inversion")
+    if n**width >= 2**63:
+        raise OverflowError(f"{width} points of {n} overflow an int64 key")
+    steps = np.ascontiguousarray(columns.T).astype(np.min_scalar_type(n - 1))
+    return steps, n ** np.arange(width, dtype=np.int64)
+
+
+def point_action(
+    mats: Sequence[Matrix], projective: bool
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Matrices over Z/m as permutations of points, and a base.
+
+    The points are the row vectors v of (Z/m)^d, numbered by their base-m
+    digits, most significant first; when projective, the classes {v, -v},
+    numbered in the order of their smaller member.  columns[x][p] is the
+    point p M for M = mats[x], a permutation when M is invertible.  The base
+    is e_0, ..., e_{d-1}, whose images are the rows of M, and when projective
+    the all-ones row as well: the classes of the rows fix M up to one sign
+    per row, and the class of their sum, linearly independent as they are,
+    fixes those signs up to one in common.  So the base's images determine M,
+    or {M, -M}, and a group acts regularly on its base's orbit.
+
+    ValueError unless mats are square matrices of one size over one ring
+    Z/m with m <= 128 and m^(d*d) <= 2^53, which caps the points at 59^3.
+    """
+    m, d = _ring(mats)
+    if m is None:
+        raise ValueError("a point action needs matrices over Z/m")
+    if m > 128 or m ** (d * d) > 2**53:
+        raise ValueError("mod-m keys need m <= 128 and m^(d*d) <= 2^53")
+    place = m ** np.arange(d - 1, -1, -1)
+    vectors = np.arange(m**d)[:, None] // place % m
+    members = point = np.arange(m**d)
+    if projective:
+        members, point = np.unique(np.minimum(point, -vectors % m @ place), return_inverse=True)
+    images = vectors[members] @ np.array([g.entries for g in mats]) % m @ place
+    base = tuple(point[place].tolist()) + ((int(point[place.sum()]),) if projective else ())
+    return point[images], base
 
 
 def table_walk(rows: np.ndarray) -> np.ndarray:
@@ -382,14 +429,26 @@ def table_walk(rows: np.ndarray) -> np.ndarray:
     return np.concatenate(list(layers))
 
 
-# Rows keyed or multiplied per batch: the temporaries of a layer, or of
-# GroupClosure.right_multiply, stay this many rows long, however long it is.
+# Rows multiplied per batch: the temporaries of an integer layer stay this
+# many rows long, however long the layer is.
 _CHUNK_ROWS = 2**14
 
 
 def _chunks(stop: int, start: int = 0) -> Iterator[slice]:
     """Consecutive slices of at most _CHUNK_ROWS rows covering range(start, stop)."""
     return (slice(i, min(i + _CHUNK_ROWS, stop)) for i in range(start, stop, _CHUNK_ROWS))
+
+
+def _ring(generators: Sequence[Matrix]) -> tuple[int | None, int]:
+    """The modulus (None over Z) and the size d of square generators of one ring."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    modulus, d = generators[0].modulus, generators[0].dimension
+    if any(g.modulus != modulus for g in generators):
+        raise ValueError("generators must lie in one ring")
+    if any(g.dimension != d or any(len(r) != d for r in g.entries) for g in generators):
+        raise ValueError("generators must be square matrices of equal size")
+    return modulus, d
 
 
 @dataclass(frozen=True)
@@ -401,20 +460,18 @@ class _ColumnPlan:
     kept, and moves lists the pairs (j, k) with k != j.  Every other column
     is a sum over the nonzero g[k, j], a zero column an empty one: summed
     lists the columns k of M that the sums read, and sums lists each such
-    j with its terms (i, g[k, j]) for k = summed[i].  Mod m the sums are
-    reduced mod m.  A reflection s_alpha fixes e_k for k outside the
-    support of alpha, so its plan sums only the columns in that support; a
-    transposition e_i - e_{i+1} sums none.
+    j with its terms (i, g[k, j]) for k = summed[i].  A reflection s_alpha
+    fixes e_k for k outside the support of alpha, so its plan sums only the
+    columns in that support; a transposition e_i - e_{i+1} sums none.
     """
 
-    modulus: int | None
     moves: tuple[tuple[int, int], ...]
     summed: tuple[int, ...]
     sums: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     @staticmethod
-    def of(g: np.ndarray, modulus: int | None) -> _ColumnPlan:
-        """The plan of the integer matrix g, for products mod m, or over Z if None."""
+    def of(g: np.ndarray) -> _ColumnPlan:
+        """The plan of the integer matrix g."""
         columns = np.asarray(g, dtype=np.int64).T.tolist()
         moves, sums = [], []
         for j, column in enumerate(columns):
@@ -426,71 +483,41 @@ class _ColumnPlan:
                 sums.append((j, terms))
         summed = sorted({k for _, terms in sums for k, _ in terms})
         sums = [(j, tuple((summed.index(k), c) for k, c in terms)) for j, terms in sums]
-        return _ColumnPlan(modulus, tuple(moves), tuple(summed), tuple(sums))
+        return _ColumnPlan(tuple(moves), tuple(summed), tuple(sums))
 
 
 class _MatrixProducts:
-    """Exact products M g of int8 matrices M by a fixed list of generators g.
+    """Exact products M g of int8 integer matrices M by a fixed list of generators g.
 
-    The generators are Matrix objects of one ring, Z or Z/m, read off them:
-    it is the ring of every product.  Mod m, every element has an int64 key:
-    the base-m digits of the reduced matrix, most significant first.  When
-    projective, the class {M, -M} is keyed, and built, by whichever sign has
-    the smaller key, whatever the signs of M and the generators.  Products
-    are keyed before they are built, and closures pick by keys.  Over Z
-    nothing is keyed: closures pick by descents, and the element budget
-    stops an infinite group.
-
-    Products are built column by column, from a _ColumnPlan made once per
-    generator: column j of M g is the sum over k of g[k, j] times column k
-    of M.  A reflection s_alpha changes only the columns in the support of
-    alpha, so most columns of M s are columns of M, copied; the rest are
-    signed sums in int32.  With entries and coefficients within int8, a sum
-    of d terms stays below d 2^14, so int32 is exact for any d up to 10^5.
-    Keys are one float64 dot with the powers of m, exact while
-    m^(d*d) <= 2^53: the digits are non-negative, so every partial sum is
-    at most the key.
+    Closures over Z pick by descents, key nothing, and the element budget
+    stops an infinite group.  Products are built column by column, from a
+    _ColumnPlan made once per generator: column j of M g is the sum over k
+    of g[k, j] times column k of M.  A reflection s_alpha changes only the
+    columns in the support of alpha, so most columns of M s are columns of
+    M, copied; the rest are signed sums in int32.  With entries and
+    coefficients within int8, a sum of d terms stays below d 2^14, so int32
+    is exact for any d up to 10^5.
     """
 
-    def __init__(self, generators: Sequence[Matrix], projective: bool = False) -> None:
-        if not generators:
-            raise ValueError("need at least one generator")
-        modulus = generators[0].modulus
-        if any(g.modulus != modulus for g in generators):
-            raise ValueError("generators must lie in one ring")
-        if projective and modulus is None:
-            raise ValueError("projective closure requires a modulus")
-        d = generators[0].dimension
-        if any(g.dimension != d or any(len(r) != d for r in g.entries) for g in generators):
-            raise ValueError("generators must be square matrices of equal size")
+    def __init__(self, generators: Sequence[Matrix]) -> None:
+        modulus, d = _ring(generators)
+        if modulus is not None:
+            raise ValueError("integer closures need matrices over Z")
         self.generators = tuple(generators)
         self.dimension = d
-        self.modulus = modulus
-        self.projective = projective
-
         gens = np.array([g.entries for g in generators], dtype=np.int64)
-        if modulus is None:
-            if np.abs(gens).max() > 127:
-                raise OverflowError("matrix entries exceed int8 storage")
-        else:
-            if modulus > 128 or modulus ** (d * d) > 2**53:
-                raise ValueError("mod-m keys need m <= 128 and m^(d*d) <= 2^53")
-            # Most significant digit first: keys order like the entries, lexicographically.
-            self._powers = (modulus ** np.arange(d * d - 1, -1, -1)).astype(np.float64)
-            self._negated = (-np.arange(modulus) % modulus).astype(np.int8)
+        if np.abs(gens).max() > 127:
+            raise OverflowError("matrix entries exceed int8 storage")
         self._gens = gens.astype(np.int8)
-        self._plans = [_ColumnPlan.of(g, modulus) for g in gens]
-        # Products by I copy M: how queries and the first layer key or
-        # normalise matrices of their own.
-        self.identity = _ColumnPlan.of(np.eye(d, dtype=np.int64), modulus)
+        self._plans = [_ColumnPlan.of(g) for g in gens]
 
     @staticmethod
     def _multiply(mats: np.ndarray, plan: _ColumnPlan) -> np.ndarray:
         """M g for int8 matrices M and the plan of g, as int8 rows of d*d entries.
 
-        The entries of M lie within +-127 (mod m, in [0, m)), as every
-        product this returns does.  Mod m the product is reduced; over Z a
-        summed entry past +-127 raises OverflowError before it is stored.
+        The entries of M lie within +-127, as every product this returns
+        does: a summed entry past +-127 raises OverflowError before it is
+        stored.
         """
         n, d = len(mats), mats.shape[1]
         out = mats.copy()
@@ -511,46 +538,10 @@ class _MatrixProducts:
                     acc -= columns[i]
                 else:
                     acc += c * columns[i]
-            if plan.modulus is not None:
-                acc %= plan.modulus
-            elif n and (acc.max() > 127 or acc.min() < -127):
+            if n and (acc.max() > 127 or acc.min() < -127):
                 raise OverflowError("matrix entries exceed int8 storage")
             out[:, :, j] = acc
         return out.reshape(n, d * d)
-
-    def products(self, mats: np.ndarray, plan: _ColumnPlan) -> np.ndarray:
-        """The products M g as int8 matrices, the smaller of +-M g when projective."""
-        flat = self._multiply(mats, plan)
-        if self.projective:
-            neg = self._negated[flat]
-            flat = np.where((self._digits(neg) < self._digits(flat))[:, None], neg, flat)
-        return flat.reshape(len(mats), self.dimension, self.dimension)
-
-    def _digits(self, flat: np.ndarray) -> np.ndarray:
-        return (flat.astype(np.float64) @ self._powers).astype(np.int64)
-
-    def keys(self, mats: np.ndarray) -> np.ndarray:
-        """The key of each int8 matrix mod m, in row chunks."""
-        keys = np.empty(len(mats), dtype=np.int64)
-        for rows in _chunks(len(mats)):
-            keys[rows] = self._digits(mats[rows].reshape(-1, self.dimension**2))
-        return keys
-
-    def product_keys(self, mats: np.ndarray, plan: _ColumnPlan) -> np.ndarray:
-        """Keys of the products M g of int8 matrices M and the plan of g, mod m."""
-        flat = self._multiply(mats, plan)
-        keys = self._digits(flat)
-        if self.projective:
-            np.minimum(keys, self._digits(self._negated[flat]), out=keys)
-        return keys
-
-    def candidate_keys(self, frontier: np.ndarray) -> np.ndarray:
-        """Keys of every product F g mod m, generator-major, in row chunks of F."""
-        keys = np.empty((len(self._plans), len(frontier)), dtype=np.int64)
-        for rows in _chunks(len(frontier)):
-            for i, plan in enumerate(self._plans):
-                keys[i, rows] = self.product_keys(frontier[rows], plan)
-        return keys.ravel()
 
     def build(self, frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
         """The products F g at sorted generator-major candidate positions, in chunks of picks."""
@@ -560,29 +551,23 @@ class _MatrixProducts:
         runs = np.searchsorted(picks, np.arange(len(self._plans) + 1) * len(frontier))
         for i, plan in enumerate(self._plans):
             for chunk in _chunks(runs[i + 1], runs[i]):
-                out[chunk] = self.products(frontier[picks[chunk] - i * len(frontier)], plan)
+                products = self._multiply(frontier[picks[chunk] - i * len(frontier)], plan)
+                out[chunk] = products.reshape(-1, d, d)
         return out
 
     def layers(self) -> Iterator[np.ndarray]:
         """The closure from the identity, one block of int8 matrices a layer.
 
-        The generator set must be closed under inversion: each g has a g' in
-        the set with g g' = I (+-I when projective).  Over Z it must be a set
-        of distinct simple reflections, in any order (see _descents).  Both
-        are checked before the first layer.  Mod m the walk names its steps
-        in self.steps: per layer, the element number of every product F g,
-        generator-major.
+        The generator set must be closed under inversion, each g with a g'
+        in the set with g g' = I, and a set of distinct simple reflections,
+        in any order (see _descents).  Both are checked before the first
+        layer.
         """
-        ident = self.products(np.eye(self.dimension, dtype=np.int8)[None], self.identity)
-        squares = [self.products(self._gens, plan) == ident for plan in self._plans]
-        if not np.stack(squares, axis=1).all(axis=(2, 3)).any(axis=1).all():
+        ident = np.eye(self.dimension, dtype=np.int8)
+        squares = [self._multiply(self._gens, plan) == ident.ravel() for plan in self._plans]
+        if not np.stack(squares, axis=1).all(axis=2).any(axis=1).all():
             raise ValueError("generator set must be closed under inversion")
-        if self.modulus is None:
-            pick = self._descents()
-        else:
-            self.steps: list[np.ndarray] = []
-            pick = _fresh_keys(self.candidate_keys, self.keys(ident), self.steps)
-        return layered_closure(ident, pick, self.build)
+        return layered_closure(ident[None], self._descents(), self.build)
 
     def _descents(self) -> Callable[[np.ndarray], np.ndarray]:
         """The pick rule by descents, for distinct simple reflections of Z^{d-1,1}.
@@ -625,60 +610,67 @@ class _MatrixProducts:
         return pick
 
 
-class GroupClosure(_MatrixProducts):
-    """Finite matrix group over Z/m obtained by exhaustive closure.
+class GroupClosure:
+    """Finite matrix group over Z/m obtained by exhaustive closure, multiplying no matrix.
 
-    The layers of _MatrixProducts, kept: the elements as one int8 array, mats,
-    in discovery order (element 0 is the identity), their keys, computed once
-    and sorted for lookup, and the Cayley table: table[i, x] is the index of
-    element i times generator x, as the pick rule numbered it while walking.
-    With projective=True elements are classes {M, -M}; that is the right
-    model for quotients like PGO where -I must be factored out.  The engine
-    keys and stores each class by the sign with the smaller key, for
-    elements, products and queries alike, so generators and queries may
-    carry either sign.  The generator set must be closed under inversion
-    (reflections are), which also makes every generator invertible mod m.
-    The closure fails fast past DEFAULT_ELEMENT_BUDGET elements.
+    point_action turns each generator g into the permutation p -> p g of the
+    points, the rows of (Z/m)^d, or with projective=True their classes
+    {v, -v}: then elements are classes {M, -M}, the right model for
+    quotients like PGO where -I must be factored out, and generators and
+    queries may carry either sign.  Element i is the tuple of points its
+    base reaches, images[i], in discovery order (element 0 is the identity).
+    layered_closure walks the base's orbit, generator-major, picked by
+    _fresh_keys on base-n int64 keys, sorted for lookup once the walk ends,
+    and the steps it names are the Cayley table: table[i, x] is the index of
+    element i times generator x.  The generator set must be closed under
+    inversion (reflections are), which also makes every generator invertible
+    mod m.  The closure fails fast past DEFAULT_ELEMENT_BUDGET elements.
     """
 
     def __init__(self, generators: Sequence[Matrix], projective: bool = False) -> None:
-        super().__init__(generators, projective)
-        if self.modulus is None:
-            raise ValueError("GroupClosure closes groups over Z/m")
-        self.mats = np.concatenate(list(self.layers()))
-        self.order = len(self.mats)
+        self.generators = tuple(generators)
+        self.projective = projective
+        columns, base = point_action(self.generators, projective)
+        self.modulus, self.dimension = self.generators[0].modulus, self.generators[0].dimension
+        steps, self._weights = _tuple_steps(columns, len(base))
+        weighted = self._weights[:, None, None] * steps
+        seed = np.array([base], dtype=steps.dtype)
+        named: list[np.ndarray] = []
+
+        def candidate_keys(frontier: np.ndarray) -> np.ndarray:
+            return sum(weighted[j][frontier[:, j]] for j in range(len(base))).T.ravel()
+
+        def build(frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
+            return steps[frontier[picks % len(frontier)], picks[:, None] // len(frontier)]
+
+        pick = _fresh_keys(candidate_keys, seed @ self._weights, named)
+        self.images = np.concatenate(list(layered_closure(seed, pick, build)))
+        self.order = len(self.images)
         k = len(self.generators)
-        self.table = np.concatenate([block.reshape(k, -1).T for block in self.steps])
-        del self.steps
-        keys = self.keys(self.mats)
+        self.table = np.concatenate([block.reshape(k, -1).T for block in named])
+        keys = self.images @ self._weights
         self._key_order = np.argsort(keys)
         self._sorted_keys = keys[self._key_order]
-        for shared in (self.mats, self.table, self._key_order, self._sorted_keys):
+        for shared in (self.images, self.table, self._key_order, self._sorted_keys):
             shared.flags.writeable = False  # memoized closures share them
 
-    def index_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Discovery index of each key, -1 where the key is not in the closure."""
-        pos = _positions(self._sorted_keys, keys)
-        return np.where(pos >= 0, self._key_order[pos], -1)
-
-    def _entries(self, mat: Matrix) -> Rows:
+    def _moved(self, images: np.ndarray, mat: Matrix) -> np.ndarray:
+        """Index of the element with the points of each row of images moved
+        by mat, -1 where there is none."""
         if mat.modulus != self.modulus:
             raise ValueError(f"ring mismatch: modulus {mat.modulus} and {self.modulus}")
         if mat.dimension != self.dimension:
             raise ValueError(f"dimension mismatch: {mat.dimension} and {self.dimension}")
-        return mat.entries
+        (column,), _ = point_action([mat], self.projective)
+        pos = _positions(self._sorted_keys, column[images] @ self._weights)
+        return np.where(pos >= 0, self._key_order[pos], -1)
 
     def __contains__(self, mat: Matrix) -> bool:
-        key = self.product_keys(np.array([self._entries(mat)], dtype=np.int8), self.identity)
-        return bool(self.index_of_keys(key)[0] >= 0)
+        return bool(self._moved(self.images[:1], mat)[0] >= 0)  # the identity's are the base
 
     def right_multiply(self, indices: np.ndarray, mat: Matrix) -> np.ndarray:
         """Indices of the products element_i * mat, for an array of element indices."""
-        plan = _ColumnPlan.of(np.array(self._entries(mat)), self.modulus)
-        keys = np.empty(len(indices), dtype=np.int64)
-        for rows in _chunks(len(indices)):
-            keys[rows] = self.product_keys(self.mats[indices[rows]], plan)
-        found = self.index_of_keys(keys)
+        found = self._moved(self.images[indices], mat)
         if (found < 0).any():
             raise KeyError("product not in closure")
         return found

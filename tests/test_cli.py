@@ -404,6 +404,16 @@ def test_every_pinned_check_is_still_a_row():
     assert golden <= ids
 
 
+@pytest.mark.parametrize("suite", ["diagrams", "tessellation"])
+def test_dot_exports_match_the_goldens(tmp_path, suite):
+    # As perfbench's gate_dot, byte for byte.  Tile ids follow the order of
+    # the mod-3 closure's elements, so a change of that order fails here.
+    assert main([suite, "--format", "dot", "--out", str(tmp_path)]) == 0
+    for n in (2, 3, 4):
+        name = f"{suite}_{n}.dot"
+        assert (tmp_path / name).read_bytes() == (GOLDEN.parent / name).read_bytes(), name
+
+
 A4_PATH = DiagramGraph(("1", "2", "3", "4"), frozenset({("1", "2"), ("2", "3"), ("3", "4")}))
 
 
@@ -434,19 +444,29 @@ def test_verify_all_never_enumerates_the_petersen_group_over_the_trivial_subgrou
 
 
 def test_verify_all_closes_each_generator_set_once(monkeypatch):
-    # The Petersen cross-check and triple_agreement share one table of the walls.
-    closures = []
+    # Six GroupClosures, the mod-3 images, and one table of the walls for
+    # each n = 2, 3, 4, which the Petersen cross-check and triple_agreement
+    # share.
+    closures, wall_tables = [], []
     init = isometry.GroupClosure.__init__
+    point_action = enumeration.point_action
 
     def spy(self, generators, projective=False):
         closures.append((tuple(generators), projective))
         init(self, generators, projective)
 
+    def wall_spy(mats, projective):
+        wall_tables.append(tuple(mats))
+        return point_action(mats, projective)
+
     monkeypatch.setattr(isometry.GroupClosure, "__init__", spy)
+    monkeypatch.setattr(enumeration, "point_action", wall_spy)
     for cached in (geometry.reflection_image_mod3, geometry.build_tessellation):
         cached.cache_clear()
     enumeration.matrix_cayley_table.cache_clear()
     reports = run_suite("all")
     assert {r.status for r in reports} == {"pass", "skipped"}
-    assert len(closures) == 9  # six mod-3 images, the walls for n = 2, 3, 4
+    assert len(closures) == 6
     assert len(set(closures)) == len(closures)
+    assert len(wall_tables) == 3 == enumeration.matrix_cayley_table.cache_info().misses
+    assert len(set(wall_tables)) == len(wall_tables)

@@ -209,3 +209,9 @@ def test_base_orbit_table_requires_inverse_closed_generators():
         base_orbit_table([rotation], basis)
     inverse = tuple(b[i] for i in a)
     assert len(base_orbit_table([rotation, inverse], basis)) == 3
+    # A column that is no permutation, or names a point past the last or
+    # before the first, has no inverse in the set.
+    for point in (a[1], 72, -1):
+        broken = (point,) + a[1:]
+        with pytest.raises(ValueError, match="inversion"):
+            base_orbit_table([broken], basis)

@@ -499,7 +499,7 @@ def test_matrix_cross_certificate():
 
 
 def test_cross_certificate_is_projective():
-    # Negated matrices give the same certificate: +-M share one key.
+    # Negated matrices give the same certificate: +-M move the classes {v, -v} alike.
     table = enumerate_diagram_group("affine_a5")
     walls = wall_reflections_mod3(3)
     negated = {g: m.neg() for g, m in walls.items()}

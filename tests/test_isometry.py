@@ -12,14 +12,17 @@ from gosset.isometry import (
     CongruenceIntersection,
     GroupClosure,
     Matrix,
+    base_orbit_table,
     chamber_vector,
     congruence_intersection_check,
     coset_space,
+    finite_group_elements,
     lattice_isometry,
     long_simple_reflections,
     memoize,
     lorentz_gram,
     orbit,
+    point_action,
     reflection_matrix,
     table_walk,
     _ColumnPlan,
@@ -28,7 +31,7 @@ from gosset.isometry import (
 )
 from gosset import isometry
 from gosset.e6 import SIMPLE_ROOTS, beta_configuration, cartan_matrix, reflection_rows, root_system
-from gosset.enumeration import enumerate_diagram_group
+from gosset.enumeration import enumerate_diagram_group, matrix_cayley_table
 from gosset.geometry import (
     build_tessellation,
     reflection_image_mod3,
@@ -110,13 +113,13 @@ def test_matrix_products_reject_generators_from_mixed_rings():
     with pytest.raises(ValueError, match="one ring"):
         _MatrixProducts([s[0], s[1].reduce(3)])
     with pytest.raises(ValueError, match="one ring"):
-        _MatrixProducts([s[0].reduce(3), s[1].reduce(5)], projective=True)
+        GroupClosure([s[0].reduce(3), s[1].reduce(5)], projective=True)
     with pytest.raises(ValueError, match="one ring"):
         GroupClosure([s[0].reduce(3), s[1]])
-    with pytest.raises(ValueError, match="requires a modulus"):
-        _MatrixProducts(s, projective=True)
     with pytest.raises(ValueError, match="over Z/m"):
         GroupClosure(s)
+    with pytest.raises(ValueError, match="over Z"):
+        _MatrixProducts([g.reduce(3) for g in s])
 
 
 def test_group_closure_rejects_an_integer_query():
@@ -138,6 +141,17 @@ def test_group_closure_rejects_a_query_of_another_dimension():
         wrong in g
     with pytest.raises(ValueError, match="dimension mismatch"):
         g.right_multiply(np.array([0]), wrong)
+
+
+def test_right_multiplying_out_of_the_closure_raises():
+    # The stabilizer at n = 3, order 12, holds none of the wall reflections.
+    g = GroupClosure(stabilizer_generators_mod3(3))
+    (t, *_) = wall_reflections_mod3(3).values()
+    assert g.order == 12 and t not in g
+    with pytest.raises(KeyError, match="not in closure"):
+        g.right_multiply(np.arange(g.order), t)
+    with pytest.raises(KeyError, match="not in closure"):
+        g.right_multiply(np.array([0]), t)
 
 
 def test_stabilizer_closure_orders():
@@ -175,7 +189,7 @@ def test_group_membership_and_indexing():
     for m in g.generators:
         assert m in g
         (i,) = g.right_multiply(np.array([0]), m)  # element 0 is the identity
-        assert tuple(map(tuple, g.mats[i].tolist())) == m.entries
+        assert tuple(map(tuple, _matrices(g)[i].tolist())) == m.entries
     assert Matrix.identity(4, 3) in g
     # A projective closure answers for -M as for M.
     proj = reflection_image_mod3(4)
@@ -192,9 +206,10 @@ def test_coset_space_against_lagrange(stabilizer_steps):
     assert (cs.cosets_of(cs.representative_indices) == np.arange(cs.count)).all()
 
 
-def test_coset_space_forms_no_product(monkeypatch, stabilizer_steps):
-    group = reflection_image_mod3(4)
-    steps = stabilizer_steps(group, 4)
+def test_mod_m_closures_multiply_no_matrix(monkeypatch, stabilizer_steps):
+    # Only build_tessellation's check of the stabilizer order closes integer
+    # matrices; the mod-3 images, their coset spaces and crossings and the
+    # wall tables move points.
     calls = []
     multiply = _MatrixProducts._multiply
 
@@ -203,10 +218,21 @@ def test_coset_space_forms_no_product(monkeypatch, stabilizer_steps):
         return multiply(mats, plan)
 
     monkeypatch.setattr(_MatrixProducts, "_multiply", staticmethod(counting))
-    assert coset_space(steps).count == 432
-    assert calls == []
-    group.right_multiply(np.arange(3), group.generators[0])  # the spy sees products
-    assert calls == [3]
+    for cached in (reflection_image_mod3, build_tessellation, matrix_cayley_table):
+        cached.cache_clear()
+    for n in (2, 3, 4):
+        finite_group_elements(long_simple_reflections(n))
+        assert calls  # the spy sees products
+        stabilizer = len(calls)
+        calls.clear()
+        for projective in (True, False):
+            reflection_image_mod3(n, projective)
+        matrix_cayley_table(tuple(wall_reflections_mod3(n).values()))
+        assert coset_space(stabilizer_steps(reflection_image_mod3(n), n)).count > 1
+        assert calls == [], n
+        build_tessellation(n)
+        assert len(calls) == stabilizer, n
+        calls.clear()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -235,11 +261,11 @@ def test_the_wall_closure_table_columns_are_right_multiplications():
 def test_cached_closure_and_coset_arrays_are_read_only(stabilizer_steps):
     group = reflection_image_mod3(2)
     space = coset_space(stabilizer_steps(group, 2))
-    shared = [group.mats, group.table, group._sorted_keys, group._key_order]
+    shared = [group.images, group.table, group._sorted_keys, group._key_order]
     for array in shared + [space._assignment, space.representative_indices]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[-1]
-    assert group.mats[0].tolist() == np.eye(3).tolist()
+    assert tuple(group.images[0].tolist()) == point_action(group.generators, True)[1]
 
 
 def test_table_walk_gives_the_standard_order_and_omits_unreached_points():
@@ -297,9 +323,17 @@ def test_congruence_intersection_trivial_small():
         assert result.congruent_mod3 == 1
 
 
-def _closure(generators, projective=False):
-    """The elements of a closure in discovery order, from its layers."""
-    return np.concatenate(list(_MatrixProducts(generators, projective).layers()))
+def _closure(generators):
+    """The elements of an integer closure in discovery order, from its layers."""
+    return np.concatenate(list(_MatrixProducts(generators).layers()))
+
+
+def _matrices(group):
+    """The matrices of a linear closure mod m, read off each element's rows:
+    the base's images are the points of the rows, numbered by their base-m
+    digits, most significant first."""
+    m, d = group.modulus, group.dimension
+    return (group.images[:, :, None] // m ** np.arange(d - 1, -1, -1) % m).astype(np.int8)
 
 
 def _sha256(array, dtype):
@@ -308,7 +342,9 @@ def _sha256(array, dtype):
 
 # sha256 of the element sequences in discovery order, taken from the
 # per-element dict engine that the layered one replaced; coset ids, tile ids
-# and DOT exports all follow this order.
+# and DOT exports all follow this order.  A linear mod-3 image is pinned by
+# its matrices, read off its elements' rows.  A projective one is pinned by
+# its Cayley table, as the engine that picked a sign of each {M, -M} made it.
 INTEGER_CLOSURE_SHA256 = {
     2: "520f883f208f1d26c05098c716024d9e477c4eb63da076086e010c4faa4d9383",
     3: "acaa17c2d096febf5ccb33eae1e960452312d078bdc693a192f010d690774b90",
@@ -317,11 +353,11 @@ INTEGER_CLOSURE_SHA256 = {
     6: "71de2022e8a1a1aa40dc50c7440277765f4926c77541629a0263ae14c1d31c0c",
 }
 MOD3_CLOSURE_SHA256 = {
-    (2, True): "9aea2af67fbcf3c3e49058c84a3d956af81bde59cc1544019d77fbb6d6332f43",
+    (2, True): "003dba4961067f5105344b2c9a679dce80ba03536a96cccb9264c10133db98a7",
     (2, False): "3e3abfd23cbeadf12a2511b0135fd79c8f869e9f7ab3efaa3b785a3341bd192a",
-    (3, True): "1826bb1626899b261d5fa6da12f3bb1192706ecb0c2b984cedfe2d3f4e31618c",
+    (3, True): "112e9be9a2f543dc856a905ddd810d6ae0badaba6105a37eb43bcb96cbc82143",
     (3, False): "2ceb572738319a5147f5296219f244aa792dd923e4bf8bbe716d66f3443b8f00",
-    (4, True): "cebfa03de740ac919ffbbc8120b9c88581ac46412940afbc19b2ae31b14ad644",
+    (4, True): "0f374a5cd8eebefacadcd44e2a932c7af25844f5bd115a4d86a482befeb2d3c1",
     (4, False): "e5693a7cd0ad132454b9dc84859001a57df674e6b590aacc0e0ddbb50f3e1508",
 }
 COSET_ASSIGNMENT_N4_SHA256 = "93428cf1a139bcc07f447e8cdfb9e6e9c7c8871b2a23271a6fc50b692ef0c3c7"
@@ -333,40 +369,34 @@ def _assert_integer_closures_match_pins():
         assert _sha256(mats, np.int8) == digest, n
 
 
-def _assert_mod3_closures_match_pins(image, stabilizer_steps):
-    """The pinned sequences of the mod-3 images closed by image(n, projective),
-    and the pinned cosets of the stabilizer, read off the n = 4 image's
-    columns and off those of its closure from negated generators."""
+def test_closure_order_is_pinned(stabilizer_steps):
+    # The pinned mod-3 images, and the pinned cosets of the stabilizer, read
+    # off the n = 4 image's columns and off those of its closure from
+    # negated generators.
+    _assert_integer_closures_match_pins()
     closures = {}
     for (n, projective), digest in MOD3_CLOSURE_SHA256.items():
-        group = closures[n, projective] = image(n, projective)
-        assert _sha256(group.mats, np.int8) == digest, (n, projective)
+        group = closures[n, projective] = reflection_image_mod3(n, projective)
         if projective:  # nothing normalises signs before the engine does
+            assert _sha256(group.table, np.int32) == digest, (n, projective)
             negated = GroupClosure([g.neg() for g in group.generators], projective=True)
             closures[n, "negated"] = negated
-            assert _sha256(negated.mats, np.int8) == digest, (n, "negated")
+            assert _sha256(negated.table, np.int32) == digest, (n, "negated")
+        else:
+            assert _sha256(_matrices(group), np.int8) == digest, (n, projective)
     for group in (closures[4, True], closures[4, "negated"]):
         space = coset_space(stabilizer_steps(group, 4))
         assert space.count == 432
         assert _sha256(space._assignment, np.int32) == COSET_ASSIGNMENT_N4_SHA256
 
 
-def test_closure_order_is_pinned(stabilizer_steps):
-    _assert_integer_closures_match_pins()
-    _assert_mod3_closures_match_pins(reflection_image_mod3, stabilizer_steps)
-
-
-def test_row_chunk_boundaries_change_no_closure(monkeypatch, stabilizer_steps):
+def test_row_chunk_boundaries_change_no_closure(monkeypatch):
     # Every layer at n <= 6 fits in one default chunk.  Five rows a chunk
     # split the integer layers at positions no generator count divides.
     monkeypatch.setattr(isometry, "_CHUNK_ROWS", 5)
     _assert_integer_closures_match_pins()
     for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
         assert congruence_intersection_check(n) == CongruenceIntersection(n, order, 1, 1)
-    # 37 rows still split every mod-3 layer longer than that; the n = 4
-    # images, 51840 and 103680 elements, take seconds at five.
-    monkeypatch.setattr(isometry, "_CHUNK_ROWS", 37)
-    _assert_mod3_closures_match_pins(reflection_image_mod3.__wrapped__, stabilizer_steps)
 
 
 def _materialised_counts(mats):
@@ -426,7 +456,9 @@ def test_integer_closure_layers_count_the_elements_of_each_length(poincare_coeff
 
 
 def _oracle_closure(generators, modulus, projective):
-    """Reference BFS on tuples: layer by layer, generator-major, a dict of seen."""
+    """Reference BFS on tuples: layer by layer, generator-major, a dict of
+    seen.  Gives the elements, a sign of each {M, -M} when projective, and
+    the Cayley table in their order."""
     gens = [g.entries for g in generators]
 
     def normal(rows):
@@ -436,6 +468,9 @@ def _oracle_closure(generators, modulus, projective):
             rows = min(rows, tuple(tuple(-x % modulus for x in r) for r in rows))
         return rows
 
+    def times(f, g):
+        return normal(tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in zip(*g)) for r in f))
+
     d = len(gens[0])
     seen = {normal(tuple(tuple(int(i == j) for j in range(d)) for i in range(d))): None}
     frontier = list(seen)
@@ -443,16 +478,18 @@ def _oracle_closure(generators, modulus, projective):
         nxt = []
         for g in gens:
             for f in frontier:
-                prod = tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in zip(*g)) for r in f)
-                p = normal(prod)
+                p = times(f, g)
                 if p not in seen:
                     seen[p] = None
                     nxt.append(p)
         frontier = nxt
-    return list(seen)
+    index = {e: i for i, e in enumerate(seen)}
+    return list(seen), [[index[times(e, g)] for g in gens] for e in seen]
 
 
 def test_closure_matches_tuple_oracle():
+    # Integer closures give the oracle's matrices, mod-3 closures its table,
+    # and linear ones its matrices too, read off their elements' rows.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -473,10 +510,16 @@ def test_closure_matches_tuple_oracle():
         order = data.draw(st.permutations(range(len(pool))))
         size = data.draw(st.integers(1, len(pool)))
         gens = [pool[i] for i in order[:size]]
-        mats = _closure(gens, bool(projective))
-        assert [tuple(map(tuple, m)) for m in mats.tolist()] == _oracle_closure(
-            gens, gens[0].modulus, bool(projective)
-        )
+        elements, table = _oracle_closure(gens, gens[0].modulus, bool(projective))
+        if projective is None:
+            mats = _closure(gens)
+        else:
+            group = GroupClosure(gens, projective)
+            assert group.table.tolist() == table
+            if projective:
+                return
+            mats = _matrices(group)
+        assert [tuple(map(tuple, m)) for m in mats.tolist()] == elements
 
     same_sequence()
 
@@ -550,7 +593,7 @@ def test_integer_product_overflows_past_127_either_sign(d):
     # Columns 0 and 1 of M g are M e_0 + M e_1 and M e_0 - M e_1.
     g = np.eye(d, dtype=np.int64)
     g[1, 0], g[0, 1] = 1, -1
-    plan = _ColumnPlan.of(g, None)
+    plan = _ColumnPlan.of(g)
     for first, second, fits in ((100, 27, True), (100, 28, False), (-100, 27, True),
                                 (-100, 28, False), (-100, -27, True), (-100, -28, False)):
         mats = np.zeros((3, d, d), dtype=np.int8)
@@ -583,17 +626,11 @@ def test_column_kernel_matches_exact_products():
         return np.array(columns, dtype=np.int64).T
 
     @hypothesis.settings(max_examples=200)
-    @hypothesis.given(
-        st.integers(2, 9), st.sampled_from([None, 2, 3, 5, 7]), st.integers(0, 6), st.data()
-    )
-    def exact(d, modulus, n, data):
-        if modulus is None:
-            bound = data.draw(st.sampled_from([1, 2, 20, 127]))
-            entries = st.integers(-bound, bound)
-            coefficients = st.integers(-data.draw(st.sampled_from([1, 3, 127])), 3)
-        else:
-            entries = st.integers(0, modulus - 1)
-            coefficients = st.integers(-modulus, modulus)
+    @hypothesis.given(st.integers(2, 9), st.integers(0, 6), st.data())
+    def exact(d, n, data):
+        bound = data.draw(st.sampled_from([1, 2, 20, 127]))
+        entries = st.integers(-bound, bound)
+        coefficients = st.integers(-data.draw(st.sampled_from([1, 3, 127])), 3)
         mats = np.array(
             data.draw(st.lists(st.lists(entries, min_size=d * d, max_size=d * d),
                                min_size=n, max_size=n)),
@@ -601,10 +638,8 @@ def test_column_kernel_matches_exact_products():
         ).reshape(n, d, d)
         g = data.draw(matrix(d, coefficients))
         want = (mats.astype(np.int64) @ g).reshape(n, d * d)
-        plan = _ColumnPlan.of(g, modulus)
-        if modulus is not None:
-            assert (_MatrixProducts._multiply(mats, plan) == want % modulus).all()
-        elif n and np.abs(want).max() > 127:
+        plan = _ColumnPlan.of(g)
+        if n and np.abs(want).max() > 127:
             with pytest.raises(OverflowError):
                 _MatrixProducts._multiply(mats, plan)
         else:
@@ -614,21 +649,52 @@ def test_column_kernel_matches_exact_products():
     exact()
 
 
-def test_mod_m_keys_are_exact_up_to_two_to_the_53():
-    # 59^9 < 2^53 < 3^36 < 5^25 < 2^63 < 2^64: d = 3 mod 59 keys all of its
-    # matrices exactly in float64, and d = 6 mod 3, d = 5 mod 5 and d = 8
-    # mod 2 are refused.
-    products = _MatrixProducts([Matrix.identity(3, 59)])
-    rng = np.random.default_rng(53)
-    mats = np.concatenate([np.full((1, 3, 3), 58), rng.integers(0, 59, (500, 3, 3))])
-    exact = [sum(int(x) * 59**e for e, x in enumerate(m.ravel()[::-1])) for m in mats]
-    assert products.keys(mats.astype(np.int8)).tolist() == exact
-    assert exact[0] == 59**9 - 1
+def test_group_closure_refuses_rings_past_two_to_the_53():
+    # 59^9 < 2^53 < 3^36 < 5^25 < 2^64: the points of d = 3 mod 59, 59^3 of
+    # them, are the most a closure builds, and d = 6 mod 3, d = 5 mod 5 and
+    # d = 8 mod 2 are refused before any point is.
     for d, modulus in ((6, 3), (5, 5), (8, 2)):
-        with pytest.raises(ValueError, match="2\\^53"):
-            _MatrixProducts([Matrix.identity(d, modulus)])
-    for d, modulus in ((5, 3), (7, 2), (4, 7)):
-        _MatrixProducts([Matrix.identity(d, modulus)])
+        for projective in (False, True):
+            with pytest.raises(ValueError, match="2\\^53"):
+                GroupClosure([Matrix.identity(d, modulus)], projective)
+    for d, modulus in ((5, 3), (7, 2), (4, 7), (3, 59)):
+        assert GroupClosure([Matrix.identity(d, modulus)]).order == 1
+    # The projective base adds the all-ones point: 4 points of the 102690
+    # classes of d = 3 mod 59 pass an int64 key.
+    with pytest.raises(OverflowError, match="int64 key"):
+        GroupClosure([Matrix.identity(3, 59)], projective=True)
+
+
+def test_point_permutations_generate_the_closures():
+    # sympy's Schreier-Sims orders the groups the point permutations generate.
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    def order(mats, projective):
+        columns, _ = point_action(mats, projective)
+        perms = [combinatorics.Permutation(c.tolist()) for c in columns]
+        return combinatorics.PermutationGroup(perms).order()
+
+    for n in (2, 3, 4):
+        for projective in (True, False):
+            group = reflection_image_mod3(n, projective)
+            assert order(group.generators, projective) == group.order, (n, projective)
+        walls = tuple(wall_reflections_mod3(n).values())
+        assert order(walls, True) == len(matrix_cayley_table(walls)), n
+
+
+@pytest.mark.parametrize("n, order", [(2, 24), (3, 720), (4, 51840)])
+def test_a_short_base_falls_short(n, order):
+    # Without the all-ones point, the classes of the rows fix {M, -M} only up
+    # to a sign per row; without a row, the other rows of an isometry fix it
+    # only up to a sign.  Either way the orbit is no longer regular.
+    projective, linear = reflection_image_mod3(n), reflection_image_mod3(n, False)
+    assert (projective.order, linear.order) == (order, 2 * order)
+    columns, base = point_action(projective.generators, True)
+    assert len(base_orbit_table(columns, base)) == order
+    assert len(base_orbit_table(columns, base[:-1])) == {2: 6, 3: 90, 4: 3240}[n]
+    columns, base = point_action(linear.generators, False)
+    assert len(base_orbit_table(columns, base)) == 2 * order
+    assert len(base_orbit_table(columns, base[1:])) == order
 
 
 def _oracle_orbit(seeds, actions):
