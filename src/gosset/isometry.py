@@ -16,17 +16,18 @@ rule goes by keys: each product has an int64 key, computed before it is
 built, and a layer's candidate keys are deduplicated once and looked up in
 the sorted keys of the two layers before it.  Over Z it goes by descents,
 for generators that are distinct simple reflections, and keys nothing (see
-_MatrixProducts._descents); the products are int8 matrices, multiplied in
-batches of a fixed number of rows.  The other closures stream their layers,
-so the n = 7 stabilizer (order 2903040) is bounded by its largest layer, not
-its order.  Walks fail fast past DEFAULT_ELEMENT_BUDGET elements, read when
-each starts, which also stops an infinite group over Z.  layered_closure
-also closes orbits of integer rows (orbit(): the E6 roots, stabilizer
-orbits), walks integer tables (table_walk(): coset tables, tile graphs), and
-runs the one Cayley-table primitive, base_orbit_table(): permutations on the
-orbit of a base tuple, which builds the tables of W(E6), the lifted
-presentation's, the ten beta reflections' on the roots and the wall
-matrices'.
+_descents); each product is an int8 matrix, gathered once into its layer,
+in batches of a fixed number of rows, and reflected there in place by a swap
+of two columns or a rank-one sum (_reflect).  The other closures stream their
+layers, so the n = 7 stabilizer (order 2903040) is bounded by its largest
+layer, not its order.  Walks fail fast past DEFAULT_ELEMENT_BUDGET elements,
+read when each starts, which also stops an infinite group over Z.
+layered_closure also closes orbits of integer rows (orbit(): the E6 roots,
+stabilizer orbits), walks integer tables (table_walk(): coset tables, tile
+graphs), and runs the one Cayley-table primitive, base_orbit_table():
+permutations on the orbit of a base tuple, which builds the tables of W(E6),
+the lifted presentation's, the ten beta reflections' on the roots and the
+wall matrices'.
 
 No matrix over Z/m is multiplied.  A matrix group mod m acts faithfully on
 the row vectors of (Z/m)^d, and a projective one, modulo {I, -I}, on their
@@ -233,7 +234,7 @@ def layered_closure(
     and base_orbit_table's); build(F, picks) builds them, after
     DEFAULT_ELEMENT_BUDGET, read when the walk starts, has been checked
     against the count so far.  The pick rule may keep state from one layer
-    to the next, keys included, as _fresh_keys and _MatrixProducts._descents do.
+    to the next, keys included, as _fresh_keys and _descents do.
 
     Yields the elements, one block per layer, the identity layer first.
     Nothing else is kept, so a caller that keeps no block holds at most two
@@ -429,7 +430,7 @@ def table_walk(rows: np.ndarray) -> np.ndarray:
     return np.concatenate(list(layers))
 
 
-# Rows multiplied per batch: the temporaries of an integer layer stay this
+# Rows reflected per batch: the temporaries of an integer layer stay this
 # many rows long, however long the layer is.
 _CHUNK_ROWS = 2**14
 
@@ -451,163 +452,89 @@ def _ring(generators: Sequence[Matrix]) -> tuple[int | None, int]:
     return modulus, d
 
 
-@dataclass(frozen=True)
-class _ColumnPlan:
-    """Right multiplication by one integer matrix g, read off its columns.
+def _reflect(mats: np.ndarray, alpha: Root) -> None:
+    """Right-multiply int8 matrices M, shape (k, d, d), by s_alpha in place.
 
-    Column j of M g is the sum over k of g[k, j] M[:, k].  Where column j
-    of g is a unit vector e_k, that is column k of M: columns with k = j are
-    kept, and moves lists the pairs (j, k) with k != j.  Every other column
-    is a sum over the nonzero g[k, j], a zero column an empty one: summed
-    lists the columns k of M that the sums read, and sums lists each such
-    j with its terms (i, g[k, j]) for k = summed[i].  A reflection s_alpha
-    fixes e_k for k outside the support of alpha, so its plan sums only the
-    columns in that support; a transposition e_i - e_{i+1} sums none.
+    Column j of M s_alpha is M e_j - c_j M alpha, with c_j = 2 (e_j, alpha) /
+    (alpha, alpha) (Humphreys, Reflection Groups and Coxeter Groups, 5.3), so
+    only the columns in the support of alpha change.  A root e_i - e_j swaps
+    columns i and j.  Any other sums its support into the int32 image
+    M alpha, exact for entries within int8, and raises OverflowError before
+    it stores an entry past +-127.
     """
-
-    moves: tuple[tuple[int, int], ...]
-    summed: tuple[int, ...]
-    sums: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-    @staticmethod
-    def of(g: np.ndarray) -> _ColumnPlan:
-        """The plan of the integer matrix g."""
-        columns = np.asarray(g, dtype=np.int64).T.tolist()
-        moves, sums = [], []
-        for j, column in enumerate(columns):
-            terms = [(k, c) for k, c in enumerate(column) if c]
-            if len(terms) == 1 and terms[0][1] == 1:
-                if terms[0][0] != j:
-                    moves.append((j, terms[0][0]))
-            else:
-                sums.append((j, terms))
-        summed = sorted({k for _, terms in sums for k, _ in terms})
-        sums = [(j, tuple((summed.index(k), c) for k, c in terms)) for j, terms in sums]
-        return _ColumnPlan(tuple(moves), tuple(summed), tuple(sums))
-
-
-class _MatrixProducts:
-    """Exact products M g of int8 integer matrices M by a fixed list of generators g.
-
-    Closures over Z pick by descents, key nothing, and the element budget
-    stops an infinite group.  Products are built column by column, from a
-    _ColumnPlan made once per generator: column j of M g is the sum over k
-    of g[k, j] times column k of M.  A reflection s_alpha changes only the
-    columns in the support of alpha, so most columns of M s are columns of
-    M, copied; the rest are signed sums in int32.  With entries and
-    coefficients within int8, a sum of d terms stays below d 2^14, so int32
-    is exact for any d up to 10^5.
-    """
-
-    def __init__(self, generators: Sequence[Matrix]) -> None:
-        modulus, d = _ring(generators)
-        if modulus is not None:
-            raise ValueError("integer closures need matrices over Z")
-        self.generators = tuple(generators)
-        self.dimension = d
-        gens = np.array([g.entries for g in generators], dtype=np.int64)
-        if np.abs(gens).max() > 127:
+    support = [j for j, x in enumerate(alpha.coords) if x]
+    coords = [alpha.coords[j] for j in support]
+    if coords == [1, -1] and support[0]:
+        mats[:, :, support] = mats[:, :, support[::-1]]
+        return
+    image = np.zeros(mats.shape[:2], dtype=np.int32)
+    for j, x in zip(support, coords):
+        image += x * mats[:, :, j].astype(np.int32)
+    for j in support:
+        c = 2 * inner(basis_vector(j, alpha.n), alpha) // norm(alpha)
+        column = mats[:, :, j] - c * image
+        if len(column) and (column.max() > 127 or column.min() < -127):
             raise OverflowError("matrix entries exceed int8 storage")
-        self._gens = gens.astype(np.int8)
-        self._plans = [_ColumnPlan.of(g) for g in gens]
+        mats[:, :, j] = column
 
-    @staticmethod
-    def _multiply(mats: np.ndarray, plan: _ColumnPlan) -> np.ndarray:
-        """M g for int8 matrices M and the plan of g, as int8 rows of d*d entries.
 
-        The entries of M lie within +-127, as every product this returns
-        does: a summed entry past +-127 raises OverflowError before it is
-        stored.
-        """
-        n, d = len(mats), mats.shape[1]
-        out = mats.copy()
-        for j, k in plan.moves:
-            out[:, :, j] = mats[:, :, k]
-        # One int32 block for the columns read and one for the sum: an array
-        # per column left the peak RSS of `verify all` about 1 MB higher.
-        columns = np.empty((len(plan.summed), n, d), dtype=np.int32)
-        for i, k in enumerate(plan.summed):
-            columns[i] = mats[:, :, k]
-        acc = np.empty((n, d), dtype=np.int32)
-        for j, terms in plan.sums:
-            acc.fill(0)
-            for i, c in terms:
-                if c == 1:
-                    acc += columns[i]
-                elif c == -1:
-                    acc -= columns[i]
-                else:
-                    acc += c * columns[i]
-            if n and (acc.max() > 127 or acc.min() < -127):
-                raise OverflowError("matrix entries exceed int8 storage")
-            out[:, :, j] = acc
-        return out.reshape(n, d * d)
+def _reflection_layers(roots: Sequence[Root]) -> Iterator[np.ndarray]:
+    """The closure of the reflections in distinct simple roots of Z^{n,1},
+    in any order, from the identity: one block of int8 matrices a layer.
 
-    def build(self, frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
-        """The products F g at sorted generator-major candidate positions, in chunks of picks."""
-        d = self.dimension
+    Picked by _descents, each batch of _CHUNK_ROWS picked frontier rows is
+    gathered once, straight into the layer, and reflected there by _reflect.
+    """
+    d = roots[0].n + 1
+
+    def build(frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
         out = np.empty((len(picks), d, d), dtype=np.int8)
         # Sorted, the picks of each generator are one run.
-        runs = np.searchsorted(picks, np.arange(len(self._plans) + 1) * len(frontier))
-        for i, plan in enumerate(self._plans):
-            for chunk in _chunks(runs[i + 1], runs[i]):
-                products = self._multiply(frontier[picks[chunk] - i * len(frontier)], plan)
-                out[chunk] = products.reshape(-1, d, d)
+        runs = np.searchsorted(picks, np.arange(len(roots) + 1) * len(frontier))
+        for s, alpha in enumerate(roots):
+            for chunk in _chunks(runs[s + 1], runs[s]):
+                rows = picks[chunk] - s * len(frontier)  # in range: no clip happens
+                np.take(frontier, rows, axis=0, out=out[chunk], mode="clip")  # "raise" buffers
+                _reflect(out[chunk], alpha)
         return out
 
-    def layers(self) -> Iterator[np.ndarray]:
-        """The closure from the identity, one block of int8 matrices a layer.
+    return layered_closure(np.eye(d, dtype=np.int8)[None], _descents(roots), build)
 
-        The generator set must be closed under inversion, each g with a g'
-        in the set with g g' = I, and a set of distinct simple reflections,
-        in any order (see _descents).  Both are checked before the first
-        layer.
-        """
-        ident = np.eye(self.dimension, dtype=np.int8)
-        squares = [self._multiply(self._gens, plan) == ident.ravel() for plan in self._plans]
-        if not np.stack(squares, axis=1).all(axis=2).any(axis=1).all():
-            raise ValueError("generator set must be closed under inversion")
-        return layered_closure(ident[None], self._descents(), self.build)
 
-    def _descents(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The pick rule by descents, for distinct simple reflections of Z^{d-1,1}.
+def _descents(roots: Sequence[Root]) -> Callable[[np.ndarray], np.ndarray]:
+    """The pick rule by descents, for reflections in distinct simple roots of Z^{n,1}.
 
-        It keeps r[t, j] = (w_j alpha_t, v) for the j-th frontier element w_j
-        and the t-th generator's root alpha_t.  w s is new, and first reached
-        here, iff s is an ascent of w and no generator t before s is a
-        descent of w s: r[s, j] > 0 and r[t, j] - c_ts r[s, j] > 0 for t < s,
-        as s(alpha_t) = alpha_t - c_ts alpha_s.
-        """
-        n = self.dimension - 1
-        simple = {reflection_matrix(a): a for a in simple_roots(n)}
-        roots = [simple.get(g) for g in self.generators]
-        if None in roots or len(set(roots)) < len(roots):
-            raise ValueError("integer closures need distinct simple reflections as generators")
-        # cartan[t, s] = c_ts = 2 (alpha_t, alpha_s) / (alpha_s, alpha_s), an integer.
-        cartan = np.array([[2 * inner(a, b) // norm(b) for b in roots] for a in roots], np.int32)
-        v = chamber_vector(n)
-        pairings = np.array([[inner(a, v)] for a in roots], dtype=np.int32)
+    It keeps r[t, j] = (w_j alpha_t, v) for the j-th frontier element w_j
+    and the t-th generator's root alpha_t.  w s is new, and first reached
+    here, iff s is an ascent of w and no generator t before s is a
+    descent of w s: r[s, j] > 0 and r[t, j] - c_ts r[s, j] > 0 for t < s,
+    as s(alpha_t) = alpha_t - c_ts alpha_s.
+    """
+    # cartan[t, s] = c_ts = 2 (alpha_t, alpha_s) / (alpha_s, alpha_s), an integer.
+    cartan = np.array([[2 * inner(a, b) // norm(b) for b in roots] for a in roots], np.int32)
+    v = chamber_vector(roots[0].n)
+    pairings = np.array([[inner(a, v)] for a in roots], dtype=np.int32)
 
-        def pick(frontier: np.ndarray) -> np.ndarray:
-            nonlocal pairings
-            ascents = pairings > 0
-            picks, blocks = [], []
-            for s in range(len(roots)):
-                new = ascents[s].copy()
-                for t in range(s):
-                    c = cartan[t, s]  # 0 when s and t commute: t keeps its sign
-                    new &= pairings[t] > c * pairings[s] if c else ascents[t]
-                rows = np.flatnonzero(new)
-                block = pairings[:, rows]
-                r_s = block[s].copy()
-                for t in np.flatnonzero(cartan[:, s]):
-                    block[t] -= cartan[t, s] * r_s
-                picks.append(rows + s * pairings.shape[1])
-                blocks.append(block)
-            pairings = np.concatenate(blocks, axis=1)
-            return np.concatenate(picks)
+    def pick(frontier: np.ndarray) -> np.ndarray:
+        nonlocal pairings
+        ascents = pairings > 0
+        picks, blocks = [], []
+        for s in range(len(roots)):
+            new = ascents[s].copy()
+            for t in range(s):
+                c = cartan[t, s]  # 0 when s and t commute: t keeps its sign
+                new &= pairings[t] > c * pairings[s] if c else ascents[t]
+            rows = np.flatnonzero(new)
+            block = pairings[:, rows]
+            r_s = block[s].copy()
+            for t in np.flatnonzero(cartan[:, s]):
+                block[t] -= cartan[t, s] * r_s
+            picks.append(rows + s * pairings.shape[1])
+            blocks.append(block)
+        pairings = np.concatenate(blocks, axis=1)
+        return np.concatenate(picks)
 
-        return pick
+    return pick
 
 
 class GroupClosure:
@@ -687,11 +614,19 @@ def finite_group_elements(generators: Sequence[Matrix]) -> np.ndarray:
 
     The elements are int8 matrices, shape (order, d, d), in discovery order.
     The generators, such as the long simple reflections, must be distinct
-    reflections in simple roots, which the descent rule walks.  Exhaustive
-    closure guarded by DEFAULT_ELEMENT_BUDGET: a wrong generator set
-    (infinite group) fails fast instead of silently grinding.
+    reflections in simple roots, which the descent rule walks; each is
+    mapped to its root here, before any product.  Exhaustive closure guarded
+    by DEFAULT_ELEMENT_BUDGET: a wrong generator set (infinite group) fails
+    fast instead of silently grinding.
     """
-    return np.concatenate(list(_MatrixProducts(generators).layers()))
+    modulus, d = _ring(generators)
+    if modulus is not None:
+        raise ValueError("integer closures need matrices over Z")
+    simple = {reflection_matrix(a): a for a in simple_roots(d - 1)}
+    roots = [simple.get(g) for g in generators]
+    if None in roots or len(set(roots)) < len(roots):
+        raise ValueError("integer closures need distinct simple reflections as generators")
+    return np.concatenate(list(_reflection_layers(roots)))
 
 
 @dataclass(frozen=True)
@@ -719,15 +654,17 @@ def congruence_intersection_check(n: int) -> CongruenceIntersection:
     Groups and Coxeter Groups, 5.4), and it is first reached at its least
     right descent (Bjorner and Brenti, Combinatorics of Coxeter Groups,
     1.4), so no element is keyed, sorted or looked up, before it is built or
-    after.  The closure is streamed: each layer is counted as it is found
-    and dropped, so at most two layers of matrices are held.  n = 7
-    enumerates 2903040 matrices in about 0.9 s and 63 MB peak RSS (medians
-    of perfbench/run.py), most of it in the descent rule and the column
-    products; keep it behind an opt-in switch in callers.
+    after.  Each product w s is w with two columns swapped or with the
+    columns in the support of alpha_s moved by a rank-one sum (_reflect).
+    The closure is streamed: each layer is counted as it is found and
+    dropped, so at most two layers of matrices are held.  n = 7 enumerates
+    2903040 matrices in about 0.9 s and 63 MB peak RSS (medians of
+    perfbench/run.py), most of it in the descent rule and the reflections;
+    keep it behind an opt-in switch in callers.
     """
     if not 2 <= n <= 7:
         raise ValueError(f"n must be between 2 and 7, got {n}")
-    layers = _MatrixProducts(long_simple_reflections(n)).layers()
+    layers = _reflection_layers([a for a in simple_roots(n) if norm(a) == 2])
     return CongruenceIntersection(n, *_congruence_counts(layers))
 
 

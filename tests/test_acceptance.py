@@ -5,6 +5,7 @@ dimension, and a memory guard runs that check alone; each takes about a
 second.
 """
 
+import hashlib
 import random
 import time
 
@@ -28,6 +29,7 @@ from gosset.geometry import (
     wall_pair_classification,
     wall_reflections_mod3,
 )
+from gosset import isometry
 from gosset.isometry import (
     CongruenceIntersection,
     Matrix,
@@ -122,14 +124,33 @@ def test_criterion_05_congruence_kernels_trivial():
     )
 
 
+# sha256 of the 64 layers of the n = 7 closure, int8 matrices in discovery
+# order, as the closure before the reflection kernel streamed them.
+N7_LAYERS_SHA256 = "54d3360b9b6cbdb5542a74fcf6396b7c69a75208b3e7b42d4197d2ca6d428be6"
+
+
 def test_congruence_n7_memory_stays_within_a_few_layers(
-    traced_peak_mb, layer_builds, poincare_coefficients
+    traced_peak_mb, layer_builds, poincare_coefficients, monkeypatch
 ):
     # The streamed closure holds two layers (the largest has 131,046
     # elements), never the 2,903,040 matrices: that alone is 186 MB of int8.
+    # The layers are hashed as they stream, in place, so no second closure runs.
+    digest = hashlib.sha256()
+    counts = isometry._congruence_counts
+
+    def hashed(layers):
+        def streamed():
+            for block in layers:
+                digest.update(block)
+                yield block
+
+        return counts(streamed())
+
+    monkeypatch.setattr(isometry, "_congruence_counts", hashed)
     result, peak = traced_peak_mb(congruence_intersection_check, 7)
     assert result == CongruenceIntersection(7, 2903040, 1, 1)
     assert peak < 64, f"the n = 7 check traced a {peak:.1f} MB peak"
+    assert digest.hexdigest() == N7_LAYERS_SHA256
     # Its layers count the elements of E7 by length, the coefficients of the
     # Poincare polynomial of its degrees 2, 6, 8, 10, 12, 14 and 18.
     sizes = [1] + layer_builds

@@ -316,6 +316,9 @@ def test_lagrange_fails_on_a_wrong_stabilizer_order(monkeypatch):
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "perfbench" / "golden" / "verify_all.json"
+# details by check id, from `verify all --seed 1`: the golden file pins the
+# other fields, and the north star pins every field apart from runtime_ms.
+DETAILS = ROOT / "tests" / "golden_details.json"
 
 
 @pytest.mark.parametrize(
@@ -380,10 +383,13 @@ def test_cli_import_pins_blas_threads_unless_set(preset):
 @pytest.mark.parametrize("suite", cli.SUITES)
 def test_suite_matches_pinned_outputs(suite):
     # As perfbench's gate_report: every pinned check matches exactly, in one
-    # contiguous run of the golden ids, and every new check passes.
+    # contiguous run of the golden ids, and every new check passes.  details
+    # match too, for every check that has pinned details.
     fields = ("check_id", "status", "expected", "actual")
     golden = json.loads(GOLDEN.read_text())["all"]
     pinned = {c["check_id"]: c for c in golden}
+    details = json.loads(DETAILS.read_text())
+    assert set(pinned) <= set(details)
     got = json.loads(reports_to_json("0", suite, run_suite(suite)))["checks"]
     kept = [c for c in got if c["check_id"] in pinned]
     ids = [c["check_id"] for c in golden]
@@ -392,6 +398,9 @@ def test_suite_matches_pinned_outputs(suite):
     for check in kept:
         assert {f: check[f] for f in fields} == {f: pinned[check["check_id"]][f] for f in fields}
     assert all(c["status"] == "pass" for c in got if c["check_id"] not in pinned)
+    for check in got:
+        if check["check_id"] in details:
+            assert check["details"] == details[check["check_id"]], check["check_id"]
 
 
 def test_every_pinned_check_is_still_a_row():

@@ -25,9 +25,9 @@ from gosset.isometry import (
     point_action,
     reflection_matrix,
     table_walk,
-    _ColumnPlan,
-    _MatrixProducts,
     _congruence_counts,
+    _reflect,
+    _reflection_layers,
 )
 from gosset import isometry
 from gosset.e6 import SIMPLE_ROOTS, beta_configuration, cartan_matrix, reflection_rows, root_system
@@ -111,7 +111,7 @@ def test_neg_stays_in_its_ring():
 def test_matrix_products_reject_generators_from_mixed_rings():
     s = long_simple_reflections(3)
     with pytest.raises(ValueError, match="one ring"):
-        _MatrixProducts([s[0], s[1].reduce(3)])
+        finite_group_elements([s[0], s[1].reduce(3)])
     with pytest.raises(ValueError, match="one ring"):
         GroupClosure([s[0].reduce(3), s[1].reduce(5)], projective=True)
     with pytest.raises(ValueError, match="one ring"):
@@ -119,7 +119,7 @@ def test_matrix_products_reject_generators_from_mixed_rings():
     with pytest.raises(ValueError, match="over Z/m"):
         GroupClosure(s)
     with pytest.raises(ValueError, match="over Z"):
-        _MatrixProducts([g.reduce(3) for g in s])
+        finite_group_elements([g.reduce(3) for g in s])
 
 
 def test_group_closure_rejects_an_integer_query():
@@ -211,13 +211,13 @@ def test_mod_m_closures_multiply_no_matrix(monkeypatch, stabilizer_steps):
     # matrices; the mod-3 images, their coset spaces and crossings and the
     # wall tables move points.
     calls = []
-    multiply = _MatrixProducts._multiply
+    reflect = isometry._reflect
 
-    def counting(mats, plan):
+    def counting(mats, alpha):
         calls.append(len(mats))
-        return multiply(mats, plan)
+        reflect(mats, alpha)
 
-    monkeypatch.setattr(_MatrixProducts, "_multiply", staticmethod(counting))
+    monkeypatch.setattr(isometry, "_reflect", counting)
     for cached in (reflection_image_mod3, build_tessellation, matrix_cayley_table):
         cached.cache_clear()
     for n in (2, 3, 4):
@@ -323,9 +323,9 @@ def test_congruence_intersection_trivial_small():
         assert result.congruent_mod3 == 1
 
 
-def _closure(generators):
-    """The elements of an integer closure in discovery order, from its layers."""
-    return np.concatenate(list(_MatrixProducts(generators).layers()))
+def _long_roots(n):
+    """The norm-2 simple roots, whose reflections generate the stabilizer."""
+    return [a for a in simple_roots(n) if norm(a) == 2]
 
 
 def _matrices(group):
@@ -365,7 +365,7 @@ COSET_ASSIGNMENT_N4_SHA256 = "93428cf1a139bcc07f447e8cdfb9e6e9c7c8871b2a23271a6f
 
 def _assert_integer_closures_match_pins():
     for n, digest in INTEGER_CLOSURE_SHA256.items():
-        mats = _closure(long_simple_reflections(n))
+        mats = finite_group_elements(long_simple_reflections(n))
         assert _sha256(mats, np.int8) == digest, n
 
 
@@ -411,7 +411,7 @@ def test_streamed_congruence_counts_find_minus_identity():
     # prefilter, which must keep every element whose M e_0 = e_0 mod p.
     # <W, -I> is W and -W, fed to the counts as W's layers and then -W's.
     for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
-        layers = list(_MatrixProducts(long_simple_reflections(n)).layers())
+        layers = list(_reflection_layers(_long_roots(n)))
         mats = np.concatenate(layers)
         assert _congruence_counts(layers) == _materialised_counts(mats) == (order, 1, 1)
         negated = [-block for block in layers]
@@ -450,8 +450,7 @@ STABILIZER_DEGREES = {
 
 def test_integer_closure_layers_count_the_elements_of_each_length(poincare_coefficients):
     for n, degrees in STABILIZER_DEGREES.items():
-        layers = _MatrixProducts(long_simple_reflections(n)).layers()
-        sizes = [len(block) for block in layers]
+        sizes = [len(block) for block in _reflection_layers(_long_roots(n))]
         assert sizes == poincare_coefficients(degrees), n
 
 
@@ -512,7 +511,7 @@ def test_closure_matches_tuple_oracle():
         gens = [pool[i] for i in order[:size]]
         elements, table = _oracle_closure(gens, gens[0].modulus, bool(projective))
         if projective is None:
-            mats = _closure(gens)
+            mats = finite_group_elements(gens)
         else:
             group = GroupClosure(gens, projective)
             assert group.table.tolist() == table
@@ -536,7 +535,7 @@ def test_closure_budget_fails_before_building_the_layer(layer_builds, monkeypatc
 
     monkeypatch.setattr(isometry, "DEFAULT_ELEMENT_BUDGET", 1000)
     with pytest.raises(ClosureBudgetExceeded):
-        _closure(simple_reflection_matrices(4))  # an infinite group
+        finite_group_elements(simple_reflection_matrices(4))  # an infinite group
     assert layer_builds and 1 + sum(layer_builds) <= 1000
 
 
@@ -545,15 +544,13 @@ def test_infinite_integer_closure_stops_at_the_budget(layer_builds, monkeypatch)
     # E8, an infinite group: only the element budget stops its walk.
     monkeypatch.setattr(isometry, "DEFAULT_ELEMENT_BUDGET", 10**5)
     with pytest.raises(ClosureBudgetExceeded):
-        list(_MatrixProducts(long_simple_reflections(8)).layers())
+        finite_group_elements(long_simple_reflections(8))
     assert layer_builds and 1 + sum(layer_builds) <= 10**5
 
 
 def test_closure_requires_inverse_closed_generators(layer_builds):
     s = long_simple_reflections(3)
     rotation = s[1] @ s[2]  # order 3: its inverse s[2] s[1] is not in the set
-    with pytest.raises(ValueError, match="inversion"):
-        _closure([rotation])
     with pytest.raises(ValueError, match="inversion"):
         GroupClosure([rotation.reduce(3)])
     # The same check rejects a singular generator mod m: no g' has g g' = +-I.
@@ -564,15 +561,16 @@ def test_closure_requires_inverse_closed_generators(layer_builds):
     # With its inverse added the set is closed: a cyclic group of order 3.
     inverse = rotation @ rotation
     assert GroupClosure([rotation.reduce(3), inverse.reduce(3)]).order == 3
-    # Involutions pass that check, but an integer closure walks descents and
-    # takes only distinct simple reflections: -I, a repeated generator and the
-    # reflection s[1] s[2] s[1] in the root e_1 - e_3 fail before any layer.
+    # An integer closure walks descents and takes only distinct simple
+    # reflections, which are involutions: the rotation, -I, a repeated
+    # generator and the reflection s[1] s[2] s[1] in the root e_1 - e_3 fail
+    # before any layer.
     minus = Matrix.identity(4).neg()
     reflection = s[1] @ s[2] @ s[1]
     layer_builds.clear()
-    for gens in ([minus], [s[0], s[0]], [s[0], reflection]):
+    for gens in ([rotation], [minus], [s[0], s[0]], [s[0], reflection]):
         with pytest.raises(ValueError, match="distinct simple reflections"):
-            _MatrixProducts(gens).layers()
+            finite_group_elements(gens)
     assert layer_builds == []
 
 
@@ -582,71 +580,65 @@ def test_integer_closure_overflow_raises():
     # All simple reflections generate an infinite group, whose entries pass
     # int8 mid-walk; at n = 3 that comes well before the budget.
     with pytest.raises(OverflowError):
-        _closure(simple_reflection_matrices(3))
+        finite_group_elements(simple_reflection_matrices(3))
+    # A generator with an entry past int8 is no simple reflection: refused
+    # before any product.
     big = Matrix(((200, 0, 0), (0, 1, 0), (0, 0, 1)))
-    with pytest.raises(OverflowError):
-        _closure([Matrix.identity(3), big])
+    with pytest.raises(ValueError, match="distinct simple reflections"):
+        finite_group_elements([Matrix.identity(3), big])
 
 
-@pytest.mark.parametrize("d", range(2, 10))
-def test_integer_product_overflows_past_127_either_sign(d):
-    # Columns 0 and 1 of M g are M e_0 + M e_1 and M e_0 - M e_1.
-    g = np.eye(d, dtype=np.int64)
-    g[1, 0], g[0, 1] = 1, -1
-    plan = _ColumnPlan.of(g)
-    for first, second, fits in ((100, 27, True), (100, 28, False), (-100, 27, True),
-                                (-100, 28, False), (-100, -27, True), (-100, -28, False)):
-        mats = np.zeros((3, d, d), dtype=np.int8)
-        mats[1, -1, 0], mats[1, -1, 1] = first, second
-        if fits:
-            exact = mats.astype(np.int64) @ g
-            assert (_MatrixProducts._multiply(mats, plan) == exact.reshape(3, -1)).all()
-        else:
+def _assert_reflects_exactly(alpha, mats):
+    """_reflect gives M s_alpha exactly, or raises OverflowError exactly when
+    an entry of the product passes +-127: for M and for -M, whose products
+    have the opposite signs."""
+    s = np.array(reflection_matrix(alpha).entries)
+    for block in (mats, -mats):
+        want = block.astype(np.int64) @ s
+        got = block.copy()
+        if len(block) and np.abs(want).max() > 127:
             with pytest.raises(OverflowError):
-                _MatrixProducts._multiply(mats, plan)
+                _reflect(got, alpha)
+        else:
+            _reflect(got, alpha)
+            assert got.dtype == np.int8 and (got == want).all()
 
 
 def test_column_kernel_matches_exact_products():
+    # _reflect, on every simple root of Z^{n,1} for n = 2..8.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    roots = [a for n in range(2, 9) for a in simple_roots(n)]
 
-    @st.composite
-    def matrix(draw, d, coefficients):
-        """Columns that are unit vectors, single signed entries or dense."""
-        columns = []
-        for _ in range(d):
-            kind = draw(st.sampled_from(["unit", "single", "dense"]))
-            column = [0] * d
-            if kind == "dense":
-                column = draw(st.lists(coefficients, min_size=d, max_size=d))
-            else:
-                k = draw(st.integers(0, d - 1))
-                column[k] = 1 if kind == "unit" else draw(coefficients)
-            columns.append(column)
-        return np.array(columns, dtype=np.int64).T
-
-    @hypothesis.settings(max_examples=200)
-    @hypothesis.given(st.integers(2, 9), st.integers(0, 6), st.data())
-    def exact(d, n, data):
-        bound = data.draw(st.sampled_from([1, 2, 20, 127]))
-        entries = st.integers(-bound, bound)
-        coefficients = st.integers(-data.draw(st.sampled_from([1, 3, 127])), 3)
-        mats = np.array(
-            data.draw(st.lists(st.lists(entries, min_size=d * d, max_size=d * d),
-                               min_size=n, max_size=n)),
-            dtype=np.int8,
-        ).reshape(n, d, d)
-        g = data.draw(matrix(d, coefficients))
-        want = (mats.astype(np.int64) @ g).reshape(n, d * d)
-        plan = _ColumnPlan.of(g)
-        if n and np.abs(want).max() > 127:
-            with pytest.raises(OverflowError):
-                _MatrixProducts._multiply(mats, plan)
-        else:
-            got = _MatrixProducts._multiply(mats, plan)
-            assert got.dtype == np.int8 and (got == want).all()
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(
+        st.sampled_from(roots), st.integers(0, 6), st.sampled_from([1, 2, 20, 127]), st.data()
+    )
+    def exact(alpha, k, bound, data):
+        d = alpha.n + 1
+        entries = st.lists(st.integers(-bound, bound), min_size=k * d * d, max_size=k * d * d)
+        mats = np.array(data.draw(entries), dtype=np.int8).reshape(k, d, d)
+        _assert_reflects_exactly(alpha, mats)
 
     exact()
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+def test_integer_product_overflows_past_127_either_sign(d):
+    # alpha_0 of Z^{d-1,1} sums its support (e_0 - e_1 - e_2, or
+    # e_0 - e_1 - e_2 - e_3 from d = 4 on).  Of the matrices whose last row is
+    # a e_0 + b e_1, one with a product entry of exactly +-127 and one with
+    # +-128 are checked.
+    n = d - 1
+    alpha = simple_roots(n)[0]
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(-127, 128), np.arange(-127, 128)))
+    rows = np.zeros((len(a), n + 1), dtype=np.int64)
+    rows[:, 0], rows[:, 1] = a, b
+    top = np.abs(rows @ np.array(reflection_matrix(alpha).entries)).max(axis=1)
+    for edge in (127, 128):
+        mats = np.zeros((1, n + 1, n + 1), dtype=np.int8)
+        mats[0, -1] = rows[np.flatnonzero(top == edge)[0]]
+        _assert_reflects_exactly(alpha, mats)
 
 
 def test_group_closure_refuses_rings_past_two_to_the_53():
@@ -715,7 +707,7 @@ def _oracle_orbit(seeds, actions):
 
 def _lattice_action(n, picks):
     """Long simple reflections of Z^{n,1} on rows: numpy step and tuple actions."""
-    roots = [a for a in simple_roots(n) if norm(a) == 2]
+    roots = _long_roots(n)
     mats = [long_simple_reflections(n)[i] for i in picks]
     transposed = np.array([m.entries for m in mats]).transpose(0, 2, 1)
     actions = [lambda u, a=roots[i]: reflect(a, vector(*u)).coords for i in picks]
