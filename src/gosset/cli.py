@@ -697,7 +697,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-n", type=int, choices=range(2, 8), default=6, metavar="N",
-        help="largest dimension for the stabilizer congruence checks (default 6; 7 takes ~1 s)",
+        help="largest dimension for the stabilizer congruence checks (default 6; 7 adds ~0.03 s)",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for the relator shuffles")
     parser.add_argument(

@@ -19,9 +19,11 @@ for generators that are distinct simple reflections, and keys nothing (see
 _descents); each product is an int8 matrix, gathered once into its layer,
 in batches of a fixed number of rows, and reflected there in place by a swap
 of two columns or a rank-one sum (_reflect).  The other closures stream their
-layers, so the n = 7 stabilizer (order 2903040) is bounded by its largest
-layer, not its order.  Walks fail fast past DEFAULT_ELEMENT_BUDGET elements,
-read when each starts, which also stops an infinite group over Z.
+layers, so a stabilizer is bounded by its largest layer, not its order, and
+the congruence check counts the n = 7 one, E7 of order 2903040, by its 56
+cosets of W(E6): it closes W(E6) alone.  Walks fail fast past
+DEFAULT_ELEMENT_BUDGET elements, read when each starts, which also stops an
+infinite group over Z.
 layered_closure also closes orbits of integer rows (orbit(): the E6 roots,
 stabilizer orbits), walks integer tables (table_walk(): coset tables, tile
 graphs), and runs the one Cayley-table primitive, base_orbit_table():
@@ -645,52 +647,105 @@ def long_simple_reflections(n: int) -> list[Matrix]:
 
 
 def congruence_intersection_check(n: int) -> CongruenceIntersection:
-    """Enumerate the finite stabilizer over Z and count elements = I mod 2 and mod 3.
+    """Count the elements of the finite stabilizer W over Z that are = I mod 2 and mod 3.
 
-    The group is trivial-intersection with both congruence kernels exactly
-    when each count is 1.  The stabilizer is the Coxeter group of the long
-    simple reflections, so the closure walks its descents: w s is new iff
-    (w alpha_s, v) > 0 for the chamber vector v (Humphreys, Reflection
-    Groups and Coxeter Groups, 5.4), and it is first reached at its least
-    right descent (Bjorner and Brenti, Combinatorics of Coxeter Groups,
-    1.4), so no element is keyed, sorted or looked up, before it is built or
-    after.  Each product w s is w with two columns swapped or with the
-    columns in the support of alpha_s moved by a rank-one sum (_reflect).
-    The closure is streamed: each layer is counted as it is found and
-    dropped, so at most two layers of matrices are held.  n = 7 enumerates
-    2903040 matrices in about 0.9 s and 63 MB peak RSS (medians of
-    perfbench/run.py), most of it in the descent rule and the reflections;
-    keep it behind an opt-in switch in callers.
+    W meets both congruence kernels trivially exactly when each count is 1.
+    W is the Coxeter group of the long simple reflections, and it is counted
+    by the cosets of W_J, the parabolic subgroup of the long simple roots
+    with no e_n coordinate.  -e_n lies in the closed fundamental chamber, so
+    W_J is its stabilizer, and e_n's (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.10 and 1.12), and |W| = |W_J| times the orbit of e_n
+    (Bjorner and Brenti, Combinatorics of Coxeter Groups, 2.4).  The orbit
+    has 2, 6, 10, 16, 27 and 56 points for n = 2..7: at n = 6 the 27 lines
+    of a marked cubic surface, the cosets W(E6)/W(D5), and at n = 7 the 56
+    images of e_7, W(E7)/W(E6).  _transversal gives one x per coset, and W
+    is the union of the x^-1 W_J, each counted by _coset_counts: x^-1 v = I
+    mod p exactly when v = x mod p.  W_J is closed by the descent walk
+    (_reflection_layers) and streamed, so at most two of its layers are
+    held.  n = 7 closes W(E6), 51840 matrices, not the 2903040 of E7, in
+    a few hundredths of a second and under 1 MB of tracemalloc peak.
     """
     if not 2 <= n <= 7:
         raise ValueError(f"n must be between 2 and 7, got {n}")
-    layers = _reflection_layers([a for a in simple_roots(n) if norm(a) == 2])
-    return CongruenceIntersection(n, *_congruence_counts(layers))
+    roots = [a for a in simple_roots(n) if norm(a) == 2]
+    stabilizer = [a for a in roots if not a.coords[n]]
+    return CongruenceIntersection(n, *_coset_counts(_transversal(roots), stabilizer))
 
 
-def _congruence_counts(layers: Iterable[np.ndarray]) -> tuple[int, int, int]:
-    """The number of integer matrices in some layers, and of those = I mod 2 and mod 3.
+def _transversal(roots: Sequence[Root]) -> np.ndarray:
+    """One x per coset W_J x of the stabilizer W_J of e_n in the group W of the
+    reflections in some simple roots of Z^{n,1}: int8 matrices, shape (k, d, d),
+    the identity first.
 
-    The layers are counted one at a time and none is kept.  For each p the
-    candidate rows are narrowed entry by entry, in row-major order, to those
-    that agree with I mod p so far, until the candidates or the entries run
-    out; a row counts only once all d*d entries have matched.  Few rows
-    survive the first entries, so few entries are read.
+    Row n of x is e_n^T x, which is (u e_n)^T J for u = x^-1, and x, x' lie
+    in one coset exactly when their rows n agree.  So layered_closure walks
+    the orbit of the row e_n^T under right multiplication, picked by
+    _fresh_keys on row n packed by _pack_int8, and the u = x^-1 are one
+    representative of each coset u W_J.  Every product of a frontier is
+    built, by _reflect, before it is keyed: there are at most 56 x 7.
     """
+    d = roots[0].n + 1
+    identity = np.eye(d, dtype=np.int8)[None]
+    products = identity
+
+    def row_keys(frontier: np.ndarray) -> np.ndarray:
+        nonlocal products
+        products = np.concatenate([frontier] * len(roots))  # generator-major
+        for s, alpha in enumerate(roots):
+            _reflect(products[s * len(frontier) : (s + 1) * len(frontier)], alpha)
+        return _pack_int8(products[:, -1])
+
+    pick = _fresh_keys(row_keys, _pack_int8(identity[:, -1]), [])
+    return np.concatenate(list(layered_closure(identity, pick, lambda f, picks: products[picks])))
+
+
+def _coset_counts(reps: np.ndarray, stabilizer: Sequence[Root]) -> tuple[int, int, int]:
+    """The order of the union of the x^-1 W_J, for x in reps and W_J generated
+    by the reflections in stabilizer, and its elements = I mod 2 and mod 3.
+
+    The reps must lie in distinct cosets W_J x and W_J must fix e_n, so the
+    union is disjoint and its order is |W_J| times the number of reps.  x^-1 v
+    = I mod p exactly when v = x mod p, so _congruence_counts matches every v
+    in W_J against the x.  Row n of every v is e_n^T, so only the x whose
+    row n is = e_n^T mod p are its targets mod p.  W_J streams its layers;
+    an empty stabilizer is {I}.
+    """
+    d = reps.shape[1]
+    unit = np.eye(d, dtype=np.int8)
+    offset = reps[:, -1].astype(np.int64) - unit[-1]
+    targets = {p: reps[(offset % p == 0).all(axis=1)] for p in (2, 3)}
+    layers = _reflection_layers(stabilizer) if stabilizer else [unit[None]]
+    size, fixed2, fixed3 = _congruence_counts(layers, targets)
+    return size * len(reps), fixed2, fixed3
+
+
+def _congruence_counts(
+    layers: Iterable[np.ndarray], targets: dict[int, np.ndarray]
+) -> tuple[int, int, int]:
+    """The number of integer matrices in some layers, and for p = 2 and 3 the
+    number of pairs of a matrix and a target in targets[p] that agree mod p.
+
+    With I the one target for each p, the pairs are the matrices = I mod p.
+    The layers are counted one at a time and none is kept.  For each target
+    the candidate rows are narrowed entry by entry, in row-major order, to
+    those that agree with it mod p so far, until the candidates or the
+    entries run out; a row counts only once all d*d entries have matched.
+    Few rows survive the first entries, so few entries are read.
+    """
+    goals = {p: [target.ravel() % p for target in targets[p]] for p in (2, 3)}
     order, fixed = 0, {2: 0, 3: 0}
     for block in layers:
-        d = block.shape[1]
-        flat = block.reshape(len(block), d * d)
-        ident = np.eye(d, dtype=np.int8).ravel()
+        flat = block.reshape(len(block), block.shape[1] ** 2)
         order += len(block)
-        moved = flat[:, 0] - 1
-        for p in fixed:
-            rows = np.flatnonzero(moved % p == 0)
-            for entry in range(1, d * d):
-                if not len(rows):
-                    break
-                rows = rows[(flat[rows, entry] - ident[entry]) % p == 0]
-            fixed[p] += len(rows)
+        for p, residues in goals.items():
+            first = flat[:, 0] % p
+            for goal in residues:
+                rows = np.flatnonzero(first == goal[0])
+                for entry in range(1, len(goal)):
+                    if not len(rows):
+                        break
+                    rows = rows[flat[rows, entry] % p == goal[entry]]
+                fixed[p] += len(rows)
     return order, fixed[2], fixed[3]
 
 

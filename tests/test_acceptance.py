@@ -1,13 +1,16 @@
 """Acceptance gate: ten checks, one printed pass/fail line each.
 
 The congruence criterion runs up to n = 7, the largest supported
-dimension, and a memory guard runs that check alone; each takes about a
-second.
+dimension, counting E7 by the 56 cosets of W(E6) in a few hundredths of a
+second.  A memory guard streams the whole E7 closure once, the reference
+route, in about a second, and bounds the check's own memory beside it.
 """
 
 import hashlib
 import random
 import time
+
+import numpy as np
 
 from gosset.e6 import (
     generation_order,
@@ -36,7 +39,7 @@ from gosset.isometry import (
     congruence_intersection_check,
     reflection_matrix,
 )
-from gosset.lattice import inner, vector
+from gosset.lattice import inner, norm, simple_roots, vector
 from gosset.presentation import (
     braid_identity_check,
     build_presentation,
@@ -132,30 +135,45 @@ N7_LAYERS_SHA256 = "54d3360b9b6cbdb5542a74fcf6396b7c69a75208b3e7b42d4197d2ca6d42
 def test_congruence_n7_memory_stays_within_a_few_layers(
     traced_peak_mb, layer_builds, poincare_coefficients, monkeypatch
 ):
-    # The streamed closure holds two layers (the largest has 131,046
-    # elements), never the 2,903,040 matrices: that alone is 186 MB of int8.
-    # The layers are hashed as they stream, in place, so no second closure runs.
+    # The reference route: one streamed closure of E7, the seven long simple
+    # reflections, counted against I.  It holds two layers (the largest has
+    # 131,046 elements), never the 2,903,040 matrices: that alone is 186 MB
+    # of int8.  The layers are hashed as they stream, in place.
     digest = hashlib.sha256()
-    counts = isometry._congruence_counts
+    roots = [a for a in simple_roots(7) if norm(a) == 2]
+    identity = {p: np.eye(8, dtype=np.int8)[None] for p in (2, 3)}
 
-    def hashed(layers):
-        def streamed():
-            for block in layers:
-                digest.update(block)
-                yield block
+    def streamed():
+        for block in isometry._reflection_layers(roots):
+            digest.update(block)
+            yield block
 
-        return counts(streamed())
-
-    monkeypatch.setattr(isometry, "_congruence_counts", hashed)
-    result, peak = traced_peak_mb(congruence_intersection_check, 7)
-    assert result == CongruenceIntersection(7, 2903040, 1, 1)
-    assert peak < 64, f"the n = 7 check traced a {peak:.1f} MB peak"
+    counts, peak = traced_peak_mb(isometry._congruence_counts, streamed(), identity)
+    assert counts == (2903040, 1, 1)
+    assert peak < 64, f"the n = 7 closure traced a {peak:.1f} MB peak"
     assert digest.hexdigest() == N7_LAYERS_SHA256
     # Its layers count the elements of E7 by length, the coefficients of the
     # Poincare polynomial of its degrees 2, 6, 8, 10, 12, 14 and 18.
     sizes = [1] + layer_builds
     assert sizes == poincare_coefficients((2, 6, 8, 10, 12, 14, 18))
     assert (len(sizes), max(sizes)) == (64, 131046)
+
+    # The check itself closes W(E6), the stabilizer of e_7, and walks the 56
+    # images of e_7: no layer of E7 is built.
+    closed = []
+    reflection_layers = isometry._reflection_layers
+
+    def spy(stabilizer):
+        closed.append(len(stabilizer))
+        return reflection_layers(stabilizer)
+
+    monkeypatch.setattr(isometry, "_reflection_layers", spy)
+    layer_builds.clear()
+    result, peak = traced_peak_mb(congruence_intersection_check, 7)
+    assert result == CongruenceIntersection(7, 2903040, 1, 1)
+    assert closed == [6]
+    assert sum(layer_builds) == (51840 - 1) + (56 - 1)
+    assert peak < 16, f"the n = 7 check traced a {peak:.1f} MB peak"
 
 
 def test_criterion_06_diagram_identities():

@@ -26,8 +26,10 @@ from gosset.isometry import (
     reflection_matrix,
     table_walk,
     _congruence_counts,
+    _coset_counts,
     _reflect,
     _reflection_layers,
+    _transversal,
 )
 from gosset import isometry
 from gosset.e6 import SIMPLE_ROOTS, beta_configuration, cartan_matrix, reflection_rows, root_system
@@ -406,17 +408,26 @@ def _materialised_counts(mats):
     return (len(mats), *(int((~(diff % p).any(axis=(1, 2))).sum()) for p in (2, 3)))
 
 
+def _identity_targets(d):
+    """The targets under which _congruence_counts counts the matrices = I mod 2 and 3."""
+    return {p: np.eye(d, dtype=np.int8)[None] for p in (2, 3)}
+
+
 def test_streamed_congruence_counts_find_minus_identity():
-    # -I is = I mod 2 but not mod 3: a positive control for the first-column
-    # prefilter, which must keep every element whose M e_0 = e_0 mod p.
+    # -I is = I mod 2 but not mod 3: a positive control for the first-entry
+    # prefilter, which must keep every element whose entry (0, 0) is = 1 mod p.
     # <W, -I> is W and -W, fed to the counts as W's layers and then -W's.
+    # The whole closure is the reference for the check's counts by cosets up
+    # to n = 6; the n = 7 guard in tests/test_acceptance.py runs E7's once.
     for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
         layers = list(_reflection_layers(_long_roots(n)))
         mats = np.concatenate(layers)
-        assert _congruence_counts(layers) == _materialised_counts(mats) == (order, 1, 1)
+        targets = _identity_targets(n + 1)
+        assert _congruence_counts(layers, targets) == _materialised_counts(mats) == (order, 1, 1)
+        assert congruence_intersection_check(n) == CongruenceIntersection(n, order, 1, 1)
         negated = [-block for block in layers]
         expected = (2 * order, 2, 1)
-        assert _congruence_counts(layers + negated) == expected, n
+        assert _congruence_counts(layers + negated, targets) == expected, n
         assert _materialised_counts(np.concatenate([mats, -mats])) == expected, n
 
 
@@ -424,6 +435,7 @@ def test_congruence_counts_read_every_entry():
     # Planted: I, -I, I + 3 E_01, I + 2 E_last and I with its last entry 0.
     # = I mod 2: I, -I, I + 2 E_last.  = I mod 3: I, I + 3 E_01.  The last
     # two differ from I only in the last entry, which a filter must read.
+    # = -I mod 3: -I alone, and mod 2 the same three as I.
     for d in range(2, 10):
         ident = np.eye(d, dtype=np.int8)
         shifted, doubled, zeroed = ident.copy(), ident.copy(), ident.copy()
@@ -431,9 +443,72 @@ def test_congruence_counts_read_every_entry():
         doubled[-1, -1] = 3
         zeroed[-1, -1] = 0
         block = np.stack([ident, -ident, shifted, doubled, zeroed])
-        assert _congruence_counts([block]) == (5, 3, 2), d
-        assert _congruence_counts([block[:2], block[2:3], block[3:]]) == (5, 3, 2), d
-        assert _congruence_counts([block[4:], block[:0]]) == (1, 0, 0), d
+        targets = _identity_targets(d)
+        assert _congruence_counts([block], targets) == (5, 3, 2), d
+        assert _congruence_counts([block[:2], block[2:3], block[3:]], targets) == (5, 3, 2), d
+        assert _congruence_counts([block[4:], block[:0]], targets) == (1, 0, 0), d
+        # Any target, and every pair of a matrix and a target counts.
+        minus = {p: -ident[None] for p in (2, 3)}
+        assert _congruence_counts([block], minus) == (5, 3, 1), d
+        both = {p: np.stack([ident, -ident]) for p in (2, 3)}
+        assert _congruence_counts([block], both) == (5, 6, 3), d
+        assert _congruence_counts([block], {2: block[4:], 3: block[:0]}) == (5, 1, 0), d
+
+
+# The number of cosets of W_J, the orbit of e_n, for n = 2..7: at n = 6 the
+# 27 lines of a cubic surface, at n = 7 the 56 images of e_7.
+COSET_COUNTS = {2: 2, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56}
+STABILIZER_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040}
+
+
+def _fixing(n):
+    """The long simple roots with no e_n coordinate: W_J, the stabilizer of e_n."""
+    return [a for a in _long_roots(n) if not a.coords[n]]
+
+
+def test_transversal_is_the_orbit_of_e_n():
+    # Row n of each x is (x^-1 e_n)^T J.  The images of e_n are norm-1 vectors
+    # pairing to (e_n, v_n) = -1 with the W-fixed v_n = 3 e_0 - e_1 - ... - e_n:
+    # a box search finds exactly the orbit, 27 lines at n = 6 and 56 at n = 7.
+    for n, count in COSET_COUNTS.items():
+        reps = _transversal(_long_roots(n))
+        assert len(reps) == count, n
+        assert (reps[0] == np.eye(n + 1)).all()
+        points = reps[:, n].astype(np.int64) * np.r_[-1, np.ones(n, dtype=np.int64)]
+        assert len({tuple(p) for p in points.tolist()}) == count, n
+        if n >= 6:
+            box = np.stack(
+                np.meshgrid(range(4), *[range(-2, 2)] * n, indexing="ij"), axis=-1
+            ).reshape(-1, n + 1)
+            gram = np.diag(np.r_[-1, np.ones(n, dtype=np.int64)])
+            vertex = np.r_[3, -np.ones(n, dtype=np.int64)]
+            norms = np.einsum("ij,jk,ik->i", box, gram, box)
+            lines = box[(norms == 1) & (box @ gram @ vertex == -1)]
+            assert sorted(map(tuple, lines.tolist())) == sorted(map(tuple, points.tolist())), n
+
+
+def test_coset_counts_fail_on_a_wrong_transversal_or_stabilizer():
+    for n in range(2, 8):
+        reps, fixing = _transversal(_long_roots(n)), _fixing(n)
+        order = STABILIZER_ORDERS[n]
+        assert _coset_counts(reps, fixing) == (order, 1, 1), n
+        # One coset dropped: the order falls by |W_J|; the identity's coset
+        # holds I, the one element = I mod 2 and mod 3.
+        assert _coset_counts(reps[:-1], fixing) == (order - order // len(reps), 1, 1), n
+        assert _coset_counts(reps[1:], fixing)[1:] == (0, 0), n
+        if n < 7:  # a root that moves e_n, e_{n-1} - e_n; at n = 7 it closes E7
+            moving = [a for a in _long_roots(n) if a.coords[n]]
+            assert _coset_counts(reps, fixing + moving[-1:])[0] > order, n
+            assert _coset_counts(reps, _long_roots(n))[0] == order * len(reps), n
+
+
+def test_coset_counts_keep_minus_identity():
+    # The positive control for the e_n prefilter: with the reps +-x the union
+    # is W and -W, and -I, whose row n is -e_n^T, is = I mod 2 only.
+    for n in range(2, 8):
+        reps = _transversal(_long_roots(n))
+        signed = np.concatenate([reps, -reps])
+        assert _coset_counts(signed, _fixing(n)) == (2 * STABILIZER_ORDERS[n], 2, 1), n
 
 
 # Degrees of the stabilizers, the Coxeter groups A1, A2 x A1, A4, D5 and E6 of
