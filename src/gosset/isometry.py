@@ -19,9 +19,10 @@ for generators that are distinct simple reflections, and keys nothing (see
 _descents); each product is an int8 matrix, gathered once into its layer,
 in batches of a fixed number of rows, and reflected there in place by a swap
 of two columns or a rank-one sum (_reflect).  The other closures stream their
-layers, so a stabilizer is bounded by its largest layer, not its order, and
-the congruence check counts the n = 7 one, E7 of order 2903040, by its 56
-cosets of W(E6): it closes W(E6) alone.  Walks fail fast past
+layers, so a stabilizer is bounded by its largest layer, not its order.  The
+congruence check closes no group: it counts each stabilizer, up to E7 of
+order 2903040, down its chain of parabolic subgroups, by one transversal a
+level, 56 + 27 + 16 + 10 + 6 + 2 matrices at n = 7.  Walks fail fast past
 DEFAULT_ELEMENT_BUDGET elements, read when each starts, which also stops an
 infinite group over Z.
 layered_closure also closes orbits of integer rows (orbit(): the E6 roots,
@@ -49,8 +50,10 @@ its callers spell the call.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -134,7 +137,7 @@ class Matrix:
         if self.modulus != other.modulus:
             raise ValueError(f"ring mismatch: modulus {self.modulus} and {other.modulus}")
         cols = list(zip(*other.entries))
-        rows = ((sum(x * y for x, y in zip(row, col)) for col in cols) for row in self.entries)
+        rows = ((sum(map(mul, row, col)) for col in cols) for row in self.entries)
         return _over(rows, self.modulus)
 
     def neg(self) -> Matrix:
@@ -394,7 +397,10 @@ def point_action(
     or {M, -M}, and a group acts regularly on its base's orbit.
 
     ValueError unless mats are square matrices of one size over one ring
-    Z/m with m <= 128 and m^(d*d) <= 2^53, which caps the points at 59^3.
+    Z/m with m <= 128 and m^(d*d) <= 2^53, which caps the points at 59^3,
+    and unless the points to the power of the base's length fit an int64
+    key, which the projective base, one point longer, passes for d = 3 and
+    48 <= m <= 59.
     """
     m, d = _ring(mats)
     if m is None:
@@ -406,6 +412,8 @@ def point_action(
     members = point = np.arange(m**d)
     if projective:
         members, point = np.unique(np.minimum(point, -vectors % m @ place), return_inverse=True)
+    if len(members) ** (d + projective) >= 2**63:
+        raise ValueError(f"{d + projective} points of {len(members)} overflow an int64 key")
     images = vectors[members] @ np.array([g.entries for g in mats]) % m @ place
     base = tuple(point[place].tolist()) + ((int(point[place.sum()]),) if projective else ())
     return point[images], base
@@ -650,32 +658,42 @@ def congruence_intersection_check(n: int) -> CongruenceIntersection:
     """Count the elements of the finite stabilizer W over Z that are = I mod 2 and mod 3.
 
     W meets both congruence kernels trivially exactly when each count is 1.
-    W is the Coxeter group of the long simple reflections, and it is counted
-    by the cosets of W_J, the parabolic subgroup of the long simple roots
-    with no e_n coordinate.  -e_n lies in the closed fundamental chamber, so
-    W_J is its stabilizer, and e_n's (Humphreys, Reflection Groups and
-    Coxeter Groups, 1.10 and 1.12), and |W| = |W_J| times the orbit of e_n
-    (Bjorner and Brenti, Combinatorics of Coxeter Groups, 2.4).  The orbit
-    has 2, 6, 10, 16, 27 and 56 points for n = 2..7: at n = 6 the 27 lines
-    of a marked cubic surface, the cosets W(E6)/W(D5), and at n = 7 the 56
-    images of e_7, W(E7)/W(E6).  _transversal gives one x per coset, and W
-    is the union of the x^-1 W_J, each counted by _coset_counts: x^-1 v = I
-    mod p exactly when v = x mod p.  W_J is closed by the descent walk
-    (_reflection_layers) and streamed, so at most two of its layers are
-    held.  n = 7 closes W(E6), 51840 matrices, not the 2903040 of E7, in
-    a few hundredths of a second and under 1 MB of tracemalloc peak.
+    W is the Coxeter group of the long simple reflections, and none of its
+    elements is built: it is counted down a chain of parabolic subgroups.
+    -e_m lies in the closed fundamental chamber, so the stabilizer of e_m is
+    the parabolic subgroup of the roots with no e_m coordinate (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.10 and 1.12), and those are the
+    long simple roots of Z^{m-1,1}: at n = 7 the chain is E7 > E6 > D5 > A4 >
+    A2 x A1 > A1 > 1.  _transversal walks each level's cosets, the orbit of
+    e_m: 56, 27, 16, 10, 6 and 2 of them for m = 7..2, at m = 6 the 27 lines
+    of a marked cubic surface, W(E6)/W(D5).  |W| is their product (Bjorner
+    and Brenti, Combinatorics of Coxeter Groups, 2.4), and _chain_counts
+    counts the elements = I mod p by recursion down the levels.  The levels
+    are cached, so the checks for n = 2..7 walk six transversals in all.
     """
     if not 2 <= n <= 7:
         raise ValueError(f"n must be between 2 and 7, got {n}")
-    roots = [a for a in simple_roots(n) if norm(a) == 2]
-    stabilizer = [a for a in roots if not a.coords[n]]
-    return CongruenceIntersection(n, *_coset_counts(_transversal(roots), stabilizer))
+    return CongruenceIntersection(n, *_chain_counts(_parabolic_chain(n)))
 
 
-def _transversal(roots: Sequence[Root]) -> np.ndarray:
+def _parabolic_chain(n: int) -> list[np.ndarray]:
+    """The transversals of the chain of the long simple roots of Z^{n,1}, from
+    the top: level m's roots are those of level m + 1 with no e_{m+1}
+    coordinate, cut to Z^{m,1}, down to the level whose stabilizer is trivial."""
+    roots = tuple(a for a in simple_roots(n) if norm(a) == 2)
+    levels = []
+    while roots:
+        m = roots[0].n
+        levels.append(_transversal(roots))
+        roots = tuple(vector(*a.coords[:m]) for a in roots if not a.coords[m])
+    return levels
+
+
+@memoize
+def _transversal(roots: tuple[Root, ...]) -> np.ndarray:
     """One x per coset W_J x of the stabilizer W_J of e_n in the group W of the
-    reflections in some simple roots of Z^{n,1}: int8 matrices, shape (k, d, d),
-    the identity first.
+    reflections in some simple roots of Z^{n,1}: read-only int8 matrices,
+    shape (k, d, d), the identity first.
 
     Row n of x is e_n^T x, which is (u e_n)^T J for u = x^-1, and x, x' lie
     in one coset exactly when their rows n agree.  So layered_closure walks
@@ -696,57 +714,37 @@ def _transversal(roots: Sequence[Root]) -> np.ndarray:
         return _pack_int8(products[:, -1])
 
     pick = _fresh_keys(row_keys, _pack_int8(identity[:, -1]), [])
-    return np.concatenate(list(layered_closure(identity, pick, lambda f, picks: products[picks])))
+    reps = np.concatenate(list(layered_closure(identity, pick, lambda f, picks: products[picks])))
+    reps.flags.writeable = False  # the checks for every n share the levels
+    return reps
 
 
-def _coset_counts(reps: np.ndarray, stabilizer: Sequence[Root]) -> tuple[int, int, int]:
-    """The order of the union of the x^-1 W_J, for x in reps and W_J generated
-    by the reflections in stabilizer, and its elements = I mod 2 and mod 3.
+def _chain_counts(levels: Sequence[np.ndarray]) -> tuple[int, int, int]:
+    """The number of products w = x_2 ... x_n, one x_m from each level, and
+    the number = I mod 2 and mod 3.
 
-    The reps must lie in distinct cosets W_J x and W_J must fix e_n, so the
-    union is disjoint and its order is |W_J| times the number of reps.  x^-1 v
-    = I mod p exactly when v = x mod p, so _congruence_counts matches every v
-    in W_J against the x.  Row n of every v is e_n^T, so only the x whose
-    row n is = e_n^T mod p are its targets mod p.  W_J streams its layers;
-    an empty stabilizer is {I}.
+    levels[0] holds the x_n, (n+1) x (n+1) int8 matrices, and each level
+    after it is one smaller; a level's x acts on the first coordinates and
+    fixes the rest.  Let W_m be the products of the levels from x_m down.
+    When the levels are the transversals T_m of a chain, as _parabolic_chain
+    gives them, W_m = W_{m-1} T_m, every w once, and w t = I for w = v x
+    exactly when x t = v^-1, which fixes e_m.  So Count_m(t), the w in W_m
+    with w t = I mod p, sums Count_{m-1} of the top-left m x m block of x t
+    over the x whose row m and column m of x t are = e_m mod p; Count_1(t)
+    is 1 for t = I mod p, else 0.  From t = I, the targets are walked level
+    by level, reduced mod p, exact in int64.
     """
-    d = reps.shape[1]
-    unit = np.eye(d, dtype=np.int8)
-    offset = reps[:, -1].astype(np.int64) - unit[-1]
-    targets = {p: reps[(offset % p == 0).all(axis=1)] for p in (2, 3)}
-    layers = _reflection_layers(stabilizer) if stabilizer else [unit[None]]
-    size, fixed2, fixed3 = _congruence_counts(layers, targets)
-    return size * len(reps), fixed2, fixed3
-
-
-def _congruence_counts(
-    layers: Iterable[np.ndarray], targets: dict[int, np.ndarray]
-) -> tuple[int, int, int]:
-    """The number of integer matrices in some layers, and for p = 2 and 3 the
-    number of pairs of a matrix and a target in targets[p] that agree mod p.
-
-    With I the one target for each p, the pairs are the matrices = I mod p.
-    The layers are counted one at a time and none is kept.  For each target
-    the candidate rows are narrowed entry by entry, in row-major order, to
-    those that agree with it mod p so far, until the candidates or the
-    entries run out; a row counts only once all d*d entries have matched.
-    Few rows survive the first entries, so few entries are read.
-    """
-    goals = {p: [target.ravel() % p for target in targets[p]] for p in (2, 3)}
-    order, fixed = 0, {2: 0, 3: 0}
-    for block in layers:
-        flat = block.reshape(len(block), block.shape[1] ** 2)
-        order += len(block)
-        for p, residues in goals.items():
-            first = flat[:, 0] % p
-            for goal in residues:
-                rows = np.flatnonzero(first == goal[0])
-                for entry in range(1, len(goal)):
-                    if not len(rows):
-                        break
-                    rows = rows[flat[rows, entry] % p == goal[entry]]
-                fixed[p] += len(rows)
-    return order, fixed[2], fixed[3]
+    fixed = []
+    for p in (2, 3):
+        targets = np.eye(levels[0].shape[1], dtype=np.int64)[None]
+        for reps in levels:
+            m = reps.shape[1] - 1
+            products = (reps.astype(np.int64)[:, None] @ targets % p).reshape(-1, m + 1, m + 1)
+            unit = np.arange(m + 1) == m
+            keep = (products[:, m] == unit).all(axis=1) & (products[:, :, m] == unit).all(axis=1)
+            targets = products[keep, :m, :m]
+        fixed.append(int((targets == np.eye(targets.shape[1])).all(axis=(1, 2)).sum()))
+    return (math.prod(map(len, levels)), *fixed)
 
 
 class CosetSpace:

@@ -119,3 +119,38 @@ def stabilizer_steps():
         return group.table[:, [i for i, a in enumerate(simple_roots(n)) if norm(a) == 2]]
 
     return steps
+
+
+@pytest.fixture
+def congruence_counts():
+    """A helper: counts(layers, targets) streams blocks of integer matrices
+    and gives their number, and for p = 2 and 3 the number of pairs of a
+    matrix and a target in targets[p] that agree mod p.
+
+    With I the one target for each p, the pairs are the matrices = I mod p:
+    the reference count of a whole closure.  The layers are counted one at a
+    time and none is kept.  For each target the candidate rows are narrowed
+    entry by entry, in row-major order, to those that agree with it mod p so
+    far, until the candidates or the entries run out; a row counts only once
+    all d*d entries have matched.  Few rows survive the first entries, so
+    few entries are read.
+    """
+
+    def counts(layers, targets):
+        goals = {p: [target.ravel() % p for target in targets[p]] for p in (2, 3)}
+        order, fixed = 0, {2: 0, 3: 0}
+        for block in layers:
+            flat = block.reshape(len(block), block.shape[1] ** 2)
+            order += len(block)
+            for p, residues in goals.items():
+                first = flat[:, 0] % p
+                for goal in residues:
+                    rows = (first == goal[0]).nonzero()[0]
+                    for entry in range(1, len(goal)):
+                        if not len(rows):
+                            break
+                        rows = rows[flat[rows, entry] % p == goal[entry]]
+                    fixed[p] += len(rows)
+        return order, fixed[2], fixed[3]
+
+    return counts

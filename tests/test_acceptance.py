@@ -1,9 +1,11 @@
 """Acceptance gate: ten checks, one printed pass/fail line each.
 
 The congruence criterion runs up to n = 7, the largest supported
-dimension, counting E7 by the 56 cosets of W(E6) in a few hundredths of a
-second.  A memory guard streams the whole E7 closure once, the reference
-route, in about a second, and bounds the check's own memory beside it.
+dimension, counting E7 down its parabolic chain E7 > E6 > D5 > A4 >
+A2 x A1 > A1 by one transversal a level, in about a hundredth of a second,
+closing no group.  A memory guard streams the whole E7 closure once, the
+reference route, in about a second, and bounds the check's own memory and
+work beside it.
 """
 
 import hashlib
@@ -133,7 +135,7 @@ N7_LAYERS_SHA256 = "54d3360b9b6cbdb5542a74fcf6396b7c69a75208b3e7b42d4197d2ca6d42
 
 
 def test_congruence_n7_memory_stays_within_a_few_layers(
-    traced_peak_mb, layer_builds, poincare_coefficients, monkeypatch
+    traced_peak_mb, layer_builds, poincare_coefficients, congruence_counts, monkeypatch
 ):
     # The reference route: one streamed closure of E7, the seven long simple
     # reflections, counted against I.  It holds two layers (the largest has
@@ -148,7 +150,7 @@ def test_congruence_n7_memory_stays_within_a_few_layers(
             digest.update(block)
             yield block
 
-    counts, peak = traced_peak_mb(isometry._congruence_counts, streamed(), identity)
+    counts, peak = traced_peak_mb(congruence_counts, streamed(), identity)
     assert counts == (2903040, 1, 1)
     assert peak < 64, f"the n = 7 closure traced a {peak:.1f} MB peak"
     assert digest.hexdigest() == N7_LAYERS_SHA256
@@ -158,22 +160,28 @@ def test_congruence_n7_memory_stays_within_a_few_layers(
     assert sizes == poincare_coefficients((2, 6, 8, 10, 12, 14, 18))
     assert (len(sizes), max(sizes)) == (64, 131046)
 
-    # The check itself closes W(E6), the stabilizer of e_7, and walks the 56
-    # images of e_7: no layer of E7 is built.
+    # The check itself closes no group: it counts E7 down its parabolic
+    # chain by the coset representatives of the six levels, which it walks
+    # once and caches.  Cold, the walks build the 111 representatives other
+    # than the levels' identities, and no other matrix; warm, nothing.
     closed = []
     reflection_layers = isometry._reflection_layers
 
-    def spy(stabilizer):
-        closed.append(len(stabilizer))
-        return reflection_layers(stabilizer)
+    def spy(roots):
+        closed.append(len(roots))
+        return reflection_layers(roots)
 
     monkeypatch.setattr(isometry, "_reflection_layers", spy)
+    isometry._transversal.cache_clear()
     layer_builds.clear()
     result, peak = traced_peak_mb(congruence_intersection_check, 7)
     assert result == CongruenceIntersection(7, 2903040, 1, 1)
-    assert closed == [6]
-    assert sum(layer_builds) == (51840 - 1) + (56 - 1)
-    assert peak < 16, f"the n = 7 check traced a {peak:.1f} MB peak"
+    assert closed == []
+    assert sum(layer_builds) == (56 - 1) + (27 - 1) + (16 - 1) + (10 - 1) + (6 - 1) + (2 - 1)
+    assert peak < 0.25, f"the n = 7 check traced a {peak:.2f} MB peak"
+    layer_builds.clear()
+    assert congruence_intersection_check(7) == result
+    assert layer_builds == []
 
 
 def test_criterion_06_diagram_identities():

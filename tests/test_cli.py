@@ -258,6 +258,8 @@ def _hexaflection_with_coefficient_omega(e, lam):
             cli, "hexaflection", _hexaflection_with_coefficient_omega, "eisenstein",
             ["hexaflection_preserves_form", "hexaflection_order_six", "triflection_order_three"],
         ),
+        # The identity map squares to one and preserves the form, but fixes alpha.
+        (cli, "reflect", lambda alpha, lam: lam, "lattice", ["reflection_involution_n2"]),
     ],
 )
 def test_basis_checks_fail_on_a_broken_identity(monkeypatch, owner, name, fake, suite, failing):

@@ -25,8 +25,8 @@ from gosset.isometry import (
     point_action,
     reflection_matrix,
     table_walk,
-    _congruence_counts,
-    _coset_counts,
+    _chain_counts,
+    _parabolic_chain,
     _reflect,
     _reflection_layers,
     _transversal,
@@ -327,7 +327,7 @@ def test_congruence_intersection_trivial_small():
 
 def _long_roots(n):
     """The norm-2 simple roots, whose reflections generate the stabilizer."""
-    return [a for a in simple_roots(n) if norm(a) == 2]
+    return tuple(a for a in simple_roots(n) if norm(a) == 2)
 
 
 def _matrices(group):
@@ -409,29 +409,30 @@ def _materialised_counts(mats):
 
 
 def _identity_targets(d):
-    """The targets under which _congruence_counts counts the matrices = I mod 2 and 3."""
+    """The targets under which congruence_counts counts the matrices = I mod 2 and 3."""
     return {p: np.eye(d, dtype=np.int8)[None] for p in (2, 3)}
 
 
-def test_streamed_congruence_counts_find_minus_identity():
+def test_streamed_congruence_counts_find_minus_identity(congruence_counts):
     # -I is = I mod 2 but not mod 3: a positive control for the first-entry
     # prefilter, which must keep every element whose entry (0, 0) is = 1 mod p.
     # <W, -I> is W and -W, fed to the counts as W's layers and then -W's.
-    # The whole closure is the reference for the check's counts by cosets up
-    # to n = 6; the n = 7 guard in tests/test_acceptance.py runs E7's once.
+    # The whole closure is the reference for the check's counts down the
+    # chain up to n = 6; the n = 7 guard in tests/test_acceptance.py runs
+    # E7's once.
     for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
         layers = list(_reflection_layers(_long_roots(n)))
         mats = np.concatenate(layers)
         targets = _identity_targets(n + 1)
-        assert _congruence_counts(layers, targets) == _materialised_counts(mats) == (order, 1, 1)
+        assert congruence_counts(layers, targets) == _materialised_counts(mats) == (order, 1, 1)
         assert congruence_intersection_check(n) == CongruenceIntersection(n, order, 1, 1)
         negated = [-block for block in layers]
         expected = (2 * order, 2, 1)
-        assert _congruence_counts(layers + negated, targets) == expected, n
+        assert congruence_counts(layers + negated, targets) == expected, n
         assert _materialised_counts(np.concatenate([mats, -mats])) == expected, n
 
 
-def test_congruence_counts_read_every_entry():
+def test_congruence_counts_read_every_entry(congruence_counts):
     # Planted: I, -I, I + 3 E_01, I + 2 E_last and I with its last entry 0.
     # = I mod 2: I, -I, I + 2 E_last.  = I mod 3: I, I + 3 E_01.  The last
     # two differ from I only in the last entry, which a filter must read.
@@ -444,26 +445,21 @@ def test_congruence_counts_read_every_entry():
         zeroed[-1, -1] = 0
         block = np.stack([ident, -ident, shifted, doubled, zeroed])
         targets = _identity_targets(d)
-        assert _congruence_counts([block], targets) == (5, 3, 2), d
-        assert _congruence_counts([block[:2], block[2:3], block[3:]], targets) == (5, 3, 2), d
-        assert _congruence_counts([block[4:], block[:0]], targets) == (1, 0, 0), d
+        assert congruence_counts([block], targets) == (5, 3, 2), d
+        assert congruence_counts([block[:2], block[2:3], block[3:]], targets) == (5, 3, 2), d
+        assert congruence_counts([block[4:], block[:0]], targets) == (1, 0, 0), d
         # Any target, and every pair of a matrix and a target counts.
         minus = {p: -ident[None] for p in (2, 3)}
-        assert _congruence_counts([block], minus) == (5, 3, 1), d
+        assert congruence_counts([block], minus) == (5, 3, 1), d
         both = {p: np.stack([ident, -ident]) for p in (2, 3)}
-        assert _congruence_counts([block], both) == (5, 6, 3), d
-        assert _congruence_counts([block], {2: block[4:], 3: block[:0]}) == (5, 1, 0), d
+        assert congruence_counts([block], both) == (5, 6, 3), d
+        assert congruence_counts([block], {2: block[4:], 3: block[:0]}) == (5, 1, 0), d
 
 
 # The number of cosets of W_J, the orbit of e_n, for n = 2..7: at n = 6 the
 # 27 lines of a cubic surface, at n = 7 the 56 images of e_7.
 COSET_COUNTS = {2: 2, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56}
 STABILIZER_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040}
-
-
-def _fixing(n):
-    """The long simple roots with no e_n coordinate: W_J, the stabilizer of e_n."""
-    return [a for a in _long_roots(n) if not a.coords[n]]
 
 
 def test_transversal_is_the_orbit_of_e_n():
@@ -474,6 +470,7 @@ def test_transversal_is_the_orbit_of_e_n():
         reps = _transversal(_long_roots(n))
         assert len(reps) == count, n
         assert (reps[0] == np.eye(n + 1)).all()
+        assert not reps.flags.writeable  # the checks for every n share it
         points = reps[:, n].astype(np.int64) * np.r_[-1, np.ones(n, dtype=np.int64)]
         assert len({tuple(p) for p in points.tolist()}) == count, n
         if n >= 6:
@@ -487,28 +484,120 @@ def test_transversal_is_the_orbit_of_e_n():
             assert sorted(map(tuple, lines.tolist())) == sorted(map(tuple, points.tolist())), n
 
 
-def test_coset_counts_fail_on_a_wrong_transversal_or_stabilizer():
+def test_parabolic_chain_runs_down_to_the_trivial_group():
+    # Each level's roots are the last's with no e_m coordinate: the long
+    # simple roots one rank down, so the levels of n are those of n - 1
+    # below its top, one cached array each.
     for n in range(2, 8):
-        reps, fixing = _transversal(_long_roots(n)), _fixing(n)
-        order = STABILIZER_ORDERS[n]
-        assert _coset_counts(reps, fixing) == (order, 1, 1), n
-        # One coset dropped: the order falls by |W_J|; the identity's coset
-        # holds I, the one element = I mod 2 and mod 3.
-        assert _coset_counts(reps[:-1], fixing) == (order - order // len(reps), 1, 1), n
-        assert _coset_counts(reps[1:], fixing)[1:] == (0, 0), n
-        if n < 7:  # a root that moves e_n, e_{n-1} - e_n; at n = 7 it closes E7
-            moving = [a for a in _long_roots(n) if a.coords[n]]
-            assert _coset_counts(reps, fixing + moving[-1:])[0] > order, n
-            assert _coset_counts(reps, _long_roots(n))[0] == order * len(reps), n
+        levels = _parabolic_chain(n)
+        assert [len(reps) for reps in levels] == [COSET_COUNTS[m] for m in range(n, 1, -1)]
+        assert [reps.shape[1] for reps in levels] == list(range(n + 1, 2, -1))
+        if n > 2:
+            assert all(a is b for a, b in zip(levels[1:], _parabolic_chain(n - 1)))
 
 
-def test_coset_counts_keep_minus_identity():
-    # The positive control for the e_n prefilter: with the reps +-x the union
-    # is W and -W, and -I, whose row n is -e_n^T, is = I mod 2 only.
+def _chain_elements(levels):
+    """Every product x_2 ... x_n of one x from each level, kept: the reference
+    the recursion of _chain_counts is measured against."""
+    d = levels[0].shape[1]
+    elements = np.eye(d, dtype=np.int64)[None]
+    for reps in reversed(levels):
+        m = reps.shape[1]
+        embedded = np.tile(np.eye(d, dtype=np.int64), (len(reps), 1, 1))
+        embedded[:, :m, :m] = reps
+        elements = (elements[:, None] @ embedded[None]).reshape(-1, d, d)
+    return elements
+
+
+def _assert_chain_mutants(mutate, expected):
+    """_chain_counts, and up to n = 5 the products themselves, count
+    expected(order, len(level)) for the chain with mutate(level) in place of
+    one level, for every level of every n."""
     for n in range(2, 8):
-        reps = _transversal(_long_roots(n))
-        signed = np.concatenate([reps, -reps])
-        assert _coset_counts(signed, _fixing(n)) == (2 * STABILIZER_ORDERS[n], 2, 1), n
+        levels, order = _parabolic_chain(n), STABILIZER_ORDERS[n]
+        assert _chain_counts(levels) == (order, 1, 1), n
+        for k, reps in enumerate(levels):
+            chain = levels[:k] + [mutate(reps)] + levels[k + 1 :]
+            counts = expected(order, len(reps))
+            assert _chain_counts(chain) == counts, (n, k)
+            if n <= 5:
+                assert _materialised_counts(_chain_elements(chain)) == counts, (n, k)
+
+
+def test_chain_counts_fail_on_a_wrong_transversal():
+    # One coset dropped: the order falls by that level's factor; the
+    # identity's coset holds I, the one element = I mod 2 and mod 3.
+    _assert_chain_mutants(lambda reps: reps[:-1], lambda order, k: (order - order // k, 1, 1))
+    # Without the identity no product is I, nor = I mod 2 or mod 3.
+    _assert_chain_mutants(lambda reps: reps[1:], lambda order, k: (order - order // k, 0, 0))
+
+    # One more x, I with entry (0, m) = 1: row m is e_m, column m is not, so
+    # no v x is I, though a filter on row m alone would count its block, I.
+    def sheared(reps):
+        extra = np.eye(reps.shape[1], dtype=reps.dtype)
+        extra[0, -1] = 1
+        return np.concatenate([reps, extra[None]])
+
+    _assert_chain_mutants(sheared, lambda order, k: (order + order // k, 1, 1))
+
+
+def test_chain_counts_follow_representatives_moved_in_their_cosets():
+    # g x, for g in the level below, represents the coset of x as well, so
+    # the products are the same set; but the x = I of that level now passes
+    # down the target g, not I, and only v = g^-1 meets it.
+    for n in range(3, 8):
+        levels = _parabolic_chain(n)
+        for k in range(len(levels) - 1):
+            below = levels[k + 1]
+            g = np.eye(len(levels[k][0]), dtype=np.int64)
+            g[:-1, :-1] = below[len(below) // 2]
+            chain = levels[:k] + [g @ levels[k]] + levels[k + 1 :]
+            assert _chain_counts(chain) == (STABILIZER_ORDERS[n], 1, 1), (n, k)
+            if n <= 5:
+                assert _materialised_counts(_chain_elements(chain)) == (STABILIZER_ORDERS[n], 1, 1)
+
+
+def test_chain_counts_keep_minus_identity():
+    # The positive control for the e_m filter: with the reps +-x at one level
+    # the products are W and D W, D = -1 on that level's coordinates and 1 on
+    # the rest (at the top, D = -I).  D = I mod 2, and D moves the W-fixed
+    # vertex v_n mod 3, so D W holds one more element = I mod 2 and none mod 3.
+    signed = lambda reps: np.concatenate([reps, -reps])
+    _assert_chain_mutants(signed, lambda order, k: (2 * order, 2, 1))
+
+
+def test_chain_elements_are_the_whole_closure():
+    # The products of the levels are the stabilizer itself, as a set.
+    def key(mats):
+        return sorted(map(bytes, mats.astype(np.int8)))
+
+    for n in range(2, 6):
+        closure = finite_group_elements(long_simple_reflections(n))
+        assert key(_chain_elements(_parabolic_chain(n))) == key(closure), n
+
+
+def test_the_checks_for_every_n_share_six_transversal_walks(monkeypatch):
+    # n = 2..7 in one process: one walk per level of E7's chain, and no
+    # integer closure.
+    walks = []
+    closure = isometry.layered_closure
+
+    def counting(identity, pick, build):
+        walks.append(identity.shape)
+        return closure(identity, pick, build)
+
+    def refused(roots):
+        raise AssertionError("the congruence check closed a group")
+
+    monkeypatch.setattr(isometry, "layered_closure", counting)
+    monkeypatch.setattr(isometry, "_reflection_layers", refused)
+    _transversal.cache_clear()
+    for n in range(2, 8):
+        assert congruence_intersection_check(n) == CongruenceIntersection(
+            n, STABILIZER_ORDERS[n], 1, 1
+        )
+    assert walks == [(1, d, d) for d in (3, 4, 5, 6, 7, 8)]
+    assert _transversal.cache_info().misses == 6
 
 
 # Degrees of the stabilizers, the Coxeter groups A1, A2 x A1, A4, D5 and E6 of
@@ -727,9 +816,12 @@ def test_group_closure_refuses_rings_past_two_to_the_53():
     for d, modulus in ((5, 3), (7, 2), (4, 7), (3, 59)):
         assert GroupClosure([Matrix.identity(d, modulus)]).order == 1
     # The projective base adds the all-ones point: 4 points of the 102690
-    # classes of d = 3 mod 59 pass an int64 key.
-    with pytest.raises(OverflowError, match="int64 key"):
-        GroupClosure([Matrix.identity(3, 59)], projective=True)
+    # classes of d = 3 mod 59 pass an int64 key, and so from m = 48 on, 55300
+    # classes; point_action refuses them before any closure starts.
+    for modulus in (48, 59):
+        with pytest.raises(ValueError, match="int64 key"):
+            GroupClosure([Matrix.identity(3, modulus)], projective=True)
+    assert GroupClosure([Matrix.identity(3, 47)], projective=True).order == 1
 
 
 def test_point_permutations_generate_the_closures():
