@@ -1,39 +1,39 @@
 """Coset enumeration for presentations on involutive generators.
 
-Deduction-driven (Felsch-style) filling: every table assignment alpha·x =
-beta is pushed on a deduction stack, and every relator cycle through the new
-edge is scanned before the next coset is defined.  Since every generator is
-an involution, inverse columns coincide with generator columns, each edge is
-stored symmetrically, and the inverse of a word is its reversal.
+Deduction-driven (Felsch-style) filling: the relator cycles through each new
+entry alpha·x = beta are scanned before the next coset is defined, a
+definition's at once, the others' off a deduction stack.  Generators are
+involutions, so inverse columns coincide with generator columns, each edge
+is stored symmetrically, and the inverse of a word is its reversal.
 
 The scanned words are the cyclic conjugates x·u, starting with x, of the
 relators and of their reversals, and they are scanned at alpha only.  That
 set is closed under x·u -> x·rev(u), and the cycle x·u read from beta is the
 cycle x·rev(u) read from alpha, so a second scan at beta would repeat the
 first.  The conjugates (x, x) are not scanned: symmetric storage makes them
-hold.  The table is stored by columns, one list per generator, and the scans
-after a deduction alpha·x run in a scanner generated for x from its words:
-straight-line code with the columns bound as locals, compiled once per set
-of scan words.  They stay generated: a generic per-word scan loop gives the
-same tables, but runs the 100,000-coset negative controls about 1.45 times
-as long, and the enumeration checks, compiles included, about 16% longer.
-Coincidences are processed with a union-find over coset indices, path
+hold.  The table is stored by columns, one list per generator, grown by
+doubling in place, and the scans after a deduction alpha·x run in a scanner
+generated for x from its words: straight-line code with the columns bound
+as locals, compiled once per set of scan words, which writes and pushes its
+own deductions.  They stay generated: a generic per-word scan loop gives the
+same tables but runs the 100,000-coset negative controls about 1.7 times as
+long.  Coincidences are processed with a union-find over coset indices, path
 compressed, smaller index surviving; until the first one every coset is its
 own representative and the union-find is not consulted.
 
 Enumeration is exact: a closed table reports the subgroup index (the group
 order, for the trivial subgroup); hitting the coset budget reports
-budget_exceeded and never an order.  Either way the live rows are read off
-the columns once, as a read-only int32 array that the certificates read as
-it is.  Closed tables are renumbered breadth-first from the subgroup coset by
-isometry.table_walk, which makes the table canonical and golden-testable,
-and can be certified post hoc by replaying every relator at every coset
-(verify_table).  A closed table of the whole group is its regular
-permutation representation, and so is the table of a projective matrix
-group acting on the orbit of a base (matrix_cayley_table), standardized
-as it is walked; verify_action_against_matrices standardizes the given
-table the same way and compares the two entry for entry, which is an
-explicit isomorphism.
+budget_exceeded and never an order.  The live rows are read off the columns
+once, as a read-only int32 array that the certificates read as it is: at
+once for a closed table, on first read for a partial one.  Closed tables are
+renumbered breadth-first from the subgroup coset by isometry.table_walk,
+which makes the table canonical and golden-testable, and can be certified
+post hoc by replaying every relator at every coset (verify_table).  A closed
+table of the whole group is its regular permutation representation, and so
+is the table of a projective matrix group acting on the orbit of a base
+(matrix_cayley_table), standardized as it is walked;
+verify_action_against_matrices standardizes the given table the same way
+and compares the two entry for entry, which is an explicit isomorphism.
 
 The diagram groups' tables are lifted from a small subgroup table, which
 proves the group order both ways (Holt, Eick and O'Brien, Handbook of
@@ -48,6 +48,7 @@ it as the standardized Cayley table of G.  A shortfall raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -71,6 +72,21 @@ LIFT_PINS = {
 }
 
 
+class _TableField:
+    """CosetTable.table: a functools.partial given for it is called when the
+    table is first read, and the table it builds is kept."""
+
+    def __get__(self, obj: object, owner: type | None = None) -> np.ndarray:
+        if obj is None:
+            raise AttributeError("table")  # so the field has no default
+        if isinstance(table := obj.__dict__["table"], partial):
+            table = obj.__dict__["table"] = table()
+        return table
+
+    def __set__(self, obj: object, table) -> None:
+        obj.__dict__["table"] = table
+
+
 @dataclass(frozen=True, eq=False)
 class CosetTable:
     """Outcome of an enumeration.
@@ -79,11 +95,12 @@ class CosetTable:
     (n_live, generators) int32 array, read-only as enumerate_diagram_group
     shares it.  A closed table is complete and breadth-first standardized.
     For budget_exceeded the live cosets are numbered in the order they were
-    defined, -1 marks a gap, and no order is available.
+    defined, -1 marks a gap, no order is available, and the table is built
+    and checked on first read: a negative control reads only the status.
     """
 
     generators: tuple[str, ...]
-    table: np.ndarray
+    table: np.ndarray = _TableField()
     status: str
     n_live: int
     cosets_defined: int
@@ -95,52 +112,48 @@ class CosetTable:
         return self.n_live
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def _scanner_source(x: int, words: Sequence[tuple[int, ...]], ngens: int) -> str:
-    """Source of bind(cols, deduce, rescan), which returns scan(a): the
-    scans of every word x·u at a, unrolled, in the order of words.
+    """Source of bind(cols, push, rescan), which returns scan(a): the scans
+    of every word x·u at a, unrolled, in the order of words.
 
-    Per word, one block traces forwards from beta = a·x and leaves in f and
-    i the coset and position of the first gap; f = None marks a closed
-    cycle, a coincidence if it ends off a.  beta is always known: a scan
-    starts at a deduction alpha·x = beta, and a coincidence gives every edge
-    it clears a new value before a scan reads it, so a broken invariant
-    fails loudly, indexing by None.  A second block traces backwards from a
-    to a gap or to position i >= 1: a gap at i is a deduction, and reaching
-    i closes the cycle on a second coset, a coincidence.  Each block is a
-    loop run once, left by break, so the source is flat and linear in the
-    word lengths.  The columns are default arguments, read as locals; after
-    a coincidence, rescan gives the representative of a and its
-    x-neighbour.
+    Per word, one block traces forwards from beta = a·x and leaves in f, i,
+    c and g the coset, position, column and letter of the first gap; f =
+    None marks a closed cycle, a coincidence if it ends off a.  beta is
+    always known: a scan starts at a deduction alpha·x = beta, and a
+    coincidence gives every edge it clears a new value before a scan reads
+    it, so a broken invariant fails loudly, indexing by None.  A second
+    block traces b backwards from a, one line per letter past position i,
+    and stops at a gap; at i, an entry closes the cycle on a second coset, a
+    coincidence, and a gap is a deduction, written both ways and pushed.
+    Each block is a loop run once, left by break, so the source is flat and
+    linear in the word lengths.  The columns are default arguments, read as
+    locals; after a coincidence, rescan gives the representative of a and
+    its x-neighbour.
     """
     cols = ", ".join(f"c{y}" for y in range(ngens))
     defaults = ", ".join(f"c{y}=c{y}" for y in range(ngens))
     lines = [
-        "def bind(cols, deduce, rescan):",
+        "def bind(cols, push, rescan):",
         f"    {cols}, = cols",
-        f"    def scan(a, {defaults}, deduce=deduce, rescan=rescan):",
+        f"    def scan(a, {defaults}, push=push, rescan=rescan):",
         f"        beta = c{x}[a]",
     ]
     for word in words:
-        last = len(word) - 1
         lines.append("        while True:")
         f = "beta"
-        for i in range(1, last + 1):
-            lines.append(f"            if (f{i} := c{word[i]}[{f}]) is None: f = {f}; i = {i}; break")
+        for i, g in enumerate(word[1:], 1):
+            gap = f"f = {f}; i = {i}; c = c{g}; g = {g}; b = a; break"
+            lines.append(f"            if (f{i} := c{g}[{f}]) is None: {gap}")
             f = f"f{i}"
         lines.append(f"            if {f} != a: a, beta = rescan({f}, a, a, {x})")
         lines += ["            f = None; break", "        while f is not None:"]
-        b = "a"
-        for k, j in enumerate(range(last, 0, -1), 1):
-            lines.append(f"            if (b{k} := c{word[j]}[{b}]) is None:")
-            lines.append(f"                if i == {j}: deduce(f, {b}, {word[j]})")
-            lines.append("                break")
-            lines.append(f"            if i == {j}: a, beta = rescan(f, b{k}, a, {x}); break")
-            b = f"b{k}"
-        lines.append("            break")
+        for j in range(len(word) - 1, 1, -1):
+            lines.append(f"            if i < {j} and (b := c{word[j]}[b]) is None: break")
+        lines += [
+            "            if (e := c[b]) is None: c[f] = b; c[b] = f; push((f, g))",
+            f"            else: a, beta = rescan(f, e, a, {x})",
+            "            break",
+        ]
     lines += ["    return scan", ""]
     return "\n".join(lines)
 
@@ -180,17 +193,9 @@ class _Enumerator:
             raise ValueError(f"{kind} uses unknown generator {bad}") from None
 
     def _index_scan_words(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """For each generator x, the distinct relator conjugates x·u to scan
-        after a deduction alpha·x = beta, sorted.
-
-        Involutive generators make the inverse of a word its reversal, so
-        reversed conjugates are included too.  Each list is therefore closed
-        under x·u -> x·rev(u): a relator cycle that crosses the new edge from
-        beta to alpha is the cycle x·rev(u) read from alpha, so scanning at
-        alpha alone covers every cycle through the edge.  The words (x, x)
-        are left out; the table stores each edge in both directions, so they
-        always hold.
-        """
+        """For each generator x, the distinct conjugates x·u of the relators
+        and of their reversals, sorted, less the words (x, x): the words to
+        scan after a deduction alpha·x = beta, at alpha alone."""
         by_first: list[set[tuple[int, ...]]] = [set() for _ in range(self.ngens)]
         for rel in self.relators:
             for base in (rel, tuple(reversed(rel))):
@@ -209,24 +214,12 @@ class _Enumerator:
             parent[a], a = root, parent[a]
         return root
 
-    def _define(self, alpha: int, x: int) -> None:
-        if self.defined >= self.budget:
-            raise _BudgetHit
-        beta = self.defined
+    def _grow(self) -> None:
+        """Double the columns, which the scanners hold, and parent in place."""
+        n = len(self.parent)
         for col in self.cols:
-            col.append(None)
-        self.parent.append(beta)
-        self.defined += 1
-        self.live += 1
-        self.cols[x][alpha] = beta
-        self.cols[x][beta] = alpha
-        self.deductions.append((alpha, x))
-
-    def _deduce(self, f: int, b: int, g: int) -> None:
-        col = self.cols[g]
-        col[f] = b
-        col[b] = f
-        self.deductions.append((f, g))
+            col.extend([None] * n)
+        self.parent.extend(range(n, 2 * n))
 
     def _rescan(self, f: int, b: int, a: int, x: int) -> tuple[int, int | None]:
         """Process the coincidence f = b met scanning at a, then give the
@@ -268,53 +261,59 @@ class _Enumerator:
                     col[nu] = mu
                     self.deductions.append((mu, x))
 
-    def _process_deductions(self, scanners: Sequence) -> None:
-        """Scan the relator cycles through each new edge (alpha, x) at alpha,
-        with the scanner of x."""
-        deductions = self.deductions
-        parent = self.parent
-        while deductions:
-            a, x = deductions.pop()
-            if parent[a] != a:
-                a = self._find(a)
-            scanners[x](a)
-
-    def _scan_and_fill(self, word: tuple[int, ...]) -> None:
-        """Trace a subgroup word at coset 0, defining cosets to complete it."""
-        f = 0
-        for x in word:
-            if self.cols[x][f] is None:
-                self._define(f, x)
-            f = self.cols[x][f]
-        if f != 0:
-            self._coincidence(f, 0)
-
     def run(self, subgroup_words: Sequence[tuple[int, ...]]) -> str:
         # A local list: the scanners hold bound methods, so keeping them on
         # self would make a cycle that outlives the call with the table.
-        scanners = [
-            bind(self.cols, self._deduce, self._rescan)
-            for bind in _compile_scanners(self.scan_words)
-        ]
+        cols, parent, deductions = self.cols, self.parent, self.deductions
+        binds = _compile_scanners(self.scan_words)
+        scanners = [bind(cols, deductions.append, self._rescan) for bind in binds]
+        pop, find, budget = deductions.pop, self._find, self.budget
+        start = defined = self.defined
         try:
-            for w in subgroup_words:
-                self._scan_and_fill(w)
-                self._process_deductions(scanners)
+            # Trace each subgroup word at coset 0, defining cosets to complete
+            # it, then scan each deduction (alpha, x) at alpha with x's scanner.
+            for word in subgroup_words:
+                f = 0
+                for x in word:
+                    col = cols[x]
+                    if col[f] is None:
+                        if defined >= budget:
+                            return BUDGET_EXCEEDED
+                        if defined == len(parent):
+                            self._grow()
+                        col[f], col[defined] = defined, f
+                        deductions.append((f, x))
+                        defined += 1
+                    f = col[f]
+                if f != 0:
+                    self._coincidence(f, 0)
+                while deductions:
+                    a, y = pop()
+                    scanners[y](a if parent[a] == a else find(a))
+            # Fill row by row, scanning each new edge alpha·x at once: with the
+            # deduction stack empty, that is the scan a push and pop would make.
             alpha = 0
-            while alpha < self.defined:
-                if self.parent[alpha] != alpha:
-                    alpha += 1
-                    continue
-                for x, col in enumerate(self.cols):
-                    if self.parent[alpha] != alpha:
-                        break
-                    if col[alpha] is None:
-                        self._define(alpha, x)
-                        self._process_deductions(scanners)
+            while alpha < defined:
+                if parent[alpha] == alpha:
+                    for col, scan in zip(cols, scanners):
+                        if parent[alpha] != alpha:
+                            break
+                        if col[alpha] is None:
+                            if defined >= budget:
+                                return BUDGET_EXCEEDED
+                            if defined == len(parent):
+                                self._grow()
+                            col[alpha], col[defined] = defined, alpha
+                            defined += 1
+                            scan(alpha)
+                            while deductions:
+                                a, y = pop()
+                                scanners[y](a if parent[a] == a else find(a))
                 alpha += 1
             return CLOSED
-        except _BudgetHit:
-            return BUDGET_EXCEEDED
+        finally:
+            self.live += defined - start
+            self.defined = defined
 
 
 def _live_table(enum: _Enumerator, status: str) -> np.ndarray:
@@ -324,8 +323,8 @@ def _live_table(enum: _Enumerator, status: str) -> np.ndarray:
     edge into a dead coset; an entry still naming one raises AssertionError."""
     rows = np.empty((enum.defined, enum.ngens), dtype=np.int32)
     for x, col in enumerate(enum.cols):
-        rows[:, x] = [-1 if b is None else b for b in col]
-    is_live = np.array(enum.parent) == np.arange(enum.defined)
+        rows[:, x] = [-1 if b is None else b for b in col[: enum.defined]]
+    is_live = np.array(enum.parent[: enum.defined]) == np.arange(enum.defined)
     order = table_walk(rows) if status == CLOSED else np.flatnonzero(is_live)
     table = _renumbered(rows, order)
     table.flags.writeable = False
@@ -359,7 +358,7 @@ def todd_coxeter(
     enum = _Enumerator(pres, budget)
     words = [enum.indexed(w, "subgroup word") for w in subgroup_words]
     status = enum.run(words)
-    table = _live_table(enum, status)
+    table = _live_table(enum, status) if status == CLOSED else partial(_live_table, enum, status)
     return CosetTable(pres.generators, table, status, enum.live, enum.defined)
 
 

@@ -466,11 +466,11 @@ def _reflect(mats: np.ndarray, alpha: Root) -> None:
     """Right-multiply int8 matrices M, shape (k, d, d), by s_alpha in place.
 
     Column j of M s_alpha is M e_j - c_j M alpha, with c_j = 2 (e_j, alpha) /
-    (alpha, alpha) (Humphreys, Reflection Groups and Coxeter Groups, 5.3), so
-    only the columns in the support of alpha change.  A root e_i - e_j swaps
-    columns i and j.  Any other sums its support into the int32 image
-    M alpha, exact for entries within int8, and raises OverflowError before
-    it stores an entry past +-127.
+    (alpha, alpha) (Humphreys, Reflection Groups and Coxeter Groups, 5.3),
+    where (e_j, alpha) is alpha_j, negated for j = 0; only the columns in the
+    support of alpha change.  A root e_i - e_j swaps columns i and j.  Any
+    other sums its support into the int32 image M alpha, exact for entries
+    within int8, and raises OverflowError before it stores an entry past +-127.
     """
     support = [j for j, x in enumerate(alpha.coords) if x]
     coords = [alpha.coords[j] for j in support]
@@ -480,8 +480,9 @@ def _reflect(mats: np.ndarray, alpha: Root) -> None:
     image = np.zeros(mats.shape[:2], dtype=np.int32)
     for j, x in zip(support, coords):
         image += x * mats[:, :, j].astype(np.int32)
-    for j in support:
-        c = 2 * inner(basis_vector(j, alpha.n), alpha) // norm(alpha)
+    alpha_norm = norm(alpha)
+    for j, x in zip(support, coords):
+        c = 2 * (-x if j == 0 else x) // alpha_norm
         column = mats[:, :, j] - c * image
         if len(column) and (column.max() > 127 or column.min() < -127):
             raise OverflowError("matrix entries exceed int8 storage")

@@ -1,6 +1,7 @@
 """Coset enumeration of the odd presentations and its certificates."""
 
 import hashlib
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,16 @@ EXPECTED_ORDERS = {"a3": 24, "affine_a5": 720, "petersen": 51840}
 
 # sha256 of _dump(enumerate_diagram_group("petersen")), the standardized table.
 PETERSEN_DUMP_SHA256 = "59fa6995eb6ff9cafb582416db6c20713b4a701d386f34f2c09836d9c6c6b113"
+
+# sha256 of the negative controls' partial tables at the 100,000-coset budget.
+CONTROL_TABLE_SHA256 = {
+    "affine_a5": "4f429626b1122d79f9ccbcbc37f8c2726d2b524e4d82a1d8c2cc5f5b95f10632",
+    "petersen": "50bd8e8f31220d8295fcb2991e7fa9994b7f9f3c0314e56ce9755c3bb1ccedd3",
+}
+
+
+def _table_sha256(table):
+    return hashlib.sha256(np.ascontiguousarray(table.table, dtype=np.int32).tobytes()).hexdigest()
 
 
 def _dump(table):
@@ -294,6 +305,12 @@ def test_a_live_row_naming_a_dead_coset_raises(relators, budget, status, edge):
     enum.cols[x][alpha] = dead
     with pytest.raises(AssertionError):
         _live_table(enum, status)
+    # The columns grow by doubling, so a scan reads a coset not yet defined
+    # as a gap; an entry naming one fails here, as the renumbering's gap or
+    # past the end of the walk's rows.
+    enum.cols[x][alpha] = enum.defined
+    with pytest.raises((AssertionError, IndexError)):
+        _live_table(enum, status)
 
 
 def test_enumerated_tables_are_read_only():
@@ -468,6 +485,9 @@ def test_without_deflation_the_affine_group_is_infinite():
     assert table.cosets_defined == table.n_live == 100_000
     with pytest.raises(ValueError):
         table.order
+    # Reading the partial table builds it and checks that no live row names
+    # a dead coset.
+    assert _table_sha256(table) == CONTROL_TABLE_SHA256["affine_a5"]
 
 
 def test_without_deflation_the_petersen_group_exceeds_budget():
@@ -475,6 +495,167 @@ def test_without_deflation_the_petersen_group_exceeds_budget():
     table = todd_coxeter(pres, budget=100_000)
     assert table.status == BUDGET_EXCEEDED
     assert table.cosets_defined == table.n_live == 100_000
+    assert _table_sha256(table) == CONTROL_TABLE_SHA256["petersen"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_negative_controls_build_no_partial_table(monkeypatch, row_report, n):
+    built = []
+    live_table = enumeration._live_table
+
+    def spy(enum, status):
+        built.append(status)
+        return live_table(enum, status)
+
+    monkeypatch.setattr(enumeration, "_live_table", spy)
+    assert row_report("no_deflation_diverges_{kind}", n).status == "pass"
+    assert built == []
+    # The spy sees a partial table once it is read, and once only.
+    cut = todd_coxeter(A3, [("1",)], budget=2)
+    assert built == []
+    assert cut.table.shape == (cut.n_live, 3) and cut.table is cut.table
+    assert built == [BUDGET_EXCEEDED]
+
+
+def _random_extension(seed):
+    """A diagram presentation, deflated or not, with one more relator, some
+    subgroup words and a small budget, drawn from the seed."""
+    rng = random.Random(seed)
+    kind = rng.choice(["a3", "affine_a5", "petersen"])
+    pres = build_presentation(kind, deflate=rng.random() < 0.5)
+
+    def word(length):
+        return tuple(rng.choice(pres.generators) for _ in range(length))
+
+    extra = word(rng.choice([2, 4, 6, 8]))
+    subgroup = [word(rng.randint(1, 4)) for _ in range(rng.randint(0, 2))]
+    budget = rng.choice([8, 30, 120, 600, 3000])
+    return Presentation(pres.generators, pres.relators + (extra,)), subgroup, budget
+
+
+def _equivalence_corpus():
+    """(name, presentation, subgroup words, budget) of each pinned enumeration."""
+    for kind, (generators, _) in sorted(LIFT_PINS.items()):
+        pres = build_presentation(kind)
+        among = tuple(r for r in pres.relators if set(r) <= set(generators))
+        yield f"{kind}_over_h", pres, [(g,) for g in generators], 200_000
+        yield f"{kind}_h_relators", Presentation(generators, among), [], 200_000
+    for kind in ("affine_a5", "petersen"):
+        yield f"{kind}_undeflated", build_presentation(kind, deflate=False), [], 5_000
+    for seed in EXTENSION_SEEDS:
+        yield (f"extension_{seed}", *_random_extension(seed))
+
+
+EXTENSION_SEEDS = (0, 1, 5, 6, 7, 13, 15, 17, 20, 24, 26, 27, 29, 33, 39, 42, 45, 47, 53, 56)
+
+# (status, n_live, cosets_defined, sha256 of the int32 table) of each
+# enumeration of _equivalence_corpus, taken before the scanners wrote their
+# own deductions and the fill loop defined cosets inline.
+EQUIVALENCE_PINS = {
+    "a3_over_h": (
+        CLOSED, 6, 8, "67e82b8ad90bf2dffb99a453e5bcc33c7650cc68e1df9f30c6596ef83b3d6364"
+    ),
+    "a3_h_relators": (
+        CLOSED, 4, 4, "8bf2de7d3c30ecd6719a5d7a8b3a2e65ed13f84fa1328edd7b6eb0849175b655"
+    ),
+    "affine_a5_over_h": (
+        CLOSED, 90, 93, "2c0cbfcf4d802c79897fe397a54297642f2eb83a45d3e1452adca3b5486c4839"
+    ),
+    "affine_a5_h_relators": (
+        CLOSED, 8, 8, "31c9f4f801ff06331262d82860ccd77bf0084fbe340afd10a9df8812dded8edb"
+    ),
+    "petersen_over_h": (
+        CLOSED, 540, 548, "bf91985cb54a0740cc4de18138429f5bf2f4b8f31a31886b71c9b9508ee417ae"
+    ),
+    "petersen_h_relators": (
+        CLOSED, 96, 96, "e8a60934d516849e86a28f0df16efa0078d051f01da34fdba29c77f728f5e0aa"
+    ),
+    "affine_a5_undeflated": (
+        BUDGET_EXCEEDED,
+        5000,
+        5000,
+        "3ac8f6277d667bc6b3ab1b66ae0df819ca50d8556b32dd0e44ce23851531adf2",
+    ),
+    "petersen_undeflated": (
+        BUDGET_EXCEEDED,
+        5000,
+        5000,
+        "27ea1e971a99594d970b9ba603e3a85aefd836df6006288bee5b6daa8862654a",
+    ),
+    "extension_0": (
+        CLOSED, 1, 11, "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"
+    ),
+    "extension_1": (
+        CLOSED, 2, 5, "7ceee0fded46cc97352513679bcce94c310e55f4f496f6b5c0a3b27f93307895"
+    ),
+    "extension_5": (
+        CLOSED, 2, 115, "8acf9aebd58eb34f0bb9530e3b1d62d2b85df7f78053d4f8d3e80412f0e7c24d"
+    ),
+    "extension_6": (
+        CLOSED, 2, 58, "8acf9aebd58eb34f0bb9530e3b1d62d2b85df7f78053d4f8d3e80412f0e7c24d"
+    ),
+    "extension_7": (
+        CLOSED, 2, 29, "99b8aca72e8ef578775b6ef86488cbc4f57f4c06a4143418602e4eb681b23cc6"
+    ),
+    "extension_13": (
+        BUDGET_EXCEEDED, 30, 30, "99db2503979e62ca7214b2e69467e6979722943f0497e3cc5e828e962e00b6a1"
+    ),
+    "extension_15": (
+        BUDGET_EXCEEDED, 8, 8, "a0f1fbc80d18c22238430c6722711764574e5ad879a78fe06a405053589abaf7"
+    ),
+    "extension_17": (
+        BUDGET_EXCEEDED, 30, 30, "fd27f138b9b5842595a5440ff92754b072e941be5afd9744c8fde964876349b6"
+    ),
+    "extension_20": (
+        BUDGET_EXCEEDED, 8, 8, "d199771569f9ce4d6f6355e3f94b1ec90e6613ba6be181802fc0e290bdfcbf1f"
+    ),
+    "extension_24": (
+        BUDGET_EXCEEDED, 6, 8, "1dd970092eb94a20044fa4fd19b188ca6aa0df1a4f371e5b37873e57bcaca91a"
+    ),
+    "extension_26": (
+        CLOSED, 2, 41, "8acf9aebd58eb34f0bb9530e3b1d62d2b85df7f78053d4f8d3e80412f0e7c24d"
+    ),
+    "extension_27": (
+        BUDGET_EXCEEDED, 27, 30, "0e74844f1f1baed18ab449162d91b41a4816520543324eb9d08da90908c6ac8b"
+    ),
+    "extension_29": (
+        BUDGET_EXCEEDED, 8, 8, "d199771569f9ce4d6f6355e3f94b1ec90e6613ba6be181802fc0e290bdfcbf1f"
+    ),
+    "extension_33": (
+        CLOSED, 2, 52, "8acf9aebd58eb34f0bb9530e3b1d62d2b85df7f78053d4f8d3e80412f0e7c24d"
+    ),
+    "extension_39": (
+        CLOSED, 12, 13, "27527f9b1e27a4e4847b200a98a431e4526fe136437b6c8e6c0eea0598e24185"
+    ),
+    "extension_42": (
+        BUDGET_EXCEEDED, 6, 8, "842781897aeed891ec6d66fe83a5364f8c3cbafe95dd395a906100867401491a"
+    ),
+    "extension_45": (
+        BUDGET_EXCEEDED, 8, 8, "2c2cb354c8372ef6fcc46e46fa7e96decb4de601749cef8fd281e7b07ab7674f"
+    ),
+    "extension_47": (
+        BUDGET_EXCEEDED, 6, 8, "39b8b5613f61fab791307879750ca8a43464ef3cd223ff1c809bedfe1f8a62cd"
+    ),
+    "extension_53": (
+        BUDGET_EXCEEDED, 29, 30, "1f0b3e5a50dda0bd174d429b840c4870b6d85e1abc1562f4e74fdee5cf415b0c"
+    ),
+    "extension_56": (
+        BUDGET_EXCEEDED,
+        120,
+        120,
+        "2cc6359ab7842d8e5bb43967a9ceb93abed74348a54275ce739685145a15a0dd",
+    ),
+}
+
+
+def test_the_equivalence_corpus_keeps_every_table():
+    # Every table, partial ones included, with its counts: the next change
+    # to the enumerator cannot move one unnoticed.
+    found = {}
+    for name, pres, subgroup, budget in _equivalence_corpus():
+        table = todd_coxeter(pres, subgroup, budget)
+        found[name] = (table.status, table.n_live, table.cosets_defined, _table_sha256(table))
+    assert found == EQUIVALENCE_PINS
 
 
 def test_petersen_minus_one_deflation_still_closes():

@@ -392,13 +392,14 @@ def test_closure_order_is_pinned(stabilizer_steps):
         assert _sha256(space._assignment, np.int32) == COSET_ASSIGNMENT_N4_SHA256
 
 
-def test_row_chunk_boundaries_change_no_closure(monkeypatch):
+def test_row_chunk_boundaries_change_no_closure(monkeypatch, congruence_counts):
     # Every layer at n <= 6 fits in one default chunk.  Five rows a chunk
     # split the integer layers at positions no generator count divides.
     monkeypatch.setattr(isometry, "_CHUNK_ROWS", 5)
     _assert_integer_closures_match_pins()
     for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
-        assert congruence_intersection_check(n) == CongruenceIntersection(n, order, 1, 1)
+        layers = _reflection_layers(_long_roots(n))
+        assert congruence_counts(layers, _identity_targets(n + 1)) == (order, 1, 1), n
 
 
 def _materialised_counts(mats):
