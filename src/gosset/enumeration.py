@@ -11,15 +11,15 @@ relators and of their reversals, and they are scanned at alpha only.  That
 set is closed under x·u -> x·rev(u), and the cycle x·u read from beta is the
 cycle x·rev(u) read from alpha, so a second scan at beta would repeat the
 first.  The conjugates (x, x) are not scanned: symmetric storage makes them
-hold.  The table is stored by columns, one list per generator, grown by
-doubling in place, and the scans after a deduction alpha·x run in a scanner
-generated for x from its words: straight-line code with the columns bound
-as locals, compiled once per set of scan words, which writes and pushes its
-own deductions.  They stay generated: a generic per-word scan loop gives the
-same tables but runs the 100,000-coset negative controls about 1.7 times as
-long.  Coincidences are processed with a union-find over coset indices, path
-compressed, smaller index surviving; until the first one every coset is its
-own representative and the union-find is not consulted.
+hold.  The table is stored by columns, one list per generator, doubled in
+place up to the budget, and the scans after a deduction alpha·x run in a
+scanner generated for x from its words: straight-line code with the columns
+bound as locals, compiled once per set of scan words, which writes and
+pushes its own deductions.  They stay generated: a generic per-word scan
+loop gives the same tables but runs the 100,000-coset negative controls
+about 1.7 times as long.  Coincidences are processed with a union-find over
+coset indices, path compressed, smaller index surviving; parent[a] is None
+while coset a is its own representative, so only merged cosets hold ints.
 
 Enumeration is exact: a closed table reports the subgroup index (the group
 order, for the trivial subgroup); hitting the coset budget reports
@@ -97,6 +97,8 @@ class CosetTable:
     For budget_exceeded the live cosets are numbered in the order they were
     defined, -1 marks a gap, no order is available, and the table is built
     and checked on first read: a negative control reads only the status.
+    Until then it pins its enumerator: 12.4 MB of Python lists for the
+    100,000-coset Petersen control (tracemalloc), whose int32 table is 3.8 MB.
     """
 
     generators: tuple[str, ...]
@@ -180,7 +182,7 @@ class _Enumerator:
         self.relators = [self.indexed(w, "relator") for w in pres.relators]
         self.scan_words = self._index_scan_words()
         self.cols: list[list[int | None]] = [[None] for _ in range(self.ngens)]
-        self.parent = [0]
+        self.parent: list[int | None] = [None]
         self.defined = 1
         self.live = 1
         self.deductions: list[tuple[int, int]] = []
@@ -208,18 +210,18 @@ class _Enumerator:
     def _find(self, a: int) -> int:
         parent = self.parent
         root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
+        while (up := parent[root]) is not None:
+            root = up
+        while a != root:
             parent[a], a = root, parent[a]
         return root
 
     def _grow(self) -> None:
-        """Double the columns, which the scanners hold, and parent in place."""
-        n = len(self.parent)
-        for col in self.cols:
-            col.extend([None] * n)
-        self.parent.extend(range(n, 2 * n))
+        """Double the columns, which the scanners hold, and parent in place,
+        to at most budget slots, as no coset past the budget is defined."""
+        gaps = [None] * min(len(self.parent), self.budget - len(self.parent))
+        for col in (*self.cols, self.parent):
+            col.extend(gaps)
 
     def _rescan(self, f: int, b: int, a: int, x: int) -> tuple[int, int | None]:
         """Process the coincidence f = b met scanning at a, then give the
@@ -289,14 +291,14 @@ class _Enumerator:
                     self._coincidence(f, 0)
                 while deductions:
                     a, y = pop()
-                    scanners[y](a if parent[a] == a else find(a))
+                    scanners[y](a if parent[a] is None else find(a))
             # Fill row by row, scanning each new edge alpha·x at once: with the
             # deduction stack empty, that is the scan a push and pop would make.
             alpha = 0
             while alpha < defined:
-                if parent[alpha] == alpha:
+                if parent[alpha] is None:
                     for col, scan in zip(cols, scanners):
-                        if parent[alpha] != alpha:
+                        if parent[alpha] is not None:
                             break
                         if col[alpha] is None:
                             if defined >= budget:
@@ -308,7 +310,7 @@ class _Enumerator:
                             scan(alpha)
                             while deductions:
                                 a, y = pop()
-                                scanners[y](a if parent[a] == a else find(a))
+                                scanners[y](a if parent[a] is None else find(a))
                 alpha += 1
             return CLOSED
         finally:
@@ -320,11 +322,13 @@ def _live_table(enum: _Enumerator, status: str) -> np.ndarray:
     """The live rows as a read-only int32 array, -1 for a gap, each live coset
     renumbered to its row: in table_walk order for a closed table, which
     standardizes it, else in order of definition.  Coincidences redirect every
-    edge into a dead coset; an entry still naming one raises AssertionError."""
+    edge, so an entry naming a dead or undefined coset raises AssertionError."""
     rows = np.empty((enum.defined, enum.ngens), dtype=np.int32)
     for x, col in enumerate(enum.cols):
         rows[:, x] = [-1 if b is None else b for b in col[: enum.defined]]
-    is_live = np.array(enum.parent[: enum.defined]) == np.arange(enum.defined)
+    if (rows >= enum.defined).any():
+        raise AssertionError("a live row names a dead coset")
+    is_live = [a is None for a in enum.parent[: enum.defined]]
     order = table_walk(rows) if status == CLOSED else np.flatnonzero(is_live)
     table = _renumbered(rows, order)
     table.flags.writeable = False

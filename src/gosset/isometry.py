@@ -275,24 +275,27 @@ def _fresh_keys(
     each layer's candidate keys are deduplicated once and looked up in the
     sorted keys of the two layers before them.  Each layer appends to named the
     int32 number of every candidate, in order of discovery (the first layer's
-    in key order): the walk's steps, read as a table.
+    in key order): the walk's steps, read as a table.  The int64 keys are let
+    go once deduplicated; then a layer holds about 21 bytes per candidate:
+    the int64 sorting permutation, three int32 arrays and the run starts.
     """
     known = [(identity_keys, np.arange(len(identity_keys), dtype=np.int32))]
 
     def pick(frontier: np.ndarray) -> np.ndarray:
         nonlocal known
-        cands = candidate_keys(frontier)
-        uniq, first, order, starts = _first_occurrences(cands)
+        uniq, first, order, starts = _first_occurrences(candidate_keys(frontier))
         at = [_positions(keys, uniq) for keys, _ in known]  # neither layer is empty
         fresh = np.logical_and.reduce([found < 0 for found in at])
         picks = np.sort(first[fresh])
-        new = np.empty(len(cands), dtype=np.int32)
+        new = np.empty(len(order), dtype=np.int32)
         new[picks] = np.arange(len(picks)) + known[-1][1].max() + 1
         numbers = new[first]  # right for the fresh keys; the others are looked up
         for (_, known_numbers), found in zip(known, at):
             numbers = np.where(found < 0, numbers, known_numbers[found])
-        named.append(np.empty(len(cands), dtype=np.int32))
-        named[-1][order] = numbers[np.cumsum(starts) - 1]
+        run = np.cumsum(starts, dtype=np.int32)
+        run -= 1  # the run of each sorted candidate: its key's index in uniq
+        named.append(np.empty(len(order), dtype=np.int32))
+        named[-1][order] = numbers[run]
         known = known[-1:] + [(uniq[fresh], numbers[fresh])]
         return picks
 

@@ -9,6 +9,7 @@ from gosset.e6 import (
     SIMPLE_ROOTS,
     beta_configuration,
     cartan_matrix,
+    cayley_table,
     generation_order,
     hexagon_alternating_sum,
     root_system,
@@ -191,6 +192,14 @@ def test_base_orbit_table_matches_tuple_oracle():
         assert np.array_equal(table_walk(table), np.arange(len(table)))
 
     same_table()
+
+
+def test_the_roots_walk_peaks_under_8_mb(traced_peak_mb):
+    # The widest layer has 186,550 candidates; a layer holds about 21 bytes
+    # each once its int64 keys are deduplicated and dropped (6.8 MB in all).
+    table, peak = traced_peak_mb(cayley_table.__wrapped__)
+    assert table.shape == (51840, 10)
+    assert peak <= 8
 
 
 def test_base_orbit_table_budget_fails_before_building_the_layer(layer_builds, monkeypatch):

@@ -300,17 +300,18 @@ def test_a_live_row_naming_a_dead_coset_raises(relators, budget, status, edge):
     enum = _Enumerator(Presentation(A3.generators, relators), budget)
     assert enum.run([]) == status
     x, alpha, dead = edge
-    assert enum.parent[alpha] == alpha and enum.parent[dead] != dead
+    assert enum.parent[alpha] is None and enum.parent[dead] is not None
     _live_table(enum, status)
     enum.cols[x][alpha] = dead
     with pytest.raises(AssertionError):
         _live_table(enum, status)
-    # The columns grow by doubling, so a scan reads a coset not yet defined
-    # as a gap; an entry naming one fails here, as the renumbering's gap or
-    # past the end of the walk's rows.
-    enum.cols[x][alpha] = enum.defined
-    with pytest.raises((AssertionError, IndexError)):
-        _live_table(enum, status)
+    # Past the defined cosets the grown columns hold gaps, but no entry can
+    # name a coset there: the first such coset and any later one fail the
+    # same check, before the walk reads the table.
+    for past in (enum.defined, enum.defined + 5):
+        enum.cols[x][alpha] = past
+        with pytest.raises(AssertionError, match="dead coset"):
+            _live_table(enum, status)
 
 
 def test_enumerated_tables_are_read_only():
@@ -490,12 +491,24 @@ def test_without_deflation_the_affine_group_is_infinite():
     assert _table_sha256(table) == CONTROL_TABLE_SHA256["affine_a5"]
 
 
-def test_without_deflation_the_petersen_group_exceeds_budget():
+def test_without_deflation_the_petersen_group_exceeds_budget(traced_peak_mb):
     pres = build_presentation("petersen", deflate=False)
-    table = todd_coxeter(pres, budget=100_000)
+    table, peak = traced_peak_mb(todd_coxeter, pres, (), 100_000)
     assert table.status == BUDGET_EXCEEDED
     assert table.cosets_defined == table.n_live == 100_000
+    # The peak bounds what the unread partial table pins through its
+    # enumerator: ten columns, the union-find and the scanners (12.4 MB).
+    assert peak <= 14
     assert _table_sha256(table) == CONTROL_TABLE_SHA256["petersen"]
+
+
+def test_the_columns_stop_at_the_budget():
+    enum = _Enumerator(build_presentation("petersen", deflate=False), 100_000)
+    assert enum.run([]) == BUDGET_EXCEEDED
+    # Doubling from one slot would reach 131,072; the growth stops at the
+    # budget, and a live coset holds no parent.
+    assert len(enum.cols[0]) == len(enum.parent) == 100_000
+    assert enum.parent.count(None) == enum.live == 100_000
 
 
 @pytest.mark.parametrize("n", [3, 4])
