@@ -422,7 +422,7 @@ def verify_table(table: CosetTable, pres: Presentation) -> bool:
     rows = _table_rows(table)
     if rows is None:
         return False
-    cols = np.ascontiguousarray(rows.T)
+    cols = np.ascontiguousarray(rows.T, dtype=np.intp)  # an intp index gathers fastest
     idx = np.arange(n)
     # A map of range(n) into itself that squares to the identity is a
     # permutation.

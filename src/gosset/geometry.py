@@ -28,7 +28,7 @@ import numpy as np
 from .lattice import (
     LatticeVector,
     Root,
-    basis_vector,
+    basis,
     chamber_vertices,
     inner,
     norm,
@@ -73,7 +73,7 @@ def gosset_walls(n: int) -> GossetWallSystem:
     """
     if n not in TESSELLATION_DIMENSIONS:
         raise ValueError(f"wall systems exist for n in {TESSELLATION_DIMENSIONS}, got {n}")
-    e = [basis_vector(i, n) for i in range(n + 1)]
+    e = basis(n)
     if n == 2:
         labels = ("1", "2", "3")
         roots = (e[1], e[2], e[0] - e[1] - e[2])

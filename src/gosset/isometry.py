@@ -429,15 +429,25 @@ def table_walk(rows: np.ndarray) -> np.ndarray:
     layer's new points come in the row-major order of their first edge, the
     standard order of a coset table (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, ch. 5).  Points 0 never reaches are left out.
+
+    Each layer drops the gaps and the points seen already, then keeps the
+    first edge to each point left: owner[p] is the least position of p among
+    the layer's candidates.  A point is fresh in one layer only, so owner is
+    never reset.
     """
     seen = np.zeros(len(rows), dtype=bool)
     seen[0] = True
+    owner = np.full(len(rows), np.iinfo(np.intp).max, dtype=np.intp)
 
     def pick(frontier: np.ndarray) -> np.ndarray:
-        ids, first, _, _ = _first_occurrences(rows[frontier].ravel())
-        fresh = (ids >= 0) & ~seen[ids]
-        seen[ids[fresh]] = True
-        return np.sort(first[fresh])
+        ids = rows[frontier].ravel()
+        at = np.flatnonzero(ids >= 0)
+        at = at[~seen[ids[at]]]
+        ids = ids[at]
+        np.minimum.at(owner, ids, at)
+        first = owner[ids] == at
+        seen[ids[first]] = True
+        return at[first]
 
     layers = layered_closure(np.zeros(1, dtype=np.intp), pick, lambda f, p: rows[f].ravel()[p])
     return np.concatenate(list(layers))

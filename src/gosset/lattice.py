@@ -79,6 +79,11 @@ def basis_vector(i: int, n: int) -> LatticeVector:
     return LatticeVector(tuple(1 if j == i else 0 for j in range(n + 1)))
 
 
+def basis(n: int) -> list[LatticeVector]:
+    """The basis e_0, ..., e_n of Z^{n,1}."""
+    return [basis_vector(i, n) for i in range(n + 1)]
+
+
 def inner(u: LatticeVector, v: LatticeVector) -> int:
     """Lorentzian pairing -u_0 v_0 + u_1 v_1 + ... + u_n v_n."""
     _same_dimension(u, v)
@@ -124,7 +129,7 @@ def simple_roots(n: int) -> list[Root]:
     """
     if not 2 <= n <= 8:
         raise ValueError(f"n must be between 2 and 8, got {n}")
-    e = [basis_vector(i, n) for i in range(n + 1)]
+    e = basis(n)
     if n == 2:
         alpha0 = e[0] - e[1] - e[2]
     else:
@@ -144,7 +149,7 @@ def chamber_vertices(n: int) -> list[LatticeVector]:
     """
     if not 2 <= n <= 8:
         raise ValueError(f"n must be between 2 and 8, got {n}")
-    e = [basis_vector(i, n) for i in range(n + 1)]
+    e = basis(n)
     verts = [e[0], e[0] - e[1], 2 * e[0] - e[1] - e[2]]
     for j in range(3, n + 1):
         v = 3 * e[0]

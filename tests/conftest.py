@@ -98,9 +98,10 @@ def row_report():
 
     from gosset import cli
     from gosset.report import run_check
+    from gosset.suites import rows
 
     def report(template, n):
-        (row,) = [r for r in cli.TABLE if r.template == template]
+        (row,) = [r for r in rows() if r.template == template]
         check_id = template.format(n=n, kind=cli.KIND_BY_N.get(n))
         return run_check(check_id, n, partial(row.run, cli.Case(n, cli.Options())))
 

@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from importlib import import_module
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -16,6 +18,12 @@ from gosset.geometry import gosset_walls
 from gosset.lattice import basis_vector, chamber_vertices, inner, reflect
 from gosset.presentation import DiagramGraph, build_presentation
 from gosset.report import CheckReport, exit_code, reports_to_json
+from gosset.suites import eisenstein as eisenstein_rows
+from gosset.suites import enumeration as enumeration_rows
+from gosset.suites import lattice as lattice_rows
+from gosset.suites import presentation as presentation_rows
+from gosset.suites import rows
+from gosset.suites import tessellation as tessellation_rows
 
 
 def _strip_runtimes(text):
@@ -131,7 +139,7 @@ def test_tessellation_build_failure_is_an_error_record(monkeypatch):
     def broken(n):
         raise AssertionError(f"tessellation {n} failed to build")
 
-    monkeypatch.setattr(cli, "build_tessellation", broken)
+    monkeypatch.setattr(tessellation_rows, "build_tessellation", broken)
     reports = run_suite("tessellation", Options(n=2))
     by_id = {r.check_id: r.status for r in reports}
     assert list(by_id) == [
@@ -165,29 +173,59 @@ def test_relator_shuffles_compile_their_scanners_once():
 
     for n in (2, 3):
         _compile_scanners.cache_clear()
-        cli._relator_order_invariance(cli.Case(n, Options()))
+        enumeration_rows._relator_order_invariance(cli.Case(n, Options()))
         info = _compile_scanners.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
 
-def test_cli_import_compiles_no_scanner():
-    # Nor does it, or the lattice suite, build a W(E6) table or a GroupClosure:
-    # the lattice suite runs alone in the congruence benchmark.
+def _imported(args):
+    """The modules a fresh `python -X importtime args` imports."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+
+
+def test_cli_import_compiles_no_scanner(tmp_path):
+    # A bare `import gosset.cli` loads no layer and not numpy.  The lattice
+    # suite, run as the congruence benchmark runs it, never loads the layers
+    # it does not call, so it compiles no scanner and builds no W(E6) table.
+    bare = _imported(["-c", "import gosset.cli"])
+    assert {m for m in bare if m.startswith("gosset")} == {
+        "gosset", "gosset.cli", "gosset.report", "gosset.suites"
+    }
+    assert "numpy" not in bare
+    out = tmp_path / "lattice.json"
+    loaded = _imported(["-m", "gosset.cli", "lattice", "--max-n", "7", "--out", str(out)])
+    assert {"gosset.isometry", "gosset.lattice", "numpy"} <= loaded
+    never = {f"gosset.{m}" for m in ("e6", "eisenstein", "enumeration", "geometry", "presentation")}
+    assert not never & loaded
+    pinned = json.loads((GOLDEN.parent / "congruence_n7.json").read_text())["lattice"]
+    got = json.loads(out.read_text())["checks"]
+    assert [(c["check_id"], c["status"]) for c in got] == [
+        (c["check_id"], c["status"]) for c in pinned
+    ]
+    assert len(got) == 34
+    # Nor does it build a GroupClosure, at any level of the congruence chain:
+    # the spy runs in a fresh process, where no level is cached yet.
     code = (
-        "import gosset.cli as cli; from gosset import e6, enumeration, isometry; "
+        "import sys; from gosset import cli, isometry; "
         "built = []; init = isometry.GroupClosure.__init__; "
         "isometry.GroupClosure.__init__ = lambda *a, **k: built.append(1) or init(*a, **k); "
-        "work = lambda: (enumeration._compile_scanners.cache_info().currsize, "
-        "e6.cayley_table.cache_info().misses, "
-        "enumeration.enumerate_diagram_group.cache_info().misses, len(built)); "
-        "print(*work()); cli.run_suite('lattice'); print(*work())"
+        "code = cli.main(['lattice', '--max-n', '7', '--out', sys.argv[1]]); "
+        "print(code, len(built))"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, str(tmp_path / "spied.json")],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0"] * 8
+    assert done.stdout.split()[-2:] == ["0", "0"]
 
 
 @pytest.mark.parametrize(
@@ -209,7 +247,7 @@ def test_a_broken_layer_function_fails_only_its_checks(monkeypatch, suite, broke
     def raise_error(*args, **kwargs):
         raise RuntimeError(f"{broken} is broken")
 
-    monkeypatch.setattr(cli, broken, raise_error)
+    monkeypatch.setattr(import_module(f"gosset.suites.{suite}"), broken, raise_error)
     statuses = {r.check_id: r.status for r in run_suite(suite, Options(n=2))}
     assert {k for k, v in statuses.items() if v == "error"} == failing
     # automorphism_order_n2 and braid_identity_fixed among them
@@ -241,9 +279,9 @@ def _hexaflection_with_coefficient_omega(e, lam):
 @pytest.mark.parametrize(
     "owner, name, fake, suite, failing",
     [
-        (cli, "reflect", _reflect_with_coefficient_one, "lattice", ["reflection_involution_n2"]),
+        (lattice_rows, "reflect", _reflect_with_coefficient_one, "lattice", ["reflection_involution_n2"]),
         (
-            cli, "braid_identity_check", _braid_with_coefficient_three,
+            presentation_rows, "braid_identity_check", _braid_with_coefficient_three,
             "presentation", ["braid_identity_random_n2"],
         ),
         # a - b omega breaks conj(omega^2) = conj(omega)^2; the identity map is
@@ -253,14 +291,16 @@ def _hexaflection_with_coefficient_omega(e, lam):
             "eisenstein", ["conjugation_multiplicative"],
         ),
         (EisensteinInteger, "conj", lambda z: z, "eisenstein", ["conjugation_multiplicative"]),
-        (cli, "herm", _herm_without_conjugation, "eisenstein", ["hermitian_symmetry"]),
+        (eisenstein_rows, "herm", _herm_without_conjugation, "eisenstein", ["hermitian_symmetry"]),
         (
-            cli, "hexaflection", _hexaflection_with_coefficient_omega, "eisenstein",
+            eisenstein_rows, "hexaflection", _hexaflection_with_coefficient_omega, "eisenstein",
             ["hexaflection_preserves_form", "hexaflection_order_six", "triflection_order_three"],
         ),
         # The identity map squares to one and preserves the form, but fixes alpha.
-        (cli, "reflect", lambda alpha, lam: lam, "lattice", ["reflection_involution_n2"]),
+        (lattice_rows, "reflect", lambda alpha, lam: lam, "lattice", ["reflection_involution_n2"]),
     ],
+    # The rows lived in gosset.cli before each suite had a module; the ids stay.
+    ids=lambda value: "gosset.cli" if isinstance(value, ModuleType) else None,
 )
 def test_basis_checks_fail_on_a_broken_identity(monkeypatch, owner, name, fake, suite, failing):
     options = Options(n=2, max_n=2)
@@ -304,14 +344,16 @@ def test_orbit_checks_fail_on_a_broken_input(monkeypatch, n, name, fake, check):
 
 def test_lagrange_fails_on_a_wrong_stabilizer_order(monkeypatch):
     options = Options(n=2)
-    real = cli.congruence_intersection_check
+    real = tessellation_rows.congruence_intersection_check
 
     def lagrange_status():
         return {r.check_id: r.status for r in run_suite("tessellation", options)}["lagrange_n2"]
 
     assert lagrange_status() == "pass"
     monkeypatch.setattr(
-        cli, "congruence_intersection_check", lambda n: replace(real(n), order=2 * real(n).order)
+        tessellation_rows,
+        "congruence_intersection_check",
+        lambda n: replace(real(n), order=2 * real(n).order),
     )
     assert lagrange_status() == "fail"
 
@@ -409,7 +451,7 @@ def test_every_pinned_check_is_still_a_row():
     golden = {c["check_id"] for c in json.loads(GOLDEN.read_text())["all"]}
     ids = {
         row.template.format(n=n, kind=cli.KIND_BY_N.get(n))
-        for row in cli.TABLE
+        for row in rows()
         for n in ((None,) if row.dims is None else row.dims)
     }
     assert golden <= ids
@@ -431,7 +473,7 @@ A4_PATH = DiagramGraph(("1", "2", "3", "4"), frozenset({("1", "2"), ("2", "3"), 
 @pytest.mark.parametrize("n", [3, 4])
 def test_tits_form_check_fails_on_a_positive_definite_diagram(monkeypatch, row_report, n):
     assert row_report("no_deflation_indefinite_{kind}", n).status == "pass"
-    monkeypatch.setattr(cli, "diagram_graph", lambda kind: A4_PATH)
+    monkeypatch.setattr(enumeration_rows, "diagram_graph", lambda kind: A4_PATH)
     assert row_report("no_deflation_indefinite_{kind}", n).status == "fail"
 
 
@@ -446,7 +488,7 @@ def test_verify_all_never_enumerates_the_petersen_group_over_the_trivial_subgrou
             petersen_subgroups.append(tuple(subgroup_words))
         return real(pres, subgroup_words, budget)
 
-    for module in (enumeration, cli):
+    for module in (enumeration, enumeration_rows):
         monkeypatch.setattr(module, "todd_coxeter", spy)
     enumeration.enumerate_diagram_group.cache_clear()
     reports = run_suite("all")

@@ -16,6 +16,7 @@ from gosset.e6 import (
     verify_singletons_commute,
 )
 from gosset.presentation import Presentation
+from gosset.suites import e6 as e6_rows
 
 CHECKS = {
     "gram": verify_petersen_gram,
@@ -148,7 +149,7 @@ def test_cayley_table_row_fails_without_a_relator_the_presentation_needs(monkeyp
     dropped = Presentation(pres.generators, tuple(r for r in pres.relators if r != ("3", "4") * 2))
     uncached = enumeration.enumerate_diagram_group.__wrapped__
     monkeypatch.setattr(enumeration, "build_presentation", lambda kind: dropped)
-    monkeypatch.setattr(cli, "enumerate_diagram_group", uncached)
+    monkeypatch.setattr(e6_rows, "enumerate_diagram_group", uncached)
     report = row_report(CAYLEY_ROW, None)
     assert report.status == "error"
     assert "the relators among H's generators: enumeration budget_exceeded" in report.details

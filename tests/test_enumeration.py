@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gosset import cli, enumeration
+from gosset import enumeration
 from gosset.enumeration import (
     BUDGET_EXCEEDED,
     CLOSED,
@@ -26,6 +26,7 @@ from gosset.geometry import wall_reflections_mod3
 from gosset.e6 import cayley_table
 from gosset.isometry import Matrix, base_orbit_table, table_walk
 from gosset.presentation import Presentation, build_presentation
+from gosset.suites import enumeration as enumeration_rows
 
 EXPECTED_ORDERS = {"a3": 24, "affine_a5": 720, "petersen": 51840}
 
@@ -101,7 +102,9 @@ def test_the_lift_equals_the_plain_enumeration(kind):
 @pytest.fixture
 def petersen_order_report(monkeypatch, row_report):
     """The report of coset_order_petersen, run on an uncached lift."""
-    monkeypatch.setattr(cli, "enumerate_diagram_group", enumerate_diagram_group.__wrapped__)
+    monkeypatch.setattr(
+        enumeration_rows, "enumerate_diagram_group", enumerate_diagram_group.__wrapped__
+    )
     return lambda: row_report("coset_order_{kind}", 4)
 
 
@@ -765,7 +768,7 @@ def test_cross_certificate_raises_on_generators_not_closed_under_inversion(
     rotated = dict(walls, **{"1": walls["1"] @ walls["3"]})
     with pytest.raises(ValueError, match="inversion"):
         verify_action_against_matrices(enumerate_diagram_group("a3"), rotated)
-    monkeypatch.setattr(cli, "wall_reflections_mod3", lambda n: rotated)
+    monkeypatch.setattr(enumeration_rows, "wall_reflections_mod3", lambda n: rotated)
     assert row_report("matrix_cross_check_{kind}", 2).status == "error"
 
 

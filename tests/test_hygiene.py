@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = sorted((ROOT / "src" / "gosset").glob("*.py"))
+PACKAGE_DIR = ROOT / "src" / "gosset"
+PACKAGE = sorted(PACKAGE_DIR.rglob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
@@ -133,7 +134,7 @@ def unused_definitions(package, others):
 
 
 def test_no_unused_definitions():
-    package = {f"src/gosset/{p.name}": p.read_text() for p in PACKAGE}
+    package = {p.relative_to(ROOT).as_posix(): p.read_text() for p in PACKAGE}
     bench = {f"perfbench/{p.name}": p.read_text() for p in BENCH}
     assert unused_definitions(package, bench) == []
 
@@ -197,7 +198,7 @@ def bare_asserts(source):
     return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(PACKAGE_DIR).as_posix())
 def test_no_bare_asserts_in_the_package(path):
     assert bare_asserts(path.read_text()) == []
 

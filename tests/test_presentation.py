@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from gosset.cli import AUT_ORDERS, GIRTHS, TITS_FORM_AT_ONES
 from gosset.geometry import gosset_walls, wall_reflections_mod3
 from gosset.isometry import Matrix, reflection_matrix
 from gosset.lattice import inner, vector
@@ -23,6 +22,8 @@ from gosset.presentation import (
     presentation_to_text,
     tits_form,
 )
+from gosset.suites.diagrams import AUT_ORDERS, GIRTHS
+from gosset.suites.enumeration import TITS_FORM_AT_ONES
 
 
 def test_diagram_shapes():
