@@ -13,13 +13,19 @@ cycle x·rev(u) read from alpha, so a second scan at beta would repeat the
 first.  The conjugates (x, x) are not scanned: symmetric storage makes them
 hold.  The table is stored by columns, one list per generator, doubled in
 place up to the budget, and the scans after a deduction alpha·x run in a
-scanner generated for x from its words: straight-line code with the columns
-bound as locals, compiled once per set of scan words, which writes and
-pushes its own deductions.  They stay generated: a generic per-word scan
-loop gives the same tables but runs the 100,000-coset negative controls
-about 1.7 times as long.  Coincidences are processed with a union-find over
-coset indices, path compressed, smaller index surviving; parent[a] is None
-while coset a is its own representative, so only merged cosets hold ints.
+scanner for x, which writes and pushes its own deductions.  An enumeration
+starts on interpreted scanners, a loop over x's words, and once it has
+defined _COMPILE_PER_LETTER cosets per letter of its words switches to
+scanners generated from them: straight-line code with the columns bound as
+locals and one branch per gap of each short word, compiled once per set of
+scan words.  Both make the same reads, writes, pushes and rescans in the
+same order, so the switch moves no table.  Compiling pays only in long
+runs: it takes 0.2 s for the deflated Petersen words, over ten times their run
+over H, while the compiled scans run the 100,000-coset negative controls in
+about half the interpreted time.  Coincidences are processed with a
+union-find over coset indices, path compressed, smaller index surviving;
+parent[a] is None while coset a is its own representative, so only merged
+cosets hold ints.
 
 Enumeration is exact: a closed table reports the subgroup index (the group
 order, for the trivial subgroup); hitting the coset budget reports
@@ -47,9 +53,10 @@ it as the standardized Cayley table of G.  A shortfall raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +67,25 @@ DEFAULT_COSET_BUDGET = 200_000
 
 CLOSED = "closed"
 BUDGET_EXCEEDED = "budget_exceeded"
+
+# An enumeration scans with _interpreted_scanner until it has defined this
+# many cosets per letter of its scan words, then compiles them.  Compiling
+# costs 60-130 us per letter, and interpreting 2.4-34 us more per coset
+# than the compiled scans (the diagram presentations, fastest of 9 runs on a
+# 2-vCPU Xeon VM), so the two break even at 4-26 cosets per letter: 16 and
+# 25 for the undeflated Petersen and affine A5 words.  Switching there,
+# as one rents skis until the rent paid would have bought them, keeps any
+# enumeration within about twice the cheaper of the two, however long it
+# runs: the other runs of verify all define at most 3 cosets per letter and
+# compile nothing, the 100,000-coset controls switch after 2,304 and 6,720.
+_COMPILE_PER_LETTER = 16
+
+# Words of at most this many letters are compiled as one branch per gap
+# position, each with its own backward trace, whose source grows with the
+# square of the length: 3.6 KB for 12 letters, twice the flat block's 1.7
+# KB, 19 KB for 32 letters, four times, and about 130 MB for 3,000.  The
+# diagram presentations' words have at most 10.
+_UNROLL_LETTERS = 12
 
 # The pins of each diagram group's lift: the generators of the subgroup H,
 # and the base tuple B of cosets of H whose orbit is the group.  Each B was
@@ -116,21 +142,25 @@ class CosetTable:
 
 def _scanner_source(x: int, words: Sequence[tuple[int, ...]], ngens: int) -> str:
     """Source of bind(cols, push, rescan), which returns scan(a): the scans
-    of every word x·u at a, unrolled, in the order of words.
+    of every word x·u at a, unrolled, in the order of words, the walk of
+    _interpreted_scanner.
 
-    Per word, one block traces forwards from beta = a·x and leaves in f, i,
-    c and g the coset, position, column and letter of the first gap; f =
-    None marks a closed cycle, a coincidence if it ends off a.  beta is
-    always known: a scan starts at a deduction alpha·x = beta, and a
+    A word of at most _UNROLL_LETTERS letters is one if/elif chain that
+    traces forwards from beta = a·x, one branch per gap position i.  Each
+    branch holds its own backward trace of b from a, one walrus per letter
+    past i, which stops at a gap; if it reaches i, an entry closes the cycle
+    on a second coset, a coincidence, and a gap is a deduction, written both
+    ways and pushed.  The last branch meets no gap: the cycle closes, a
+    coincidence if it ends off a.  A longer word, whose branches would grow
+    with the square of its length, is a flat block instead: a loop run once
+    leaves the coset, position, column and letter of the first gap in f, i,
+    c and g, and a second traces b back to i under guards i < j.
+
+    beta is always known: a scan starts at a deduction alpha·x = beta, and a
     coincidence gives every edge it clears a new value before a scan reads
-    it, so a broken invariant fails loudly, indexing by None.  A second
-    block traces b backwards from a, one line per letter past position i,
-    and stops at a gap; at i, an entry closes the cycle on a second coset, a
-    coincidence, and a gap is a deduction, written both ways and pushed.
-    Each block is a loop run once, left by break, so the source is flat and
-    linear in the word lengths.  The columns are default arguments, read as
-    locals; after a coincidence, rescan gives the representative of a and
-    its x-neighbour.
+    it, so a broken invariant fails loudly, indexing by None.  The columns
+    are default arguments, read as locals; after a coincidence, rescan gives
+    the representative of a and its x-neighbour.
     """
     cols = ", ".join(f"c{y}" for y in range(ngens))
     defaults = ", ".join(f"c{y}=c{y}" for y in range(ngens))
@@ -141,23 +171,53 @@ def _scanner_source(x: int, words: Sequence[tuple[int, ...]], ngens: int) -> str
         f"        beta = c{x}[a]",
     ]
     for word in words:
-        lines.append("        while True:")
-        f = "beta"
-        for i, g in enumerate(word[1:], 1):
-            gap = f"f = {f}; i = {i}; c = c{g}; g = {g}; b = a; break"
-            lines.append(f"            if (f{i} := c{g}[{f}]) is None: {gap}")
-            f = f"f{i}"
-        lines.append(f"            if {f} != a: a, beta = rescan({f}, a, a, {x})")
-        lines += ["            f = None; break", "        while f is not None:"]
-        for j in range(len(word) - 1, 1, -1):
-            lines.append(f"            if i < {j} and (b := c{word[j]}[b]) is None: break")
-        lines += [
-            "            if (e := c[b]) is None: c[f] = b; c[b] = f; push((f, g))",
-            f"            else: a, beta = rescan(f, e, a, {x})",
-            "            break",
-        ]
+        emit = _unrolled_scan if len(word) <= _UNROLL_LETTERS else _linear_scan
+        lines += emit(x, word)
     lines += ["    return scan", ""]
     return "\n".join(lines)
+
+
+def _unrolled_scan(x: int, word: tuple[int, ...]) -> list[str]:
+    """The scan of word as one branch per gap position, at scan's indent."""
+    lines = []
+    f = "beta"
+    for i, g in enumerate(word[1:], 1):
+        back, b = [], "a"
+        for h in reversed(word[i + 1 :]):
+            back.append(f"(b := c{h}[{b}]) is not None")
+            b = "b"
+        gap = [
+            f"if (e := c{g}[{b}]) is None: c{g}[{f}] = {b}; c{g}[{b}] = {f}; push(({f}, {g}))",
+            f"else: a, beta = rescan({f}, e, a, {x})",
+        ]
+        if back:
+            gap = [f"if {' and '.join(back)}:"] + ["    " + line for line in gap]
+        lines.append(f"        {'if' if i == 1 else 'elif'} (f{i} := c{g}[{f}]) is None:")
+        lines += ["            " + line for line in gap]
+        f = f"f{i}"
+    closed = f"{f} != a: a, beta = rescan({f}, a, a, {x})"
+    lines.append(f"        {'if' if f == 'beta' else 'elif'} {closed}")
+    return lines
+
+
+def _linear_scan(x: int, word: tuple[int, ...]) -> list[str]:
+    """The scan of word as two flat blocks, linear in its length, at scan's indent."""
+    lines = ["        while True:"]
+    f = "beta"
+    for i, g in enumerate(word[1:], 1):
+        gap = f"f = {f}; i = {i}; c = c{g}; g = {g}; b = a; break"
+        lines.append(f"            if (f{i} := c{g}[{f}]) is None: {gap}")
+        f = f"f{i}"
+    lines.append(f"            if {f} != a: a, beta = rescan({f}, a, a, {x})")
+    lines += ["            f = None; break", "        while f is not None:"]
+    for j in range(len(word) - 1, 1, -1):
+        lines.append(f"            if i < {j} and (b := c{word[j]}[b]) is None: break")
+    lines += [
+        "            if (e := c[b]) is None: c[f] = b; c[b] = f; push((f, g))",
+        f"            else: a, beta = rescan(f, e, a, {x})",
+        "            break",
+    ]
+    return lines
 
 
 @memoize
@@ -170,6 +230,47 @@ def _compile_scanners(scan_words: tuple[tuple[tuple[int, ...], ...], ...]) -> tu
         exec(compile(source, f"<scanner {x}>", "exec"), namespace)
         binds.append(namespace["bind"])
     return tuple(binds)
+
+
+def _interpreted_scanner(
+    x: int, words: Sequence[tuple[int, ...]], cols: list, push: Callable, rescan: Callable
+) -> Callable[[int], None]:
+    """scan(a) for x: the walk of _scanner_source's code, word by word, with
+    the same writes, pushes and rescans.  Each letter of a word is held with
+    its column and the number of letters after it, which the backward trace
+    reads off the word's reversed columns."""
+    plans = []
+    for word in words:
+        letters = word[1:]
+        steps = tuple((cols[g], g, len(letters) - i) for i, g in enumerate(letters, 1))
+        plans.append((steps, tuple(cols[g] for g in reversed(letters))))
+    cx = cols[x]
+
+    def scan(a):
+        beta = cx[a]
+        for steps, back in plans:
+            f = beta
+            for c, g, after in steps:
+                if (step := c[f]) is None:
+                    break
+                f = step
+            else:
+                if f != a:
+                    a, beta = rescan(f, a, a, x)
+                continue
+            b = a
+            for d in back[:after]:
+                if (b := d[b]) is None:
+                    break
+            else:
+                if (e := c[b]) is None:
+                    c[f] = b
+                    c[b] = f
+                    push((f, g))
+                else:
+                    a, beta = rescan(f, e, a, x)
+
+    return scan
 
 
 class _Enumerator:
@@ -263,14 +364,27 @@ class _Enumerator:
                     col[nu] = mu
                     self.deductions.append((mu, x))
 
+    def _scanners(self, compiled: bool) -> list:
+        """One scan(a) per generator, compiled or interpreted, bound to the
+        columns, the deduction stack and _rescan."""
+        if compiled:
+            binds = _compile_scanners(self.scan_words)
+        else:
+            binds = [partial(_interpreted_scanner, x, ws) for x, ws in enumerate(self.scan_words)]
+        return [bind(self.cols, self.deductions.append, self._rescan) for bind in binds]
+
     def run(self, subgroup_words: Sequence[tuple[int, ...]]) -> str:
         # A local list: the scanners hold bound methods, so keeping them on
         # self would make a cycle that outlives the call with the table.
         cols, parent, deductions = self.cols, self.parent, self.deductions
-        binds = _compile_scanners(self.scan_words)
-        scanners = [bind(cols, deductions.append, self._rescan) for bind in binds]
         pop, find, budget = deductions.pop, self._find, self.budget
         start = defined = self.defined
+        letters = sum(len(w) for words in self.scan_words for w in words)
+        compile_at = _COMPILE_PER_LETTER * letters
+        compiled = defined >= compile_at
+        scanners = self._scanners(compiled)
+        if compiled:
+            compile_at = math.inf
         try:
             # Trace each subgroup word at coset 0, defining cosets to complete
             # it, then scan each deduction (alpha, x) at alpha with x's scanner.
@@ -297,7 +411,7 @@ class _Enumerator:
             alpha = 0
             while alpha < defined:
                 if parent[alpha] is None:
-                    for col, scan in zip(cols, scanners):
+                    for x, col in enumerate(cols):
                         if parent[alpha] is not None:
                             break
                         if col[alpha] is None:
@@ -305,9 +419,11 @@ class _Enumerator:
                                 return BUDGET_EXCEEDED
                             if defined == len(parent):
                                 self._grow()
+                            if defined >= compile_at:
+                                compile_at, scanners = math.inf, self._scanners(compiled=True)
                             col[alpha], col[defined] = defined, alpha
                             defined += 1
-                            scan(alpha)
+                            scanners[x](alpha)
                             while deductions:
                                 a, y = pop()
                                 scanners[y](a if parent[a] is None else find(a))

@@ -46,6 +46,17 @@ def layer_builds(monkeypatch):
 
 
 @pytest.fixture
+def fresh_scanners():
+    """enumeration._compile_scanners with its cache emptied before and after
+    the test, so a test sees its own compiles and keeps none of them."""
+    from gosset.enumeration import _compile_scanners
+
+    _compile_scanners.cache_clear()
+    yield _compile_scanners
+    _compile_scanners.cache_clear()
+
+
+@pytest.fixture
 def poincare_coefficients():
     """A helper: the coefficients of prod_i (1 + q + ... + q^(d_i - 1)).
 

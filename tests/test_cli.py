@@ -7,7 +7,6 @@ import sys
 from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
-from types import ModuleType
 
 import pytest
 
@@ -168,14 +167,32 @@ def test_boundary_slots_fail_when_the_dot_export_drops_an_edge(monkeypatch):
     assert status()["boundary_slots_n4"] == "fail"
 
 
-def test_relator_shuffles_compile_their_scanners_once():
-    from gosset.enumeration import _compile_scanners
-
+def test_relator_shuffles_compile_no_scanner(fresh_scanners):
+    # 24 and 720 cosets, at most 3 per letter of the scan words: each
+    # shuffle scans interpreted from start to end.
     for n in (2, 3):
-        _compile_scanners.cache_clear()
         enumeration_rows._relator_order_invariance(cli.Case(n, Options()))
-        info = _compile_scanners.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        info = fresh_scanners.cache_info()
+        assert (info.misses, info.hits) == (0, 0)
+
+
+def test_the_enumeration_suite_compiles_only_the_controls(monkeypatch, fresh_scanners):
+    # The lifts, their H-relator runs and the shuffles are too short to pay
+    # for a compile; the two 100,000-coset controls compile once each.
+    compiled = []
+
+    def spy(scan_words):
+        compiled.append(scan_words)
+        return fresh_scanners(scan_words)
+
+    monkeypatch.setattr(enumeration, "_compile_scanners", spy)
+    enumeration.enumerate_diagram_group.cache_clear()
+    assert {r.status for r in run_suite("enumeration")} == {"pass"}
+    controls = [
+        enumeration._Enumerator(build_presentation(kind, deflate=False), 1).scan_words
+        for kind in ("affine_a5", "petersen")
+    ]
+    assert sorted(compiled) == sorted(controls)
 
 
 def _imported(args):
@@ -276,31 +293,48 @@ def _hexaflection_with_coefficient_omega(e, lam):
     return lam - e.scale(OMEGA * herm(lam, e))
 
 
+# The rows lived in gosset.cli before each suite had a module; the ids stay.
 @pytest.mark.parametrize(
     "owner, name, fake, suite, failing",
     [
-        (lattice_rows, "reflect", _reflect_with_coefficient_one, "lattice", ["reflection_involution_n2"]),
-        (
+        pytest.param(
+            lattice_rows, "reflect", _reflect_with_coefficient_one, "lattice",
+            ["reflection_involution_n2"],
+            id="gosset.cli-reflect-_reflect_with_coefficient_one-lattice-failing0",
+        ),
+        pytest.param(
             presentation_rows, "braid_identity_check", _braid_with_coefficient_three,
             "presentation", ["braid_identity_random_n2"],
+            id="gosset.cli-braid_identity_check-_braid_with_coefficient_three-presentation-failing1",
         ),
         # a - b omega breaks conj(omega^2) = conj(omega)^2; the identity map is
         # multiplicative but gives omega the norm omega^2.
-        (
-            EisensteinInteger, "conj", lambda z: EisensteinInteger(z.a, -z.b),
-            "eisenstein", ["conjugation_multiplicative"],
+        pytest.param(
+            EisensteinInteger, "conj", lambda z: EisensteinInteger(z.a, -z.b), "eisenstein",
+            ["conjugation_multiplicative"],
+            id="EisensteinInteger-conj-<lambda>-eisenstein-failing2",
         ),
-        (EisensteinInteger, "conj", lambda z: z, "eisenstein", ["conjugation_multiplicative"]),
-        (eisenstein_rows, "herm", _herm_without_conjugation, "eisenstein", ["hermitian_symmetry"]),
-        (
+        pytest.param(
+            EisensteinInteger, "conj", lambda z: z, "eisenstein", ["conjugation_multiplicative"],
+            id="EisensteinInteger-conj-<lambda>-eisenstein-failing3",
+        ),
+        pytest.param(
+            eisenstein_rows, "herm", _herm_without_conjugation, "eisenstein",
+            ["hermitian_symmetry"],
+            id="gosset.cli-herm-_herm_without_conjugation-eisenstein-failing4",
+        ),
+        pytest.param(
             eisenstein_rows, "hexaflection", _hexaflection_with_coefficient_omega, "eisenstein",
             ["hexaflection_preserves_form", "hexaflection_order_six", "triflection_order_three"],
+            id="gosset.cli-hexaflection-_hexaflection_with_coefficient_omega-eisenstein-failing5",
         ),
         # The identity map squares to one and preserves the form, but fixes alpha.
-        (lattice_rows, "reflect", lambda alpha, lam: lam, "lattice", ["reflection_involution_n2"]),
+        pytest.param(
+            lattice_rows, "reflect", lambda alpha, lam: lam, "lattice",
+            ["reflection_involution_n2"],
+            id="gosset.cli-reflect-<lambda>-lattice-failing6",
+        ),
     ],
-    # The rows lived in gosset.cli before each suite had a module; the ids stay.
-    ids=lambda value: "gosset.cli" if isinstance(value, ModuleType) else None,
 )
 def test_basis_checks_fail_on_a_broken_identity(monkeypatch, owner, name, fake, suite, failing):
     options = Options(n=2, max_n=2)

@@ -1,6 +1,8 @@
 """Coset enumeration of the odd presentations and its certificates."""
 
 import hashlib
+import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ from gosset.enumeration import (
     CosetTable,
     _Enumerator,
     _live_table,
+    _scanner_source,
     _table_rows,
     enumerate_diagram_group,
     matrix_cayley_table,
@@ -474,12 +477,19 @@ def test_relator_order_does_not_matter():
     relabelled_and_shuffled()
 
 
-def test_a_long_relator_compiles_and_closes():
+def test_a_long_relator_compiles_and_closes(monkeypatch, fresh_scanners):
     # The dihedral group of order 3000: one relator of 3000 letters, whose
-    # unrolled scans must stay flat to compile.
+    # unrolled scans must stay flat to compile.  Compiled from the first
+    # coset, as 3000 cosets would never reach 16 per letter.
+    monkeypatch.setattr(enumeration, "_COMPILE_PER_LETTER", 0)
     pres = Presentation(("a", "b"), (("a", "a"), ("b", "b"), ("a", "b") * 1500))
     table = todd_coxeter(pres)
     assert (table.status, table.n_live, table.cosets_defined) == (CLOSED, 3000, 3000)
+    assert fresh_scanners.cache_info().misses == 1
+    # Twice the word, about twice the source (the names grow a digit), not
+    # four times as with a branch per gap position.
+    sizes = [len(_scanner_source(0, [(0, 1) * k], 2)) for k in (1500, 3000)]
+    assert sizes[1] < 2.1 * sizes[0]
 
 
 def test_without_deflation_the_affine_group_is_infinite():
@@ -664,14 +674,71 @@ EQUIVALENCE_PINS = {
 }
 
 
-def test_the_equivalence_corpus_keeps_every_table():
-    # Every table, partial ones included, with its counts: the next change
-    # to the enumerator cannot move one unnoticed.
-    found = {}
+def _corpus_tables(monkeypatch, schedule):
+    """The pinned outcome of each enumeration of _equivalence_corpus, each
+    run with _COMPILE_PER_LETTER set to schedule(pinned cosets defined,
+    letters of its scan words), and the scanner kinds it used, in order."""
+    found, used = {}, {}
+    scanners = _Enumerator._scanners
+
+    def spy(enum, compiled):
+        used[name].append("compiled" if compiled else "interpreted")
+        return scanners(enum, compiled)
+
+    monkeypatch.setattr(_Enumerator, "_scanners", spy)
     for name, pres, subgroup, budget in _equivalence_corpus():
+        letters = sum(map(len, itertools.chain(*_Enumerator(pres, budget).scan_words)))
+        monkeypatch.setattr(
+            enumeration, "_COMPILE_PER_LETTER", schedule(EQUIVALENCE_PINS[name][2], letters)
+        )
+        used[name] = []
         table = todd_coxeter(pres, subgroup, budget)
         found[name] = (table.status, table.n_live, table.cosets_defined, _table_sha256(table))
+    return found, used
+
+
+# Each schedule: _COMPILE_PER_LETTER of an enumeration from its cosets
+# defined and its letters, and the scanners it runs on.
+SCHEDULES = {
+    "interpreted": (lambda defined, letters: math.inf, ["interpreted"]),
+    "compiled": (lambda defined, letters: 0, ["compiled"]),
+    "switched_mid_run": (
+        lambda defined, letters: defined / 2 / letters, ["interpreted", "compiled"]
+    ),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+def test_the_equivalence_corpus_keeps_every_table(monkeypatch, fresh_scanners, schedule):
+    # Every table, partial ones included, with its counts: the next change
+    # to the enumerator cannot move one unnoticed, and neither the scanner
+    # kind nor the coset it switches at moves one.
+    switch, kinds = SCHEDULES[schedule]
+    found, used = _corpus_tables(monkeypatch, switch)
     assert found == EQUIVALENCE_PINS
+    expected = dict.fromkeys(EQUIVALENCE_PINS, kinds)
+    if schedule == "switched_mid_run":
+        # Its one subgroup word defines all five cosets before the fill
+        # loop, where the switch is made.
+        expected["extension_1"] = ["interpreted"]
+    assert used == expected
+
+
+def test_a_scanner_one_backward_step_short_moves_a_pinned_table(monkeypatch, fresh_scanners):
+    # The mutant drops the last backward step of every gap at position 1: it
+    # deduces a·x·u_1 = a·u_K...u_3 where the cycle needs a·u_K...u_2.
+    source = enumeration._scanner_source
+
+    def one_step_short(x, words, ngens):
+        lines = source(x, words, ngens).split("\n")
+        for k, line in enumerate(lines):
+            if line.startswith("        if (f1 := ") and " and " in lines[k + 1]:
+                lines[k + 1] = lines[k + 1].rsplit(" and ", 1)[0] + ":"
+        return "\n".join(lines)
+
+    monkeypatch.setattr(enumeration, "_scanner_source", one_step_short)
+    found, _ = _corpus_tables(monkeypatch, SCHEDULES["compiled"][0])
+    assert found != EQUIVALENCE_PINS
 
 
 def test_petersen_minus_one_deflation_still_closes():
