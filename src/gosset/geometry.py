@@ -9,11 +9,11 @@ exactly the reflections in the stabilizer orbits of the norm-1 simple roots
 is verified here rather than assumed, as are the chamber-vertex orbits.
 
 Reducing mod 3 and factoring out -I gives a finite quotient in which the
-images of P tile: tiles are cosets of the stabilizer image, and crossing
-wall i maps the tile of g to the tile of g * t_i where t_i is the wall
-reflection.  The stabilizer is generated by some of the closure's own
-generators, so the cosets are read off those columns of the closure's
-table, with no product.  The resulting tile graphs have 12, 60 and 432
+images of P tile.  A tile gP is its set of walls gW, points of P^n(F_3),
+and crossing its wall g r_i reflects that set in the point g r_i.  So the
+tiles are the orbit of W under the simple reflections, walked on one table
+of the reflections of P^n(F_3) in its points; only the check of their
+count reads group orders.  The resulting tile graphs have 12, 60 and 432
 tiles for n = 2, 3, 4.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,14 +36,14 @@ from .lattice import (
     simple_roots,
 )
 from .isometry import (
-    CosetSpace,
     GroupClosure,
     Matrix,
-    Rows,
     coset_space,
     finite_group_elements,
     long_simple_reflections,
+    lorentz_gram,
     memoize,
+    numbered_points,
     orbit,
     reflection_matrix,
     table_walk,
@@ -176,12 +176,23 @@ def reflection_image_mod3(n: int, projective: bool = True) -> GroupClosure:
     return GroupClosure(gens, projective=projective)
 
 
-def stabilizer_generators_mod3(n: int) -> tuple[Matrix, ...]:
-    return tuple(m.reduce(3) for m in long_simple_reflections(n))
-
-
 def wall_reflections_mod3(n: int) -> dict[str, Matrix]:
     return {lab: mat.reduce(3) for lab, mat in wall_reflection_matrices(n).items()}
+
+
+def point_reflections_mod3(n: int) -> tuple[np.ndarray, Callable]:
+    """The reflections of P^n(F_3) in its anisotropic points, and the points of roots.
+
+    The points are the classes {v, -v} of (Z/3)^{n+1}, numbered as point_action
+    numbers them.  Row p is s_p(q) = q - 2 (q, p) / (p, p) p in the Lorentz form,
+    2 / (p, p) = 2 (p, p) mod 3; the isotropic points mirror nothing: rows of -1.
+    """
+    vectors, number = numbered_points(3, n + 1, projective=True)
+    form = vectors @ np.array(lorentz_gram(n + 1).entries) @ vectors.T % 3
+    scale = 2 * form.diagonal() % 3
+    table = number(vectors[None] - (scale[:, None] * form)[:, :, None] * vectors[:, None])
+    table[scale == 0] = -1
+    return table, lambda roots: number([r.coords for r in roots])
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +200,10 @@ class TileGraph:
     """Tiles of the mod-3 quotient tessellation with labeled wall crossings.
 
     neighbors[tile, j], a read-only int array, is the tile reached by crossing
-    wall wall_labels[j] from tile, tiles numbered by their coset ids.  At
-    build time the crossings between each pair of tiles are asserted to be as
-    many in each direction, and each tile's row, as a multiset, to be
-    independent of its coset representative.
+    wall wall_labels[j] from tile, tiles numbered in the order the walk of
+    wall sets first reaches them, and wall j of a tile the j-th point of its
+    labelled tuple then.  At build time the crossings between each pair of
+    tiles are asserted to be as many in each direction.
     """
 
     n: int
@@ -244,59 +255,32 @@ class TileGraph:
         return "\n".join(lines) + "\n"
 
 
-def _assert_stabilizer_permutes_walls(n: int, walls: Sequence[Matrix]) -> None:
-    """Conjugation by stabilizer generators must permute the wall reflections.
-
-    This is what makes a tile's neighbor multiset independent of the choice
-    of coset representative.  Walls are compared as sign classes {M, -M}.
-    """
-
-    def sign_classes(mats: Sequence[Matrix]) -> set[frozenset[Rows]]:
-        return {frozenset({m.entries, m.neg().entries}) for m in mats}
-
-    wall_set = sign_classes(walls)
-    for h in stabilizer_generators_mod3(n):
-        if sign_classes([h @ t @ h for t in walls]) != wall_set:
-            raise AssertionError("stabilizer fails to permute the walls mod 3")
-
-
 @memoize
 def build_tessellation(n: int) -> TileGraph:
-    """Tile graph of the mod-3 quotient: cosets of the stabilizer image.
+    """Tile graph of the mod-3 quotient: the orbit of the chamber's wall set.
 
-    Tiles are left cosets of the stabilizer image inside the projective
-    mod-3 closure; crossing wall i from the tile of g lands in the tile of
-    g t_i.  Build fails if the stabilizer image does not inject (which would
-    collapse cosets) or if any well-definedness assertion trips.  Cached:
-    each tile graph is built once per process.
+    A tile gP is its wall set gW, the points {+-g r} of P^n(F_3), and
+    crossing wall j of the labelled tile T = (g r_1, ..., g r_k) reflects it
+    in g r_j, landing on the set s_{T_j}(T), as w s_a w^-1 = s_{wa}
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.2).  coset_space
+    walks the orbit of W under the simple reflections, the cosets of W's set
+    stabilizer, which holds the stabilizer image H (the generator_words
+    checks show H permutes the walls).  The build raises unless tiles x |H|
+    is the projective image's order, so the set stabilizer is H.  Cached.
     """
     if n not in TESSELLATION_DIMENSIONS:
         raise ValueError(f"tessellations are built for n in {TESSELLATION_DIMENSIONS}, got {n}")
-    group = reflection_image_mod3(n, projective=True)
-    # The stabilizer's generators are some of the group's: H steps by their columns.
-    steps = group.table[:, [group.generators.index(h) for h in stabilizer_generators_mod3(n)]]
-    space = coset_space(steps)
-    if space.subgroup_order != len(finite_group_elements(long_simple_reflections(n))):
-        raise AssertionError("stabilizer image collapsed in the projective quotient")
-
-    walls = list(wall_reflections_mod3(n).values())
-    _assert_stabilizer_permutes_walls(n, walls)
-
-    reps = space.representative_indices
-    neighbors = _crossings(group, space, walls, reps)
+    reflections, points = point_reflections_mod3(n)
+    walls = gosset_walls(n)
+    space = coset_space(reflections[points(simple_roots(n))], points(walls.roots))
+    stabilizer = len(finite_group_elements(long_simple_reflections(n)))
+    if space.count * stabilizer != reflection_image_mod3(n, projective=True).order:
+        raise AssertionError("the wall set's stabilizer is not the stabilizer image")
+    crossed = reflections[space.tuples[:, :, None], space.tuples[:, None]]  # tile, wall, point
+    neighbors = space.cosets_of(crossed.reshape(-1, len(walls.roots))).reshape(crossed.shape[:2])
     _assert_pair_symmetric(neighbors)
-    alternatives = _crossings(group, space, walls, steps[reps, 0])
-    _assert_representative_independent(neighbors, alternatives)
     neighbors.flags.writeable = False
-    return TileGraph(n, gosset_walls(n).labels, neighbors)
-
-
-def _crossings(
-    group: GroupClosure, space: CosetSpace, walls: Sequence[Matrix], elements: np.ndarray
-) -> np.ndarray:
-    """The coset of g t for each element g (by index) and wall t: elements x walls."""
-    columns = [space.cosets_of(group.right_multiply(elements, t)) for t in walls]
-    return np.stack(columns, axis=1)
+    return TileGraph(n, walls.labels, neighbors)
 
 
 def _assert_pair_symmetric(neighbors: np.ndarray) -> None:
@@ -306,9 +290,3 @@ def _assert_pair_symmetric(neighbors: np.ndarray) -> None:
     counts = np.bincount(pairs, minlength=tiles * tiles).reshape(tiles, tiles)
     if not np.array_equal(counts, counts.T):
         raise AssertionError("tile adjacency is not symmetric")
-
-
-def _assert_representative_independent(neighbors: np.ndarray, alternative: np.ndarray) -> None:
-    """Rows crossed from two representatives of each tile must agree as multisets."""
-    if not np.array_equal(np.sort(neighbors, axis=1), np.sort(alternative, axis=1)):
-        raise AssertionError("tile neighbors depend on the coset representative")

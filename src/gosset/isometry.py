@@ -12,35 +12,34 @@ multiplication by the generators, one vectorized layer at a time.  The one
 layer loop, layered_closure, asks a pick rule which products of the frontier
 are new, checks the budget, builds only those, and yields the layer as a
 bare block of elements.  Keys belong to the pick rule alone.  On orbits the
-rule goes by keys: each product has an int64 key, computed before it is
-built, and a layer's candidate keys are deduplicated once and looked up in
-the sorted keys of the two layers before it.  Over Z it goes by descents,
-for generators that are distinct simple reflections, and keys nothing (see
-_descents); each product is an int8 matrix, gathered once into its layer,
-in batches of a fixed number of rows, and reflected there in place by a swap
-of two columns or a rank-one sum (_reflect).  The other closures stream their
-layers, so a stabilizer is bounded by its largest layer, not its order.  The
-congruence check closes no group: it counts each stabilizer, up to E7 of
-order 2903040, down its chain of parabolic subgroups, by one transversal a
-level, 56 + 27 + 16 + 10 + 6 + 2 matrices at n = 7.  Walks fail fast past
-DEFAULT_ELEMENT_BUDGET elements, read when each starts, which also stops an
-infinite group over Z.
+rule goes by keys: each product has a key, computed before it is built (an
+int64, or a set's sorted points), and a layer's candidate keys are
+deduplicated once and looked up in the sorted keys of the two layers before
+it.  Over Z it goes by descents, for generators that are distinct simple
+reflections, and keys nothing (see _descents); each product is an int8
+matrix, gathered once into its layer, in batches of a fixed number of rows,
+and reflected there in place by a swap of two columns or a rank-one sum
+(_reflect).  The other closures stream their layers, so a stabilizer is
+bounded by its largest layer, not its order.  The congruence check closes no
+group: it counts each stabilizer, up to E7 of order 2903040, down its chain
+of parabolic subgroups, by one transversal a level, 56 + 27 + 16 + 10 + 6 +
+2 matrices at n = 7.  Walks fail fast past DEFAULT_ELEMENT_BUDGET elements,
+read when each starts, which also stops an infinite group over Z.
 layered_closure also closes orbits of integer rows (orbit(): the E6 roots,
 stabilizer orbits), walks integer tables (table_walk(): coset tables, tile
-graphs), and runs the one Cayley-table primitive, base_orbit_table():
-permutations on the orbit of a base tuple, which builds the tables of W(E6),
-the lifted presentation's, the ten beta reflections' on the roots and the
-wall matrices'.
+graphs), and walks the orbit of a tuple of points (_tuple_orbit): keyed by
+the tuple, in the one Cayley-table primitive, base_orbit_table() (the
+tables of W(E6), the lifted presentation's, the beta reflections' on the
+roots, the walls'); keyed by its set, in coset_space().
 
 No matrix over Z/m is multiplied.  A matrix group mod m acts faithfully on
 the row vectors of (Z/m)^d, and a projective one, modulo {I, -I}, on their
 classes {v, -v}; point_action turns each matrix into that permutation of
 points and picks a base, whose images fix the element (Seress, Permutation
-Group Algorithms, ch. 4).  GroupClosure walks the base's orbit
-generator-major and keeps it, with its Cayley table: coset spaces read its
-columns, and crossings and queries look up the points a matrix moves.  A
-projective closure sees only the classes {v, -v}, so callers hand in plain
-reductions mod m, of either sign, and never normalise.
+Group Algorithms, ch. 4).  GroupClosure walks the base's orbit as
+base_orbit_table does and keeps only the images, its elements, and their
+number, its order.  A projective closure sees only the classes {v, -v}, so
+callers hand in plain reductions mod m, of either sign, and never normalise.
 
 memoize() is the package's one caching rule: one entry per argument value.
 Each cached group, table or configuration is built once per process, however
@@ -268,8 +267,9 @@ def _fresh_keys(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The pick rule by keys: the first occurrence of each key not seen yet.
 
-    candidate_keys(F) gives the int64 key of every product F g of a frontier F
-    before any product is built; identity_keys, sorted, are the first layer's.
+    candidate_keys(F) gives the key of every product F g of a frontier F, an
+    int64 or any sortable type, before any product is built; identity_keys,
+    sorted, are the first layer's.
     The keys must be injective on the group, and the generator set closed under
     inversion.  Then the neighbours of layer k lie in layers k-1, k and k+1, so
     each layer's candidate keys are deduplicated once and looked up in the
@@ -333,44 +333,57 @@ def base_orbit_table(
 
     columns[x], a permutation of range(n), moves a tuple F to columns[x][F].
     Row i of the read-only int32 table lists the points that orbit point i
-    reaches by each generator; point 0 is base.  layered_closure walks the
-    orbit, keyed base-n by _fresh_keys, which names every step, point-major:
-    new points come in table_walk's order, so the table is standardized.  If
-    base has a trivial stabilizer (a base: Seress, Permutation Group
-    Algorithms, ch. 4), the action is regular and this is the Cayley table
-    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.4).
-    Raises as _tuple_steps does, and RuntimeError past bound points.
+    reaches by each generator; point 0 is base.  If base has a trivial
+    stabilizer (a base: Seress, Permutation Group Algorithms, ch. 4), the
+    action is regular and this is the Cayley table (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 4.4).  Raises as _base_orbit and
+    _tuple_orbit do.
     """
-    steps, weights = _tuple_steps(columns, len(base))
-    k = steps.shape[1]
-    weighted = weights[:, None, None] * steps
-    seed = np.array([base], dtype=steps.dtype)
-    rows: list[np.ndarray] = []
+    return _base_orbit(columns, base, bound)[1]
 
-    def candidate_keys(frontier: np.ndarray) -> np.ndarray:
-        if bound is not None and sum(map(len, rows)) // k + len(frontier) > bound:
+
+def _base_orbit(
+    columns: np.ndarray, base: Sequence[int], bound: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """_tuple_orbit on base-n int64 keys: OverflowError past int64, RuntimeError past bound."""
+    n = np.shape(columns)[1]
+    if n ** len(base) >= 2**63:
+        raise OverflowError(f"{len(base)} points of {n} overflow an int64 key")
+    weights = n ** np.arange(len(base), dtype=np.int64)
+    walked = 0
+
+    def keys(steps: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+        nonlocal walked
+        walked += len(frontier)
+        if bound is not None and walked > bound:
             raise RuntimeError(f"the orbit of {tuple(base)} passes the upper bound {bound}")
+        weighted = weights[:, None, None] * steps  # a lookup per place beats a product
         return sum(weighted[j][frontier[:, j]] for j in range(len(base))).ravel()
 
-    def build(frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
-        return steps[frontier[picks // k], picks[:, None] % k]
-
-    for _ in layered_closure(seed, _fresh_keys(candidate_keys, seed @ weights, rows), build):
-        pass
-    table = np.concatenate(rows).reshape(-1, k)
-    table.flags.writeable = False
-    return table
+    return _tuple_orbit(columns, base, keys, np.array([base]) @ weights)
 
 
-def _tuple_steps(columns: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """steps[p, x], point p moved by permutation columns[x], in the narrowest
-    unsigned type, and the weights of base-n int64 keys of width points.
+def _set_keys(moved: np.ndarray) -> np.ndarray:
+    """One exact key per tuple moved[i, :, x], i-major: its points' int64 bytes, sorted."""
+    rows = np.ascontiguousarray(np.sort(moved, axis=1).transpose(0, 2, 1), dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[2]))).ravel()
 
-    ValueError unless the set is closed under inversion, as _fresh_keys
-    needs; OverflowError past int64 keys.
+
+def _tuple_orbit(
+    columns: np.ndarray, base: Sequence[int], keys: Callable, base_key: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit of the tuple base, columns[x] moving a tuple F to
+    columns[x][F]: its tuples and the int32 table of its steps, read-only.
+
+    keys(steps, F) keys each tuple of F moved by each generator x, i-major,
+    injectively on the orbit, where x moves point p to steps[p, x]; base_key
+    is base's own.  layered_closure walks the orbit, picked by _fresh_keys,
+    which names every step, point-major: new tuples come in table_walk's
+    order, so the table is standardized.  ValueError unless the columns are
+    permutations closed under inversion, as _fresh_keys needs.
     """
     columns = np.asarray(columns)
-    n = columns.shape[1]
+    n, k = columns.shape[1], len(columns)
     # c[c'] = identity makes c onto, so a permutation, with inverse c'; a
     # column that is no permutation has no inverse in the set.
     inverted = ((0 <= columns) & (columns < n)).all() and (
@@ -378,10 +391,30 @@ def _tuple_steps(columns: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
     )
     if not inverted:
         raise ValueError("generator set must be closed under inversion")
-    if n**width >= 2**63:
-        raise OverflowError(f"{width} points of {n} overflow an int64 key")
     steps = np.ascontiguousarray(columns.T).astype(np.min_scalar_type(n - 1))
-    return steps, n ** np.arange(width, dtype=np.int64)
+    rows: list[np.ndarray] = []
+
+    def build(frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        return steps[frontier[picks // k], picks[:, None] % k]
+
+    seed = np.array([base], dtype=steps.dtype)
+    pick = _fresh_keys(lambda frontier: keys(steps, frontier), base_key, rows)
+    tuples = np.concatenate(list(layered_closure(seed, pick, build)))
+    table = np.concatenate(rows).reshape(-1, k)
+    for shared in (tuples, table):
+        shared.flags.writeable = False  # memoized callers share them
+    return tuples, table
+
+
+def numbered_points(m: int, d: int, projective: bool) -> tuple[np.ndarray, Callable]:
+    """The points of point_action over Z/m: the vector of each, and
+    number(rows), the point of each integer row reduced mod m."""
+    place = m ** np.arange(d - 1, -1, -1)
+    vectors = np.arange(m**d)[:, None] // place % m
+    members = point = np.arange(m**d)
+    if projective:
+        members, point = np.unique(np.minimum(point, -vectors % m @ place), return_inverse=True)
+    return vectors[members], lambda rows: point[np.asarray(rows) % m @ place]
 
 
 def point_action(
@@ -391,8 +424,9 @@ def point_action(
 
     The points are the row vectors v of (Z/m)^d, numbered by their base-m
     digits, most significant first; when projective, the classes {v, -v},
-    numbered in the order of their smaller member.  columns[x][p] is the
-    point p M for M = mats[x], a permutation when M is invertible.  The base
+    numbered in the order of their smaller member (numbered_points).
+    columns[x][p] is the point p M for M = mats[x], a permutation when M is
+    invertible.  The base
     is e_0, ..., e_{d-1}, whose images are the rows of M, and when projective
     the all-ones row as well: the classes of the rows fix M up to one sign
     per row, and the class of their sum, linearly independent as they are,
@@ -410,16 +444,12 @@ def point_action(
         raise ValueError("a point action needs matrices over Z/m")
     if m > 128 or m ** (d * d) > 2**53:
         raise ValueError("mod-m keys need m <= 128 and m^(d*d) <= 2^53")
-    place = m ** np.arange(d - 1, -1, -1)
-    vectors = np.arange(m**d)[:, None] // place % m
-    members = point = np.arange(m**d)
-    if projective:
-        members, point = np.unique(np.minimum(point, -vectors % m @ place), return_inverse=True)
-    if len(members) ** (d + projective) >= 2**63:
-        raise ValueError(f"{d + projective} points of {len(members)} overflow an int64 key")
-    images = vectors[members] @ np.array([g.entries for g in mats]) % m @ place
-    base = tuple(point[place].tolist()) + ((int(point[place.sum()]),) if projective else ())
-    return point[images], base
+    vectors, number = numbered_points(m, d, projective)
+    if len(vectors) ** (d + projective) >= 2**63:
+        raise ValueError(f"{d + projective} points of {len(vectors)} overflow an int64 key")
+    rows = np.eye(d, dtype=np.int64)
+    base = number(np.vstack([rows, rows.sum(axis=0)]) if projective else rows)
+    return number(vectors @ np.array([g.entries for g in mats])), tuple(base.tolist())
 
 
 def table_walk(rows: np.ndarray) -> np.ndarray:
@@ -567,70 +597,26 @@ class GroupClosure:
     point_action turns each generator g into the permutation p -> p g of the
     points, the rows of (Z/m)^d, or with projective=True their classes
     {v, -v}: then elements are classes {M, -M}, the right model for
-    quotients like PGO where -I must be factored out, and generators and
-    queries may carry either sign.  Element i is the tuple of points its
-    base reaches, images[i], in discovery order (element 0 is the identity).
-    layered_closure walks the base's orbit, generator-major, picked by
-    _fresh_keys on base-n int64 keys, sorted for lookup once the walk ends,
-    and the steps it names are the Cayley table: table[i, x] is the index of
-    element i times generator x.  The generator set must be closed under
-    inversion (reflections are), which also makes every generator invertible
-    mod m.  The closure fails fast past DEFAULT_ELEMENT_BUDGET elements.
+    quotients like PGO where -I must be factored out, and generators may
+    carry either sign.  Element i is images[i], read-only, the tuple of
+    points its base reaches, walked as base_orbit_table walks (element 0 is
+    the identity).  The generators must be closed under inversion
+    (reflections are).  The walk fails fast past DEFAULT_ELEMENT_BUDGET.
     """
 
     def __init__(self, generators: Sequence[Matrix], projective: bool = False) -> None:
         self.generators = tuple(generators)
         self.projective = projective
-        columns, base = point_action(self.generators, projective)
-        self.modulus, self.dimension = self.generators[0].modulus, self.generators[0].dimension
-        steps, self._weights = _tuple_steps(columns, len(base))
-        weighted = self._weights[:, None, None] * steps
-        seed = np.array([base], dtype=steps.dtype)
-        named: list[np.ndarray] = []
-
-        def candidate_keys(frontier: np.ndarray) -> np.ndarray:
-            return sum(weighted[j][frontier[:, j]] for j in range(len(base))).T.ravel()
-
-        def build(frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
-            return steps[frontier[picks % len(frontier)], picks[:, None] // len(frontier)]
-
-        pick = _fresh_keys(candidate_keys, seed @ self._weights, named)
-        self.images = np.concatenate(list(layered_closure(seed, pick, build)))
+        self.modulus = self.generators[0].modulus
+        self.images = _base_orbit(*point_action(self.generators, projective))[0]
         self.order = len(self.images)
-        k = len(self.generators)
-        self.table = np.concatenate([block.reshape(k, -1).T for block in named])
-        keys = self.images @ self._weights
-        self._key_order = np.argsort(keys)
-        self._sorted_keys = keys[self._key_order]
-        for shared in (self.images, self.table, self._key_order, self._sorted_keys):
-            shared.flags.writeable = False  # memoized closures share them
-
-    def _moved(self, images: np.ndarray, mat: Matrix) -> np.ndarray:
-        """Index of the element with the points of each row of images moved
-        by mat, -1 where there is none."""
-        if mat.modulus != self.modulus:
-            raise ValueError(f"ring mismatch: modulus {mat.modulus} and {self.modulus}")
-        if mat.dimension != self.dimension:
-            raise ValueError(f"dimension mismatch: {mat.dimension} and {self.dimension}")
-        (column,), _ = point_action([mat], self.projective)
-        pos = _positions(self._sorted_keys, column[images] @ self._weights)
-        return np.where(pos >= 0, self._key_order[pos], -1)
-
-    def __contains__(self, mat: Matrix) -> bool:
-        return bool(self._moved(self.images[:1], mat)[0] >= 0)  # the identity's are the base
-
-    def right_multiply(self, indices: np.ndarray, mat: Matrix) -> np.ndarray:
-        """Indices of the products element_i * mat, for an array of element indices."""
-        found = self._moved(self.images[indices], mat)
-        if (found < 0).any():
-            raise KeyError("product not in closure")
-        return found
 
     @property
     def contains_minus_identity(self) -> bool:
-        if self.projective:
-            return False
-        return Matrix.identity(self.dimension, self.modulus).neg() in self
+        """Is -I's base image a walked tuple?  Projectively, -I is the identity."""
+        minus = Matrix.identity(self.generators[0].dimension, self.modulus).neg()
+        (column,), base = point_action([minus], self.projective)
+        return bool((self.images == column[list(base)]).all(axis=1).any())
 
 
 def finite_group_elements(generators: Sequence[Matrix]) -> np.ndarray:
@@ -762,42 +748,26 @@ def _chain_counts(levels: Sequence[np.ndarray]) -> tuple[int, int, int]:
 
 
 class CosetSpace:
-    """Left cosets gH of a subgroup H of a finite group G, read off step columns.
+    """The cosets gS of the set stabilizer S of a tuple's points, as the set's orbit:
+    tuples[i], read-only, is set i's tuple at its first arrival, set 0 the tuple's own."""
 
-    steps[i, x] is the index of g_i h_x, for the elements g_i of G and the
-    generators h_x of H, closed under inversion: the columns of G's table for
-    H's generators.  The cosets are the components of the graph g -- g h,
-    labelled by their least element index.  Element 0 of G is the identity,
-    so the coset labelled 0 is H itself, and its size is |H|.  Coset ids
-    follow the order of G's elements; each coset's representative is its
-    first element.  Every coset having |H| elements is asserted on
-    construction.
-    """
+    def __init__(self, tuples: np.ndarray) -> None:
+        self.tuples = tuples
+        self.count = len(tuples)
+        keys = _set_keys(tuples[:, :, None])
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
 
-    def __init__(self, steps: np.ndarray) -> None:
-        labels = np.arange(len(steps))
-        while True:
-            merged = np.minimum.reduce([labels] + [labels[step] for step in steps.T])
-            if np.array_equal(merged, labels):
-                break
-            labels = merged
-        reps, assignment = np.unique(labels, return_inverse=True)
-        sizes = np.bincount(assignment)
-        if (sizes != sizes[0]).any():
-            raise AssertionError("cosets failed to partition the group into |H|-sets")
-        self.count = len(reps)
-        self.subgroup_order = int(sizes[0])
-        self.representative_indices = reps
-        self._assignment = assignment.astype(np.int32)
-        for shared in (reps, self._assignment):
-            shared.flags.writeable = False
-
-    def cosets_of(self, indices: np.ndarray) -> np.ndarray:
-        """Coset ids of group elements given by index."""
-        return self._assignment[indices]
+    def cosets_of(self, tuples: np.ndarray) -> np.ndarray:
+        """The coset of the set of each row; KeyError for a set outside the orbit."""
+        found = _positions(self._keys, _set_keys(tuples[:, :, None]))
+        if (found < 0).any():
+            raise KeyError("a set outside the orbit")
+        return self._order[found]
 
 
-def coset_space(steps: np.ndarray) -> CosetSpace:
-    """Partition a finite group into left cosets of the subgroup whose
-    generators step through it by the columns steps."""
-    return CosetSpace(steps)
+def coset_space(columns: np.ndarray, points: Sequence[int]) -> CosetSpace:
+    """The cosets of the set stabilizer of points in the group that the permutations
+    columns generate, closed under inversion: the orbit of the set, by _tuple_orbit."""
+    seed_key = _set_keys(np.array([points])[:, :, None])
+    return CosetSpace(_tuple_orbit(columns, points, lambda s, f: _set_keys(s[f]), seed_key)[0])

@@ -120,17 +120,18 @@ def row_report():
 
 
 @pytest.fixture
-def stabilizer_steps():
-    """A helper: steps(group, n) gives the columns of a closure of the simple
-    reflections (either sign) for the long ones, the norm-2 simple roots: the
-    step columns of the stabilizer, read off independently of the package's
-    own choice of columns."""
-    from gosset.lattice import norm, simple_roots
+def closure_matrices():
+    """A helper: matrices(group) gives the matrices of a linear closure mod m,
+    read off each element's rows, as int8 in the closure's order: the base's
+    images are the points of the rows, numbered by their base-m digits, most
+    significant first."""
+    import numpy as np
 
-    def steps(group, n):
-        return group.table[:, [i for i, a in enumerate(simple_roots(n)) if norm(a) == 2]]
+    def matrices(group):
+        m, d = group.modulus, group.generators[0].dimension
+        return (group.images[:, :, None] // m ** np.arange(d - 1, -1, -1) % m).astype(np.int8)
 
-    return steps
+    return matrices
 
 
 @pytest.fixture

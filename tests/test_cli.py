@@ -13,7 +13,7 @@ import pytest
 from gosset import cli, enumeration, geometry, isometry
 from gosset.cli import Options, main, run_suite
 from gosset.eisenstein import OMEGA, EisensteinInteger, herm
-from gosset.geometry import gosset_walls
+from gosset.geometry import gosset_walls, point_reflections_mod3
 from gosset.lattice import basis_vector, chamber_vertices, inner, reflect
 from gosset.presentation import DiagramGraph, build_presentation
 from gosset.report import CheckReport, exit_code, reports_to_json
@@ -374,6 +374,60 @@ def test_orbit_checks_fail_on_a_broken_input(monkeypatch, n, name, fake, check):
     assert {r.check_id: r.status for r in run_suite("diagrams", options)}[check_id] == "pass"
     monkeypatch.setattr(geometry, name, fake)
     assert {r.check_id: r.status for r in run_suite("diagrams", options)}[check_id] == "fail"
+
+
+def _walls_without_the_first(n):
+    """The wall system with wall "1", e_1, dropped."""
+    walls = gosset_walls(n)
+    return replace(walls, labels=walls.labels[1:], roots=walls.roots[1:])
+
+
+def _point_reflections_with_a_wrong_entry(n):
+    """The reflection in wall 1's point sends wall 2's point to wall 3's."""
+    reflections, points = point_reflections_mod3(n)
+    first, second, third = points(gosset_walls(n).roots)[:3]
+    wrong = reflections.copy()
+    wrong[first, second] = third
+    return wrong, points
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("fake", [_walls_with_a_stray_mirror, _walls_without_the_first])
+def test_tessellation_build_fails_on_a_wrong_wall_set(monkeypatch, n, fake):
+    # The orbit of the wrong set has 360 tiles at n = 3, and 12960 (stray
+    # mirror) or 4320 (a wall dropped) at n = 4: not |G| / |H|.
+    geometry.build_tessellation.__wrapped__(n)
+    monkeypatch.setattr(geometry, "gosset_walls", fake)
+    with pytest.raises(AssertionError, match="stabilizer"):
+        geometry.build_tessellation.__wrapped__(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tessellation_build_fails_on_a_wrong_point_reflection(monkeypatch, n):
+    # The crossing of wall 1 from tile 0 meets a set outside the orbit.
+    geometry.build_tessellation.__wrapped__(n)
+    monkeypatch.setattr(geometry, "point_reflections_mod3", _point_reflections_with_a_wrong_entry)
+    with pytest.raises(KeyError, match="outside the orbit"):
+        geometry.build_tessellation.__wrapped__(n)
+
+
+def test_a_wrong_wall_set_keeps_twelve_tiles_at_n2(monkeypatch):
+    # At n = 2 both wrong sets keep the 12 tiles.  The stray mirror even keeps
+    # the tile graph, so every tessellation check passes and only the
+    # diagrams suite's generator_words_n2 fails (see above).  Without wall 1,
+    # two slots a tile are left, and they do not join the tiles up.
+    uncached = geometry.build_tessellation.__wrapped__
+    monkeypatch.setattr(tessellation_rows, "build_tessellation", uncached)
+    failing = {}
+    for fake in (_walls_with_a_stray_mirror, _walls_without_the_first):
+        monkeypatch.setattr(geometry, "gosset_walls", fake)
+        assert uncached(2).tile_count == 12
+        reports = run_suite("tessellation", Options(n=2))
+        failing[fake] = {r.check_id for r in reports if r.status != "pass"}
+    assert failing == {
+        _walls_with_a_stray_mirror: set(),
+        _walls_without_the_first: {"boundary_slots_n2", "connected_n2"},
+    }
 
 
 def test_lagrange_fails_on_a_wrong_stabilizer_order(monkeypatch):

@@ -9,22 +9,19 @@ import pytest
 from gosset.geometry import (
     TileGraph,
     _assert_pair_symmetric,
-    _assert_representative_independent,
-    _assert_stabilizer_permutes_walls,
-    _crossings,
     build_tessellation,
     conjugate_wall_set,
     gosset_walls,
+    point_reflections_mod3,
     reflection_image_mod3,
-    stabilizer_generators_mod3,
     stabilizer_orbit,
     verify_generator_words,
     vertex_orbits,
     wall_pair_classification,
     wall_reflections_mod3,
 )
-from gosset.isometry import Matrix, coset_space, reflection_matrix
-from gosset.lattice import basis_vector, inner, norm
+from gosset.isometry import Matrix, coset_space, numbered_points, reflection_matrix
+from gosset.lattice import basis_vector, inner, norm, reflect, simple_roots
 
 WALL_COUNTS = {2: 3, 3: 6, 4: 10}
 
@@ -116,13 +113,36 @@ def test_reflection_image_orders():
 
 
 def test_stabilizer_permutes_the_walls_as_sign_classes():
-    walls = list(wall_reflections_mod3(4).values())
-    _assert_stabilizer_permutes_walls(4, walls)
-    _assert_stabilizer_permutes_walls(4, [m.neg() for m in walls[:5]] + walls[5:])
-    # The stabilizer is transitive on the ten walls, so it moves any proper subset.
+    # The points of P^4(F_3) are the sign classes {v, -v}: each long simple
+    # reflection permutes the walls' points.  The stabilizer is transitive on
+    # the ten walls, so it moves any proper subset.
+    reflections, points = point_reflections_mod3(4)
+    walls = points(gosset_walls(4).roots)
+    long = points([a for a in simple_roots(4) if norm(a) == 2])
+    for h in long:
+        assert sorted(reflections[h, walls]) == sorted(walls)
     for k in range(len(walls)):
-        with pytest.raises(AssertionError, match="permute"):
-            _assert_stabilizer_permutes_walls(4, walls[:k] + walls[k + 1 :])
+        rest = np.delete(walls, k)
+        assert any(sorted(reflections[h, rest]) != sorted(rest) for h in long), k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_point_reflections_are_the_integer_reflections_mod_3(n):
+    # Row p reflects in p: an involution fixing p, and on the simple roots and
+    # the walls it agrees with reflect() over Z, reduced mod 3.  Exactly the
+    # isotropic points, the zero vector's among them, have no row.
+    reflections, points = point_reflections_mod3(n)
+    vectors, _ = numbered_points(3, n + 1, projective=True)
+    isotropic = (vectors**2).sum(axis=1) - 2 * vectors[:, 0] ** 2
+    assert np.array_equal((reflections < 0).all(axis=1), isotropic % 3 == 0)
+    rows = np.flatnonzero(isotropic % 3)
+    assert np.array_equal(reflections[rows][np.arange(len(rows))[:, None], reflections[rows]],
+                          np.broadcast_to(np.arange(len(vectors)), (len(rows), len(vectors))))
+    assert (reflections[rows, rows] == rows).all()
+    roots = list(simple_roots(n)) + list(gosset_walls(n).roots)
+    for a in roots:
+        images = points([reflect(a, b) for b in roots])
+        assert np.array_equal(reflections[points([a])[0], points(roots)], images), a
 
 
 @pytest.mark.parametrize("n,tiles", [(2, 12), (3, 60), (4, 432)])
@@ -162,18 +182,31 @@ def test_tessellation_slots_and_symmetry():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_tessellation_assertions_pass_on_the_real_tile_arrays(n, stabilizer_steps):
-    group = reflection_image_mod3(n)
-    steps = stabilizer_steps(group, n)
-    space = coset_space(steps)
-    walls = list(wall_reflections_mod3(n).values())
-    reps = space.representative_indices
-    neighbors = _crossings(group, space, walls, reps)
-    assert neighbors.tolist() == build_tessellation(n).neighbors.tolist()
+def test_tessellation_assertions_pass_on_the_real_tile_arrays(n, closure_matrices):
+    # The coset route, from every representative.  Each element M of the
+    # linear mod-3 image, read off its rows, lies in the tile of its wall set
+    # {M r}; M r_j is the tile's wall at some position i, and crossing that
+    # wall lands in the tile of M t_j, whose walls M (t_j r) are products,
+    # with t_j r reflected over Z.
+    neighbors = build_tessellation(n).neighbors
     _assert_pair_symmetric(neighbors)
-    for h, column in zip(stabilizer_generators_mod3(n), steps.T):
-        assert np.array_equal(column[reps], group.right_multiply(reps, h))
-        _assert_representative_independent(neighbors, _crossings(group, space, walls, column[reps]))
+    reflections, points = point_reflections_mod3(n)
+    walls = gosset_walls(n).roots
+    space = coset_space(reflections[points(simple_roots(n))], points(walls))
+    mats = closure_matrices(reflection_image_mod3(n, projective=False))
+    rows = mats.reshape(-1, n + 1).astype(np.int64)  # one product for all M
+    _, number = numbered_points(3, n + 1, projective=True)
+
+    def moved(vectors):
+        images = (rows @ np.array([v.coords for v in vectors]).T).reshape(len(mats), n + 1, -1)
+        return number(images.transpose(0, 2, 1))
+
+    tile = space.cosets_of(moved(walls))
+    assert (np.bincount(tile) == len(mats) // len(neighbors)).all()
+    position = (moved(walls)[:, :, None] == space.tuples[tile][:, None]).argmax(axis=2)
+    for j, t in enumerate(walls):
+        crossed = space.cosets_of(moved([reflect(t, r) for r in walls]))
+        assert np.array_equal(crossed, neighbors[tile, position[:, j]]), j
 
 
 def test_tessellation_assertions_fire_on_crafted_arrays():
@@ -183,11 +216,6 @@ def test_tessellation_assertions_fire_on_crafted_arrays():
         _assert_pair_symmetric(np.array([[1, 1], [0, 1]]))
     with pytest.raises(AssertionError, match="not symmetric"):
         _assert_pair_symmetric(np.array([[1], [2], [2]]))
-    # Rows may permute their walls, not change their neighbor multisets.
-    triangle = np.array([[1, 2], [0, 2], [0, 1]])
-    _assert_representative_independent(triangle, triangle[:, ::-1])
-    with pytest.raises(AssertionError, match="coset representative"):
-        _assert_representative_independent(triangle, np.array([[1, 1], [0, 2], [0, 1]]))
 
 
 def test_tessellation_dot_is_deterministic():

@@ -33,11 +33,12 @@ from gosset.isometry import (
 )
 from gosset import isometry
 from gosset.e6 import SIMPLE_ROOTS, beta_configuration, cartan_matrix, reflection_rows, root_system
-from gosset.enumeration import enumerate_diagram_group, matrix_cayley_table
+from gosset.enumeration import _renumbered, enumerate_diagram_group, matrix_cayley_table
 from gosset.geometry import (
     build_tessellation,
+    gosset_walls,
+    point_reflections_mod3,
     reflection_image_mod3,
-    stabilizer_generators_mod3,
     wall_reflections_mod3,
 )
 from gosset.lattice import inner, norm, reflect, simple_roots, vector
@@ -124,43 +125,16 @@ def test_matrix_products_reject_generators_from_mixed_rings():
         finite_group_elements([g.reduce(3) for g in s])
 
 
-def test_group_closure_rejects_an_integer_query():
-    g = GroupClosure(stabilizer_generators_mod3(3))
-    s = long_simple_reflections(3)[0]
-    assert s.reduce(3) in g
-    with pytest.raises(ValueError, match="ring mismatch"):
-        s in g
-    with pytest.raises(ValueError, match="ring mismatch"):
-        g.right_multiply(np.array([0]), s)
-    with pytest.raises(ValueError, match="ring mismatch"):
-        g.right_multiply(np.array([0]), s.reduce(5))
-
-
-def test_group_closure_rejects_a_query_of_another_dimension():
-    g = reflection_image_mod3(4)
-    wrong = Matrix.identity(g.dimension - 1, 3)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        wrong in g
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        g.right_multiply(np.array([0]), wrong)
-
-
-def test_right_multiplying_out_of_the_closure_raises():
-    # The stabilizer at n = 3, order 12, holds none of the wall reflections.
-    g = GroupClosure(stabilizer_generators_mod3(3))
-    (t, *_) = wall_reflections_mod3(3).values()
-    assert g.order == 12 and t not in g
-    with pytest.raises(KeyError, match="not in closure"):
-        g.right_multiply(np.arange(g.order), t)
-    with pytest.raises(KeyError, match="not in closure"):
-        g.right_multiply(np.array([0]), t)
+def _stabilizer_mod3(n):
+    """The long simple reflections mod 3, generators of the stabilizer image."""
+    return [g.reduce(3) for g in long_simple_reflections(n)]
 
 
 def test_stabilizer_closure_orders():
     # The vertex stabilizer injects mod 3 (checked below), so closing its
     # mod-3 image recovers the stabilizer order.
     for n, expected in ((2, 2), (3, 12), (4, 120)):
-        g = GroupClosure(stabilizer_generators_mod3(n))
+        g = GroupClosure(_stabilizer_mod3(n))
         assert g.order == expected
 
 
@@ -177,6 +151,30 @@ def test_projective_versus_linear_closure():
     assert linear.order == 24
     assert proj.order == 24
     assert not linear.contains_minus_identity
+    assert proj.contains_minus_identity  # -I is the identity there
+
+
+def _product_closure(generators):
+    """Every element of the group the matrices generate, by Matrix products."""
+    seen = {Matrix.identity(generators[0].dimension, generators[0].modulus)}
+    frontier = list(seen)
+    while frontier:
+        frontier = list({f @ g for f in frontier for g in generators} - seen)
+        seen.update(frontier)
+    return seen
+
+
+def test_contains_minus_identity_matches_a_closure_by_products():
+    # The n = 2 image of the simple reflections holds -I; the walls' linear
+    # group, of half its order, does not.
+    for gens, holds in (
+        (reflection_image_mod3(2, projective=False).generators, True),
+        (tuple(wall_reflections_mod3(2).values()), False),
+    ):
+        elements, group = _product_closure(gens), GroupClosure(gens)
+        assert len(elements) == group.order
+        minus = Matrix.identity(3, 3).neg()
+        assert (minus in elements) == group.contains_minus_identity == holds
 
 
 def test_closure_budget_raises(monkeypatch):
@@ -186,32 +184,45 @@ def test_closure_budget_raises(monkeypatch):
         GroupClosure(gens)
 
 
-def test_group_membership_and_indexing():
-    g = GroupClosure(stabilizer_generators_mod3(3))
+def test_group_membership_and_indexing(closure_matrices):
+    # Element 0 is the identity, whose base image is the base, and every
+    # generator is an element, read off its rows.
+    g = GroupClosure(_stabilizer_mod3(3))
+    assert tuple(g.images[0].tolist()) == point_action(g.generators, False)[1]
+    mats = closure_matrices(g).tolist()
     for m in g.generators:
-        assert m in g
-        (i,) = g.right_multiply(np.array([0]), m)  # element 0 is the identity
-        assert tuple(map(tuple, _matrices(g)[i].tolist())) == m.entries
-    assert Matrix.identity(4, 3) in g
-    # A projective closure answers for -M as for M.
+        assert [list(row) for row in m.entries] in mats
+    assert Matrix.identity(4, 3).entries == tuple(map(tuple, mats[0]))
+    # A projective closure moves its base by M and -M alike, to an element.
     proj = reflection_image_mod3(4)
-    every = np.arange(proj.order)
+    base = list(point_action(proj.generators, True)[1])
     for m in wall_reflections_mod3(4).values():
-        assert m in proj and m.neg() in proj
-        assert (proj.right_multiply(every, m.neg()) == proj.right_multiply(every, m)).all()
+        (plus, minus), _ = point_action([m, m.neg()], True)
+        assert np.array_equal(plus[base], minus[base])
+        assert (proj.images == plus[base]).all(axis=1).any()
 
 
-def test_coset_space_against_lagrange(stabilizer_steps):
-    cs = coset_space(stabilizer_steps(reflection_image_mod3(2), 2))
-    assert cs.count == 12
-    assert cs.subgroup_order == 2
-    assert (cs.cosets_of(cs.representative_indices) == np.arange(cs.count)).all()
+def test_coset_space_against_lagrange():
+    # The wall set's orbit under the simple reflections at n = 2: 12 sets,
+    # and 12 times |H| = 2 is the order of the projective image.
+    reflections, points = point_reflections_mod3(2)
+    walls = points(gosset_walls(2).roots)
+    cs = coset_space(reflections[points(simple_roots(2))], walls)
+    assert cs.count * 2 == reflection_image_mod3(2).order == 24
+    assert tuple(cs.tuples[0].tolist()) == tuple(walls.tolist())
+    assert (cs.cosets_of(cs.tuples) == np.arange(cs.count)).all()
+    # A set is keyed by its points, in any order; a set outside the orbit raises.
+    assert (cs.cosets_of(cs.tuples[:, ::-1]) == np.arange(cs.count)).all()
+    stray = np.array(cs.tuples[:1])
+    stray[0, 0] = cs.tuples[0, 1]
+    with pytest.raises(KeyError, match="outside the orbit"):
+        cs.cosets_of(stray)
 
 
-def test_mod_m_closures_multiply_no_matrix(monkeypatch, stabilizer_steps):
+def test_mod_m_closures_multiply_no_matrix(monkeypatch):
     # Only build_tessellation's check of the stabilizer order closes integer
-    # matrices; the mod-3 images, their coset spaces and crossings and the
-    # wall tables move points.
+    # matrices; the mod-3 images, the point reflections, the wall sets' walk
+    # and the wall tables move points.
     calls = []
     reflect = isometry._reflect
 
@@ -230,7 +241,8 @@ def test_mod_m_closures_multiply_no_matrix(monkeypatch, stabilizer_steps):
         for projective in (True, False):
             reflection_image_mod3(n, projective)
         matrix_cayley_table(tuple(wall_reflections_mod3(n).values()))
-        assert coset_space(stabilizer_steps(reflection_image_mod3(n), n)).count > 1
+        reflections, points = point_reflections_mod3(n)
+        assert coset_space(reflections[points(simple_roots(n))], points(gosset_walls(n).roots))
         assert calls == [], n
         build_tessellation(n)
         assert len(calls) == stabilizer, n
@@ -239,32 +251,40 @@ def test_mod_m_closures_multiply_no_matrix(monkeypatch, stabilizer_steps):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("projective", [True, False])
-def test_closure_table_columns_are_right_multiplications(n, projective):
+def test_closure_table_columns_are_right_multiplications(n, projective, closure_matrices):
+    # The closure's elements come in the order of base_orbit_table's walk of
+    # the same base, so its table's column x takes element i to the element
+    # its base image reaches by generator x: for a linear image, the product.
     group = reflection_image_mod3(n, projective)
-    every = np.arange(group.order)
-    assert group.table.shape == (group.order, n + 1)
-    assert group.table.dtype == np.int32
-    for x, g in enumerate(group.generators):
-        assert np.array_equal(group.table[:, x], group.right_multiply(every, g)), x
-    if projective:  # either sign of a generator names the same steps
+    columns, base = point_action(group.generators, projective)
+    table = base_orbit_table(columns, base)
+    assert table.shape == (group.order, n + 1)
+    assert table.dtype == np.int32
+    for x, column in enumerate(columns):
+        assert np.array_equal(group.images[table[:, x]], column[group.images]), x
+    if projective:  # either sign of a generator walks the same elements
         negated = GroupClosure([g.neg() for g in group.generators], projective=True)
-        assert np.array_equal(negated.table, group.table)
+        assert np.array_equal(negated.images, group.images)
+        return
+    mats = closure_matrices(group).astype(np.int64)
+    for x, g in enumerate(group.generators):
+        assert np.array_equal(mats[table[:, x]], mats @ np.array(g.entries) % 3), x
 
 
 def test_the_wall_closure_table_columns_are_right_multiplications():
     walls = tuple(wall_reflections_mod3(4).values())
     group = GroupClosure(walls, projective=True)
     assert group.order == 51840
-    every = np.arange(group.order)
-    for x, g in enumerate(walls):
-        assert np.array_equal(group.table[:, x], group.right_multiply(every, g)), x
+    table = matrix_cayley_table(walls)
+    for x, column in enumerate(point_action(walls, True)[0]):
+        assert np.array_equal(group.images[table[:, x]], column[group.images]), x
 
 
-def test_cached_closure_and_coset_arrays_are_read_only(stabilizer_steps):
+def test_cached_closure_and_coset_arrays_are_read_only():
     group = reflection_image_mod3(2)
-    space = coset_space(stabilizer_steps(group, 2))
-    shared = [group.images, group.table, group._sorted_keys, group._key_order]
-    for array in shared + [space._assignment, space.representative_indices]:
+    reflections, points = point_reflections_mod3(2)
+    space = coset_space(reflections[points(simple_roots(2))], points(gosset_walls(2).roots))
+    for array in (group.images, space.tuples, build_tessellation(2).neighbors):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[-1]
     assert tuple(group.images[0].tolist()) == point_action(group.generators, True)[1]
@@ -330,23 +350,17 @@ def _long_roots(n):
     return tuple(a for a in simple_roots(n) if norm(a) == 2)
 
 
-def _matrices(group):
-    """The matrices of a linear closure mod m, read off each element's rows:
-    the base's images are the points of the rows, numbered by their base-m
-    digits, most significant first."""
-    m, d = group.modulus, group.dimension
-    return (group.images[:, :, None] // m ** np.arange(d - 1, -1, -1) % m).astype(np.int8)
-
-
 def _sha256(array, dtype):
     return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
 
 
-# sha256 of the element sequences in discovery order, taken from the
-# per-element dict engine that the layered one replaced; coset ids, tile ids
-# and DOT exports all follow this order.  A linear mod-3 image is pinned by
-# its matrices, read off its elements' rows.  A projective one is pinned by
-# its Cayley table, as the engine that picked a sign of each {M, -M} made it.
+# sha256 of the integer closures' element sequences in discovery order,
+# taken from the per-element dict engine that the layered one replaced.
+# A mod-3 image is pinned by its set of elements, each the tuple of points
+# its base reaches, sorted: the sets of the closure that walked generator-
+# major and kept a Cayley table.  Tile ids and DOT exports follow the wall
+# sets' walk; the n = 4 neighbour table is pinned as that closure's cosets
+# gave it.
 INTEGER_CLOSURE_SHA256 = {
     2: "520f883f208f1d26c05098c716024d9e477c4eb63da076086e010c4faa4d9383",
     3: "acaa17c2d096febf5ccb33eae1e960452312d078bdc693a192f010d690774b90",
@@ -354,15 +368,15 @@ INTEGER_CLOSURE_SHA256 = {
     5: "ff44e37a77a047fe9c9211c883759e1922317c793ad66a1fd1db7b1925dd25c2",
     6: "71de2022e8a1a1aa40dc50c7440277765f4926c77541629a0263ae14c1d31c0c",
 }
-MOD3_CLOSURE_SHA256 = {
-    (2, True): "003dba4961067f5105344b2c9a679dce80ba03536a96cccb9264c10133db98a7",
-    (2, False): "3e3abfd23cbeadf12a2511b0135fd79c8f869e9f7ab3efaa3b785a3341bd192a",
-    (3, True): "112e9be9a2f543dc856a905ddd810d6ae0badaba6105a37eb43bcb96cbc82143",
-    (3, False): "2ceb572738319a5147f5296219f244aa792dd923e4bf8bbe716d66f3443b8f00",
-    (4, True): "0f374a5cd8eebefacadcd44e2a932c7af25844f5bd115a4d86a482befeb2d3c1",
-    (4, False): "e5693a7cd0ad132454b9dc84859001a57df674e6b590aacc0e0ddbb50f3e1508",
+MOD3_ELEMENT_SET_SHA256 = {
+    (2, True): "b9bab9a22e27bbe57f031869fae4c3372190499f312eef5a9f85ea68b7e22e36",
+    (2, False): "2b8fe4bb1913fa8dc30909060db17e3fca6059608ff4152b49a5a5b6637da6ab",
+    (3, True): "5ecd4aaf0f435d50d0e67b70d978f791df4f86052a67b2ceeae7b31b22cc0ad8",
+    (3, False): "b0d07b6e608c907245a801ed8a0902eb97436e6286ffc6aa404952cc71dff4b9",
+    (4, True): "e968e4b754edfb85d38189610f38f757f85c5d5e0acc9997218058af874a4243",
+    (4, False): "298320e0cd9edf0d9b8f441dd6756f07529f2865d52e5412c16fa29ebd2f7ee6",
 }
-COSET_ASSIGNMENT_N4_SHA256 = "93428cf1a139bcc07f447e8cdfb9e6e9c7c8871b2a23271a6fc50b692ef0c3c7"
+TILE_NEIGHBORS_N4_SHA256 = "3a778654c8a8d728aa40e3525d457dbdb2354ab971c8e9b83005c22653d4a1ef"
 
 
 def _assert_integer_closures_match_pins():
@@ -371,25 +385,18 @@ def _assert_integer_closures_match_pins():
         assert _sha256(mats, np.int8) == digest, n
 
 
-def test_closure_order_is_pinned(stabilizer_steps):
-    # The pinned mod-3 images, and the pinned cosets of the stabilizer, read
-    # off the n = 4 image's columns and off those of its closure from
-    # negated generators.
+def test_closure_order_is_pinned():
+    # The pinned integer closures, the pinned element sets of the mod-3
+    # images, with the projective ones walked again from negated generators,
+    # and the pinned tiles.
     _assert_integer_closures_match_pins()
-    closures = {}
-    for (n, projective), digest in MOD3_CLOSURE_SHA256.items():
-        group = closures[n, projective] = reflection_image_mod3(n, projective)
-        if projective:  # nothing normalises signs before the engine does
-            assert _sha256(group.table, np.int32) == digest, (n, projective)
+    for (n, projective), digest in MOD3_ELEMENT_SET_SHA256.items():
+        group = reflection_image_mod3(n, projective)
+        assert _sha256(np.unique(group.images, axis=0), np.int16) == digest, (n, projective)
+        if projective:  # nothing normalises signs before the walk does
             negated = GroupClosure([g.neg() for g in group.generators], projective=True)
-            closures[n, "negated"] = negated
-            assert _sha256(negated.table, np.int32) == digest, (n, "negated")
-        else:
-            assert _sha256(_matrices(group), np.int8) == digest, (n, projective)
-    for group in (closures[4, True], closures[4, "negated"]):
-        space = coset_space(stabilizer_steps(group, 4))
-        assert space.count == 432
-        assert _sha256(space._assignment, np.int32) == COSET_ASSIGNMENT_N4_SHA256
+            assert _sha256(np.unique(negated.images, axis=0), np.int16) == digest, (n, "negated")
+    assert _sha256(build_tessellation(4).neighbors, np.int32) == TILE_NEIGHBORS_N4_SHA256
 
 
 def test_row_chunk_boundaries_change_no_closure(monkeypatch, congruence_counts):
@@ -651,9 +658,11 @@ def _oracle_closure(generators, modulus, projective):
     return list(seen), [[index[times(e, g)] for g in gens] for e in seen]
 
 
-def test_closure_matches_tuple_oracle():
-    # Integer closures give the oracle's matrices, mod-3 closures its table,
-    # and linear ones its matrices too, read off their elements' rows.
+def test_closure_matches_tuple_oracle(closure_matrices):
+    # Integer closures give the oracle's matrices.  A mod-3 closure has the
+    # oracle's order, and its base's table is the oracle's table standardized
+    # by table_walk; a linear one gives the oracle's matrices in that order,
+    # read off its elements' rows.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -679,10 +688,14 @@ def test_closure_matches_tuple_oracle():
             mats = finite_group_elements(gens)
         else:
             group = GroupClosure(gens, projective)
-            assert group.table.tolist() == table
+            order = table_walk(np.array(table))
+            assert group.order == len(order) == len(elements)
+            walked = base_orbit_table(*point_action(gens, bool(projective)))
+            assert walked.tolist() == _renumbered(np.array(table), order).tolist()
             if projective:
                 return
-            mats = _matrices(group)
+            mats = closure_matrices(group)
+            elements = [elements[i] for i in order]
         assert [tuple(map(tuple, m)) for m in mats.tolist()] == elements
 
     same_sequence()
