@@ -1,98 +1,65 @@
-"""Eisenstein integers Z[omega] and hexaflections of the Lorentzian module.
+"""Eisenstein integers Z[omega] and hexaflections, as integer matrices.
 
-omega is a primitive cube root of unity, so omega^2 = -1 - omega and the
-ring element a + b*omega is stored as the integer pair (a, b).  Vectors have
-four coordinates and carry the sesquilinear form
+omega is a primitive cube root of unity, so omega^2 = -1 - omega.  The ring
+element a + b*omega is the integer row (a, b), and a vector of Z[omega]^d is
+the row of its 2d integers.  Multiplication by omega and conjugation act on
+rows by OMEGA and CONJ.  The sesquilinear form
 
-    <u, v> = -u_0 conj(v_0) + u_1 conj(v_1) + u_2 conj(v_2) + u_3 conj(v_3)
+    <u, v> = -u_0 conj(v_0) + u_1 conj(v_1) + ... + u_{d-1} conj(v_{d-1})
 
-conjugate-linear in the second slot.  A norm-one vector e defines the
-hexaflection
+conjugate-linear in the second slot, is p + q*omega with p = u P v^T and
+q = u Q v^T, for the two Gram matrices of forms(d).  A norm-one vector e
+defines the hexaflection
 
-    h_e(l) = l - (omega^2 + 1) <l, e> e
+    h_e(l) = l - (omega^2 + 1) <l, e> e = l + omega <l, e> e
 
 a unitary map of order exactly six whose square has order three (a
-triflection).  Note omega^2 + 1 = -omega.
+triflection).  On rows it is one rank-two update of the identity, as
+e6.reflection_rows is one rank-one update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+# (a + b omega) omega = -b + (a - b) omega, and conj(omega) = omega^2 = -1 - omega.
+OMEGA = np.array([[0, 1], [-1, -1]], dtype=np.int64)
+CONJ = np.array([[1, 0], [-1, -1]], dtype=np.int64)
+OMEGA.flags.writeable = CONJ.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class EisensteinInteger:
-    """a + b*omega with integer a, b and omega^2 = -1 - omega."""
+def forms(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrices P, Q of the signature (d-1, 1) form on Z[omega]^d.
 
-    a: int
-    b: int
-
-    def __add__(self, other: "EisensteinInteger") -> "EisensteinInteger":
-        return EisensteinInteger(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "EisensteinInteger") -> "EisensteinInteger":
-        return EisensteinInteger(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "EisensteinInteger":
-        return EisensteinInteger(-self.a, -self.b)
-
-    def __mul__(self, other: "EisensteinInteger") -> "EisensteinInteger":
-        # (a + b w)(c + d w) = ac + (ad + bc) w + bd w^2,  w^2 = -1 - w
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInteger(a * c - b * d, a * d + b * c - b * d)
-
-    def conj(self) -> "EisensteinInteger":
-        """Complex conjugate: conj(omega) = omega^2 = -1 - omega."""
-        return EisensteinInteger(self.a - self.b, -self.b)
+    table[x, y] is the pair x conj(y) for x, y in {1, omega}: conj(y) is
+    row y of CONJ, and omega conj(y) is row y of CONJ OMEGA.  P and Q take
+    its omega^0 and omega^1 parts.
+    """
+    table = np.stack([CONJ, CONJ @ OMEGA])
+    signs = np.diag([-1] + [1] * (d - 1))
+    return np.kron(signs, table[..., 0]), np.kron(signs, table[..., 1])
 
 
-ZERO = EisensteinInteger(0, 0)
-ONE = EisensteinInteger(1, 0)
-OMEGA = EisensteinInteger(0, 1)
+def scalar_rows(z: Sequence[int], d: int) -> np.ndarray:
+    """Multiplication by the ring element z on Z[omega]^d: I_d (x) (z_0 I + z_1 OMEGA)."""
+    return np.kron(np.eye(d, dtype=np.int64), z[0] * np.eye(2, dtype=np.int64) + z[1] * OMEGA)
 
 
-def eis(a: int, b: int = 0) -> EisensteinInteger:
-    """Shorthand constructor for a + b*omega."""
-    return EisensteinInteger(a, b)
+def hexaflection_rows(e: Sequence[int]) -> np.ndarray:
+    """The hexaflection in e on row vectors: I + (P e)(e Omega) + (Q e)(e Omega^2).
 
-
-@dataclass(frozen=True)
-class EisensteinVector:
-    """Four-coordinate vector over Z[omega]."""
-
-    coords: tuple[EisensteinInteger, EisensteinInteger, EisensteinInteger, EisensteinInteger]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != 4:
-            raise ValueError("Eisenstein vectors have exactly 4 coordinates")
-
-    def __add__(self, other: "EisensteinVector") -> "EisensteinVector":
-        return EisensteinVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "EisensteinVector") -> "EisensteinVector":
-        return EisensteinVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, k: EisensteinInteger) -> "EisensteinVector":
-        return EisensteinVector(tuple(k * c for c in self.coords))
-
-
-def evec(*coords: EisensteinInteger | int) -> EisensteinVector:
-    """Build a vector, promoting plain integers to Eisenstein integers."""
-    promoted = tuple(c if isinstance(c, EisensteinInteger) else eis(c) for c in coords)
-    return EisensteinVector(promoted)
-
-
-def herm(u: EisensteinVector, v: EisensteinVector) -> EisensteinInteger:
-    """Sesquilinear form, signature (-,+,+,+), conjugate on the second slot."""
-    s = -(u.coords[0] * v.coords[0].conj())
-    for a, b in zip(u.coords[1:], v.coords[1:]):
-        s = s + a * b.conj()
-    return s
-
-
-def hexaflection(e: EisensteinVector, lam: EisensteinVector) -> EisensteinVector:
-    """Apply the order-6 unitary reflection in the norm-one vector e to lam."""
-    if herm(e, e) != ONE:
+    l + omega <l, e> e is l plus p (omega e) + q (omega^2 e), where
+    <l, e> = p + q omega = l P e^T + (l Q e^T) omega, and Omega is
+    scalar_rows(omega, d).  The dimension d is len(e) / 2.  Raises ValueError
+    unless <e, e> = 1.
+    """
+    e = np.array(e, dtype=np.int64)
+    d = len(e) // 2
+    p, q = forms(d)
+    if (e @ p @ e, e @ q @ e) != (1, 0):
         raise ValueError("hexaflection axis must have norm one")
-    coeff = (OMEGA * OMEGA + ONE) * herm(lam, e)
-    return lam - e.scale(coeff)
+    omega = scalar_rows((0, 1), d)
+    update = np.outer(p @ e, e @ omega) + np.outer(q @ e, e @ omega @ omega)
+    return np.eye(2 * d, dtype=np.int64) + update

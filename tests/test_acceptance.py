@@ -20,7 +20,7 @@ from gosset.e6 import (
     verify_membership,
     verify_petersen_gram,
 )
-from gosset.eisenstein import eis, evec, herm, hexaflection
+from gosset.eisenstein import forms, hexaflection_rows
 from gosset.enumeration import (
     BUDGET_EXCEEDED,
     enumerate_diagram_group,
@@ -235,26 +235,33 @@ def test_criterion_09_wall_combinatorics():
 
 
 def test_criterion_10_hexaflection_orders():
-    axes = (evec(0, 1, 0, 0), evec(0, 0, 0, 1), evec(1, 1, 1, 0), evec(1, eis(0, 1), 1, 0))
+    # a + b omega is the pair (a, b): (0, 1, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0), (1, omega, 1, 0)
+    axes = np.array(
+        [(0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1, 0), (1, 0, 1, 0, 1, 0, 0, 0),
+         (1, 0, 0, 1, 1, 0, 0, 0)]
+    )
+    p, q = forms(4)
     rng = random.Random("acceptance:hexaflection")
     ok = True
     for axis in axes:
+        h = hexaflection_rows(axis)
         v = axis
         period = 0
         for k in range(1, 7):
-            v = hexaflection(axis, v)
-            if v == axis:
+            v = v @ h
+            if (v == axis).all():
                 period = k
                 break
         ok = ok and period == 6
-        w = hexaflection(axis, hexaflection(axis, axis))
-        ok = ok and w != axis
-        w = hexaflection(axis, hexaflection(axis, w))
-        ok = ok and w != axis
-        w = hexaflection(axis, hexaflection(axis, w))
-        ok = ok and w == axis
+        w = axis @ h @ h
+        ok = ok and (w != axis).any()
+        w = w @ h @ h
+        ok = ok and (w != axis).any()
+        w = w @ h @ h
+        ok = ok and (w == axis).all()
         for _ in range(25):
-            u = evec(*[eis(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)])
-            t = evec(*[eis(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)])
-            ok = ok and herm(hexaflection(axis, u), hexaflection(axis, t)) == herm(u, t)
+            u = np.array([rng.randint(-5, 5) for _ in range(8)])
+            t = np.array([rng.randint(-5, 5) for _ in range(8)])
+            for form in (p, q):
+                ok = ok and (u @ h) @ form @ (t @ h) == u @ form @ t
     _criterion(10, "hexaflections have exact order 6, squares order 3, form preserved", ok)

@@ -8,11 +8,12 @@ from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gosset import cli, enumeration, geometry, isometry
 from gosset.cli import Options, main, run_suite
-from gosset.eisenstein import OMEGA, EisensteinInteger, herm
+from gosset.eisenstein import OMEGA, forms, scalar_rows
 from gosset.geometry import gosset_walls, point_reflections_mod3
 from gosset.lattice import basis_vector, chamber_vertices, inner, reflect
 from gosset.presentation import DiagramGraph, build_presentation
@@ -282,15 +283,25 @@ def _braid_with_coefficient_three(alpha, beta, lam):
     return lhs == (3 * inner(lam, alpha)) * alpha - (3 * inner(lam, beta)) * beta
 
 
-def _herm_without_conjugation(u, v):
-    s = -(u.coords[0] * v.coords[0])
-    for a, b in zip(u.coords[1:], v.coords[1:]):
-        s = s + a * b
-    return s
+def _forms_without_conjugation(d):
+    """The Gram matrices from the tables of x y, where forms has x conj(y)."""
+    table = np.stack([np.eye(2, dtype=np.int64), OMEGA])
+    signs = np.diag([-1] + [1] * (d - 1))
+    return np.kron(signs, table[..., 0]), np.kron(signs, table[..., 1])
 
 
-def _hexaflection_with_coefficient_omega(e, lam):
-    return lam - e.scale(OMEGA * herm(lam, e))
+def _hexaflection_with_coefficient(c):
+    """The rows of l + c <l, e> e, for the ring element c; c = omega is hexaflection_rows."""
+
+    def rows(e):
+        e = np.array(e)
+        d = len(e) // 2
+        p, q = forms(d)
+        c_e = e @ scalar_rows(c, d)
+        update = np.outer(p @ e, c_e) + np.outer(q @ e, c_e @ scalar_rows((0, 1), d))
+        return np.eye(2 * d, dtype=np.int64) + update
+
+    return rows
 
 
 # The rows lived in gosset.cli before each suite had a module; the ids stay.
@@ -310,29 +321,44 @@ def _hexaflection_with_coefficient_omega(e, lam):
         # a - b omega breaks conj(omega^2) = conj(omega)^2; the identity map is
         # multiplicative but gives omega the norm omega^2.
         pytest.param(
-            EisensteinInteger, "conj", lambda z: EisensteinInteger(z.a, -z.b), "eisenstein",
+            eisenstein_rows, "CONJ", np.array([[1, 0], [0, -1]]), "eisenstein",
             ["conjugation_multiplicative"],
-            id="EisensteinInteger-conj-<lambda>-eisenstein-failing2",
+            id="CONJ-_conj_a_minus_b_omega-eisenstein-failing2",
         ),
         pytest.param(
-            EisensteinInteger, "conj", lambda z: z, "eisenstein", ["conjugation_multiplicative"],
-            id="EisensteinInteger-conj-<lambda>-eisenstein-failing3",
+            eisenstein_rows, "CONJ", np.eye(2, dtype=np.int64), "eisenstein",
+            ["conjugation_multiplicative"],
+            id="CONJ-_conj_identity-eisenstein-failing3",
         ),
         pytest.param(
-            eisenstein_rows, "herm", _herm_without_conjugation, "eisenstein",
+            eisenstein_rows, "forms", _forms_without_conjugation, "eisenstein",
             ["hermitian_symmetry"],
-            id="gosset.cli-herm-_herm_without_conjugation-eisenstein-failing4",
+            id="forms-_forms_without_conjugation-eisenstein-failing4",
         ),
         pytest.param(
-            eisenstein_rows, "hexaflection", _hexaflection_with_coefficient_omega, "eisenstein",
+            eisenstein_rows, "hexaflection_rows", _hexaflection_with_coefficient((0, -1)),
+            "eisenstein",
             ["hexaflection_preserves_form", "hexaflection_order_six", "triflection_order_three"],
-            id="gosset.cli-hexaflection-_hexaflection_with_coefficient_omega-eisenstein-failing5",
+            id="hexaflection_rows-_coefficient_minus_omega-eisenstein-failing5",
         ),
         # The identity map squares to one and preserves the form, but fixes alpha.
         pytest.param(
             lattice_rows, "reflect", lambda alpha, lam: lam, "lattice",
             ["reflection_involution_n2"],
             id="gosset.cli-reflect-<lambda>-lattice-failing6",
+        ),
+        # I + W is a primitive sixth root of unity, not a cube root.
+        pytest.param(
+            eisenstein_rows, "OMEGA", np.eye(2, dtype=np.int64) + OMEGA, "eisenstein",
+            ["unit_relation"],
+            id="OMEGA-_sixth_root-eisenstein-failing7",
+        ),
+        # The inverse hexaflection, H^5, has coefficient omega^2: it preserves the form and
+        # has the same orders, and only the axis eigenvalue tells it from H.
+        pytest.param(
+            eisenstein_rows, "hexaflection_rows", _hexaflection_with_coefficient((-1, -1)),
+            "eisenstein", ["hexaflection_axis_eigenvalue"],
+            id="hexaflection_rows-_coefficient_omega_squared-eisenstein-failing8",
         ),
     ],
 )

@@ -3,14 +3,14 @@
 The scans read the sources as syntax trees.  For imports, in the package
 and the tests, a name counts as used where it is loaded anywhere in the
 module, where a string annotation names it, or where the module lists it in
-__all__ to re-export it.  For definitions, every module-level function and
-class of the package, and every method and property of those classes, must
-be loaded by name, bare or as an attribute, in the package or the bench
-scripts, outside its own body; tests alone do not keep a definition alive.
-Dunder methods, which Python calls itself, and rows registered with @check,
-whose decorator is their use, are exempt.  The package states its
-invariants with raise AssertionError, never an assert statement, which
-python -O strips.
+__all__ to re-export it.  For definitions, every module-level function,
+class and constant of the package, and every method and property of those
+classes, must be loaded by name, bare or as an attribute, in the package or
+the bench scripts, outside its own body or assignment; tests alone do not
+keep a definition alive.  Dunder names, which Python reads itself, and rows
+registered with @check, whose decorator is their use, are exempt.  The
+package states its invariants with raise AssertionError, never an assert
+statement, which python -O strips.
 """
 
 import ast
@@ -105,14 +105,20 @@ def _is_check_row(node):
 
 
 def _definitions(tree):
-    """Each module-level function and class, then the methods and properties
-    of each class, as (qualified name, node); dunders and @check rows aside."""
+    """Each module-level function, class and constant, then the methods and
+    properties of each class, as (qualified name, name, node); dunders and
+    @check rows aside.  A constant's node is its assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_check_row(node):
-            yield node.name, node
+            yield node.name, node.name, node
             for member in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(member, ast.FunctionDef) and not _is_dunder(member.name):
-                    yield f"{node.name}.{member.name}", member
+                    yield f"{node.name}.{member.name}", member.name, member
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if isinstance(name.ctx, ast.Store) and not _is_dunder(name.id):
+                    yield name.id, name.id, node
 
 
 def _is_dunder(name):
@@ -127,8 +133,8 @@ def unused_definitions(package, others):
     loads = Counter(name for tree in trees.values() for name in _loads(tree))
     unused = []
     for module in package:
-        for qualified, node in _definitions(trees[module]):
-            if loads[node.name] == Counter(_loads(node))[node.name]:
+        for qualified, name, node in _definitions(trees[module]):
+            if loads[name] == Counter(_loads(node))[name]:
                 unused.append((module, qualified))
     return unused
 
@@ -191,6 +197,22 @@ def test_unused_definition_scan_covers_methods_and_properties():
     assert unused_definitions(package, {}) == [
         ("a", "Table.recursive"), ("a", "Table.tests_only"), ("a", "Table.unread")
     ]
+
+
+def test_unused_definition_scan_covers_constants():
+    package = {
+        "a": (
+            "ZERO = 0\n"
+            "ONE: int = 1\n"
+            "LOW, HIGH = 0, 9\n"
+            "UNREAD = ZERO + ONE\n"
+            "TESTS_ONLY = 2\n"
+            "__all__ = []\n"
+            "def f(): return LOW\n"
+        ),
+        "b": "from .a import f, HIGH\nf(HIGH)\n",
+    }
+    assert unused_definitions(package, {}) == [("a", "UNREAD"), ("a", "TESTS_ONLY")]
 
 
 def bare_asserts(source):
