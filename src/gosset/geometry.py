@@ -25,23 +25,13 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import (
-    LatticeVector,
-    Root,
-    basis,
-    chamber_vertices,
-    inner,
-    norm,
-    root,
-    simple_roots,
-)
+from .lattice import Root, Vector, chamber_vertices, gram, inner, norm, root, simple_roots
 from .isometry import (
     GroupClosure,
     Matrix,
     coset_space,
     finite_group_elements,
     long_simple_reflections,
-    lorentz_gram,
     memoize,
     numbered_points,
     orbit,
@@ -73,7 +63,7 @@ def gosset_walls(n: int) -> GossetWallSystem:
     """
     if n not in TESSELLATION_DIMENSIONS:
         raise ValueError(f"wall systems exist for n in {TESSELLATION_DIMENSIONS}, got {n}")
-    e = basis(n)
+    e = np.eye(n + 1, dtype=np.int64)
     if n == 2:
         labels = ("1", "2", "3")
         roots = (e[1], e[2], e[0] - e[1] - e[2])
@@ -88,7 +78,7 @@ def gosset_walls(n: int) -> GossetWallSystem:
             [e[i] for i in range(1, 5)]
             + [e[0] - e[j] - e[k] for j, k in combinations(range(1, 5), 2)]
         )
-    return GossetWallSystem(n, labels, tuple(root(r) for r in roots))
+    return GossetWallSystem(n, labels, tuple(root(r.tolist()) for r in roots))
 
 
 @dataclass(frozen=True)
@@ -143,14 +133,14 @@ def verify_generator_words(n: int) -> bool:
     return walls == conjugate_wall_set(n)
 
 
-def stabilizer_orbit(n: int, v: LatticeVector) -> frozenset[LatticeVector]:
+def stabilizer_orbit(n: int, v: Vector) -> frozenset[Vector]:
     """Orbit of a vector under the finite stabilizer of the polytope.
 
     That is its orbit under the long simple reflections M, as rows u -> u M^T.
     """
     transposed = np.array([g.entries for g in long_simple_reflections(n)]).transpose(0, 2, 1)
-    found = orbit(np.array([v.coords]), lambda f: f @ transposed)
-    return frozenset(LatticeVector(tuple(row)) for row in found.tolist())
+    found = orbit(np.array([v]), lambda f: f @ transposed)
+    return frozenset(map(tuple, found.tolist()))
 
 
 @dataclass(frozen=True)
@@ -158,8 +148,8 @@ class VertexOrbits:
     """Stabilizer orbits of the first two chamber vertices, plus the fixed center."""
 
     n: int
-    apex_orbit: frozenset[LatticeVector]  # orbit of v_0
-    ideal_orbit: frozenset[LatticeVector]  # orbit of v_1, the ideal vertex
+    apex_orbit: frozenset[Vector]  # orbit of v_0
+    ideal_orbit: frozenset[Vector]  # orbit of v_1, the ideal vertex
     center_fixed: bool  # whether v_n is fixed by the whole stabilizer
 
 
@@ -188,11 +178,11 @@ def point_reflections_mod3(n: int) -> tuple[np.ndarray, Callable]:
     2 / (p, p) = 2 (p, p) mod 3; the isotropic points mirror nothing: rows of -1.
     """
     vectors, number = numbered_points(3, n + 1, projective=True)
-    form = vectors @ np.array(lorentz_gram(n + 1).entries) @ vectors.T % 3
+    form = vectors @ gram(n + 1) @ vectors.T % 3
     scale = 2 * form.diagonal() % 3
     table = number(vectors[None] - (scale[:, None] * form)[:, :, None] * vectors[:, None])
     table[scale == 0] = -1
-    return table, lambda roots: number([r.coords for r in roots])
+    return table, number
 
 
 @dataclass(frozen=True, eq=False)

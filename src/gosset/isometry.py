@@ -1,11 +1,14 @@
 """Isometries of Z^{n,1} and their congruence quotients.
 
 An isometry is an integer matrix M with M^T J M = J for the Gram matrix
-J = diag(-1, 1, ..., 1); we work in the forward subgroup, characterized by
-entry (0,0) >= 1, which preserves the positive light cone.  Reductions mod m
-land in finite matrix groups over Z/m.  One type, Matrix, holds both: an
-integer matrix, or with a modulus its image over Z/m.  Products never mix
-the two rings.
+J = lattice.gram(d) = diag(-1, 1, ..., 1); we work in the forward subgroup,
+characterized by entry (0,0) >= 1, which preserves the positive light cone.
+Reductions mod m land in finite matrix groups over Z/m.  One type, Matrix,
+holds both: an integer matrix, or with a modulus its image over Z/m.
+Products never mix the two rings.  Every reflection over Z reads the one
+rule of the lattice layer, lattice.coroot: reflection_matrix builds on its
+rows, _reflect takes its column coefficients, and _descents its Cartan
+integers.
 
 Groups are enumerated by exhaustive breadth-first closure under right
 multiplication by the generators, one vectorized layer at a time.  The one
@@ -52,21 +55,12 @@ import inspect
 import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from operator import mul
+from operator import index, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .lattice import (
-    LatticeVector,
-    Root,
-    basis_vector,
-    inner,
-    norm,
-    reflect,
-    simple_roots,
-    vector,
-)
+from .lattice import Root, Vector, coroot, gram, inner, norm, reflection_rows, simple_roots
 
 DEFAULT_ELEMENT_BUDGET = 10_000_000
 
@@ -99,22 +93,18 @@ def memoize(fn):
     return memoized
 
 
-def lorentz_gram(d: int) -> Matrix:
-    """Gram matrix diag(-1, 1, ..., 1) of Z^{d-1,1}."""
-    return Matrix(
-        tuple(tuple((-1 if r == 0 else 1) if r == c else 0 for c in range(d)) for r in range(d))
-    )
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Square integer matrix over Z (modulus None) or over Z/m, entries 0 <= x < m.
 
     Products stay in the ring of their factors, reduced mod m, and refuse
-    factors from two rings.  Over Z the trusted constructors are
-    lattice_isometry() and reflection_matrix(), which validate the defining
-    conditions; products of isometries are again isometries, so composition
-    skips revalidation.  reduce(m) gives the image over Z/m.
+    factors from two rings.  Over Z the trusted constructor is
+    lattice_isometry(), which validates the defining conditions, integer
+    entries included; reflection_matrix() builds through it.  Products of
+    isometries are again isometries, so composition skips revalidation.
+    reduce(m) gives the image over Z/m.  A Matrix is hashable: it is the
+    generator record of GroupClosure, and its pure-Python product is the
+    one evaluate_word uses and the tests' reference.
     """
 
     entries: Rows
@@ -161,28 +151,31 @@ def _over(rows: Iterable[Iterable[int]], modulus: int | None) -> Matrix:
 
 
 def lattice_isometry(rows: Sequence[Sequence[int]]) -> Matrix:
-    """Validated constructor: square, M^T J M = J, forward (entry (0,0) >= 1)."""
-    mat = Matrix(tuple(tuple(int(x) for x in r) for r in rows))
-    d = mat.dimension
-    if any(len(r) != d for r in mat.entries):
+    """Validated constructor: integer entries (operator.index, so numpy ints
+    pass and floats or strings do not), square, M^T J M = J for J =
+    lattice.gram(d), forward (entry (0,0) >= 1)."""
+    try:
+        entries = tuple(tuple(map(index, r)) for r in rows)
+    except TypeError:
+        raise ValueError("matrix entries must be integers") from None
+    d = len(entries)
+    if any(len(r) != d for r in entries):
         raise ValueError("matrix must be square")
-    gram = lorentz_gram(d)
-    if Matrix(tuple(zip(*mat.entries))) @ gram @ mat != gram:
+    m, j = np.array(entries, dtype=object), gram(d)
+    if not (m.T @ j @ m == j).all():
         raise ValueError("matrix does not preserve the Lorentzian form")
-    if mat.entries[0][0] < 1:
+    if entries[0][0] < 1:
         raise ValueError("matrix reverses the light cone (entry (0,0) < 1)")
-    return mat
+    return Matrix(entries)
 
 
 def reflection_matrix(alpha: Root) -> Matrix:
-    """Matrix of the reflection in a root of norm 1 or 2, columns = images of e_i."""
-    d = alpha.n + 1
-    cols = [reflect(alpha, basis_vector(i, alpha.n)).coords for i in range(d)]
-    rows = tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
-    return lattice_isometry(rows)
+    """Matrix of the reflection in a root of norm 1 or 2, columns = images of
+    e_i: the transpose of lattice.reflection_rows."""
+    return lattice_isometry(reflection_rows(alpha).T)
 
 
-def chamber_vector(n: int) -> LatticeVector:
+def chamber_vector(n: int) -> Vector:
     """v = (-(3n-2), n, n-1, ..., 1), which pairs to 1 with every simple root.
 
     So v lies in the open fundamental chamber of the reflection group W of
@@ -191,7 +184,7 @@ def chamber_vector(n: int) -> LatticeVector:
     injective on W and on every subgroup, finite (the stabilizer of the long
     simple reflections) or not (all simple reflections).
     """
-    v = vector(-(3 * n - 2), *range(n, 0, -1))
+    v = (-(3 * n - 2), *range(n, 0, -1))
     if any(inner(a, v) <= 0 for a in simple_roots(n)):
         raise AssertionError("chamber vector fails to pair positively with a simple root")
     return v
@@ -508,25 +501,23 @@ def _ring(generators: Sequence[Matrix]) -> tuple[int | None, int]:
 def _reflect(mats: np.ndarray, alpha: Root) -> None:
     """Right-multiply int8 matrices M, shape (k, d, d), by s_alpha in place.
 
-    Column j of M s_alpha is M e_j - c_j M alpha, with c_j = 2 (e_j, alpha) /
-    (alpha, alpha) (Humphreys, Reflection Groups and Coxeter Groups, 5.3),
-    where (e_j, alpha) is alpha_j, negated for j = 0; only the columns in the
-    support of alpha change.  A root e_i - e_j swaps columns i and j.  Any
-    other sums its support into the int32 image M alpha, exact for entries
-    within int8, and raises OverflowError before it stores an entry past +-127.
+    Column j of M s_alpha is M e_j - c_j M alpha, for c = coroot(alpha), the
+    coefficients 2 (e_j, alpha) / (alpha, alpha); only the columns in the
+    support of alpha change.  When alpha and c are both e_i - e_j, that swaps
+    columns i and j.  Otherwise the support is summed into the int32 image
+    M alpha, exact for entries within int8, and OverflowError is raised
+    before an entry past +-127 is stored.
     """
-    support = [j for j, x in enumerate(alpha.coords) if x]
-    coords = [alpha.coords[j] for j in support]
-    if coords == [1, -1] and support[0]:
+    support, c = [j for j, x in enumerate(alpha) if x], coroot(alpha).tolist()
+    coords, c = [alpha[j] for j in support], [c[j] for j in support]
+    if coords == c == [1, -1] and support[0]:
         mats[:, :, support] = mats[:, :, support[::-1]]
         return
     image = np.zeros(mats.shape[:2], dtype=np.int32)
     for j, x in zip(support, coords):
         image += x * mats[:, :, j].astype(np.int32)
-    alpha_norm = norm(alpha)
-    for j, x in zip(support, coords):
-        c = 2 * (-x if j == 0 else x) // alpha_norm
-        column = mats[:, :, j] - c * image
+    for j, c_j in zip(support, c):
+        column = mats[:, :, j] - c_j * image
         if len(column) and (column.max() > 127 or column.min() < -127):
             raise OverflowError("matrix entries exceed int8 storage")
         mats[:, :, j] = column
@@ -539,7 +530,7 @@ def _reflection_layers(roots: Sequence[Root]) -> Iterator[np.ndarray]:
     Picked by _descents, each batch of _CHUNK_ROWS picked frontier rows is
     gathered once, straight into the layer, and reflected there by _reflect.
     """
-    d = roots[0].n + 1
+    d = len(roots[0])
 
     def build(frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
         out = np.empty((len(picks), d, d), dtype=np.int8)
@@ -564,9 +555,9 @@ def _descents(roots: Sequence[Root]) -> Callable[[np.ndarray], np.ndarray]:
     descent of w s: r[s, j] > 0 and r[t, j] - c_ts r[s, j] > 0 for t < s,
     as s(alpha_t) = alpha_t - c_ts alpha_s.
     """
-    # cartan[t, s] = c_ts = 2 (alpha_t, alpha_s) / (alpha_s, alpha_s), an integer.
-    cartan = np.array([[2 * inner(a, b) // norm(b) for b in roots] for a in roots], np.int32)
-    v = chamber_vector(roots[0].n)
+    # cartan[t, s] = c_ts = 2 (alpha_t, alpha_s) / (alpha_s, alpha_s), alpha_t . coroot(alpha_s).
+    cartan = (np.array(roots) @ np.array([coroot(b) for b in roots]).T).astype(np.int32)
+    v = chamber_vector(len(roots[0]) - 1)
     pairings = np.array([[inner(a, v)] for a in roots], dtype=np.int32)
 
     def pick(frontier: np.ndarray) -> np.ndarray:
@@ -683,9 +674,9 @@ def _parabolic_chain(n: int) -> list[np.ndarray]:
     roots = tuple(a for a in simple_roots(n) if norm(a) == 2)
     levels = []
     while roots:
-        m = roots[0].n
+        m = len(roots[0]) - 1
         levels.append(_transversal(roots))
-        roots = tuple(vector(*a.coords[:m]) for a in roots if not a.coords[m])
+        roots = tuple(a[:m] for a in roots if not a[m])
     return levels
 
 
@@ -702,7 +693,7 @@ def _transversal(roots: tuple[Root, ...]) -> np.ndarray:
     representative of each coset u W_J.  Every product of a frontier is
     built, by _reflect, before it is keyed: there are at most 56 x 7.
     """
-    d = roots[0].n + 1
+    d = len(roots[0])
     identity = np.eye(d, dtype=np.int8)[None]
     products = identity
 

@@ -1,123 +1,91 @@
 """Exact integer arithmetic on the odd unimodular Lorentzian lattice Z^{n,1}.
 
-The lattice has basis e_0, e_1, ..., e_n with pairing
+The lattice has basis e_0, e_1, ..., e_n and Gram matrix
 
-    (e_0, e_0) = -1,    (e_i, e_i) = +1 for i >= 1,    (e_i, e_j) = 0 otherwise.
+    J = gram(n + 1) = diag(-1, 1, ..., 1),
 
-Vectors are immutable integer coordinate tuples.  Roots are vectors of norm
-1 or 2; reflection in a root alpha sends lam to
+so (u, v) = u J v^T.  A vector is a tuple of Python ints (x_0, x_1, ..., x_n),
+and matrices act on the right of rows.  Roots are vectors of norm 1 or 2.
+The one reflection rule is coroot(alpha), the row c = 2 J alpha / (alpha,
+alpha), integral for norms 1 and 2: reflection in alpha sends lam to
 
-    lam - 2 (lam, alpha) / (alpha, alpha) * alpha
+    lam - 2 (lam, alpha) / (alpha, alpha) * alpha = lam - (lam . c) alpha,
 
-which is always integral for norms 1 and 2.  The module also knows the
-distinguished simple roots of the reflection subgroup of O+(Z^{n,1}) and the
-vertices of its fundamental chamber, both needed downstream for walls,
-finite stabilizers and tessellations.
+the rows R = I - c^T alpha of reflection_rows (Humphreys, Reflection Groups
+and Coxeter Groups, 5.3).  The module also knows the distinguished simple
+roots of the reflection subgroup of O+(Z^{n,1}) and the vertices of its
+fundamental chamber, both needed downstream for walls, finite stabilizers
+and tessellations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
+
+import numpy as np
+
+Vector = tuple[int, ...]
+
+# A Root is a Vector of norm 1 or 2; use root() to build one checked.
+Root = Vector
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    """Point of Z^{n,1} as a coordinate tuple (x_0, x_1, ..., x_n)."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) < 2:
-            raise ValueError("need at least coordinates (x_0, x_1)")
-        if not all(isinstance(c, int) for c in self.coords):
-            raise ValueError("coordinates must be integers")
-
-    @property
-    def n(self) -> int:
-        """Spatial dimension: the lattice is Z^{n,1} with n+1 coordinates."""
-        return len(self.coords) - 1
-
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        _same_dimension(self, other)
-        return LatticeVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        _same_dimension(self, other)
-        return LatticeVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(tuple(-a for a in self.coords))
-
-    def __rmul__(self, k: int) -> "LatticeVector":
-        if not isinstance(k, int):
-            return NotImplemented
-        return LatticeVector(tuple(k * a for a in self.coords))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coords)
+def gram(d: int) -> np.ndarray:
+    """The Gram matrix J = diag(-1, 1, ..., 1) of Z^{d-1,1}, int64."""
+    j = np.eye(d, dtype=np.int64)
+    j[0, 0] = -1
+    return j
 
 
-# A Root is a LatticeVector of norm 1 or 2; use root() to build one checked.
-Root = LatticeVector
-
-
-def _same_dimension(u: LatticeVector, v: LatticeVector) -> None:
-    if len(u.coords) != len(v.coords):
-        raise ValueError("dimension mismatch")
-
-
-def vector(*coords: int) -> LatticeVector:
-    """Build a lattice vector from coordinates (x_0, x_1, ..., x_n)."""
-    return LatticeVector(tuple(coords))
-
-
-def basis_vector(i: int, n: int) -> LatticeVector:
-    """The basis vector e_i of Z^{n,1}, 0 <= i <= n."""
-    if not 0 <= i <= n:
-        raise ValueError(f"basis index {i} out of range for n={n}")
-    return LatticeVector(tuple(1 if j == i else 0 for j in range(n + 1)))
-
-
-def basis(n: int) -> list[LatticeVector]:
+def basis(n: int) -> list[Vector]:
     """The basis e_0, ..., e_n of Z^{n,1}."""
-    return [basis_vector(i, n) for i in range(n + 1)]
+    return [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
 
 
-def inner(u: LatticeVector, v: LatticeVector) -> int:
-    """Lorentzian pairing -u_0 v_0 + u_1 v_1 + ... + u_n v_n."""
-    _same_dimension(u, v)
-    s = -u.coords[0] * v.coords[0]
-    for a, b in zip(u.coords[1:], v.coords[1:]):
-        s += a * b
-    return s
+def inner(u: Sequence[int], v: Sequence[int]) -> int:
+    """Lorentzian pairing u J v^T = -u_0 v_0 + u_1 v_1 + ... + u_n v_n."""
+    return int(np.asarray(u) @ gram(len(u)) @ np.asarray(v))
 
 
-def norm(v: LatticeVector) -> int:
+def norm(v: Sequence[int]) -> int:
     """Self-pairing (v, v)."""
     return inner(v, v)
 
 
-def root(v: LatticeVector | Sequence[int]) -> Root:
-    """Validate that v has norm 1 or 2 and return it as a root."""
-    if not isinstance(v, LatticeVector):
-        v = LatticeVector(tuple(v))
+def root(v: Sequence[int]) -> Root:
+    """Validate that v has integer coordinates, at least two, and norm 1 or 2."""
+    v = tuple(v)
+    if len(v) < 2:
+        raise ValueError("need at least coordinates (x_0, x_1)")
+    if not all(isinstance(c, int) for c in v):
+        raise ValueError("coordinates must be integers")
     if norm(v) not in (1, 2):
         raise ValueError(f"root must have norm 1 or 2, got {norm(v)}")
     return v
 
 
-def reflect(alpha: Root, lam: LatticeVector) -> LatticeVector:
-    """Reflection of lam in the mirror orthogonal to the root alpha.
+def coroot(alpha: Sequence[int]) -> np.ndarray:
+    """The int64 row c = 2 J alpha / (alpha, alpha), with lam . c = 2 (lam,
+    alpha) / (alpha, alpha); ValueError unless (alpha, alpha) is 1 or 2."""
+    a = np.asarray(alpha)
+    j_alpha = gram(len(a)) @ a
+    alpha_norm = int(j_alpha @ a)
+    if alpha_norm not in (1, 2):
+        raise ValueError(f"root must have norm 1 or 2, got {alpha_norm}")
+    return 2 // alpha_norm * j_alpha
 
-    For norms 1 and 2 the coefficient 2 (lam, alpha) / (alpha, alpha) is an
-    integer, so the reflection preserves the lattice.
-    """
-    nrm = norm(alpha)
-    if nrm not in (1, 2):
-        raise ValueError(f"root must have norm 1 or 2, got {nrm}")
-    coeff = 2 * inner(lam, alpha) // nrm
-    return lam - coeff * alpha
+
+def reflection_rows(alpha: Root) -> np.ndarray:
+    """The int64 rows R = I - c^T alpha of the reflection in alpha, c its
+    coroot: lam R is the reflection of the row lam."""
+    return np.eye(len(alpha), dtype=np.int64) - np.outer(coroot(alpha), alpha)
+
+
+def reflect(alpha: Root, lam: Sequence[int]) -> Vector:
+    """Reflection of lam in the mirror orthogonal to the root alpha: lam R,
+    summed as lam - (lam . c) alpha."""
+    k = int(np.dot(lam, coroot(alpha)))
+    return tuple(x - k * a for x, a in zip(lam, alpha))
 
 
 def simple_roots(n: int) -> list[Root]:
@@ -129,18 +97,12 @@ def simple_roots(n: int) -> list[Root]:
     """
     if not 2 <= n <= 8:
         raise ValueError(f"n must be between 2 and 8, got {n}")
-    e = basis(n)
-    if n == 2:
-        alpha0 = e[0] - e[1] - e[2]
-    else:
-        alpha0 = e[0] - e[1] - e[2] - e[3]
-    roots = [alpha0]
-    roots.extend(e[i] - e[i + 1] for i in range(1, n))
-    roots.append(e[n])
-    return [root(r) for r in roots]
+    e = np.eye(n + 1, dtype=np.int64)
+    alpha0 = e[0] - e[1 : 3 if n == 2 else 4].sum(axis=0)
+    return [root(r.tolist()) for r in [alpha0, *(e[1:n] - e[2:]), e[n]]]
 
 
-def chamber_vertices(n: int) -> list[LatticeVector]:
+def chamber_vertices(n: int) -> list[Vector]:
     """Vertices v_0, ..., v_n of the fundamental chamber in Z^{n,1}.
 
     v_0 = e_0, v_1 = e_0 - e_1 (the one ideal vertex, norm 0),
@@ -149,11 +111,5 @@ def chamber_vertices(n: int) -> list[LatticeVector]:
     """
     if not 2 <= n <= 8:
         raise ValueError(f"n must be between 2 and 8, got {n}")
-    e = basis(n)
-    verts = [e[0], e[0] - e[1], 2 * e[0] - e[1] - e[2]]
-    for j in range(3, n + 1):
-        v = 3 * e[0]
-        for i in range(1, j + 1):
-            v = v - e[i]
-        verts.append(v)
-    return verts
+    apex = [1, 1, 2] + [3] * (n - 2)
+    return [(apex[j],) + (-1,) * j + (0,) * (n - j) for j in range(n + 1)]

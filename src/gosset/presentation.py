@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .lattice import LatticeVector, Root, inner, norm, reflect
+import numpy as np
+
+from .lattice import Root, inner, norm, reflection_rows
 from .geometry import GossetWallSystem, wall_pair_classification
 from .isometry import Matrix
 
@@ -244,7 +246,7 @@ def evaluate_word(word: Word, assignment: Mapping[str, Matrix]) -> Matrix:
     return out
 
 
-def braid_identity_check(alpha: Root, beta: Root, lam: LatticeVector) -> bool:
+def braid_identity_check(alpha: Root, beta: Root, lam: Sequence[int]) -> bool:
     """Exact integer identity controlling the mod-3 braid relation.
 
     For norm-1 roots with (alpha, beta) = -1, applying s_beta s_alpha s_beta
@@ -255,11 +257,10 @@ def braid_identity_check(alpha: Root, beta: Root, lam: LatticeVector) -> bool:
         raise ValueError("braid identity needs norm-1 roots")
     if inner(alpha, beta) != -1:
         raise ValueError("braid identity needs roots pairing to -1")
-    lhs = reflect(beta, reflect(alpha, reflect(beta, lam))) - reflect(
-        alpha, reflect(beta, reflect(alpha, lam))
-    )
-    rhs = (6 * inner(lam, alpha)) * alpha - (6 * inner(lam, beta)) * beta
-    return lhs == rhs
+    s_a, s_b = reflection_rows(alpha), reflection_rows(beta)
+    lhs = np.asarray(lam) @ (s_b @ s_a @ s_b - s_a @ s_b @ s_a)
+    rhs = 6 * inner(lam, alpha) * np.asarray(alpha) - 6 * inner(lam, beta) * np.asarray(beta)
+    return lhs.tolist() == rhs.tolist()
 
 
 def presentation_to_text(p: Presentation) -> str:

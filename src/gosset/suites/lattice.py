@@ -1,16 +1,21 @@
 """The lattice suite: simple roots, the chamber, reflections and the congruence kernels.
 
 `reflection_involution_n*` checks on a basis: reflections are linear and the
-form bilinear, so the matrix M of the images of e_0..e_n decides both
-r(r(u)) = u, as M^2 = I, and (r u, r v) = (u, v), as M^T J M = J;
-r(alpha) = -alpha for each simple root rules out the identity map, which
-passes both.
+form bilinear, so the rows R of the images of e_0..e_n decide r(r(u)) = u,
+as R^2 = I, and (r u, r v) = (u, v), as R J R^T = J.  Those two, with
+r(alpha) = -alpha for each simple root, still pass -I; the fourth test, that
+r(e_i) - e_i is a multiple of alpha for every i, rules it out.  All four
+together force r = s_alpha: r u = u - f(u) alpha for a linear f, and
+(r u, r alpha) = (u, alpha) with r alpha = -alpha gives f(u) = 2 (u, alpha) /
+(alpha, alpha).
 """
 
 from __future__ import annotations
 
-from ..isometry import Matrix, congruence_intersection_check, lorentz_gram
-from ..lattice import basis, chamber_vertices, inner, norm, reflect, simple_roots
+import numpy as np
+
+from ..isometry import congruence_intersection_check
+from ..lattice import basis, chamber_vertices, gram, inner, norm, reflect, simple_roots
 from . import STABILIZER_ORDERS, check
 
 LATTICE_DIMS = tuple(range(2, 9))
@@ -42,13 +47,15 @@ def _vertex_norms(c):
 
 @check("lattice", "reflection_involution_n{n}", LATTICE_DIMS)
 def _reflection_involution(c):
-    vectors, gram, identity = basis(c.n), lorentz_gram(c.n + 1), Matrix.identity(c.n + 1)
+    j, identity = gram(c.n + 1), np.eye(c.n + 1, dtype=np.int64)
     ok = True
     for alpha in simple_roots(c.n):
-        columns = tuple(reflect(alpha, u).coords for u in vectors)
-        mat = Matrix(tuple(zip(*columns)))
-        ok = ok and reflect(alpha, alpha) == -alpha
-        ok = ok and mat @ mat == identity and Matrix(columns) @ gram @ mat == gram
+        rows, a = np.array([reflect(alpha, u) for u in basis(c.n)]), np.array(alpha)
+        moved = rows - identity  # row i, r(e_i) - e_i, is parallel to alpha iff its wedge is 0
+        wedge = moved[:, :, None] * a - a[:, None] * moved[:, None]  # m_ip a_q - a_p m_iq
+        ok = ok and reflect(alpha, alpha) == tuple(-a)
+        ok = ok and bool((rows @ rows == identity).all() and (rows @ j @ rows.T == j).all())
+        ok = ok and not wedge.any()
     return True, ok, "reflections square to one and preserve the form on e_0..e_n"
 
 

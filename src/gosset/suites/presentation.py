@@ -13,7 +13,7 @@ from ..geometry import (
     wall_reflections_mod3,
 )
 from ..isometry import Matrix
-from ..lattice import basis, vector
+from ..lattice import basis
 from ..presentation import (
     braid_identity_check,
     build_presentation,
@@ -32,7 +32,7 @@ RELATOR_PROFILE = {
 
 @check("presentation", "braid_identity_fixed")
 def _braid_identity_fixed(c):
-    ok = braid_identity_check(vector(0, 1, 0), vector(1, -1, -1), vector(1, 0, 0))
+    ok = braid_identity_check((0, 1, 0), (1, -1, -1), (1, 0, 0))
     return True, ok, "worked example with the apex as test vector"
 
 

@@ -41,7 +41,7 @@ from gosset.isometry import (
     congruence_intersection_check,
     reflection_matrix,
 )
-from gosset.lattice import inner, norm, simple_roots, vector
+from gosset.lattice import inner, norm, simple_roots
 from gosset.presentation import (
     braid_identity_check,
     build_presentation,
@@ -200,14 +200,14 @@ def test_criterion_06_diagram_identities():
 
 
 def test_criterion_07_braid_identity():
-    ok = braid_identity_check(vector(0, 1, 0), vector(1, -1, -1), vector(1, 0, 0))
+    ok = braid_identity_check((0, 1, 0), (1, -1, -1), (1, 0, 0))
     rng = random.Random("acceptance:braid")
     for n in (3, 4):
         walls = gosset_walls(n)
         for la, lb in wall_pair_classification(walls).parallel:
             alpha, beta = walls.root_of(la), walls.root_of(lb)
             for _ in range(100):
-                lam = vector(*[rng.randint(-9, 9) for _ in range(n + 1)])
+                lam = tuple(rng.randint(-9, 9) for _ in range(n + 1))
                 ok = ok and braid_identity_check(alpha, beta, lam)
     _criterion(7, "triple-product identity holds on every tangent pair", ok)
 

@@ -15,7 +15,7 @@ from gosset import cli, enumeration, geometry, isometry
 from gosset.cli import Options, main, run_suite
 from gosset.eisenstein import OMEGA, forms, scalar_rows
 from gosset.geometry import gosset_walls, point_reflections_mod3
-from gosset.lattice import basis_vector, chamber_vertices, inner, reflect
+from gosset.lattice import basis, chamber_vertices, inner, reflect
 from gosset.presentation import DiagramGraph, build_presentation
 from gosset.report import CheckReport, exit_code, reports_to_json
 from gosset.suites import eisenstein as eisenstein_rows
@@ -273,14 +273,16 @@ def test_a_broken_layer_function_fails_only_its_checks(monkeypatch, suite, broke
 
 
 def _reflect_with_coefficient_one(alpha, lam):
-    return lam - inner(lam, alpha) * alpha
+    return tuple(x - inner(lam, alpha) * a for x, a in zip(lam, alpha))
 
 
 def _braid_with_coefficient_three(alpha, beta, lam):
-    lhs = reflect(beta, reflect(alpha, reflect(beta, lam))) - reflect(
-        alpha, reflect(beta, reflect(alpha, lam))
+    lhs = np.subtract(
+        reflect(beta, reflect(alpha, reflect(beta, lam))),
+        reflect(alpha, reflect(beta, reflect(alpha, lam))),
     )
-    return lhs == (3 * inner(lam, alpha)) * alpha - (3 * inner(lam, beta)) * beta
+    rhs = 3 * inner(lam, alpha) * np.array(alpha) - 3 * inner(lam, beta) * np.array(beta)
+    return lhs.tolist() == rhs.tolist()
 
 
 def _forms_without_conjugation(d):
@@ -347,6 +349,12 @@ def _hexaflection_with_coefficient(c):
             ["reflection_involution_n2"],
             id="gosset.cli-reflect-<lambda>-lattice-failing6",
         ),
+        # -I also negates alpha, but moves e_i by -2 e_i, not by a multiple of alpha.
+        pytest.param(
+            lattice_rows, "reflect", lambda alpha, lam: tuple(-x for x in lam), "lattice",
+            ["reflection_involution_n2"],
+            id="reflect-_minus_identity-lattice-failing9",
+        ),
         # I + W is a primitive sixth root of unity, not a cube root.
         pytest.param(
             eisenstein_rows, "OMEGA", np.eye(2, dtype=np.int64) + OMEGA, "eisenstein",
@@ -371,19 +379,69 @@ def test_basis_checks_fail_on_a_broken_identity(monkeypatch, owner, name, fake, 
     assert {c: statuses[c] for c in failing} == {c: "fail" for c in failing}
 
 
+_TESSELLATION = ("tile_count", "boundary_slots", "connected", "self_loop_count", "lagrange")
+_N234 = ("n2", "n3", "n4")
+
+
+def _ids(names, dims):
+    return {f"{name}_{d}" for name in names for d in dims}
+
+
+# lattice.coroot, the one reflection rule over Z, mutated before any layer
+# imports it: (fake coroot, checks that fail, checks that error).
+_RULE_MUTATIONS = {
+    # c = J alpha drops the factor 2 / (alpha, alpha): only norm-1 roots change.
+    "no_factor": (
+        "lambda alpha: lattice.gram(len(alpha)) @ alpha",
+        {"braid_identity_fixed"} | _ids(["braid_identity_random"], _N234)
+        | _ids(["reflection_involution"], [f"n{n}" for n in range(2, 9)]),
+        _ids(_TESSELLATION + ("sign_quotient", "generator_words"), _N234)
+        | _ids(["relators_mod3", "matrix_cross_check"], ["a3", "affine_a5", "petersen"])
+        | {"deflation_integer_nonidentity", "triple_agreement"},
+    ),
+    # c = 2 J alpha forces the factor to 2: only norm-2 roots change.
+    "factor_two": (
+        "lambda alpha: 2 * lattice.gram(len(alpha)) @ alpha",
+        _ids(["reflection_involution"], [f"n{n}" for n in range(2, 9)]),
+        _ids(_TESSELLATION + ("sign_quotient", "generator_words", "vertex_orbits"), _N234)
+        | _ids(["congruence_trivial"], [f"n{n}" for n in range(2, 8)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_RULE_MUTATIONS))
+def test_every_integer_route_reads_the_one_reflection_rule(tmp_path, mutation):
+    # Every check not listed passes: no route over Z keeps a coefficient of its own.
+    fake, failing, erroring = _RULE_MUTATIONS[mutation]
+    code = (
+        "import sys; from gosset import lattice; "
+        f"lattice.coroot = {fake}; "
+        "from gosset import cli; cli.main(['all', '--max-n', '7', '--out', sys.argv[1]])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / f"{mutation}.json"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    statuses = {c["check_id"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+    assert {c for c, s in statuses.items() if s == "fail"} == failing
+    assert {c for c, s in statuses.items() if s == "error"} == erroring
+    assert {s for c, s in statuses.items() if c not in failing | erroring} == {"pass"}
+
+
 def _walls_with_a_stray_mirror(n):
     """The first wall with x_0 = 1 becomes e_0 + e_1 + e_2: norm 1, but not a wall."""
     walls = gosset_walls(n)
-    first = next(i for i, r in enumerate(walls.roots) if r.coords[0] == 1)
-    e = [basis_vector(i, n) for i in range(n + 1)]
+    first = next(i for i, r in enumerate(walls.roots) if r[0] == 1)
     roots = list(walls.roots)
-    roots[first] = e[0] + e[1] + e[2]
+    roots[first] = (1, 1, 1) + (0,) * (n - 2)
     return replace(walls, roots=tuple(roots))
 
 
 def _vertices_with_a_moved_center(n):
     """v_n becomes e_1, which the stabilizer moves."""
-    return chamber_vertices(n)[:n] + [basis_vector(1, n)]
+    return chamber_vertices(n)[:n] + [basis(n)[1]]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

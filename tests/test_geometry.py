@@ -21,7 +21,7 @@ from gosset.geometry import (
     wall_reflections_mod3,
 )
 from gosset.isometry import Matrix, coset_space, numbered_points, reflection_matrix
-from gosset.lattice import basis_vector, inner, norm, reflect, simple_roots
+from gosset.lattice import basis, inner, norm, reflect, simple_roots
 
 WALL_COUNTS = {2: 3, 3: 6, 4: 10}
 
@@ -43,9 +43,9 @@ def test_wall_roots_have_norm_one():
 
 def test_petersen_wall_coordinates():
     walls = gosset_walls(4)
-    e = [basis_vector(i, 4) for i in range(5)]
-    assert walls.root_of("2") == e[2]
-    assert walls.root_of("13") == e[0] - e[1] - e[3]
+    e = np.array(basis(4))
+    assert walls.root_of("2") == tuple(e[2])
+    assert walls.root_of("13") == tuple(e[0] - e[1] - e[3])
 
 
 def test_distinct_wall_pairings():
@@ -81,9 +81,9 @@ def test_wall_routes_reject_dimensions_out_of_range():
 
 
 def test_stabilizer_orbit_of_apex():
-    orbit = stabilizer_orbit(4, basis_vector(0, 4))
+    orbit = stabilizer_orbit(4, basis(4)[0])
     assert len(orbit) == 5
-    assert basis_vector(0, 4) in orbit
+    assert basis(4)[0] in orbit
 
 
 def test_vertex_orbits():
@@ -198,7 +198,7 @@ def test_tessellation_assertions_pass_on_the_real_tile_arrays(n, closure_matrice
     _, number = numbered_points(3, n + 1, projective=True)
 
     def moved(vectors):
-        images = (rows @ np.array([v.coords for v in vectors]).T).reshape(len(mats), n + 1, -1)
+        images = (rows @ np.array(vectors).T).reshape(len(mats), n + 1, -1)
         return number(images.transpose(0, 2, 1))
 
     tile = space.cosets_of(moved(walls))

@@ -7,7 +7,7 @@ import pytest
 
 from gosset.geometry import gosset_walls, wall_reflections_mod3
 from gosset.isometry import Matrix, reflection_matrix
-from gosset.lattice import inner, vector
+from gosset.lattice import inner
 from gosset.presentation import (
     braid_identity_check,
     build_presentation,
@@ -171,9 +171,9 @@ def test_evaluate_word_empty_and_unknown():
 
 
 def test_braid_identity_fixed_example():
-    alpha = vector(0, 1, 0)
-    beta = vector(1, -1, -1)
-    assert braid_identity_check(alpha, beta, vector(1, 0, 0))
+    alpha = (0, 1, 0)
+    beta = (1, -1, -1)
+    assert braid_identity_check(alpha, beta, (1, 0, 0))
 
 
 def test_braid_identity_random():
@@ -188,13 +188,13 @@ def test_braid_identity_random():
         ]
         for alpha, beta in pairs:
             for _ in range(25):
-                lam = vector(*[rng.randint(-9, 9) for _ in range(n + 1)])
+                lam = tuple(rng.randint(-9, 9) for _ in range(n + 1))
                 assert braid_identity_check(alpha, beta, lam)
 
 
 def test_braid_identity_rejects_orthogonal_pairs():
     with pytest.raises(ValueError):
-        braid_identity_check(vector(0, 1, 0, 0), vector(0, 0, 1, 0), vector(1, 0, 0, 0))
+        braid_identity_check((0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0))
 
 
 def test_presentation_text_roundtrip():
