@@ -14,18 +14,19 @@ first.  The conjugates (x, x) are not scanned: symmetric storage makes them
 hold.  The table is stored by columns, one list per generator, doubled in
 place up to the budget, and the scans after a deduction alpha·x run in a
 scanner for x, which writes and pushes its own deductions.  An enumeration
-starts on interpreted scanners, a loop over x's words, and once it has
-defined _COMPILE_PER_LETTER cosets per letter of its words switches to
-scanners generated from them: straight-line code with the columns bound as
-locals and one branch per gap of each short word, compiled once per set of
-scan words.  Both make the same reads, writes, pushes and rescans in the
-same order, so the switch moves no table.  Compiling pays only in long
-runs: it takes 0.2 s for the deflated Petersen words, over ten times their run
-over H, while the compiled scans run the 100,000-coset negative controls in
-about half the interpreted time.  Coincidences are processed with a
-union-find over coset indices, path compressed, smaller index surviving;
-parent[a] is None while coset a is its own representative, so only merged
-cosets hold ints.
+starts on interpreted scanners, a loop over x's words, and switches to
+scanners generated from them when its fill loop defines a coset past
+_COMPILE_PER_LETTER per letter of its words: straight-line code with the
+columns bound as locals and one branch per gap of each word, compiled once
+per set of scan words.  Both make the same reads, writes, pushes and rescans
+in the same order, so the switch moves no table.  Compiling pays only in
+long runs: it takes 0.2 s for the deflated Petersen words, over ten times
+their run over H, while the compiled scans run the 100,000-coset negative
+controls in about half the interpreted time.  A presentation with a word
+over _UNROLL_LETTERS letters is never compiled.  Coincidences are processed
+with a union-find over coset indices, path compressed, smaller index
+surviving; parent[a] is None while coset a is its own representative, so
+only merged cosets hold ints.
 
 Enumeration is exact: a closed table reports the subgroup index (the group
 order, for the trivial subgroup); hitting the coset budget reports
@@ -80,11 +81,12 @@ BUDGET_EXCEEDED = "budget_exceeded"
 # compile nothing, the 100,000-coset controls switch after 2,304 and 6,720.
 _COMPILE_PER_LETTER = 16
 
-# Words of at most this many letters are compiled as one branch per gap
-# position, each with its own backward trace, whose source grows with the
-# square of the length: 3.6 KB for 12 letters, twice the flat block's 1.7
-# KB, 19 KB for 32 letters, four times, and about 130 MB for 3,000.  The
-# diagram presentations' words have at most 10.
+# The longest scan word that is compiled.  A compiled scan is one branch per
+# gap position, each with its own backward trace, so its source grows with
+# the square of the length: 3.6 KB for 12 letters, 19 KB for 32 and about
+# 130 MB for 3,000.  A presentation with a longer word scans interpreted from
+# its first coset to its last.  The diagram presentations' words have at most
+# 10.
 _UNROLL_LETTERS = 12
 
 # The pins of each diagram group's lift: the generators of the subgroup H,
@@ -145,16 +147,12 @@ def _scanner_source(x: int, words: Sequence[tuple[int, ...]], ngens: int) -> str
     of every word x·u at a, unrolled, in the order of words, the walk of
     _interpreted_scanner.
 
-    A word of at most _UNROLL_LETTERS letters is one if/elif chain that
-    traces forwards from beta = a·x, one branch per gap position i.  Each
-    branch holds its own backward trace of b from a, one walrus per letter
-    past i, which stops at a gap; if it reaches i, an entry closes the cycle
-    on a second coset, a coincidence, and a gap is a deduction, written both
-    ways and pushed.  The last branch meets no gap: the cycle closes, a
-    coincidence if it ends off a.  A longer word, whose branches would grow
-    with the square of its length, is a flat block instead: a loop run once
-    leaves the coset, position, column and letter of the first gap in f, i,
-    c and g, and a second traces b back to i under guards i < j.
+    Each word is one if/elif chain that traces forwards from beta = a·x, one
+    branch per gap position i.  Each branch holds its own backward trace of b
+    from a, one walrus per letter past i, which stops at a gap; if it reaches
+    i, an entry closes the cycle on a second coset, a coincidence, and a gap
+    is a deduction, written both ways and pushed.  The last branch meets no
+    gap: the cycle closes, a coincidence if it ends off a.
 
     beta is always known: a scan starts at a deduction alpha·x = beta, and a
     coincidence gives every edge it clears a new value before a scan reads
@@ -171,53 +169,25 @@ def _scanner_source(x: int, words: Sequence[tuple[int, ...]], ngens: int) -> str
         f"        beta = c{x}[a]",
     ]
     for word in words:
-        emit = _unrolled_scan if len(word) <= _UNROLL_LETTERS else _linear_scan
-        lines += emit(x, word)
+        f = "beta"
+        for i, g in enumerate(word[1:], 1):
+            back, b = [], "a"
+            for h in reversed(word[i + 1 :]):
+                back.append(f"(b := c{h}[{b}]) is not None")
+                b = "b"
+            gap = [
+                f"if (e := c{g}[{b}]) is None: c{g}[{f}] = {b}; c{g}[{b}] = {f}; push(({f}, {g}))",
+                f"else: a, beta = rescan({f}, e, a, {x})",
+            ]
+            if back:
+                gap = [f"if {' and '.join(back)}:"] + ["    " + line for line in gap]
+            lines.append(f"        {'if' if i == 1 else 'elif'} (f{i} := c{g}[{f}]) is None:")
+            lines += ["            " + line for line in gap]
+            f = f"f{i}"
+        closed = f"{f} != a: a, beta = rescan({f}, a, a, {x})"
+        lines.append(f"        {'if' if f == 'beta' else 'elif'} {closed}")
     lines += ["    return scan", ""]
     return "\n".join(lines)
-
-
-def _unrolled_scan(x: int, word: tuple[int, ...]) -> list[str]:
-    """The scan of word as one branch per gap position, at scan's indent."""
-    lines = []
-    f = "beta"
-    for i, g in enumerate(word[1:], 1):
-        back, b = [], "a"
-        for h in reversed(word[i + 1 :]):
-            back.append(f"(b := c{h}[{b}]) is not None")
-            b = "b"
-        gap = [
-            f"if (e := c{g}[{b}]) is None: c{g}[{f}] = {b}; c{g}[{b}] = {f}; push(({f}, {g}))",
-            f"else: a, beta = rescan({f}, e, a, {x})",
-        ]
-        if back:
-            gap = [f"if {' and '.join(back)}:"] + ["    " + line for line in gap]
-        lines.append(f"        {'if' if i == 1 else 'elif'} (f{i} := c{g}[{f}]) is None:")
-        lines += ["            " + line for line in gap]
-        f = f"f{i}"
-    closed = f"{f} != a: a, beta = rescan({f}, a, a, {x})"
-    lines.append(f"        {'if' if f == 'beta' else 'elif'} {closed}")
-    return lines
-
-
-def _linear_scan(x: int, word: tuple[int, ...]) -> list[str]:
-    """The scan of word as two flat blocks, linear in its length, at scan's indent."""
-    lines = ["        while True:"]
-    f = "beta"
-    for i, g in enumerate(word[1:], 1):
-        gap = f"f = {f}; i = {i}; c = c{g}; g = {g}; b = a; break"
-        lines.append(f"            if (f{i} := c{g}[{f}]) is None: {gap}")
-        f = f"f{i}"
-    lines.append(f"            if {f} != a: a, beta = rescan({f}, a, a, {x})")
-    lines += ["            f = None; break", "        while f is not None:"]
-    for j in range(len(word) - 1, 1, -1):
-        lines.append(f"            if i < {j} and (b := c{word[j]}[b]) is None: break")
-    lines += [
-        "            if (e := c[b]) is None: c[f] = b; c[b] = f; push((f, g))",
-        f"            else: a, beta = rescan(f, e, a, {x})",
-        "            break",
-    ]
-    return lines
 
 
 @memoize
@@ -379,12 +349,10 @@ class _Enumerator:
         cols, parent, deductions = self.cols, self.parent, self.deductions
         pop, find, budget = deductions.pop, self._find, self.budget
         start = defined = self.defined
-        letters = sum(len(w) for words in self.scan_words for w in words)
-        compile_at = _COMPILE_PER_LETTER * letters
-        compiled = defined >= compile_at
-        scanners = self._scanners(compiled)
-        if compiled:
-            compile_at = math.inf
+        lengths = [len(w) for words in self.scan_words for w in words]
+        long_word = max(lengths, default=0) > _UNROLL_LETTERS
+        compile_at = math.inf if long_word else _COMPILE_PER_LETTER * sum(lengths)
+        scanners = self._scanners(compiled=False)
         try:
             # Trace each subgroup word at coset 0, defining cosets to complete
             # it, then scan each deduction (alpha, x) at alpha with x's scanner.
@@ -412,8 +380,6 @@ class _Enumerator:
             while alpha < defined:
                 if parent[alpha] is None:
                     for x, col in enumerate(cols):
-                        if parent[alpha] is not None:
-                            break
                         if col[alpha] is None:
                             if defined >= budget:
                                 return BUDGET_EXCEEDED
@@ -427,6 +393,9 @@ class _Enumerator:
                             while deductions:
                                 a, y = pop()
                                 scanners[y](a if parent[a] is None else find(a))
+                            # Only a definition's scans can merge alpha.
+                            if parent[alpha] is not None:
+                                break
                 alpha += 1
             return CLOSED
         finally:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,6 +63,8 @@ def run_check(
         expected, actual, details = run()
         status = PASS if _plain(expected) == _plain(actual) else FAIL
     except Exception:
+        import traceback  # on error only, so `import gosset.cli` skips it
+
         expected, actual = None, None
         details = traceback.format_exc(limit=3).strip()
         status = ERROR

@@ -17,7 +17,7 @@ from gosset.eisenstein import OMEGA, forms, scalar_rows
 from gosset.geometry import gosset_walls, point_reflections_mod3
 from gosset.lattice import basis, chamber_vertices, inner, reflect
 from gosset.presentation import DiagramGraph, build_presentation
-from gosset.report import CheckReport, exit_code, reports_to_json
+from gosset.report import CheckReport, exit_code, reports_to_json, run_check
 from gosset.suites import eisenstein as eisenstein_rows
 from gosset.suites import enumeration as enumeration_rows
 from gosset.suites import lattice as lattice_rows
@@ -194,6 +194,48 @@ def test_the_enumeration_suite_compiles_only_the_controls(monkeypatch, fresh_sca
         for kind in ("affine_a5", "petersen")
     ]
     assert sorted(compiled) == sorted(controls)
+
+
+def test_only_the_controls_switch_to_compiled_scans_at_16_cosets_a_letter(monkeypatch):
+    # Every enumeration of the suite starts interpreted.  The fill loop's one
+    # switch point is reached by the two 100,000-coset controls alone, at 16
+    # cosets per letter of their scan words.
+    runs = []  # each enumeration's scanner kinds, with the cosets defined at each
+    scanners = enumeration._Enumerator._scanners
+
+    def spy(enum, compiled):
+        defined = sys._getframe(1).f_locals["defined"]  # _Enumerator.run's count
+        if not compiled:
+            runs.append((enum.scan_words, []))
+        runs[-1][1].append(("compiled" if compiled else "interpreted", defined))
+        return scanners(enum, compiled)
+
+    monkeypatch.setattr(enumeration._Enumerator, "_scanners", spy)
+    enumeration.enumerate_diagram_group.cache_clear()
+    assert {r.status for r in run_suite("enumeration")} == {"pass"}
+    switch_at = {}
+    for kind, letters, at in (("affine_a5", 144, 2304), ("petersen", 420, 6720)):
+        words = enumeration._Enumerator(build_presentation(kind, deflate=False), 1).scan_words
+        assert sum(len(w) for ws in words for w in ws) == letters
+        switch_at[words] = at
+    assert sum(words in switch_at for words, _ in runs) == 2
+    for words, kinds in runs:
+        expected = [("interpreted", 1)]
+        if words in switch_at:
+            expected.append(("compiled", switch_at[words]))
+        assert kinds == expected
+
+
+def test_an_erroring_check_ends_its_details_with_the_exception():
+    def broken():
+        raise ValueError("no wall crosses here")
+
+    report = run_check("broken", None, broken)
+    assert (report.status, report.expected, report.actual) == ("error", None, None)
+    assert report.details.startswith("Traceback (most recent call last):")
+    assert report.details.splitlines()[-1] == "ValueError: no wall crosses here"
+    # The traceback module loads only for an error: a bare import skips it.
+    assert "traceback" not in _imported(["-c", "import gosset.cli"])
 
 
 def _imported(args):

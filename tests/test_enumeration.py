@@ -17,7 +17,6 @@ from gosset.enumeration import (
     CosetTable,
     _Enumerator,
     _live_table,
-    _scanner_source,
     _table_rows,
     enumerate_diagram_group,
     matrix_cayley_table,
@@ -477,19 +476,16 @@ def test_relator_order_does_not_matter():
     relabelled_and_shuffled()
 
 
-def test_a_long_relator_compiles_and_closes(monkeypatch, fresh_scanners):
+def test_a_long_relator_closes_without_compiling(monkeypatch, fresh_scanners):
     # The dihedral group of order 3000: one relator of 3000 letters, whose
-    # unrolled scans must stay flat to compile.  Compiled from the first
-    # coset, as 3000 cosets would never reach 16 per letter.
+    # compiled scans would grow with the square of its length.  A word over
+    # _UNROLL_LETTERS letters keeps the whole run interpreted, even with the
+    # switch set at the first coset.
     monkeypatch.setattr(enumeration, "_COMPILE_PER_LETTER", 0)
     pres = Presentation(("a", "b"), (("a", "a"), ("b", "b"), ("a", "b") * 1500))
     table = todd_coxeter(pres)
     assert (table.status, table.n_live, table.cosets_defined) == (CLOSED, 3000, 3000)
-    assert fresh_scanners.cache_info().misses == 1
-    # Twice the word, about twice the source (the names grow a digit), not
-    # four times as with a branch per gap position.
-    sizes = [len(_scanner_source(0, [(0, 1) * k], 2)) for k in (1500, 3000)]
-    assert sizes[1] < 2.1 * sizes[0]
+    assert fresh_scanners.cache_info().misses == 0
 
 
 def test_without_deflation_the_affine_group_is_infinite():
@@ -698,10 +694,11 @@ def _corpus_tables(monkeypatch, schedule):
 
 
 # Each schedule: _COMPILE_PER_LETTER of an enumeration from its cosets
-# defined and its letters, and the scanners it runs on.
+# defined and its letters, and the scanners it runs on.  Every run starts
+# interpreted; "compiled" switches at the fill loop's first definition.
 SCHEDULES = {
     "interpreted": (lambda defined, letters: math.inf, ["interpreted"]),
-    "compiled": (lambda defined, letters: 0, ["compiled"]),
+    "compiled": (lambda defined, letters: 0, ["interpreted", "compiled"]),
     "switched_mid_run": (
         lambda defined, letters: defined / 2 / letters, ["interpreted", "compiled"]
     ),
@@ -717,7 +714,7 @@ def test_the_equivalence_corpus_keeps_every_table(monkeypatch, fresh_scanners, s
     found, used = _corpus_tables(monkeypatch, switch)
     assert found == EQUIVALENCE_PINS
     expected = dict.fromkeys(EQUIVALENCE_PINS, kinds)
-    if schedule == "switched_mid_run":
+    if schedule != "interpreted":
         # Its one subgroup word defines all five cosets before the fill
         # loop, where the switch is made.
         expected["extension_1"] = ["interpreted"]
