@@ -13,20 +13,26 @@ cycle x·rev(u) read from alpha, so a second scan at beta would repeat the
 first.  The conjugates (x, x) are not scanned: symmetric storage makes them
 hold.  The table is stored by columns, one list per generator, doubled in
 place up to the budget, and the scans after a deduction alpha·x run in a
-scanner for x, which writes and pushes its own deductions.  An enumeration
-starts on interpreted scanners, a loop over x's words, and switches to
-scanners generated from them when its fill loop defines a coset past
-_COMPILE_PER_LETTER per letter of its words: straight-line code with the
-columns bound as locals and one branch per gap of each word, compiled once
-per set of scan words.  Both make the same reads, writes, pushes and rescans
-in the same order, so the switch moves no table.  Compiling pays only in
-long runs: it takes 0.2 s for the deflated Petersen words, over ten times
-their run over H, while the compiled scans run the 100,000-coset negative
-controls in about half the interpreted time.  A presentation with a word
-over _UNROLL_LETTERS letters is never compiled.  Coincidences are processed
-with a union-find over coset indices, path compressed, smaller index
-surviving; parent[a] is None while coset a is its own representative, so
-only merged cosets hold ints.
+scanner for x, which writes and pushes its own deductions.  It walks x's
+template (_slot_form), bound to its slots' columns and generators, and
+generators whose words differ by a relabelling share one, as all ten of the
+undeflated Petersen presentation do.  An enumeration starts on interpreted
+scanners, a loop over the template's words, and switches to compiled ones
+when its fill loop defines a coset past _COMPILE_PER_LETTER per letter of
+its distinct templates: straight-line code with the columns bound as locals
+and one branch per gap of each word, compiled once per template.  Neither
+the switch nor the word order moves a table.  The deduction stack is
+drained before each definition, to the least fixpoint of its deductions and
+coincidences, the smaller index surviving, whatever order the scans take;
+the next definition is the first gap in row-major order; and the budget is
+read only at definitions.  Compiling pays only in long runs: it takes about
+0.1 s for the ten deflated Petersen templates, three times their run over
+H, while the compiled scans run the 100,000-coset negative controls in under
+a third of the interpreted time.  A presentation with a word over
+_UNROLL_LETTERS letters is never compiled.  Coincidences are processed with
+a union-find over coset indices, path compressed, smaller index surviving;
+parent[a] is None while coset a is its own representative, so only merged
+cosets hold ints.
 
 Enumeration is exact: a closed table reports the subgroup index (the group
 order, for the trivial subgroup); hitting the coset budget reports
@@ -70,15 +76,16 @@ CLOSED = "closed"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 # An enumeration scans with _interpreted_scanner until it has defined this
-# many cosets per letter of its scan words, then compiles them.  Compiling
-# costs 60-130 us per letter, and interpreting 2.4-34 us more per coset
-# than the compiled scans (the diagram presentations, fastest of 9 runs on a
-# 2-vCPU Xeon VM), so the two break even at 4-26 cosets per letter: 16 and
-# 25 for the undeflated Petersen and affine A5 words.  Switching there,
-# as one rents skis until the rent paid would have bought them, keeps any
-# enumeration within about twice the cheaper of the two, however long it
-# runs: the other runs of verify all define at most 3 cosets per letter and
-# compile nothing, the 100,000-coset controls switch after 2,304 and 6,720.
+# many cosets per letter of its distinct templates, then compiles them.
+# Compiling costs 57-104 us per template letter, and interpreting 4.0-26 us
+# more per coset than the compiled scans (the diagram presentations, fastest
+# of 9 runs on a 2-vCPU Xeon VM), so the two break even at 3-21 cosets per
+# letter: 14 and 21 for the undeflated Petersen and affine A5 templates.
+# Switching there, as one rents skis until the rent paid would have bought
+# them, keeps any enumeration within about twice the cheaper of the two,
+# however long it runs: the other runs of verify all define at most 3
+# cosets per letter and compile nothing, the 100,000-coset controls switch
+# after 384 and 672, at one template of 24 and of 42 letters.
 _COMPILE_PER_LETTER = 16
 
 # The longest scan word that is compiled.  A compiled scan is one branch per
@@ -142,10 +149,27 @@ class CosetTable:
         return self.n_live
 
 
-def _scanner_source(x: int, words: Sequence[tuple[int, ...]], ngens: int) -> str:
-    """Source of bind(cols, push, rescan), which returns scan(a): the scans
-    of every word x·u at a, unrolled, in the order of words, the walk of
-    _interpreted_scanner.
+Template = tuple[tuple[int, ...], ...]
+
+
+def _slot_form(x: int, words: Sequence[tuple[int, ...]]) -> tuple[Template, tuple[int, ...]]:
+    """x's scan words as a template over slots, and the generator in each
+    slot: x is slot 0, the words are sorted by length and letter pattern, and
+    every other letter takes the next slot where it first appears."""
+
+    def relabel(word: tuple[int, ...], slots: dict[int, int]) -> tuple[int, ...]:
+        return tuple(slots.setdefault(g, len(slots)) for g in word)
+
+    slots = {x: 0}
+    ordered = sorted(words, key=lambda w: (len(w), relabel(w, {})))
+    return tuple(relabel(w, slots) for w in ordered), tuple(slots)
+
+
+def _scanner_source(template: Template) -> str:
+    """Source of bind(cols, ids, push, rescan), which returns scan(a): the
+    scans of every word of the template at a, unrolled, in the template's
+    order, the walk of _interpreted_scanner.  cols are the columns of the
+    slots' generators, slot 0's first, and ids those generators.
 
     Each word is one if/elif chain that traces forwards from beta = a·x, one
     branch per gap position i.  Each branch holds its own backward trace of b
@@ -157,64 +181,64 @@ def _scanner_source(x: int, words: Sequence[tuple[int, ...]], ngens: int) -> str
     beta is always known: a scan starts at a deduction alpha·x = beta, and a
     coincidence gives every edge it clears a new value before a scan reads
     it, so a broken invariant fails loudly, indexing by None.  The columns
-    are default arguments, read as locals; after a coincidence, rescan gives
-    the representative of a and its x-neighbour.
+    and ids are default arguments, read as locals; after a coincidence,
+    rescan gives the representative of a and its neighbour in column c0.
     """
-    cols = ", ".join(f"c{y}" for y in range(ngens))
-    defaults = ", ".join(f"c{y}=c{y}" for y in range(ngens))
+    slots = range(1 + max((s for word in template for s in word), default=0))
+    cols = ", ".join(f"c{s}" for s in slots)
+    ids = ", ".join(f"g{s}" for s in slots)
+    defaults = ", ".join(f"{v}{s}={v}{s}" for v in "cg" for s in slots)
     lines = [
-        "def bind(cols, push, rescan):",
+        "def bind(cols, ids, push, rescan):",
         f"    {cols}, = cols",
+        f"    {ids}, = ids",
         f"    def scan(a, {defaults}, push=push, rescan=rescan):",
-        f"        beta = c{x}[a]",
+        "        beta = c0[a]",
     ]
-    for word in words:
+    for word in template:
         f = "beta"
-        for i, g in enumerate(word[1:], 1):
+        for i, s in enumerate(word[1:], 1):
             back, b = [], "a"
             for h in reversed(word[i + 1 :]):
                 back.append(f"(b := c{h}[{b}]) is not None")
                 b = "b"
             gap = [
-                f"if (e := c{g}[{b}]) is None: c{g}[{f}] = {b}; c{g}[{b}] = {f}; push(({f}, {g}))",
-                f"else: a, beta = rescan({f}, e, a, {x})",
+                f"if (e := c{s}[{b}]) is None: c{s}[{f}] = {b}; c{s}[{b}] = {f}; push(({f}, g{s}))",
+                f"else: a, beta = rescan({f}, e, a, c0)",
             ]
             if back:
                 gap = [f"if {' and '.join(back)}:"] + ["    " + line for line in gap]
-            lines.append(f"        {'if' if i == 1 else 'elif'} (f{i} := c{g}[{f}]) is None:")
+            lines.append(f"        {'if' if i == 1 else 'elif'} (f{i} := c{s}[{f}]) is None:")
             lines += ["            " + line for line in gap]
             f = f"f{i}"
-        closed = f"{f} != a: a, beta = rescan({f}, a, a, {x})"
+        closed = f"{f} != a: a, beta = rescan({f}, a, a, c0)"
         lines.append(f"        {'if' if f == 'beta' else 'elif'} {closed}")
     lines += ["    return scan", ""]
     return "\n".join(lines)
 
 
 @memoize
-def _compile_scanners(scan_words: tuple[tuple[tuple[int, ...], ...], ...]) -> tuple:
-    """One bind function per generator, each compiled on its own."""
-    binds = []
-    for x, words in enumerate(scan_words):
-        namespace: dict = {}
-        source = _scanner_source(x, words, len(scan_words))
-        exec(compile(source, f"<scanner {x}>", "exec"), namespace)
-        binds.append(namespace["bind"])
-    return tuple(binds)
+def _compile_scanner(template: Template) -> Callable:
+    """The bind function of one template, compiled once and bound to the
+    columns of every generator whose slot form it is."""
+    namespace: dict = {}
+    exec(compile(_scanner_source(template), "<scanner>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def _interpreted_scanner(
-    x: int, words: Sequence[tuple[int, ...]], cols: list, push: Callable, rescan: Callable
+    template: Template, cols: Sequence[list], ids: Sequence[int], push: Callable, rescan: Callable
 ) -> Callable[[int], None]:
-    """scan(a) for x: the walk of _scanner_source's code, word by word, with
-    the same writes, pushes and rescans.  Each letter of a word is held with
-    its column and the number of letters after it, which the backward trace
-    reads off the word's reversed columns."""
+    """scan(a): the walk of _scanner_source's code, word by word, with the
+    same writes, pushes and rescans.  Each letter of a word is held with its
+    column, its generator and the number of letters after it, which the
+    backward trace reads off the word's reversed columns."""
     plans = []
-    for word in words:
+    for word in template:
         letters = word[1:]
-        steps = tuple((cols[g], g, len(letters) - i) for i, g in enumerate(letters, 1))
-        plans.append((steps, tuple(cols[g] for g in reversed(letters))))
-    cx = cols[x]
+        steps = tuple((cols[s], ids[s], len(letters) - i) for i, s in enumerate(letters, 1))
+        plans.append((steps, tuple(cols[s] for s in reversed(letters))))
+    cx = cols[0]
 
     def scan(a):
         beta = cx[a]
@@ -226,7 +250,7 @@ def _interpreted_scanner(
                 f = step
             else:
                 if f != a:
-                    a, beta = rescan(f, a, a, x)
+                    a, beta = rescan(f, a, a, cx)
                 continue
             b = a
             for d in back[:after]:
@@ -238,9 +262,17 @@ def _interpreted_scanner(
                     c[b] = f
                     push((f, g))
                 else:
-                    a, beta = rescan(f, e, a, x)
+                    a, beta = rescan(f, e, a, cx)
 
     return scan
+
+
+def _require_involutions(pres: Presentation) -> None:
+    """ValueError naming each generator x whose square (x, x) is not a
+    relator: the enumerator stores every generator as an involution."""
+    relators = {tuple(r) for r in pres.relators}
+    if missing := [g for g in pres.generators if (g, g) not in relators]:
+        raise ValueError(f"generators with no relator (x, x): {', '.join(missing)}")
 
 
 class _Enumerator:
@@ -248,10 +280,13 @@ class _Enumerator:
         self.letters = {g: i for i, g in enumerate(pres.generators)}
         if len(self.letters) != len(pres.generators):
             raise ValueError("duplicate generator labels")
+        if budget < 1:
+            raise ValueError(f"the coset budget must be at least 1, not {budget}")
+        _require_involutions(pres)
         self.ngens = len(pres.generators)
         self.budget = budget
         self.relators = [self.indexed(w, "relator") for w in pres.relators]
-        self.scan_words = self._index_scan_words()
+        self.forms = self._slot_forms()
         self.cols: list[list[int | None]] = [[None] for _ in range(self.ngens)]
         self.parent: list[int | None] = [None]
         self.defined = 1
@@ -265,10 +300,10 @@ class _Enumerator:
         except KeyError as bad:
             raise ValueError(f"{kind} uses unknown generator {bad}") from None
 
-    def _index_scan_words(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """For each generator x, the distinct conjugates x·u of the relators
-        and of their reversals, sorted, less the words (x, x): the words to
-        scan after a deduction alpha·x = beta, at alpha alone."""
+    def _slot_forms(self) -> tuple[tuple[Template, tuple[int, ...]], ...]:
+        """For each generator x, the slot form of its scan words: the distinct
+        conjugates x·u of the relators and of their reversals, less the words
+        (x, x), to scan after a deduction alpha·x = beta, at alpha alone."""
         by_first: list[set[tuple[int, ...]]] = [set() for _ in range(self.ngens)]
         for rel in self.relators:
             for base in (rel, tuple(reversed(rel))):
@@ -276,7 +311,7 @@ class _Enumerator:
                     conj = base[r:] + base[:r]
                     if conj != (conj[0], conj[0]):
                         by_first[conj[0]].add(conj)
-        return tuple(tuple(sorted(ws)) for ws in by_first)
+        return tuple(_slot_form(x, sorted(ws)) for x, ws in enumerate(by_first))
 
     def _find(self, a: int) -> int:
         parent = self.parent
@@ -294,12 +329,12 @@ class _Enumerator:
         for col in (*self.cols, self.parent):
             col.extend(gaps)
 
-    def _rescan(self, f: int, b: int, a: int, x: int) -> tuple[int, int | None]:
+    def _rescan(self, f: int, b: int, a: int, col: list) -> tuple[int, int | None]:
         """Process the coincidence f = b met scanning at a, then give the
-        representative of a and its x-neighbour."""
+        representative of a and its entry in col, the scanner's column."""
         self._coincidence(f, b)
         a = self._find(a)
-        return a, self.cols[x][a]
+        return a, col[a]
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
         a, b = self._find(a), self._find(b)
@@ -335,13 +370,15 @@ class _Enumerator:
                     self.deductions.append((mu, x))
 
     def _scanners(self, compiled: bool) -> list:
-        """One scan(a) per generator, compiled or interpreted, bound to the
-        columns, the deduction stack and _rescan."""
-        if compiled:
-            binds = _compile_scanners(self.scan_words)
-        else:
-            binds = [partial(_interpreted_scanner, x, ws) for x, ws in enumerate(self.scan_words)]
-        return [bind(self.cols, self.deductions.append, self._rescan) for bind in binds]
+        """One scan(a) per generator, its template compiled or interpreted,
+        bound to its slots' columns and generators, the deduction stack and
+        _rescan."""
+        return [
+            (_compile_scanner(t) if compiled else partial(_interpreted_scanner, t))(
+                [self.cols[g] for g in ids], ids, self.deductions.append, self._rescan
+            )
+            for t, ids in self.forms
+        ]
 
     def run(self, subgroup_words: Sequence[tuple[int, ...]]) -> str:
         # A local list: the scanners hold bound methods, so keeping them on
@@ -349,7 +386,7 @@ class _Enumerator:
         cols, parent, deductions = self.cols, self.parent, self.deductions
         pop, find, budget = deductions.pop, self._find, self.budget
         start = defined = self.defined
-        lengths = [len(w) for words in self.scan_words for w in words]
+        lengths = [len(w) for t in {t for t, _ in self.forms} for w in t]
         long_word = max(lengths, default=0) > _UNROLL_LETTERS
         compile_at = math.inf if long_word else _COMPILE_PER_LETTER * sum(lengths)
         scanners = self._scanners(compiled=False)
@@ -442,7 +479,8 @@ def todd_coxeter(
 
     With no subgroup words this enumerates the whole presented group.  The
     budget caps cosets ever defined; exceeding it yields a table with
-    status budget_exceeded and no order.
+    status budget_exceeded and no order.  ValueError for a budget below 1
+    or a generator whose square is not a relator.
     """
     enum = _Enumerator(pres, budget)
     words = [enum.indexed(w, "subgroup word") for w in subgroup_words]
@@ -498,11 +536,14 @@ def _table_rows(table: CosetTable) -> np.ndarray | None:
 
 def verify_table(table: CosetTable, pres: Presentation) -> bool:
     """Replay certificate: every relator fixes every coset, columns are
-    involutive permutations, and the action is transitive from coset 0."""
+    involutive permutations, and the action is transitive from coset 0.
+    ValueError for an open table, other generators or a generator whose
+    square is not a relator: the certificate checks involutive columns."""
     if table.status != CLOSED:
         raise ValueError("can only certify a closed table")
     if tuple(pres.generators) != table.generators:
         raise ValueError("presentation generators do not match the table")
+    _require_involutions(pres)
     n = table.n_live
     rows = _table_rows(table)
     if rows is None:

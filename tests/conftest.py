@@ -47,13 +47,14 @@ def layer_builds(monkeypatch):
 
 @pytest.fixture
 def fresh_scanners():
-    """enumeration._compile_scanners with its cache emptied before and after
-    the test, so a test sees its own compiles and keeps none of them."""
-    from gosset.enumeration import _compile_scanners
+    """enumeration._compile_scanner with its template cache emptied before
+    and after the test, so a test sees its own compiles and keeps none of
+    them."""
+    from gosset.enumeration import _compile_scanner
 
-    _compile_scanners.cache_clear()
-    yield _compile_scanners
-    _compile_scanners.cache_clear()
+    _compile_scanner.cache_clear()
+    yield _compile_scanner
+    _compile_scanner.cache_clear()
 
 
 @pytest.fixture

@@ -177,36 +177,41 @@ def test_relator_shuffles_compile_no_scanner(fresh_scanners):
         assert (info.misses, info.hits) == (0, 0)
 
 
+def _control_forms(kind):
+    """The slot forms of the undeflated presentation's generators."""
+    return enumeration._Enumerator(build_presentation(kind, deflate=False), 1).forms
+
+
 def test_the_enumeration_suite_compiles_only_the_controls(monkeypatch, fresh_scanners):
     # The lifts, their H-relator runs and the shuffles are too short to pay
-    # for a compile; the two 100,000-coset controls compile once each.
-    compiled = []
+    # for a compile.  The two 100,000-coset controls compile one template
+    # each, shared by all their generators: 6 + 10 binds of 2 compiles.
+    bound = []
 
-    def spy(scan_words):
-        compiled.append(scan_words)
-        return fresh_scanners(scan_words)
+    def spy(template):
+        bound.append(template)
+        return fresh_scanners(template)
 
-    monkeypatch.setattr(enumeration, "_compile_scanners", spy)
+    monkeypatch.setattr(enumeration, "_compile_scanner", spy)
     enumeration.enumerate_diagram_group.cache_clear()
     assert {r.status for r in run_suite("enumeration")} == {"pass"}
-    controls = [
-        enumeration._Enumerator(build_presentation(kind, deflate=False), 1).scan_words
-        for kind in ("affine_a5", "petersen")
-    ]
-    assert sorted(compiled) == sorted(controls)
+    controls = [t for kind in ("affine_a5", "petersen") for t, _ in _control_forms(kind)]
+    assert sorted(bound) == sorted(controls)
+    info = fresh_scanners.cache_info()
+    assert (info.misses, info.hits) == (2, 14)
 
 
 def test_only_the_controls_switch_to_compiled_scans_at_16_cosets_a_letter(monkeypatch):
     # Every enumeration of the suite starts interpreted.  The fill loop's one
     # switch point is reached by the two 100,000-coset controls alone, at 16
-    # cosets per letter of their scan words.
+    # cosets per letter of their one template.
     runs = []  # each enumeration's scanner kinds, with the cosets defined at each
     scanners = enumeration._Enumerator._scanners
 
     def spy(enum, compiled):
         defined = sys._getframe(1).f_locals["defined"]  # _Enumerator.run's count
         if not compiled:
-            runs.append((enum.scan_words, []))
+            runs.append((enum.forms, []))
         runs[-1][1].append(("compiled" if compiled else "interpreted", defined))
         return scanners(enum, compiled)
 
@@ -214,15 +219,16 @@ def test_only_the_controls_switch_to_compiled_scans_at_16_cosets_a_letter(monkey
     enumeration.enumerate_diagram_group.cache_clear()
     assert {r.status for r in run_suite("enumeration")} == {"pass"}
     switch_at = {}
-    for kind, letters, at in (("affine_a5", 144, 2304), ("petersen", 420, 6720)):
-        words = enumeration._Enumerator(build_presentation(kind, deflate=False), 1).scan_words
-        assert sum(len(w) for ws in words for w in ws) == letters
-        switch_at[words] = at
-    assert sum(words in switch_at for words, _ in runs) == 2
-    for words, kinds in runs:
+    for kind, letters, at in (("affine_a5", 24, 384), ("petersen", 42, 672)):
+        forms = _control_forms(kind)
+        (template,) = {t for t, _ in forms}
+        assert sum(map(len, template)) == letters
+        switch_at[forms] = at
+    assert sum(forms in switch_at for forms, _ in runs) == 2
+    for forms, kinds in runs:
         expected = [("interpreted", 1)]
-        if words in switch_at:
-            expected.append(("compiled", switch_at[words]))
+        if forms in switch_at:
+            expected.append(("compiled", switch_at[forms]))
         assert kinds == expected
 
 

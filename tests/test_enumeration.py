@@ -1,7 +1,6 @@
 """Coset enumeration of the odd presentations and its certificates."""
 
 import hashlib
-import itertools
 import math
 import random
 from dataclasses import replace
@@ -239,6 +238,36 @@ def test_unknown_letters_raise_value_errors():
         todd_coxeter(A3, [("9",)])
     with pytest.raises(ValueError, match="relator uses unknown generator '9'"):
         todd_coxeter(Presentation(A3.generators, A3.relators + (("1", "9"),)))
+
+
+def test_the_infinite_cyclic_group_is_not_enumerated_as_an_involution():
+    # With no relator (a, a), the presentation is Z, not Z/2: the symmetric
+    # columns would close it at order 2.
+    with pytest.raises(ValueError, match="no relator \\(x, x\\): a$"):
+        todd_coxeter(Presentation(("a",), ()))
+    table = CosetTable(("a",), np.array([[1], [0]], dtype=np.int32), CLOSED, 2, 2)
+    with pytest.raises(ValueError, match="no relator \\(x, x\\): a$"):
+        verify_table(table, Presentation(("a",), ()))
+
+
+def test_a_presentation_missing_its_squares_names_both_generators():
+    # (ab)^3 alone presents Z, with a and b of infinite order; with the
+    # squares it is the symmetric group S3 of order 6.
+    braid = Presentation(("a", "b"), (("a", "b") * 3,))
+    with pytest.raises(ValueError, match="no relator \\(x, x\\): a, b$"):
+        todd_coxeter(braid)
+    s3 = todd_coxeter(Presentation(braid.generators, (("a", "a"), ("b", "b"), *braid.relators)))
+    assert s3.order == 6
+    with pytest.raises(ValueError, match="a, b$"):
+        verify_table(s3, braid)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_a_budget_below_one_raises(budget):
+    # Coset 0 is defined before any budget check, so no smaller cap holds.
+    with pytest.raises(ValueError, match=f"at least 1, not {budget}"):
+        todd_coxeter(A3, budget=budget)
+    assert todd_coxeter(A3, budget=1).cosets_defined == 1
 
 
 def test_action_columns_are_involutions():
@@ -670,10 +699,17 @@ EQUIVALENCE_PINS = {
 }
 
 
+def _template_letters(pres):
+    """The letters of the distinct templates of pres's scan words, which
+    _COMPILE_PER_LETTER counts."""
+    templates = {template for template, _ in _Enumerator(pres, 1).forms}
+    return sum(len(word) for template in templates for word in template)
+
+
 def _corpus_tables(monkeypatch, schedule):
     """The pinned outcome of each enumeration of _equivalence_corpus, each
     run with _COMPILE_PER_LETTER set to schedule(pinned cosets defined,
-    letters of its scan words), and the scanner kinds it used, in order."""
+    letters of its templates), and the scanner kinds it used, in order."""
     found, used = {}, {}
     scanners = _Enumerator._scanners
 
@@ -683,7 +719,7 @@ def _corpus_tables(monkeypatch, schedule):
 
     monkeypatch.setattr(_Enumerator, "_scanners", spy)
     for name, pres, subgroup, budget in _equivalence_corpus():
-        letters = sum(map(len, itertools.chain(*_Enumerator(pres, budget).scan_words)))
+        letters = _template_letters(pres)
         monkeypatch.setattr(
             enumeration, "_COMPILE_PER_LETTER", schedule(EQUIVALENCE_PINS[name][2], letters)
         )
@@ -726,8 +762,8 @@ def test_a_scanner_one_backward_step_short_moves_a_pinned_table(monkeypatch, fre
     # deduces a·x·u_1 = a·u_K...u_3 where the cycle needs a·u_K...u_2.
     source = enumeration._scanner_source
 
-    def one_step_short(x, words, ngens):
-        lines = source(x, words, ngens).split("\n")
+    def one_step_short(template):
+        lines = source(template).split("\n")
         for k, line in enumerate(lines):
             if line.startswith("        if (f1 := ") and " and " in lines[k + 1]:
                 lines[k + 1] = lines[k + 1].rsplit(" and ", 1)[0] + ":"
@@ -736,6 +772,55 @@ def test_a_scanner_one_backward_step_short_moves_a_pinned_table(monkeypatch, fre
     monkeypatch.setattr(enumeration, "_scanner_source", one_step_short)
     found, _ = _corpus_tables(monkeypatch, SCHEDULES["compiled"][0])
     assert found != EQUIVALENCE_PINS
+
+
+def test_a_template_bound_with_two_slots_swapped_moves_a_pinned_table(
+    monkeypatch, fresh_scanners
+):
+    # The mutant binds each compiled template with the columns of slots 1
+    # and 2, and their generators, in each other's place: the template then
+    # scans words that are not the presentation's.
+    def swapped(template):
+        bind = fresh_scanners(template)
+
+        def bind_swapped(cols, ids, push, rescan):
+            if len(cols) > 2:
+                cols = [cols[0], cols[2], cols[1], *cols[3:]]
+                ids = (ids[0], ids[2], ids[1], *ids[3:])
+            return bind(cols, ids, push, rescan)
+
+        return bind_swapped
+
+    monkeypatch.setattr(enumeration, "_compile_scanner", swapped)
+    found, _ = _corpus_tables(monkeypatch, SCHEDULES["compiled"][0])
+    assert found != EQUIVALENCE_PINS
+
+
+@pytest.mark.parametrize("schedule", ["interpreted", "compiled"])
+def test_the_order_of_scan_words_moves_no_pinned_table(monkeypatch, fresh_scanners, schedule):
+    # Each drain of the deduction stack reaches the least fixpoint of its
+    # deductions and coincidences, so the words a scanner visits may come in
+    # any order.  Each example shuffles every generator's template words on
+    # its own, which also parts the generators that shared a template.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    slot_form = enumeration._slot_form
+
+    @hypothesis.settings(max_examples=3)
+    @hypothesis.given(st.integers(0, 2**32 - 1))
+    def shuffled(seed):
+        rng = random.Random(seed)
+
+        def shuffled_form(x, words):
+            template, ids = slot_form(x, words)
+            return tuple(rng.sample(template, len(template))), ids
+
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "_slot_form", shuffled_form)
+            found, _ = _corpus_tables(patch, SCHEDULES[schedule][0])
+        assert found == EQUIVALENCE_PINS
+
+    shuffled()
 
 
 def test_petersen_minus_one_deflation_still_closes():
