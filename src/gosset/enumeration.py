@@ -25,10 +25,12 @@ the switch nor the word order moves a table.  The deduction stack is
 drained before each definition, to the least fixpoint of its deductions and
 coincidences, the smaller index surviving, whatever order the scans take;
 the next definition is the first gap in row-major order; and the budget is
-read only at definitions.  Compiling pays only in long runs: it takes about
-0.1 s for the ten deflated Petersen templates, three times their run over
-H, while the compiled scans run the 100,000-coset negative controls in under
-a third of the interpreted time.  A presentation with a word over
+read only at definitions.  A definition tests one limit, the least of the
+budget, the columns' length and the switch point, and only when it is
+reached tells them apart.  Compiling pays only in long runs: it takes about
+0.08 s for the ten deflated Petersen templates, five times their run over
+H, while the compiled scans run the 100,000-coset negative controls in
+about half the interpreted time.  A presentation with a word over
 _UNROLL_LETTERS letters is never compiled.  Coincidences are processed with
 a union-find over coset indices, path compressed, smaller index surviving;
 parent[a] is None while coset a is its own representative, so only merged
@@ -77,12 +79,13 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 # An enumeration scans with _interpreted_scanner until it has defined this
 # many cosets per letter of its distinct templates, then compiles them.
-# Compiling costs 57-104 us per template letter, and interpreting 4.0-26 us
-# more per coset than the compiled scans (the diagram presentations, fastest
-# of 9 runs on a 2-vCPU Xeon VM), so the two break even at 3-21 cosets per
-# letter: 14 and 21 for the undeflated Petersen and affine A5 templates.
-# Switching there, as one rents skis until the rent paid would have bought
-# them, keeps any enumeration within about twice the cheaper of the two,
+# Compiling costs 45-58 us per template letter, and interpreting 1.2-11 us
+# more per coset than the compiled scans (the affine A5 and Petersen
+# presentations, deflated or not, fastest of 9 runs on one pinned CPU of a
+# 2-vCPU Xeon VM), so the two break even at 5-39 cosets per letter: 30 and
+# 37 for the undeflated Petersen and affine A5 templates.  Switching near
+# there, as one rents skis until the rent paid would have bought them,
+# keeps any enumeration within about four times the cheaper of the two,
 # however long it runs: the other runs of verify all define at most 3
 # cosets per letter and compile nothing, the 100,000-coset controls switch
 # after 384 and 672, at one template of 24 and of 42 letters.
@@ -226,25 +229,44 @@ def _compile_scanner(template: Template) -> Callable:
     return namespace["bind"]
 
 
+class _Prefix:
+    """The first n backward-trace columns of a long word, sliced off each
+    time a scan reads them: stored as tuples, one per letter, they would
+    grow with the square of the word's length."""
+
+    __slots__ = ("back", "n")
+
+    def __init__(self, back: tuple, n: int) -> None:
+        self.back, self.n = back, n
+
+    def __iter__(self):
+        return iter(self.back[: self.n])
+
+
 def _interpreted_scanner(
     template: Template, cols: Sequence[list], ids: Sequence[int], push: Callable, rescan: Callable
 ) -> Callable[[int], None]:
     """scan(a): the walk of _scanner_source's code, word by word, with the
     same writes, pushes and rescans.  Each letter of a word is held with its
-    column, its generator and the number of letters after it, which the
-    backward trace reads off the word's reversed columns."""
+    column, its generator and the columns of the letters after it, last
+    first, which the backward trace reads: a tuple built here, so a scan
+    slices nothing, or a _Prefix for a word over _UNROLL_LETTERS letters."""
     plans = []
     for word in template:
-        letters = word[1:]
-        steps = tuple((cols[s], ids[s], len(letters) - i) for i, s in enumerate(letters, 1))
-        plans.append((steps, tuple(cols[s] for s in reversed(letters))))
+        back = tuple(cols[s] for s in reversed(word[1:]))
+        short = len(word) <= _UNROLL_LETTERS
+        steps = []
+        for i, s in enumerate(word[1:], 1):
+            after = len(back) - i
+            steps.append((cols[s], ids[s], back[:after] if short else _Prefix(back, after)))
+        plans.append(tuple(steps))
     cx = cols[0]
 
     def scan(a):
         beta = cx[a]
-        for steps, back in plans:
+        for steps in plans:
             f = beta
-            for c, g, after in steps:
+            for c, g, back in steps:
                 if (step := c[f]) is None:
                     break
                 f = step
@@ -253,7 +275,7 @@ def _interpreted_scanner(
                     a, beta = rescan(f, a, a, cx)
                 continue
             b = a
-            for d in back[:after]:
+            for d in back:
                 if (b := d[b]) is None:
                     break
             else:
@@ -390,6 +412,10 @@ class _Enumerator:
         long_word = max(lengths, default=0) > _UNROLL_LETTERS
         compile_at = math.inf if long_word else _COMPILE_PER_LETTER * sum(lengths)
         scanners = self._scanners(compiled=False)
+        # A definition tests the least of its three limits alone: the budget,
+        # the columns' length and the switch to compiled scans, which only
+        # the fill loop makes.
+        limit = min(budget, len(parent), compile_at)
         try:
             # Trace each subgroup word at coset 0, defining cosets to complete
             # it, then scan each deduction (alpha, x) at alpha with x's scanner.
@@ -398,10 +424,12 @@ class _Enumerator:
                 for x in word:
                     col = cols[x]
                     if col[f] is None:
-                        if defined >= budget:
-                            return BUDGET_EXCEEDED
-                        if defined == len(parent):
-                            self._grow()
+                        if defined >= limit:
+                            if defined >= budget:
+                                return BUDGET_EXCEEDED
+                            if defined == len(parent):
+                                self._grow()
+                            limit = min(budget, len(parent), compile_at)
                         col[f], col[defined] = defined, f
                         deductions.append((f, x))
                         defined += 1
@@ -414,16 +442,19 @@ class _Enumerator:
             # Fill row by row, scanning each new edge alpha·x at once: with the
             # deduction stack empty, that is the scan a push and pop would make.
             alpha = 0
+            columns = tuple(enumerate(cols))
             while alpha < defined:
                 if parent[alpha] is None:
-                    for x, col in enumerate(cols):
+                    for x, col in columns:
                         if col[alpha] is None:
-                            if defined >= budget:
-                                return BUDGET_EXCEEDED
-                            if defined == len(parent):
-                                self._grow()
-                            if defined >= compile_at:
-                                compile_at, scanners = math.inf, self._scanners(compiled=True)
+                            if defined >= limit:
+                                if defined >= budget:
+                                    return BUDGET_EXCEEDED
+                                if defined == len(parent):
+                                    self._grow()
+                                if defined >= compile_at:
+                                    compile_at, scanners = math.inf, self._scanners(compiled=True)
+                                limit = min(budget, len(parent), compile_at)
                             col[alpha], col[defined] = defined, alpha
                             defined += 1
                             scanners[x](alpha)
@@ -537,6 +568,8 @@ def _table_rows(table: CosetTable) -> np.ndarray | None:
 def verify_table(table: CosetTable, pres: Presentation) -> bool:
     """Replay certificate: every relator fixes every coset, columns are
     involutive permutations, and the action is transitive from coset 0.
+    A relator u^m, u primitive, is replayed as the permutation of u applied
+    m times, and the squares (x, x) are proved by the involution check.
     ValueError for an open table, other generators or a generator whose
     square is not a relator: the certificate checks involutive columns."""
     if table.status != CLOSED:
@@ -556,12 +589,25 @@ def verify_table(table: CosetTable, pres: Presentation) -> bool:
         return False
     perms = dict(zip(table.generators, cols))
     for rel in pres.relators:
-        cur = idx
-        for letter in rel:
-            cur = perms[letter][cur]
+        if not rel or len(rel) == 2 and rel[0] == rel[1]:
+            continue
+        root, m = _primitive_root(rel)
+        step = perms[root[0]]
+        for letter in root[1:]:
+            step = perms[letter][step]
+        cur = step
+        for _ in range(m - 1):
+            cur = step[cur]
         if not (cur == idx).all():
             return False
     return len(table_walk(rows)) == n
+
+
+def _primitive_root(word: Word) -> tuple[Word, int]:
+    """(root, m) with the word, not empty, root^m and m as large as it can be."""
+    n = len(word)
+    p = next(p for p in range(1, n + 1) if n % p == 0 and word == word[:p] * (n // p))
+    return word[:p], n // p
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 PASS = "pass"
 FAIL = "fail"
@@ -19,8 +18,7 @@ SKIPPED = "skipped"
 ERROR = "error"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     n: int | None
     status: str

@@ -16,9 +16,8 @@ rebound imports the rebound names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
-from typing import Callable
+from typing import Callable, NamedTuple
 
 SUITES = (
     "lattice",
@@ -41,15 +40,13 @@ STABILIZER_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040}
 WALL_COUNTS = {2: 3, 3: 6, 4: 10}
 
 
-@dataclass(frozen=True)
-class Options:
+class Options(NamedTuple):
     n: int | None = None
     max_n: int = 6
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """What one check run sees: its dimension and the options."""
 
     n: int | None
@@ -60,8 +57,7 @@ class Case:
         return KIND_BY_N[self.n]
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     suite: str
     template: str
     dims: tuple[int, ...] | None

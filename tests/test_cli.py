@@ -257,14 +257,15 @@ def _imported(args):
 
 
 def test_cli_import_compiles_no_scanner(tmp_path):
-    # A bare `import gosset.cli` loads no layer and not numpy.  The lattice
-    # suite, run as the congruence benchmark runs it, never loads the layers
-    # it does not call, so it compiles no scanner and builds no W(E6) table.
+    # A bare `import gosset.cli` loads no layer, not numpy and not
+    # dataclasses, which would pull in inspect.  The lattice suite, run as
+    # the congruence benchmark runs it, never loads the layers it does not
+    # call, so it compiles no scanner and builds no W(E6) table.
     bare = _imported(["-c", "import gosset.cli"])
     assert {m for m in bare if m.startswith("gosset")} == {
         "gosset", "gosset.cli", "gosset.report", "gosset.suites"
     }
-    assert "numpy" not in bare
+    assert not {"numpy", "dataclasses"} & bare
     out = tmp_path / "lattice.json"
     loaded = _imported(["-m", "gosset.cli", "lattice", "--max-n", "7", "--out", str(out)])
     assert {"gosset.isometry", "gosset.lattice", "numpy"} <= loaded

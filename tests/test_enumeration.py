@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -206,6 +207,31 @@ def test_replay_certificate_rejects_intransitive_table():
     union = rows + [[v + 24 for v in row] for row in rows]
     assert len(union) == 48
     assert not verify_table(CosetTable(A3.generators, union, CLOSED, 48, 48), A3)
+
+
+def test_replay_certificate_rejects_any_swapped_pair_in_one_column():
+    # Swapping the entries of a and of b = a·x in column x keeps the column an
+    # involution, as x then fixes both, so only the relators can reject it; a
+    # swap with any other coset also breaks the involution.
+    rows = enumerate_diagram_group("a3").table
+    for x in range(3):
+        for a in range(24):
+            for b in {int(rows[a, x]), (a + 5) % 24} - {a}:
+                swapped = rows.copy()
+                swapped[[a, b], x] = swapped[[b, a], x]
+                table = CosetTable(A3.generators, swapped, CLOSED, 24, 24)
+                assert not verify_table(table, A3), (x, a, b)
+
+
+def test_replay_certificate_replays_each_power_in_full():
+    # The dihedral group of order 12: ab has order 6, so (ab)^6 holds at every
+    # coset and (ab)^3, whose root is the same word ab, does not.
+    relators = (("a", "a"), ("b", "b"))
+    table = todd_coxeter(Presentation(("a", "b"), relators + (("a", "b") * 6,)))
+    assert table.order == 12
+    for power, holds in ((6, True), (12, True), (3, False), (2, False), (1, False)):
+        pres = Presentation(("a", "b"), relators + (("a", "b") * power,))
+        assert verify_table(table, pres) == holds, power
 
 
 @pytest.mark.parametrize(
@@ -547,6 +573,54 @@ def test_the_columns_stop_at_the_budget():
     # budget, and a live coset holds no parent.
     assert len(enum.cols[0]) == len(enum.parent) == 100_000
     assert enum.parent.count(None) == enum.live == 100_000
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["default", "compiled"])
+@pytest.mark.parametrize("kind, order", [("a3", 24), ("affine_a5", 720)])
+def test_a_budget_of_the_group_order_closes_and_one_less_does_not(
+    monkeypatch, fresh_scanners, compiled, kind, order
+):
+    if compiled:  # switch at the fill loop's first definition, as SCHEDULES does
+        monkeypatch.setattr(enumeration, "_COMPILE_PER_LETTER", 0)
+    pres = build_presentation(kind)
+    table = todd_coxeter(pres, budget=order)
+    assert (table.status, table.n_live, table.cosets_defined) == (CLOSED, order, order)
+    cut = todd_coxeter(pres, budget=order - 1)
+    assert (cut.status, cut.n_live, cut.cosets_defined) == (BUDGET_EXCEEDED, order - 1, order - 1)
+
+
+@pytest.mark.parametrize("switch_at", [None, 0, 8], ids=["default", "compiled", "switched_at_8"])
+@pytest.mark.parametrize("words", [[], [("1", "2", "3") * 6]], ids=["fill_loop", "subgroup_word"])
+def test_a3_stops_at_every_budget_around_a_column_doubling(
+    monkeypatch, fresh_scanners, switch_at, words
+):
+    # The columns double from one slot, so the budgets 2^k - 1, 2^k and
+    # 2^k + 1 stop just before, at and just after a doubling; switch_at 8
+    # also switches to compiled scans at coset 8, where the columns double
+    # to 16 slots.  a3 closes at 24 with no coincidence, and the 18-letter
+    # subgroup word defines a coset at each letter of its trace, so every
+    # run stops at its budget, in the fill loop or in the trace.
+    if switch_at is not None:
+        monkeypatch.setattr(enumeration, "_COMPILE_PER_LETTER", switch_at / _template_letters(A3))
+    used = []
+    scanners = _Enumerator._scanners
+
+    def spy(enum, compiled):
+        used.append((compiled, sys._getframe(1).f_locals["defined"]))
+        return scanners(enum, compiled)
+
+    monkeypatch.setattr(_Enumerator, "_scanners", spy)
+    for budget in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17):
+        used.clear()
+        enum = _Enumerator(A3, budget)
+        assert enum.run([enum.indexed(w, "subgroup word") for w in words]) == BUDGET_EXCEEDED
+        assert enum.defined == enum.live == budget
+        assert len(enum.cols[0]) == len(enum.parent) == budget
+        # The fill loop alone switches, at its first definition at the earliest.
+        expected = [(False, 1)]
+        if switch_at is not None and not words and budget > max(switch_at, 1):
+            expected.append((True, max(switch_at, 1)))
+        assert used == expected, budget
 
 
 @pytest.mark.parametrize("n", [3, 4])
