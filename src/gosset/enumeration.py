@@ -297,6 +297,14 @@ def _require_involutions(pres: Presentation) -> None:
         raise ValueError(f"generators with no relator (x, x): {', '.join(missing)}")
 
 
+def _indexed(letters: Mapping[str, int], word: Word, kind: str) -> tuple[int, ...]:
+    """The word as generator indices; ValueError names a letter that is not a generator."""
+    try:
+        return tuple(letters[a] for a in word)
+    except KeyError as bad:
+        raise ValueError(f"{kind} uses unknown generator {bad}") from None
+
+
 class _Enumerator:
     def __init__(self, pres: Presentation, budget: int) -> None:
         self.letters = {g: i for i, g in enumerate(pres.generators)}
@@ -316,11 +324,7 @@ class _Enumerator:
         self.deductions: list[tuple[int, int]] = []
 
     def indexed(self, word: Word, kind: str) -> tuple[int, ...]:
-        """The word as generator indices; ValueError names a letter that is not a generator."""
-        try:
-            return tuple(self.letters[a] for a in word)
-        except KeyError as bad:
-            raise ValueError(f"{kind} uses unknown generator {bad}") from None
+        return _indexed(self.letters, word, kind)
 
     def _slot_forms(self) -> tuple[tuple[Template, tuple[int, ...]], ...]:
         """For each generator x, the slot form of its scan words: the distinct
@@ -570,13 +574,16 @@ def verify_table(table: CosetTable, pres: Presentation) -> bool:
     involutive permutations, and the action is transitive from coset 0.
     A relator u^m, u primitive, is replayed as the permutation of u applied
     m times, and the squares (x, x) are proved by the involution check.
-    ValueError for an open table, other generators or a generator whose
-    square is not a relator: the certificate checks involutive columns."""
+    ValueError for an open table, other generators, a relator letter that is
+    not a generator, or a generator whose square is not a relator: the
+    certificate checks involutive columns."""
     if table.status != CLOSED:
         raise ValueError("can only certify a closed table")
     if tuple(pres.generators) != table.generators:
         raise ValueError("presentation generators do not match the table")
     _require_involutions(pres)
+    letters = {g: i for i, g in enumerate(table.generators)}
+    relators = [_indexed(letters, rel, "relator") for rel in pres.relators]
     n = table.n_live
     rows = _table_rows(table)
     if rows is None:
@@ -587,14 +594,13 @@ def verify_table(table: CosetTable, pres: Presentation) -> bool:
     # permutation.
     if not all((col[col] == idx).all() for col in cols):
         return False
-    perms = dict(zip(table.generators, cols))
-    for rel in pres.relators:
+    for rel in relators:
         if not rel or len(rel) == 2 and rel[0] == rel[1]:
             continue
         root, m = _primitive_root(rel)
-        step = perms[root[0]]
+        step = cols[root[0]]
         for letter in root[1:]:
-            step = perms[letter][step]
+            step = cols[letter][step]
         cur = step
         for _ in range(m - 1):
             cur = step[cur]
@@ -603,7 +609,7 @@ def verify_table(table: CosetTable, pres: Presentation) -> bool:
     return len(table_walk(rows)) == n
 
 
-def _primitive_root(word: Word) -> tuple[Word, int]:
+def _primitive_root(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """(root, m) with the word, not empty, root^m and m as large as it can be."""
     n = len(word)
     p = next(p for p in range(1, n + 1) if n % p == 0 and word == word[:p] * (n // p))

@@ -161,7 +161,8 @@ def vertex_orbits(n: int) -> VertexOrbits:
 
 @memoize
 def reflection_image_mod3(n: int, projective: bool = True) -> GroupClosure:
-    """Mod-3 closure of all n+1 simple reflections, optionally mod {I, -I}."""
+    """The mod-3 image of all n+1 simple reflections, optionally mod {I, -I}:
+    its order and membership by a stabilizer chain."""
     gens = [m.reduce(3) for m in simple_reflection_matrices(n)]
     return GroupClosure(gens, projective=projective)
 

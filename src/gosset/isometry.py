@@ -33,16 +33,19 @@ stabilizer orbits), walks integer tables (table_walk(): coset tables, tile
 graphs), and walks the orbit of a tuple of points (_tuple_orbit): keyed by
 the tuple, in the one Cayley-table primitive, base_orbit_table() (the
 tables of W(E6), the lifted presentation's, the beta reflections' on the
-roots, the walls'); keyed by its set, in coset_space().
+roots, the walls'); keyed by its set, in coset_space().  It also walks the
+transversals of a stabilizer chain (_level), picked by a seen-mask.
 
 No matrix over Z/m is multiplied.  A matrix group mod m acts faithfully on
 the row vectors of (Z/m)^d, and a projective one, modulo {I, -I}, on their
 classes {v, -v}; point_action turns each matrix into that permutation of
 points and picks a base, whose images fix the element (Seress, Permutation
-Group Algorithms, ch. 4).  GroupClosure walks the base's orbit as
-base_orbit_table does and keeps only the images, its elements, and their
-number, its order.  A projective closure sees only the classes {v, -v}, so
-callers hand in plain reductions mod m, of either sign, and never normalise.
+Group Algorithms, ch. 4), so the base's orbit is the group's Cayley table.
+GroupClosure lists no element: Schreier-Sims builds a stabilizer chain of
+the permutations (_stabilizer_chain), whose orbit lengths multiply to the
+order, and one sift down it decides whether a matrix is an element.  A
+projective closure sees only the classes {v, -v}, so callers hand in plain
+reductions mod m, of either sign, and never normalise.
 
 memoize() is the package's one caching rule: one entry per argument value.
 Each cached group, table or configuration is built once per process, however
@@ -362,6 +365,21 @@ def _set_keys(moved: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, 8 * rows.shape[2]))).ravel()
 
 
+def _inverse_closed(columns: np.ndarray) -> np.ndarray:
+    """The columns as an array; ValueError unless they are permutations of
+    range(n) closed under inversion."""
+    columns = np.asarray(columns)
+    n = columns.shape[1]
+    # c[c'] = identity makes c onto, so a permutation, with inverse c'; a
+    # column that is no permutation has no inverse in the set.
+    inverted = ((0 <= columns) & (columns < n)).all() and (
+        (columns[:, columns] == np.arange(n)).all(axis=2).any(axis=1).all()
+    )
+    if not inverted:
+        raise ValueError("generator set must be closed under inversion")
+    return columns
+
+
 def _tuple_orbit(
     columns: np.ndarray, base: Sequence[int], keys: Callable, base_key: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -375,15 +393,8 @@ def _tuple_orbit(
     order, so the table is standardized.  ValueError unless the columns are
     permutations closed under inversion, as _fresh_keys needs.
     """
-    columns = np.asarray(columns)
+    columns = _inverse_closed(columns)
     n, k = columns.shape[1], len(columns)
-    # c[c'] = identity makes c onto, so a permutation, with inverse c'; a
-    # column that is no permutation has no inverse in the set.
-    inverted = ((0 <= columns) & (columns < n)).all() and (
-        (columns[:, columns] == np.arange(n)).all(axis=2).any(axis=1).all()
-    )
-    if not inverted:
-        raise ValueError("generator set must be closed under inversion")
     steps = np.ascontiguousarray(columns.T).astype(np.min_scalar_type(n - 1))
     rows: list[np.ndarray] = []
 
@@ -583,31 +594,157 @@ def _descents(roots: Sequence[Root]) -> Callable[[np.ndarray], np.ndarray]:
 
 
 class GroupClosure:
-    """Finite matrix group over Z/m obtained by exhaustive closure, multiplying no matrix.
+    """Finite matrix group over Z/m, known by a stabilizer chain, multiplying no matrix.
 
     point_action turns each generator g into the permutation p -> p g of the
     points, the rows of (Z/m)^d, or with projective=True their classes
     {v, -v}: then elements are classes {M, -M}, the right model for
     quotients like PGO where -I must be factored out, and generators may
-    carry either sign.  Element i is images[i], read-only, the tuple of
-    points its base reaches, walked as base_orbit_table walks (element 0 is
-    the identity).  The generators must be closed under inversion
-    (reflections are).  The walk fails fast past DEFAULT_ELEMENT_BUDGET.
+    carry either sign.  _stabilizer_chain gives the order, and membership is
+    one sift; no element is listed.  The generators must be closed under
+    inversion (reflections are).  The chain fails fast once its order passes
+    DEFAULT_ELEMENT_BUDGET.  The name, the generators, projective, modulus
+    and order stay those of the closure this replaced: perfbench/trace.py
+    wraps __init__ and reads them.
     """
 
     def __init__(self, generators: Sequence[Matrix], projective: bool = False) -> None:
         self.generators = tuple(generators)
         self.projective = projective
         self.modulus = self.generators[0].modulus
-        self.images = _base_orbit(*point_action(self.generators, projective))[0]
-        self.order = len(self.images)
+        columns, _ = point_action(self.generators, projective)
+        self._chain = _stabilizer_chain(_inverse_closed(columns))
+        self.order = math.prod(len(reps) for _, _, reps, _ in self._chain)
+
+    def contains(self, matrix: Matrix) -> bool:
+        """Does the matrix's point permutation sift to the identity?"""
+        (column,), _ = point_action([matrix], self.projective)
+        residue, _ = _sift(self._chain, column[None])
+        return bool((residue == np.arange(len(column))).all())
 
     @property
     def contains_minus_identity(self) -> bool:
-        """Is -I's base image a walked tuple?  Projectively, -I is the identity."""
-        minus = Matrix.identity(self.generators[0].dimension, self.modulus).neg()
-        (column,), base = point_action([minus], self.projective)
-        return bool((self.images == column[list(base)]).all(axis=1).any())
+        """Is -I an element?  Projectively, -I is the identity."""
+        return self.contains(Matrix.identity(self.generators[0].dimension, self.modulus).neg())
+
+
+def _stabilizer_chain(columns: np.ndarray) -> list[tuple]:
+    """A base and strong generating set of the group the permutations columns
+    generate, by deterministic Schreier-Sims (Seress, Permutation Group
+    Algorithms, ch. 4; Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 4.4): one _level per base point, from the top.
+
+    A strong generator serves the levels low..depth, where depth is the
+    number of base points it fixes first; the columns serve from level 0.
+    From the bottom level up, the Schreier generators of level i, of its
+    transversal and the strong generators that serve it, are sifted through
+    the levels below it, all at once.  The first residue that is not the
+    identity serves the levels from i + 1 to the one where it left the sift:
+    it lies in the group of level i already, so Schreier's lemma needs it
+    only below.  If it passed every level, its first moved point extends
+    the base.  The levels it serves are walked again, and the check
+    restarts at the last of them.  When no residue is left the chain is
+    complete, and the group's order is the product of the orbit lengths.
+    ClosureBudgetExceeded once that product passes DEFAULT_ELEMENT_BUDGET,
+    read when the chain starts.
+    """
+    budget = DEFAULT_ELEMENT_BUDGET
+    identity = np.arange(columns.shape[1])
+    strong = columns[(columns != identity).any(axis=1)]
+    strong = strong.astype(np.min_scalar_type(len(identity) - 1))
+    base: list[int] = []
+    for s in strong:
+        if (s[base] == base).all():
+            base.append(int(np.argmax(s != identity)))
+    depths = np.array([np.argmax(s[base] != base) for s in strong], dtype=int)
+    lows = np.zeros(len(strong), dtype=int)
+
+    def level(k: int) -> tuple:
+        return _level(strong[(lows <= k) & (depths >= k)], base[k])
+
+    chain = [level(k) for k in range(len(base))]
+    i = len(base) - 1
+    while i >= 0:
+        if math.prod(len(reps) for _, _, reps, _ in chain) > budget:
+            raise ClosureBudgetExceeded(f"closure exceeded element budget {budget}")
+        gens = strong[(lows <= i) & (depths >= i)]
+        residues, left = _sift(chain[i + 1 :], _schreier_generators(chain[i], gens))
+        moved = np.flatnonzero((residues != identity).any(axis=1))
+        if not len(moved):
+            i -= 1
+            continue
+        h, j = residues[moved[0]], i + 1 + left[moved[0]]
+        if j == len(base):
+            base.append(int(np.argmax(h != identity)))
+            chain.append(None)
+        strong = np.vstack([strong, h])
+        lows, depths = np.append(lows, i + 1), np.append(depths, j)
+        chain[i + 1 : j + 1] = [level(k) for k in range(i + 1, j + 1)]
+        i = j
+    return chain
+
+
+def _level(gens: np.ndarray, point: int) -> tuple:
+    """A level of a stabilizer chain: the point; positions, the index of each
+    point in the point's orbit under the permutations gens, -1 off it; reps,
+    the transversal, one u for each orbit point q, with u[point] = q, the
+    identity first; and their inverses.
+
+    layered_closure walks the u, a product u s of a frontier u and a
+    generator s being (u s)[p] = s[u[p]].  Its pick rule goes by a seen-mask
+    on the images of the point, as table_walk's does: it keeps the first
+    product, generator-major, to each image not seen yet.
+    """
+    seen = np.zeros(gens.shape[1], dtype=bool)
+    seen[point] = True
+
+    def pick(frontier: np.ndarray) -> np.ndarray:
+        images = gens[:, frontier[:, point]].ravel()
+        fresh = np.flatnonzero(~seen[images])
+        picks = np.sort(fresh[np.unique(images[fresh], return_index=True)[1]])
+        seen[images[picks]] = True
+        return picks
+
+    def build(frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        return _then(frontier[picks % len(frontier)], gens, picks // len(frontier))
+
+    identity = np.arange(gens.shape[1], dtype=gens.dtype)
+    reps = np.concatenate(list(layered_closure(identity[None], pick, build)))
+    positions = np.full(len(identity), -1)
+    positions[reps[:, point]] = np.arange(len(reps))
+    inverses = np.empty_like(reps)
+    inverses[np.arange(len(reps))[:, None], reps] = identity
+    return point, positions, reps, inverses
+
+
+def _schreier_generators(level: tuple, gens: np.ndarray) -> np.ndarray:
+    """u s v^-1 for every transversal element u of level and generator s,
+    where v is the transversal element of the point that u s moves the
+    level's point to: one array, generator-major."""
+    point, positions, reps, inverses = level
+    products = gens[:, reps].reshape(-1, gens.shape[1])
+    return _then(products, inverses, positions[products[:, point]])
+
+
+def _sift(chain: Sequence[tuple], perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sift permutations down the levels of a chain, all at once: the residue
+    of each, and the level it left at, len(chain) if it passed them all.  A
+    permutation is in the group exactly when its residue is the identity."""
+    perms = perms.copy()
+    left = np.full(len(perms), len(chain))
+    alive = np.arange(len(perms))
+    for j, (point, positions, _, inverses) in enumerate(chain):
+        at = positions[perms[alive, point]]
+        left[alive[at < 0]] = j
+        alive, at = alive[at >= 0], at[at >= 0]
+        perms[alive] = _then(perms[alive], inverses, at)
+    return perms, left
+
+
+def _then(perms: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each permutation perms[i] followed by table[rows[i]], as one flat take:
+    a broadcast fancy index is slower."""
+    return table.ravel().take(rows[:, None] * table.shape[1] + perms)
 
 
 def finite_group_elements(generators: Sequence[Matrix]) -> np.ndarray:

@@ -56,8 +56,8 @@ def _generation_order(c):
 def _triple_agreement(c):
     table = enumerate_diagram_group("petersen")
     # The table of the ten wall reflections that matrix_cross_check_petersen builds, shared.
-    # reflection_image_mod3(4) closes the simple reflections; reading its order here would
-    # repeat lagrange_n4, not check it.
+    # reflection_image_mod3(4) orders the simple reflections' image; reading its order here
+    # would repeat lagrange_n4, not check it.
     walls = wall_reflections_mod3(4)
     matrices = matrix_cayley_table(tuple(walls[g] for g in table.generators))
     expected = {"roots": 51840, "cosets": 51840, "matrices": 51840}

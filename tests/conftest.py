@@ -123,14 +123,17 @@ def row_report():
 @pytest.fixture
 def closure_matrices():
     """A helper: matrices(group) gives the matrices of a linear closure mod m,
-    read off each element's rows, as int8 in the closure's order: the base's
-    images are the points of the rows, numbered by their base-m digits, most
-    significant first."""
+    read off each element's rows, as int8 in the order of the walk of the
+    base's orbit: the base's images are the points of the rows, numbered by
+    their base-m digits, most significant first."""
     import numpy as np
+
+    from gosset.isometry import _base_orbit, point_action
 
     def matrices(group):
         m, d = group.modulus, group.generators[0].dimension
-        return (group.images[:, :, None] // m ** np.arange(d - 1, -1, -1) % m).astype(np.int8)
+        images = _base_orbit(*point_action(group.generators, group.projective))[0]
+        return (images[:, :, None] // m ** np.arange(d - 1, -1, -1) % m).astype(np.int8)
 
     return matrices
 

@@ -264,6 +264,15 @@ def test_unknown_letters_raise_value_errors():
         todd_coxeter(A3, [("9",)])
     with pytest.raises(ValueError, match="relator uses unknown generator '9'"):
         todd_coxeter(Presentation(A3.generators, A3.relators + (("1", "9"),)))
+    # The replay certificate names the letter as the enumerator does, for a
+    # closed table and a malformed one alike, a square (9, 9) included.
+    table = enumerate_diagram_group("a3")
+    malformed = CosetTable(A3.generators, np.zeros((2, 3), dtype=np.int32), CLOSED, 2, 2)
+    for extra in (("1", "9"), ("9", "9")):
+        pres = Presentation(A3.generators, A3.relators + (extra,))
+        for certified in (table, malformed):
+            with pytest.raises(ValueError, match="relator uses unknown generator '9'"):
+                verify_table(certified, pres)
 
 
 def test_the_infinite_cyclic_group_is_not_enumerated_as_an_involution():

@@ -24,6 +24,7 @@ from gosset.isometry import (
     point_action,
     reflection_matrix,
     table_walk,
+    _base_orbit,
     _chain_counts,
     _parabolic_chain,
     _reflect,
@@ -136,6 +137,12 @@ def test_matrix_products_reject_generators_from_mixed_rings():
         finite_group_elements([g.reduce(3) for g in s])
 
 
+def _walked(group):
+    """The tuples of points the base of a closure's point action reaches, in
+    the order base_orbit_table walks them: the elements as a walk lists them."""
+    return _base_orbit(*point_action(group.generators, group.projective))[0]
+
+
 def _stabilizer_mod3(n):
     """The long simple reflections mod 3, generators of the stabilizer image."""
     return [g.reduce(3) for g in long_simple_reflections(n)]
@@ -199,18 +206,21 @@ def test_group_membership_and_indexing(closure_matrices):
     # Element 0 is the identity, whose base image is the base, and every
     # generator is an element, read off its rows.
     g = GroupClosure(_stabilizer_mod3(3))
-    assert tuple(g.images[0].tolist()) == point_action(g.generators, False)[1]
+    assert tuple(_walked(g)[0].tolist()) == point_action(g.generators, False)[1]
     mats = closure_matrices(g).tolist()
     for m in g.generators:
         assert [list(row) for row in m.entries] in mats
     assert Matrix.identity(4, 3).entries == tuple(map(tuple, mats[0]))
-    # A projective closure moves its base by M and -M alike, to an element.
+    # A projective closure moves its base by M and -M alike, to an element,
+    # and both sift down its chain to the identity.
     proj = reflection_image_mod3(4)
     base = list(point_action(proj.generators, True)[1])
+    images = _walked(proj)
     for m in wall_reflections_mod3(4).values():
         (plus, minus), _ = point_action([m, m.neg()], True)
         assert np.array_equal(plus[base], minus[base])
-        assert (proj.images == plus[base]).all(axis=1).any()
+        assert (images == plus[base]).all(axis=1).any()
+        assert proj.contains(m) and proj.contains(m.neg())
 
 
 def test_coset_space_against_lagrange():
@@ -271,11 +281,12 @@ def test_closure_table_columns_are_right_multiplications(n, projective, closure_
     table = base_orbit_table(columns, base)
     assert table.shape == (group.order, n + 1)
     assert table.dtype == np.int32
+    images = _walked(group)
     for x, column in enumerate(columns):
-        assert np.array_equal(group.images[table[:, x]], column[group.images]), x
+        assert np.array_equal(images[table[:, x]], column[images]), x
     if projective:  # either sign of a generator walks the same elements
         negated = GroupClosure([g.neg() for g in group.generators], projective=True)
-        assert np.array_equal(negated.images, group.images)
+        assert np.array_equal(_walked(negated), images)
         return
     mats = closure_matrices(group).astype(np.int64)
     for x, g in enumerate(group.generators):
@@ -287,18 +298,20 @@ def test_the_wall_closure_table_columns_are_right_multiplications():
     group = GroupClosure(walls, projective=True)
     assert group.order == 51840
     table = matrix_cayley_table(walls)
+    images = _walked(group)
     for x, column in enumerate(point_action(walls, True)[0]):
-        assert np.array_equal(group.images[table[:, x]], column[group.images]), x
+        assert np.array_equal(images[table[:, x]], column[images]), x
 
 
 def test_cached_closure_and_coset_arrays_are_read_only():
     group = reflection_image_mod3(2)
     reflections, points = point_reflections_mod3(2)
     space = coset_space(reflections[points(simple_roots(2))], points(gosset_walls(2).roots))
-    for array in (group.images, space.tuples, build_tessellation(2).neighbors):
+    images = _walked(group)
+    for array in (images, space.tuples, build_tessellation(2).neighbors):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[-1]
-    assert tuple(group.images[0].tolist()) == point_action(group.generators, True)[1]
+    assert tuple(images[0].tolist()) == point_action(group.generators, True)[1]
 
 
 def test_table_walk_gives_the_standard_order_and_omits_unreached_points():
@@ -403,10 +416,10 @@ def test_closure_order_is_pinned():
     _assert_integer_closures_match_pins()
     for (n, projective), digest in MOD3_ELEMENT_SET_SHA256.items():
         group = reflection_image_mod3(n, projective)
-        assert _sha256(np.unique(group.images, axis=0), np.int16) == digest, (n, projective)
+        assert _sha256(np.unique(_walked(group), axis=0), np.int16) == digest, (n, projective)
         if projective:  # nothing normalises signs before the walk does
             negated = GroupClosure([g.neg() for g in group.generators], projective=True)
-            assert _sha256(np.unique(negated.images, axis=0), np.int16) == digest, (n, "negated")
+            assert _sha256(np.unique(_walked(negated), axis=0), np.int16) == digest, (n, "negated")
     assert _sha256(build_tessellation(4).neighbors, np.int32) == TILE_NEIGHBORS_N4_SHA256
 
 
@@ -850,7 +863,8 @@ def test_group_closure_refuses_rings_past_two_to_the_53():
 
 
 def test_point_permutations_generate_the_closures():
-    # sympy's Schreier-Sims orders the groups the point permutations generate.
+    # sympy's Schreier-Sims orders the groups the point permutations generate,
+    # as the stabilizer chain does: the six images and the walls' groups.
     combinatorics = pytest.importorskip("sympy.combinatorics")
 
     def order(mats, projective):
@@ -864,6 +878,8 @@ def test_point_permutations_generate_the_closures():
             assert order(group.generators, projective) == group.order, (n, projective)
         walls = tuple(wall_reflections_mod3(n).values())
         assert order(walls, True) == len(matrix_cayley_table(walls)), n
+        for projective in (True, False):
+            assert order(walls, projective) == GroupClosure(walls, projective).order, n
 
 
 @pytest.mark.parametrize("n, order", [(2, 24), (3, 720), (4, 51840)])
