@@ -11,14 +11,14 @@ Ten of those roots, labeled by the Petersen graph nodes, realize the wall
 diagram inside E6: their Gram matrix is 2 on the diagonal, 1 on Petersen
 edges and 0 on non-edges, the alternating sum around every free hexagon
 vanishes, and the ten reflections they define generate the full Weyl group,
-of order 51840.  Here that group is a table: cayley_table(), the orbit of
-the simple roots' index tuple under the root permutations, by the isometry
-module's base_orbit_table; generation_order() is its length.  The verify
-suite finds it equal, entry for entry, to the lifted presentation's table.
-Both list the generators in label order, so that is an explicit
-isomorphism sending each generator to its beta reflection.  The ten root
-permutations are built once, by beta_permutations(), and the configuration
-checks read them as integer identities.
+of order 51840.  The ten root permutations are built once, by
+beta_permutations(), and the configuration checks read them as integer
+identities.  generation_order() orders the group they generate from a
+stabilizer chain (Schreier-Sims), with no table.  The verify suite
+certifies, with no table of its own (enumeration.verify_labelling), that the
+lifted presentation's table is the permutations' on the orbit of the simple
+roots' indices.  Both list the generators in label order, so that is an
+explicit isomorphism sending each generator to its beta reflection.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .isometry import base_orbit_table, memoize, orbit
+from .isometry import _ordered_chain, memoize, orbit
 from .presentation import diagram_graph, free_hexagons
 
 RootCoeffs = tuple[int, int, int, int, int, int]
@@ -162,20 +162,11 @@ def beta_permutations() -> np.ndarray:
 
 
 @memoize
-def cayley_table() -> np.ndarray:
-    """The standardized Cayley table of the ten beta reflections, read-only.
-
-    The orbit of the simple roots' index tuple under F -> g[F] is regular, as
-    the roots span.  F -> g[F] applies x, then y, as g_y g_x: the table of the
-    opposite group, which inversion maps onto the group, fixing each g.
-    """
-    basis = [root_system().root_index(r) for r in SIMPLE_ROOTS]
-    return base_orbit_table(beta_permutations(), basis)
-
-
 def generation_order() -> int:
-    """Order of the group the ten beta reflections generate on the 72 roots."""
-    return len(cayley_table())
+    """Order of the group the ten beta reflections generate on the 72 roots,
+    from a stabilizer chain of their permutations."""
+    _, order = _ordered_chain(beta_permutations())
+    return order
 
 
 def verify_reflection_fixed_points() -> bool:

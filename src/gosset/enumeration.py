@@ -44,11 +44,14 @@ once for a closed table, on first read for a partial one.  Closed tables are
 renumbered breadth-first from the subgroup coset by isometry.table_walk,
 which makes the table canonical and golden-testable, and can be certified
 post hoc by replaying every relator at every coset (verify_table).  A closed
-table of the whole group is its regular permutation representation, and so
-is the table of a projective matrix group acting on the orbit of a base
-(matrix_cayley_table), standardized as it is walked;
-verify_action_against_matrices standardizes the given table the same way
-and compares the two entry for entry, which is an explicit isomorphism.
+table of the whole group is its regular permutation representation, and
+verify_labelling certifies it against permutations on the orbit of a base,
+with no key lookup and no walk of the orbit: the labels of the table's
+breadth-first tree must be consistent with every entry and distinct, which
+is an explicit isomorphism.  verify_action_against_matrices runs it on the
+projective matrices' point action, and the e6 suite on the beta
+reflections' root permutations; their orders come from a stabilizer chain
+of the same permutations, so no route to them reads the presented table.
 
 The diagram groups' tables are lifted from a small subgroup table, which
 proves the group order both ways (Holt, Eick and O'Brien, Handbook of
@@ -56,8 +59,8 @@ Computational Group Theory, ch. 5): over a pinned subgroup H the
 enumeration closes at its index, the relators among H's generators bound
 |H|, and the orbit of a pinned tuple of cosets, at most |G| points, reaches
 index |H|.  Then G acts regularly on the orbit, and
-isometry.base_orbit_table, which also builds the roots' table in e6, reads
-it as the standardized Cayley table of G.  A shortfall raises.
+isometry.base_orbit_table reads it as the standardized Cayley table of G.
+A shortfall raises.
 """
 
 from __future__ import annotations
@@ -69,7 +72,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .isometry import Matrix, base_orbit_table, memoize, point_action, table_walk
+from .isometry import (
+    Matrix,
+    _ordered_chain,
+    base_orbit_table,
+    memoize,
+    point_action,
+    table_walk,
+)
 from .presentation import Presentation, Word, build_presentation
 
 DEFAULT_COSET_BUDGET = 200_000
@@ -632,16 +642,15 @@ def verify_action_against_matrices(
     """Certify that a closed full-group table is the regular action of the
     matrix group, by an explicit isomorphism.
 
-    The matrices, in the table's generator order, give matrix_cayley_table,
-    whose walk standardizes it, and the given table, standardized in the
-    same order by table_walk and _renumbered, is compared with it entry for
-    entry.  Equal tables match each coset with the matrix the same word
-    reaches, edge by edge: an explicit isomorphism, so matrix_group_order,
-    the matrix group's order, is the number of cosets.  A coset the walk
-    from coset 0 never reaches or an entry that differs makes the
-    certificate inconsistent; edges_checked counts the entries of the
-    reached cosets.  A malformed table is rejected before anything is
-    closed; generators not closed under inversion raise ValueError.
+    The matrices, in the table's generator order, act on the points of
+    projective_action, and verify_labelling labels every coset with the
+    images of their base: a consistent, injective labelling matches each
+    coset with the matrix the same word reaches, edge by edge, so the
+    matrix group's order, matrix_group_order, which projective_action takes
+    from a stabilizer chain, is the number of cosets.  edges_checked counts
+    the table's entries, which a consistent certificate has checked.  A
+    malformed table is rejected before any matrix is read; generators not
+    closed under inversion raise ValueError.
     """
     if table.status != CLOSED:
         raise ValueError("can only certify a closed table")
@@ -651,17 +660,95 @@ def verify_action_against_matrices(
     rows = _table_rows(table)
     if rows is None:
         return ActionCertificate(n, 0, 0, False)
-    matrices = matrix_cayley_table(tuple(assignment[g] for g in table.generators))
-    order = table_walk(rows)
-    consistent = len(order) == n and np.array_equal(_renumbered(rows, order), matrices)
-    return ActionCertificate(n, len(matrices), k * len(order), consistent)
+    columns, base, order = projective_action(tuple(assignment[g] for g in table.generators))
+    return ActionCertificate(n, order, k * n, verify_labelling(table, columns, base))
 
 
 @memoize
-def matrix_cayley_table(generators: tuple[Matrix, ...]) -> np.ndarray:
-    """The standardized Cayley table of the projective closure of mod-m
-    matrices, read-only, built once per generator tuple: the matrix route's
-    table, as e6.cayley_table() is the roots'.  base_orbit_table walks the
-    base of point_action's classes {v, -v}, so no matrix is multiplied and
-    no element is kept."""
-    return base_orbit_table(*point_action(generators, projective=True))
+def projective_action(generators: tuple[Matrix, ...]) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """The permutations of point_action(generators, projective=True),
+    read-only, their base, and the order of the group they generate, from
+    its stabilizer chain: built once per generator tuple, as the matrix
+    cross-check and triple_agreement share the walls'.  ValueError unless
+    the generators are closed under inversion, as reflections are."""
+    columns, base = point_action(generators, projective=True)
+    _, order = _ordered_chain(columns)
+    columns.flags.writeable = False
+    return columns, base, order
+
+
+def verify_labelling(table: CosetTable, columns: np.ndarray, base: Sequence[int]) -> bool:
+    """Keyless certificate that a closed table is the table of the
+    permutations columns acting on the orbit of the tuple base, table
+    generator x as columns[x]: the table base_orbit_table would walk,
+    checked with no key lookup and no walk of the orbit.
+
+    Coset 0 is labelled F_0 = base, and every other coset j along the
+    table's breadth-first tree: F_j = columns[x][F_i] for the first entry
+    (i, x), in row-major order, that names j.  Every entry (i, x) must then
+    satisfy columns[x][F_i] == F_{table[i, x]}, compared as base-n int64
+    keys, and the labels must be distinct, by one sort of their keys.  Such
+    a labelling is an equivariant bijection onto the orbit of base, so it
+    exists exactly when the two standardized tables are equal (McConnell,
+    Mehlhorn, Naher and Schweitzer, Certifying algorithms, Comput. Sci. Rev.
+    5(2), 2011).  The tree of a standardized table is read off its entries
+    (_tree); any other table is standardized first, by table_walk and
+    _renumbered.  A malformed table or a coset the tree never reaches fails
+    the certificate.  ValueError for an open table or a column count other
+    than the table's generators', OverflowError for keys past int64.
+    """
+    if table.status != CLOSED:
+        raise ValueError("can only certify a closed table")
+    columns = np.asarray(columns)
+    if len(columns) != len(table.generators):
+        raise ValueError(f"{len(columns)} columns for {len(table.generators)} generators")
+    points = columns.shape[1]
+    if points ** len(base) >= 2**63:
+        raise OverflowError(f"{len(base)} points of {points} overflow an int64 key")
+    if (rows := _table_rows(table)) is None:
+        return False
+    n, k = rows.shape
+    if (firsts := _tree(rows)) is None:
+        order = table_walk(rows)
+        if len(order) < n:
+            return False
+        rows = _renumbered(rows, order)
+        firsts = _tree(rows)
+    parents, gens = np.divmod(firsts, k)
+    # One place of the labels a row, each coset's parent labelled before it:
+    # a breadth-first layer at a time, the cosets whose parents are done.
+    labels = np.empty((len(base), n), dtype=columns.dtype)
+    labels[:, 0] = base
+    flat = columns.ravel()
+    done = 1
+    while done < n:
+        end = 1 + np.searchsorted(parents, done)
+        offsets, up = gens[done - 1 : end - 1] * points, parents[done - 1 : end - 1]
+        for place in labels:
+            place[done:end] = flat.take(offsets + place.take(up))
+        done = end
+    weights = points ** np.arange(len(base), dtype=np.int64)
+    keys = weights @ labels
+    for x, column in enumerate(columns):
+        moved = sum((w * column).take(place) for w, place in zip(weights, labels))
+        if not (moved == keys.take(rows[:, x])).all():
+            return False
+    keys.sort()
+    return bool((keys[1:] != keys[:-1]).all())
+
+
+def _tree(rows: np.ndarray) -> np.ndarray | None:
+    """The breadth-first tree of a standardized table, whose first entry
+    naming coset j comes before the first naming j + 1, in a row before row
+    j: the row-major position of the first entry naming each coset j > 0,
+    where the running maximum of the entries rises.  None for a table that
+    is not standardized."""
+    n, k = rows.shape
+    peak = np.maximum.accumulate(rows.ravel())
+    firsts = np.flatnonzero(peak[1:] != peak[:-1]) + 1
+    if peak[0]:
+        firsts = np.insert(firsts, 0, 0)
+    cosets = np.arange(1, n)
+    if len(firsts) != n - 1 or (peak[firsts] != cosets).any() or (firsts // k >= cosets).any():
+        return None
+    return firsts

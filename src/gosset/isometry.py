@@ -32,9 +32,9 @@ layered_closure also closes orbits of integer rows (orbit(): the E6 roots,
 stabilizer orbits), walks integer tables (table_walk(): coset tables, tile
 graphs), and walks the orbit of a tuple of points (_tuple_orbit): keyed by
 the tuple, in the one Cayley-table primitive, base_orbit_table() (the
-tables of W(E6), the lifted presentation's, the beta reflections' on the
-roots, the walls'); keyed by its set, in coset_space().  It also walks the
-transversals of a stabilizer chain (_level), picked by a seen-mask.
+lifted tables of the diagram groups); keyed by its set, in coset_space().
+It also walks the transversals of a stabilizer chain (_level), picked by a
+seen-mask.
 
 No matrix over Z/m is multiplied.  A matrix group mod m acts faithfully on
 the row vectors of (Z/m)^d, and a projective one, modulo {I, -I}, on their
@@ -613,8 +613,7 @@ class GroupClosure:
         self.projective = projective
         self.modulus = self.generators[0].modulus
         columns, _ = point_action(self.generators, projective)
-        self._chain = _stabilizer_chain(_inverse_closed(columns))
-        self.order = math.prod(len(reps) for _, _, reps, _ in self._chain)
+        self._chain, self.order = _ordered_chain(columns)
 
     def contains(self, matrix: Matrix) -> bool:
         """Does the matrix's point permutation sift to the identity?"""
@@ -626,6 +625,14 @@ class GroupClosure:
     def contains_minus_identity(self) -> bool:
         """Is -I an element?  Projectively, -I is the identity."""
         return self.contains(Matrix.identity(self.generators[0].dimension, self.modulus).neg())
+
+
+def _ordered_chain(columns: np.ndarray) -> tuple[list[tuple], int]:
+    """The stabilizer chain of the group the permutations columns generate,
+    and its order, the product of the chain's orbit lengths.  ValueError
+    unless the columns are closed under inversion."""
+    chain = _stabilizer_chain(_inverse_closed(columns))
+    return chain, math.prod(len(reps) for _, _, reps, _ in chain)
 
 
 def _stabilizer_chain(columns: np.ndarray) -> list[tuple]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .lattice import Root, inner, norm, reflection_rows
 from .geometry import GossetWallSystem, wall_pair_classification
-from .isometry import Matrix
+from .isometry import Matrix, memoize
 
 Word = tuple[str, ...]
 
@@ -151,8 +151,10 @@ def _canonical_cycle(cycle: Sequence[str]) -> tuple[str, ...]:
     return min(seqs)
 
 
+@memoize
 def free_hexagons(g: DiagramGraph) -> tuple[tuple[str, ...], ...]:
-    """All induced 6-cycles, one canonical traversal each, sorted.
+    """All induced 6-cycles, one canonical traversal each, sorted; cached,
+    as it depends on the graph's value alone.
 
     The canonical form is the lexicographically smallest of the 12 rotations
     and reflections of the cyclic node list.

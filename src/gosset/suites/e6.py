@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from ..e6 import (
-    cayley_table,
+    SIMPLE_ROOTS,
+    beta_permutations,
     generation_order,
     root_system,
     verify_hexagon_sums,
@@ -12,7 +13,7 @@ from ..e6 import (
     verify_reflection_fixed_points,
     verify_singletons_commute,
 )
-from ..enumeration import enumerate_diagram_group, matrix_cayley_table
+from ..enumeration import enumerate_diagram_group, projective_action, verify_labelling
 from ..geometry import wall_reflections_mod3
 from . import check
 
@@ -55,18 +56,21 @@ def _generation_order(c):
 @check("e6", "triple_agreement")
 def _triple_agreement(c):
     table = enumerate_diagram_group("petersen")
-    # The table of the ten wall reflections that matrix_cross_check_petersen builds, shared.
-    # reflection_image_mod3(4) orders the simple reflections' image; reading its order here
-    # would repeat lagrange_n4, not check it.
+    # The order of the ten wall reflections that matrix_cross_check_petersen
+    # computes, shared: a stabilizer chain of their point action, as the roots'
+    # order is of theirs, so neither reads the presented table.
+    # reflection_image_mod3(4) orders the simple reflections' image; reading its
+    # order here would repeat lagrange_n4, not check it.
     walls = wall_reflections_mod3(4)
-    matrices = matrix_cayley_table(tuple(walls[g] for g in table.generators))
+    _, _, matrices = projective_action(tuple(walls[g] for g in table.generators))
     expected = {"roots": 51840, "cosets": 51840, "matrices": 51840}
-    actual = {"roots": generation_order(), "cosets": table.order, "matrices": len(matrices)}
+    actual = {"roots": generation_order(), "cosets": table.order, "matrices": matrices}
     return expected, actual, "three independent routes to the same order"
 
 
 @check("e6", "cayley_table_roots_matches_presentation")
 def _cayley_table_roots_matches_presentation(c):
-    roots, presented = cayley_table(), enumerate_diagram_group("petersen").table
-    same = roots.shape == presented.shape and bool((roots == presented).all())
+    presented = enumerate_diagram_group("petersen")
+    basis = [root_system().root_index(r) for r in SIMPLE_ROOTS]
+    same = verify_labelling(presented, beta_permutations(), basis)
     return True, same, "the beta reflections on the roots give the presentation's table"

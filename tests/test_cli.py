@@ -718,29 +718,38 @@ def test_verify_all_never_enumerates_the_petersen_group_over_the_trivial_subgrou
 
 
 def test_verify_all_closes_each_generator_set_once(monkeypatch):
-    # Six GroupClosures, the mod-3 images, and one table of the walls for
+    # Six GroupClosures, the mod-3 images; one point action of the walls for
     # each n = 2, 3, 4, which the Petersen cross-check and triple_agreement
-    # share.
-    closures, wall_tables = [], []
+    # share; and one keyed walk of a Cayley table for each lift, none for the
+    # roots or the walls, whose tables are certified, not walked.
+    closures, wall_actions, walks = [], [], []
     init = isometry.GroupClosure.__init__
     point_action = enumeration.point_action
+    base_orbit = isometry._base_orbit
 
     def spy(self, generators, projective=False):
         closures.append((tuple(generators), projective))
         init(self, generators, projective)
 
     def wall_spy(mats, projective):
-        wall_tables.append(tuple(mats))
+        wall_actions.append(tuple(mats))
         return point_action(mats, projective)
+
+    def walk_spy(columns, base, bound=None):
+        walks.append(bound)
+        return base_orbit(columns, base, bound)
 
     monkeypatch.setattr(isometry.GroupClosure, "__init__", spy)
     monkeypatch.setattr(enumeration, "point_action", wall_spy)
+    monkeypatch.setattr(isometry, "_base_orbit", walk_spy)
     for cached in (geometry.reflection_image_mod3, geometry.build_tessellation):
         cached.cache_clear()
-    enumeration.matrix_cayley_table.cache_clear()
+    for cached in (enumeration.projective_action, enumeration.enumerate_diagram_group):
+        cached.cache_clear()
     reports = run_suite("all")
     assert {r.status for r in reports} == {"pass", "skipped"}
     assert len(closures) == 6
     assert len(set(closures)) == len(closures)
-    assert len(wall_tables) == 3 == enumeration.matrix_cayley_table.cache_info().misses
-    assert len(set(wall_tables)) == len(wall_tables)
+    assert len(wall_actions) == 3 == enumeration.projective_action.cache_info().misses
+    assert len(set(wall_actions)) == len(wall_actions)
+    assert sorted(walks) == [24, 720, 51840]  # the lifts' bounds, index times |H|

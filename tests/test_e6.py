@@ -8,8 +8,8 @@ from gosset.e6 import (
     E6_EDGES,
     SIMPLE_ROOTS,
     beta_configuration,
+    beta_permutations,
     cartan_matrix,
-    cayley_table,
     generation_order,
     hexagon_alternating_sum,
     root_system,
@@ -197,7 +197,8 @@ def test_base_orbit_table_matches_tuple_oracle():
 def test_the_roots_walk_peaks_under_8_mb(traced_peak_mb):
     # The widest layer has 186,550 candidates; a layer holds about 21 bytes
     # each once its int64 keys are deduplicated and dropped (6.8 MB in all).
-    table, peak = traced_peak_mb(cayley_table.__wrapped__)
+    _, basis = _beta_permutations()
+    table, peak = traced_peak_mb(base_orbit_table, beta_permutations(), basis)
     assert table.shape == (51840, 10)
     assert peak <= 8
 

@@ -19,14 +19,13 @@ from gosset.enumeration import (
     _live_table,
     _table_rows,
     enumerate_diagram_group,
-    matrix_cayley_table,
     todd_coxeter,
     verify_action_against_matrices,
     verify_table,
 )
 from gosset.geometry import wall_reflections_mod3
-from gosset.e6 import cayley_table
-from gosset.isometry import Matrix, base_orbit_table, table_walk
+from gosset.e6 import SIMPLE_ROOTS, beta_permutations, root_system
+from gosset.isometry import Matrix, base_orbit_table, point_action, table_walk
 from gosset.presentation import Presentation, build_presentation
 from gosset.suites import enumeration as enumeration_rows
 
@@ -388,10 +387,10 @@ def test_enumerated_tables_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         table.table[0, 0] = 5
     assert enumerate_diagram_group("a3").table[0, 0] == 1
-    matrices = matrix_cayley_table(tuple(wall_reflections_mod3(2).values()))
+    columns, base, _ = enumeration.projective_action(tuple(wall_reflections_mod3(2).values()))
     with pytest.raises(ValueError, match="read-only"):
-        matrices[0, 0] = 5
-    assert np.array_equal(matrices, table.table)
+        columns[0, 0] = 5
+    assert np.array_equal(base_orbit_table(columns, base), table.table)
 
 
 def _sympy_table(pres, subgroup):
@@ -1005,11 +1004,14 @@ def test_cross_certificate_raises_on_generators_not_closed_under_inversion(
 
 
 def test_the_presented_roots_and_matrix_tables_of_w_e6_are_equal():
+    # The keyed walks of the roots and of the walls, which verify all no
+    # longer makes, kept as reference routes to the table it certifies.
     presented = enumerate_diagram_group("petersen")
+    basis = [root_system().root_index(r) for r in SIMPLE_ROOTS]
     walls = wall_reflections_mod3(4)
-    matrices = matrix_cayley_table(tuple(walls[g] for g in presented.generators))
-    assert np.array_equal(presented.table, cayley_table())
-    assert np.array_equal(presented.table, matrices)
+    matrices = point_action(tuple(walls[g] for g in presented.generators), projective=True)
+    assert np.array_equal(presented.table, base_orbit_table(beta_permutations(), basis))
+    assert np.array_equal(presented.table, base_orbit_table(*matrices))
 
 
 def test_cross_certificate_walks_any_numbering_from_coset_0():

@@ -33,7 +33,7 @@ from gosset.isometry import (
 )
 from gosset import isometry
 from gosset.e6 import SIMPLE_ROOTS, beta_configuration, cartan_matrix, reflection_rows, root_system
-from gosset.enumeration import _renumbered, enumerate_diagram_group, matrix_cayley_table
+from gosset.enumeration import _renumbered, enumerate_diagram_group, projective_action
 from gosset.geometry import (
     build_tessellation,
     gosset_walls,
@@ -252,7 +252,7 @@ def test_mod_m_closures_multiply_no_matrix(monkeypatch):
         reflect(mats, alpha)
 
     monkeypatch.setattr(isometry, "_reflect", counting)
-    for cached in (reflection_image_mod3, build_tessellation, matrix_cayley_table):
+    for cached in (reflection_image_mod3, build_tessellation, projective_action):
         cached.cache_clear()
     for n in (2, 3, 4):
         finite_group_elements(long_simple_reflections(n))
@@ -261,7 +261,7 @@ def test_mod_m_closures_multiply_no_matrix(monkeypatch):
         calls.clear()
         for projective in (True, False):
             reflection_image_mod3(n, projective)
-        matrix_cayley_table(tuple(wall_reflections_mod3(n).values()))
+        projective_action(tuple(wall_reflections_mod3(n).values()))
         reflections, points = point_reflections_mod3(n)
         assert coset_space(reflections[points(simple_roots(n))], points(gosset_walls(n).roots))
         assert calls == [], n
@@ -297,7 +297,7 @@ def test_the_wall_closure_table_columns_are_right_multiplications():
     walls = tuple(wall_reflections_mod3(4).values())
     group = GroupClosure(walls, projective=True)
     assert group.order == 51840
-    table = matrix_cayley_table(walls)
+    table = base_orbit_table(*point_action(walls, True))
     images = _walked(group)
     for x, column in enumerate(point_action(walls, True)[0]):
         assert np.array_equal(images[table[:, x]], column[images]), x
@@ -877,7 +877,7 @@ def test_point_permutations_generate_the_closures():
             group = reflection_image_mod3(n, projective)
             assert order(group.generators, projective) == group.order, (n, projective)
         walls = tuple(wall_reflections_mod3(n).values())
-        assert order(walls, True) == len(matrix_cayley_table(walls)), n
+        assert order(walls, True) == projective_action(walls)[2], n
         for projective in (True, False):
             assert order(walls, projective) == GroupClosure(walls, projective).order, n
 

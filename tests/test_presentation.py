@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from gosset.cli import run_suite
 from gosset.geometry import gosset_walls, wall_reflections_mod3
 from gosset.isometry import Matrix, reflection_matrix
 from gosset.lattice import inner
@@ -99,6 +100,16 @@ def test_free_hexagon_counts():
     assert free_hexagons(diagram_graph("affine_a5")) == (("1", "4", "2", "5", "3", "6"),)
     hexes = free_hexagons(diagram_graph("petersen"))
     assert len(hexes) == 10
+
+
+def test_verify_all_finds_the_hexagons_of_each_graph_once():
+    # The presentations, the diagram rows and the e6 hexagon sums all ask;
+    # the three graphs are searched once each.
+    free_hexagons.cache_clear()
+    reports = run_suite("all")
+    assert {r.status for r in reports} == {"pass", "skipped"}
+    info = free_hexagons.cache_info()
+    assert info.misses == 3 and info.hits > 0
 
 
 def test_petersen_hexagons_are_induced_six_cycles():
