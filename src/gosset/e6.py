@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .isometry import _ordered_chain, memoize, orbit
+from .isometry import _stabilizer_chain, memoize, orbit
 from .presentation import diagram_graph, free_hexagons
 
 RootCoeffs = tuple[int, int, int, int, int, int]
@@ -165,7 +165,7 @@ def beta_permutations() -> np.ndarray:
 def generation_order() -> int:
     """Order of the group the ten beta reflections generate on the 72 roots,
     from a stabilizer chain of their permutations."""
-    _, order = _ordered_chain(beta_permutations())
+    _, order = _stabilizer_chain(beta_permutations())
     return order
 
 

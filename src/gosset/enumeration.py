@@ -72,14 +72,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .isometry import (
-    Matrix,
-    _ordered_chain,
-    base_orbit_table,
-    memoize,
-    point_action,
-    table_walk,
-)
+from .isometry import GroupClosure, Matrix, base_orbit_table, memoize, table_walk
 from .presentation import Presentation, Word, build_presentation
 
 DEFAULT_COSET_BUDGET = 200_000
@@ -643,14 +636,14 @@ def verify_action_against_matrices(
     matrix group, by an explicit isomorphism.
 
     The matrices, in the table's generator order, act on the points of
-    projective_action, and verify_labelling labels every coset with the
-    images of their base: a consistent, injective labelling matches each
+    their projective_action, and verify_labelling labels every coset with
+    the images of its base: a consistent, injective labelling matches each
     coset with the matrix the same word reaches, edge by edge, so the
-    matrix group's order, matrix_group_order, which projective_action takes
-    from a stabilizer chain, is the number of cosets.  edges_checked counts
-    the table's entries, which a consistent certificate has checked.  A
-    malformed table is rejected before any matrix is read; generators not
-    closed under inversion raise ValueError.
+    matrix group's order, matrix_group_order, which the projective_action
+    takes from a stabilizer chain, is the number of cosets.  edges_checked
+    counts the table's entries, which a consistent certificate has checked.
+    A malformed table is rejected before any matrix is read; generators that
+    are not invertible raise ValueError.
     """
     if table.status != CLOSED:
         raise ValueError("can only certify a closed table")
@@ -660,21 +653,17 @@ def verify_action_against_matrices(
     rows = _table_rows(table)
     if rows is None:
         return ActionCertificate(n, 0, 0, False)
-    columns, base, order = projective_action(tuple(assignment[g] for g in table.generators))
-    return ActionCertificate(n, order, k * n, verify_labelling(table, columns, base))
+    group = projective_action(tuple(assignment[g] for g in table.generators))
+    consistent = verify_labelling(table, group.columns, group.base)
+    return ActionCertificate(n, group.order, k * n, consistent)
 
 
 @memoize
-def projective_action(generators: tuple[Matrix, ...]) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """The permutations of point_action(generators, projective=True),
-    read-only, their base, and the order of the group they generate, from
-    its stabilizer chain: built once per generator tuple, as the matrix
-    cross-check and triple_agreement share the walls'.  ValueError unless
-    the generators are closed under inversion, as reflections are."""
-    columns, base = point_action(generators, projective=True)
-    _, order = _ordered_chain(columns)
-    columns.flags.writeable = False
-    return columns, base, order
+def projective_action(generators: tuple[Matrix, ...]) -> GroupClosure:
+    """The projective GroupClosure of the generators, with its point action
+    and order: built once per generator tuple, as the matrix cross-check and
+    triple_agreement share the walls'."""
+    return GroupClosure(generators, projective=True)
 
 
 def verify_labelling(table: CosetTable, columns: np.ndarray, base: Sequence[int]) -> bool:

@@ -17,23 +17,24 @@ are new, checks the budget, builds only those, and yields the layer as a
 bare block of elements.  Keys belong to the pick rule alone.  On orbits the
 rule goes by keys: each product has a key, computed before it is built (an
 int64, or a set's sorted points), and a layer's candidate keys are
-deduplicated once and looked up in the sorted keys of the two layers before
-it.  Over Z it goes by descents, for generators that are distinct simple
-reflections, and keys nothing (see _descents); each product is an int8
-matrix, gathered once into its layer, in batches of a fixed number of rows,
-and reflected there in place by a swap of two columns or a rank-one sum
-(_reflect).  The other closures stream their layers, so a stabilizer is
-bounded by its largest layer, not its order.  The congruence check closes no
-group: it counts each stabilizer, up to E7 of order 2903040, down its chain
-of parabolic subgroups, by one transversal a level, 56 + 27 + 16 + 10 + 6 +
-2 matrices at n = 7.  Walks fail fast past DEFAULT_ELEMENT_BUDGET elements,
-read when each starts, which also stops an infinite group over Z.
-layered_closure also closes orbits of integer rows (orbit(): the E6 roots,
-stabilizer orbits), walks integer tables (table_walk(): coset tables, tile
-graphs), and walks the orbit of a tuple of points (_tuple_orbit): keyed by
-the tuple, in the one Cayley-table primitive, base_orbit_table() (the
-lifted tables of the diagram groups); keyed by its set, in coset_space().
-It also walks the transversals of a stabilizer chain (_level), picked by a
+deduplicated once and looked up in one sorted array of every key seen, so
+any generators of a finite group will do.  Over Z it goes by descents, for
+generators that are distinct simple reflections, and keys nothing (see
+_descents); each product is an int8 matrix, gathered once into its layer,
+in batches of a fixed number of rows, and reflected there in place by a
+swap of two columns or a rank-one sum (_reflect).  The other closures
+stream their layers, so a stabilizer is bounded by its largest layer, not
+its order.  The congruence check closes no group: it counts each
+stabilizer, up to E7 of order 2903040, down its chain of parabolic
+subgroups, by one transversal a level, 56 + 27 + 16 + 10 + 6 + 2 matrices
+at n = 7.  Walks fail fast past DEFAULT_ELEMENT_BUDGET elements, read when
+each starts, which also stops an infinite group over Z.  layered_closure
+also closes orbits of integer rows (orbit(): the E6 roots, stabilizer
+orbits), walks integer tables (table_walk(): coset tables, tile graphs),
+and walks the orbit of a tuple of points (_tuple_orbit): keyed by the
+tuple, in the one Cayley-table primitive, base_orbit_table() (the lifted
+tables of the diagram groups); keyed by its set, in coset_space().  It also
+walks the transversals of a stabilizer chain (_level), picked by a
 seen-mask.
 
 No matrix over Z/m is multiplied.  A matrix group mod m acts faithfully on
@@ -265,34 +266,33 @@ def _fresh_keys(
 
     candidate_keys(F) gives the key of every product F g of a frontier F, an
     int64 or any sortable type, before any product is built; identity_keys,
-    sorted, are the first layer's.
-    The keys must be injective on the group, and the generator set closed under
-    inversion.  Then the neighbours of layer k lie in layers k-1, k and k+1, so
-    each layer's candidate keys are deduplicated once and looked up in the
-    sorted keys of the two layers before them.  Each layer appends to named the
-    int32 number of every candidate, in order of discovery (the first layer's
-    in key order): the walk's steps, read as a table.  The int64 keys are let
-    go once deduplicated; then a layer holds about 21 bytes per candidate:
-    the int64 sorting permutation, three int32 arrays and the run starts.
+    sorted, are the first layer's.  The keys must be injective on the group.
+    Every key seen so far is kept sorted, beside its int32 number, so each
+    layer's candidate keys are deduplicated once and looked up in one sorted
+    array, and the fresh ones are inserted into both.  Each layer appends to
+    named the number of every candidate, in order of discovery (the first
+    layer's in key order): the walk's steps, read as a table.  A layer peaks
+    at about 31 bytes per candidate, its int64 keys and sorting permutation
+    included (tracemalloc, the widest layer of the E6 roots' walk).
     """
-    known = [(identity_keys, np.arange(len(identity_keys), dtype=np.int32))]
+    seen, numbers = identity_keys, np.arange(len(identity_keys), dtype=np.int32)
 
     def pick(frontier: np.ndarray) -> np.ndarray:
-        nonlocal known
+        nonlocal seen, numbers
         uniq, first, order, starts = _first_occurrences(candidate_keys(frontier))
-        at = [_positions(keys, uniq) for keys, _ in known]  # neither layer is empty
-        fresh = np.logical_and.reduce([found < 0 for found in at])
+        at = np.searchsorted(seen, uniq)
+        near = at.clip(max=len(seen) - 1)  # seen is never empty
+        fresh = seen[near] != uniq
         picks = np.sort(first[fresh])
         new = np.empty(len(order), dtype=np.int32)
-        new[picks] = np.arange(len(picks)) + known[-1][1].max() + 1
-        numbers = new[first]  # right for the fresh keys; the others are looked up
-        for (_, known_numbers), found in zip(known, at):
-            numbers = np.where(found < 0, numbers, known_numbers[found])
+        new[picks] = np.arange(len(picks)) + len(seen)
+        ids = np.where(fresh, new[first], numbers[near])  # the number of each key in uniq
         run = np.cumsum(starts, dtype=np.int32)
         run -= 1  # the run of each sorted candidate: its key's index in uniq
         named.append(np.empty(len(order), dtype=np.int32))
-        named[-1][order] = numbers[run]
-        known = known[-1:] + [(uniq[fresh], numbers[fresh])]
+        named[-1][order] = ids[run]
+        seen = np.insert(seen, at[fresh], uniq[fresh])
+        numbers = np.insert(numbers, at[fresh], ids[fresh])
         return picks
 
     return pick
@@ -304,7 +304,6 @@ def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> np.nda
     step(F) gives the images of the frontier rows F under each generator,
     stacked generator-major.  Each row is its own key, packed by _pack_int8:
     at most eight entries, each within int8.  The seeds must be distinct.
-    The generator set must be closed under inversion, as reflections are.
     The element budget counts the seeds.  The walk's steps are not kept.
     """
     keys = np.sort(_pack_int8(seeds))
@@ -365,18 +364,11 @@ def _set_keys(moved: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, 8 * rows.shape[2]))).ravel()
 
 
-def _inverse_closed(columns: np.ndarray) -> np.ndarray:
-    """The columns as an array; ValueError unless they are permutations of
-    range(n) closed under inversion."""
+def _permutations(columns: np.ndarray) -> np.ndarray:
+    """The columns as an array; ValueError unless each is a permutation of range(n)."""
     columns = np.asarray(columns)
-    n = columns.shape[1]
-    # c[c'] = identity makes c onto, so a permutation, with inverse c'; a
-    # column that is no permutation has no inverse in the set.
-    inverted = ((0 <= columns) & (columns < n)).all() and (
-        (columns[:, columns] == np.arange(n)).all(axis=2).any(axis=1).all()
-    )
-    if not inverted:
-        raise ValueError("generator set must be closed under inversion")
+    if not (np.sort(columns, axis=1) == np.arange(columns.shape[1])).all():
+        raise ValueError("generators must be permutations of range(n)")
     return columns
 
 
@@ -390,10 +382,9 @@ def _tuple_orbit(
     injectively on the orbit, where x moves point p to steps[p, x]; base_key
     is base's own.  layered_closure walks the orbit, picked by _fresh_keys,
     which names every step, point-major: new tuples come in table_walk's
-    order, so the table is standardized.  ValueError unless the columns are
-    permutations closed under inversion, as _fresh_keys needs.
+    order, so the table is standardized.  ValueError for non-permutations.
     """
-    columns = _inverse_closed(columns)
+    columns = _permutations(columns)
     n, k = columns.shape[1], len(columns)
     steps = np.ascontiguousarray(columns.T).astype(np.min_scalar_type(n - 1))
     rows: list[np.ndarray] = []
@@ -600,9 +591,9 @@ class GroupClosure:
     points, the rows of (Z/m)^d, or with projective=True their classes
     {v, -v}: then elements are classes {M, -M}, the right model for
     quotients like PGO where -I must be factored out, and generators may
-    carry either sign.  _stabilizer_chain gives the order, and membership is
-    one sift; no element is listed.  The generators must be closed under
-    inversion (reflections are).  The chain fails fast once its order passes
+    carry either sign.  columns, read-only, and base are point_action's.
+    _stabilizer_chain gives the order, and membership is one sift; no
+    element is listed.  The chain fails fast once its order passes
     DEFAULT_ELEMENT_BUDGET.  The name, the generators, projective, modulus
     and order stay those of the closure this replaced: perfbench/trace.py
     wraps __init__ and reads them.
@@ -612,8 +603,9 @@ class GroupClosure:
         self.generators = tuple(generators)
         self.projective = projective
         self.modulus = self.generators[0].modulus
-        columns, _ = point_action(self.generators, projective)
-        self._chain, self.order = _ordered_chain(columns)
+        self.columns, self.base = point_action(self.generators, projective)
+        self.columns.flags.writeable = False
+        self._chain, self.order = _stabilizer_chain(self.columns)
 
     def contains(self, matrix: Matrix) -> bool:
         """Does the matrix's point permutation sift to the identity?"""
@@ -627,19 +619,11 @@ class GroupClosure:
         return self.contains(Matrix.identity(self.generators[0].dimension, self.modulus).neg())
 
 
-def _ordered_chain(columns: np.ndarray) -> tuple[list[tuple], int]:
-    """The stabilizer chain of the group the permutations columns generate,
-    and its order, the product of the chain's orbit lengths.  ValueError
-    unless the columns are closed under inversion."""
-    chain = _stabilizer_chain(_inverse_closed(columns))
-    return chain, math.prod(len(reps) for _, _, reps, _ in chain)
-
-
-def _stabilizer_chain(columns: np.ndarray) -> list[tuple]:
+def _stabilizer_chain(columns: np.ndarray) -> tuple[list[tuple], int]:
     """A base and strong generating set of the group the permutations columns
-    generate, by deterministic Schreier-Sims (Seress, Permutation Group
-    Algorithms, ch. 4; Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 4.4): one _level per base point, from the top.
+    generate, and its order, by deterministic Schreier-Sims (Seress,
+    Permutation Group Algorithms, ch. 4; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 4.4): one _level per base point, from the top.
 
     A strong generator serves the levels low..depth, where depth is the
     number of base points it fixes first; the columns serve from level 0.
@@ -653,9 +637,10 @@ def _stabilizer_chain(columns: np.ndarray) -> list[tuple]:
     restarts at the last of them.  When no residue is left the chain is
     complete, and the group's order is the product of the orbit lengths.
     ClosureBudgetExceeded once that product passes DEFAULT_ELEMENT_BUDGET,
-    read when the chain starts.
+    read when the chain starts; ValueError for non-permutations.
     """
     budget = DEFAULT_ELEMENT_BUDGET
+    columns = _permutations(columns)
     identity = np.arange(columns.shape[1])
     strong = columns[(columns != identity).any(axis=1)]
     strong = strong.astype(np.min_scalar_type(len(identity) - 1))
@@ -688,7 +673,7 @@ def _stabilizer_chain(columns: np.ndarray) -> list[tuple]:
         lows, depths = np.append(lows, i + 1), np.append(depths, j)
         chain[i + 1 : j + 1] = [level(k) for k in range(i + 1, j + 1)]
         i = j
-    return chain
+    return chain, math.prod(len(reps) for _, _, reps, _ in chain)
 
 
 def _level(gens: np.ndarray, point: int) -> tuple:
@@ -903,6 +888,6 @@ class CosetSpace:
 
 def coset_space(columns: np.ndarray, points: Sequence[int]) -> CosetSpace:
     """The cosets of the set stabilizer of points in the group that the permutations
-    columns generate, closed under inversion: the orbit of the set, by _tuple_orbit."""
+    columns generate: the orbit of the set, by _tuple_orbit."""
     seed_key = _set_keys(np.array([points])[:, :, None])
     return CosetSpace(_tuple_orbit(columns, points, lambda s, f: _set_keys(s[f]), seed_key)[0])

@@ -62,9 +62,9 @@ def _triple_agreement(c):
     # reflection_image_mod3(4) orders the simple reflections' image; reading its
     # order here would repeat lagrange_n4, not check it.
     walls = wall_reflections_mod3(4)
-    _, _, matrices = projective_action(tuple(walls[g] for g in table.generators))
+    matrices = projective_action(tuple(walls[g] for g in table.generators))
     expected = {"roots": 51840, "cosets": 51840, "matrices": 51840}
-    actual = {"roots": generation_order(), "cosets": table.order, "matrices": matrices}
+    actual = {"roots": generation_order(), "cosets": table.order, "matrices": matrices.order}
     return expected, actual, "three independent routes to the same order"
 
 

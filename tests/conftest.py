@@ -128,11 +128,11 @@ def closure_matrices():
     their base-m digits, most significant first."""
     import numpy as np
 
-    from gosset.isometry import _base_orbit, point_action
+    from gosset.isometry import _base_orbit
 
     def matrices(group):
         m, d = group.modulus, group.generators[0].dimension
-        images = _base_orbit(*point_action(group.generators, group.projective))[0]
+        images = _base_orbit(group.columns, group.base)[0]
         return (images[:, :, None] // m ** np.arange(d - 1, -1, -1) % m).astype(np.int8)
 
     return matrices

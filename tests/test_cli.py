@@ -625,6 +625,23 @@ def _trace_rows(tmp_path, argv):
     return json.loads(out.read_text())["rows"]
 
 
+def test_the_enumeration_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # The lift's walk and every certificate order by sorted keys, never by a
+    # hash: two hash seeds give one report, apart from runtime_ms.
+    reports = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"enumeration_{hash_seed}.json"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "gosset.cli", "enumeration", "--seed", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append(_strip_runtimes(out.read_text()))
+    assert reports[0] == reports[1]
+    assert reports[0]["checks"]
+
+
 def test_tessellation_closes_each_mod3_group_once(tmp_path):
     # The projective and linear images for n = 2, 3, 4; the stabilizer is read off them.
     rows = _trace_rows(tmp_path, ["tessellation"])
@@ -718,29 +735,24 @@ def test_verify_all_never_enumerates_the_petersen_group_over_the_trivial_subgrou
 
 
 def test_verify_all_closes_each_generator_set_once(monkeypatch):
-    # Six GroupClosures, the mod-3 images; one point action of the walls for
-    # each n = 2, 3, 4, which the Petersen cross-check and triple_agreement
-    # share; and one keyed walk of a Cayley table for each lift, none for the
-    # roots or the walls, whose tables are certified, not walked.
-    closures, wall_actions, walks = [], [], []
+    # Nine GroupClosures, each of its own generator set: the six mod-3
+    # images, and the projective_action of the walls for each n = 2, 3, 4,
+    # which the Petersen cross-check and triple_agreement share; and one
+    # keyed walk of a Cayley table for each lift, none for the roots or the
+    # walls, whose tables are certified, not walked.
+    closures, walks = [], []
     init = isometry.GroupClosure.__init__
-    point_action = enumeration.point_action
     base_orbit = isometry._base_orbit
 
     def spy(self, generators, projective=False):
         closures.append((tuple(generators), projective))
         init(self, generators, projective)
 
-    def wall_spy(mats, projective):
-        wall_actions.append(tuple(mats))
-        return point_action(mats, projective)
-
     def walk_spy(columns, base, bound=None):
         walks.append(bound)
         return base_orbit(columns, base, bound)
 
     monkeypatch.setattr(isometry.GroupClosure, "__init__", spy)
-    monkeypatch.setattr(enumeration, "point_action", wall_spy)
     monkeypatch.setattr(isometry, "_base_orbit", walk_spy)
     for cached in (geometry.reflection_image_mod3, geometry.build_tessellation):
         cached.cache_clear()
@@ -748,8 +760,8 @@ def test_verify_all_closes_each_generator_set_once(monkeypatch):
         cached.cache_clear()
     reports = run_suite("all")
     assert {r.status for r in reports} == {"pass", "skipped"}
-    assert len(closures) == 6
-    assert len(set(closures)) == len(closures)
-    assert len(wall_actions) == 3 == enumeration.projective_action.cache_info().misses
-    assert len(set(wall_actions)) == len(wall_actions)
+    assert len(closures) == len(set(closures)) == 9
+    walls = {frozenset(geometry.wall_reflections_mod3(n).values()) for n in (2, 3, 4)}
+    assert len(walls & {frozenset(gens) for gens, projective in closures if projective}) == 3
+    assert enumeration.projective_action.cache_info().misses == 3
     assert sorted(walks) == [24, 720, 51840]  # the lifts' bounds, index times |H|

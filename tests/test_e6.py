@@ -195,8 +195,8 @@ def test_base_orbit_table_matches_tuple_oracle():
 
 
 def test_the_roots_walk_peaks_under_8_mb(traced_peak_mb):
-    # The widest layer has 186,550 candidates; a layer holds about 21 bytes
-    # each once its int64 keys are deduplicated and dropped (6.8 MB in all).
+    # The widest layer has 186,550 candidates; a layer peaks at about 31
+    # bytes each, its int64 keys included (6.9 MB in all).
     _, basis = _beta_permutations()
     table, peak = traced_peak_mb(base_orbit_table, beta_permutations(), basis)
     assert table.shape == (51840, 10)
@@ -211,17 +211,17 @@ def test_base_orbit_table_budget_fails_before_building_the_layer(layer_builds, m
     assert layer_builds and 1 + sum(layer_builds) <= 1000
 
 
-def test_base_orbit_table_requires_inverse_closed_generators():
+def test_base_orbit_table_needs_permutations_not_inverses():
     perms, basis = _beta_permutations()
     a, b = perms["1"], perms["12"]
     rotation = tuple(a[i] for i in b)  # order 3: its inverse is not in the set
-    with pytest.raises(ValueError, match="inversion"):
-        base_orbit_table([rotation], basis)
     inverse = tuple(b[i] for i in a)
-    assert len(base_orbit_table([rotation, inverse], basis)) == 3
+    alone = base_orbit_table([rotation], basis)
+    assert len(alone) == len(base_orbit_table([rotation, inverse], basis)) == 3
+    assert alone.tolist() == _oracle_table([rotation], basis)
     # A column that is no permutation, or names a point past the last or
-    # before the first, has no inverse in the set.
+    # before the first, is refused.
     for point in (a[1], 72, -1):
         broken = (point,) + a[1:]
-        with pytest.raises(ValueError, match="inversion"):
+        with pytest.raises(ValueError, match="permutation"):
             base_orbit_table([broken], basis)

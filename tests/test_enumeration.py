@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gosset import enumeration
+from gosset import enumeration, isometry
 from gosset.enumeration import (
     BUDGET_EXCEEDED,
     CLOSED,
@@ -144,9 +144,9 @@ def test_a_wrong_entry_in_the_subgroup_table_fails_the_lift(monkeypatch, peterse
     subgroup, base = LIFT_PINS["petersen"]
     cosets = todd_coxeter(build_presentation("petersen"), [(g,) for g in subgroup])
     assert cosets.order == 540
-    # Alone, a column that is no permutation fails the inversion guard, and
+    # Alone, a column that is no permutation fails the permutation guard, and
     # a wrong involution runs past the bound at once.
-    with pytest.raises(ValueError, match="inversion"):
+    with pytest.raises(ValueError, match="permutation"):
         base_orbit_table(_with_a_wrong_entry(cosets).table.T, base, 51840)
     with pytest.raises(RuntimeError, match="passes the upper bound 51840"):
         base_orbit_table(_repaired(cosets, 5).table.T, base, 51840)
@@ -171,6 +171,44 @@ def test_a_short_base_falls_below_the_bound(monkeypatch, petersen_order_report):
     assert "the orbit of (0,) has 540 points, the bound is 51840" in report.details
 
 
+def test_lift_keys_reduced_mod_7_fail_the_lift(monkeypatch, petersen_order_report):
+    # The base-n keys of _base_orbit, reduced mod a small prime, are no longer
+    # injective: the walk sees at most 7 of them, and the lift falls short.
+    real = isometry._tuple_orbit
+
+    def mod_7(columns, base, keys, base_key):
+        return real(columns, base, lambda steps, f: keys(steps, f) % 7, base_key % 7)
+
+    monkeypatch.setattr(isometry, "_tuple_orbit", mod_7)
+    with pytest.raises(RuntimeError, match="has 7 points, the bound is 51840"):
+        enumerate_diagram_group.__wrapped__("petersen")
+    report = petersen_order_report()
+    assert report.status == "error"
+    assert "the bound is 51840" in report.details
+
+
+def test_a_pick_that_never_grows_its_seen_set_fails_the_lift_fast(
+    monkeypatch, traced_peak_mb, petersen_order_report
+):
+    # A pick rule made afresh for every layer has seen the base alone, so
+    # every layer is new again and the walk never closes: the lift's bound,
+    # not the element budget, stops it, in a few layers' memory.
+    real = isometry._fresh_keys
+
+    def forgetful(candidate_keys, identity_keys, named):
+        return lambda frontier: real(candidate_keys, identity_keys, named)(frontier)
+
+    monkeypatch.setattr(isometry, "_fresh_keys", forgetful)
+
+    def lift():
+        with pytest.raises(RuntimeError, match="passes the upper bound 51840"):
+            enumerate_diagram_group.__wrapped__("petersen")
+
+    _, peak = traced_peak_mb(lift)
+    assert peak <= 16
+    assert petersen_order_report().status == "error"
+
+
 @pytest.mark.parametrize("kind", sorted(EXPECTED_ORDERS))
 def test_no_proper_prefix_of_the_pinned_base_reaches_the_order(kind):
     # B is no longer than it must be: every proper prefix has a smaller orbit.
@@ -182,15 +220,20 @@ def test_no_proper_prefix_of_the_pinned_base_reaches_the_order(kind):
         assert len(base_orbit_table(cosets.table.T, base[:k], order)) < order
 
 
-def test_the_lift_columns_pass_the_inversion_guard():
-    # The columns of a coset table of involutions are involutions, so the set
-    # is closed under inversion; the product of the columns of 2 and 3, which
-    # has order 3 on the cosets, alone, is not.
+def test_the_lift_columns_pass_the_permutation_guard():
+    # The columns of a coset table are permutations.  The product of the
+    # columns of 2 and 3, which has order 3 on the cosets, walks the same
+    # orbit alone as with its inverse; a column with a repeated entry is refused.
     subgroup, base = LIFT_PINS["a3"]
     columns = todd_coxeter(build_presentation("a3"), [(g,) for g in subgroup]).table.T
     assert len(base_orbit_table(columns, base, 24)) == 24
-    with pytest.raises(ValueError, match="inversion"):
-        base_orbit_table(columns[1][columns[2]][None], base)
+    rotation, inverse = columns[1][columns[2]], columns[2][columns[1]]
+    alone = base_orbit_table(rotation[None], base)
+    assert len(alone) == len(base_orbit_table(np.array([rotation, inverse]), base)) == 3
+    broken = np.array(columns[:1])
+    broken[0, 0] = broken[0, 1]
+    with pytest.raises(ValueError, match="permutation"):
+        base_orbit_table(broken, base)
 
 
 def test_tables_pass_replay_certificate():
@@ -387,10 +430,10 @@ def test_enumerated_tables_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         table.table[0, 0] = 5
     assert enumerate_diagram_group("a3").table[0, 0] == 1
-    columns, base, _ = enumeration.projective_action(tuple(wall_reflections_mod3(2).values()))
+    group = enumeration.projective_action(tuple(wall_reflections_mod3(2).values()))
     with pytest.raises(ValueError, match="read-only"):
-        columns[0, 0] = 5
-    assert np.array_equal(base_orbit_table(columns, base), table.table)
+        group.columns[0, 0] = 5
+    assert np.array_equal(base_orbit_table(group.columns, group.base), table.table)
 
 
 def _sympy_table(pres, subgroup):
@@ -991,16 +1034,16 @@ def test_cross_certificate_rejects_a_repaired_involution():
     assert cert.matrix_group_order == 51840
 
 
-def test_cross_certificate_raises_on_generators_not_closed_under_inversion(
-    monkeypatch, row_report
-):
-    # w1 w3 has order 3 mod +-I; its inverse w3 w1 is no generator.
+def test_cross_certificate_fails_on_a_rotated_wall(monkeypatch, row_report):
+    # w1 w3 has order 3 mod +-I, so no labelling can match the involution
+    # that the table's column of 1 is; its inverse w3 w1 need not be a generator.
     walls = wall_reflections_mod3(2)
     rotated = dict(walls, **{"1": walls["1"] @ walls["3"]})
-    with pytest.raises(ValueError, match="inversion"):
-        verify_action_against_matrices(enumerate_diagram_group("a3"), rotated)
+    assert not verify_action_against_matrices(enumerate_diagram_group("a3"), rotated).consistent
     monkeypatch.setattr(enumeration_rows, "wall_reflections_mod3", lambda n: rotated)
-    assert row_report("matrix_cross_check_{kind}", 2).status == "error"
+    report = row_report("matrix_cross_check_{kind}", 2)
+    assert report.status == "fail"
+    assert report.actual["consistent"] is False
 
 
 def test_the_presented_roots_and_matrix_tables_of_w_e6_are_equal():

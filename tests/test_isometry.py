@@ -140,7 +140,7 @@ def test_matrix_products_reject_generators_from_mixed_rings():
 def _walked(group):
     """The tuples of points the base of a closure's point action reaches, in
     the order base_orbit_table walks them: the elements as a walk lists them."""
-    return _base_orbit(*point_action(group.generators, group.projective))[0]
+    return _base_orbit(group.columns, group.base)[0]
 
 
 def _stabilizer_mod3(n):
@@ -750,19 +750,19 @@ def test_infinite_integer_closure_stops_at_the_budget(layer_builds, monkeypatch)
     assert layer_builds and 1 + sum(layer_builds) <= 10**5
 
 
-def test_closure_requires_inverse_closed_generators(layer_builds):
+def test_closure_needs_permutations_not_inverses(layer_builds):
     s = long_simple_reflections(3)
     rotation = s[1] @ s[2]  # order 3: its inverse s[2] s[1] is not in the set
-    with pytest.raises(ValueError, match="inversion"):
-        GroupClosure([rotation.reduce(3)])
-    # The same check rejects a singular generator mod m: no g' has g g' = +-I.
+    inverse = rotation @ rotation
+    # Alone or with its inverse, it generates the cyclic group of order 3.
+    for projective in (False, True):
+        assert GroupClosure([rotation.reduce(3)], projective).order == 3
+        assert GroupClosure([rotation.reduce(3), inverse.reduce(3)], projective).order == 3
+    # A singular generator mod m moves the points by no permutation.
     singular = Matrix(((0, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
     for projective in (False, True):
-        with pytest.raises(ValueError, match="inversion"):
+        with pytest.raises(ValueError, match="permutation"):
             GroupClosure([singular], projective=projective)
-    # With its inverse added the set is closed: a cyclic group of order 3.
-    inverse = rotation @ rotation
-    assert GroupClosure([rotation.reduce(3), inverse.reduce(3)]).order == 3
     # An integer closure walks descents and takes only distinct simple
     # reflections, which are involutions: the rotation, -I, a repeated
     # generator and the reflection s[1] s[2] s[1] in the root e_1 - e_3 fail
@@ -877,7 +877,7 @@ def test_point_permutations_generate_the_closures():
             group = reflection_image_mod3(n, projective)
             assert order(group.generators, projective) == group.order, (n, projective)
         walls = tuple(wall_reflections_mod3(n).values())
-        assert order(walls, True) == projective_action(walls)[2], n
+        assert order(walls, True) == projective_action(walls).order, n
         for projective in (True, False):
             assert order(walls, projective) == GroupClosure(walls, projective).order, n
 

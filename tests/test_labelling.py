@@ -55,8 +55,8 @@ def _roots(kind):
 def _walls(kind):
     table = enumerate_diagram_group(kind)
     walls = wall_reflections_mod3(WALL_DIMENSION[kind])
-    columns, base, _ = projective_action(tuple(walls[g] for g in table.generators))
-    return columns, base
+    group = projective_action(tuple(walls[g] for g in table.generators))
+    return group.columns, group.base
 
 
 ACTIONS = {"roots": _roots, "walls": _walls}
