@@ -38,20 +38,22 @@ cosets hold ints.
 
 Enumeration is exact: a closed table reports the subgroup index (the group
 order, for the trivial subgroup); hitting the coset budget reports
-budget_exceeded and never an order.  The live rows are read off the columns
-once, as a read-only int32 array that the certificates read as it is: at
-once for a closed table, on first read for a partial one.  Closed tables are
-renumbered breadth-first from the subgroup coset by isometry.table_walk,
-which makes the table canonical and golden-testable, and can be certified
-post hoc by replaying every relator at every coset (verify_table).  A closed
-table of the whole group is its regular permutation representation, and
-verify_labelling certifies it against permutations on the orbit of a base,
-with no key lookup and no walk of the orbit: the labels of the table's
-breadth-first tree must be consistent with every entry and distinct, which
-is an explicit isomorphism.  verify_action_against_matrices runs it on the
-projective matrices' point action, and the e6 suite on the beta
-reflections' root permutations; their orders come from a stabilizer chain
-of the same permutations, so no route to them reads the presented table.
+budget_exceeded, no rows and never an order.  A closed table's rows are
+read off the columns once, renumbered breadth-first from the subgroup coset
+by isometry.table_walk, which makes the table canonical and golden-testable,
+as a read-only int32 array.  The certificates read a table as it was made:
+one reader, _standard_rows, takes the rows and their breadth-first tree off
+the entries of a standardized table and rejects any other, and no
+certificate walks a table.  verify_table replays every relator at every
+coset and reads transitivity off the tree.  A closed table of the whole
+group is its regular permutation representation, and verify_labelling
+certifies it against permutations on the orbit of a base, with no key
+lookup and no walk of the orbit: the labels of the tree must be consistent
+with every entry and distinct, which is an explicit isomorphism.
+verify_action_against_matrices runs it on the projective matrices' point
+action, and the e6 suite on the beta reflections' root permutations; their
+orders come from a stabilizer chain of the same permutations, so no route
+to them reads the presented table.
 
 The diagram groups' tables are lifted from a small subgroup table, which
 proves the group order both ways (Holt, Eick and O'Brien, Handbook of
@@ -113,21 +115,6 @@ LIFT_PINS = {
 }
 
 
-class _TableField:
-    """CosetTable.table: a functools.partial given for it is called when the
-    table is first read, and the table it builds is kept."""
-
-    def __get__(self, obj: object, owner: type | None = None) -> np.ndarray:
-        if obj is None:
-            raise AttributeError("table")  # so the field has no default
-        if isinstance(table := obj.__dict__["table"], partial):
-            table = obj.__dict__["table"] = table()
-        return table
-
-    def __set__(self, obj: object, table) -> None:
-        obj.__dict__["table"] = table
-
-
 @dataclass(frozen=True, eq=False)
 class CosetTable:
     """Outcome of an enumeration.
@@ -135,15 +122,12 @@ class CosetTable:
     table[a, x] is the coset reached from coset a by generator x, in an
     (n_live, generators) int32 array, read-only as enumerate_diagram_group
     shares it.  A closed table is complete and breadth-first standardized.
-    For budget_exceeded the live cosets are numbered in the order they were
-    defined, -1 marks a gap, no order is available, and the table is built
-    and checked on first read: a negative control reads only the status.
-    Until then it pins its enumerator: 12.4 MB of Python lists for the
-    100,000-coset Petersen control (tracemalloc), whose int32 table is 3.8 MB.
+    A budget_exceeded run keeps no rows, table is None, and has no order:
+    a negative control reads only the status and the counts.
     """
 
     generators: tuple[str, ...]
-    table: np.ndarray = _TableField()
+    table: np.ndarray | None
     status: str
     n_live: int
     cosets_defined: int
@@ -516,14 +500,14 @@ def todd_coxeter(
     """Enumerate cosets of the subgroup generated by subgroup_words.
 
     With no subgroup words this enumerates the whole presented group.  The
-    budget caps cosets ever defined; exceeding it yields a table with
-    status budget_exceeded and no order.  ValueError for a budget below 1
+    budget caps cosets ever defined; exceeding it yields status
+    budget_exceeded, no rows and no order.  ValueError for a budget below 1
     or a generator whose square is not a relator.
     """
     enum = _Enumerator(pres, budget)
     words = [enum.indexed(w, "subgroup word") for w in subgroup_words]
     status = enum.run(words)
-    table = _live_table(enum, status) if status == CLOSED else partial(_live_table, enum, status)
+    table = _live_table(enum, status) if status == CLOSED else None
     return CosetTable(pres.generators, table, status, enum.live, enum.defined)
 
 
@@ -557,24 +541,34 @@ def enumerate_diagram_group(kind: str) -> CosetTable:
     return CosetTable(pres.generators, table, CLOSED, len(table), len(table))
 
 
-def _table_rows(table: CosetTable) -> np.ndarray | None:
-    """The table as an (n_live, generators) integer array, not copied, or None
-    unless every row holds one entry per generator, each in range(n_live)."""
-    n = table.n_live
+def _standard_rows(table: CosetTable) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of a table, not copied, and their breadth-first tree: the
+    row-major position of the first entry naming each coset j > 0, where the
+    running maximum of the entries rises.  None unless the rows are an
+    (n_live, generators) integer array with entries in range(n_live), and
+    standardized: the first entry naming j comes before the first naming
+    j + 1, in a row before row j, so the tree reaches every coset from 0."""
+    n, k = table.n_live, len(table.generators)
     try:
         rows = np.asarray(table.table)
     except ValueError:  # ragged rows
         return None
     # None entries make an object array, and floats are no coset numbers.
-    shaped = rows.dtype.kind in "iu" and rows.shape == (n, len(table.generators))
+    shaped = rows.dtype.kind in "iu" and rows.shape == (n, k)
     if not shaped or not ((rows >= 0) & (rows < n)).all():
         return None
-    return rows
+    peak = np.maximum.accumulate(np.r_[0, rows.ravel()])
+    firsts = np.flatnonzero(peak[1:] != peak[:-1])
+    # n - 1 rises to at most n - 1 are steps of one, to 1, 2, ..., n - 1.
+    if len(firsts) != n - 1 or (firsts // k >= np.arange(1, n)).any():
+        return None
+    return rows, firsts
 
 
 def verify_table(table: CosetTable, pres: Presentation) -> bool:
     """Replay certificate: every relator fixes every coset, columns are
-    involutive permutations, and the action is transitive from coset 0.
+    involutive permutations, and the tree of a standardized table
+    (_standard_rows) reaches every coset from 0; any other numbering fails.
     A relator u^m, u primitive, is replayed as the permutation of u applied
     m times, and the squares (x, x) are proved by the involution check.
     ValueError for an open table, other generators, a relator letter that is
@@ -587,12 +581,10 @@ def verify_table(table: CosetTable, pres: Presentation) -> bool:
     _require_involutions(pres)
     letters = {g: i for i, g in enumerate(table.generators)}
     relators = [_indexed(letters, rel, "relator") for rel in pres.relators]
-    n = table.n_live
-    rows = _table_rows(table)
-    if rows is None:
+    if (standard := _standard_rows(table)) is None:
         return False
-    cols = np.ascontiguousarray(rows.T, dtype=np.intp)  # an intp index gathers fastest
-    idx = np.arange(n)
+    cols = np.ascontiguousarray(standard[0].T, dtype=np.intp)  # an intp index gathers fastest
+    idx = np.arange(table.n_live)
     # A map of range(n) into itself that squares to the identity is a
     # permutation.
     if not all((col[col] == idx).all() for col in cols):
@@ -609,7 +601,7 @@ def verify_table(table: CosetTable, pres: Presentation) -> bool:
             cur = step[cur]
         if not (cur == idx).all():
             return False
-    return len(table_walk(rows)) == n
+    return True
 
 
 def _primitive_root(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -642,16 +634,15 @@ def verify_action_against_matrices(
     matrix group's order, matrix_group_order, which the projective_action
     takes from a stabilizer chain, is the number of cosets.  edges_checked
     counts the table's entries, which a consistent certificate has checked.
-    A malformed table is rejected before any matrix is read; generators that
-    are not invertible raise ValueError.
+    A malformed or unstandardized table is rejected before any matrix is
+    read; generators that are not invertible raise ValueError.
     """
     if table.status != CLOSED:
         raise ValueError("can only certify a closed table")
     if set(assignment) != set(table.generators):
         raise ValueError("assignment must cover exactly the table generators")
     n, k = table.n_live, len(table.generators)
-    rows = _table_rows(table)
-    if rows is None:
+    if _standard_rows(table) is None:
         return ActionCertificate(n, 0, 0, False)
     group = projective_action(tuple(assignment[g] for g in table.generators))
     consistent = verify_labelling(table, group.columns, group.base)
@@ -680,11 +671,11 @@ def verify_labelling(table: CosetTable, columns: np.ndarray, base: Sequence[int]
     a labelling is an equivariant bijection onto the orbit of base, so it
     exists exactly when the two standardized tables are equal (McConnell,
     Mehlhorn, Naher and Schweitzer, Certifying algorithms, Comput. Sci. Rev.
-    5(2), 2011).  The tree of a standardized table is read off its entries
-    (_tree); any other table is standardized first, by table_walk and
-    _renumbered.  A malformed table or a coset the tree never reaches fails
-    the certificate.  ValueError for an open table or a column count other
-    than the table's generators', OverflowError for keys past int64.
+    5(2), 2011).  The tree is read off the entries of a standardized table
+    (_standard_rows); a malformed table, or one in any other numbering,
+    fails the certificate.  ValueError for an open table, a column count
+    other than the table's generators' or a base point outside the columns'
+    points, OverflowError for keys past int64.
     """
     if table.status != CLOSED:
         raise ValueError("can only certify a closed table")
@@ -692,17 +683,14 @@ def verify_labelling(table: CosetTable, columns: np.ndarray, base: Sequence[int]
     if len(columns) != len(table.generators):
         raise ValueError(f"{len(columns)} columns for {len(table.generators)} generators")
     points = columns.shape[1]
+    if not all(0 <= p < points for p in base):
+        raise ValueError(f"a base point outside range({points}): {[int(p) for p in base]}")
     if points ** len(base) >= 2**63:
         raise OverflowError(f"{len(base)} points of {points} overflow an int64 key")
-    if (rows := _table_rows(table)) is None:
+    if (standard := _standard_rows(table)) is None:
         return False
+    rows, firsts = standard
     n, k = rows.shape
-    if (firsts := _tree(rows)) is None:
-        order = table_walk(rows)
-        if len(order) < n:
-            return False
-        rows = _renumbered(rows, order)
-        firsts = _tree(rows)
     parents, gens = np.divmod(firsts, k)
     # One place of the labels a row, each coset's parent labelled before it:
     # a breadth-first layer at a time, the cosets whose parents are done.
@@ -725,19 +713,3 @@ def verify_labelling(table: CosetTable, columns: np.ndarray, base: Sequence[int]
     keys.sort()
     return bool((keys[1:] != keys[:-1]).all())
 
-
-def _tree(rows: np.ndarray) -> np.ndarray | None:
-    """The breadth-first tree of a standardized table, whose first entry
-    naming coset j comes before the first naming j + 1, in a row before row
-    j: the row-major position of the first entry naming each coset j > 0,
-    where the running maximum of the entries rises.  None for a table that
-    is not standardized."""
-    n, k = rows.shape
-    peak = np.maximum.accumulate(rows.ravel())
-    firsts = np.flatnonzero(peak[1:] != peak[:-1]) + 1
-    if peak[0]:
-        firsts = np.insert(firsts, 0, 0)
-    cosets = np.arange(1, n)
-    if len(firsts) != n - 1 or (peak[firsts] != cosets).any() or (firsts // k >= cosets).any():
-        return None
-    return firsts

@@ -164,15 +164,8 @@ def free_hexagons(g: DiagramGraph) -> tuple[tuple[str, ...], ...]:
 
     def extend(path: tuple[str, ...]) -> None:
         if len(path) == 6:
-            if path[0] in adj[path[-1]]:
-                induced = all(
-                    path[j] not in adj[path[i]]
-                    for i in range(6)
-                    for j in range(i + 2, 6)
-                    if (i, j) != (0, 5)
-                )
-                if induced:
-                    found.add(_canonical_cycle(path))
+            if path[0] in adj[path[-1]] and _chordless(path, g):
+                found.add(_canonical_cycle(path))
             return
         for nxt in g.nodes:
             if nxt not in path and nxt in adj[path[-1]]:
@@ -191,12 +184,18 @@ def deflation_relator(hexagon: Sequence[str], g: DiagramGraph) -> Word:
     for i in range(6):
         if not g.adjacent(hexagon[i], hexagon[(i + 1) % 6]):
             raise ValueError("consecutive hexagon nodes must be adjacent")
-    for i in range(6):
-        for j in range(i + 2, 6):
-            if (i, j) != (0, 5) and g.adjacent(hexagon[i], hexagon[j]):
-                raise ValueError("hexagon must be an induced 6-cycle")
+    if not _chordless(hexagon, g):
+        raise ValueError("hexagon must be an induced 6-cycle")
     a, b, c, d, e, f = hexagon
     return (a, b, c, d, e, f, e, d, c, b)
+
+
+def _chordless(cycle: tuple[str, ...], g: DiagramGraph) -> bool:
+    """Whether no two nodes of the 6-cycle are adjacent in g but consecutive
+    ones, 0 and 5 included: the cycle is induced."""
+    return not any(
+        g.adjacent(cycle[i], cycle[j]) for i, j in combinations(range(6), 2) if 1 < j - i < 5
+    )
 
 
 @dataclass(frozen=True)

@@ -171,3 +171,23 @@ def congruence_counts():
         return order, fixed[2], fixed[3]
 
     return counts
+
+
+@pytest.fixture
+def repaired_petersen_rows():
+    """The rows of the lifted Petersen table with two 2-cycles (a a') (b b')
+    of column 0 re-paired as (a b) (a' b'), none of the four entries the
+    first to name its coset: the column is still an involution and the
+    breadth-first tree, so every label, is unchanged; only the entries tell."""
+    import numpy as np
+
+    from gosset.enumeration import enumerate_diagram_group
+
+    rows = np.array(enumerate_diagram_group("petersen").table)
+    k = rows.shape[1]
+    _, first = np.unique(rows.ravel(), return_index=True)
+    tree = set(first.tolist())
+    pairs = [(a, rows[a, 0]) for a in range(len(rows)) if a < rows[a, 0]]
+    (a, a2), (b, b2) = [p for p in pairs if not {p[0] * k, p[1] * k} & tree][:2]
+    rows[[a, b, a2, b2], 0] = b, a, b2, a2
+    return rows

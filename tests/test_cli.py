@@ -607,6 +607,15 @@ DETAILS = ROOT / "tests" / "golden_details.json"
                 "isometry.finite_group_elements",
             },
         ),
+        (
+            # The open control run is traced by its counts, not its rows.
+            ["enumeration", "--n", "3"],
+            {
+                "enumeration.todd_coxeter.budget_exceeded.affine_a5",
+                "enumeration.verify_table.affine_a5",
+                "enumeration.verify_action_against_matrices.affine_a5",
+            },
+        ),
     ],
 )
 def test_trace_spans_reach_the_suite_runners_and_layers(tmp_path, argv, rows):

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from gosset.enumeration import (
     CosetTable,
     _Enumerator,
     _live_table,
-    _table_rows,
+    _standard_rows,
     enumerate_diagram_group,
     todd_coxeter,
     verify_action_against_matrices,
@@ -39,6 +40,15 @@ CONTROL_TABLE_SHA256 = {
     "affine_a5": "4f429626b1122d79f9ccbcbc37f8c2726d2b524e4d82a1d8c2cc5f5b95f10632",
     "petersen": "50bd8e8f31220d8295fcb2991e7fa9994b7f9f3c0314e56ce9755c3bb1ccedd3",
 }
+
+
+def _with_rows(pres, subgroup, budget):
+    """todd_coxeter(pres, subgroup, budget) with the rows of an open run
+    too, which todd_coxeter drops: live cosets in order of definition, -1
+    for a gap, as _live_table reads them off the enumerator."""
+    enum = _Enumerator(pres, budget)
+    status = enum.run([enum.indexed(w, "subgroup word") for w in subgroup])
+    return CosetTable(pres.generators, _live_table(enum, status), status, enum.live, enum.defined)
 
 
 def _table_sha256(table):
@@ -96,6 +106,7 @@ def test_the_lift_equals_the_plain_enumeration(kind):
     plain = todd_coxeter(build_presentation(kind))
     assert (plain.status, plain.n_live, plain.cosets_defined) == (CLOSED, order, order)
     assert np.array_equal(plain.table, enumerate_diagram_group(kind).table)
+    assert _standard_rows(enumerate_diagram_group(kind)) is not None
     if kind == "petersen":
         assert hashlib.sha256(_dump(plain).encode()).hexdigest() == PETERSEN_DUMP_SHA256
 
@@ -298,7 +309,7 @@ def test_certificates_reject_malformed_tables(rows):
 
 def test_certificates_read_an_enumerated_table_without_a_copy():
     table = enumerate_diagram_group("a3")
-    assert _table_rows(table) is table.table
+    assert _standard_rows(table)[0] is table.table
 
 
 def test_unknown_letters_raise_value_errors():
@@ -382,7 +393,7 @@ def test_coincidences_collapse_the_table(case):
 
 def test_partial_table_keeps_live_cosets_only():
     relators = COINCIDENCE_CASES["a3_plus_13"][0]
-    table = todd_coxeter(Presentation(A3.generators, relators), [("1",)], budget=2)
+    table = _with_rows(Presentation(A3.generators, relators), [("1",)], budget=2)
     assert table.status == BUDGET_EXCEEDED
     assert (table.n_live, table.cosets_defined) == (1, 2)
     assert table.table.tolist() == [[0, -1, 0]]
@@ -391,7 +402,7 @@ def test_partial_table_keeps_live_cosets_only():
 def test_partial_table_entries_name_its_own_rows():
     # Coset 1 dies in a coincidence, so live cosets 0 and 2 are rows 0 and 1.
     pres = Presentation(A3.generators, A3.relators + (("1",),))
-    table = todd_coxeter(pres, budget=3)
+    table = _with_rows(pres, (), budget=3)
     assert (table.status, table.n_live, table.cosets_defined) == (BUDGET_EXCEEDED, 2, 3)
     assert _dump(table) == "1: 1 2 -\n2: 2 1 -\n"
 
@@ -512,8 +523,10 @@ def test_random_extensions_match_sympy_or_stay_symmetric():
         subgroup = data.draw(st.lists(words, max_size=2))
         budget = data.draw(st.integers(2, 40))
         pres = Presentation(pres.generators, pres.relators + tuple(extra))
-        table = todd_coxeter(pres, subgroup, budget)
+        table = _with_rows(pres, subgroup, budget)
         assert table.n_live <= table.cosets_defined <= budget
+        if table.status == CLOSED:
+            assert _standard_rows(table) is not None
         if table.status == CLOSED and kind == "a3":
             assert table.table.tolist() == _sympy_table(pres, subgroup)
             return
@@ -522,7 +535,7 @@ def test_random_extensions_match_sympy_or_stay_symmetric():
             assert all(_fixes_coset_0(table, pres.generators, w) for w in subgroup)
             return
         assert table.status == BUDGET_EXCEEDED
-        # Live rows name live cosets only, by row (todd_coxeter raises on an
+        # Live rows name live cosets only, by row (_live_table raises on an
         # entry that names a dead coset), each edge stored both ways, and the
         # partial table reaches them all from coset 0.
         rows = table.table
@@ -596,25 +609,43 @@ def test_a_long_relator_closes_without_compiling(monkeypatch, fresh_scanners):
 
 def test_without_deflation_the_affine_group_is_infinite():
     pres = build_presentation("affine_a5", deflate=False)
-    table = todd_coxeter(pres, budget=100_000)
+    table = _with_rows(pres, (), budget=100_000)
     assert table.status == BUDGET_EXCEEDED
     assert table.cosets_defined == table.n_live == 100_000
     with pytest.raises(ValueError):
         table.order
-    # Reading the partial table builds it and checks that no live row names
-    # a dead coset.
+    # Reading the partial rows checks that no live row names a dead coset.
     assert _table_sha256(table) == CONTROL_TABLE_SHA256["affine_a5"]
 
 
 def test_without_deflation_the_petersen_group_exceeds_budget(traced_peak_mb):
     pres = build_presentation("petersen", deflate=False)
     table, peak = traced_peak_mb(todd_coxeter, pres, (), 100_000)
-    assert table.status == BUDGET_EXCEEDED
+    assert (table.status, table.table) == (BUDGET_EXCEEDED, None)
     assert table.cosets_defined == table.n_live == 100_000
-    # The peak bounds what the unread partial table pins through its
-    # enumerator: ten columns, the union-find and the scanners (12.4 MB).
+    # The peak bounds the enumerator, dropped when todd_coxeter returns: ten
+    # columns, the union-find and the scanners (12.4 MB).
     assert peak <= 14
-    assert _table_sha256(table) == CONTROL_TABLE_SHA256["petersen"]
+    assert _table_sha256(_with_rows(pres, (), budget=100_000)) == CONTROL_TABLE_SHA256["petersen"]
+
+
+def test_an_open_run_keeps_nothing_of_its_enumerator():
+    # No lazy table pins the enumerator's column lists once todd_coxeter
+    # returns: they were 12.3 MB for the 100,000-coset Petersen control.
+    pres = build_presentation("petersen", deflate=False)
+    todd_coxeter(pres, budget=20_000)  # the compiled scanners stay cached
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        table = todd_coxeter(pres, budget=20_000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (table.status, table.table) == (BUDGET_EXCEEDED, None)
+    assert (kept - start) * 10 < peak - start
 
 
 def test_the_columns_stop_at_the_budget():
@@ -676,21 +707,23 @@ def test_a3_stops_at_every_budget_around_a_column_doubling(
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_the_negative_controls_build_no_partial_table(monkeypatch, row_report, n):
-    built = []
+    # The control's open run keeps no rows, and no rows are read off it.
+    built, runs = [], []
     live_table = enumeration._live_table
 
     def spy(enum, status):
         built.append(status)
         return live_table(enum, status)
 
+    def recorded(*args, **kwargs):
+        runs.append(todd_coxeter(*args, **kwargs))
+        return runs[-1]
+
     monkeypatch.setattr(enumeration, "_live_table", spy)
+    monkeypatch.setattr(enumeration_rows, "todd_coxeter", recorded)
     assert row_report("no_deflation_diverges_{kind}", n).status == "pass"
+    assert [(run.status, run.table) for run in runs] == [(BUDGET_EXCEEDED, None)]
     assert built == []
-    # The spy sees a partial table once it is read, and once only.
-    cut = todd_coxeter(A3, [("1",)], budget=2)
-    assert built == []
-    assert cut.table.shape == (cut.n_live, 3) and cut.table is cut.table
-    assert built == [BUDGET_EXCEEDED]
 
 
 def _random_extension(seed):
@@ -849,7 +882,8 @@ def _corpus_tables(monkeypatch, schedule):
             enumeration, "_COMPILE_PER_LETTER", schedule(EQUIVALENCE_PINS[name][2], letters)
         )
         used[name] = []
-        table = todd_coxeter(pres, subgroup, budget)
+        table = _with_rows(pres, subgroup, budget)
+        assert table.status != CLOSED or _standard_rows(table) is not None
         found[name] = (table.status, table.n_live, table.cosets_defined, _table_sha256(table))
     return found, used
 
@@ -1017,18 +1051,14 @@ def test_cross_certificate_rejects_a_corrupted_table(entry):
     assert not verify_action_against_matrices(table, wall_reflections_mod3(2)).consistent
 
 
-def test_cross_certificate_rejects_a_repaired_involution():
-    # Re-pair two 2-cycles (a a') (b b') of column 0 as (a b) (a' b'): the
-    # column is still an involution, so the table passes _table_rows.
-    rows = np.array(enumerate_diagram_group("petersen").table)
-    a, b = 1, 7
-    a2, b2 = rows[a, 0], rows[b, 0]
-    assert len({a, a2, b, b2}) == 4
-    rows[[a, b, a2, b2], 0] = b, a, b2, a2
+def test_cross_certificate_rejects_a_repaired_involution(repaired_petersen_rows):
+    # The column is still an involution and the tree is unchanged, so the
+    # table passes _standard_rows: the labels reject it.
+    rows = repaired_petersen_rows
     column = rows[:, 0]
     assert np.array_equal(column[column], np.arange(len(rows)))
     table = CosetTable(enumerate_diagram_group("petersen").generators, rows, CLOSED, 51840, 51840)
-    assert _table_rows(table) is not None
+    assert _standard_rows(table) is not None
     cert = verify_action_against_matrices(table, wall_reflections_mod3(4))
     assert not cert.consistent
     assert cert.matrix_group_order == 51840
@@ -1057,16 +1087,19 @@ def test_the_presented_roots_and_matrix_tables_of_w_e6_are_equal():
     assert np.array_equal(presented.table, base_orbit_table(*matrices))
 
 
-def test_cross_certificate_walks_any_numbering_from_coset_0():
-    # Relabel the cosets of a3 by a fixed permutation that keeps coset 0.
+def test_cross_certificate_rejects_any_other_numbering_from_coset_0():
+    # Relabel the cosets of a3 by a fixed permutation that keeps coset 0:
+    # the same action, but not standardized, so no certificate reads it.
     rows = enumerate_diagram_group("a3").table.tolist()
     relabel = [0] + list(range(23, 0, -1))
     moved = [None] * 24
     for old, row in enumerate(rows):
         moved[relabel[old]] = tuple(relabel[b] for b in row)
     table = CosetTable(A3.generators, tuple(moved), CLOSED, 24, 24)
+    assert _standard_rows(table) is None
+    assert not verify_table(table, A3)
     cert = verify_action_against_matrices(table, wall_reflections_mod3(2))
-    assert cert.consistent and cert.matrix_group_order == 24
+    assert (cert.consistent, cert.matrix_group_order, cert.edges_checked) == (False, 0, 0)
 
     # Two disjoint copies: the walk from coset 0 never reaches the second.
     union = rows + [[v + 24 for v in row] for row in rows]

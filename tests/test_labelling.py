@@ -1,5 +1,6 @@
 """The keyless labelling certificate: a presented table against permutations on the orbit of a base."""
 
+import inspect
 from dataclasses import replace
 from itertools import permutations
 
@@ -10,12 +11,16 @@ from gosset import enumeration
 from gosset.e6 import SIMPLE_ROOTS, beta_permutations, root_system
 from gosset.enumeration import (
     BUDGET_EXCEEDED,
+    CLOSED,
+    CosetTable,
     enumerate_diagram_group,
     projective_action,
+    verify_action_against_matrices,
     verify_labelling,
+    verify_table,
 )
 from gosset.geometry import wall_reflections_mod3
-from gosset.presentation import diagram_graph
+from gosset.presentation import build_presentation, diagram_graph
 
 WALL_DIMENSION = {"a3": 2, "affine_a5": 3, "petersen": 4}
 
@@ -69,11 +74,21 @@ def test_the_lifted_tables_pass(kind, action):
 
 
 def test_a_standardized_table_is_labelled_without_a_walk(monkeypatch):
-    def no_walk(rows):
+    # All three certificates read each lifted table as it was made.
+    tables = {kind: enumerate_diagram_group(kind) for kind in WALL_DIMENSION}
+    actions = {kind: [action(kind) for action in ACTIONS.values()] for kind in tables}
+
+    def no_walk(*args):
         raise AssertionError("walked a standardized table")
 
     monkeypatch.setattr(enumeration, "table_walk", no_walk)
-    assert verify_labelling(enumerate_diagram_group("petersen"), *_roots("petersen"))
+    monkeypatch.setattr(enumeration, "_renumbered", no_walk)
+    for kind, table in tables.items():
+        assert verify_table(table, build_presentation(kind))
+        walls = wall_reflections_mod3(WALL_DIMENSION[kind])
+        assert verify_action_against_matrices(table, walls).consistent
+        for columns, base in actions[kind]:
+            assert verify_labelling(table, columns, base)
 
 
 def _petersen_with_rows(rows):
@@ -81,32 +96,48 @@ def _petersen_with_rows(rows):
     return replace(table, table=rows, n_live=len(rows))
 
 
-def test_any_numbering_from_coset_0_passes():
-    # Cosets 1..n-1 numbered backwards: the tree comes from table_walk.
+def test_any_other_numbering_from_coset_0_fails():
+    # Cosets 1..n-1 numbered backwards: the same action, not standardized,
+    # fails all three certificates, as none of them walks a table.
     rows = enumerate_diagram_group("petersen").table
     relabel = np.r_[0, np.arange(len(rows) - 1, 0, -1)]
     moved = np.empty_like(rows)
     moved[relabel] = relabel[rows]
+    table = _petersen_with_rows(moved)
     for action in ACTIONS.values():
-        assert verify_labelling(_petersen_with_rows(moved), *action("petersen"))
+        assert not verify_labelling(table, *action("petersen"))
+    assert not verify_table(table, build_presentation("petersen"))
+    assert not verify_action_against_matrices(table, wall_reflections_mod3(4)).consistent
+
+
+def test_a_coset_first_named_in_its_own_row_fails(monkeypatch):
+    # Two cosets, each fixed by every generator: every relator holds, every
+    # column is an involution and the entries rise in order, but coset 1 is
+    # first named in its own row, so no tree from coset 0 reaches it.
+    a3 = build_presentation("a3")
+    table = CosetTable(a3.generators, np.array([[0, 0, 0], [1, 1, 1]]), CLOSED, 2, 2)
+    assert not verify_table(table, a3)
+    assert not verify_labelling(table, *_walls("a3"))
+    assert not verify_action_against_matrices(table, wall_reflections_mod3(2)).consistent
+    # Without the row-before clause the replay certificate passes it.  The
+    # labelling is not run on that mutant: its tree's layers never advance.
+    source = inspect.getsource(enumeration._standard_rows)
+    clause = " or (firsts // k >= np.arange(1, n)).any()"
+    assert source.count(clause) == 1
+    namespace = dict(vars(enumeration))
+    exec(source.replace(clause, ""), namespace)
+    monkeypatch.setattr(enumeration, "_standard_rows", namespace["_standard_rows"])
+    assert verify_table(table, a3)
 
 
 @pytest.mark.parametrize("action", sorted(ACTIONS))
-def test_a_consistent_swap_in_one_column_fails(action):
-    # Re-pair two 2-cycles (a a') (b b') of column 0 as (a b) (a' b'), none of
-    # the four entries the first to name its coset: the column is still an
-    # involution and the tree, so every label, is unchanged; only the
-    # entries tell.
-    rows = np.array(enumerate_diagram_group("petersen").table)
-    k = rows.shape[1]
-    _, first = np.unique(rows.ravel(), return_index=True)
-    tree = set(first.tolist())
-    pairs = [(a, rows[a, 0]) for a in range(len(rows)) if a < rows[a, 0]]
-    (a, a2), (b, b2) = [p for p in pairs if not {p[0] * k, p[1] * k} & tree][:2]
-    rows[[a, b, a2, b2], 0] = b, a, b2, a2
+def test_a_consistent_swap_in_one_column_fails(action, repaired_petersen_rows):
+    rows = repaired_petersen_rows
+    original = enumerate_diagram_group("petersen").table
     assert np.array_equal(rows[rows[:, 0], 0], np.arange(len(rows)))
+    _, first = np.unique(original.ravel(), return_index=True)
     _, moved_first = np.unique(rows.ravel(), return_index=True)
-    assert np.array_equal(moved_first, first)
+    assert np.array_equal(moved_first, first) and not np.array_equal(rows, original)
     assert not verify_labelling(_petersen_with_rows(rows), *ACTIONS[action]("petersen"))
 
 
@@ -147,3 +178,11 @@ def test_an_open_table_or_a_missing_column_raises():
         verify_labelling(replace(table, status=BUDGET_EXCEEDED), columns, base)
     with pytest.raises(ValueError, match="2 columns for 3 generators"):
         verify_labelling(table, columns[:2], base)
+
+
+@pytest.mark.parametrize("point", [5, 7, -1])
+def test_a_base_point_outside_the_columns_raises(point):
+    # Five points: a base point past them would read another column's entries.
+    table = enumerate_diagram_group("a3")
+    with pytest.raises(ValueError, match=rf"outside range\(5\): \[{point}\]"):
+        verify_labelling(table, np.array([np.arange(5)] * 3), [point])
