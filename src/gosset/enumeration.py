@@ -462,23 +462,20 @@ class _Enumerator:
             self.defined = defined
 
 
-def _live_table(enum: _Enumerator, status: str) -> np.ndarray:
-    """The live rows as a read-only int32 array, -1 for a gap, each live coset
-    renumbered to its row: in table_walk order for a closed table, which
-    standardizes it, else in order of definition.  Coincidences redirect every
-    edge, so an entry naming a dead or undefined coset raises AssertionError."""
+def _live_table(enum: _Enumerator) -> np.ndarray:
+    """The live rows of a closed run as a read-only int32 array, each live
+    coset renumbered to its row in table_walk order, which standardizes it.
+    Coincidences redirect every edge, so an entry naming a dead or undefined
+    coset raises AssertionError, as does a gap or an intransitive action."""
     rows = np.empty((enum.defined, enum.ngens), dtype=np.int32)
     for x, col in enumerate(enum.cols):
         rows[:, x] = [-1 if b is None else b for b in col[: enum.defined]]
     if (rows >= enum.defined).any():
         raise AssertionError("a live row names a dead coset")
-    is_live = [a is None for a in enum.parent[: enum.defined]]
-    order = table_walk(rows) if status == CLOSED else np.flatnonzero(is_live)
+    order = table_walk(rows)
     table = _renumbered(rows, order)
     table.flags.writeable = False
-    if ((table < 0) != (rows[order] < 0)).any():
-        raise AssertionError("a live row names a dead coset")
-    if status == CLOSED and (len(order) != enum.live or (table < 0).any()):
+    if len(order) != enum.live or (table < 0).any():
         raise AssertionError("closed table has a gap or an intransitive action")
     return table
 
@@ -507,7 +504,7 @@ def todd_coxeter(
     enum = _Enumerator(pres, budget)
     words = [enum.indexed(w, "subgroup word") for w in subgroup_words]
     status = enum.run(words)
-    table = _live_table(enum, status) if status == CLOSED else None
+    table = _live_table(enum) if status == CLOSED else None
     return CosetTable(pres.generators, table, status, enum.live, enum.defined)
 
 

@@ -20,22 +20,21 @@ int64, or a set's sorted points), and a layer's candidate keys are
 deduplicated once and looked up in one sorted array of every key seen, so
 any generators of a finite group will do.  Over Z it goes by descents, for
 generators that are distinct simple reflections, and keys nothing (see
-_descents); each product is an int8 matrix, gathered once into its layer,
-in batches of a fixed number of rows, and reflected there in place by a
-swap of two columns or a rank-one sum (_reflect).  The other closures
-stream their layers, so a stabilizer is bounded by its largest layer, not
-its order.  The congruence check closes no group: it counts each
+_descents); each product is an int8 matrix, gathered once into its layer
+and reflected there in place by one rank-one sum (_reflect).  The other
+closures stream their layers, so a stabilizer is bounded by its largest
+layer, not its order.  The congruence check closes no group: it counts each
 stabilizer, up to E7 of order 2903040, down its chain of parabolic
 subgroups, by one transversal a level, 56 + 27 + 16 + 10 + 6 + 2 matrices
 at n = 7.  Walks fail fast past DEFAULT_ELEMENT_BUDGET elements, read when
 each starts, which also stops an infinite group over Z.  layered_closure
-also closes orbits of integer rows (orbit(): the E6 roots, stabilizer
-orbits), walks integer tables (table_walk(): coset tables, tile graphs),
-and walks the orbit of a tuple of points (_tuple_orbit): keyed by the
-tuple, in the one Cayley-table primitive, base_orbit_table() (the lifted
-tables of the diagram groups); keyed by its set, in coset_space().  It also
-walks the transversals of a stabilizer chain (_level), picked by a
-seen-mask.
+also closes orbits of integer arrays (orbit(): the E6 roots, stabilizer
+orbits, and the congruence transversals, keyed by one row), walks integer
+tables (table_walk(): coset tables, tile graphs), and walks the orbit of a
+tuple of points (_tuple_orbit): keyed by the tuple, in the one Cayley-table
+primitive, base_orbit_table() (the lifted tables of the diagram groups);
+keyed by its set, in coset_space().  It also walks the transversals of a
+stabilizer chain (_level), picked by a seen-mask.
 
 No matrix over Z/m is multiplied.  A matrix group mod m acts faithfully on
 the row vectors of (Z/m)^d, and a projective one, modulo {I, -I}, on their
@@ -235,7 +234,7 @@ def layered_closure(
     and base_orbit_table's); build(F, picks) builds them, after
     DEFAULT_ELEMENT_BUDGET, read when the walk starts, has been checked
     against the count so far.  The pick rule may keep state from one layer
-    to the next, keys included, as _fresh_keys and _descents do.
+    to the next, keys included, as _fresh_keys does.
 
     Yields the elements, one block per layer, the identity layer first.
     Nothing else is kept, so a caller that keeps no block holds at most two
@@ -298,23 +297,28 @@ def _fresh_keys(
     return pick
 
 
-def orbit(seeds: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Breadth-first orbit of integer rows, in discovery order, by layered_closure.
+def orbit(
+    seeds: np.ndarray,
+    step: Callable[[np.ndarray], np.ndarray],
+    key: Callable[[np.ndarray], np.ndarray] = _pack_int8,
+) -> np.ndarray:
+    """Breadth-first orbit of integer arrays, in discovery order, by layered_closure.
 
-    step(F) gives the images of the frontier rows F under each generator,
-    stacked generator-major.  Each row is its own key, packed by _pack_int8:
-    at most eight entries, each within int8.  The seeds must be distinct.
-    The element budget counts the seeds.  The walk's steps are not kept.
+    step(F) gives the images of the frontier F under each generator, stacked
+    generator-major.  key gives one int64 per element, injective on the
+    orbit; by default each row is its own key, packed by _pack_int8: at most
+    eight entries, each within int8.  The seeds' keys must be distinct.  The
+    element budget counts the seeds.  The walk's steps are not kept.
     """
-    keys = np.sort(_pack_int8(seeds))
+    keys = np.sort(key(seeds))
     if (keys[1:] == keys[:-1]).any():
-        raise ValueError("orbit seeds must be distinct")
+        raise ValueError("orbit seeds must have distinct keys")
     images = seeds
 
     def image_keys(frontier: np.ndarray) -> np.ndarray:
         nonlocal images
-        images = step(frontier).reshape(-1, seeds.shape[1])
-        return _pack_int8(images)
+        images = step(frontier).reshape(-1, *seeds.shape[1:])
+        return key(images)
 
     pick = _fresh_keys(image_keys, keys, [])
     layers = layered_closure(seeds, pick, lambda f, picks: images[picks])
@@ -478,16 +482,6 @@ def table_walk(rows: np.ndarray) -> np.ndarray:
     return np.concatenate(list(layers))
 
 
-# Rows reflected per batch: the temporaries of an integer layer stay this
-# many rows long, however long the layer is.
-_CHUNK_ROWS = 2**14
-
-
-def _chunks(stop: int, start: int = 0) -> Iterator[slice]:
-    """Consecutive slices of at most _CHUNK_ROWS rows covering range(start, stop)."""
-    return (slice(i, min(i + _CHUNK_ROWS, stop)) for i in range(start, stop, _CHUNK_ROWS))
-
-
 def _ring(generators: Sequence[Matrix]) -> tuple[int | None, int]:
     """The modulus (None over Z) and the size d of square generators of one ring."""
     if not generators:
@@ -505,21 +499,16 @@ def _reflect(mats: np.ndarray, alpha: Root) -> None:
 
     Column j of M s_alpha is M e_j - c_j M alpha, for c = coroot(alpha), the
     coefficients 2 (e_j, alpha) / (alpha, alpha); only the columns in the
-    support of alpha change.  When alpha and c are both e_i - e_j, that swaps
-    columns i and j.  Otherwise the support is summed into the int32 image
+    support of alpha change.  The support is summed into the int32 image
     M alpha, exact for entries within int8, and OverflowError is raised
     before an entry past +-127 is stored.
     """
     support, c = [j for j, x in enumerate(alpha) if x], coroot(alpha).tolist()
-    coords, c = [alpha[j] for j in support], [c[j] for j in support]
-    if coords == c == [1, -1] and support[0]:
-        mats[:, :, support] = mats[:, :, support[::-1]]
-        return
     image = np.zeros(mats.shape[:2], dtype=np.int32)
-    for j, x in zip(support, coords):
-        image += x * mats[:, :, j].astype(np.int32)
-    for j, c_j in zip(support, c):
-        column = mats[:, :, j] - c_j * image
+    for j in support:
+        image += alpha[j] * mats[:, :, j].astype(np.int32)
+    for j in support:
+        column = mats[:, :, j] - c[j] * image
         if len(column) and (column.max() > 127 or column.min() < -127):
             raise OverflowError("matrix entries exceed int8 storage")
         mats[:, :, j] = column
@@ -529,20 +518,17 @@ def _reflection_layers(roots: Sequence[Root]) -> Iterator[np.ndarray]:
     """The closure of the reflections in distinct simple roots of Z^{n,1},
     in any order, from the identity: one block of int8 matrices a layer.
 
-    Picked by _descents, each batch of _CHUNK_ROWS picked frontier rows is
-    gathered once, straight into the layer, and reflected there by _reflect.
+    Picked by _descents, the picked frontier rows are gathered once into the
+    layer, and each generator's run of them is reflected there by _reflect.
     """
     d = len(roots[0])
 
     def build(frontier: np.ndarray, picks: np.ndarray) -> np.ndarray:
-        out = np.empty((len(picks), d, d), dtype=np.int8)
+        out = frontier[picks % len(frontier)]
         # Sorted, the picks of each generator are one run.
         runs = np.searchsorted(picks, np.arange(len(roots) + 1) * len(frontier))
         for s, alpha in enumerate(roots):
-            for chunk in _chunks(runs[s + 1], runs[s]):
-                rows = picks[chunk] - s * len(frontier)  # in range: no clip happens
-                np.take(frontier, rows, axis=0, out=out[chunk], mode="clip")  # "raise" buffers
-                _reflect(out[chunk], alpha)
+            _reflect(out[runs[s] : runs[s + 1]], alpha)
         return out
 
     return layered_closure(np.eye(d, dtype=np.int8)[None], _descents(roots), build)
@@ -551,34 +537,30 @@ def _reflection_layers(roots: Sequence[Root]) -> Iterator[np.ndarray]:
 def _descents(roots: Sequence[Root]) -> Callable[[np.ndarray], np.ndarray]:
     """The pick rule by descents, for reflections in distinct simple roots of Z^{n,1}.
 
-    It keeps r[t, j] = (w_j alpha_t, v) for the j-th frontier element w_j
-    and the t-th generator's root alpha_t.  w s is new, and first reached
-    here, iff s is an ascent of w and no generator t before s is a
-    descent of w s: r[s, j] > 0 and r[t, j] - c_ts r[s, j] > 0 for t < s,
-    as s(alpha_t) = alpha_t - c_ts alpha_s.
+    It reads r[t, j] = (w_j alpha_t, v) = alpha_t . (w_j^T J v) off the j-th
+    frontier element w_j, for the t-th generator's root alpha_t and the
+    chamber vector v.  w s is new, and first reached here, iff s is an
+    ascent of w and no generator t before s is a descent of w s: r[s, j] > 0
+    and r[t, j] - c_ts r[s, j] > 0 for t < s, as s(alpha_t) = alpha_t - c_ts
+    alpha_s.  Nothing is kept from one layer to the next.
     """
     # cartan[t, s] = c_ts = 2 (alpha_t, alpha_s) / (alpha_s, alpha_s), alpha_t . coroot(alpha_s).
-    cartan = (np.array(roots) @ np.array([coroot(b) for b in roots]).T).astype(np.int32)
-    v = chamber_vector(len(roots[0]) - 1)
-    pairings = np.array([[inner(a, v)] for a in roots], dtype=np.int32)
+    alphas = np.array(roots, dtype=np.int32)
+    cartan = alphas @ np.array([coroot(b) for b in roots], dtype=np.int32).T
+    d = len(roots[0])
+    jv = (gram(d) @ chamber_vector(d - 1)).astype(np.int32)
 
     def pick(frontier: np.ndarray) -> np.ndarray:
-        nonlocal pairings
-        ascents = pairings > 0
-        picks, blocks = [], []
+        # w^T J v as int8 rows of w times int32 scalars: no int64 copy of the frontier.
+        r = alphas @ sum(frontier[:, a] * x for a, x in enumerate(jv)).T
+        ascents = r > 0
+        picks = []
         for s in range(len(roots)):
             new = ascents[s].copy()
             for t in range(s):
                 c = cartan[t, s]  # 0 when s and t commute: t keeps its sign
-                new &= pairings[t] > c * pairings[s] if c else ascents[t]
-            rows = np.flatnonzero(new)
-            block = pairings[:, rows]
-            r_s = block[s].copy()
-            for t in np.flatnonzero(cartan[:, s]):
-                block[t] -= cartan[t, s] * r_s
-            picks.append(rows + s * pairings.shape[1])
-            blocks.append(block)
-        pairings = np.concatenate(blocks, axis=1)
+                new &= r[t] > c * r[s] if c else ascents[t]
+            picks.append(np.flatnonzero(new) + s * len(frontier))
         return np.concatenate(picks)
 
     return pick
@@ -816,25 +798,21 @@ def _transversal(roots: tuple[Root, ...]) -> np.ndarray:
     shape (k, d, d), the identity first.
 
     Row n of x is e_n^T x, which is (u e_n)^T J for u = x^-1, and x, x' lie
-    in one coset exactly when their rows n agree.  So layered_closure walks
-    the orbit of the row e_n^T under right multiplication, picked by
-    _fresh_keys on row n packed by _pack_int8, and the u = x^-1 are one
-    representative of each coset u W_J.  Every product of a frontier is
-    built, by _reflect, before it is keyed: there are at most 56 x 7.
+    in one coset exactly when their rows n agree.  So orbit() walks the
+    orbit of the row e_n^T under right multiplication, keyed by row n, and
+    the u = x^-1 are one representative of each coset u W_J.  Every product
+    of a frontier is built, by _reflect, before it is keyed: there are at
+    most 56 x 7.
     """
-    d = len(roots[0])
-    identity = np.eye(d, dtype=np.int8)[None]
-    products = identity
 
-    def row_keys(frontier: np.ndarray) -> np.ndarray:
-        nonlocal products
-        products = np.concatenate([frontier] * len(roots))  # generator-major
+    def products(frontier: np.ndarray) -> np.ndarray:
+        out = np.concatenate([frontier] * len(roots))  # generator-major
         for s, alpha in enumerate(roots):
-            _reflect(products[s * len(frontier) : (s + 1) * len(frontier)], alpha)
-        return _pack_int8(products[:, -1])
+            _reflect(out[s * len(frontier) : (s + 1) * len(frontier)], alpha)
+        return out
 
-    pick = _fresh_keys(row_keys, _pack_int8(identity[:, -1]), [])
-    reps = np.concatenate(list(layered_closure(identity, pick, lambda f, picks: products[picks])))
+    identity = np.eye(len(roots[0]), dtype=np.int8)[None]
+    reps = orbit(identity, products, lambda x: _pack_int8(x[:, -1]))
     reps.flags.writeable = False  # the checks for every n share the levels
     return reps
 

@@ -774,3 +774,27 @@ def test_verify_all_closes_each_generator_set_once(monkeypatch):
     assert len(walls & {frozenset(gens) for gens, projective in closures if projective}) == 3
     assert enumeration.projective_action.cache_info().misses == 3
     assert sorted(walks) == [24, 720, 51840]  # the lifts' bounds, index times |H|
+
+
+def test_verify_all_streams_only_the_small_integer_closures(monkeypatch):
+    # The integer closure serves build_tessellation's check of the stabilizer
+    # order alone: W of order 2, 12 and 120, 134 matrices in all.  The
+    # lattice suite counts down the parabolic chain, n = 7 included, and
+    # streams none.
+    streamed = []
+    reflection_layers = isometry._reflection_layers
+
+    def spy(roots):
+        streamed.append(0)
+        for block in reflection_layers(roots):
+            streamed[-1] += len(block)
+            yield block
+
+    monkeypatch.setattr(isometry, "_reflection_layers", spy)
+    geometry.build_tessellation.cache_clear()
+    assert {r.status for r in run_suite("all")} == {"pass", "skipped"}
+    assert sorted(streamed) == [2, 12, 120]
+    streamed.clear()
+    isometry._transversal.cache_clear()
+    assert {r.status for r in run_suite("lattice", Options(max_n=7))} == {"pass"}
+    assert streamed == []

@@ -18,6 +18,7 @@ from gosset.enumeration import (
     CosetTable,
     _Enumerator,
     _live_table,
+    _renumbered,
     _standard_rows,
     enumerate_diagram_group,
     todd_coxeter,
@@ -44,11 +45,27 @@ CONTROL_TABLE_SHA256 = {
 
 def _with_rows(pres, subgroup, budget):
     """todd_coxeter(pres, subgroup, budget) with the rows of an open run
-    too, which todd_coxeter drops: live cosets in order of definition, -1
-    for a gap, as _live_table reads them off the enumerator."""
+    too, which todd_coxeter drops, read by _open_rows."""
     enum = _Enumerator(pres, budget)
     status = enum.run([enum.indexed(w, "subgroup word") for w in subgroup])
-    return CosetTable(pres.generators, _live_table(enum, status), status, enum.live, enum.defined)
+    rows = _live_table(enum) if status == CLOSED else _open_rows(enum)
+    return CosetTable(pres.generators, rows, status, enum.live, enum.defined)
+
+
+def _open_rows(enum):
+    """The live rows of an open run in order of definition, each entry
+    renumbered to its row, -1 for a gap.  Coincidences redirect every edge,
+    so an entry naming a dead or undefined coset raises AssertionError."""
+    rows = np.empty((enum.defined, enum.ngens), dtype=np.int32)
+    for x, col in enumerate(enum.cols):
+        rows[:, x] = [-1 if b is None else b for b in col[: enum.defined]]
+    if (rows >= enum.defined).any():
+        raise AssertionError("a live row names a dead coset")
+    live = np.flatnonzero([a is None for a in enum.parent[: enum.defined]])
+    table = _renumbered(rows, live)
+    if ((table < 0) != (rows[live] < 0)).any():
+        raise AssertionError("a live row names a dead coset")
+    return table
 
 
 def _table_sha256(table):
@@ -419,21 +436,23 @@ def test_partial_table_entries_name_its_own_rows():
 )
 def test_a_live_row_naming_a_dead_coset_raises(relators, budget, status, edge):
     # Renumbering maps a dead coset to -1; it must not pass for a gap.
+    # A closed run is read by _live_table, an open one by the tests' _open_rows.
     enum = _Enumerator(Presentation(A3.generators, relators), budget)
     assert enum.run([]) == status
+    read = _live_table if status == CLOSED else _open_rows
     x, alpha, dead = edge
     assert enum.parent[alpha] is None and enum.parent[dead] is not None
-    _live_table(enum, status)
+    read(enum)
     enum.cols[x][alpha] = dead
     with pytest.raises(AssertionError):
-        _live_table(enum, status)
+        read(enum)
     # Past the defined cosets the grown columns hold gaps, but no entry can
     # name a coset there: the first such coset and any later one fail the
     # same check, before the walk reads the table.
     for past in (enum.defined, enum.defined + 5):
         enum.cols[x][alpha] = past
         with pytest.raises(AssertionError, match="dead coset"):
-            _live_table(enum, status)
+            read(enum)
 
 
 def test_enumerated_tables_are_read_only():
@@ -535,7 +554,7 @@ def test_random_extensions_match_sympy_or_stay_symmetric():
             assert all(_fixes_coset_0(table, pres.generators, w) for w in subgroup)
             return
         assert table.status == BUDGET_EXCEEDED
-        # Live rows name live cosets only, by row (_live_table raises on an
+        # Live rows name live cosets only, by row (_open_rows raises on an
         # entry that names a dead coset), each edge stored both ways, and the
         # partial table reaches them all from coset 0.
         rows = table.table
@@ -711,9 +730,9 @@ def test_the_negative_controls_build_no_partial_table(monkeypatch, row_report, n
     built, runs = [], []
     live_table = enumeration._live_table
 
-    def spy(enum, status):
-        built.append(status)
-        return live_table(enum, status)
+    def spy(enum):
+        built.append(enum.defined)
+        return live_table(enum)
 
     def recorded(*args, **kwargs):
         runs.append(todd_coxeter(*args, **kwargs))

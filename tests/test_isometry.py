@@ -403,17 +403,13 @@ MOD3_ELEMENT_SET_SHA256 = {
 TILE_NEIGHBORS_N4_SHA256 = "3a778654c8a8d728aa40e3525d457dbdb2354ab971c8e9b83005c22653d4a1ef"
 
 
-def _assert_integer_closures_match_pins():
-    for n, digest in INTEGER_CLOSURE_SHA256.items():
-        mats = finite_group_elements(long_simple_reflections(n))
-        assert _sha256(mats, np.int8) == digest, n
-
-
 def test_closure_order_is_pinned():
     # The pinned integer closures, the pinned element sets of the mod-3
     # images, with the projective ones walked again from negated generators,
     # and the pinned tiles.
-    _assert_integer_closures_match_pins()
+    for n, digest in INTEGER_CLOSURE_SHA256.items():
+        mats = finite_group_elements(long_simple_reflections(n))
+        assert _sha256(mats, np.int8) == digest, n
     for (n, projective), digest in MOD3_ELEMENT_SET_SHA256.items():
         group = reflection_image_mod3(n, projective)
         assert _sha256(np.unique(_walked(group), axis=0), np.int16) == digest, (n, projective)
@@ -423,14 +419,17 @@ def test_closure_order_is_pinned():
     assert _sha256(build_tessellation(4).neighbors, np.int32) == TILE_NEIGHBORS_N4_SHA256
 
 
-def test_row_chunk_boundaries_change_no_closure(monkeypatch, congruence_counts):
-    # Every layer at n <= 6 fits in one default chunk.  Five rows a chunk
-    # split the integer layers at positions no generator count divides.
-    monkeypatch.setattr(isometry, "_CHUNK_ROWS", 5)
-    _assert_integer_closures_match_pins()
-    for n, order in ((2, 2), (3, 12), (4, 120), (5, 1920), (6, 51840)):
-        layers = _reflection_layers(_long_roots(n))
-        assert congruence_counts(layers, _identity_targets(n + 1)) == (order, 1, 1), n
+def test_the_descent_rule_keeps_nothing_between_layers():
+    # The rule reads each frontier alone: fed the layers backwards, it picks
+    # what it picks fed them in order, and each layer's picks are the next
+    # layer's elements, none after the last.
+    for n in range(2, 7):
+        roots = _long_roots(n)
+        layers = list(_reflection_layers(roots))
+        forward, backward = isometry._descents(roots), isometry._descents(roots)
+        picks = [forward(frontier).tolist() for frontier in layers]
+        assert [backward(frontier).tolist() for frontier in layers[::-1]] == picks[::-1], n
+        assert list(map(len, picks)) == [len(layer) for layer in layers[1:]] + [0], n
 
 
 def _materialised_counts(mats):
@@ -1012,3 +1011,16 @@ def test_orbit_rejects_int8_overflow_and_duplicate_seeds():
         orbit(np.array([[1, 0], [0, 1], [1, 0]]), lambda f: f[None])
     with pytest.raises(ValueError, match="at most 8 entries"):
         orbit(np.eye(9, dtype=np.int64), lambda f: f[None])
+
+
+def test_orbit_keeps_one_element_per_custom_key():
+    # Swapping the two entries of a row: each row is its own key by default,
+    # but keyed by its sorted entries a row and its swap are one element, so
+    # seeds whose keys collide raise although the rows differ.
+    swap = lambda f: f[:, ::-1][None]
+    unordered = lambda rows: isometry._pack_int8(np.sort(rows, axis=1))
+    assert orbit(np.array([[1, 2]]), swap).tolist() == [[1, 2], [2, 1]]
+    assert orbit(np.array([[1, 2]]), swap, unordered).tolist() == [[1, 2]]
+    assert orbit(np.array([[1, 2], [3, 0]]), swap, unordered).tolist() == [[1, 2], [3, 0]]
+    with pytest.raises(ValueError, match="distinct keys"):
+        orbit(np.array([[1, 2], [2, 1]]), swap, unordered)
